@@ -1,7 +1,7 @@
 //! Closed-loop overload control for the realtime pipeline.
 //!
-//! The Degrade overload policy is a *binary* flip: a full queue drops the
-//! detector to one fixed coarse configuration until the queue drains. A
+//! The Degrade overload policy alone is a *binary* flip: a full queue pins
+//! the detector at [`FidelityLevel::Floor`] until the queue drains. A
 //! collector that ran for months inside a Tier-1 ISP sees every shade in
 //! between — a queue that is merely elevated deserves mildly coarser
 //! Stemming, not the floor — and crash likelihood tracks the same signal
@@ -30,8 +30,9 @@ use crate::pipeline::{DegradeConfig, WeightedEvent};
 
 /// How much Stemming fidelity an analysis pass runs at. `Full` is the
 /// configured [`StemmingConfig`] untouched; [`FidelityLevel::FLOOR`] is
-/// exactly the binary Degrade policy's coarsened configuration; the levels
-/// between interpolate (see [`stemming_at_level`]).
+/// the [`DegradeConfig`] floor, where the Degrade overload policy pins the
+/// detector under queue pressure; the levels between interpolate (see
+/// [`stemming_at_level`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum FidelityLevel {
     /// The configured Stemming settings, unmodified.
@@ -42,8 +43,8 @@ pub enum FidelityLevel {
     Medium,
     /// Mostly coarsened.
     Low,
-    /// The [`DegradeConfig`] floor — identical to what the binary Degrade
-    /// policy runs.
+    /// The [`DegradeConfig`] floor — what the Degrade overload policy
+    /// runs under queue pressure.
     Floor,
 }
 
@@ -153,8 +154,8 @@ impl ControllerConfig {
     }
 }
 
-/// Adaptive overload control for a spawned pipeline: replaces the binary
-/// Degrade flip with the [`Controller`] fidelity/checkpoint loop and, under
+/// Adaptive overload control for a spawned pipeline: steers fidelity and
+/// the checkpoint interval with the [`Controller`] loop and, under
 /// [`crate::OverloadPolicy::DropOldest`], turns sheds into merges — the
 /// stolen event is coalesced into a weighted representative (see
 /// [`CoalesceBuffer`]) instead of discarded, counted on the ledger as
@@ -184,12 +185,6 @@ impl AdaptiveConfig {
     /// capacity at spawn).
     pub fn with_target_depth(mut self, depth: u64) -> Self {
         self.controller.target_depth = depth;
-        self
-    }
-
-    /// Sets the merge-on-shed buffer capacity (`0` disables merging).
-    pub fn with_coalesce_capacity(mut self, capacity: usize) -> Self {
-        self.coalesce_capacity = capacity;
         self
     }
 }

@@ -29,8 +29,10 @@
 //!
 //! # Adaptive overload control
 //!
-//! [`SpawnConfig::adaptive`] replaces the binary Degrade flip with a
-//! closed-loop controller (see [`crate::control`]): the supervisor samples
+//! [`OverloadPolicy::Degrade`] pins analysis at [`FidelityLevel::Floor`]
+//! while the queue is under pressure; [`SpawnConfig::adaptive`] steers the
+//! level continuously with a closed-loop controller (see
+//! [`crate::control`]): the supervisor samples
 //! the ingest-queue depth per pull and steers a [`FidelityLevel`] that
 //! continuously scales the Stemming knobs between full fidelity and the
 //! [`DegradeConfig`] floor, while simultaneously widening the checkpoint
@@ -435,10 +437,10 @@ pub struct PanicInjection {
 /// [`RealtimeDetector::restore`].
 ///
 /// Covers everything the window machinery needs to resume bit-identically:
-/// the current window/carry-forward buffer, the window clock, the degrade
-/// flag, and every ledger counter. The collector (RIB state) is *not*
-/// checkpointed — in the spawned pipeline it lives on the producer side of
-/// the queue and survives a consumer crash untouched.
+/// the current window/carry-forward buffer, the window clock, and every
+/// ledger counter. The collector (RIB state) is *not* checkpointed — in
+/// the spawned pipeline it lives on the producer side of the queue and
+/// survives a consumer crash untouched.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineCheckpoint {
     /// Buffered (not yet analyzed) events — the current window plus any
@@ -447,8 +449,6 @@ pub struct PipelineCheckpoint {
     /// Start of the current analysis window (`None` before the first
     /// event).
     pub window_start: Option<Timestamp>,
-    /// True when the detector was in degraded (overload) mode.
-    pub degraded: bool,
     /// Reports emitted so far.
     pub reports_emitted: u64,
     /// Events ingested so far.
@@ -493,11 +493,12 @@ pub struct SpawnConfig {
     /// [`Controller`] continuously scales Stemming fidelity and the
     /// checkpoint interval with queue depth, and — under
     /// [`OverloadPolicy::DropOldest`] — sheds become merges
-    /// (`coalesced_events`). `None` keeps the fixed-interval, binary-
-    /// degrade behavior.
+    /// (`coalesced_events`). `None` keeps the configured checkpoint
+    /// interval and full fidelity (floor fidelity under
+    /// [`OverloadPolicy::Degrade`] pressure).
     pub adaptive: Option<AdaptiveConfig>,
     /// When set, the run is recorded as a replayable frame log (see
-    /// [`crate::replay`]): every ingest with its degrade/fidelity flags,
+    /// [`crate::replay`]): every ingest with the fidelity level in force,
     /// every emitted report, controller decision, restart, and
     /// checkpoint snapshot. Recording is best-effort — an I/O failure
     /// disables it (reported on stderr) without touching the pipeline.
@@ -743,7 +744,6 @@ pub struct RealtimeDetector {
     buffer: Vec<WeightedEvent>,
     window_start: Option<Timestamp>,
     reports_emitted: usize,
-    degraded: bool,
     fidelity: FidelityLevel,
     // Accounting (see PipelineStats).
     ingested: u64,
@@ -764,7 +764,6 @@ impl RealtimeDetector {
             buffer: Vec::new(),
             window_start: None,
             reports_emitted: 0,
-            degraded: false,
             fidelity: FidelityLevel::Full,
             ingested: 0,
             analyzed: 0,
@@ -824,7 +823,6 @@ impl RealtimeDetector {
         PipelineCheckpoint {
             buffer: self.buffer.clone(),
             window_start: self.window_start,
-            degraded: self.degraded,
             reports_emitted: self.reports_emitted as u64,
             ingested: self.ingested,
             analyzed: self.analyzed,
@@ -848,7 +846,6 @@ impl RealtimeDetector {
             buffer: checkpoint.buffer,
             window_start: checkpoint.window_start,
             reports_emitted: checkpoint.reports_emitted as usize,
-            degraded: checkpoint.degraded,
             fidelity: FidelityLevel::Full,
             ingested: checkpoint.ingested,
             analyzed: checkpoint.analyzed,
@@ -860,26 +857,15 @@ impl RealtimeDetector {
         }
     }
 
-    /// Switches degraded mode on or off. While on, every analysis pass uses
-    /// the coarsened Stemming settings from [`DegradeConfig`] and is counted
-    /// in [`PipelineStats::degraded_windows`]. The spawned pipeline drives
-    /// this from queue pressure; callers of the synchronous detector may
-    /// drive it from any overload signal they have.
-    pub fn set_degraded(&mut self, degraded: bool) {
-        self.degraded = degraded;
-    }
-
-    /// True while in degraded mode.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// Sets the fidelity level the next analysis pass runs at (see
-    /// [`stemming_at_level`]). The adaptive supervisor drives this from its
-    /// [`Controller`] before every event; callers of the synchronous
-    /// detector may drive it from any overload signal they have. Fidelity
-    /// is *not* checkpointed — like the degrade flag, it is external
-    /// pressure, re-applied by whoever drives the detector.
+    /// [`stemming_at_level`]). Any pass below [`FidelityLevel::Full`] is
+    /// counted in [`PipelineStats::degraded_windows`] and marks its
+    /// reports degraded. The supervisor drives this before every event —
+    /// [`FidelityLevel::Floor`] while [`OverloadPolicy::Degrade`] sees
+    /// queue pressure, the [`Controller`]'s level otherwise; callers of the
+    /// synchronous detector may drive it from any overload signal they
+    /// have. Fidelity is *not* checkpointed: it is external pressure,
+    /// re-applied by whoever drives the detector.
     pub fn set_fidelity(&mut self, fidelity: FidelityLevel) {
         self.fidelity = fidelity;
     }
@@ -1002,15 +988,11 @@ impl RealtimeDetector {
     }
 
     fn analyze(&mut self) -> Vec<AnomalyReport> {
-        // The binary degrade flag forces the floor; otherwise the adaptive
-        // fidelity level interpolates. Any reduced-fidelity pass counts as
-        // a degraded window and marks its reports.
-        let reduced = self.degraded || self.fidelity != FidelityLevel::Full;
-        let stemming_config = if self.degraded {
-            self.degraded_stemming()
-        } else {
-            stemming_at_level(&self.config.stemming, &self.config.degrade, self.fidelity)
-        };
+        // Any reduced-fidelity pass counts as a degraded window and marks
+        // its reports.
+        let reduced = self.fidelity != FidelityLevel::Full;
+        let stemming_config =
+            stemming_at_level(&self.config.stemming, &self.config.degrade, self.fidelity);
         if reduced {
             self.degraded_windows += 1;
         }
@@ -1037,17 +1019,6 @@ impl RealtimeDetector {
         }
         self.reports_emitted += reports.len();
         reports
-    }
-
-    /// The coarsened Stemming configuration used in degraded mode: the
-    /// adaptive controller's floor level, bit-identical to the
-    /// pre-adaptive binary behavior.
-    fn degraded_stemming(&self) -> StemmingConfig {
-        stemming_at_level(
-            &self.config.stemming,
-            &self.config.degrade,
-            FidelityLevel::Floor,
-        )
     }
 
     /// Flushes any remaining window and returns the final reports.
@@ -1084,9 +1055,6 @@ impl RealtimeDetector {
             config.supervisor.checkpoint_interval.max(1) as u64,
             Ordering::Release,
         );
-        let checkpoint_slot = Arc::new(Mutex::new(
-            RealtimeDetector::new(config.pipeline.clone()).checkpoint(),
-        ));
         let digest = Arc::new(Mutex::new(ReportDigest::default()));
 
         let recorder = match &config.recorder {
@@ -1121,7 +1089,6 @@ impl RealtimeDetector {
             report_tx,
             report_steal: report_rx.clone(),
             report_policy: config.report_policy,
-            checkpoint_slot: Arc::clone(&checkpoint_slot),
             digest: Arc::clone(&digest),
             recorder: recorder.clone(),
         };
@@ -1136,7 +1103,6 @@ impl RealtimeDetector {
             shared,
             overload: config.overload,
             coalesce,
-            checkpoint_slot,
             digest,
             recorder,
         }
@@ -1205,7 +1171,6 @@ struct Supervisor {
     /// [`ReportPolicy::DropOldest`] (shim receivers share one queue).
     report_steal: Receiver<AnomalyReport>,
     report_policy: ReportPolicy,
-    checkpoint_slot: Arc<Mutex<PipelineCheckpoint>>,
     digest: Arc<Mutex<ReportDigest>>,
     /// When recording, every supervision step is framed here in consumer
     /// order (see [`crate::replay::Frame`]).
@@ -1266,6 +1231,7 @@ impl Supervisor {
                         self.shared
                             .lost
                             .fetch_add(ring.len() as u64, Ordering::AcqRel);
+                        self.shared.gave_up.store(true, Ordering::Release);
                         break;
                     }
                     // Publish the restored counters and the replay debt as
@@ -1377,34 +1343,37 @@ impl Supervisor {
         decision.checkpoint_interval
     }
 
-    /// One event through the detector, honoring the shared degrade flag and
-    /// the controller's fidelity level. When recording, the event is framed
-    /// with the exact flags read for it *before* the detector touches it —
-    /// a crash mid-ingest leaves the frame in place, and the recorded ring
-    /// replay that follows the [`Frame::Restart`] re-drives it, exactly
-    /// like the live supervisor.
+    /// One event through the detector at the fidelity level in force:
+    /// [`FidelityLevel::Floor`] while the [`OverloadPolicy::Degrade`]
+    /// pressure flag is up, the controller's level otherwise. When
+    /// recording, the event is framed with the exact level read for it
+    /// *before* the detector touches it — a crash mid-ingest leaves the
+    /// frame in place, and the recorded ring replay that follows the
+    /// [`Frame::Restart`] re-drives it, exactly like the live supervisor.
     fn ingest(
         &self,
         detector: &mut RealtimeDetector,
         event: WeightedEvent,
         replayed: bool,
     ) -> Vec<AnomalyReport> {
-        let degraded = self.shared.degraded.load(Ordering::Acquire);
-        detector.set_degraded(degraded);
-        let fidelity = self.shared.fidelity.load(Ordering::Acquire) as u8;
-        detector.set_fidelity(FidelityLevel::from_index(fidelity));
+        let pressure = self.shared.pressure.load(Ordering::Acquire);
+        let fidelity = if pressure {
+            FidelityLevel::Floor
+        } else {
+            FidelityLevel::from_index(self.shared.fidelity.load(Ordering::Acquire) as u8)
+        };
+        detector.set_fidelity(fidelity);
         if let Some(rec) = &self.recorder {
             rec.record(Frame::Event {
                 event: event.clone(),
-                degraded,
-                fidelity,
+                fidelity: fidelity.index(),
                 replayed,
             });
         }
         let reports = detector.ingest_weighted(event);
-        if degraded && self.event_rx.is_empty() {
-            // The queue drained: leave degraded mode.
-            self.shared.degraded.store(false, Ordering::Release);
+        if pressure && self.event_rx.is_empty() {
+            // The queue drained: the pressure is off.
+            self.shared.pressure.store(false, Ordering::Release);
         }
         reports
     }
@@ -1473,11 +1442,10 @@ impl Supervisor {
         }
     }
 
-    /// Captures a checkpoint, publishes it to the shared slot, and spills
-    /// it to disk when configured.
+    /// Captures a checkpoint into `slot` (what a restart restores from)
+    /// and spills it to disk when configured.
     fn take_checkpoint(&self, detector: &RealtimeDetector, slot: &mut PipelineCheckpoint) {
         *slot = detector.checkpoint();
-        *self.checkpoint_slot.lock().expect("checkpoint poisoned") = slot.clone();
         self.shared.checkpoints.fetch_add(1, Ordering::AcqRel);
         if let Some(rec) = &self.recorder {
             // Ask before cloning: a spike-window checkpoint the
@@ -1570,8 +1538,13 @@ struct SharedStats {
     shed: AtomicU64,
     parse_errors: AtomicU64,
     consumer: Mutex<ConsumerCounters>,
-    degraded: AtomicBool,
+    /// Raised by the [`OverloadPolicy::Degrade`] producer on a full queue,
+    /// lowered by the supervisor once the queue drains; while up, analysis
+    /// runs at [`FidelityLevel::Floor`].
+    pressure: AtomicBool,
     consumer_alive: AtomicBool,
+    /// Set when the supervisor exhausted its restart budget.
+    gave_up: AtomicBool,
     restarts: AtomicU64,
     checkpoints: AtomicU64,
     replayed: AtomicU64,
@@ -1591,6 +1564,10 @@ struct SharedStats {
 }
 
 impl SharedStats {
+    fn last_panic(&self) -> Option<String> {
+        self.last_panic.lock().expect("panic slot poisoned").clone()
+    }
+
     /// Samples the producer/supervision counters the replayed detector
     /// cannot recompute, for a [`Frame::Snapshot`] overlay.
     fn overlay(&self) -> Overlay {
@@ -1615,8 +1592,9 @@ impl Default for SharedStats {
             shed: AtomicU64::new(0),
             parse_errors: AtomicU64::new(0),
             consumer: Mutex::new(ConsumerCounters::default()),
-            degraded: AtomicBool::new(false),
+            pressure: AtomicBool::new(false),
             consumer_alive: AtomicBool::new(true),
+            gave_up: AtomicBool::new(false),
             restarts: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             replayed: AtomicU64::new(0),
@@ -1699,6 +1677,17 @@ impl StatsProbe {
     pub fn is_alive(&self) -> bool {
         self.shared.consumer_alive.load(Ordering::Acquire)
     }
+
+    /// True once the supervisor exhausted its restart budget and closed
+    /// the pipeline.
+    pub(crate) fn gave_up(&self) -> bool {
+        self.shared.gave_up.load(Ordering::Acquire)
+    }
+
+    /// The most recent consumer panic the supervisor caught, if any.
+    pub(crate) fn last_panic(&self) -> Option<String> {
+        self.shared.last_panic()
+    }
 }
 
 /// The feed side of a spawned pipeline is gone: the detector thread exited
@@ -1730,7 +1719,6 @@ pub struct PipelineHandle {
     /// Merge-on-shed buffer: present under adaptive DropOldest with a
     /// nonzero coalesce capacity.
     coalesce: Option<CoalesceBuffer>,
-    checkpoint_slot: Arc<Mutex<PipelineCheckpoint>>,
     digest: Arc<Mutex<ReportDigest>>,
     /// Shared with the supervisor; the handle writes [`Frame::Transition`]
     /// frames and seals the recording with [`Frame::End`] at finish.
@@ -1772,6 +1760,20 @@ impl PipelineHandle {
     ///
     /// Returns [`PipelineClosed`] when the detector thread is gone.
     pub fn ingest_event(&mut self, event: Event) -> Result<(), PipelineClosed> {
+        self.push(event, None)
+    }
+
+    /// [`PipelineHandle::ingest_event`], optionally for a caller that owns
+    /// the report stream (the sharded pipeline): every report delivered so
+    /// far moves into `sink` before the push, and again each time the push
+    /// finds the queue still full. A supervisor blocked on the bounded
+    /// report queue under [`ReportPolicy::Block`] therefore always gets
+    /// room, and the producer never waits on a consumer waiting on it.
+    pub(crate) fn push(
+        &mut self,
+        event: Event,
+        mut sink: Option<&mut Vec<AnomalyReport>>,
+    ) -> Result<(), PipelineClosed> {
         // Opportunistically return merged representatives to the queue
         // while it has room, so coalesced evidence re-enters analysis as
         // soon as pressure eases.
@@ -1779,8 +1781,25 @@ impl PipelineHandle {
         let event = WeightedEvent::unit(event);
         let tx = self.tx.as_ref().ok_or(PipelineClosed)?;
         self.shared.ingested.fetch_add(1, Ordering::AcqRel);
+        let reports = &self.reports;
+        let mut drain = || {
+            if let Some(sink) = sink.as_deref_mut() {
+                while let Ok(report) = reports.try_recv() {
+                    sink.push(report);
+                }
+            }
+        };
+        drain();
         match self.overload {
-            OverloadPolicy::Block => Self::send_blocking(&self.shared, tx, event),
+            OverloadPolicy::Block | OverloadPolicy::Degrade => {
+                if self.overload == OverloadPolicy::Degrade && tx.is_full() {
+                    // Queue full: pin analysis at the fidelity floor (the
+                    // consumer lifts it once the queue drains), then
+                    // deliver losslessly, exactly like `Block`.
+                    self.shared.pressure.store(true, Ordering::Release);
+                }
+                Self::send_blocking(&self.shared, tx, event, drain)
+            }
             OverloadPolicy::DropNewest => match tx.try_send(event) {
                 Ok(()) => Ok(()),
                 Err(TrySendError::Full(_)) => {
@@ -1835,22 +1854,6 @@ impl PipelineHandle {
                             self.shared.shed.fetch_add(1, Ordering::AcqRel);
                             return Err(PipelineClosed);
                         }
-                    }
-                }
-            }
-            OverloadPolicy::Degrade => {
-                match tx.try_send(event) {
-                    Ok(()) => Ok(()),
-                    Err(TrySendError::Full(event)) => {
-                        // Queue full: enter degraded mode (the consumer
-                        // leaves it once the queue drains), then deliver
-                        // losslessly.
-                        self.shared.degraded.store(true, Ordering::Release);
-                        Self::send_blocking(&self.shared, tx, event)
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        self.shared.shed.fetch_add(1, Ordering::AcqRel);
-                        Err(PipelineClosed)
                     }
                 }
             }
@@ -1924,11 +1927,13 @@ impl PipelineHandle {
     /// Lossless delivery with a liveness check: blocks while the queue is
     /// full, but bails out (instead of deadlocking) if the detector thread
     /// died — its receiver clone held by this handle would otherwise keep
-    /// the channel "connected" forever.
+    /// the channel "connected" forever. `still_full` runs after every
+    /// timed-out attempt (see [`PipelineHandle::push`]).
     fn send_blocking(
         shared: &SharedStats,
         tx: &Sender<WeightedEvent>,
         mut event: WeightedEvent,
+        mut still_full: impl FnMut(),
     ) -> Result<(), PipelineClosed> {
         loop {
             match tx.send_timeout(event, Duration::from_millis(50)) {
@@ -1939,6 +1944,7 @@ impl PipelineHandle {
                         return Err(PipelineClosed);
                     }
                     event = back;
+                    still_full();
                 }
                 Err(SendTimeoutError::Disconnected(_)) => {
                     shared.shed.fetch_add(1, Ordering::AcqRel);
@@ -2014,29 +2020,10 @@ impl PipelineHandle {
         self.reports.len()
     }
 
-    /// The most recent [`PipelineCheckpoint`] the supervisor published —
-    /// what a restart would restore from right now.
-    pub fn checkpoint(&self) -> PipelineCheckpoint {
-        self.checkpoint_slot
-            .lock()
-            .expect("checkpoint poisoned")
-            .clone()
-    }
-
-    /// The digest of reports coalesced under [`ReportPolicy::Digest`]
-    /// (empty under the other policies).
-    pub fn report_digest(&self) -> ReportDigest {
-        self.digest.lock().expect("digest poisoned").clone()
-    }
-
     /// The message of the most recent consumer panic the supervisor caught,
     /// if any.
     pub fn last_panic(&self) -> Option<String> {
-        self.shared
-            .last_panic
-            .lock()
-            .expect("panic slot poisoned")
-            .clone()
+        self.shared.last_panic()
     }
 
     /// Ends the feed, waits for the supervised detector to flush its final
@@ -2369,32 +2356,6 @@ mod tests {
         let stats = det.stats();
         assert_eq!(stats.carry_forward_evictions, 2);
         assert_eq!(stats.carried, 1);
-        assert!(stats.accounts_exactly(), "{stats}");
-    }
-
-    /// Degraded mode runs coarser Stemming and counts the windows it
-    /// affected; leaving it restores full fidelity.
-    #[test]
-    fn degraded_mode_analyzes_coarser_and_counts() {
-        let config = PipelineConfig {
-            window: Timestamp::from_secs(300),
-            min_events: 20,
-            min_component_events: 20,
-            ..PipelineConfig::default()
-        };
-        let mut det = RealtimeDetector::new(config);
-        det.set_degraded(true);
-        assert!(det.is_degraded());
-        let mut reports = Vec::new();
-        for (msg, t) in reset_updates(0) {
-            reports.extend(det.ingest_update(&msg, t));
-        }
-        reports.extend(det.flush());
-        // The session reset is a *strong* correlation: even degraded
-        // analysis finds it.
-        assert!(!reports.is_empty());
-        let stats = det.stats();
-        assert!(stats.degraded_windows > 0);
         assert!(stats.accounts_exactly(), "{stats}");
     }
 
@@ -2822,33 +2783,37 @@ mod tests {
         assert!(unit.finish().is_empty(), "unit weights must not clear it");
     }
 
-    /// The fidelity knob alone (no degrade flag) coarsens analysis, counts
-    /// the window as degraded, and marks its reports.
+    /// Any fidelity below full — down to the floor `OverloadPolicy::Degrade`
+    /// pins under pressure — coarsens analysis, counts the window as
+    /// degraded, and marks its reports. The session reset is a *strong*
+    /// correlation: even floor analysis finds it.
     #[test]
     fn fidelity_below_full_marks_reports_degraded() {
-        let config = PipelineConfig {
-            window: Timestamp::from_secs(300),
-            min_events: 20,
-            min_component_events: 20,
-            ..PipelineConfig::default()
-        };
-        let mut det = RealtimeDetector::new(config);
-        det.set_fidelity(FidelityLevel::Medium);
-        let mut reports = Vec::new();
-        for (msg, t) in reset_updates(0) {
-            reports.extend(det.ingest_update(&msg, t));
+        for level in [FidelityLevel::Medium, FidelityLevel::Floor] {
+            let config = PipelineConfig {
+                window: Timestamp::from_secs(300),
+                min_events: 20,
+                min_component_events: 20,
+                ..PipelineConfig::default()
+            };
+            let mut det = RealtimeDetector::new(config);
+            det.set_fidelity(level);
+            let mut reports = Vec::new();
+            for (msg, t) in reset_updates(0) {
+                reports.extend(det.ingest_update(&msg, t));
+            }
+            reports.extend(det.flush());
+            assert!(!reports.is_empty());
+            assert!(reports.iter().all(|r| r.degraded), "reports must be marked");
+            let stats = det.stats();
+            assert!(stats.degraded_windows > 0, "{stats}");
+            assert_eq!(stats.fidelity_level, u64::from(level.index()), "{stats}");
+            assert!(stats.accounts_exactly(), "{stats}");
         }
-        reports.extend(det.flush());
-        assert!(!reports.is_empty());
-        assert!(reports.iter().all(|r| r.degraded), "reports must be marked");
-        let stats = det.stats();
-        assert!(stats.degraded_windows > 0, "{stats}");
-        assert_eq!(stats.fidelity_level, 2, "{stats}");
-        assert!(stats.accounts_exactly(), "{stats}");
     }
 
-    /// The checkpoint spill path receives valid JSON that parses back to
-    /// the published checkpoint.
+    /// The checkpoint spill path receives valid JSON that restores a
+    /// detector standing exactly where the finished run's ledger stands.
     #[test]
     fn checkpoint_spills_to_disk_as_json() {
         let path = std::env::temp_dir().join("bgpscope-checkpoint-spill-test.json");
@@ -2864,20 +2829,30 @@ mod tests {
                 .with_checkpoint_interval(4)
                 .with_spill_path(path.clone()),
         );
-        let mut handle = RealtimeDetector::spawn(config);
+        let mut handle = RealtimeDetector::spawn(config.clone());
         for i in 0..50u64 {
             handle
                 .ingest_event(withdraw_event(i, (i % 250) as u8))
                 .unwrap();
         }
-        let last = handle.checkpoint();
         let (_, stats) = handle.finish();
         assert!(stats.checkpoints > 0, "{stats}");
         let spilled = std::fs::read_to_string(&path).expect("spill file written");
         let parsed: PipelineCheckpoint = serde_json::from_str(&spilled).expect("spill parses");
         // `finish` checkpoints once more after the terminal flush, so the
-        // file holds the final checkpoint, at least as far along as `last`.
-        assert!(parsed.ingested >= last.ingested);
+        // file holds the final checkpoint: restoring it reproduces the
+        // run's final consumer-side ledger.
+        let restored = RealtimeDetector::restore(config.pipeline, parsed).stats();
+        assert_eq!(
+            (
+                restored.ingested,
+                restored.analyzed,
+                restored.dropped_events
+            ),
+            (stats.ingested, stats.analyzed, stats.dropped_events)
+        );
+        assert_eq!(restored.carried, 0);
+        assert_eq!(restored.reports_emitted, stats.reports_emitted);
         let _ = std::fs::remove_file(&path);
     }
 }

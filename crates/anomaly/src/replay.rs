@@ -4,7 +4,7 @@
 //! incident, step through the decisions the pipeline made, and regenerate
 //! the paper's §III-A animation at any cursor. This module records a
 //! supervised pipeline run as an append-only, serde-framed event log —
-//! every detector ingest (with the degrade/fidelity flags in force),
+//! every detector ingest (with the fidelity level in force),
 //! every emitted report, every controller decision, restart, quarantine
 //! transition, and periodic ledger snapshot — then replays it with time
 //! controls.
@@ -21,7 +21,7 @@
 //!
 //! Because [`Frame::Event`] frames capture the exact ingest boundary —
 //! including ring replays after a crash (`replayed: true`) and the
-//! degrade/fidelity flags read at that instant — re-driving a fresh
+//! fidelity level read at that instant — re-driving a fresh
 //! [`RealtimeDetector`] through the frame sequence is *bit-identical* to
 //! the live consumer, restarts and all ([`Frame::Restart`] restores from
 //! the last snapshot's checkpoint, exactly as the supervisor did).
@@ -64,7 +64,7 @@ use crate::pipeline::{
 use crate::report::AnomalyReport;
 
 /// Recording format version (bumped on any frame-schema change).
-pub const RECORDING_VERSION: u32 = 1;
+pub const RECORDING_VERSION: u32 = 2;
 
 /// Where and how a pipeline run is recorded. Attach with
 /// [`crate::pipeline::SpawnConfig::with_recorder`]; under a
@@ -150,18 +150,17 @@ pub struct Overlay {
 /// writes every frame, so the file order *is* the replay order).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Frame {
-    /// One detector ingest: the exact event and the degrade/fidelity
-    /// flags read for it. `replayed` marks in-flight-ring re-processing
-    /// after a crash.
+    /// One detector ingest: the exact event and the fidelity level read
+    /// for it. `replayed` marks in-flight-ring re-processing after a
+    /// crash.
     Event {
         /// The weighted event fed to the detector.
         event: WeightedEvent,
-        /// Degraded-mode flag in force for this ingest. Elided from the
-        /// frame when false (the overwhelmingly common case): event
-        /// frames dominate a recording, so their encoding is kept lean.
-        #[serde(skip_default)]
-        degraded: bool,
-        /// Fidelity level index in force ([`FidelityLevel::index`]).
+        /// Fidelity level index in force ([`FidelityLevel::index`];
+        /// the floor while `OverloadPolicy::Degrade` saw queue pressure).
+        /// Elided from the frame when 0 (the overwhelmingly common case):
+        /// event frames dominate a recording, so their encoding is kept
+        /// lean.
         #[serde(skip_default)]
         fidelity: u8,
         /// True when this is a ring replay after a restart.
@@ -250,7 +249,6 @@ struct SinkInner {
     writer: Option<BufWriter<File>>,
     segment: u64,
     frames_in_segment: u64,
-    frames_total: Arc<AtomicU64>,
     /// Reused per-frame serialization buffer (one allocation for the
     /// whole recording, not one per frame).
     line: String,
@@ -284,7 +282,6 @@ impl SinkInner {
             return;
         }
         self.frames_in_segment += 1;
-        self.frames_total.fetch_add(1, Ordering::AcqRel);
         if self.frames_in_segment >= self.frames_per_segment {
             // Roll the segment: flush and start a fresh chunk on the next
             // frame, so a reader never sees a segment grow past the
@@ -336,7 +333,6 @@ pub struct RecordingSink {
     /// Hand-over lane to the writer thread; `None` once sealed.
     tx: Mutex<Option<std::sync::mpsc::SyncSender<Vec<Frame>>>>,
     worker: Mutex<Option<std::thread::JoinHandle<()>>>,
-    frames_total: Arc<AtomicU64>,
     error: Arc<Mutex<Option<String>>>,
     failed: Arc<AtomicBool>,
     sealed: AtomicBool,
@@ -369,7 +365,6 @@ impl RecordingSink {
         while std::fs::remove_file(segment_path(&config.path, stale)).is_ok() {
             stale += 1;
         }
-        let frames_total = Arc::new(AtomicU64::new(0));
         let error = Arc::new(Mutex::new(None));
         let failed = Arc::new(AtomicBool::new(false));
         let inner = SinkInner {
@@ -378,7 +373,6 @@ impl RecordingSink {
             writer: None,
             segment: 0,
             frames_in_segment: 0,
-            frames_total: Arc::clone(&frames_total),
             line: String::with_capacity(1024),
             error: Arc::clone(&error),
             failed: Arc::clone(&failed),
@@ -391,7 +385,6 @@ impl RecordingSink {
             batch: Mutex::new(Vec::with_capacity(SINK_BATCH_FRAMES)),
             tx: Mutex::new(Some(tx)),
             worker: Mutex::new(Some(worker)),
-            frames_total,
             error,
             failed,
             sealed: AtomicBool::new(false),
@@ -487,12 +480,6 @@ impl RecordingSink {
         if let Some(worker) = self.worker.lock().expect("recording sink poisoned").take() {
             let _ = worker.join();
         }
-    }
-
-    /// Frames durably handed to the writer so far (exact after
-    /// [`RecordingSink::seal`]).
-    pub fn frames_recorded(&self) -> u64 {
-        self.frames_total.load(Ordering::Acquire)
     }
 
     /// The latched write error, if recording failed mid-run.
@@ -1353,11 +1340,9 @@ impl Replay {
         match frame {
             Frame::Event {
                 event,
-                degraded,
                 fidelity,
                 replayed,
             } => {
-                self.detector.set_degraded(*degraded);
                 self.detector
                     .set_fidelity(FidelityLevel::from_index(*fidelity));
                 let reports = self.detector.ingest_weighted(event.clone());

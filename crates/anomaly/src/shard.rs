@@ -5,11 +5,13 @@
 //! The single supervised pipeline ([`crate::pipeline`]) shrinks the failure
 //! domain from "the process" to "the consumer thread"; this module shrinks
 //! it again to "one shard of the keyspace." A [`ShardRouter`] partitions
-//! ingest by a (peer, prefix-range) key across N supervised consumers, each
-//! owning its own bounded queue, adaptive controller, checkpoint slot
-//! (spilled to a per-shard `<path>.shard<k>` file), and restart budget — a
-//! panicking, stalling, or overloaded shard degrades or restarts alone
-//! while its siblings keep analyzing.
+//! ingest by a (peer, prefix-range) key across N ≥ 1 supervised consumers,
+//! each owning its own bounded queue, adaptive controller, checkpoint
+//! (spilled to a per-shard `<path>.shard<k>` file when N > 1), and restart
+//! budget — a panicking, stalling, or overloaded shard degrades or restarts
+//! alone while its siblings keep analyzing. One shard is the unsharded
+//! pipeline: every incident is a singleton of the merge and spill and
+//! recording paths are used as given.
 //!
 //! # Shard key contract
 //!
@@ -28,7 +30,9 @@
 //!
 //! A shard whose supervisor exhausts [`SupervisorConfig::max_restarts`]
 //! does *not* close the sharded pipeline: the shard is **quarantined** —
-//! its handle is reaped (stranded queued events counted as shed, its
+//! by the producer the next time it routes there, or by `finish()` if it
+//! finds the shard dead first. Its handle is reaped (stranded queued events
+//! counted as shed, its
 //! in-flight ring already counted as that shard's `lost_events`), its
 //! keyspace is marked degraded ([`ShardSnapshot::quarantined`]), and every
 //! event subsequently routed to it is counted in
@@ -147,9 +151,9 @@ impl ShardRouter {
 pub struct ShardedConfig {
     /// Number of shards (clamped to ≥ 1 at spawn).
     pub shards: usize,
-    /// Template applied to every shard. A configured checkpoint spill path
-    /// is suffixed per shard (`<path>.shard<k>`) so shards never clobber
-    /// each other's spills.
+    /// Template applied to every shard. With more than one shard, a
+    /// configured checkpoint spill or recording path is suffixed per shard
+    /// (`<path>.shard<k>`) so shards never clobber each other's files.
     pub spawn: SpawnConfig,
     /// Leading prefix bits in the routing key (see
     /// [`ShardRouter::with_range_bits`]).
@@ -185,31 +189,24 @@ impl ShardedConfig {
         self
     }
 
-    /// The spawn configuration for shard `k`: the template with the spill
-    /// path suffixed `.shard<k>` and the fault resolved per-shard.
+    /// The spawn configuration for shard `k`: the template with the fault
+    /// resolved per-shard and, when there is more than one shard, the spill
+    /// and recording paths suffixed `.shard<k>`.
     fn spawn_for(&self, k: usize) -> SpawnConfig {
         let mut spawn = self.spawn.clone();
-        if let Some(base) = &spawn.supervisor.spill_path {
-            spawn.supervisor.spill_path = Some(format!("{}.shard{k}", base.display()).into());
-        }
-        // Each shard records independently: same suffix idiom as the
-        // checkpoint spill.
-        if let Some(recorder) = &mut spawn.recorder {
-            recorder.path = format!("{}.shard{k}", recorder.path.display()).into();
+        if self.shards > 1 {
+            if let Some(base) = &mut spawn.supervisor.spill_path {
+                *base = format!("{}.shard{k}", base.display()).into();
+            }
+            if let Some(recorder) = &mut spawn.recorder {
+                recorder.path = format!("{}.shard{k}", recorder.path.display()).into();
+            }
         }
         if let Some((target, fault)) = self.shard_fault {
             spawn.fault = (target == k).then_some(fault);
         }
         spawn
     }
-}
-
-/// A quarantined shard's reaped remains (the final ledger itself is
-/// published on the [`ShardCell`], where observers sample it).
-#[derive(Debug)]
-struct ReapedShard {
-    reports: Vec<AnomalyReport>,
-    digest: ReportDigest,
 }
 
 /// The observable supervision state of one shard. Everything an observer
@@ -229,17 +226,22 @@ struct ShardCell {
     /// other shards.
     cause: Option<String>,
     /// The final ledger, published together with `quarantined` once the
-    /// handle is reaped (quarantine or finish). `None` = sample the live
-    /// probe.
+    /// handle is reaped. `None` = sample the live probe.
     stats: Option<PipelineStats>,
 }
 
-/// One shard: a live handle (or the remains of a reaped one), the
-/// thread-safe ledger probe, and the supervision cell observers sample.
+/// One shard: a live handle (`None` once reaped), the reports and digest
+/// taken off it so far, the thread-safe ledger probe, and the supervision
+/// cell observers sample.
 #[derive(Debug)]
 struct Shard {
     handle: Option<PipelineHandle>,
-    reaped: Option<ReapedShard>,
+    /// Reports drained from the shard's bounded report queue during ingest
+    /// (see [`PipelineHandle::push`]), then whatever the reaped handle
+    /// still held.
+    reports: Vec<AnomalyReport>,
+    /// The reaped handle's report digest.
+    digest: ReportDigest,
     probe: StatsProbe,
     cell: Arc<Mutex<ShardCell>>,
 }
@@ -432,11 +434,6 @@ impl ShardedObserver {
                 .collect(),
         )
     }
-
-    /// Number of shards observed.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
 }
 
 /// One shard's panic record: which shard, the captured cause, and how many
@@ -453,13 +450,25 @@ pub struct ShardPanic {
     pub restarts: u64,
 }
 
+impl std::fmt::Display for ShardPanic {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "shard {}: {} ({} restart(s))",
+            self.shard, self.cause, self.restarts
+        )
+    }
+}
+
 /// The result of [`ShardedPipeline::finish`].
 #[derive(Debug)]
 pub struct ShardedRun {
     /// Per-shard anomalies merged into global incidents (see
     /// [`merge_incidents`]).
     pub incidents: Vec<GlobalIncident>,
-    /// The raw per-shard report sets, indexed by shard.
+    /// The raw per-shard report sets, indexed by shard (empty after
+    /// [`ShardedPipeline::finish_merged`], which moves them into
+    /// `incidents`).
     pub shard_reports: Vec<Vec<AnomalyReport>>,
     /// The final global + per-shard ledgers.
     pub stats: ShardedStats,
@@ -490,7 +499,8 @@ impl ShardedPipeline {
                 let probe = handle.probe();
                 Shard {
                     handle: Some(handle),
-                    reaped: None,
+                    reports: Vec::new(),
+                    digest: ReportDigest::default(),
                     probe,
                     cell: Arc::new(Mutex::new(ShardCell::default())),
                 }
@@ -501,22 +511,6 @@ impl ShardedPipeline {
             router,
             shards,
         }
-    }
-
-    /// The router (for computing which shard a key lands on — soak tests
-    /// use this to aim faults).
-    pub fn router(&self) -> ShardRouter {
-        self.router
-    }
-
-    /// The shard for (peer, prefix).
-    pub fn route(&self, peer: PeerId, prefix: Prefix) -> usize {
-        self.router.route(peer, prefix)
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// True while shard `k`'s detector thread is running.
@@ -579,10 +573,13 @@ impl ShardedPipeline {
         Ok(())
     }
 
-    /// Ingests one already-augmented event into its shard. A shard observed
-    /// dead (restart budget exhausted) is quarantined here: its handle is
-    /// reaped and the event — like every later one routed to it — is
-    /// counted in its `quarantine_shed`.
+    /// Ingests one already-augmented event into its shard, first moving the
+    /// shard's delivered reports out of its bounded report queue (they come
+    /// back from [`ShardedPipeline::finish`]), so a supervisor blocked on
+    /// that queue never blocks the feed in turn. A shard observed dead
+    /// (restart budget exhausted) is quarantined here: its handle is reaped
+    /// and the event — like every later one routed to it — is counted in
+    /// its `quarantine_shed`.
     ///
     /// # Errors
     ///
@@ -595,17 +592,16 @@ impl ShardedPipeline {
             .as_ref()
             .is_some_and(PipelineHandle::is_alive);
         if alive {
-            let handle = self.shards[k].handle.as_mut().expect("alive shard");
-            match handle.ingest_event(event) {
+            let shard = &mut self.shards[k];
+            let handle = shard.handle.as_mut().expect("alive shard");
+            match handle.push(event, Some(&mut shard.reports)) {
                 Ok(()) => return Ok(()),
                 // The handle already counted the event (ingested + shed);
                 // the death is terminal — quarantine the shard.
-                Err(PipelineClosed) => self.quarantine(k),
+                Err(PipelineClosed) => self.reap(k),
             }
         } else {
-            if self.shards[k].handle.is_some() {
-                self.quarantine(k);
-            }
+            self.reap(k);
             self.shards[k]
                 .cell
                 .lock()
@@ -619,37 +615,43 @@ impl ShardedPipeline {
         }
     }
 
-    /// Reaps shard `k`'s dead handle: captures the panic cause, finishes
-    /// the handle (stranded queued events are counted as shed, the
-    /// in-flight ring was already counted as `lost_events` by the
-    /// supervisor's give-up), and stores the remains. The shard's keyspace
-    /// is degraded from here on; its siblings are untouched.
-    fn quarantine(&mut self, k: usize) {
+    /// Reaps shard `k`'s handle, if it still has one: finishes it (a live
+    /// shard flushes its final window; a dead one has its stranded queued
+    /// events counted as shed, its in-flight ring already counted as
+    /// `lost_events` by the supervisor's give-up) and keeps its reports and
+    /// digest. A shard whose supervisor gave up — before this call or
+    /// during the final drain — is quarantined: its keyspace is degraded
+    /// from here on; its siblings are untouched.
+    fn reap(&mut self, k: usize) {
         let shard = &mut self.shards[k];
         let Some(handle) = shard.handle.take() else {
             return;
         };
-        let cause = handle.last_panic();
-        handle.record_transition(
-            "shard-quarantine",
-            &format!(
-                "shard {k}: {}",
-                cause.as_deref().unwrap_or("restart budget exhausted")
-            ),
-        );
+        let dead = !handle.is_alive();
+        if dead {
+            handle.record_transition(
+                "shard-quarantine",
+                &format!(
+                    "shard {k}: {}",
+                    handle
+                        .last_panic()
+                        .as_deref()
+                        .unwrap_or("restart budget exhausted")
+                ),
+            );
+        }
         let (reports, stats, digest) = handle.finish_with_digest();
+        shard.reports.extend(reports);
+        shard.digest = digest;
         // Publish the whole transition — flag, cause, final ledger — in
         // one critical section. An observer sampling concurrently sees
-        // either the live pre-quarantine ledger (the probe stays valid
-        // through `finish_with_digest`) or the complete reaped one,
-        // never the in-between.
-        {
-            let mut cell = shard.cell.lock().expect("shard cell poisoned");
-            cell.quarantined = true;
-            cell.cause = cause;
-            cell.stats = Some(stats);
-        }
-        shard.reaped = Some(ReapedShard { reports, digest });
+        // either the live ledger (the probe stays valid through
+        // `finish_with_digest`) or the complete reaped one, never the
+        // in-between.
+        let mut cell = shard.cell.lock().expect("shard cell poisoned");
+        cell.quarantined = dead || shard.probe.gave_up();
+        cell.cause = shard.probe.last_panic();
+        cell.stats = Some(stats);
     }
 
     /// Records upstream parse errors on shard 0's ledger (the global sum is
@@ -726,36 +728,35 @@ impl ShardedPipeline {
     /// Ends the feed on every live shard, waits for their terminal
     /// flushes, merges the per-shard anomalies into global incidents, and
     /// returns the full run record.
-    pub fn finish(mut self) -> ShardedRun {
-        let panics = self.panic_causes();
-        let mut snapshots = Vec::with_capacity(self.shards.len());
-        let mut shard_reports = Vec::with_capacity(self.shards.len());
-        let mut digests = Vec::with_capacity(self.shards.len());
-        for (k, shard) in self.shards.iter_mut().enumerate() {
-            if let Some(handle) = shard.handle.take() {
-                let cause = handle.last_panic();
-                let (reports, stats, digest) = handle.finish_with_digest();
-                {
-                    let mut cell = shard.cell.lock().expect("shard cell poisoned");
-                    if cell.cause.is_none() {
-                        cell.cause = cause;
-                    }
-                    cell.stats = Some(stats);
-                }
-                shard.reaped = Some(ReapedShard { reports, digest });
-            }
-            snapshots.push(shard.snapshot(k));
-            let reaped = shard.reaped.as_ref().expect("every shard reaped");
-            shard_reports.push(reaped.reports.clone());
-            digests.push(reaped.digest.clone());
+    pub fn finish(self) -> ShardedRun {
+        let mut run = self.finish_unmerged();
+        run.incidents = merge_incidents(&run.shard_reports);
+        run
+    }
+
+    /// [`ShardedPipeline::finish`] for a caller that wants only the merged
+    /// incidents: the per-shard reports are *moved* through the merge — no
+    /// report is cloned between a shard's queue and `incidents` — so
+    /// `shard_reports` comes back empty.
+    pub fn finish_merged(self) -> ShardedRun {
+        let mut run = self.finish_unmerged();
+        run.incidents = merge_incidents_owned(std::mem::take(&mut run.shard_reports));
+        run
+    }
+
+    /// Reaps every shard into a run record whose `incidents` are still to
+    /// be merged from its `shard_reports`.
+    fn finish_unmerged(mut self) -> ShardedRun {
+        for k in 0..self.shards.len() {
+            self.reap(k);
         }
-        let incidents = merge_incidents(&shard_reports);
         ShardedRun {
-            incidents,
-            shard_reports,
-            stats: ShardedStats::from_snapshots(snapshots),
-            digests,
-            panics,
+            incidents: Vec::new(),
+            stats: self.stats(),
+            // After the reaps, so a give-up during the final drain is in.
+            panics: self.panic_causes(),
+            digests: self.shards.iter().map(|s| s.digest.clone()).collect(),
+            shard_reports: self.shards.into_iter().map(|s| s.reports).collect(),
         }
     }
 }
@@ -802,13 +803,18 @@ impl std::fmt::Display for GlobalIncident {
 /// The result is sorted by (event count desc, start, end, stem) — a total,
 /// deterministic order independent of shard interleaving.
 pub fn merge_incidents(per_shard: &[Vec<AnomalyReport>]) -> Vec<GlobalIncident> {
+    merge_incidents_owned(per_shard.to_vec())
+}
+
+/// [`merge_incidents`] by value: singletons are moved into their incident,
+/// never cloned.
+fn merge_incidents_owned(per_shard: Vec<Vec<AnomalyReport>>) -> Vec<GlobalIncident> {
     // Flatten deterministically: shard order, then emission order.
-    let mut members: Vec<(usize, &AnomalyReport)> = Vec::new();
-    for (k, reports) in per_shard.iter().enumerate() {
-        for report in reports {
-            members.push((k, report));
-        }
-    }
+    let members: Vec<(usize, AnomalyReport)> = per_shard
+        .into_iter()
+        .enumerate()
+        .flat_map(|(k, reports)| reports.into_iter().map(move |report| (k, report)))
+        .collect();
 
     // Group by stem in first-seen order (stable across runs, unlike a
     // HashMap iteration).
@@ -822,15 +828,16 @@ pub fn merge_incidents(per_shard: &[Vec<AnomalyReport>]) -> Vec<GlobalIncident> 
         groups[g].push(i);
     }
 
-    let mut incidents = Vec::new();
+    // Equivalence classes (member indices), in first-member order.
+    let mut classes: Vec<Vec<usize>> = Vec::new();
     for group in &groups {
         // Union-find within the stem group: connect different-shard
         // members with overlapping envelopes.
         let mut parent: Vec<usize> = (0..group.len()).collect();
         for a in 0..group.len() {
             for b in (a + 1)..group.len() {
-                let (shard_a, ra) = members[group[a]];
-                let (shard_b, rb) = members[group[b]];
+                let (shard_a, ra) = &members[group[a]];
+                let (shard_b, rb) = &members[group[b]];
                 if shard_a != shard_b && ra.start <= rb.end && rb.start <= ra.end {
                     let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
                     if ra != rb {
@@ -839,8 +846,6 @@ pub fn merge_incidents(per_shard: &[Vec<AnomalyReport>]) -> Vec<GlobalIncident> 
                 }
             }
         }
-        // Equivalence classes in first-member order.
-        let mut classes: Vec<Vec<usize>> = Vec::new();
         let mut class_of: HashMap<usize, usize> = HashMap::new();
         for (i, &member) in group.iter().enumerate() {
             let root = find(&mut parent, i);
@@ -850,10 +855,20 @@ pub fn merge_incidents(per_shard: &[Vec<AnomalyReport>]) -> Vec<GlobalIncident> 
             });
             classes[c].push(member);
         }
-        for class in &classes {
-            incidents.push(merge_class(&members, class));
-        }
     }
+
+    let mut members: Vec<Option<(usize, AnomalyReport)>> = members.into_iter().map(Some).collect();
+    let mut incidents: Vec<GlobalIncident> = classes
+        .iter()
+        .map(|class| {
+            merge_class(
+                class
+                    .iter()
+                    .map(|&i| members[i].take().expect("one class per member"))
+                    .collect(),
+            )
+        })
+        .collect();
 
     incidents.sort_by(|a, b| {
         b.report
@@ -875,28 +890,29 @@ fn find(parent: &mut [usize], mut i: usize) -> usize {
     i
 }
 
-/// Merges one equivalence class of same-stem reports. A singleton passes
-/// through bit-identically.
-fn merge_class(members: &[(usize, &AnomalyReport)], class: &[usize]) -> GlobalIncident {
-    let mut shards: Vec<usize> = class.iter().map(|&i| members[i].0).collect();
+/// Merges one equivalence class of same-stem `(shard, report)` members. A
+/// singleton passes through bit-identically.
+fn merge_class(mut class: Vec<(usize, AnomalyReport)>) -> GlobalIncident {
+    let mut shards: Vec<usize> = class.iter().map(|(shard, _)| *shard).collect();
     shards.sort_unstable();
     shards.dedup();
-    if let [only] = class {
+    if class.len() == 1 {
+        let (_, report) = class.pop().expect("singleton class");
         return GlobalIncident {
-            report: members[*only].1.clone(),
+            report,
             shards,
             merged_from: 1,
         };
     }
     // Base: the largest member (ties: first in shard/emission order) keeps
     // its verdict and common portion.
-    let mut base = class[0];
-    for &i in &class[1..] {
-        if members[i].1.event_count > members[base].1.event_count {
+    let mut base = 0;
+    for (i, (_, report)) in class.iter().enumerate().skip(1) {
+        if report.event_count > class[base].1.event_count {
             base = i;
         }
     }
-    let mut merged = members[base].1.clone();
+    let mut merged = class[base].1.clone();
     merged.event_count = 0;
     merged.prefix_count = 0;
     merged.announce_count = 0;
@@ -904,8 +920,7 @@ fn merge_class(members: &[(usize, &AnomalyReport)], class: &[usize]) -> GlobalIn
     merged.sample_prefixes = Vec::new();
     merged.degraded = false;
     merged.igp_nearby = None;
-    for &i in class {
-        let report = members[i].1;
+    for (_, report) in &class {
         merged.event_count += report.event_count;
         merged.prefix_count += report.prefix_count;
         merged.announce_count += report.announce_count;

@@ -148,7 +148,8 @@ fn sharded_observer_samples_close_exactly_through_quarantine() {
             .ingest_event(storm_event(i))
             .expect("three shards stay live");
     }
-    let quarantined = pipeline.is_quarantined(1);
+    // Whether the producer or `finish` is first to find shard 1 dead is a
+    // scheduling accident; that it ends the run quarantined is not.
     let run = pipeline.finish();
     stop.store(true, Ordering::Relaxed);
     for sampler in samplers {
@@ -156,5 +157,9 @@ fn sharded_observer_samples_close_exactly_through_quarantine() {
         assert!(samples > 0, "sampler made progress");
     }
     assert!(run.stats.accounts_exactly());
-    assert!(quarantined, "the aimed fault quarantined shard 1 mid-run");
+    assert_eq!(
+        run.stats.quarantined_shards(),
+        [1],
+        "the aimed fault quarantined shard 1"
+    );
 }

@@ -22,8 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use proptest::prelude::*;
 
 use bgpscope_anomaly::{
-    AnomalyReport, Frame, PanicInjection, PipelineConfig, RealtimeDetector, RecorderConfig, Replay,
-    SpawnConfig, SupervisorConfig,
+    AnomalyReport, Frame, OverloadPolicy, PanicInjection, PipelineConfig, RealtimeDetector,
+    RecorderConfig, Replay, SpawnConfig, SupervisorConfig,
 };
 use bgpscope_bgp::{AsPath, Event, PathAttributes, PeerId, Prefix, RouterId, Timestamp};
 
@@ -65,6 +65,14 @@ fn arb_fault() -> impl Strategy<Value = Option<PanicInjection>> {
     )
 }
 
+/// The two lossless overload policies. Under `Degrade` the 4-slot queue
+/// fills at once, so event frames carry the fidelity floor whenever the
+/// producer happened to outrun the consumer — timing decides *which*
+/// frames, the recording pins them either way.
+fn arb_overload() -> impl Strategy<Value = OverloadPolicy> {
+    proptest::sample::select(vec![OverloadPolicy::Block, OverloadPolicy::Degrade])
+}
+
 /// Small windows/thresholds so random streams rotate windows and emit
 /// reports; a small checkpoint interval so recordings carry several
 /// snapshots for seeks to straddle.
@@ -79,8 +87,14 @@ fn config() -> PipelineConfig {
     }
 }
 
-fn spawn_config(base: &Path, fault: Option<PanicInjection>) -> SpawnConfig {
+fn spawn_config(
+    base: &Path,
+    fault: Option<PanicInjection>,
+    overload: OverloadPolicy,
+) -> SpawnConfig {
     let mut spawn = SpawnConfig::new(config())
+        .with_capacity(4)
+        .with_overload(overload)
         .with_supervisor(
             SupervisorConfig::default()
                 .with_checkpoint_interval(32)
@@ -136,15 +150,16 @@ proptest! {
     fn record_then_replay_matches_live_run(
         events in proptest::collection::vec(arb_event(), 1..150),
         fault in arb_fault(),
+        overload in arb_overload(),
     ) {
         let mut events = events;
         events.sort_by_key(|e| e.time);
         let base = temp_base("live");
 
-        let mut handle = RealtimeDetector::spawn(spawn_config(&base, fault));
+        let mut handle = RealtimeDetector::spawn(spawn_config(&base, fault, overload));
         for event in &events {
-            // Block policy: ingest never sheds, so the live run is
-            // deterministic in its event sequence.
+            // Both policies are lossless: ingest never sheds, so the live
+            // run is deterministic in its event sequence.
             prop_assert!(handle.ingest_event(event.clone()).is_ok());
         }
         let (live_reports, live_stats) = handle.finish();
@@ -175,13 +190,14 @@ proptest! {
     fn seek_matches_prefix_replay_at_any_cursor(
         events in proptest::collection::vec(arb_event(), 1..150),
         fault in arb_fault(),
+        overload in arb_overload(),
         cursors in proptest::collection::vec(0u64..200, 1..5),
     ) {
         let mut events = events;
         events.sort_by_key(|e| e.time);
         let base = temp_base("seek");
 
-        let mut handle = RealtimeDetector::spawn(spawn_config(&base, fault));
+        let mut handle = RealtimeDetector::spawn(spawn_config(&base, fault, overload));
         for event in &events {
             prop_assert!(handle.ingest_event(event.clone()).is_ok());
         }
@@ -209,12 +225,13 @@ proptest! {
     fn frame_serde_round_trip_is_identity(
         events in proptest::collection::vec(arb_event(), 1..150),
         fault in arb_fault(),
+        overload in arb_overload(),
     ) {
         let mut events = events;
         events.sort_by_key(|e| e.time);
         let base = temp_base("serde");
 
-        let mut handle = RealtimeDetector::spawn(spawn_config(&base, fault));
+        let mut handle = RealtimeDetector::spawn(spawn_config(&base, fault, overload));
         for event in &events {
             prop_assert!(handle.ingest_event(event.clone()).is_ok());
         }

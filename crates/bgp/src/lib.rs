@@ -44,3 +44,14 @@ pub use intern::{Interner, Symbol, SymbolKind, SymbolTable};
 pub use message::{PeerId, UpdateMessage};
 pub use rib::{AdjRibIn, LocRib, RibChange, Route, RouteKey};
 pub use trie::PrefixTrie;
+
+/// SplitMix64: the workspace's one seed-derivation / keyed-hash mix (retry
+/// jitter in ingest, short-read scatter in the MRT fault reader, netsim's
+/// seed streams and tie-break keys). Deterministic streams depend on these
+/// exact constants.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}

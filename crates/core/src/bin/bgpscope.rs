@@ -122,7 +122,7 @@ fn usage() -> ExitCode {
          \u{20}                 [--adaptive [--target-depth N]]\n\
          \u{20}                 [--shards N] [--quarantine-after R]\n\
          \u{20}                             replay through the supervised realtime pipeline\n\
-         \u{20}                             (--shards > 1 fans out over independently\n\
+         \u{20}                             (--shards N fans out over independently\n\
          \u{20}                             supervised shards with per-shard quarantine)\n\
          ingest   <archive.mrt> [archive2.mrt …] [--lossy] [--passthrough]\n\
          \u{20}                 [--buffer-capacity BYTES] [--batch N] [--channel-batches N]\n\
@@ -320,11 +320,12 @@ fn cmd_rate(stream: EventStream, bucket_secs: u64) -> CliResult {
     Ok(())
 }
 
-/// Replays a trace through the supervised realtime pipeline behind bounded
-/// queues, then prints the reports, any report digest, and the event
-/// ledger (human-readable plus one machine-readable JSON line). When the
-/// consumer dies mid-replay the final ledger still comes out — on stderr,
-/// with a nonzero exit — so a crashed run is never a silent run.
+/// Replays a trace through the sharded supervised realtime pipeline
+/// (`--shards`, default 1) behind bounded queues, then prints the merged
+/// global incidents, any report digest, and the global plus per-shard
+/// event ledger (human-readable plus one machine-readable JSON line). When
+/// every shard dies mid-replay the final ledger still comes out — on
+/// stderr, with a nonzero exit — so a crashed run is never a silent run.
 fn cmd_pipeline(path: &str, rest: &[String]) -> CliResult {
     let mut capacity = 65_536usize;
     let mut policy = OverloadPolicy::Block;
@@ -418,70 +419,7 @@ fn cmd_pipeline(path: &str, rest: &[String]) -> CliResult {
         spawn = spawn
             .with_adaptive(AdaptiveConfig::default().with_target_depth(target_depth.unwrap_or(0)));
     }
-    if shards > 1 {
-        return run_sharded_pipeline(stream, parse_errors, spawn, shards);
-    }
-    let mut handle = RealtimeDetector::spawn(spawn);
-    handle.record_parse_errors(parse_errors);
-    let total = stream.len();
-    for (i, event) in stream.events().iter().enumerate() {
-        if handle.ingest_event(event.clone()).is_err() {
-            let cause = handle
-                .last_panic()
-                .unwrap_or_else(|| "no panic recorded".to_owned());
-            let (_reports, stats) = handle.finish();
-            eprintln!("bgpscope: pipeline closed at event {i}/{total}: {cause}");
-            eprintln!("{stats}");
-            eprintln!("ledger {}", stats.to_json());
-            return Err(PipelineClosed.into());
-        }
-    }
-    let (reports, stats, digest) = handle.finish_with_digest();
-    for (i, report) in reports.iter().enumerate() {
-        print!("report {i}:\n{report}");
-    }
-    if !digest.is_empty() {
-        println!("{digest}");
-    }
-    println!(
-        "{} reports; policy {policy}, capacity {capacity}; report policy {report_policy}, \
-         report capacity {report_capacity}\n{stats}",
-        reports.len()
-    );
-    println!("ledger {}", stats.to_json());
-    Ok(())
-}
-
-/// The sharded leg of `pipeline`: fan events out over independently
-/// supervised shards, quarantine any shard that exhausts its restart
-/// budget (its keyspace degrades, its losses stay on the ledger), and
-/// print the merged global incidents plus the extended per-shard ledger.
-/// Exit is nonzero only when *every* shard has quarantined.
-fn run_sharded_pipeline(
-    stream: EventStream,
-    parse_errors: usize,
-    spawn: SpawnConfig,
-    shards: usize,
-) -> CliResult {
-    let mut pipeline = ShardedPipeline::spawn(ShardedConfig::new(shards, spawn));
-    pipeline.record_parse_errors(parse_errors);
-    let total = stream.len();
-    for (i, event) in stream.events().iter().enumerate() {
-        if pipeline.ingest_event(event.clone()).is_err() {
-            eprintln!("bgpscope: every shard quarantined at event {i}/{total}");
-            for panic in pipeline.panic_causes() {
-                eprintln!(
-                    "  shard {}: {} ({} restart(s))",
-                    panic.shard, panic.cause, panic.restarts
-                );
-            }
-            let run = pipeline.finish();
-            eprintln!("{}", run.stats);
-            eprintln!("ledger {}", run.stats.to_json());
-            return Err(PipelineClosed.into());
-        }
-    }
-    let run = pipeline.finish();
+    let run = replay_trace(&stream, parse_errors, spawn, shards)?;
     for (i, incident) in run.incidents.iter().enumerate() {
         print!("incident {i}:\n{incident}");
     }
@@ -491,28 +429,56 @@ fn run_sharded_pipeline(
         }
     }
     for panic in &run.panics {
-        println!(
-            "shard {} panicked: {} ({} restart(s))",
-            panic.shard, panic.cause, panic.restarts
-        );
+        println!("panic on {panic}");
     }
     let quarantined = run.stats.quarantined_shards();
     if !quarantined.is_empty() {
         println!("quarantined shards: {quarantined:?} — their keyspace is degraded, losses counted on the ledger");
     }
     println!(
-        "{} global incident(s) over {shards} shards\n{}",
+        "{} global incident(s) over {} shard(s); policy {policy}, capacity {capacity}; \
+         report policy {report_policy}, report capacity {report_capacity}\n{}",
         run.incidents.len(),
+        run.stats.shards.len(),
         run.stats
     );
     println!("ledger {}", run.stats.to_json());
     Ok(())
 }
 
+/// Replays a loaded trace through the sharded supervised pipeline (one
+/// shard is the unsharded run). A quarantined shard degrades its keyspace
+/// (losses stay on the ledger); the replay fails — ledger on stderr — only
+/// when *every* shard has quarantined.
+fn replay_trace(
+    stream: &EventStream,
+    parse_errors: usize,
+    spawn: SpawnConfig,
+    shards: usize,
+) -> Result<ShardedRun, Box<dyn std::error::Error>> {
+    let mut pipeline = ShardedPipeline::spawn(ShardedConfig::new(shards, spawn));
+    pipeline.record_parse_errors(parse_errors);
+    for (i, event) in stream.events().iter().enumerate() {
+        if pipeline.ingest_event(event.clone()).is_err() {
+            eprintln!(
+                "bgpscope: every shard quarantined at event {i}/{}",
+                stream.len()
+            );
+            let run = pipeline.finish();
+            for panic in &run.panics {
+                eprintln!("  {panic}");
+            }
+            eprintln!("{}\nledger {}", run.stats, run.stats.to_json());
+            return Err(PipelineClosed.into());
+        }
+    }
+    Ok(pipeline.finish())
+}
+
 /// Streams one or more MRT archives through the staged batch pipeline
 /// (decode → augment → stem) in constant memory, then prints the reports,
 /// the ingest summary and the exact event ledger. `--bench FILE` also
-/// writes the machine-readable report (the `BENCH_ingest.json` schema).
+/// writes the machine-readable report (`IngestReport::bench_json`).
 ///
 /// With a single archive and no supervision flags this is the plain
 /// single-source pipeline. With several archives (or any of `--retries`,
@@ -646,50 +612,40 @@ fn run_ingest(args: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
             .with_capacity(capacity)
             .with_overload(policy),
     );
-    if paths.len() == 1 && !supervised {
-        let file = fs::File::open(&paths[0])?;
-        let report = match ingest(std::io::BufReader::new(file), config) {
-            Ok(report) => report,
-            Err(IngestError::Pipeline { cause, stats }) => {
-                eprintln!("bgpscope: stem pipeline closed mid-ingest: {cause}");
-                eprintln!("{stats}");
-                eprintln!("ledger {}", stats.to_json());
-                return Err(PipelineClosed.into());
-            }
-            Err(e) => return Err(e.into()),
-        };
-        print_ingest_report(&report, bench.as_deref())?;
-        return Ok(false);
-    }
-    // Multi-source (or supervised single-source) leg: each archive is a
-    // named source whose factory reopens the file on every retry rebuild.
-    let mut multi = MultiSourceIngest::new(config, source_policy);
-    for path in &paths {
-        let reopen = path.clone();
-        multi = multi.source(SourceSpec::new(path.clone(), move || {
-            fs::File::open(&reopen)
-                .map(|f| Box::new(std::io::BufReader::new(f)) as Box<dyn std::io::Read + Send>)
-        }));
-    }
-    let report = match multi.run() {
+    // Two decode front-ends, one pipeline behind them: a single archive
+    // with no supervision flags is read once and fails fast; otherwise each
+    // archive is a named source whose factory reopens the file on every
+    // retry rebuild.
+    let result = if paths.len() == 1 && !supervised {
+        ingest(std::io::BufReader::new(fs::File::open(&paths[0])?), config)
+    } else {
+        let mut multi = MultiSourceIngest::new(config, source_policy);
+        for path in &paths {
+            let reopen = path.clone();
+            multi = multi.source(SourceSpec::new(path.clone(), move || {
+                fs::File::open(&reopen)
+                    .map(|f| Box::new(std::io::BufReader::new(f)) as Box<dyn std::io::Read + Send>)
+            }));
+        }
+        multi.run()
+    };
+    let report = match result {
         Ok(report) => report,
+        // A dead run is never a silent run: the final ledger comes out.
         Err(IngestError::Pipeline { cause, stats }) => {
             eprintln!("bgpscope: stem pipeline closed mid-ingest: {cause}");
-            eprintln!("{stats}");
-            eprintln!("ledger {}", stats.to_json());
+            eprintln!("{stats}\nledger {}", stats.to_json());
             return Err(PipelineClosed.into());
         }
-        Err(e @ IngestError::AllSourcesQuarantined { .. }) => {
+        Err(e) => {
             if let IngestError::AllSourcesQuarantined { sources, stats } = &e {
                 for source in sources {
                     eprintln!("  {source}");
                 }
-                eprintln!("{stats}");
-                eprintln!("ledger {}", stats.to_json());
+                eprintln!("{stats}\nledger {}", stats.to_json());
             }
             return Err(e.into());
         }
-        Err(e) => return Err(e.into()),
     };
     print_ingest_report(&report, bench.as_deref())?;
     Ok(report.is_partial())
@@ -769,25 +725,13 @@ fn cmd_record(events_path: &str, recording: &str, rest: &[String]) -> CliResult 
         .with_overload(policy)
         .with_supervisor(SupervisorConfig::default().with_checkpoint_interval(checkpoint_interval))
         .with_recorder(recorder);
-    let mut handle = RealtimeDetector::spawn(spawn);
-    handle.record_parse_errors(parse_errors);
-    let total = stream.len();
-    for (i, event) in stream.events().iter().enumerate() {
-        if handle.ingest_event(event.clone()).is_err() {
-            let cause = handle
-                .last_panic()
-                .unwrap_or_else(|| "no panic recorded".to_owned());
-            let (_reports, stats) = handle.finish();
-            eprintln!("bgpscope: pipeline closed at event {i}/{total}: {cause}");
-            eprintln!("{stats}");
-            return Err(PipelineClosed.into());
-        }
-    }
-    let (reports, stats, _digest) = handle.finish_with_digest();
+    // One shard: the recording lands at the path as given.
+    let run = replay_trace(&stream, parse_errors, spawn, 1)?;
+    let stats = run.stats.global;
     println!(
         "recorded {} events, {} report(s) to {recording} (+ .seg* segments)\n{stats}",
-        total,
-        reports.len()
+        stream.len(),
+        run.incidents.len()
     );
     println!("ledger {}", stats.to_json());
     Ok(())

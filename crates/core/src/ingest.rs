@@ -1,7 +1,9 @@
 //! Staged batch ingestion: decode → augment → stem.
 //!
-//! Replays an MRT archive of any size through the supervised realtime
-//! pipeline in constant memory. Three stages, each behind a bounded queue:
+//! Replays MRT archives of any size through the supervised realtime
+//! pipeline in constant memory. One path, three stages, each behind a
+//! bounded queue — N supervised sources (or one fail-fast reader) → augment
+//! → [`ShardedPipeline`] of M ≥ 1 shards:
 //!
 //! 1. **decode** — a dedicated thread drives a streaming
 //!    [`RecordReader`] (strict or lossy) over the archive, batching events
@@ -15,10 +17,13 @@
 //!    appliance does on live feeds. [`AugmentMode::Passthrough`] forwards
 //!    archive events untouched (for archives that were already augmented at
 //!    capture time).
-//! 3. **stem** — the supervised realtime pipeline
-//!    ([`RealtimeDetector::spawn`]): windowed stemming + classification
-//!    behind its own bounded queue, with the crash-recovery and overload
-//!    machinery the `pipeline` subcommand exposes.
+//! 3. **stem** — the sharded supervised pipeline ([`ShardedPipeline`];
+//!    one shard is the unsharded run): windowed stemming + classification
+//!    behind per-shard bounded queues, with the crash-recovery, quarantine
+//!    and overload machinery the `pipeline` subcommand exposes. Reports are
+//!    drained from the shards while events are still being pushed, so a
+//!    bounded report queue never stalls the feed, and come back as the
+//!    merged global incidents.
 //!
 //! Each stage keeps a wall-clock occupancy ledger ([`StageStats`]): time
 //! spent doing its own work vs. waiting on its input or output queue, so a
@@ -27,7 +32,8 @@
 //!
 //! # Multi-source fan-in
 //!
-//! [`MultiSourceIngest`] generalizes the decode stage to N archives — the
+//! [`ingest`] decodes one reader and fails fast on the first undecodable
+//! record. [`MultiSourceIngest`] generalizes the decode stage to N archives — the
 //! paper's many-vantage-point monitoring model — with one *supervised*
 //! decode worker per source. Each worker is governed by a [`SourcePolicy`]:
 //! transient I/O errors are retried with exponential backoff and jitter
@@ -52,13 +58,14 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bgpscope_anomaly::{
-    AnomalyReport, PipelineClosed, PipelineHandle, PipelineStats, RealtimeDetector, ReportDigest,
-    ShardedConfig, ShardedPipeline, ShardedStats, SpawnConfig,
+    AnomalyReport, PipelineStats, ReportDigest, ShardedConfig, ShardedPipeline, ShardedStats,
+    SpawnConfig,
 };
-use bgpscope_bgp::{Event, EventKind, UpdateMessage};
+use bgpscope_bgp::{splitmix64, Event, EventKind, UpdateMessage};
 use bgpscope_collector::Collector;
 use bgpscope_mrt::{MrtError, RecordReader, DEFAULT_BUFFER_CAPACITY};
 use crossbeam::channel;
+use serde::Serialize;
 
 /// How the decode stage treats records it cannot decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -115,12 +122,12 @@ pub struct IngestConfig {
     /// Bounded decode→augment channel depth, in batches.
     pub channel_batches: usize,
     /// Configuration for the supervised stem pipeline (applied to every
-    /// shard when `shards > 1`).
+    /// shard).
     pub spawn: SpawnConfig,
-    /// Stem-stage shard count. `1` (the default) runs the single supervised
-    /// pipeline; `> 1` fans events out across that many independently
-    /// supervised shards ([`ShardedPipeline`]) keyed by (peer, prefix
-    /// range), with per-shard fault isolation and quarantine.
+    /// Stem-stage shard count (min 1, the default): events fan out across
+    /// that many independently supervised shards ([`ShardedPipeline`])
+    /// keyed by (peer, prefix range), with per-shard fault isolation and
+    /// quarantine.
     pub shards: usize,
 }
 
@@ -175,7 +182,7 @@ impl IngestConfig {
         self
     }
 
-    /// Sets the stem-stage shard count (min 1; 1 = unsharded).
+    /// Sets the stem-stage shard count (min 1).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
@@ -183,7 +190,7 @@ impl IngestConfig {
 }
 
 /// Wall-clock occupancy of one pipeline stage.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct StageStats {
     /// Seconds spent doing the stage's own work.
     pub busy_secs: f64,
@@ -201,16 +208,6 @@ impl StageStats {
         } else {
             0.0
         }
-    }
-
-    fn json(&self, elapsed_secs: f64) -> String {
-        format!(
-            "{{\"busy_secs\":{:.6},\"blocked_in_secs\":{:.6},\"blocked_out_secs\":{:.6},\"occupancy\":{:.4}}}",
-            self.busy_secs,
-            self.blocked_in_secs,
-            self.blocked_out_secs,
-            self.occupancy(elapsed_secs)
-        )
     }
 }
 
@@ -230,15 +227,15 @@ pub struct IngestReport {
     /// Withdrawals dropped because the peer never announced the prefix
     /// (rebuild augmentation only).
     pub withdraws_filtered: u64,
-    /// Anomaly reports the stem pipeline emitted.
+    /// The stem pipeline's reports, merged across shards into global
+    /// incidents and ordered by (event count desc, start, end, stem).
     pub reports: Vec<AnomalyReport>,
     /// Digest of any reports shed under the report overload policy.
     pub digest: ReportDigest,
-    /// The stem pipeline's exact event ledger (the *global* ledger — sum of
-    /// the per-shard ledgers — when the stem stage was sharded).
+    /// The stem pipeline's exact event ledger: the *global* ledger, the sum
+    /// of the per-shard ledgers.
     pub stats: PipelineStats,
-    /// Per-shard accounting when the stem stage ran sharded
-    /// (`IngestConfig::shards > 1`); `None` for the single pipeline.
+    /// Per-shard accounting. Always `Some`: one shard is a sharded run.
     pub shard_stats: Option<ShardedStats>,
     /// Decode-stage occupancy.
     pub decode: StageStats,
@@ -288,21 +285,25 @@ impl IngestReport {
             && self.sources.iter().map(|s| s.events_forwarded).sum::<u64>() == self.stats.ingested
     }
 
-    /// The report as one machine-readable JSON object (the schema of
-    /// `BENCH_ingest.json`).
+    /// The report as one machine-readable JSON object (what
+    /// `bgpscope ingest --bench FILE` writes): the scalar fields, then
+    /// `stages` (each [`StageStats`] plus its `occupancy`), `sources` (the
+    /// [`SourceLedger`]s) and `ledger` ([`ShardedStats::to_json`]).
     pub fn bench_json(&self) -> String {
-        let sources = self
-            .sources
-            .iter()
-            .map(SourceLedger::to_json)
-            .collect::<Vec<_>>()
-            .join(",");
+        let stage = |stats: &StageStats| {
+            let mut object = to_json(stats);
+            assert_eq!(object.pop(), Some('}'), "a stage is a JSON object");
+            format!(
+                "{object},\"occupancy\":{:.4}}}",
+                stats.occupancy(self.elapsed_secs)
+            )
+        };
         format!(
             "{{\"events_per_sec\":{:.1},\"events_decoded\":{},\"events_forwarded\":{},\
              \"records_decoded\":{},\"records_skipped\":{},\"trailing_tolerated\":{},\
              \"withdraws_filtered\":{},\"reports\":{},\"elapsed_secs\":{:.6},\
              \"peak_rss_bytes\":{},\"stages\":{{\"decode\":{},\"augment\":{},\"stem\":{}}},\
-             \"sources\":[{}],\"ledger\":{}}}",
+             \"sources\":{},\"ledger\":{}}}",
             self.events_per_sec,
             self.events_decoded,
             self.events_forwarded,
@@ -313,12 +314,12 @@ impl IngestReport {
             self.reports.len(),
             self.elapsed_secs,
             self.peak_rss_bytes,
-            self.decode.json(self.elapsed_secs),
-            self.augment.json(self.elapsed_secs),
-            self.stem.json(self.elapsed_secs),
-            sources,
-            // A sharded run's ledger is the extended schema: the flat global
-            // ledger plus `shards[]` and `quarantined_shards`.
+            stage(&self.decode),
+            stage(&self.augment),
+            stage(&self.stem),
+            to_json(&self.sources),
+            // The extended schema: the flat global ledger plus `shards[]`
+            // and `quarantined_shards`.
             match &self.shard_stats {
                 Some(sharded) => sharded.to_json(),
                 None => self.stats.to_json(),
@@ -441,27 +442,31 @@ impl From<MrtError> for IngestError {
     }
 }
 
-/// What the decode thread hands back when it exits.
-struct DecodeOutcome {
-    stats: StageStats,
+/// What a decode front-end hands the back half at teardown.
+struct FrontEnd {
     records_decoded: u64,
     records_skipped: u64,
     trailing_tolerated: u64,
-    result: Result<(), MrtError>,
+    events_decoded: u64,
+    decode: StageStats,
+    sources: Vec<SourceLedger>,
 }
 
+/// The fail-fast front-end of [`ingest`]: decodes `reader` to its end or to
+/// the first undecodable record.
 fn decode_stage<R: Read>(
     reader: R,
     mode: IngestMode,
     buffer_capacity: usize,
     batch_size: usize,
     tx: channel::Sender<Vec<Event>>,
-) -> DecodeOutcome {
+) -> (FrontEnd, Result<(), MrtError>) {
     let mut records = match mode {
         IngestMode::Strict => RecordReader::with_capacity(reader, buffer_capacity),
         IngestMode::Lossy => RecordReader::lossy_with_capacity(reader, buffer_capacity),
     };
     let mut stats = StageStats::default();
+    let mut events_decoded = 0u64;
     let mut batch = Vec::with_capacity(batch_size);
     let result = loop {
         let start = Instant::now();
@@ -469,6 +474,7 @@ fn decode_stage<R: Read>(
         stats.busy_secs += start.elapsed().as_secs_f64();
         match next {
             Ok(Some(event)) => {
+                events_decoded += 1;
                 batch.push(event);
                 if batch.len() == batch_size {
                     let start = Instant::now();
@@ -497,100 +503,160 @@ fn decode_stage<R: Read>(
             Err(e) => break Err(e),
         }
     };
-    DecodeOutcome {
-        stats,
+    let front = FrontEnd {
         records_decoded: records.records_decoded(),
         records_skipped: records.records_skipped(),
         trailing_tolerated: records.trailing_tolerated(),
-        result,
+        events_decoded,
+        decode: stats,
+        sources: Vec::new(),
+    };
+    (front, result)
+}
+
+fn to_json(value: &impl Serialize) -> String {
+    serde_json::to_string(value).expect("ingest ledgers are always serializable")
+}
+
+/// The UPDATE a decoded archive event stands for, ready to be replayed
+/// through a collector.
+fn update_of(event: &Event) -> UpdateMessage {
+    match event.kind {
+        EventKind::Announce => {
+            UpdateMessage::announce(event.peer, event.attrs.clone(), [event.prefix])
+        }
+        EventKind::Withdraw => UpdateMessage::withdraw(event.peer, [event.prefix]),
     }
 }
 
-/// The stem stage behind the augment loop: one supervised pipeline, or a
-/// sharded fan-in when [`IngestConfig::shards`] `> 1`.
-enum StemStage {
-    Single(PipelineHandle),
-    Sharded(Box<ShardedPipeline>),
+/// What one decoded event became on its way into the stem pipeline.
+struct Augmented {
+    forwarded: u64,
+    withdraw_filtered: bool,
 }
 
-impl StemStage {
-    fn spawn(spawn: SpawnConfig, shards: usize) -> Self {
-        if shards > 1 {
-            StemStage::Sharded(Box::new(ShardedPipeline::spawn(ShardedConfig::new(
-                shards, spawn,
-            ))))
-        } else {
-            StemStage::Single(RealtimeDetector::spawn(spawn))
+/// Everything after a decoded event, shared by [`ingest`] and
+/// [`MultiSourceIngest::run`]: augment → stem → report. Owns the sharded
+/// stem pipeline, the augment mode and the augment stage's occupancy
+/// ledger; only the decode front-ends differ.
+struct BackHalf {
+    started: Instant,
+    pipeline: ShardedPipeline,
+    mode: AugmentMode,
+    stage: StageStats,
+    events_forwarded: u64,
+    withdraws_filtered: u64,
+    /// Set once the stem pipeline refuses an event: every shard is
+    /// quarantined and the run can only fail.
+    closed: bool,
+}
+
+impl BackHalf {
+    fn spawn(config: &IngestConfig) -> Self {
+        BackHalf {
+            started: Instant::now(),
+            pipeline: ShardedPipeline::spawn(ShardedConfig::new(
+                config.shards,
+                config.spawn.clone(),
+            )),
+            mode: config.augment,
+            stage: StageStats::default(),
+            events_forwarded: 0,
+            withdraws_filtered: 0,
+            closed: false,
         }
     }
 
-    /// Forwards one augmented event. `Err` means the stage is closed: the
-    /// single pipeline's supervisor gave up, or *every* shard quarantined.
-    fn ingest_event(&mut self, event: Event) -> Result<(), PipelineClosed> {
-        match self {
-            StemStage::Single(handle) => handle.ingest_event(event),
-            StemStage::Sharded(pipeline) => pipeline.ingest_event(event),
+    /// Augments one decoded event against `collector` (the RIB state of
+    /// the source it came from) and forwards what comes out to its shard.
+    fn push(&mut self, collector: &mut Collector, event: Event) -> Augmented {
+        let start = Instant::now();
+        let mut withdraw_filtered = false;
+        let outputs = match self.mode {
+            AugmentMode::Passthrough => vec![event],
+            AugmentMode::Rebuild => {
+                let outputs = collector.apply_update(&update_of(&event), event.time);
+                withdraw_filtered = outputs.is_empty() && event.kind == EventKind::Withdraw;
+                outputs
+            }
+        };
+        self.stage.busy_secs += start.elapsed().as_secs_f64();
+        let mut forwarded = 0;
+        for out in outputs {
+            let start = Instant::now();
+            let pushed = self.pipeline.ingest_event(out);
+            self.stage.blocked_out_secs += start.elapsed().as_secs_f64();
+            if pushed.is_err() {
+                self.closed = true;
+                break;
+            }
+            forwarded += 1;
+        }
+        self.events_forwarded += forwarded;
+        self.withdraws_filtered += u64::from(withdraw_filtered);
+        Augmented {
+            forwarded,
+            withdraw_filtered,
         }
     }
 
-    /// Writes an operational transition marker (e.g. a source quarantine)
-    /// into the stage's recording, if one is armed. A no-op otherwise.
-    fn record_transition(&self, kind: &str, detail: &str) {
-        match self {
-            StemStage::Single(handle) => handle.record_transition(kind, detail),
-            StemStage::Sharded(pipeline) => pipeline.record_transition(kind, detail),
-        }
+    /// Tears the stem pipeline down for a run that failed upstream of it
+    /// (so its threads never outlive the call) and returns its final
+    /// global ledger.
+    fn abort(self) -> PipelineStats {
+        self.pipeline.finish_merged().stats.global
     }
 
-    /// Why the stage closed: the single pipeline's last panic, or every
-    /// quarantined shard's root cause.
-    fn failure_cause(&self) -> String {
-        match self {
-            StemStage::Single(handle) => handle
-                .last_panic()
-                .unwrap_or_else(|| "no panic recorded".to_owned()),
-            StemStage::Sharded(pipeline) => {
-                let causes: Vec<String> = pipeline
-                    .panic_causes()
-                    .into_iter()
-                    .map(|p| format!("shard {}: {} ({} restart(s))", p.shard, p.cause, p.restarts))
-                    .collect();
-                if causes.is_empty() {
+    /// Drains and joins the stem pipeline and assembles the report — or
+    /// the [`IngestError::Pipeline`] of a run whose stem stage closed,
+    /// carrying every quarantined shard's root cause.
+    fn finish(self, front: FrontEnd) -> Result<IngestReport, IngestError> {
+        let drain_start = Instant::now();
+        let run = self.pipeline.finish_merged();
+        if self.closed {
+            let causes: Vec<String> = run.panics.iter().map(ToString::to_string).collect();
+            return Err(IngestError::Pipeline {
+                cause: if causes.is_empty() {
                     "no panic recorded".to_owned()
                 } else {
                     causes.join("; ")
-                }
-            }
+                },
+                stats: Box::new(run.stats.global),
+            });
         }
-    }
-
-    /// Drains, joins, and returns the global view: the reports (a sharded
-    /// run's merged incidents), the (global) ledger, the unified digest,
-    /// and — for sharded runs — the full per-shard accounting.
-    fn finish(
-        self,
-    ) -> (
-        Vec<AnomalyReport>,
-        PipelineStats,
-        ReportDigest,
-        Option<ShardedStats>,
-    ) {
-        match self {
-            StemStage::Single(handle) => {
-                let (reports, stats, digest) = handle.finish_with_digest();
-                (reports, stats, digest, None)
-            }
-            StemStage::Sharded(pipeline) => {
-                let run = pipeline.finish();
-                let reports = run.incidents.into_iter().map(|i| i.report).collect();
-                let mut digest = ReportDigest::default();
-                for shard_digest in &run.digests {
-                    digest.merge(shard_digest);
-                }
-                let stats = run.stats.global;
-                (reports, stats, digest, Some(run.stats))
-            }
+        let drain = drain_start.elapsed().as_secs_f64();
+        let elapsed = self.started.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
+        let mut digest = ReportDigest::default();
+        for shard_digest in &run.digests {
+            digest.merge(shard_digest);
         }
+        Ok(IngestReport {
+            records_decoded: front.records_decoded,
+            records_skipped: front.records_skipped,
+            trailing_tolerated: front.trailing_tolerated,
+            events_decoded: front.events_decoded,
+            events_forwarded: self.events_forwarded,
+            withdraws_filtered: self.withdraws_filtered,
+            reports: run.incidents.into_iter().map(|i| i.report).collect(),
+            digest,
+            stats: run.stats.global,
+            shard_stats: Some(run.stats),
+            decode: front.decode,
+            augment: self.stage,
+            // The stem stage runs inside the supervised shards where we
+            // can't plant timers, so its occupancy is a proxy: the time it
+            // made the augment stage wait (queue backpressure) plus the
+            // final drain.
+            stem: StageStats {
+                busy_secs: self.stage.blocked_out_secs + drain,
+                blocked_in_secs: self.stage.blocked_in_secs,
+                blocked_out_secs: 0.0,
+            },
+            elapsed_secs: elapsed,
+            events_per_sec: front.events_decoded as f64 / elapsed,
+            peak_rss_bytes: peak_rss_bytes(),
+            sources: front.sources,
+        })
     }
 }
 
@@ -631,139 +697,48 @@ pub fn ingest<R: Read + Send>(
     reader: R,
     config: IngestConfig,
 ) -> Result<IngestReport, IngestError> {
-    let IngestConfig {
-        mode,
-        augment,
-        buffer_capacity,
-        batch_size,
-        channel_batches,
-        spawn,
-        shards,
-    } = config;
-    let batch_size = batch_size.max(1);
-    let started = Instant::now();
-    let (tx, rx) = channel::bounded::<Vec<Event>>(channel_batches.max(1));
+    let batch_size = config.batch_size.max(1);
+    let mut back = BackHalf::spawn(&config);
+    let (tx, rx) = channel::bounded::<Vec<Event>>(config.channel_batches.max(1));
+    let (mode, buffer_capacity) = (config.mode, config.buffer_capacity);
 
     std::thread::scope(|scope| {
         let decoder =
             scope.spawn(move || decode_stage(reader, mode, buffer_capacity, batch_size, tx));
 
-        let mut stem_stage = StemStage::spawn(spawn, shards);
         let mut collector = Collector::new();
-        let mut stage = StageStats::default();
-        let mut events_decoded = 0u64;
-        let mut events_forwarded = 0u64;
-        let mut withdraws_filtered = 0u64;
-        let mut closed = false;
 
         'drain: loop {
             let start = Instant::now();
             let batch = rx.recv();
-            stage.blocked_in_secs += start.elapsed().as_secs_f64();
+            back.stage.blocked_in_secs += start.elapsed().as_secs_f64();
             let Ok(batch) = batch else { break };
             for event in batch {
-                events_decoded += 1;
-                let start = Instant::now();
-                let outputs = match augment {
-                    AugmentMode::Passthrough => vec![event],
-                    AugmentMode::Rebuild => {
-                        let msg = match event.kind {
-                            EventKind::Announce => UpdateMessage::announce(
-                                event.peer,
-                                event.attrs.clone(),
-                                [event.prefix],
-                            ),
-                            EventKind::Withdraw => {
-                                UpdateMessage::withdraw(event.peer, [event.prefix])
-                            }
-                        };
-                        let outputs = collector.apply_update(&msg, event.time);
-                        if outputs.is_empty() && event.kind == EventKind::Withdraw {
-                            withdraws_filtered += 1;
-                        }
-                        outputs
-                    }
-                };
-                stage.busy_secs += start.elapsed().as_secs_f64();
-                for out in outputs {
-                    let start = Instant::now();
-                    let pushed = stem_stage.ingest_event(out);
-                    stage.blocked_out_secs += start.elapsed().as_secs_f64();
-                    if pushed.is_err() {
-                        closed = true;
-                        break 'drain;
-                    }
-                    events_forwarded += 1;
+                back.push(&mut collector, event);
+                if back.closed {
+                    break 'drain;
                 }
             }
         }
 
         // Unblock (and stop) the decoder before joining it.
         drop(rx);
-        let decode = decoder.join().expect("decode stage panicked");
+        let (front, decoded) = decoder.join().expect("decode stage panicked");
 
-        if closed {
-            let cause = stem_stage.failure_cause();
-            let (_reports, stats, _digest, _shards) = stem_stage.finish();
-            return Err(IngestError::Pipeline {
-                cause,
-                stats: Box::new(stats),
-            });
+        match decoded {
+            // The archive is bad; a closed stem stage is reported first.
+            Err(e) if !back.closed => {
+                back.abort();
+                Err(IngestError::Decode(e))
+            }
+            _ => back.finish(front),
         }
-        if let Err(e) = decode.result {
-            // The archive is bad; tear the stem pipeline down cleanly so
-            // its threads don't outlive the scope, then surface the error.
-            let _ = stem_stage.finish();
-            return Err(IngestError::Decode(e));
-        }
-
-        let drain_start = Instant::now();
-        let (reports, stats, digest, shard_stats) = stem_stage.finish();
-        let drain = drain_start.elapsed().as_secs_f64();
-        let elapsed = started.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
-
-        // The stem stage runs inside the supervised pipeline where we can't
-        // plant timers, so its occupancy is a proxy: the time it made the
-        // augment stage wait (queue backpressure) plus the final drain.
-        let stem = StageStats {
-            busy_secs: stage.blocked_out_secs + drain,
-            blocked_in_secs: stage.blocked_in_secs,
-            blocked_out_secs: 0.0,
-        };
-
-        Ok(IngestReport {
-            records_decoded: decode.records_decoded,
-            records_skipped: decode.records_skipped,
-            trailing_tolerated: decode.trailing_tolerated,
-            events_decoded,
-            events_forwarded,
-            withdraws_filtered,
-            reports,
-            digest,
-            stats,
-            shard_stats,
-            decode: decode.stats,
-            augment: stage,
-            stem,
-            elapsed_secs: elapsed,
-            events_per_sec: events_decoded as f64 / elapsed,
-            peak_rss_bytes: peak_rss_bytes(),
-            sources: Vec::new(),
-        })
     })
 }
 
 // ---------------------------------------------------------------------------
 // Multi-source fan-in with per-source supervision
 // ---------------------------------------------------------------------------
-
-/// SplitMix64, for deterministic backoff jitter.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Health of one supervised source, as a simple FSM:
 ///
@@ -804,6 +779,13 @@ impl SourceHealth {
 impl std::fmt::Display for SourceHealth {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
+    }
+}
+
+// Serializes as its lower-case display name, not the variant name.
+impl Serialize for SourceHealth {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Str(self.as_str().into())
     }
 }
 
@@ -855,12 +837,6 @@ impl SourcePolicy {
         self
     }
 
-    /// Sets the backoff jitter seed.
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
-        self
-    }
-
     /// Sets the stall watchdog timeout.
     pub fn with_stall_timeout(mut self, timeout: Duration) -> Self {
         self.stall_timeout = timeout;
@@ -897,7 +873,7 @@ impl SourcePolicy {
 /// ([`IngestReport::sources_account_exactly`]). `source_retries`,
 /// `poison_skipped`, and `stall_shed` are the supervision terms: work
 /// redone, positions given up on, and events shed at quarantine.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SourceLedger {
     /// Source name (the archive path, for CLI runs).
     pub name: String,
@@ -954,35 +930,6 @@ impl SourceLedger {
     pub fn accounts_exactly(&self) -> bool {
         self.events_decoded == self.events_merged + self.stall_shed + self.queued
     }
-
-    /// The ledger as one JSON object (nested in `bench_json`'s `sources`).
-    pub fn to_json(&self) -> String {
-        let cause = match &self.quarantine_cause {
-            Some(c) => format!("\"{}\"", json_escape(c)),
-            None => "null".to_owned(),
-        };
-        format!(
-            "{{\"name\":\"{}\",\"health\":\"{}\",\"quarantine_cause\":{},\
-             \"records_decoded\":{},\"records_skipped\":{},\"trailing_tolerated\":{},\
-             \"events_decoded\":{},\"events_merged\":{},\"queued\":{},\"stall_shed\":{},\
-             \"source_retries\":{},\"poison_skipped\":{},\"events_forwarded\":{},\
-             \"withdraws_filtered\":{}}}",
-            json_escape(&self.name),
-            self.health,
-            cause,
-            self.records_decoded,
-            self.records_skipped,
-            self.trailing_tolerated,
-            self.events_decoded,
-            self.events_merged,
-            self.queued,
-            self.stall_shed,
-            self.source_retries,
-            self.poison_skipped,
-            self.events_forwarded,
-            self.withdraws_filtered,
-        )
-    }
 }
 
 impl std::fmt::Display for SourceLedger {
@@ -1007,19 +954,6 @@ impl std::fmt::Display for SourceLedger {
         }
         Ok(())
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push(' '),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Reopens a source's byte stream from the start; called on first open and
@@ -1483,7 +1417,7 @@ impl MultiSourceIngest {
         let n = sources.len();
         let batch_size = config.batch_size.max(1);
         let channel_batches = config.channel_batches.max(1);
-        let started = Instant::now();
+        let mut back = BackHalf::spawn(&config);
 
         let shared: SharedSources = Arc::new(Mutex::new(
             sources
@@ -1520,14 +1454,11 @@ impl MultiSourceIngest {
             });
         }
 
-        let mut stem_stage = StemStage::spawn(config.spawn.clone(), config.shards);
         let mut collectors: Vec<Collector> = (0..n).map(|_| Collector::new()).collect();
         let mut heads: Vec<VecDeque<Event>> = (0..n).map(|_| VecDeque::new()).collect();
         let mut disconnected = vec![false; n];
         let mut quarantined = vec![false; n];
         let mut timeouts = vec![0u32; n];
-        let mut merge = StageStats::default();
-        let mut closed = false;
 
         let snapshot =
             |guard: &[SourceState]| guard.iter().map(|s| s.ledger.clone()).collect::<Vec<_>>();
@@ -1545,7 +1476,7 @@ impl MultiSourceIngest {
                 }
                 let start = Instant::now();
                 let pulled = rxs[i].recv_timeout(policy.stall_timeout);
-                merge.blocked_in_secs += start.elapsed().as_secs_f64();
+                back.stage.blocked_in_secs += start.elapsed().as_secs_f64();
                 match pulled {
                     Ok(batch) => {
                         if timeouts[i] > 0 {
@@ -1592,7 +1523,8 @@ impl MultiSourceIngest {
                             drop(guard);
                             // A recording of this run carries the fan-in
                             // transition too, not just consumer restarts.
-                            stem_stage.record_transition("source-quarantine", &detail);
+                            back.pipeline
+                                .record_transition("source-quarantine", &detail);
                         }
                     }
                     Err(channel::RecvTimeoutError::Disconnected) => {
@@ -1628,44 +1560,17 @@ impl MultiSourceIngest {
                 ledger.events_merged += 1;
             }
 
-            let start = Instant::now();
-            let outputs = match config.augment {
-                AugmentMode::Passthrough => vec![event],
-                AugmentMode::Rebuild => {
-                    let msg = match event.kind {
-                        EventKind::Announce => {
-                            UpdateMessage::announce(event.peer, event.attrs.clone(), [event.prefix])
-                        }
-                        EventKind::Withdraw => UpdateMessage::withdraw(event.peer, [event.prefix]),
-                    };
-                    let outputs = collectors[pick].apply_update(&msg, event.time);
-                    if outputs.is_empty() && event.kind == EventKind::Withdraw {
-                        let mut guard = shared.lock().unwrap();
-                        guard[pick].ledger.withdraws_filtered += 1;
-                    }
-                    outputs
-                }
-            };
-            merge.busy_secs += start.elapsed().as_secs_f64();
-            let mut forwarded = 0u64;
-            for out in outputs {
-                let start = Instant::now();
-                let pushed = stem_stage.ingest_event(out);
-                merge.blocked_out_secs += start.elapsed().as_secs_f64();
-                if pushed.is_err() {
-                    closed = true;
-                    break;
-                }
-                forwarded += 1;
-            }
+            let augmented = back.push(&mut collectors[pick], event);
             {
                 let mut guard = shared.lock().unwrap();
-                guard[pick].ledger.events_forwarded += forwarded;
+                let ledger = &mut guard[pick].ledger;
+                ledger.withdraws_filtered += u64::from(augmented.withdraw_filtered);
+                ledger.events_forwarded += augmented.forwarded;
                 if let Some(probe) = probe.as_mut() {
                     probe(&snapshot(&guard));
                 }
             }
-            if closed {
+            if back.closed {
                 break 'merge;
             }
         }
@@ -1673,15 +1578,6 @@ impl MultiSourceIngest {
         // Tear the fan-in down: dropping the receivers makes any still-live
         // worker shed-and-exit on its next enqueue attempt.
         drop(rxs);
-
-        if closed {
-            let cause = stem_stage.failure_cause();
-            let (_reports, stats, _digest, _shards) = stem_stage.finish();
-            return Err(IngestError::Pipeline {
-                cause,
-                stats: Box::new(stats),
-            });
-        }
 
         let (ledgers, decode) = {
             let guard = shared.lock().unwrap();
@@ -1694,45 +1590,23 @@ impl MultiSourceIngest {
             (snapshot(&guard), decode)
         };
 
-        if ledgers
-            .iter()
-            .all(|l| l.health == SourceHealth::Quarantined)
+        if !back.closed
+            && ledgers
+                .iter()
+                .all(|l| l.health == SourceHealth::Quarantined)
         {
-            let (_reports, stats, _digest, _shards) = stem_stage.finish();
             return Err(IngestError::AllSourcesQuarantined {
+                stats: Box::new(back.abort()),
                 sources: ledgers,
-                stats: Box::new(stats),
             });
         }
 
-        let drain_start = Instant::now();
-        let (reports, stats, digest, shard_stats) = stem_stage.finish();
-        let drain = drain_start.elapsed().as_secs_f64();
-        let elapsed = started.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
-
-        let events_decoded: u64 = ledgers.iter().map(|l| l.events_decoded).sum();
-        let stem = StageStats {
-            busy_secs: merge.blocked_out_secs + drain,
-            blocked_in_secs: merge.blocked_in_secs,
-            blocked_out_secs: 0.0,
-        };
-        Ok(IngestReport {
+        back.finish(FrontEnd {
             records_decoded: ledgers.iter().map(|l| l.records_decoded).sum(),
             records_skipped: ledgers.iter().map(|l| l.records_skipped).sum(),
             trailing_tolerated: ledgers.iter().map(|l| l.trailing_tolerated).sum(),
-            events_decoded,
-            events_forwarded: ledgers.iter().map(|l| l.events_forwarded).sum(),
-            withdraws_filtered: ledgers.iter().map(|l| l.withdraws_filtered).sum(),
-            reports,
-            digest,
-            stats,
-            shard_stats,
+            events_decoded: ledgers.iter().map(|l| l.events_decoded).sum(),
             decode,
-            augment: merge,
-            stem,
-            elapsed_secs: elapsed,
-            events_per_sec: events_decoded as f64 / elapsed,
-            peak_rss_bytes: peak_rss_bytes(),
             sources: ledgers,
         })
     }
@@ -1741,6 +1615,7 @@ impl MultiSourceIngest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgpscope_anomaly::{FidelityLevel, OverloadPolicy, PipelineConfig, RealtimeDetector};
     use bgpscope_bgp::{EventStream, PathAttributes, PeerId, Prefix, RouterId, Timestamp};
     use bgpscope_mrt::write_events;
 
@@ -1780,76 +1655,151 @@ mod tests {
         stream
     }
 
+    /// Every event is accounted for, the global and per-shard ledgers
+    /// close and `bench_json` carries the extended schema at any shard
+    /// count — one shard is a sharded run like any other.
     #[test]
-    fn ingest_accounts_for_every_event() {
-        let stream = paired_stream(500);
-        let archive = archive_of(&stream);
-        let report = ingest(
-            archive.as_slice(),
-            IngestConfig::default()
-                .with_batch_size(64)
-                .with_buffer_capacity(512),
-        )
-        .unwrap();
-        assert_eq!(report.events_decoded, 1000);
-        assert_eq!(report.events_forwarded, 1000);
-        assert_eq!(report.records_decoded, 1000);
-        assert_eq!(report.withdraws_filtered, 0);
-        assert!(report.stats.accounts_exactly(), "ledger must balance");
-        assert_eq!(report.stats.ingested, 1000);
-        assert!(report.shard_stats.is_none());
-        assert!(report.events_per_sec > 0.0);
-        let json = report.bench_json();
-        assert!(json.contains("\"events_per_sec\""), "json: {json}");
-        assert!(json.contains("\"ledger\""), "json: {json}");
-        assert!(!json.contains("\"quarantined_shards\""), "json: {json}");
-    }
-
-    #[test]
-    fn sharded_ingest_closes_the_global_ledger_and_extends_bench_json() {
+    fn ingest_accounts_for_every_event_at_any_shard_count() {
         // Distinct top octets so the (peer, prefix-range) router actually
         // spreads the keyspace over the shards.
         let peer = PeerId::from_octets(10, 0, 0, 1);
         let mut stream = EventStream::new();
         for i in 0..400u32 {
             let prefix = Prefix::from_octets((i % 8 + 1) as u8 * 20, (i / 8) as u8, 0, 0, 24);
-            stream.push(Event::announce(
-                Timestamp::from_secs(u64::from(i) * 2),
-                peer,
-                prefix,
-                attrs(&[701, 1299 + i]),
-            ));
-            stream.push(Event::withdraw(
-                Timestamp::from_secs(u64::from(i) * 2 + 1),
-                peer,
-                prefix,
-                attrs(&[701, 1299 + i]),
-            ));
+            let path = attrs(&[701, 1299 + i]);
+            let at = |offset| Timestamp::from_secs(u64::from(i) * 2 + offset);
+            stream.push(Event::announce(at(0), peer, prefix, path.clone()));
+            stream.push(Event::withdraw(at(1), peer, prefix, path));
         }
         let archive = archive_of(&stream);
-        let report = ingest(
-            archive.as_slice(),
-            IngestConfig::default().with_shards(4).with_batch_size(64),
-        )
-        .unwrap();
-        assert_eq!(report.events_forwarded, 800);
-        assert_eq!(report.stats.ingested, 800);
-        let sharded = report.shard_stats.as_ref().expect("sharded run");
-        assert_eq!(sharded.shards.len(), 4);
-        assert!(sharded.accounts_exactly(), "global + per-shard ledgers");
-        assert!(sharded.quarantined_shards().is_empty());
-        assert!(
-            sharded
-                .shards
-                .iter()
-                .filter(|s| s.stats.ingested > 0)
-                .count()
-                > 1,
-            "events must spread across shards: {sharded}"
-        );
-        let json = report.bench_json();
-        assert!(json.contains("\"shards\":["), "json: {json}");
-        assert!(json.contains("\"quarantined_shards\":[]"), "json: {json}");
+        for shards in [1, 4] {
+            let config = IngestConfig::default()
+                .with_shards(shards)
+                .with_batch_size(64)
+                .with_buffer_capacity(512);
+            let report = ingest(archive.as_slice(), config).unwrap();
+            assert_eq!(report.events_decoded, 800);
+            assert_eq!(report.events_forwarded, 800);
+            assert_eq!(report.records_decoded, 800);
+            assert_eq!(report.withdraws_filtered, 0);
+            assert_eq!(report.stats.ingested, 800);
+            assert!(report.events_per_sec > 0.0);
+            let sharded = report.shard_stats.as_ref().expect("always sharded");
+            assert_eq!(sharded.shards.len(), shards);
+            assert!(sharded.accounts_exactly(), "global + per-shard ledgers");
+            assert!(sharded.quarantined_shards().is_empty());
+            let busy = sharded.shards.iter().filter(|s| s.stats.ingested > 0);
+            assert_eq!(busy.count() > 1, shards > 1, "spread: {sharded}");
+            let json = report.bench_json();
+            assert!(json.contains("\"events_per_sec\""), "json: {json}");
+            assert!(json.contains("\"occupancy\""), "json: {json}");
+            assert!(json.contains("\"ledger\""), "json: {json}");
+            assert!(json.contains("\"shards\":["), "json: {json}");
+            assert!(json.contains("\"quarantined_shards\":[]"), "json: {json}");
+        }
+    }
+
+    /// `windows` analysis windows (1,000 s apart; the window is 900 s) of
+    /// one 40-prefix table transfer and its loss 100 s later: every window
+    /// is analyzed and yields at least one report.
+    fn windowed_stream(windows: u32) -> EventStream {
+        let peer = PeerId::from_octets(10, 0, 0, 1);
+        let mut stream = EventStream::new();
+        for w in 0..windows {
+            let base = u64::from(w) * 1_000;
+            for (offset, withdraw) in [(0, false), (100, true)] {
+                for i in 0..40u8 {
+                    let time = Timestamp::from_secs(base + offset + u64::from(i));
+                    let prefix = Prefix::from_octets(10, w as u8, i, 0, 24);
+                    let attrs = attrs(&[701, 1299]);
+                    stream.push(if withdraw {
+                        Event::withdraw(time, peer, prefix, attrs)
+                    } else {
+                        Event::announce(time, peer, prefix, attrs)
+                    });
+                }
+            }
+        }
+        stream
+    }
+
+    fn sorted_json(reports: &[AnomalyReport]) -> Vec<String> {
+        let mut json: Vec<String> = reports.iter().map(to_json).collect();
+        json.sort();
+        json
+    }
+
+    /// The synchronous reference: one `RealtimeDetector` at `level` doing
+    /// its own rebuild augmentation.
+    fn sync_run(stream: &EventStream, level: FidelityLevel) -> (Vec<String>, PipelineStats) {
+        let mut detector = RealtimeDetector::new(PipelineConfig::default());
+        detector.set_fidelity(level);
+        let mut reports = Vec::new();
+        for event in stream {
+            reports.extend(detector.ingest_update(&update_of(event), event.time));
+        }
+        reports.extend(detector.flush());
+        (sorted_json(&reports), detector.stats())
+    }
+
+    #[test]
+    fn one_shard_ingest_equals_the_synchronous_detector() {
+        let stream = windowed_stream(6);
+        let report = ingest(archive_of(&stream).as_slice(), IngestConfig::default()).unwrap();
+        let (reports, mut stats) = sync_run(&stream, FidelityLevel::Full);
+        assert!(reports.len() >= 6, "every window reports");
+        assert_eq!(sorted_json(&report.reports), reports);
+        // The supervision gauges have no synchronous counterpart.
+        stats.checkpoints = report.stats.checkpoints;
+        stats.checkpoint_interval_current = report.stats.checkpoint_interval_current;
+        assert_eq!(report.stats, stats);
+    }
+
+    #[test]
+    fn degrade_policy_is_the_fidelity_floor_under_pressure() {
+        let stream = windowed_stream(60);
+        let spawn = SpawnConfig::default()
+            .with_capacity(1)
+            .with_overload(OverloadPolicy::Degrade);
+        let config = IngestConfig::default().with_spawn(spawn);
+        let report = ingest(archive_of(&stream).as_slice(), config).unwrap();
+        assert!(report.stats.degraded_windows > 0, "{}", report.stats);
+        assert_eq!(report.stats.shed_events, 0, "Degrade is lossless");
+        let (floor, _) = sync_run(&stream, FidelityLevel::Floor);
+        let (full, _) = sync_run(&stream, FidelityLevel::Full);
+        let (degraded, clean): (Vec<_>, Vec<_>) =
+            report.reports.iter().cloned().partition(|r| r.degraded);
+        assert!(!degraded.is_empty());
+        for json in sorted_json(&degraded) {
+            assert!(floor.contains(&json), "not a floor report: {json}");
+        }
+        for json in sorted_json(&clean) {
+            assert!(full.contains(&json), "not a full-fidelity report: {json}");
+        }
+    }
+
+    /// More reports than the report queue holds, then more events than the
+    /// event queue holds: at the parent the supervisor blocked on the full
+    /// report queue, the feed blocked on the full event queue, and nobody
+    /// read either.
+    #[test]
+    fn ingest_drains_its_own_report_queue() {
+        let archive = archive_of(&windowed_stream(12));
+        let spawn = SpawnConfig::default()
+            .with_report_capacity(4)
+            .with_capacity(64);
+        let config = IngestConfig::default().with_spawn(spawn);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(ingest(archive.as_slice(), config));
+        });
+        let report = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("ingest live-locked on its own report queue")
+            .unwrap();
+        assert!(report.reports.len() >= 12);
+        assert_eq!(report.stats.reports_delivered, report.reports.len() as u64);
+        assert!(report.stats.reports_account_exactly());
     }
 
     #[test]

@@ -47,13 +47,7 @@ use std::io::Read;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// SplitMix64: tiny, seedable, good enough to scatter short-read lengths.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use bgpscope_bgp::splitmix64;
 
 /// One armed byte-corruption site.
 #[derive(Debug, Clone)]

@@ -30,19 +30,11 @@ use std::collections::{BinaryHeap, HashMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use bgpscope_bgp::{PathAttributes, Prefix, RouterId, Timestamp, UpdateMessage};
+use bgpscope_bgp::{splitmix64, PathAttributes, Prefix, RouterId, Timestamp, UpdateMessage};
 use bgpscope_igp::{IgpEvent, IgpEventKind, IgpEventLog};
 
 use crate::config::ProtocolConfig;
 use crate::router::{Outbound, Router, SessionState};
-
-/// SplitMix64: cheap, well-mixed seed derivation / keyed hashing.
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A scheduled action.
 #[derive(Debug, Clone)]

@@ -12,10 +12,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use bgpscope_bgp::{Asn, RouterId, Timestamp};
+use bgpscope_bgp::{splitmix64, Asn, RouterId, Timestamp};
 
 use crate::config::ProtocolConfig;
-use crate::engine::{splitmix64, Sim};
+use crate::engine::Sim;
 use crate::topology::SimBuilder;
 
 /// Which layer of the hierarchy a generated AS belongs to.

@@ -10,7 +10,7 @@
 //! - the differential proptest harness (`tests/differential.rs`) can assert
 //!   the two paths produce bit-identical [`StemmingResult`]s over adversarial
 //!   generated streams, and
-//! - the round benchmark (`bench_stemming` / `benches/scaling.rs`) can
+//! - the round benchmark (`benches/scaling.rs`) can
 //!   measure the incremental path against the true baseline on one host.
 //!
 //! It is `#[doc(hidden)]` because it is test/bench infrastructure, not API:
