@@ -211,16 +211,6 @@ impl Default for PipelineConfig {
     }
 }
 
-impl PipelineConfig {
-    /// Sets the worker-thread count for Stemming's counting pass (`0` = one
-    /// per available core, `1` = serial). Forwarded to
-    /// [`StemmingConfig::parallelism`].
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.stemming.parallelism = parallelism;
-        self
-    }
-}
-
 /// How Stemming is coarsened in degraded mode: the point is to make each
 /// analysis pass cheap enough for the queue to drain, at the cost of
 /// finding only the strongest correlations.
@@ -689,6 +679,82 @@ impl PipelineStats {
         self.reports_emitted == self.reports_delivered + self.report_shed + self.reports_digested
     }
 
+    /// The one derivation of a spawned pipeline's ledger, shared by the
+    /// live handle and [`crate::replay::Replay`]: the consumer's counters,
+    /// the producer-side [`Overlay`] and the supervision counts, with
+    /// `queued`, `dropped_events` and `reports_delivered` derived as the
+    /// remainders that make both equations close.
+    pub(crate) fn from_ledger(
+        consumer: ConsumerCounters,
+        overlay: Overlay,
+        supervision: SupervisionCounts,
+    ) -> Self {
+        let lost = supervision.lost_events;
+        PipelineStats {
+            ingested: overlay.ingested,
+            analyzed: consumer.analyzed,
+            shed_events: overlay.shed_events,
+            dropped_events: consumer.dropped + lost,
+            carry_forward_evictions: consumer.evictions,
+            degraded_windows: consumer.degraded_windows,
+            clamped_events: consumer.clamped,
+            parse_errors: overlay.parse_errors,
+            carried: consumer.carried,
+            queued: overlay
+                .ingested
+                .saturating_sub(overlay.shed_events)
+                .saturating_sub(overlay.coalesced_events)
+                .saturating_sub(consumer.ingested)
+                .saturating_sub(consumer.replayed_in_flight)
+                .saturating_sub(lost),
+            restarts: supervision.restarts,
+            checkpoints: overlay.checkpoints,
+            replayed_events: supervision.replayed_events,
+            replayed_in_flight: consumer.replayed_in_flight,
+            lost_events: lost,
+            reports_emitted: supervision.reports_emitted,
+            reports_delivered: supervision
+                .reports_emitted
+                .saturating_sub(overlay.report_shed)
+                .saturating_sub(overlay.reports_digested),
+            report_shed: overlay.report_shed,
+            reports_digested: overlay.reports_digested,
+            coalesced_events: overlay.coalesced_events,
+            fidelity_level: overlay.fidelity_level,
+            checkpoint_interval_current: overlay.checkpoint_interval_current,
+        }
+    }
+
+    /// Folds another pipeline's ledger into this one (the cross-shard
+    /// global): counters add, the two gauges — `fidelity_level` and
+    /// `checkpoint_interval_current` — take the max, the worst-off shard.
+    pub(crate) fn absorb(&mut self, other: &PipelineStats) {
+        self.ingested += other.ingested;
+        self.analyzed += other.analyzed;
+        self.shed_events += other.shed_events;
+        self.dropped_events += other.dropped_events;
+        self.carry_forward_evictions += other.carry_forward_evictions;
+        self.degraded_windows += other.degraded_windows;
+        self.clamped_events += other.clamped_events;
+        self.parse_errors += other.parse_errors;
+        self.carried += other.carried;
+        self.queued += other.queued;
+        self.restarts += other.restarts;
+        self.checkpoints += other.checkpoints;
+        self.replayed_events += other.replayed_events;
+        self.replayed_in_flight += other.replayed_in_flight;
+        self.lost_events += other.lost_events;
+        self.reports_emitted += other.reports_emitted;
+        self.reports_delivered += other.reports_delivered;
+        self.report_shed += other.report_shed;
+        self.reports_digested += other.reports_digested;
+        self.coalesced_events += other.coalesced_events;
+        self.fidelity_level = self.fidelity_level.max(other.fidelity_level);
+        self.checkpoint_interval_current = self
+            .checkpoint_interval_current
+            .max(other.checkpoint_interval_current);
+    }
+
     /// Stable machine-readable serialization of the ledger (field names are
     /// part of the schema; soak runs and the CLI emit this).
     pub fn to_json(&self) -> String {
@@ -811,6 +877,21 @@ impl RealtimeDetector {
             reports_delivered: self.reports_emitted as u64,
             fidelity_level: u64::from(self.fidelity.index()),
             ..PipelineStats::default()
+        }
+    }
+
+    /// The counters a spawned pipeline's consumer publishes, plus the
+    /// caller's current replay debt (0 outside a restart).
+    pub(crate) fn consumer_counters(&self, replayed_in_flight: u64) -> ConsumerCounters {
+        ConsumerCounters {
+            ingested: self.ingested,
+            analyzed: self.analyzed,
+            dropped: self.dropped_events,
+            evictions: self.carry_forward_evictions,
+            degraded_windows: self.degraded_windows,
+            clamped: self.clamped_events,
+            carried: self.buffer.len() as u64,
+            replayed_in_flight,
         }
     }
 
@@ -1470,16 +1551,8 @@ impl Supervisor {
     /// Publishes the detector's counters as one consistent set, plus the
     /// current replay debt.
     fn sync(&self, detector: &RealtimeDetector, replayed_in_flight: u64) {
-        *self.shared.consumer.lock().expect("stats poisoned") = ConsumerCounters {
-            ingested: detector.ingested,
-            analyzed: detector.analyzed,
-            dropped: detector.dropped_events,
-            evictions: detector.carry_forward_evictions,
-            degraded_windows: detector.degraded_windows,
-            clamped: detector.clamped_events,
-            carried: detector.buffer.len() as u64,
-            replayed_in_flight,
-        };
+        *self.shared.consumer.lock().expect("stats poisoned") =
+            detector.consumer_counters(replayed_in_flight);
     }
 
     /// After a crash: rolls the published counters back to the checkpoint
@@ -1514,7 +1587,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 /// each event (the detector's own invariant
 /// `ingested == analyzed + dropped + carried` holds within every snapshot).
 #[derive(Debug, Default, Clone, Copy)]
-struct ConsumerCounters {
+pub(crate) struct ConsumerCounters {
     ingested: u64,
     analyzed: u64,
     dropped: u64,
@@ -1526,6 +1599,16 @@ struct ConsumerCounters {
     /// re-processed — counted back out of `queued` so the ledger closes
     /// during a replay.
     replayed_in_flight: u64,
+}
+
+/// What the supervisor — live, or the frames it recorded — counts outside
+/// both the consumer and the producer.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct SupervisionCounts {
+    pub(crate) restarts: u64,
+    pub(crate) replayed_events: u64,
+    pub(crate) lost_events: u64,
+    pub(crate) reports_emitted: u64,
 }
 
 /// State shared between the producer-side handle and the detector thread.
@@ -1619,42 +1702,16 @@ impl Default for SharedStats {
 /// exactly where an in-flight event belongs.
 fn stats_from(shared: &SharedStats) -> PipelineStats {
     let consumer = *shared.consumer.lock().expect("stats poisoned");
-    let ingested = shared.ingested.load(Ordering::Acquire);
-    let shed = shared.shed.load(Ordering::Acquire);
-    let coalesced = shared.coalesced.load(Ordering::Acquire);
-    let lost = shared.lost.load(Ordering::Acquire);
-    let emitted = shared.reports_emitted.load(Ordering::Acquire);
-    let report_shed = shared.report_shed.load(Ordering::Acquire);
-    let digested = shared.reports_digested.load(Ordering::Acquire);
-    PipelineStats {
-        ingested,
-        analyzed: consumer.analyzed,
-        shed_events: shed,
-        dropped_events: consumer.dropped + lost,
-        carry_forward_evictions: consumer.evictions,
-        degraded_windows: consumer.degraded_windows,
-        clamped_events: consumer.clamped,
-        parse_errors: shared.parse_errors.load(Ordering::Acquire),
-        carried: consumer.carried,
-        queued: ingested
-            .saturating_sub(shed)
-            .saturating_sub(coalesced)
-            .saturating_sub(consumer.ingested)
-            .saturating_sub(consumer.replayed_in_flight)
-            .saturating_sub(lost),
-        restarts: shared.restarts.load(Ordering::Acquire),
-        checkpoints: shared.checkpoints.load(Ordering::Acquire),
-        replayed_events: shared.replayed.load(Ordering::Acquire),
-        replayed_in_flight: consumer.replayed_in_flight,
-        lost_events: lost,
-        reports_emitted: emitted,
-        reports_delivered: emitted.saturating_sub(report_shed).saturating_sub(digested),
-        report_shed,
-        reports_digested: digested,
-        coalesced_events: coalesced,
-        fidelity_level: shared.fidelity.load(Ordering::Acquire),
-        checkpoint_interval_current: shared.checkpoint_interval.load(Ordering::Acquire),
-    }
+    PipelineStats::from_ledger(
+        consumer,
+        shared.overlay(),
+        SupervisionCounts {
+            restarts: shared.restarts.load(Ordering::Acquire),
+            replayed_events: shared.replayed.load(Ordering::Acquire),
+            lost_events: shared.lost.load(Ordering::Acquire),
+            reports_emitted: shared.reports_emitted.load(Ordering::Acquire),
+        },
+    )
 }
 
 /// A cloneable, thread-safe sampler of one spawned pipeline's ledger

@@ -59,7 +59,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::control::FidelityLevel;
 use crate::pipeline::{
-    PipelineCheckpoint, PipelineConfig, PipelineStats, RealtimeDetector, WeightedEvent,
+    PipelineCheckpoint, PipelineConfig, PipelineStats, RealtimeDetector, SupervisionCounts,
+    WeightedEvent,
 };
 use crate::report::AnomalyReport;
 
@@ -1007,55 +1008,30 @@ impl Replay {
     /// producer/supervision counters from the nearest applied
     /// [`Frame::Snapshot`]'s [`Overlay`] (before the first snapshot the
     /// producer side is taken as "nothing shed yet", which is exact for
-    /// lossless runs and a documented lower bound otherwise). `queued`
-    /// is derived the same way the live handle derives it, so at the
+    /// lossless runs and a documented lower bound otherwise). The ledger
+    /// is assembled by the constructor the live handle uses, so at the
     /// final cursor of a sealed recording this equals the live run's
     /// final stats bit-for-bit.
     pub fn stats(&self) -> PipelineStats {
-        let det = self.detector.stats();
-        let overlay = self.overlay_at_cursor();
-        let (ingested, shed, coalesced) = match &overlay {
-            Some(ov) => (ov.ingested, ov.shed_events, ov.coalesced_events),
-            None => (det.ingested, 0, 0),
-        };
-        let emitted = self.counts.reports;
-        let (report_shed, digested) = overlay
-            .as_ref()
-            .map_or((0, 0), |ov| (ov.report_shed, ov.reports_digested));
-        PipelineStats {
-            ingested,
-            analyzed: det.analyzed,
-            shed_events: shed,
-            dropped_events: det.dropped_events + self.counts.lost,
-            carry_forward_evictions: det.carry_forward_evictions,
-            degraded_windows: det.degraded_windows,
-            clamped_events: det.clamped_events,
-            parse_errors: overlay.as_ref().map_or(0, |ov| ov.parse_errors),
-            carried: det.carried,
-            queued: ingested
-                .saturating_sub(shed)
-                .saturating_sub(coalesced)
-                .saturating_sub(det.ingested)
-                .saturating_sub(self.counts.lost),
-            restarts: self.counts.restarts,
-            checkpoints: overlay
-                .as_ref()
-                .map_or(self.counts.snapshots, |ov| ov.checkpoints),
-            replayed_events: self.counts.replayed,
-            replayed_in_flight: 0,
-            lost_events: self.counts.lost,
-            reports_emitted: emitted,
-            reports_delivered: emitted.saturating_sub(report_shed).saturating_sub(digested),
-            report_shed,
-            reports_digested: digested,
-            coalesced_events: coalesced,
-            fidelity_level: overlay
-                .as_ref()
-                .map_or(det.fidelity_level, |ov| ov.fidelity_level),
-            checkpoint_interval_current: overlay
-                .as_ref()
-                .map_or(0, |ov| ov.checkpoint_interval_current),
-        }
+        let overlay = self.overlay_at_cursor().unwrap_or_else(|| {
+            let det = self.detector.stats();
+            Overlay {
+                ingested: det.ingested,
+                fidelity_level: det.fidelity_level,
+                checkpoints: self.counts.snapshots,
+                ..Overlay::default()
+            }
+        });
+        PipelineStats::from_ledger(
+            self.detector.consumer_counters(0),
+            overlay,
+            SupervisionCounts {
+                restarts: self.counts.restarts,
+                replayed_events: self.counts.replayed,
+                lost_events: self.counts.lost,
+                reports_emitted: self.counts.reports,
+            },
+        )
     }
 
     /// The overlay of the last snapshot applied before the cursor.

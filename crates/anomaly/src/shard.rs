@@ -302,31 +302,7 @@ impl ShardedStats {
     fn from_snapshots(shards: Vec<ShardSnapshot>) -> Self {
         let mut global = PipelineStats::default();
         for snap in &shards {
-            let s = &snap.stats;
-            global.ingested += s.ingested;
-            global.analyzed += s.analyzed;
-            global.shed_events += s.shed_events;
-            global.dropped_events += s.dropped_events;
-            global.carry_forward_evictions += s.carry_forward_evictions;
-            global.degraded_windows += s.degraded_windows;
-            global.clamped_events += s.clamped_events;
-            global.parse_errors += s.parse_errors;
-            global.carried += s.carried;
-            global.queued += s.queued;
-            global.restarts += s.restarts;
-            global.checkpoints += s.checkpoints;
-            global.replayed_events += s.replayed_events;
-            global.replayed_in_flight += s.replayed_in_flight;
-            global.lost_events += s.lost_events;
-            global.reports_emitted += s.reports_emitted;
-            global.reports_delivered += s.reports_delivered;
-            global.report_shed += s.report_shed;
-            global.reports_digested += s.reports_digested;
-            global.coalesced_events += s.coalesced_events;
-            global.fidelity_level = global.fidelity_level.max(s.fidelity_level);
-            global.checkpoint_interval_current = global
-                .checkpoint_interval_current
-                .max(s.checkpoint_interval_current);
+            global.absorb(&snap.stats);
         }
         ShardedStats { global, shards }
     }
@@ -654,10 +630,11 @@ impl ShardedPipeline {
         cell.stats = Some(stats);
     }
 
-    /// Records upstream parse errors on shard 0's ledger (the global sum is
-    /// what consumers read).
+    /// Records upstream parse errors on the first shard that is still
+    /// running (the global sum is what consumers read; a reaped shard's
+    /// ledger is frozen).
     pub fn record_parse_errors(&self, n: usize) {
-        if let Some(handle) = self.shards[0].handle.as_ref() {
+        if let Some(handle) = self.shards.iter().find_map(|s| s.handle.as_ref()) {
             handle.record_parse_errors(n);
         }
     }
@@ -1069,8 +1046,10 @@ mod tests {
 
     #[test]
     fn quarantined_shard_is_isolated_and_accounted() {
-        let peer = PeerId::from_octets(10, 1, 0, 1);
-        let prefix = Prefix::from_octets(40, 7, 0, 0, 16);
+        // The (200, 200) key routes to shard 0, where parse errors are
+        // recorded while it runs: quarantining it checks they move on.
+        let peer = PeerId::from_octets(10, 200, 0, 1);
+        let prefix = Prefix::from_octets(40, 200, 0, 0, 16);
         let config = ShardedConfig::new(2, {
             SpawnConfig::new(PipelineConfig {
                 min_events: 1_000_000, // no analysis: pure supervision
@@ -1085,6 +1064,7 @@ mod tests {
         })
         .with_range_bits(16);
         let target = ShardRouter::new(2).with_range_bits(16).route(peer, prefix);
+        assert_eq!(target, 0);
         let sibling = 1 - target;
         let config = config.with_shard_fault(
             target,
@@ -1117,8 +1097,12 @@ mod tests {
         // Post-quarantine traffic to the dead keyspace is counted, not an
         // error.
         for j in 0..50u64 {
-            pipeline.ingest_event(withdraw_event(i + j, 1, 7)).unwrap();
+            pipeline
+                .ingest_event(withdraw_event(i + j, 200, 200))
+                .unwrap();
         }
+        // ... and parse errors land on a shard that still keeps a ledger.
+        pipeline.record_parse_errors(3);
         let causes = pipeline.panic_causes();
         assert_eq!(causes.len(), 1, "{causes:?}");
         assert_eq!(causes[0].shard, target);
@@ -1127,6 +1111,7 @@ mod tests {
 
         let run = pipeline.finish();
         assert!(run.stats.accounts_exactly(), "{}", run.stats);
+        assert_eq!(run.stats.global.parse_errors, 3, "{}", run.stats);
         assert_eq!(run.stats.quarantined_shards(), vec![target]);
         let target_snap = run.stats.shards[target];
         assert!(target_snap.quarantined);

@@ -404,7 +404,6 @@ proptest! {
     #[test]
     fn coalescing_preserves_stems_default_config(stream in stream_strategy()) {
         let config = StemmingConfig {
-            parallelism: 1,
             min_residual_events: 1,
             ..StemmingConfig::default()
         };
@@ -418,7 +417,6 @@ proptest! {
             max_components: 2,
             min_support: 1,
             min_residual_events: 1,
-            parallelism: 1,
             ..StemmingConfig::default()
         };
         assert_coalescing_conservative(&stream, &config);
@@ -429,7 +427,6 @@ proptest! {
     #[test]
     fn coalescing_preserves_stems_at_degraded_fidelity(stream in stream_strategy()) {
         let config = StemmingConfig {
-            parallelism: 1,
             min_residual_events: 1,
             ..stemming_at_level(
                 &StemmingConfig::default(),

@@ -65,65 +65,6 @@ fn reset_spike(n: usize, seed: u64) -> EventStream {
     stream
 }
 
-/// Builds a multi-component stream: `clusters` concurrent incidents with
-/// fully disjoint symbols (peers, nexthops, AS paths, prefixes) and
-/// descending sizes, riding on a noise floor of uncorrelated one-off events
-/// (~half the stream; every noise event has a unique peer, path, and prefix,
-/// so it supports no sub-sequence twice and is never swept). A decomposition
-/// extracts one component per cluster over `clusters` recursive rounds and
-/// leaves the noise as residual — the regime the incremental decremental
-/// rounds optimize: a from-scratch round recounts the whole surviving stream
-/// (noise included) every round, the incremental round touches only the
-/// component being swept. Deterministic; events are time-sorted across
-/// `span`.
-pub fn clustered_stream(n_events: usize, clusters: usize, span: Timestamp) -> EventStream {
-    assert!(clusters > 0 && clusters < 200, "unreasonable cluster count");
-    let mut stream = EventStream::new();
-
-    // The noise floor: unique (peer, path, prefix) per event.
-    let noise = n_events / 2;
-    for i in 0..noise {
-        let (hi, mid, lo) = ((i >> 16) as u8, (i >> 8) as u8, i as u8);
-        let attrs = PathAttributes::new(
-            RouterId::from_octets(61, hi, mid, lo),
-            AsPath::from_u32s([100_000 + i as u32, 200_000 + i as u32]),
-        );
-        stream.push(Event::withdraw(
-            Timestamp(span.as_micros() * i as u64 / noise as u64),
-            PeerId::from_octets(60, hi, mid, lo),
-            Prefix::from_octets(60 + (hi & 0x3F), mid, lo, 0, 24),
-            attrs,
-        ));
-    }
-
-    // The incidents, descending sizes so extraction order is deterministic.
-    let total_weight: usize = (1..=clusters).sum();
-    for k in 0..clusters {
-        let share = ((n_events - noise) * (clusters - k) / total_weight).max(4);
-        let peer = PeerId::from_octets(10, 20, k as u8, 1);
-        let hop = RouterId::from_octets(11, 20, k as u8, 1);
-        let (as_a, as_b) = (1000 + k as u32, 2000 + k as u32);
-        // Few prefixes and path tails relative to events: an incident
-        // repeats its sequences (flapping), so sequence groups carry real
-        // multiplicity.
-        let prefixes = (share / 16).max(1);
-        for i in 0..share {
-            let p = i % prefixes;
-            let prefix = Prefix::from_octets(50, k as u8, (p >> 8) as u8, (p & 0xFF) as u8, 32);
-            let attrs =
-                PathAttributes::new(hop, AsPath::from_u32s([as_a, as_b, 3000 + (i % 3) as u32]));
-            let time = Timestamp(span.as_micros() * i as u64 / share as u64);
-            stream.push(if i % 2 == 0 {
-                Event::withdraw(time, peer, prefix, attrs)
-            } else {
-                Event::announce(time, peer, prefix, attrs)
-            });
-        }
-    }
-    stream.sort_by_time();
-    stream
-}
-
 /// Formats a duration in the paper's style.
 pub fn fmt_secs(secs: f64) -> String {
     if secs < 1.0 {
@@ -148,20 +89,6 @@ mod tests {
         assert!(s.timerange() <= Timestamp::from_secs(200));
         let s = isp_stream(5_000, Timestamp::from_secs(3_600));
         assert!((4_500..=5_200).contains(&s.len()));
-    }
-
-    #[test]
-    fn clustered_stream_decomposes_into_rank_ordered_clusters() {
-        let stream = clustered_stream(3_000, 4, Timestamp::from_secs(600));
-        let result = bgpscope_stemming::Stemming::new().decompose(&stream);
-        let components = result.components();
-        // One component per cluster, descending support, and the entire
-        // noise floor (half the stream) left as residual.
-        assert_eq!(components.len(), 4, "{}", result.report());
-        for pair in components.windows(2) {
-            assert!(pair[0].support >= pair[1].support);
-        }
-        assert_eq!(result.residual_indices().len(), 1_500);
     }
 
     #[test]

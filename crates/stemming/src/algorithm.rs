@@ -26,9 +26,9 @@ pub struct StemmingConfig {
     pub min_support: u64,
     /// Stop when fewer events than this remain unassigned.
     pub min_residual_events: usize,
-    /// Worker threads for the sub-sequence counting pass (`0` = one per
-    /// available core, `1` = serial). Results are identical at every
-    /// setting; this only trades latency for cores.
+    /// Accepted and ignored: counting has one serial path. The field goes
+    /// when `benchmark/src/adapter.rs` stops naming it; until then it also
+    /// keeps the serialized form of recorded configurations unchanged.
     pub parallelism: usize,
 }
 
@@ -156,12 +156,9 @@ impl Stemming {
             group_weights[g] += weight_of(i, &events[i]);
         }
 
-        // Count once over the whole stream and materialize the owned count
-        // cache, so later removals can maintain it in place.
-        let mut counter = SubsequenceCounter::with_parallelism(
-            self.config.max_subseq_len,
-            self.config.parallelism,
-        );
+        // Count once over the whole stream and build the counts, so later
+        // removals maintain them in place.
+        let mut counter = SubsequenceCounter::new(self.config.max_subseq_len);
         for (g, &repr) in group_reprs.iter().enumerate() {
             counter.add_weighted(&sequences[repr], group_weights[g]);
         }

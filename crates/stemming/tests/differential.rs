@@ -79,20 +79,7 @@ fn assert_paths_identical(stream: &EventStream, config: &StemmingConfig) {
 proptest! {
     #[test]
     fn incremental_matches_reference_serial(stream in stream_strategy()) {
-        let config = StemmingConfig {
-            parallelism: 1,
-            ..StemmingConfig::default()
-        };
-        assert_paths_identical(&stream, &config);
-    }
-
-    #[test]
-    fn incremental_matches_reference_parallel(stream in stream_strategy()) {
-        let config = StemmingConfig {
-            parallelism: 4,
-            ..StemmingConfig::default()
-        };
-        assert_paths_identical(&stream, &config);
+        assert_paths_identical(&stream, &StemmingConfig::default());
     }
 
     /// Streams with more correlation groups than `max_components`: the loop
@@ -104,7 +91,6 @@ proptest! {
             max_components: 2,
             min_support: 1,
             min_residual_events: 1,
-            parallelism: 1,
             ..StemmingConfig::default()
         };
         assert_paths_identical(&stream, &config);
@@ -116,7 +102,6 @@ proptest! {
     fn incremental_matches_reference_with_capped_subseq_len(stream in stream_strategy()) {
         let config = StemmingConfig {
             max_subseq_len: 3,
-            parallelism: 4,
             ..StemmingConfig::default()
         };
         assert_paths_identical(&stream, &config);
