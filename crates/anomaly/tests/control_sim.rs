@@ -384,7 +384,7 @@ fn assert_coalescing_conservative(stream: &EventStream, config: &StemmingConfig)
     let (merged, weights) = coalesce(stream);
     let coalesced = Stemming::with_config(config.clone())
         .decompose_weighted_indexed(&merged, |i, _| weights[i]);
-    let uncoalesced = decompose_weighted_reference(config, stream, weight_of);
+    let uncoalesced = decompose_weighted_reference(config, stream, |_, e| weight_of(e));
     assert_eq!(
         stem_fingerprint(&coalesced, &merged),
         stem_fingerprint(&uncoalesced, stream),

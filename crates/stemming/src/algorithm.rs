@@ -1,11 +1,11 @@
 //! The recursive Stemming decomposition.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
 
 use bgpscope_bgp::intern::{Symbol, SymbolTable};
-use bgpscope_bgp::{EventKind, EventStream, Prefix, Timestamp};
+use bgpscope_bgp::{EventKind, EventStream, Timestamp};
 
 use crate::component::{Component, Stem};
 use crate::count::SubsequenceCounter;
@@ -90,16 +90,19 @@ impl Stemming {
     ///
     /// # Incremental rounds
     ///
-    /// The counter is built **once** from the full stream and then updated
-    /// *decrementally*: each extraction calls
+    /// The window is encoded once into one flat symbol arena and counted
+    /// **once** into a [`SubsequenceCounter`] — a sub-sequence index — which
+    /// is then updated *decrementally*: each extraction calls
     /// [`SubsequenceCounter::remove_weighted`] for just the swept component's
     /// distinct sequences, so round `k+1` starts from round `k`'s counts
-    /// instead of recounting every surviving event. Two inverted maps
-    /// (prefix → events, prefix → sequence groups) let the P/E sweep touch
-    /// only the component being extracted. Per-round cost drops from
-    /// O(alive) to O(component); results are bit-identical to the retained
-    /// from-scratch loop in [`crate::reference`] (proved by the differential
-    /// proptest harness).
+    /// instead of recounting every surviving event, and gets its winner from
+    /// the index's heap instead of a fold over every surviving sub-sequence.
+    /// Two counting-sorted arrays keyed by prefix symbol (→ events, →
+    /// sequence groups) let the E sweep touch only the component being
+    /// extracted. Per-round cost drops from O(alive) to O(component) plus
+    /// one scan of the live groups for P; results are bit-identical to the
+    /// retained from-scratch loop in [`crate::reference`] (proved by the
+    /// differential proptest harness).
     ///
     /// The identity rests on two facts: sub-sequence counts are additive per
     /// (distinct sequence, multiplicity), so subtracting a component's
@@ -131,74 +134,97 @@ impl Stemming {
     {
         let events = stream.events();
         let mut encoder = SequenceEncoder::new();
-        let sequences: Vec<Vec<Symbol>> = events.iter().map(|e| encoder.encode(e)).collect();
 
-        // Group events by distinct sequence (repr = first event index) and
-        // invert the stream: prefix → event indices (ascending, from the
-        // single forward pass) and prefix → groups.
+        // Encode the window into one flat arena: event `i`'s sequence is
+        // `arena[bounds[i]..bounds[i + 1]]`, and it ends with the event's
+        // interned prefix symbol.
+        let symbols_bound = events
+            .iter()
+            .map(|e| e.attrs.as_path.asns().len() + 3)
+            .sum();
+        let mut arena: Vec<Symbol> = Vec::with_capacity(symbols_bound);
+        let mut bounds = Vec::with_capacity(events.len() + 1);
+        bounds.push(0);
+        for event in events {
+            encoder.encode_into(event, &mut arena);
+            bounds.push(arena.len());
+        }
+        let seq_of = |i: usize| &arena[bounds[i]..bounds[i + 1]];
+        let event_prefix: Vec<usize> = (0..events.len())
+            .map(|i| arena[bounds[i + 1] - 1].index())
+            .collect();
+
+        // Group events by distinct sequence (repr = first event index).
         let mut group_of: HashMap<&[Symbol], usize> = HashMap::new();
         let mut group_weights: Vec<u64> = Vec::new();
         let mut group_reprs: Vec<usize> = Vec::new();
-        let mut prefix_events: HashMap<Prefix, Vec<usize>> = HashMap::new();
-        let mut prefix_groups: HashMap<Prefix, Vec<usize>> = HashMap::new();
-        for (i, seq) in sequences.iter().enumerate() {
-            let prefix = events[i].prefix;
-            prefix_events.entry(prefix).or_default().push(i);
-            let g = *group_of.entry(seq.as_slice()).or_insert_with(|| {
+        for (i, event) in events.iter().enumerate() {
+            let g = *group_of.entry(seq_of(i)).or_insert_with(|| {
                 group_reprs.push(i);
                 group_weights.push(0);
-                prefix_groups
-                    .entry(prefix)
-                    .or_default()
-                    .push(group_reprs.len() - 1);
                 group_reprs.len() - 1
             });
-            group_weights[g] += weight_of(i, &events[i]);
+            group_weights[g] += weight_of(i, event);
         }
+        // Only needed to form the groups; free it before the index is built.
+        drop(group_of);
+        let group_prefix: Vec<usize> = group_reprs.iter().map(|&i| event_prefix[i]).collect();
 
-        // Count once over the whole stream and build the counts, so later
-        // removals maintain them in place.
+        // Invert the stream: prefix symbol → event indices (ascending) and
+        // prefix symbol → groups.
+        let symbols = encoder.interner().len();
+        let prefix_events = Buckets::new(symbols, &event_prefix);
+        let prefix_groups = Buckets::new(symbols, &group_prefix);
+
+        // Count once over the whole stream; later removals maintain the
+        // counts in place.
         let mut counter = SubsequenceCounter::new(self.config.max_subseq_len);
+        counter.reserve(group_reprs.iter().map(|&i| seq_of(i).len()).sum());
         for (g, &repr) in group_reprs.iter().enumerate() {
-            counter.add_weighted(&sequences[repr], group_weights[g]);
+            counter.add_weighted(seq_of(repr), group_weights[g]);
         }
-        counter.materialize_counts();
 
         let mut live_groups: Vec<usize> = (0..group_reprs.len()).collect();
-        let mut swept: HashSet<Prefix> = HashSet::new();
+        // Indexed by symbol; only prefix symbols are ever set.
+        let mut swept = vec![false; symbols];
         let mut alive_count = events.len();
         let mut components = Vec::new();
 
         while components.len() < self.config.max_components
             && alive_count >= self.config.min_residual_events
         {
-            let ranking = self.config.ranking;
-            let Some(best) = counter.best_by(move |a, b| ranking.better(a, b)) else {
+            // `None` once the *ranked* winner is short of `min_support`: under
+            // a rule whose first key is not the count, a better-supported
+            // sub-sequence further down the ranking must not keep the loop
+            // going.
+            let Some(best) = counter.best(self.config.ranking, self.config.min_support) else {
                 break;
             };
-            if best.count < self.config.min_support {
-                break;
-            }
             let winner = best.subseq;
 
             // P: prefixes of live groups containing the winner. A group is
-            // live exactly when its (single) prefix is unswept.
-            let mut prefixes = BTreeSet::new();
+            // live exactly when its (single) prefix is unswept. Zero-weight
+            // groups are counted nowhere, so only this rescan finds them.
+            let mut hit = Vec::new();
             for &g in &live_groups {
-                if contains_subslice(&sequences[group_reprs[g]], &winner) {
-                    prefixes.insert(events[group_reprs[g]].prefix);
+                let p = group_prefix[g];
+                if !swept[p] && contains_subslice(seq_of(group_reprs[g]), &winner) {
+                    swept[p] = true;
+                    hit.push(p);
                 }
             }
 
             // E: the union of the swept prefixes' event lists — every listed
             // event is still alive (its prefix was never swept before).
             // Subtract each dying group from the counter as its prefix goes.
+            let mut prefixes = BTreeSet::new();
             let mut indices = Vec::new();
-            for p in &prefixes {
-                indices.extend_from_slice(&prefix_events[p]);
-                for &g in &prefix_groups[p] {
-                    let removed =
-                        counter.remove_weighted(&sequences[group_reprs[g]], group_weights[g]);
+            for &p in &hit {
+                let of_prefix = prefix_events.get(p);
+                prefixes.insert(events[of_prefix[0]].prefix);
+                indices.extend_from_slice(of_prefix);
+                for &g in prefix_groups.get(p) {
+                    let removed = counter.remove_weighted(seq_of(group_reprs[g]), group_weights[g]);
                     debug_assert!(removed, "a live group's weight must be removable");
                 }
             }
@@ -208,6 +234,7 @@ impl Stemming {
                 "winning sub-sequence must match events"
             );
             alive_count -= indices.len();
+            live_groups.retain(|&g| !swept[group_prefix[g]]);
 
             let mut start = Timestamp(u64::MAX);
             let mut end = Timestamp::ZERO;
@@ -223,9 +250,6 @@ impl Stemming {
                 }
             }
 
-            swept.extend(prefixes.iter().copied());
-            live_groups.retain(|&g| !swept.contains(&events[group_reprs[g]].prefix));
-
             let stem = Stem(winner[winner.len() - 2], winner[winner.len() - 1]);
             components.push(Component {
                 subsequence: winner,
@@ -239,12 +263,12 @@ impl Stemming {
                 withdraw_count,
             });
         }
+        // The index is dead weight from here on: free it before the symbol
+        // table is copied out and the caller starts classifying.
+        drop(counter);
 
-        let residual_indices = events
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| !swept.contains(&e.prefix))
-            .map(|(i, _)| i)
+        let residual_indices = (0..events.len())
+            .filter(|&i| !swept[event_prefix[i]])
             .collect();
 
         StemmingResult {
@@ -253,6 +277,38 @@ impl Stemming {
             total_events: events.len(),
             residual_indices,
         }
+    }
+}
+
+/// Items `0..keys.len()` bucketed by key with one counting sort: bucket `k`
+/// lists, in ascending order, the items whose key is `k`.
+struct Buckets {
+    /// Bucket `k` is `items[starts[k]..starts[k + 1]]`.
+    starts: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl Buckets {
+    /// `keys[item]` is the item's bucket, below `buckets`.
+    fn new(buckets: usize, keys: &[usize]) -> Self {
+        let mut starts = vec![0; buckets + 1];
+        for &key in keys {
+            starts[key + 1] += 1;
+        }
+        for k in 0..buckets {
+            starts[k + 1] += starts[k];
+        }
+        let mut next = starts.clone();
+        let mut items = vec![0; keys.len()];
+        for (item, &key) in keys.iter().enumerate() {
+            items[next[key]] = item;
+            next[key] += 1;
+        }
+        Buckets { starts, items }
+    }
+
+    fn get(&self, key: usize) -> &[usize] {
+        &self.items[self.starts[key]..self.starts[key + 1]]
     }
 }
 

@@ -31,16 +31,36 @@ pub enum RankingRule {
 }
 
 impl RankingRule {
+    /// Every rule, for tests and ablations that sweep them.
+    pub const ALL: [RankingRule; 3] = [
+        RankingRule::CountThenLength,
+        RankingRule::CountOnly,
+        RankingRule::CoverageWeighted,
+    ];
+
+    /// The rule's sort key for a sub-sequence contained in `count` events and
+    /// `len` symbols long: the greater key ranks above. Equal keys fall to
+    /// lexicographic symbol order in the callers.
+    pub(crate) fn score(&self, count: u64, len: usize) -> (u64, u64) {
+        match self {
+            RankingRule::CountThenLength => (count, len as u64),
+            RankingRule::CountOnly => (count, 0),
+            RankingRule::CoverageWeighted => (count * (len as u64 - 1), 0),
+        }
+    }
+
+    /// Whether the count is the score's first key, so that a sub-sequence in
+    /// more events always ranks above one in fewer.
+    pub(crate) fn count_ranks_first(&self) -> bool {
+        match self {
+            RankingRule::CountThenLength | RankingRule::CountOnly => true,
+            RankingRule::CoverageWeighted => false,
+        }
+    }
+
     /// Strict "is `a` ranked above `b`".
     pub fn better(&self, a: &SubsequenceStat, b: &SubsequenceStat) -> bool {
-        match self {
-            RankingRule::CountThenLength => (a.count, a.len()) > (b.count, b.len()),
-            RankingRule::CountOnly => a.count > b.count,
-            RankingRule::CoverageWeighted => {
-                let score = |s: &SubsequenceStat| s.count * (s.len() as u64 - 1);
-                score(a) > score(b)
-            }
-        }
+        self.score(a.count, a.len()) > self.score(b.count, b.len())
     }
 }
 
@@ -70,6 +90,21 @@ mod tests {
         assert!(!r.better(&stat(10, 3), &stat(10, 2)));
         assert!(!r.better(&stat(10, 2), &stat(10, 3)));
         assert!(r.better(&stat(11, 2), &stat(10, 9)));
+    }
+
+    /// `count_ranks_first` is what lets the winner heap leave out
+    /// sub-sequences below the support threshold: it must hold of the score.
+    #[test]
+    fn count_ranks_first_matches_the_score() {
+        for rule in RankingRule::ALL {
+            let more_events_always_wins =
+                (2..=9).all(|short| (2..=9).all(|long| rule.score(3, short) > rule.score(2, long)));
+            assert_eq!(
+                rule.count_ranks_first(),
+                more_events_always_wins,
+                "{rule:?}"
+            );
+        }
     }
 
     #[test]

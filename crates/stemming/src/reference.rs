@@ -27,14 +27,15 @@ use crate::sequence::SequenceEncoder;
 
 /// Decomposes `stream` with a from-scratch recount every round — the
 /// reference semantics of
-/// [`Stemming::decompose_weighted`](crate::Stemming::decompose_weighted).
+/// [`Stemming::decompose_weighted_indexed`](crate::Stemming::decompose_weighted_indexed);
+/// `weight_of` gets the event's stream index, as there.
 pub fn decompose_weighted_reference<F>(
     config: &StemmingConfig,
     stream: &EventStream,
     weight_of: F,
 ) -> StemmingResult
 where
-    F: Fn(&bgpscope_bgp::Event) -> u64,
+    F: Fn(usize, &bgpscope_bgp::Event) -> u64,
 {
     let events = stream.events();
     let mut encoder = SequenceEncoder::new();
@@ -49,7 +50,7 @@ where
         // of an event's sequence gains the event's weight, once per event.
         let mut counts: BTreeMap<&[Symbol], u64> = BTreeMap::new();
         for (i, seq) in sequences.iter().enumerate() {
-            let weight = weight_of(&events[i]);
+            let weight = weight_of(i, &events[i]);
             if !alive[i] || weight == 0 {
                 continue;
             }

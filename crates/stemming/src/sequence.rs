@@ -26,6 +26,12 @@ impl SequenceEncoder {
         sequence_of(event, &mut self.interner)
     }
 
+    /// Appends one event's sequence to `out` — how a whole window is encoded
+    /// into one flat arena without a `Vec` per event.
+    pub fn encode_into(&mut self, event: &Event, out: &mut Vec<Symbol>) {
+        append_sequence(event, &mut self.interner, out);
+    }
+
     /// The interner accumulated so far.
     pub fn interner(&self) -> &Interner {
         &self.interner
@@ -42,12 +48,16 @@ impl SequenceEncoder {
 /// The sequence is `[peer, nexthop, as1, …, asn, prefix]` with consecutive
 /// duplicate ASes collapsed.
 pub fn sequence_of(event: &Event, interner: &mut Interner) -> Vec<Symbol> {
-    let path = event.attrs.as_path.asns();
-    let mut seq = Vec::with_capacity(path.len() + 3);
+    let mut seq = Vec::with_capacity(event.attrs.as_path.asns().len() + 3);
+    append_sequence(event, interner, &mut seq);
+    seq
+}
+
+fn append_sequence(event: &Event, interner: &mut Interner, seq: &mut Vec<Symbol>) {
     seq.push(interner.intern(Element::Peer(event.peer)));
     seq.push(interner.intern(Element::Nexthop(event.attrs.next_hop)));
     let mut prev = None;
-    for &asn in path {
+    for &asn in event.attrs.as_path.asns() {
         if prev == Some(asn) {
             continue;
         }
@@ -55,7 +65,6 @@ pub fn sequence_of(event: &Event, interner: &mut Interner) -> Vec<Symbol> {
         prev = Some(asn);
     }
     seq.push(interner.intern(Element::Prefix(event.prefix)));
-    seq
 }
 
 #[cfg(test)]

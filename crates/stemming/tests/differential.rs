@@ -1,17 +1,25 @@
-//! Differential harness: the incremental decremental round loop in
-//! `Stemming::decompose_weighted` must be **bit-identical** to the retained
-//! from-scratch reference (`bgpscope_stemming::reference`) — components,
-//! stems, supports, prefix sets, event indices, residuals, and rendered
-//! reports — over adversarial generated streams.
+//! Differential harness: the decremental round loop over the sub-sequence
+//! index in `Stemming::decompose_weighted_indexed` must be **bit-identical**
+//! to the retained from-scratch reference (`bgpscope_stemming::reference`) —
+//! components, stems, supports, prefix sets, event indices, residuals, and
+//! rendered reports — over adversarial generated streams.
 //!
-//! The generator deliberately produces the regimes where the incremental
-//! bookkeeping could drift: overlapping prefixes across correlation groups
-//! (a swept prefix drags foreign groups' events along), duplicate sequences
-//! (group multiplicities > 1), zero-weight events (counted nowhere but still
-//! swept), and streams with more correlation groups than `max_components`
-//! (the loop must stop with live state mid-flight).
+//! The generator deliberately produces the regimes where the index or the
+//! incremental bookkeeping could drift: overlapping prefixes across
+//! correlation groups (a swept prefix drags foreign groups' events along),
+//! duplicate sequences (group multiplicities > 1) whose instances carry
+//! *different* weights, zero-weight events (counted nowhere but still swept),
+//! paths of 0 to 6 hops (sequences of 3 to 9 symbols, some a prefix of
+//! others), paths that revisit an AS (`a b a b` — the once-per-event rule),
+//! and streams with more correlation groups than `max_components` (the loop
+//! must stop with live state mid-flight). The configurations cover all three
+//! ranking rules, several support thresholds and sub-sequence length caps.
 //!
-//! Case count honors `PROPTEST_CASES` (CI raises it to 256).
+//! Three fixed windows at the end guard what the generated ones are too
+//! small for: a hash-iteration-order leak (two runs in one process hash
+//! differently) and a heavily stale winner heap.
+//!
+//! Case count honors `PROPTEST_CASES` (CI raises it to 1024, in `--release`).
 
 use proptest::prelude::*;
 
@@ -19,23 +27,32 @@ use bgpscope_bgp::{
     AsPath, Event, EventStream, PathAttributes, PeerId, Prefix, RouterId, Timestamp,
 };
 use bgpscope_stemming::reference::decompose_weighted_reference;
-use bgpscope_stemming::{Stemming, StemmingConfig};
+use bgpscope_stemming::{RankingRule, Stemming, StemmingConfig, StemmingResult};
 
 /// Leading AS pairs per correlation group. Groups 0/1 share AS 100 and
 /// groups 0/3 share AS 200, so sub-sequences overlap *across* groups.
 const GROUP_PATHS: [[u32; 2]; 4] = [[100, 200], [100, 300], [500, 600], [700, 200]];
 
-/// One generated event: `(group, tail, prefix_idx, time_ms, announce)`.
-type Draw = (usize, u32, usize, u64, bool);
+/// One generated event:
+/// `(group, tail, hops, looped, prefix_idx, time_ms, announce)`.
+type Draw = (usize, u32, usize, bool, usize, u64, bool);
 
-fn event_from((group, tail, prefix_idx, time_ms, announce): Draw) -> Event {
+fn event_from((group, tail, hops, looped, prefix_idx, time_ms, announce): Draw) -> Event {
     let [a, b] = GROUP_PATHS[group];
+    // The first `hops` of a six-hop path: either the group's pair bouncing
+    // (`a b a b a b`) or the pair, a small tail alphabet, and the group's
+    // first AS once more further down.
+    let full = if looped {
+        [a, b, a, b, a, b]
+    } else {
+        [a, b, 1000 + tail, 2000 + tail % 2, a, 3000]
+    };
     let peer = PeerId::from_octets(128, 32, 1, group as u8 + 1);
     let hop = RouterId::from_octets(128, 32, 0, group as u8 + 1);
     // A small shared prefix pool: distinct groups routinely collide on a
     // prefix, which is exactly what stresses the E-sweep.
     let prefix = Prefix::from_octets(10, (prefix_idx % 5) as u8, prefix_idx as u8, 0, 24);
-    let attrs = PathAttributes::new(hop, AsPath::from_u32s([a, b, 1000 + tail]));
+    let attrs = PathAttributes::new(hop, AsPath::from_u32s(full[..hops].iter().copied()));
     let time = Timestamp::from_millis(time_ms);
     if announce {
         Event::announce(time, peer, prefix, attrs)
@@ -46,34 +63,48 @@ fn event_from((group, tail, prefix_idx, time_ms, announce): Draw) -> Event {
 
 fn stream_strategy() -> impl Strategy<Value = EventStream> {
     collection::vec(
-        (0usize..4, 0u32..6, 0usize..10, 0u64..2000, any::<bool>()),
+        (
+            0usize..4,
+            0u32..6,
+            0usize..7,
+            any::<bool>(),
+            0usize..10,
+            0u64..2000,
+            any::<bool>(),
+        ),
         0..120,
     )
     .prop_map(|draws| draws.into_iter().map(event_from).collect())
 }
 
-/// Deterministic per-event weight with a real zero class: both paths call
-/// this on demand, so it must be a pure function of the event.
-fn weight_of(e: &Event) -> u64 {
-    e.time.0 % 4
+/// Deterministic per-*instance* weight with a real zero class: two identical
+/// events at different stream positions weigh differently. Both paths call
+/// this on demand, so it must be a pure function of its arguments.
+fn weight_of(index: usize, e: &Event) -> u64 {
+    (e.time.0 + index as u64) % 4
 }
 
-/// Runs both paths over the same stream and config and asserts every
-/// observable piece of the result matches exactly.
-fn assert_paths_identical(stream: &EventStream, config: &StemmingConfig) {
-    let incremental = Stemming::with_config(config.clone()).decompose_weighted(stream, weight_of);
-    let reference = decompose_weighted_reference(config, stream, weight_of);
+/// Asserts every observable piece of two results matches exactly.
+fn assert_results_identical(shipped: &StemmingResult, reference: &StemmingResult, events: usize) {
     assert_eq!(
-        incremental.components(),
+        shipped.components(),
         reference.components(),
-        "components diverged ({} events)",
-        stream.len()
+        "components diverged ({events} events)"
     );
-    assert_eq!(incremental.total_events(), reference.total_events());
-    assert_eq!(incremental.residual_indices(), reference.residual_indices());
+    assert_eq!(shipped.total_events(), reference.total_events());
+    assert_eq!(shipped.residual_indices(), reference.residual_indices());
     // The rendered report exercises the symbol table too: identical interning
     // order must yield byte-identical text.
-    assert_eq!(incremental.report(), reference.report());
+    assert_eq!(shipped.report(), reference.report());
+}
+
+/// Runs both paths over the same stream and config, with per-instance
+/// weights, and asserts they agree.
+fn assert_paths_identical(stream: &EventStream, config: &StemmingConfig) {
+    let shipped =
+        Stemming::with_config(config.clone()).decompose_weighted_indexed(stream, weight_of);
+    let reference = decompose_weighted_reference(config, stream, weight_of);
+    assert_results_identical(&shipped, &reference, stream.len());
 }
 
 proptest! {
@@ -107,15 +138,156 @@ proptest! {
         assert_paths_identical(&stream, &config);
     }
 
+    /// Every ranking rule against every support threshold and length cap.
+    /// `CoverageWeighted` with a threshold above 1 is the regime where the
+    /// ranked winner can be *under* the threshold while a lower-ranked
+    /// sub-sequence is over it: the loop must stop there, not skip ahead.
+    #[test]
+    fn incremental_matches_reference_across_rules_and_thresholds(
+        stream in stream_strategy(),
+        rule in 0usize..3,
+        support in 0usize..3,
+        cap in 0usize..3,
+    ) {
+        let config = StemmingConfig {
+            ranking: RankingRule::ALL[rule],
+            min_support: [1, 2, 5][support],
+            max_subseq_len: [0, 2, 3][cap],
+            ..StemmingConfig::default()
+        };
+        assert_paths_identical(&stream, &config);
+    }
+
     /// The unweighted entry point (`decompose`) against the reference with
     /// unit weights.
     #[test]
     fn unweighted_decompose_matches_reference(stream in stream_strategy()) {
         let config = StemmingConfig::default();
-        let incremental = Stemming::with_config(config.clone()).decompose(&stream);
-        let reference = decompose_weighted_reference(&config, &stream, |_| 1);
-        assert_eq!(incremental.components(), reference.components());
-        assert_eq!(incremental.residual_indices(), reference.residual_indices());
-        assert_eq!(incremental.report(), reference.report());
+        let shipped = Stemming::with_config(config.clone()).decompose(&stream);
+        let reference = decompose_weighted_reference(&config, &stream, |_, _| 1);
+        assert_results_identical(&shipped, &reference, stream.len());
     }
+}
+
+fn withdraw(t: u64, peer: u8, path: &[u32], prefix: Prefix) -> Event {
+    Event::withdraw(
+        Timestamp::from_secs(t),
+        PeerId::from_octets(128, 32, 1, peer),
+        prefix,
+        PathAttributes::new(
+            RouterId::from_octets(128, 32, 0, peer),
+            AsPath::from_u32s(path.iter().copied()),
+        ),
+    )
+}
+
+/// The trap a winner heap pre-filtered by `min_support` falls into: under
+/// `CoverageWeighted` one event with a long path outranks (1 × 8) a pair
+/// three events share (3 × 1). The ranked winner is below `min_support`, so
+/// the decomposition stops with nothing extracted — it must not pass over
+/// the winner to the better-supported pair.
+#[test]
+fn coverage_winner_below_min_support_stops_the_loop() {
+    let mut events = vec![withdraw(
+        0,
+        1,
+        &[11, 12, 13, 14, 15, 16],
+        Prefix::from_octets(10, 0, 0, 0, 24),
+    )];
+    for i in 1..=3 {
+        events.push(withdraw(
+            u64::from(i),
+            2,
+            &[],
+            Prefix::from_octets(20, i, 0, 0, 24),
+        ));
+    }
+    let stream: EventStream = events.into_iter().collect();
+    let config = StemmingConfig {
+        ranking: RankingRule::CoverageWeighted,
+        min_support: 2,
+        ..StemmingConfig::default()
+    };
+    let shipped = Stemming::with_config(config.clone()).decompose(&stream);
+    assert!(shipped.components().is_empty());
+    let reference = decompose_weighted_reference(&config, &stream, |_, _| 1);
+    assert_results_identical(&shipped, &reference, stream.len());
+
+    // The pair is there for the taking once the threshold lets the loop run.
+    let lenient = StemmingConfig {
+        min_support: 1,
+        ..config
+    };
+    let shipped = Stemming::with_config(lenient.clone()).decompose(&stream);
+    assert_eq!(shipped.components().len(), 2);
+    assert_eq!(shipped.components()[1].support, 3);
+    let reference = decompose_weighted_reference(&lenient, &stream, |_, _| 1);
+    assert_results_identical(&shipped, &reference, stream.len());
+}
+
+/// Decomposes `stream` twice in this process and once by the reference; all
+/// three must agree. Two runs build their hash maps under different keys, so
+/// a result that leaked a map's iteration order would differ between them.
+fn assert_deterministic_and_identical(stream: &EventStream) {
+    let stemming = Stemming::new();
+    let first = stemming.decompose(stream);
+    let second = stemming.decompose(stream);
+    assert_results_identical(&first, &second, stream.len());
+    let reference = decompose_weighted_reference(stemming.config(), stream, |_, _| 1);
+    assert_results_identical(&first, &reference, stream.len());
+}
+
+/// A 2,000-event session flap: one peer withdraws 1,000 prefixes and
+/// announces them again. Every round's extraction leaves most of the heap
+/// stale.
+#[test]
+fn session_flap_window_is_deterministic() {
+    let flap = |t: u64, i: u32| {
+        let prefix = Prefix::from_octets(30, (i / 250) as u8, (i % 250) as u8, 0, 24);
+        withdraw(
+            t,
+            3,
+            &[7018, 100 + i % 20, 200 + i % 7, 300 + i % 3],
+            prefix,
+        )
+    };
+    let stream: EventStream = (0..1000)
+        .map(|i| flap(u64::from(i), i))
+        .chain((0..1000).map(|i| flap(1000 + u64::from(i), i)))
+        .collect();
+    assert_eq!(stream.len(), 2000);
+    assert_deterministic_and_identical(&stream);
+}
+
+/// A one-prefix oscillation: one sequence with multiplicity 10⁴.
+#[test]
+fn oscillation_window_is_deterministic() {
+    let stream: EventStream = (0..10_000)
+        .map(|t| withdraw(t, 4, &[2, 9], Prefix::from_octets(4, 5, 0, 0, 16)))
+        .collect();
+    assert_deterministic_and_identical(&stream);
+}
+
+/// A 350-event churn window, the steady-state shape: almost every event its
+/// own prefix, paths drawn from a small AS pool.
+#[test]
+fn churn_window_is_deterministic() {
+    // A fixed linear congruential generator: the window must not depend on
+    // anything but this file.
+    let mut state = 24301u64;
+    let mut draw = |below: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % below
+    };
+    let stream: EventStream = (0..350)
+        .map(|t| {
+            let hops = 2 + draw(4) as usize;
+            let path: Vec<u32> = (0..hops).map(|_| 64_500 + draw(24) as u32).collect();
+            let prefix = Prefix::from_octets(40, draw(200) as u8, draw(4) as u8, 0, 24);
+            withdraw(t, 1 + draw(3) as u8, &path, prefix)
+        })
+        .collect();
+    assert_deterministic_and_identical(&stream);
 }

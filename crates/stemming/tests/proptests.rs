@@ -116,7 +116,7 @@ proptest! {
     /// All ranking rules still produce a valid partition.
     #[test]
     fn all_ranking_rules_partition(stream in arb_stream(), rule_idx in 0usize..3) {
-        let rule = [RankingRule::CountThenLength, RankingRule::CountOnly, RankingRule::CoverageWeighted][rule_idx];
+        let rule = RankingRule::ALL[rule_idx];
         let config = StemmingConfig { ranking: rule, ..StemmingConfig::default() };
         let result = Stemming::with_config(config).decompose(&stream);
         let assigned: usize = result.components().iter().map(|c| c.event_count()).sum();
@@ -150,18 +150,58 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// The definition, by brute force: every slice (2 to `max_len` symbols) any
+/// held sequence has, counted by scanning every held sequence for it. In
+/// lexicographic order.
+fn brute_force_stats(held: &BTreeMap<Vec<Symbol>, u64>, max_len: usize) -> Vec<SubsequenceStat> {
+    let longest = |seq: &[Symbol]| match max_len {
+        0 => seq.len(),
+        cap => cap.min(seq.len()),
+    };
+    let slices: BTreeSet<&[Symbol]> = held
+        .keys()
+        .flat_map(|seq| (2..=longest(seq)).flat_map(|len| seq.windows(len)))
+        .collect();
+    slices
+        .into_iter()
+        .map(|slice| SubsequenceStat {
+            subseq: slice.to_vec(),
+            count: held
+                .iter()
+                .filter(|(seq, _)| seq.windows(slice.len()).any(|w| w == slice))
+                .map(|(_, weight)| weight)
+                .sum(),
+        })
+        .collect()
+}
+
+/// The winner of `stats` (in lexicographic order) under `rule`: keeping the
+/// first of the equally ranked is the lexicographic tie-break.
+fn brute_force_winner(stats: &[SubsequenceStat], rule: RankingRule) -> Option<SubsequenceStat> {
+    stats
+        .iter()
+        .reduce(|best, stat| if rule.better(stat, best) { stat } else { best })
+        .cloned()
+}
+
 proptest! {
     /// The counter's only enumerator, driven through interleaved weighted
     /// adds and removes with the counts built part-way, agrees with the
     /// definition: a sub-sequence's count is the summed weight of the held
-    /// sequences that contain it. (The name predates the single enumerator;
-    /// it is kept so the suite's test ids stay stable.)
+    /// sequences that contain it. Along the way the winner is probed under
+    /// one rule — after adds (the heap is rebuilt) and straight after a
+    /// removal (the heap is kept and its stale entries re-filed) — and at the
+    /// end under every rule. (The name predates the single enumerator; it is
+    /// kept so the suite's test ids stay stable.)
     #[test]
     fn sharded_counting_matches_serial(
         ops in arb_ops(),
         build_after in 0usize..300,
         max_len in 0usize..6,
+        probe_every in 8usize..40,
+        probe_rule in 0usize..3,
     ) {
+        let probe_rule = RankingRule::ALL[probe_rule];
         let mut counter = SubsequenceCounter::new(max_len);
         let mut held: BTreeMap<Vec<Symbol>, u64> = BTreeMap::new();
         for (step, (seq, weight, remove, pick)) in ops.iter().enumerate() {
@@ -183,32 +223,27 @@ proptest! {
                 counter.add_weighted(&seq, *weight);
                 *held.entry(seq).or_insert(0) += weight;
             }
+            if step >= build_after && step % probe_every == 0 {
+                let expected = brute_force_stats(&held, max_len);
+                prop_assert_eq!(counter.best(probe_rule, 1), brute_force_winner(&expected, probe_rule));
+                // The heap exists now: take one whole sequence out and ask
+                // again, without an add in between.
+                if !held.is_empty() {
+                    let seq = held.keys().nth(pick % held.len()).expect("in range").clone();
+                    let have = held.remove(&seq).expect("held");
+                    prop_assert!(counter.remove_weighted(&seq, have));
+                    let expected = brute_force_stats(&held, max_len);
+                    prop_assert_eq!(
+                        counter.best(probe_rule, 1),
+                        brute_force_winner(&expected, probe_rule)
+                    );
+                }
+            }
         }
         prop_assert_eq!(counter.total(), held.values().sum::<u64>());
         prop_assert_eq!(counter.distinct_sequences(), held.len());
 
-        // Brute force: every slice any held sequence has, counted by
-        // scanning every held sequence for it.
-        let longest = |seq: &[Symbol]| match max_len {
-            0 => seq.len(),
-            cap => cap.min(seq.len()),
-        };
-        let slices: BTreeSet<&[Symbol]> = held
-            .keys()
-            .flat_map(|seq| (2..=longest(seq)).flat_map(|len| seq.windows(len)))
-            .collect();
-        let expected: Vec<SubsequenceStat> = slices
-            .into_iter()
-            .map(|slice| SubsequenceStat {
-                subseq: slice.to_vec(),
-                count: held
-                    .iter()
-                    .filter(|(seq, _)| seq.windows(slice.len()).any(|w| w == slice))
-                    .map(|(_, weight)| weight)
-                    .sum(),
-            })
-            .collect();
-
+        let expected = brute_force_stats(&held, max_len);
         let mut stats = counter.stats();
         stats.sort_by(|x, y| x.subseq.cmp(&y.subseq));
         prop_assert_eq!(&stats, &expected);
@@ -217,13 +252,14 @@ proptest! {
         }
         prop_assert_eq!(counter.count_of(&[Symbol(9), Symbol(9)]), 0);
 
-        // `expected` is in lexicographic order, so the first of the equally
-        // ranked is the tie-break winner.
-        let rank =
-            |a: &SubsequenceStat, b: &SubsequenceStat| (a.count, a.len()) > (b.count, b.len());
-        let winner = expected
-            .iter()
-            .reduce(|best, stat| if rank(stat, best) { stat } else { best });
-        prop_assert_eq!(counter.best_by(rank).as_ref(), winner);
+        // The ranked winner, or nothing when it is short of the support asked
+        // for — never a better-supported sub-sequence further down.
+        for rule in RankingRule::ALL {
+            let winner = brute_force_winner(&expected, rule);
+            for min_support in [1, 2, 5] {
+                let supported = winner.clone().filter(|stat| stat.count >= min_support);
+                prop_assert_eq!(counter.best(rule, min_support), supported);
+            }
+        }
     }
 }
