@@ -49,13 +49,15 @@
 //! [`std::panic::catch_unwind`] under a supervisor loop that checkpoints the
 //! detector's recoverable state ([`PipelineCheckpoint`]) every
 //! [`SupervisorConfig::checkpoint_interval`] events and at every analysis
-//! pass. Events pulled off the ingest queue are held in an in-flight ring
-//! until the next checkpoint acknowledges them; when the detector panics,
-//! the supervisor restores the last checkpoint, replays the ring, and
-//! resumes — up to [`SupervisorConfig::max_restarts`] times with exponential
-//! backoff. At most `checkpoint_interval` events can be lost, and only when
-//! the supervisor gives up entirely ([`PipelineStats::lost_events`] counts
-//! them, folded into `dropped_events` so the ledger still closes).
+//! pass, each copying only what the detector buffered since the last (see
+//! `CheckpointSlot`). Events pulled off the ingest queue are held in an
+//! in-flight ring until the next checkpoint acknowledges them; when the
+//! detector panics, the supervisor restores the last checkpoint, replays the
+//! ring, and resumes — up to [`SupervisorConfig::max_restarts`] times with
+//! exponential backoff. At most `checkpoint_interval` events can be lost,
+//! and only when the supervisor gives up entirely
+//! ([`PipelineStats::lost_events`] counts them, folded into `dropped_events`
+//! so the ledger still closes).
 //!
 //! Report delivery is *at-least-once*: reports are egressed before the
 //! checkpoint that acknowledges the events behind them, so a crash between
@@ -364,11 +366,16 @@ pub struct SupervisorConfig {
     /// Events between checkpoints. A checkpoint is *also* taken at every
     /// analysis pass (window rotation, spike, terminal flush), so this
     /// bounds both replay work and the worst-case loss when the supervisor
-    /// gives up: `lost_events <= checkpoint_interval`.
+    /// gives up: `lost_events <= checkpoint_interval`. It bounds nothing
+    /// else: a checkpoint copies the events buffered since the last one,
+    /// not the window, so the copying a run does is the same at every
+    /// interval.
     pub checkpoint_interval: usize,
     /// When set, every checkpoint is additionally spilled to this path as
     /// serde_json (best effort — a failed spill is reported on stderr, the
-    /// in-memory checkpoint still advances).
+    /// in-memory checkpoint still advances). The spill is not incremental:
+    /// it is one synchronous JSON write of the whole window buffer per
+    /// checkpoint.
     pub spill_path: Option<PathBuf>,
 }
 
@@ -431,7 +438,7 @@ pub struct PanicInjection {
 /// ledger counter. The collector (RIB state) is *not* checkpointed — in
 /// the spawned pipeline it lives on the producer side of the queue and
 /// survives a consumer crash untouched.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PipelineCheckpoint {
     /// Buffered (not yet analyzed) events — the current window plus any
     /// carry-forward — with their merge weights.
@@ -808,6 +815,9 @@ pub struct RealtimeDetector {
     config: PipelineConfig,
     collector: Collector,
     buffer: Vec<WeightedEvent>,
+    /// Advances whenever `buffer` changes other than by `push` (see
+    /// [`CheckpointSlot`]): within one epoch the buffer only grows.
+    buffer_epoch: u64,
     window_start: Option<Timestamp>,
     reports_emitted: usize,
     fidelity: FidelityLevel,
@@ -828,6 +838,7 @@ impl RealtimeDetector {
             config,
             collector: Collector::new(),
             buffer: Vec::new(),
+            buffer_epoch: 0,
             window_start: None,
             reports_emitted: 0,
             fidelity: FidelityLevel::Full,
@@ -901,18 +912,9 @@ impl RealtimeDetector {
     /// counters to an uninterrupted run — the property the checkpoint
     /// differential proptest pins.
     pub fn checkpoint(&self) -> PipelineCheckpoint {
-        PipelineCheckpoint {
-            buffer: self.buffer.clone(),
-            window_start: self.window_start,
-            reports_emitted: self.reports_emitted as u64,
-            ingested: self.ingested,
-            analyzed: self.analyzed,
-            dropped_events: self.dropped_events,
-            carry_forward_evictions: self.carry_forward_evictions,
-            degraded_windows: self.degraded_windows,
-            clamped_events: self.clamped_events,
-            parse_errors: self.parse_errors,
-        }
+        let mut slot = CheckpointSlot::default();
+        slot.capture(self);
+        slot.checkpoint
     }
 
     /// Rebuilds a detector from a checkpoint. The collector starts fresh —
@@ -925,6 +927,7 @@ impl RealtimeDetector {
             config,
             collector: Collector::new(),
             buffer: checkpoint.buffer,
+            buffer_epoch: 0,
             window_start: checkpoint.window_start,
             reports_emitted: checkpoint.reports_emitted as usize,
             fidelity: FidelityLevel::Full,
@@ -1052,6 +1055,9 @@ impl RealtimeDetector {
             self.buffer.drain(..excess);
         }
         let evicted = (before - self.buffer.len()) as u64;
+        if evicted > 0 {
+            self.buffer_epoch += 1;
+        }
         self.carry_forward_evictions += evicted;
         self.dropped_events += evicted;
     }
@@ -1063,6 +1069,7 @@ impl RealtimeDetector {
         if self.buffer.len() < self.config.min_events {
             self.dropped_events += self.buffer.len() as u64;
             self.buffer.clear();
+            self.buffer_epoch += 1;
             return Vec::new();
         }
         self.analyze()
@@ -1079,6 +1086,7 @@ impl RealtimeDetector {
         }
         self.analyzed += self.buffer.len() as u64;
         let weights: Vec<u64> = self.buffer.iter().map(|w| w.weight).collect();
+        self.buffer_epoch += 1;
         let stream: EventStream = std::mem::take(&mut self.buffer)
             .into_iter()
             .map(|w| w.event)
@@ -1190,6 +1198,74 @@ impl RealtimeDetector {
     }
 }
 
+/// The supervisor's checkpoint slot: the [`PipelineCheckpoint`] a restart
+/// restores from, stamped with the detector's buffer epoch at capture so
+/// the next capture copies only what the detector buffered since.
+///
+/// Within one epoch the detector's buffer only grows by `push`, so a slot
+/// captured in the same epoch already holds a prefix of it and
+/// [`CheckpointSlot::capture`] appends the tail — the events as the
+/// detector holds them (times clamped, weights merged), never the raw ring
+/// entries. When the epoch moved (an analysis pass took the buffer, a
+/// carry cap evicted, a terminal flush cleared it) the slot's buffer is
+/// dropped — releasing a spike-sized allocation — and the detector's, by
+/// then empty or a small carry, is copied whole. A checkpoint therefore
+/// costs the events since the last one, not the window.
+///
+/// The epoch never enters [`PipelineCheckpoint`]: its serde form, spill
+/// files and recorded snapshots are unchanged. Public only so
+/// `tests/checkpoint_differential.rs` can drive the capture the supervisor
+/// runs; not part of the crate's API.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct CheckpointSlot {
+    checkpoint: PipelineCheckpoint,
+    /// `RealtimeDetector::buffer_epoch` when `checkpoint.buffer` was last
+    /// captured.
+    epoch: u64,
+}
+
+impl CheckpointSlot {
+    /// The captured state.
+    pub fn checkpoint(&self) -> &PipelineCheckpoint {
+        &self.checkpoint
+    }
+
+    /// Brings the slot up to `detector`'s current state. The slot must
+    /// have been captured from this detector or from one it was
+    /// [`CheckpointSlot::restore`]d into (or be empty).
+    pub fn capture(&mut self, detector: &RealtimeDetector) {
+        let mut buffer = std::mem::take(&mut self.checkpoint.buffer);
+        if self.epoch != detector.buffer_epoch {
+            buffer = Vec::new();
+            self.epoch = detector.buffer_epoch;
+        }
+        buffer.extend_from_slice(&detector.buffer[buffer.len()..]);
+        self.checkpoint = PipelineCheckpoint {
+            buffer,
+            window_start: detector.window_start,
+            reports_emitted: detector.reports_emitted as u64,
+            ingested: detector.ingested,
+            analyzed: detector.analyzed,
+            dropped_events: detector.dropped_events,
+            carry_forward_evictions: detector.carry_forward_evictions,
+            degraded_windows: detector.degraded_windows,
+            clamped_events: detector.clamped_events,
+            parse_errors: detector.parse_errors,
+        };
+    }
+
+    /// [`RealtimeDetector::restore`] from the captured state, handing back
+    /// a detector in the slot's epoch: a restored detector restarting at
+    /// epoch 0 under a slot still stamped N would, N buffer changes later,
+    /// be taken for an extension of a buffer it never held.
+    pub fn restore(&self, config: PipelineConfig) -> RealtimeDetector {
+        let mut detector = RealtimeDetector::restore(config, self.checkpoint.clone());
+        detector.buffer_epoch = self.epoch;
+        detector
+    }
+}
+
 /// Marks the consumer dead even on panic, so a blocked producer can observe
 /// it and bail instead of deadlocking.
 struct AliveGuard(Arc<SharedStats>);
@@ -1261,7 +1337,7 @@ struct Supervisor {
 impl Supervisor {
     fn run(self) {
         let _guard = AliveGuard(Arc::clone(&self.shared));
-        let mut checkpoint = RealtimeDetector::new(self.config.clone()).checkpoint();
+        let mut slot = CheckpointSlot::default();
         // Events pulled off the queue since the last checkpoint: acked (and
         // cleared) by the next checkpoint, replayed after a crash. Bounded
         // by the checkpoint interval because a checkpoint fires at latest
@@ -1275,7 +1351,7 @@ impl Supervisor {
         let mut restarts: u32 = 0;
         loop {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                self.run_incarnation(&mut checkpoint, &mut ring, &mut fault, &mut controller)
+                self.run_incarnation(&mut slot, &mut ring, &mut fault, &mut controller)
             }));
             match outcome {
                 Ok(()) => break,
@@ -1294,7 +1370,7 @@ impl Supervisor {
                         // last snapshot *in the recording* — which must
                         // therefore be this exact checkpoint.
                         rec.record_snapshot_forced(Frame::Snapshot {
-                            checkpoint: checkpoint.clone(),
+                            checkpoint: slot.checkpoint.clone(),
                             overlay: self.shared.overlay(),
                         });
                         rec.record(Frame::Restart {
@@ -1308,7 +1384,7 @@ impl Supervisor {
                         // Terminal failure: the ring can no longer be
                         // replayed — count it as lost (bounded by the
                         // checkpoint interval) and close the pipeline.
-                        self.publish_restored(&checkpoint, 0);
+                        self.publish_restored(&slot.checkpoint, 0);
                         self.shared
                             .lost
                             .fetch_add(ring.len() as u64, Ordering::AcqRel);
@@ -1317,7 +1393,7 @@ impl Supervisor {
                     }
                     // Publish the restored counters and the replay debt as
                     // one consistent set, then back off and restart.
-                    self.publish_restored(&checkpoint, ring.len() as u64);
+                    self.publish_restored(&slot.checkpoint, ring.len() as u64);
                     let exponent = (restarts - 1).min(6);
                     std::thread::sleep(self.sup.backoff * (1u32 << exponent));
                 }
@@ -1331,13 +1407,13 @@ impl Supervisor {
     /// [`Supervisor::run`].
     fn run_incarnation(
         &self,
-        checkpoint: &mut PipelineCheckpoint,
+        slot: &mut CheckpointSlot,
         ring: &mut VecDeque<WeightedEvent>,
         fault: &mut FaultState,
         controller: &mut Option<Controller>,
     ) {
         let mut interval = self.sup.checkpoint_interval.max(1);
-        let mut detector = RealtimeDetector::restore(self.config.clone(), checkpoint.clone());
+        let mut detector = slot.restore(self.config.clone());
         let mut since_checkpoint = 0usize;
 
         // Replay: re-process the ring in order. Replayed events stay in the
@@ -1355,7 +1431,7 @@ impl Supervisor {
             self.sync(&detector, (ring.len() - replayed) as u64);
             self.egress(reports);
             if detector.analyzed != analyzed_before || since_checkpoint >= interval {
-                self.take_checkpoint(&detector, checkpoint);
+                self.take_checkpoint(&detector, slot);
                 ring.drain(..replayed);
                 replayed = 0;
                 since_checkpoint = 0;
@@ -1373,7 +1449,7 @@ impl Supervisor {
             self.sync(&detector, 0);
             self.egress(reports);
             if detector.analyzed != analyzed_before || since_checkpoint >= interval {
-                self.take_checkpoint(&detector, checkpoint);
+                self.take_checkpoint(&detector, slot);
                 ring.clear();
                 since_checkpoint = 0;
             }
@@ -1388,7 +1464,7 @@ impl Supervisor {
         let reports = detector.flush();
         self.sync(&detector, 0);
         self.egress(reports);
-        self.take_checkpoint(&detector, checkpoint);
+        self.take_checkpoint(&detector, slot);
         ring.clear();
     }
 
@@ -1525,8 +1601,12 @@ impl Supervisor {
 
     /// Captures a checkpoint into `slot` (what a restart restores from)
     /// and spills it to disk when configured.
-    fn take_checkpoint(&self, detector: &RealtimeDetector, slot: &mut PipelineCheckpoint) {
-        *slot = detector.checkpoint();
+    fn take_checkpoint(&self, detector: &RealtimeDetector, slot: &mut CheckpointSlot) {
+        slot.capture(detector);
+        // Debug builds make every spawned-pipeline test a differential test
+        // of the incremental capture against the from-empty one.
+        debug_assert_eq!(slot.checkpoint, detector.checkpoint());
+        let slot = &slot.checkpoint;
         self.shared.checkpoints.fetch_add(1, Ordering::AcqRel);
         if let Some(rec) = &self.recorder {
             // Ask before cloning: a spike-window checkpoint the
@@ -2578,6 +2658,73 @@ mod tests {
         assert!(stats.accounts_exactly(), "{stats}");
         assert!(stats.reports_account_exactly(), "{stats}");
         assert!(!reports.is_empty(), "analysis must survive the restart");
+    }
+
+    /// Crashes inside a window many checkpoint intervals long: every
+    /// restart restores a slot built by incremental captures and keeps
+    /// capturing into it. The first replays a partial ring (events
+    /// 97..=100), which shifts the capture cadence so that the second
+    /// replays a full one (193..=200) and a capture lands inside the replay
+    /// loop. Reports and the final ledger equal the synchronous detector's.
+    #[test]
+    fn supervisor_recovers_mid_window_across_incremental_checkpoints() {
+        let pipeline = PipelineConfig {
+            window: Timestamp::from_secs(300),
+            min_events: 5,
+            min_component_events: 5,
+            ..PipelineConfig::default()
+        };
+        // One window [120 s, 420 s) of 320 events, every seventh stamped
+        // before its start (clamped on ingest, so the buffered event is not
+        // the fed one), then a rotation and a short final window.
+        let mut events = Vec::new();
+        for i in 0..320u64 {
+            let t = if i % 7 == 3 { i % 100 } else { 120 + i % 300 };
+            events.push(withdraw_event(t, (i % 250) as u8));
+        }
+        for i in 0..10u64 {
+            events.push(withdraw_event(500 + i, i as u8));
+        }
+
+        let mut oracle = RealtimeDetector::new(pipeline.clone());
+        let mut expected = Vec::new();
+        for event in &events {
+            expected.extend(oracle.ingest_event(event.clone()));
+        }
+        expected.extend(oracle.flush());
+        assert!(!expected.is_empty());
+        assert!(oracle.stats().clamped_events > 0);
+
+        let config = SpawnConfig::new(pipeline)
+            .with_supervisor(
+                SupervisorConfig::default()
+                    .with_checkpoint_interval(8)
+                    .with_backoff(Duration::from_millis(1)),
+            )
+            .with_fault(PanicInjection {
+                after_events: 100,
+                repeat: 3,
+            });
+        let mut handle = RealtimeDetector::spawn(config);
+        for event in &events {
+            handle.ingest_event(event.clone()).unwrap();
+        }
+        let (reports, stats) = handle.finish();
+        let render = |rs: &[AnomalyReport]| rs.iter().map(ToString::to_string).collect::<Vec<_>>();
+        assert_eq!(render(&reports), render(&expected));
+        assert_eq!(stats.restarts, 3, "{stats}");
+        assert_eq!(stats.lost_events, 0, "{stats}");
+        // Rings of 4, 8 and 4 events (see above); the bound is 8 × restarts.
+        assert_eq!(stats.replayed_events, 16, "{stats}");
+        assert!(stats.accounts_exactly(), "{stats}");
+        let comparable = PipelineStats {
+            restarts: 0,
+            replayed_events: 0,
+            checkpoints: 0,
+            checkpoint_interval_current: 0,
+            ..stats
+        };
+        assert_eq!(comparable, oracle.stats(), "{stats}");
     }
 
     /// When the panic keeps firing past `max_restarts`, the supervisor
