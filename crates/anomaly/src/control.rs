@@ -4,15 +4,15 @@
 //! the detector at [`FidelityLevel::Floor`] until the queue drains. A
 //! collector that ran for months inside a Tier-1 ISP sees every shade in
 //! between — a queue that is merely elevated deserves mildly coarser
-//! Stemming, not the floor — and crash likelihood tracks the same signal
-//! (storms are when consumers die), so the checkpoint interval should
-//! tighten exactly when the queue is rising and widen when the pipeline is
-//! quiet.
+//! Stemming, not the floor.
 //!
 //! [`Controller`] is that loop: a PID-style law mapping sampled queue depth
 //! (proportional), its trend (derivative), and a calm-streak accumulator
 //! (the integral term, used for recovery hysteresis) to a discrete
-//! [`FidelityLevel`] and a checkpoint interval. It is deliberately a pure
+//! [`FidelityLevel`]. It steers fidelity only: the checkpoint cadence is the
+//! operator's [`crate::SupervisorConfig::checkpoint_interval`] in every
+//! mode, because that interval is the loss bound and a checkpoint costs the
+//! events since the last one at any cadence. It is deliberately a pure
 //! state machine — no clocks, no channels, no atomics — so the controller
 //! test harness (`crates/anomaly/tests/control_sim.rs`) can drive it with
 //! scripted depth traces, single-threaded and seed-free, and pin its
@@ -108,16 +108,6 @@ pub struct ControllerConfig {
     /// this many samples in a row where even *twice* the projected depth
     /// would not justify the current level.
     pub recovery_patience: u32,
-    /// Tightest checkpoint interval the controller will command (the
-    /// worst-case-loss bound under storm/restart pressure).
-    pub min_checkpoint_interval: usize,
-    /// Widest checkpoint interval the controller will command when the
-    /// pipeline is quiet (checkpoint overhead amortized).
-    pub max_checkpoint_interval: usize,
-    /// Samples the interval stays clamped to the minimum after an observed
-    /// consumer restart — crashes cluster, so the loss bound stays tight
-    /// while the pipeline is provably crash-prone.
-    pub restart_hold: u32,
 }
 
 impl Default for ControllerConfig {
@@ -126,9 +116,6 @@ impl Default for ControllerConfig {
             target_depth: 0,
             trend_horizon: 4,
             recovery_patience: 3,
-            min_checkpoint_interval: 32,
-            max_checkpoint_interval: 2_048,
-            restart_hold: 256,
         }
     }
 }
@@ -154,8 +141,8 @@ impl ControllerConfig {
     }
 }
 
-/// Adaptive overload control for a spawned pipeline: steers fidelity and
-/// the checkpoint interval with the [`Controller`] loop and, under
+/// Adaptive overload control for a spawned pipeline: steers fidelity with
+/// the [`Controller`] loop and, under
 /// [`crate::OverloadPolicy::DropOldest`], turns sheds into merges — the
 /// stolen event is coalesced into a weighted representative (see
 /// [`CoalesceBuffer`]) instead of discarded, counted on the ledger as
@@ -187,24 +174,6 @@ impl AdaptiveConfig {
         self.controller.target_depth = depth;
         self
     }
-}
-
-/// One controller sample: the observations the law runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ControlInput {
-    /// Current ingest-queue depth (events waiting for the detector).
-    pub depth: u64,
-    /// Total consumer restarts observed so far (monotone).
-    pub restarts: u64,
-}
-
-/// What the controller commands after a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ControlDecision {
-    /// Fidelity the next analysis pass should run at.
-    pub fidelity: FidelityLevel,
-    /// Checkpoint interval (events) the supervisor should run with.
-    pub checkpoint_interval: usize,
 }
 
 /// The fidelity level a steady depth `projected` deserves: 0 at or below
@@ -242,19 +211,12 @@ fn desired_level(projected: u64, target: u64) -> u8 {
 ///    between the ascent and descent thresholds means a steady depth can
 ///    never satisfy both, so the controller cannot oscillate around a
 ///    threshold.
-/// 5. **Checkpoint interval**: `max_checkpoint_interval >> level`, halved
-///    once more while the depth trend is rising, clamped to
-///    `[min_checkpoint_interval, max_checkpoint_interval]` — and pinned to
-///    the minimum for `restart_hold` samples after every observed consumer
-///    restart.
 #[derive(Debug, Clone)]
 pub struct Controller {
     config: ControllerConfig,
     level: FidelityLevel,
     last_depth: Option<u64>,
-    last_restarts: u64,
     calm_streak: u32,
-    restart_cooldown: u32,
 }
 
 impl Controller {
@@ -267,9 +229,7 @@ impl Controller {
             config,
             level: FidelityLevel::Full,
             last_depth: None,
-            last_restarts: 0,
             calm_streak: 0,
-            restart_cooldown: 0,
         }
     }
 
@@ -283,11 +243,11 @@ impl Controller {
         &self.config
     }
 
-    /// Feeds one observation through the law (see the type docs) and
-    /// returns the commanded fidelity and checkpoint interval.
-    pub fn sample(&mut self, input: ControlInput) -> ControlDecision {
+    /// Feeds one observed ingest-queue depth (events waiting for the
+    /// detector) through the law (see the type docs) and returns the
+    /// fidelity the next analysis pass should run at.
+    pub fn sample(&mut self, depth: u64) -> FidelityLevel {
         let target = self.config.target_depth.max(1);
-        let depth = input.depth;
         let prev = self.last_depth.replace(depth).unwrap_or(depth);
         let trend = depth as i128 - prev as i128;
         let horizon = i128::from(self.config.trend_horizon);
@@ -310,29 +270,7 @@ impl Controller {
             current
         };
         self.level = FidelityLevel::from_index(next);
-
-        if input.restarts > self.last_restarts {
-            self.restart_cooldown = self.config.restart_hold;
-        }
-        self.last_restarts = input.restarts;
-
-        let min = self.config.min_checkpoint_interval.max(1);
-        let max = self.config.max_checkpoint_interval.max(min);
-        let checkpoint_interval = if self.restart_cooldown > 0 {
-            self.restart_cooldown -= 1;
-            min
-        } else {
-            let mut interval = max >> next;
-            if trend > 0 {
-                interval >>= 1;
-            }
-            interval.clamp(min, max)
-        };
-
-        ControlDecision {
-            fidelity: self.level,
-            checkpoint_interval,
-        }
+        self.level
     }
 }
 
@@ -511,51 +449,11 @@ mod tests {
     }
 
     #[test]
-    fn quiet_controller_stays_full_at_max_interval() {
+    fn quiet_controller_stays_full() {
         let mut ctl = Controller::new(config(16));
         for _ in 0..100 {
-            let d = ctl.sample(ControlInput {
-                depth: 0,
-                restarts: 0,
-            });
-            assert_eq!(d.fidelity, FidelityLevel::Full);
-            assert_eq!(
-                d.checkpoint_interval,
-                ctl.config().max_checkpoint_interval,
-                "a quiet pipeline earns the widest interval"
-            );
+            assert_eq!(ctl.sample(0), FidelityLevel::Full);
         }
-    }
-
-    #[test]
-    fn restart_pins_interval_to_minimum_for_the_hold() {
-        let cfg = ControllerConfig {
-            restart_hold: 5,
-            ..config(16)
-        };
-        let mut ctl = Controller::new(cfg);
-        ctl.sample(ControlInput {
-            depth: 0,
-            restarts: 0,
-        });
-        for i in 0..5 {
-            let d = ctl.sample(ControlInput {
-                depth: 0,
-                restarts: 1,
-            });
-            assert_eq!(
-                d.checkpoint_interval, cfg.min_checkpoint_interval,
-                "sample {i} after restart must run the tight interval"
-            );
-        }
-        let d = ctl.sample(ControlInput {
-            depth: 0,
-            restarts: 1,
-        });
-        assert_eq!(
-            d.checkpoint_interval, cfg.max_checkpoint_interval,
-            "the hold expires"
-        );
     }
 
     #[test]

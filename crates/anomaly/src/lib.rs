@@ -47,14 +47,14 @@ pub mod shard;
 
 pub use classify::{classify, AnomalyKind, Verdict};
 pub use control::{
-    stemming_at_level, AdaptiveConfig, CoalesceBuffer, ControlDecision, ControlInput, Controller,
-    ControllerConfig, FidelityLevel, Fold,
+    stemming_at_level, AdaptiveConfig, CoalesceBuffer, Controller, ControllerConfig, FidelityLevel,
+    Fold,
 };
 pub use igp::enrich_with_igp;
 pub use pipeline::{
-    DegradeConfig, OverloadPolicy, PanicInjection, PipelineCheckpoint, PipelineClosed,
-    PipelineConfig, PipelineHandle, PipelineStats, RealtimeDetector, ReportPolicy, SpawnConfig,
-    StatsProbe, SupervisorConfig, WeightedEvent,
+    DegradeConfig, DetectorCounters, OverloadPolicy, PanicInjection, PipelineCheckpoint,
+    PipelineClosed, PipelineConfig, PipelineHandle, PipelineStats, RealtimeDetector, ReportPolicy,
+    SpawnConfig, StatsProbe, SupervisorConfig, WeightedEvent,
 };
 pub use replay::{
     Frame, Hotspot, Manifest, RecorderConfig, RecordingSink, Replay, ReplayError, Timeline,

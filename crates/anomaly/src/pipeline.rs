@@ -35,9 +35,9 @@
 //! [`crate::control`]): the supervisor samples
 //! the ingest-queue depth per pull and steers a [`FidelityLevel`] that
 //! continuously scales the Stemming knobs between full fidelity and the
-//! [`DegradeConfig`] floor, while simultaneously widening the checkpoint
-//! interval when the pipeline is quiet and tightening it as the queue rises
-//! or restarts cluster. Under [`OverloadPolicy::DropOldest`], adaptive mode
+//! [`DegradeConfig`] floor. The controller steers fidelity only — the
+//! checkpoint cadence below is the same in every mode. Under
+//! [`OverloadPolicy::DropOldest`], adaptive mode
 //! also turns sheds into merges: the stolen event is coalesced into a
 //! weighted representative ([`WeightedEvent`]) that re-enters the queue
 //! later, its weight flowing through the weighted Stemming pass — counted
@@ -49,11 +49,13 @@
 //! [`std::panic::catch_unwind`] under a supervisor loop that checkpoints the
 //! detector's recoverable state ([`PipelineCheckpoint`]) every
 //! [`SupervisorConfig::checkpoint_interval`] events and at every analysis
-//! pass, each copying only what the detector buffered since the last (see
-//! `CheckpointSlot`). Events pulled off the ingest queue are held in an
-//! in-flight ring until the next checkpoint acknowledges them; when the
-//! detector panics, the supervisor restores the last checkpoint, replays the
-//! ring, and resumes — up to [`SupervisorConfig::max_restarts`] times with
+//! pass — adaptive or not — each copying only what the detector buffered
+//! since the last (see `CheckpointSlot`). The checkpoint lives in memory;
+//! the one form of it the program puts on disk is the [`Frame::Snapshot`]
+//! of a recording ([`SpawnConfig::recorder`]). Events pulled off the
+//! ingest queue are held in an in-flight ring until the next checkpoint
+//! acknowledges them; when the detector panics, the supervisor restores
+//! the last checkpoint, replays the ring, and resumes — up to [`SupervisorConfig::max_restarts`] times with
 //! exponential backoff. At most `checkpoint_interval` events can be lost,
 //! and only when the supervisor gives up entirely
 //! ([`PipelineStats::lost_events`] counts them, folded into `dropped_events`
@@ -75,7 +77,6 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -91,8 +92,8 @@ use bgpscope_stemming::{Stemming, StemmingConfig};
 
 use crate::classify::classify;
 use crate::control::{
-    stemming_at_level, AdaptiveConfig, CoalesceBuffer, ControlInput, Controller, ControllerConfig,
-    FidelityLevel, Fold,
+    stemming_at_level, AdaptiveConfig, CoalesceBuffer, Controller, ControllerConfig, FidelityLevel,
+    Fold,
 };
 use crate::replay::{Frame, Overlay, RecorderConfig, RecordingSink};
 use crate::report::{AnomalyReport, ReportDigest};
@@ -366,17 +367,12 @@ pub struct SupervisorConfig {
     /// Events between checkpoints. A checkpoint is *also* taken at every
     /// analysis pass (window rotation, spike, terminal flush), so this
     /// bounds both replay work and the worst-case loss when the supervisor
-    /// gives up: `lost_events <= checkpoint_interval`. It bounds nothing
-    /// else: a checkpoint copies the events buffered since the last one,
-    /// not the window, so the copying a run does is the same at every
-    /// interval.
+    /// gives up: `lost_events <= checkpoint_interval`, in every mode — the
+    /// adaptive controller steers fidelity, never this cadence. It bounds
+    /// nothing else: a checkpoint copies the events buffered since the
+    /// last one, not the window, so the copying a run does is the same at
+    /// every interval.
     pub checkpoint_interval: usize,
-    /// When set, every checkpoint is additionally spilled to this path as
-    /// serde_json (best effort — a failed spill is reported on stderr, the
-    /// in-memory checkpoint still advances). The spill is not incremental:
-    /// it is one synchronous JSON write of the whole window buffer per
-    /// checkpoint.
-    pub spill_path: Option<PathBuf>,
 }
 
 impl Default for SupervisorConfig {
@@ -385,7 +381,6 @@ impl Default for SupervisorConfig {
             max_restarts: 3,
             backoff: Duration::from_millis(25),
             checkpoint_interval: 256,
-            spill_path: None,
         }
     }
 }
@@ -406,12 +401,6 @@ impl SupervisorConfig {
     /// Sets the initial restart backoff.
     pub fn with_backoff(mut self, backoff: Duration) -> Self {
         self.backoff = backoff;
-        self
-    }
-
-    /// Sets the serde_json spill path.
-    pub fn with_spill_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.spill_path = Some(path.into());
         self
     }
 }
@@ -446,6 +435,16 @@ pub struct PipelineCheckpoint {
     /// Start of the current analysis window (`None` before the first
     /// event).
     pub window_start: Option<Timestamp>,
+    /// Every ledger counter, as the detector held them.
+    pub counters: DetectorCounters,
+}
+
+/// The detector's ledger counters, declared once: the detector counts in
+/// this struct, a [`PipelineCheckpoint`] embeds it, and the spawned
+/// pipeline's consumer publishes it — so a capture, a restore and a publish
+/// each move all of them with one assignment.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct DetectorCounters {
     /// Reports emitted so far.
     pub reports_emitted: u64,
     /// Events ingested so far.
@@ -487,18 +486,16 @@ pub struct SpawnConfig {
     /// Optional consumer-panic fault injection (soak testing).
     pub fault: Option<PanicInjection>,
     /// Closed-loop overload control (see [`crate::control`]): when set, a
-    /// [`Controller`] continuously scales Stemming fidelity and the
-    /// checkpoint interval with queue depth, and — under
-    /// [`OverloadPolicy::DropOldest`] — sheds become merges
-    /// (`coalesced_events`). `None` keeps the configured checkpoint
-    /// interval and full fidelity (floor fidelity under
-    /// [`OverloadPolicy::Degrade`] pressure).
+    /// [`Controller`] continuously scales Stemming fidelity with queue
+    /// depth, and — under [`OverloadPolicy::DropOldest`] — sheds become
+    /// merges (`coalesced_events`). `None` keeps full fidelity (floor
+    /// fidelity under [`OverloadPolicy::Degrade`] pressure).
     pub adaptive: Option<AdaptiveConfig>,
     /// When set, the run is recorded as a replayable frame log (see
     /// [`crate::replay`]): every ingest with the fidelity level in force,
-    /// every emitted report, controller decision, restart, and
-    /// checkpoint snapshot. Recording is best-effort — an I/O failure
-    /// disables it (reported on stderr) without touching the pipeline.
+    /// every emitted report, restart, and checkpoint snapshot. Recording is
+    /// best-effort — an I/O failure disables it (reported on stderr)
+    /// without touching the pipeline.
     pub recorder: Option<RecorderConfig>,
 }
 
@@ -624,8 +621,8 @@ pub struct PipelineStats {
     pub queued: u64,
     /// Consumer restarts performed by the supervisor.
     pub restarts: u64,
-    /// Checkpoints taken by the supervisor (plus one per sync-detector
-    /// [`RealtimeDetector::checkpoint`] call when driven manually).
+    /// Checkpoints taken by the supervisor (always 0 for the synchronous
+    /// detector).
     pub checkpoints: u64,
     /// Events replayed from the in-flight ring across all restarts.
     pub replayed_events: u64,
@@ -634,8 +631,9 @@ pub struct PipelineStats {
     /// restart's replay, always 0 at quiescence.
     pub replayed_in_flight: u64,
     /// Events lost because the supervisor exhausted its restart budget with
-    /// un-replayed events in flight. Provably `<= checkpoint_interval`, a
-    /// subset of `dropped_events`.
+    /// un-replayed events in flight. Provably `<=`
+    /// [`SupervisorConfig::checkpoint_interval`] — adaptive control or not —
+    /// and a subset of `dropped_events`.
     pub lost_events: u64,
     /// Reports produced by analysis passes and offered to the report
     /// queue (at-least-once across restarts).
@@ -659,11 +657,6 @@ pub struct PipelineStats {
     /// [`FidelityLevel::STEPS`] = the Degrade floor). Always 0 without
     /// adaptive control.
     pub fidelity_level: u64,
-    /// Checkpoint interval currently in force: the controller's latest
-    /// command under adaptive control, the configured
-    /// [`SupervisorConfig::checkpoint_interval`] otherwise (0 for the
-    /// unsupervised synchronous detector).
-    pub checkpoint_interval_current: u64,
 }
 
 impl PipelineStats {
@@ -697,21 +690,22 @@ impl PipelineStats {
         supervision: SupervisionCounts,
     ) -> Self {
         let lost = supervision.lost_events;
+        let detector = consumer.counters;
         PipelineStats {
             ingested: overlay.ingested,
-            analyzed: consumer.analyzed,
+            analyzed: detector.analyzed,
             shed_events: overlay.shed_events,
-            dropped_events: consumer.dropped + lost,
-            carry_forward_evictions: consumer.evictions,
-            degraded_windows: consumer.degraded_windows,
-            clamped_events: consumer.clamped,
+            dropped_events: detector.dropped_events + lost,
+            carry_forward_evictions: detector.carry_forward_evictions,
+            degraded_windows: detector.degraded_windows,
+            clamped_events: detector.clamped_events,
             parse_errors: overlay.parse_errors,
             carried: consumer.carried,
             queued: overlay
                 .ingested
                 .saturating_sub(overlay.shed_events)
                 .saturating_sub(overlay.coalesced_events)
-                .saturating_sub(consumer.ingested)
+                .saturating_sub(detector.ingested)
                 .saturating_sub(consumer.replayed_in_flight)
                 .saturating_sub(lost),
             restarts: supervision.restarts,
@@ -728,13 +722,12 @@ impl PipelineStats {
             reports_digested: overlay.reports_digested,
             coalesced_events: overlay.coalesced_events,
             fidelity_level: overlay.fidelity_level,
-            checkpoint_interval_current: overlay.checkpoint_interval_current,
         }
     }
 
     /// Folds another pipeline's ledger into this one (the cross-shard
-    /// global): counters add, the two gauges — `fidelity_level` and
-    /// `checkpoint_interval_current` — take the max, the worst-off shard.
+    /// global): counters add, the `fidelity_level` gauge takes the max, the
+    /// worst-off shard.
     pub(crate) fn absorb(&mut self, other: &PipelineStats) {
         self.ingested += other.ingested;
         self.analyzed += other.analyzed;
@@ -757,9 +750,6 @@ impl PipelineStats {
         self.reports_digested += other.reports_digested;
         self.coalesced_events += other.coalesced_events;
         self.fidelity_level = self.fidelity_level.max(other.fidelity_level);
-        self.checkpoint_interval_current = self
-            .checkpoint_interval_current
-            .max(other.checkpoint_interval_current);
     }
 
     /// Stable machine-readable serialization of the ledger (field names are
@@ -793,13 +783,12 @@ impl std::fmt::Display for PipelineStats {
         )?;
         writeln!(
             f,
-            "  restarts {}, checkpoints {}, replayed {}, lost {}, fidelity {}, interval {}",
+            "  restarts {}, checkpoints {}, replayed {}, lost {}, fidelity {}",
             self.restarts,
             self.checkpoints,
             self.replayed_events,
             self.lost_events,
-            self.fidelity_level,
-            self.checkpoint_interval_current
+            self.fidelity_level
         )?;
         write!(
             f,
@@ -819,16 +808,9 @@ pub struct RealtimeDetector {
     /// [`CheckpointSlot`]): within one epoch the buffer only grows.
     buffer_epoch: u64,
     window_start: Option<Timestamp>,
-    reports_emitted: usize,
     fidelity: FidelityLevel,
     // Accounting (see PipelineStats).
-    ingested: u64,
-    analyzed: u64,
-    dropped_events: u64,
-    carry_forward_evictions: u64,
-    degraded_windows: u64,
-    clamped_events: u64,
-    parse_errors: u64,
+    counters: DetectorCounters,
 }
 
 impl RealtimeDetector {
@@ -840,15 +822,8 @@ impl RealtimeDetector {
             buffer: Vec::new(),
             buffer_epoch: 0,
             window_start: None,
-            reports_emitted: 0,
             fidelity: FidelityLevel::Full,
-            ingested: 0,
-            analyzed: 0,
-            dropped_events: 0,
-            carry_forward_evictions: 0,
-            degraded_windows: 0,
-            clamped_events: 0,
-            parse_errors: 0,
+            counters: DetectorCounters::default(),
         }
     }
 
@@ -859,7 +834,7 @@ impl RealtimeDetector {
 
     /// Total reports emitted so far.
     pub fn reports_emitted(&self) -> usize {
-        self.reports_emitted
+        self.counters.reports_emitted as usize
     }
 
     /// Events discarded unanalyzed: terminal [`RealtimeDetector::flush`]es
@@ -867,40 +842,35 @@ impl RealtimeDetector {
     /// Window-boundary rotations never drop events silently — small windows
     /// carry forward, bounded by `max_carry_events` / `max_carry_age`.
     pub fn dropped_events(&self) -> usize {
-        self.dropped_events as usize
+        self.counters.dropped_events as usize
     }
 
-    /// The accounting snapshot (`queued` is always 0 here; the spawned
-    /// handle's snapshot adds its queue).
+    /// The accounting snapshot: the spawned pipeline's ledger derivation
+    /// with the detector as its own producer and subscriber — everything
+    /// ingested reached it (`queued` is always 0 here) and every report is
+    /// returned directly to the caller (all delivered, none shed or
+    /// digested).
     pub fn stats(&self) -> PipelineStats {
-        PipelineStats {
-            ingested: self.ingested,
-            analyzed: self.analyzed,
-            dropped_events: self.dropped_events,
-            carry_forward_evictions: self.carry_forward_evictions,
-            degraded_windows: self.degraded_windows,
-            clamped_events: self.clamped_events,
-            parse_errors: self.parse_errors,
-            carried: self.buffer.len() as u64,
-            // Reports from the synchronous detector are returned directly
-            // to the caller: all delivered, none shed or digested.
-            reports_emitted: self.reports_emitted as u64,
-            reports_delivered: self.reports_emitted as u64,
-            fidelity_level: u64::from(self.fidelity.index()),
-            ..PipelineStats::default()
-        }
+        PipelineStats::from_ledger(
+            self.consumer_counters(0),
+            Overlay {
+                ingested: self.counters.ingested,
+                parse_errors: self.counters.parse_errors,
+                fidelity_level: u64::from(self.fidelity.index()),
+                ..Overlay::default()
+            },
+            SupervisionCounts {
+                reports_emitted: self.counters.reports_emitted,
+                ..SupervisionCounts::default()
+            },
+        )
     }
 
     /// The counters a spawned pipeline's consumer publishes, plus the
     /// caller's current replay debt (0 outside a restart).
     pub(crate) fn consumer_counters(&self, replayed_in_flight: u64) -> ConsumerCounters {
         ConsumerCounters {
-            ingested: self.ingested,
-            analyzed: self.analyzed,
-            dropped: self.dropped_events,
-            evictions: self.carry_forward_evictions,
-            degraded_windows: self.degraded_windows,
-            clamped: self.clamped_events,
+            counters: self.counters,
             carried: self.buffer.len() as u64,
             replayed_in_flight,
         }
@@ -929,15 +899,8 @@ impl RealtimeDetector {
             buffer: checkpoint.buffer,
             buffer_epoch: 0,
             window_start: checkpoint.window_start,
-            reports_emitted: checkpoint.reports_emitted as usize,
             fidelity: FidelityLevel::Full,
-            ingested: checkpoint.ingested,
-            analyzed: checkpoint.analyzed,
-            dropped_events: checkpoint.dropped_events,
-            carry_forward_evictions: checkpoint.carry_forward_evictions,
-            degraded_windows: checkpoint.degraded_windows,
-            clamped_events: checkpoint.clamped_events,
-            parse_errors: checkpoint.parse_errors,
+            counters: checkpoint.counters,
         }
     }
 
@@ -963,7 +926,7 @@ impl RealtimeDetector {
     /// by `bgpscope_mrt::text_to_events_lossy`), so the loss shows in
     /// [`PipelineStats::parse_errors`].
     pub fn record_parse_errors(&mut self, n: usize) {
-        self.parse_errors += n as u64;
+        self.counters.parse_errors += n as u64;
     }
 
     /// Ingests one raw update; returns any reports completed by it.
@@ -995,12 +958,12 @@ impl RealtimeDetector {
     /// `coalesced_events` when they merged); its weight flows through the
     /// weighted Stemming pass.
     pub fn ingest_weighted(&mut self, mut weighted: WeightedEvent) -> Vec<AnomalyReport> {
-        self.ingested += 1;
+        self.counters.ingested += 1;
         let event = &mut weighted.event;
         let start = *self.window_start.get_or_insert(event.time);
         if event.time < start {
             event.time = start;
-            self.clamped_events += 1;
+            self.counters.clamped_events += 1;
         }
         let event_time = event.time;
         let mut reports = Vec::new();
@@ -1058,8 +1021,8 @@ impl RealtimeDetector {
         if evicted > 0 {
             self.buffer_epoch += 1;
         }
-        self.carry_forward_evictions += evicted;
-        self.dropped_events += evicted;
+        self.counters.carry_forward_evictions += evicted;
+        self.counters.dropped_events += evicted;
     }
 
     /// Analyzes and clears the current buffer (terminal flush). A buffer
@@ -1067,7 +1030,7 @@ impl RealtimeDetector {
     /// [`RealtimeDetector::dropped_events`].
     pub fn flush(&mut self) -> Vec<AnomalyReport> {
         if self.buffer.len() < self.config.min_events {
-            self.dropped_events += self.buffer.len() as u64;
+            self.counters.dropped_events += self.buffer.len() as u64;
             self.buffer.clear();
             self.buffer_epoch += 1;
             return Vec::new();
@@ -1082,9 +1045,9 @@ impl RealtimeDetector {
         let stemming_config =
             stemming_at_level(&self.config.stemming, &self.config.degrade, self.fidelity);
         if reduced {
-            self.degraded_windows += 1;
+            self.counters.degraded_windows += 1;
         }
-        self.analyzed += self.buffer.len() as u64;
+        self.counters.analyzed += self.buffer.len() as u64;
         let weights: Vec<u64> = self.buffer.iter().map(|w| w.weight).collect();
         self.buffer_epoch += 1;
         let stream: EventStream = std::mem::take(&mut self.buffer)
@@ -1106,7 +1069,7 @@ impl RealtimeDetector {
                 report
             });
         }
-        self.reports_emitted += reports.len();
+        self.counters.reports_emitted += reports.len() as u64;
         reports
     }
 
@@ -1140,10 +1103,6 @@ impl RealtimeDetector {
             bounded::<AnomalyReport>(config.report_capacity)
         };
         let shared = Arc::new(SharedStats::default());
-        shared.checkpoint_interval.store(
-            config.supervisor.checkpoint_interval.max(1) as u64,
-            Ordering::Release,
-        );
         let digest = Arc::new(Mutex::new(ReportDigest::default()));
 
         let recorder = match &config.recorder {
@@ -1212,8 +1171,8 @@ impl RealtimeDetector {
 /// then empty or a small carry, is copied whole. A checkpoint therefore
 /// costs the events since the last one, not the window.
 ///
-/// The epoch never enters [`PipelineCheckpoint`]: its serde form, spill
-/// files and recorded snapshots are unchanged. Public only so
+/// The epoch never enters [`PipelineCheckpoint`], so neither its serde form
+/// nor a recorded [`Frame::Snapshot`] carries it. Public only so
 /// `tests/checkpoint_differential.rs` can drive the capture the supervisor
 /// runs; not part of the crate's API.
 #[doc(hidden)]
@@ -1244,14 +1203,7 @@ impl CheckpointSlot {
         self.checkpoint = PipelineCheckpoint {
             buffer,
             window_start: detector.window_start,
-            reports_emitted: detector.reports_emitted as u64,
-            ingested: detector.ingested,
-            analyzed: detector.analyzed,
-            dropped_events: detector.dropped_events,
-            carry_forward_evictions: detector.carry_forward_evictions,
-            degraded_windows: detector.degraded_windows,
-            clamped_events: detector.clamped_events,
-            parse_errors: detector.parse_errors,
+            counters: detector.counters,
         };
     }
 
@@ -1412,7 +1364,7 @@ impl Supervisor {
         fault: &mut FaultState,
         controller: &mut Option<Controller>,
     ) {
-        let mut interval = self.sup.checkpoint_interval.max(1);
+        let interval = self.sup.checkpoint_interval.max(1);
         let mut detector = slot.restore(self.config.clone());
         let mut since_checkpoint = 0usize;
 
@@ -1423,14 +1375,14 @@ impl Supervisor {
         while replayed < ring.len() {
             let event = ring[replayed].clone();
             replayed += 1;
-            interval = self.control_sample(controller, interval);
-            let analyzed_before = detector.analyzed;
+            self.control_sample(controller);
+            let analyzed_before = detector.counters.analyzed;
             let reports = self.ingest(&mut detector, event, true);
             self.shared.replayed.fetch_add(1, Ordering::AcqRel);
             since_checkpoint += 1;
             self.sync(&detector, (ring.len() - replayed) as u64);
             self.egress(reports);
-            if detector.analyzed != analyzed_before || since_checkpoint >= interval {
+            if detector.counters.analyzed != analyzed_before || since_checkpoint >= interval {
                 self.take_checkpoint(&detector, slot);
                 ring.drain(..replayed);
                 replayed = 0;
@@ -1442,13 +1394,13 @@ impl Supervisor {
         while let Ok(event) = self.event_rx.recv() {
             ring.push_back(event.clone());
             fault.on_pull();
-            interval = self.control_sample(controller, interval);
-            let analyzed_before = detector.analyzed;
+            self.control_sample(controller);
+            let analyzed_before = detector.counters.analyzed;
             let reports = self.ingest(&mut detector, event, false);
             since_checkpoint += 1;
             self.sync(&detector, 0);
             self.egress(reports);
-            if detector.analyzed != analyzed_before || since_checkpoint >= interval {
+            if detector.counters.analyzed != analyzed_before || since_checkpoint >= interval {
                 self.take_checkpoint(&detector, slot);
                 ring.clear();
                 since_checkpoint = 0;
@@ -1468,36 +1420,15 @@ impl Supervisor {
         ring.clear();
     }
 
-    /// Feeds one depth/restart observation to the adaptive controller and
-    /// publishes its decision; returns the checkpoint interval now in
-    /// force. Without a controller the configured interval stands.
-    fn control_sample(&self, controller: &mut Option<Controller>, current: usize) -> usize {
-        let Some(ctl) = controller.as_mut() else {
-            return current;
-        };
-        let decision = ctl.sample(ControlInput {
-            depth: self.event_rx.len() as u64,
-            restarts: self.shared.restarts.load(Ordering::Acquire),
-        });
-        let prev_fidelity = self.shared.fidelity.load(Ordering::Acquire);
-        let prev_interval = self.shared.checkpoint_interval.load(Ordering::Acquire);
-        self.shared
-            .fidelity
-            .store(u64::from(decision.fidelity.index()), Ordering::Release);
-        self.shared
-            .checkpoint_interval
-            .store(decision.checkpoint_interval as u64, Ordering::Release);
-        if let Some(rec) = &self.recorder {
-            let changed = prev_fidelity != u64::from(decision.fidelity.index())
-                || prev_interval != decision.checkpoint_interval as u64;
-            if changed {
-                rec.record(Frame::Decision {
-                    fidelity: decision.fidelity.index(),
-                    checkpoint_interval: decision.checkpoint_interval as u64,
-                });
-            }
+    /// Feeds the ingest-queue depth to the adaptive controller, when there
+    /// is one, and publishes the fidelity level it commands.
+    fn control_sample(&self, controller: &mut Option<Controller>) {
+        if let Some(ctl) = controller {
+            let level = ctl.sample(self.event_rx.len() as u64);
+            self.shared
+                .fidelity
+                .store(u64::from(level.index()), Ordering::Release);
         }
-        decision.checkpoint_interval
     }
 
     /// One event through the detector at the fidelity level in force:
@@ -1600,7 +1531,7 @@ impl Supervisor {
     }
 
     /// Captures a checkpoint into `slot` (what a restart restores from)
-    /// and spills it to disk when configured.
+    /// and, when recording, frames it as a snapshot.
     fn take_checkpoint(&self, detector: &RealtimeDetector, slot: &mut CheckpointSlot) {
         slot.capture(detector);
         // Debug builds make every spawned-pipeline test a differential test
@@ -1618,14 +1549,6 @@ impl Supervisor {
                 });
             }
         }
-        if let Some(path) = &self.sup.spill_path {
-            let spilled = serde_json::to_string(slot)
-                .map_err(|e| e.to_string())
-                .and_then(|json| std::fs::write(path, json).map_err(|e| e.to_string()));
-            if let Err(e) = spilled {
-                eprintln!("checkpoint spill to {} failed: {e}", path.display());
-            }
-        }
     }
 
     /// Publishes the detector's counters as one consistent set, plus the
@@ -1640,12 +1563,7 @@ impl Supervisor {
     /// taken during the restart still closes.
     fn publish_restored(&self, checkpoint: &PipelineCheckpoint, replayed_in_flight: u64) {
         *self.shared.consumer.lock().expect("stats poisoned") = ConsumerCounters {
-            ingested: checkpoint.ingested,
-            analyzed: checkpoint.analyzed,
-            dropped: checkpoint.dropped_events,
-            evictions: checkpoint.carry_forward_evictions,
-            degraded_windows: checkpoint.degraded_windows,
-            clamped: checkpoint.clamped_events,
+            counters: checkpoint.counters,
             carried: checkpoint.buffer.len() as u64,
             replayed_in_flight,
         };
@@ -1668,12 +1586,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 /// `ingested == analyzed + dropped + carried` holds within every snapshot).
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct ConsumerCounters {
-    ingested: u64,
-    analyzed: u64,
-    dropped: u64,
-    evictions: u64,
-    degraded_windows: u64,
-    clamped: u64,
+    counters: DetectorCounters,
     carried: u64,
     /// Events pulled off the queue before the last crash and not yet
     /// re-processed — counted back out of `queued` so the ledger closes
@@ -1720,9 +1633,6 @@ struct SharedStats {
     coalesced: AtomicU64,
     /// Current fidelity level index (writer: the adaptive supervisor).
     fidelity: AtomicU64,
-    /// Checkpoint interval in force (writer: the adaptive supervisor;
-    /// initialized to the configured interval at spawn).
-    checkpoint_interval: AtomicU64,
     last_panic: Mutex<Option<String>>,
 }
 
@@ -1742,7 +1652,6 @@ impl SharedStats {
             report_shed: self.report_shed.load(Ordering::Acquire),
             reports_digested: self.reports_digested.load(Ordering::Acquire),
             fidelity_level: self.fidelity.load(Ordering::Acquire),
-            checkpoint_interval_current: self.checkpoint_interval.load(Ordering::Acquire),
             checkpoints: self.checkpoints.load(Ordering::Acquire),
         }
     }
@@ -1767,7 +1676,6 @@ impl Default for SharedStats {
             reports_digested: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             fidelity: AtomicU64::new(0),
-            checkpoint_interval: AtomicU64::new(0),
             last_panic: Mutex::new(None),
         }
     }
@@ -2617,7 +2525,7 @@ mod tests {
             det.ingest_event(withdraw_event(u64::from(i), i));
         }
         let checkpoint = det.checkpoint();
-        assert_eq!(checkpoint.ingested, 25);
+        assert_eq!(checkpoint.counters.ingested, 25);
         assert_eq!(checkpoint.buffer.len(), 25);
         let restored = RealtimeDetector::restore(config, checkpoint.clone());
         assert_eq!(restored.checkpoint(), checkpoint);
@@ -2721,7 +2629,6 @@ mod tests {
             restarts: 0,
             replayed_events: 0,
             checkpoints: 0,
-            checkpoint_interval_current: 0,
             ..stats
         };
         assert_eq!(comparable, oracle.stats(), "{stats}");
@@ -2729,12 +2636,12 @@ mod tests {
 
     /// When the panic keeps firing past `max_restarts`, the supervisor
     /// gives up: the pipeline closes, and the un-replayable ring is counted
-    /// as lost — bounded by the checkpoint interval — with the ledger still
-    /// closing.
+    /// as lost — bounded by the configured checkpoint interval, adaptive
+    /// control or not — with the ledger still closing.
     #[test]
     fn supervisor_gives_up_and_counts_lost_events() {
         let interval = 8;
-        let config = SpawnConfig::new(PipelineConfig {
+        let plain = SpawnConfig::new(PipelineConfig {
             window: Timestamp::from_secs(300),
             min_events: 1_000_000, // no analysis: only interval checkpoints
             ..PipelineConfig::default()
@@ -2749,38 +2656,41 @@ mod tests {
             after_events: 20,
             repeat: u32::MAX,
         });
-        let mut handle = RealtimeDetector::spawn(config);
-        let mut sent = 0u64;
-        for i in 0..10_000u64 {
-            if handle
-                .ingest_event(withdraw_event(i, (i % 250) as u8))
-                .is_err()
-            {
-                break;
+        let adaptive = plain.clone().with_adaptive(AdaptiveConfig::default());
+        for (mode, config) in [("plain", plain), ("adaptive", adaptive)] {
+            let mut handle = RealtimeDetector::spawn(config);
+            let mut sent = 0u64;
+            for i in 0..10_000u64 {
+                if handle
+                    .ingest_event(withdraw_event(i, (i % 250) as u8))
+                    .is_err()
+                {
+                    break;
+                }
+                sent += 1;
             }
-            sent += 1;
-        }
-        // The producer can outrun the crash/backoff/replay cycles; the
-        // give-up itself is what must happen, not its timing.
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while handle.is_alive() {
+            // The producer can outrun the crash/backoff/replay cycles; the
+            // give-up itself is what must happen, not its timing.
+            let deadline = std::time::Instant::now() + Duration::from_secs(30);
+            while handle.is_alive() {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "{mode}: supervisor never gave up"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(handle.last_panic().is_some());
+            let stats = handle.stats();
+            assert_eq!(stats.restarts, 3, "{mode}: {stats}"); // max_restarts + the last straw
+            assert!(stats.lost_events > 0, "{mode}: {stats}");
             assert!(
-                std::time::Instant::now() < deadline,
-                "supervisor never gave up"
+                stats.lost_events <= interval as u64,
+                "{mode}: lost {} > checkpoint interval {interval}: {stats}",
+                stats.lost_events
             );
-            std::thread::sleep(Duration::from_millis(1));
+            assert!(sent > 20, "{mode}: the feed must outlive the first crash");
+            assert!(stats.accounts_exactly(), "{mode}: {stats}");
         }
-        assert!(handle.last_panic().is_some());
-        let stats = handle.stats();
-        assert_eq!(stats.restarts, 3, "{stats}"); // max_restarts + the last straw
-        assert!(stats.lost_events > 0, "{stats}");
-        assert!(
-            stats.lost_events <= interval as u64,
-            "lost {} > checkpoint interval {interval}: {stats}",
-            stats.lost_events
-        );
-        assert!(sent > 20, "the feed must outlive the first crash");
-        assert!(stats.accounts_exactly(), "{stats}");
     }
 
     /// Blocks until the supervisor has consumed every queued event, so the
@@ -2898,7 +2808,6 @@ mod tests {
             "reports_digested",
             "coalesced_events",
             "fidelity_level",
-            "checkpoint_interval_current",
         ] {
             let at = json
                 .find(&format!("\"{field}\""))
@@ -2943,11 +2852,6 @@ mod tests {
         assert!(stats.coalesced_events > 0, "nothing coalesced: {stats}");
         assert!(stats.accounts_exactly(), "{stats}");
         assert_eq!(stats.queued, 0, "{stats}");
-        assert!(
-            stats.checkpoint_interval_current
-                >= AdaptiveConfig::default().controller.min_checkpoint_interval as u64,
-            "{stats}"
-        );
     }
 
     /// Weighted representatives flow through the sub-sequence counts: with
@@ -3014,49 +2918,5 @@ mod tests {
             assert_eq!(stats.fidelity_level, u64::from(level.index()), "{stats}");
             assert!(stats.accounts_exactly(), "{stats}");
         }
-    }
-
-    /// The checkpoint spill path receives valid JSON that restores a
-    /// detector standing exactly where the finished run's ledger stands.
-    #[test]
-    fn checkpoint_spills_to_disk_as_json() {
-        let path = std::env::temp_dir().join("bgpscope-checkpoint-spill-test.json");
-        let _ = std::fs::remove_file(&path);
-        let config = SpawnConfig::new(PipelineConfig {
-            window: Timestamp::from_secs(300),
-            min_events: 5,
-            min_component_events: 5,
-            ..PipelineConfig::default()
-        })
-        .with_supervisor(
-            SupervisorConfig::default()
-                .with_checkpoint_interval(4)
-                .with_spill_path(path.clone()),
-        );
-        let mut handle = RealtimeDetector::spawn(config.clone());
-        for i in 0..50u64 {
-            handle
-                .ingest_event(withdraw_event(i, (i % 250) as u8))
-                .unwrap();
-        }
-        let (_, stats) = handle.finish();
-        assert!(stats.checkpoints > 0, "{stats}");
-        let spilled = std::fs::read_to_string(&path).expect("spill file written");
-        let parsed: PipelineCheckpoint = serde_json::from_str(&spilled).expect("spill parses");
-        // `finish` checkpoints once more after the terminal flush, so the
-        // file holds the final checkpoint: restoring it reproduces the
-        // run's final consumer-side ledger.
-        let restored = RealtimeDetector::restore(config.pipeline, parsed).stats();
-        assert_eq!(
-            (
-                restored.ingested,
-                restored.analyzed,
-                restored.dropped_events
-            ),
-            (stats.ingested, stats.analyzed, stats.dropped_events)
-        );
-        assert_eq!(restored.carried, 0);
-        assert_eq!(restored.reports_emitted, stats.reports_emitted);
-        let _ = std::fs::remove_file(&path);
     }
 }

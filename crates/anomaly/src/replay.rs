@@ -5,16 +5,17 @@
 //! the paper's §III-A animation at any cursor. This module records a
 //! supervised pipeline run as an append-only, serde-framed event log —
 //! every detector ingest (with the fidelity level in force),
-//! every emitted report, every controller decision, restart, quarantine
-//! transition, and periodic ledger snapshot — then replays it with time
-//! controls.
+//! every emitted report, restart, quarantine transition, and periodic
+//! ledger snapshot — then replays it with time controls. The recording is
+//! the one durable form of supervisor state: a [`Frame::Snapshot`] is the
+//! checkpoint a restart restores, and nothing else is written to disk.
 //!
 //! # Recording format
 //!
 //! A recording is a JSON manifest at `<path>` ([`Manifest`]: format
 //! version, the [`PipelineConfig`] needed to re-drive the detector, the
 //! segment size) plus newline-delimited [`Frame`] lines chunked across
-//! `<path>.seg0`, `<path>.seg1`, … (the checkpoint-spill suffix idiom).
+//! `<path>.seg0`, `<path>.seg1`, ….
 //! Chunking bounds recorder memory — frames stream through one
 //! `BufWriter` — and bounds *replay* work: [`Replay`] keeps at most one
 //! decoded segment in memory.
@@ -65,7 +66,7 @@ use crate::pipeline::{
 use crate::report::AnomalyReport;
 
 /// Recording format version (bumped on any frame-schema change).
-pub const RECORDING_VERSION: u32 = 2;
+pub const RECORDING_VERSION: u32 = 3;
 
 /// Where and how a pipeline run is recorded. Attach with
 /// [`crate::pipeline::SpawnConfig::with_recorder`]; under a
@@ -75,7 +76,7 @@ pub const RECORDING_VERSION: u32 = 2;
 pub struct RecorderConfig {
     /// Manifest path; frame segments land at `<path>.seg<k>`.
     pub path: PathBuf,
-    /// Frames per segment file (chunked spill bound). Clamped to ≥ 16.
+    /// Frames per segment file (the chunking bound). Clamped to ≥ 16.
     pub frames_per_segment: usize,
     /// Human label stamped into the manifest (and onto exported TAMP
     /// animations).
@@ -137,8 +138,6 @@ pub struct Overlay {
     pub reports_digested: u64,
     /// Fidelity level in force.
     pub fidelity_level: u64,
-    /// Checkpoint interval in force.
-    pub checkpoint_interval_current: u64,
     /// Checkpoints the supervisor has taken so far. Carried here because
     /// snapshot *frames* are amortized: the recording may hold fewer
     /// snapshots than the live run took checkpoints, so replay cannot
@@ -173,13 +172,6 @@ pub enum Frame {
     Report {
         /// The emitted report.
         report: AnomalyReport,
-    },
-    /// The adaptive controller changed its published decision.
-    Decision {
-        /// New fidelity level index.
-        fidelity: u8,
-        /// New checkpoint interval.
-        checkpoint_interval: u64,
     },
     /// A supervisor checkpoint: the detector's recoverable state plus the
     /// producer-side [`Overlay`]. Replay seeks land here.
@@ -847,7 +839,6 @@ impl Replay {
                         recorded_reports.push((pos, report.clone()));
                         counts.reports += 1;
                     }
-                    Frame::Decision { .. } => {}
                     Frame::Snapshot {
                         checkpoint,
                         overlay,
@@ -1329,7 +1320,7 @@ impl Replay {
                 }
             }
             Frame::Report { .. } => self.counts.reports += 1,
-            Frame::Decision { .. } | Frame::Transition { .. } => {}
+            Frame::Transition { .. } => {}
             Frame::Snapshot { checkpoint, .. } => {
                 self.last_checkpoint = Some(checkpoint.clone());
                 self.counts.snapshots += 1;
@@ -1476,6 +1467,29 @@ mod tests {
         assert_eq!(recorded.len(), recomputed.len());
         for (a, b) in recorded.iter().zip(recomputed) {
             assert_eq!(a, b);
+        }
+        cleanup(&base);
+    }
+
+    /// A recording stamped by an older build is refused up front, naming
+    /// both versions — never half-decoded against the current frame schema.
+    #[test]
+    fn older_recording_version_is_refused() {
+        let base = temp_base("oldversion");
+        record_run(&base, 40, 64);
+        let manifest = std::fs::read_to_string(&base).unwrap();
+        let stamped = format!("\"version\":{RECORDING_VERSION}");
+        assert!(manifest.contains(&stamped), "{manifest}");
+        std::fs::write(&base, manifest.replace(&stamped, "\"version\":2")).unwrap();
+        match Replay::load(&base) {
+            Err(ReplayError::Manifest(message)) => {
+                assert!(message.contains("version 2"), "{message}");
+                assert!(
+                    message.contains(&format!("reads {RECORDING_VERSION}")),
+                    "{message}"
+                );
+            }
+            other => panic!("expected a manifest version error, got {other:?}"),
         }
         cleanup(&base);
     }

@@ -6,12 +6,12 @@
 //! domain from "the process" to "the consumer thread"; this module shrinks
 //! it again to "one shard of the keyspace." A [`ShardRouter`] partitions
 //! ingest by a (peer, prefix-range) key across N ≥ 1 supervised consumers,
-//! each owning its own bounded queue, adaptive controller, checkpoint
-//! (spilled to a per-shard `<path>.shard<k>` file when N > 1), and restart
+//! each owning its own bounded queue, adaptive controller, checkpoint,
+//! recording (a per-shard `<path>.shard<k>` when N > 1), and restart
 //! budget — a panicking, stalling, or overloaded shard degrades or restarts
 //! alone while its siblings keep analyzing. One shard is the unsharded
-//! pipeline: every incident is a singleton of the merge and spill and
-//! recording paths are used as given.
+//! pipeline: every incident is a singleton of the merge and the recording
+//! path is used as given.
 //!
 //! # Shard key contract
 //!
@@ -152,8 +152,8 @@ pub struct ShardedConfig {
     /// Number of shards (clamped to ≥ 1 at spawn).
     pub shards: usize,
     /// Template applied to every shard. With more than one shard, a
-    /// configured checkpoint spill or recording path is suffixed per shard
-    /// (`<path>.shard<k>`) so shards never clobber each other's files.
+    /// configured recording path is suffixed per shard (`<path>.shard<k>`)
+    /// so shards never clobber each other's files.
     pub spawn: SpawnConfig,
     /// Leading prefix bits in the routing key (see
     /// [`ShardRouter::with_range_bits`]).
@@ -190,14 +190,11 @@ impl ShardedConfig {
     }
 
     /// The spawn configuration for shard `k`: the template with the fault
-    /// resolved per-shard and, when there is more than one shard, the spill
-    /// and recording paths suffixed `.shard<k>`.
+    /// resolved per-shard and, when there is more than one shard, the
+    /// recording path suffixed `.shard<k>`.
     fn spawn_for(&self, k: usize) -> SpawnConfig {
         let mut spawn = self.spawn.clone();
         if self.shards > 1 {
-            if let Some(base) = &mut spawn.supervisor.spill_path {
-                *base = format!("{}.shard{k}", base.display()).into();
-            }
             if let Some(recorder) = &mut spawn.recorder {
                 recorder.path = format!("{}.shard{k}", recorder.path.display()).into();
             }
@@ -291,8 +288,8 @@ pub struct ShardSnapshot {
 /// of the per-shard ledgers plus the per-shard breakdown.
 #[derive(Debug, Clone)]
 pub struct ShardedStats {
-    /// Sum of the per-shard ledgers (gauges `fidelity_level` and
-    /// `checkpoint_interval_current` take the max — the worst-off shard).
+    /// Sum of the per-shard ledgers (the `fidelity_level` gauge takes the
+    /// max — the worst-off shard).
     pub global: PipelineStats,
     /// Per-shard snapshots, indexed by shard.
     pub shards: Vec<ShardSnapshot>,
@@ -930,7 +927,8 @@ fn merge_class(mut class: Vec<(usize, AnomalyReport)>) -> GlobalIncident {
 mod tests {
     use super::*;
     use crate::classify::{AnomalyKind, Verdict};
-    use crate::pipeline::{PipelineCheckpoint, PipelineConfig, SupervisorConfig};
+    use crate::pipeline::{PipelineConfig, SupervisorConfig};
+    use crate::replay::{RecorderConfig, Replay};
     use bgpscope_bgp::PathAttributes;
     use bgpscope_bgp::RouterId;
     use std::time::Duration;
@@ -1171,22 +1169,19 @@ mod tests {
         assert_eq!(run.stats.quarantined_shards(), vec![0]);
     }
 
-    /// Satellite: per-shard spill paths — N shards spill to
-    /// `<path>.shard<k>` without clobbering, and each spill restores.
+    /// Per-shard recordings: N shards record to `<path>.shard<k>` without
+    /// clobbering, and each replays to its own shard's final ledger.
     #[test]
-    fn per_shard_spills_do_not_clobber_and_restore() {
-        let base = std::env::temp_dir().join("bgpscope-sharded-spill-test.json");
-        for k in 0..2 {
-            let _ = std::fs::remove_file(format!("{}.shard{k}", base.display()));
-        }
-        let pipeline_config = small_pipeline();
+    fn per_shard_recordings_do_not_clobber_and_replay() {
+        let base = std::env::temp_dir().join(format!(
+            "bgpscope-sharded-recording-test-{}.rec",
+            std::process::id()
+        ));
         let config = ShardedConfig::new(
             2,
-            SpawnConfig::new(pipeline_config.clone()).with_supervisor(
-                SupervisorConfig::default()
-                    .with_checkpoint_interval(4)
-                    .with_spill_path(base.clone()),
-            ),
+            SpawnConfig::new(small_pipeline())
+                .with_supervisor(SupervisorConfig::default().with_checkpoint_interval(4))
+                .with_recorder(RecorderConfig::new(base.clone())),
         )
         .with_range_bits(16);
         let mut pipeline = ShardedPipeline::spawn(config);
@@ -1196,28 +1191,22 @@ mod tests {
                 .unwrap();
         }
         let run = pipeline.finish();
-        assert!(!std::path::Path::new(&base).exists(), "base path written");
+        assert!(!base.exists(), "base path written");
         for (k, snap) in run.stats.shards.iter().enumerate() {
             assert!(snap.stats.checkpoints > 0, "shard {k} never checkpointed");
             let path = format!("{}.shard{k}", base.display());
-            let spilled = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("shard {k} spill missing: {e}"));
-            let parsed: PipelineCheckpoint =
-                serde_json::from_str(&spilled).expect("spill parses back");
-            // Restore-after-spill: the spilled checkpoint rebuilds a
-            // detector whose ledger resumes where the shard left off.
-            let restored = RealtimeDetector::restore(pipeline_config.clone(), parsed.clone());
-            assert_eq!(restored.stats().ingested, parsed.ingested);
-            // The spill is per-shard state, not a clobbered global: the
-            // final checkpoint matches this shard's own ledger, so two
-            // shards' spills cannot have overwritten each other.
-            assert_eq!(parsed.ingested, snap.stats.ingested, "shard {k}");
-            assert_eq!(
-                parsed.analyzed + parsed.dropped_events,
-                snap.stats.analyzed + snap.stats.dropped_events,
-                "shard {k}"
-            );
+            let mut replay =
+                Replay::load(&path).unwrap_or_else(|e| panic!("shard {k} recording: {e}"));
+            replay.to_end().expect("replay to end");
+            // The recording is per-shard state, not a clobbered global: it
+            // replays to this shard's own final ledger, so two shards'
+            // recordings cannot have overwritten each other.
+            assert_eq!(replay.stats(), snap.stats, "shard {k}");
             let _ = std::fs::remove_file(&path);
+            let mut seg = 0;
+            while std::fs::remove_file(format!("{path}.seg{seg}")).is_ok() {
+                seg += 1;
+            }
         }
     }
 
@@ -1256,7 +1245,6 @@ mod tests {
             "reports_digested",
             "coalesced_events",
             "fidelity_level",
-            "checkpoint_interval_current",
             // … and the sharded extension *appends*.
             "shards",
             "quarantined_shards",

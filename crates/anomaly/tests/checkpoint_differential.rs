@@ -4,8 +4,8 @@
 //! Three properties back the supervisor's crash-recovery claim:
 //!
 //! 1. **Round trip** — a [`PipelineCheckpoint`] survives serde_json
-//!    unchanged, so the spill file the CLI writes really is the state the
-//!    supervisor would restore.
+//!    unchanged, so the snapshot frame a recording holds really is the
+//!    state the supervisor would restore.
 //! 2. **Resume ≡ uninterrupted** — for *any* crash point in a random event
 //!    stream, checkpointing there, restoring into a fresh detector, and
 //!    replaying the suffix yields the exact report sequence of a run that

@@ -15,8 +15,8 @@
 use std::collections::BTreeSet;
 
 use bgpscope_anomaly::{
-    stemming_at_level, CoalesceBuffer, ControlDecision, ControlInput, Controller, ControllerConfig,
-    DegradeConfig, FidelityLevel, Fold, WeightedEvent,
+    stemming_at_level, CoalesceBuffer, Controller, ControllerConfig, DegradeConfig, FidelityLevel,
+    Fold, WeightedEvent,
 };
 use bgpscope_bgp::{
     AsPath, Event, EventStream, PathAttributes, PeerId, Prefix, RouterId, Timestamp,
@@ -32,32 +32,20 @@ fn controller() -> Controller {
     Controller::new(ControllerConfig::default().with_target_depth(TARGET))
 }
 
-/// Feeds a scripted depth trace (restarts pinned at zero) and returns the
-/// decision sequence.
-fn run_trace(ctl: &mut Controller, depths: &[u64]) -> Vec<ControlDecision> {
-    depths
-        .iter()
-        .map(|&depth| ctl.sample(ControlInput { depth, restarts: 0 }))
-        .collect()
+/// Feeds a scripted depth trace and returns the commanded level sequence.
+fn run_trace(ctl: &mut Controller, depths: &[u64]) -> Vec<FidelityLevel> {
+    depths.iter().map(|&depth| ctl.sample(depth)).collect()
 }
 
 /// Every decision obeys the slew limit (≤ 1 level per sample, either
-/// direction, measured from `start`) and the checkpoint-interval bounds.
-fn assert_stable(config: &ControllerConfig, start: FidelityLevel, decisions: &[ControlDecision]) {
+/// direction, measured from `start`).
+fn assert_stable(start: FidelityLevel, decisions: &[FidelityLevel]) {
     let mut prev = start.index();
     for (i, d) in decisions.iter().enumerate() {
-        let cur = d.fidelity.index();
+        let cur = d.index();
         assert!(
             cur.abs_diff(prev) <= 1,
             "sample {i}: level jumped {prev} -> {cur}"
-        );
-        assert!(
-            (config.min_checkpoint_interval..=config.max_checkpoint_interval)
-                .contains(&d.checkpoint_interval),
-            "sample {i}: interval {} outside [{}, {}]",
-            d.checkpoint_interval,
-            config.min_checkpoint_interval,
-            config.max_checkpoint_interval
         );
         prev = cur;
     }
@@ -70,15 +58,15 @@ fn step_converges_one_level_per_sample_and_holds() {
     // Step to 64x the target: deserves the floor.
     trace.extend(std::iter::repeat_n(TARGET * 64, 12));
     let decisions = run_trace(&mut ctl, &trace);
-    assert_stable(ctl.config(), FidelityLevel::Full, &decisions);
+    assert_stable(FidelityLevel::Full, &decisions);
 
     // Quiet prefix stays at full fidelity.
     for d in &decisions[..8] {
-        assert_eq!(d.fidelity, FidelityLevel::Full);
+        assert_eq!(*d, FidelityLevel::Full);
     }
     // The step is ridden down one level per sample — the slew limit is the
     // only thing pacing it — and then held at the floor without wobble.
-    let after: Vec<u8> = decisions[8..].iter().map(|d| d.fidelity.index()).collect();
+    let after: Vec<u8> = decisions[8..].iter().map(|d| d.index()).collect();
     assert_eq!(&after[..4], &[1, 2, 3, 4], "one level per sample on ascent");
     assert!(
         after[4..].iter().all(|&l| l == FidelityLevel::STEPS),
@@ -91,17 +79,17 @@ fn ramp_never_descends_while_rising() {
     let mut ctl = controller();
     let trace: Vec<u64> = (0..64).map(|i| i * TARGET / 4).collect();
     let decisions = run_trace(&mut ctl, &trace);
-    assert_stable(ctl.config(), FidelityLevel::Full, &decisions);
+    assert_stable(FidelityLevel::Full, &decisions);
     let mut prev = 0u8;
     for (i, d) in decisions.iter().enumerate() {
         assert!(
-            d.fidelity.index() >= prev,
+            d.index() >= prev,
             "sample {i}: fidelity coarseness decreased during a monotone ramp"
         );
-        prev = d.fidelity.index();
+        prev = d.index();
     }
     assert_eq!(
-        decisions.last().unwrap().fidelity,
+        *decisions.last().unwrap(),
         FidelityLevel::Floor,
         "a ramp past 16x target ends at the floor"
     );
@@ -117,7 +105,7 @@ fn sawtooth_does_not_oscillate() {
     let mut ctl = controller();
     let warmup = vec![TARGET * 8; 4];
     let decisions = run_trace(&mut ctl, &warmup);
-    assert_stable(ctl.config(), FidelityLevel::Full, &decisions);
+    assert_stable(FidelityLevel::Full, &decisions);
     let settled = ctl.level();
     assert!(settled > FidelityLevel::Full);
     assert!(
@@ -129,18 +117,14 @@ fn sawtooth_does_not_oscillate() {
         .map(|i| if i % 3 == 0 { TARGET * 8 } else { TARGET / 2 })
         .collect();
     let decisions = run_trace(&mut ctl, &sawtooth);
-    assert_stable(ctl.config(), settled, &decisions);
+    assert_stable(settled, &decisions);
     for (i, d) in decisions.iter().enumerate() {
         assert!(
-            d.fidelity >= settled,
-            "sample {i}: descended to {} mid-sawtooth (settled {settled})",
-            d.fidelity
+            *d >= settled,
+            "sample {i}: descended to {d} mid-sawtooth (settled {settled})"
         );
     }
-    let changes = decisions
-        .windows(2)
-        .filter(|w| w[0].fidelity != w[1].fidelity)
-        .count();
+    let changes = decisions.windows(2).filter(|w| w[0] != w[1]).count();
     assert!(
         changes <= 1,
         "sawtooth caused {changes} level changes — the trigger is chattering"
@@ -153,33 +137,27 @@ fn storm_then_quiet_recovers_to_full_with_patience_pacing() {
     let mut trace = vec![TARGET * 64; 16];
     trace.extend(std::iter::repeat_n(0u64, 64));
     let decisions = run_trace(&mut ctl, &trace);
-    assert_stable(ctl.config(), FidelityLevel::Full, &decisions);
+    assert_stable(FidelityLevel::Full, &decisions);
     assert_eq!(
-        decisions[15].fidelity,
+        decisions[15],
         FidelityLevel::Floor,
         "the storm drives the controller to the floor"
     );
 
     // Recovery: one level per `recovery_patience` quiet samples, never
-    // faster, ending at full fidelity and the widest interval.
+    // faster, ending at full fidelity.
     let patience = ctl.config().recovery_patience as usize;
     let quiet = &decisions[16..];
     for (i, d) in quiet.iter().enumerate() {
         let steps_earned = (i + 1) / patience;
         let expected = usize::from(FidelityLevel::STEPS).saturating_sub(steps_earned);
         assert_eq!(
-            usize::from(d.fidelity.index()),
+            usize::from(d.index()),
             expected,
             "quiet sample {i}: recovery must pace at one level per {patience} samples"
         );
     }
-    let last = quiet.last().unwrap();
-    assert_eq!(last.fidelity, FidelityLevel::Full);
-    assert_eq!(
-        last.checkpoint_interval,
-        ctl.config().max_checkpoint_interval,
-        "a recovered pipeline earns the widest interval back"
-    );
+    assert_eq!(*quiet.last().unwrap(), FidelityLevel::Full);
 }
 
 #[test]
@@ -191,10 +169,10 @@ fn steady_state_fidelity_is_monotone_in_depth() {
     for &depth in std::iter::once(&0).chain(depths.iter()) {
         let mut ctl = controller();
         let decisions = run_trace(&mut ctl, &vec![depth; 32]);
-        assert_stable(ctl.config(), FidelityLevel::Full, &decisions);
+        assert_stable(FidelityLevel::Full, &decisions);
         let settled = ctl.level();
         // Settled means settled: the tail of the trace holds one level.
-        assert!(decisions[24..].iter().all(|d| d.fidelity == settled));
+        assert!(decisions[24..].iter().all(|&d| d == settled));
         assert!(
             settled >= prev_level,
             "depth {depth}: settled level {settled} coarser-than-or-equal ordering violated"
@@ -206,63 +184,6 @@ fn steady_state_fidelity_is_monotone_in_depth() {
         FidelityLevel::Floor,
         "deep overload settles at the floor"
     );
-}
-
-#[test]
-fn checkpoint_interval_widens_with_quiet_and_tightens_with_level_and_trend() {
-    let mut ctl = controller();
-    let quiet = run_trace(&mut ctl, &[0, 0, 0]);
-    let max = ctl.config().max_checkpoint_interval;
-    assert!(quiet.iter().all(|d| d.checkpoint_interval == max));
-
-    // Rising trend halves the interval even before fidelity coarsens far.
-    let rising = ctl.sample(ControlInput {
-        depth: TARGET * 4,
-        restarts: 0,
-    });
-    assert!(
-        rising.checkpoint_interval <= max / 2,
-        "a rising queue must tighten the interval (got {})",
-        rising.checkpoint_interval
-    );
-
-    // Each settled level costs a halving: interval at the floor is the
-    // geometric law's minimum band.
-    let mut floor_ctl = controller();
-    let decisions = run_trace(&mut floor_ctl, &vec![TARGET * 64; 32]);
-    let settled = decisions.last().unwrap();
-    assert_eq!(settled.fidelity, FidelityLevel::Floor);
-    assert_eq!(
-        settled.checkpoint_interval,
-        (max >> FidelityLevel::STEPS).clamp(floor_ctl.config().min_checkpoint_interval, max)
-    );
-}
-
-#[test]
-fn restart_mid_trace_pins_interval_for_the_hold() {
-    let config = ControllerConfig {
-        restart_hold: 6,
-        ..ControllerConfig::default().with_target_depth(TARGET)
-    };
-    let mut ctl = Controller::new(config);
-    run_trace(&mut ctl, &[0, 0, 0]);
-    // One observed restart: the next `restart_hold` samples run the tight
-    // interval regardless of how quiet the queue is.
-    for i in 0..6 {
-        let d = ctl.sample(ControlInput {
-            depth: 0,
-            restarts: 1,
-        });
-        assert_eq!(
-            d.checkpoint_interval, config.min_checkpoint_interval,
-            "held sample {i}"
-        );
-    }
-    let released = ctl.sample(ControlInput {
-        depth: 0,
-        restarts: 1,
-    });
-    assert_eq!(released.checkpoint_interval, config.max_checkpoint_interval);
 }
 
 #[test]

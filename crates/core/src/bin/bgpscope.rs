@@ -7,7 +7,7 @@
 //! bgpscope rate     <events.(mrt|txt)> [bucket-secs]
 //! bgpscope pipeline <events.(mrt|txt)> [--capacity N] [--policy P]
 //!                   [--report-capacity N] [--report-policy P]
-//!                   [--checkpoint-interval N] [--checkpoint-spill FILE]
+//!                   [--checkpoint-interval N]
 //!                   [--adaptive [--target-depth N]]
 //!                   [--shards N] [--quarantine-after R]
 //! bgpscope ingest   <archive.mrt> [archive2.mrt …] [--lossy] [--passthrough]
@@ -118,7 +118,7 @@ fn usage() -> ExitCode {
          rate     <events> [bucket-s]  event-rate series + spikes\n\
          pipeline <events> [--capacity N] [--policy block|drop-newest|drop-oldest|degrade]\n\
          \u{20}                 [--report-capacity N] [--report-policy block|drop-oldest|digest]\n\
-         \u{20}                 [--checkpoint-interval N] [--checkpoint-spill FILE]\n\
+         \u{20}                 [--checkpoint-interval N]\n\
          \u{20}                 [--adaptive [--target-depth N]]\n\
          \u{20}                 [--shards N] [--quarantine-after R]\n\
          \u{20}                             replay through the supervised realtime pipeline\n\
@@ -332,7 +332,6 @@ fn cmd_pipeline(path: &str, rest: &[String]) -> CliResult {
     let mut report_capacity = 1_024usize;
     let mut report_policy = ReportPolicy::Block;
     let mut checkpoint_interval = 256usize;
-    let mut spill: Option<std::path::PathBuf> = None;
     let mut adaptive = false;
     let mut target_depth: Option<u64> = None;
     let mut shards = 1usize;
@@ -367,9 +366,6 @@ fn cmd_pipeline(path: &str, rest: &[String]) -> CliResult {
                     .parse()
                     .map_err(|e| format!("--checkpoint-interval: {e}"))?;
             }
-            "--checkpoint-spill" => {
-                spill = Some(it.next().ok_or("--checkpoint-spill needs a path")?.into());
-            }
             "--adaptive" => adaptive = true,
             "--shards" => {
                 shards = it
@@ -402,9 +398,6 @@ fn cmd_pipeline(path: &str, rest: &[String]) -> CliResult {
     }
     let (stream, parse_errors) = load_lossy(path)?;
     let mut supervisor = SupervisorConfig::default().with_checkpoint_interval(checkpoint_interval);
-    if let Some(path) = spill {
-        supervisor = supervisor.with_spill_path(path);
-    }
     if let Some(restarts) = quarantine_after {
         supervisor = supervisor.with_max_restarts(restarts);
     }

@@ -885,16 +885,10 @@ fn soak_adaptive_storm_coalesces_and_recovers_fidelity() {
         "flapper-666 family not recovered at a degraded level ({} reports)",
         reports.len()
     );
-    // The quiet tail walked fidelity back to full and re-widened the
-    // checkpoint interval to the configured maximum.
+    // The quiet tail walked fidelity back to full.
     assert_eq!(
         stats.fidelity_level, 0,
         "fidelity must recover to full after the storm drains: {stats}"
-    );
-    assert_eq!(
-        stats.checkpoint_interval_current,
-        ControllerConfig::default().max_checkpoint_interval as u64,
-        "a quiet pipeline earns the widest interval back: {stats}"
     );
 }
 
