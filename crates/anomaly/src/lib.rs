@@ -57,8 +57,8 @@ pub use pipeline::{
     SpawnConfig, StatsProbe, SupervisorConfig, WeightedEvent,
 };
 pub use replay::{
-    Frame, Hotspot, Manifest, RecorderConfig, RecordingSink, Replay, ReplayError, Timeline,
-    TimelineBucket, RECORDING_VERSION,
+    Frame, Hotspot, Manifest, RecorderConfig, Replay, ReplayError, Timeline, TimelineBucket,
+    RECORDING_VERSION,
 };
 pub use report::{AnomalyReport, ReportDigest};
 pub use scan::{scan_deaggregation, scan_moas, DeaggregationBurst, MoasConflict};

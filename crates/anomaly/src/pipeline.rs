@@ -65,6 +65,15 @@
 //! checkpoint that acknowledges the events behind them, so a crash between
 //! egress and checkpoint re-emits rather than loses them.
 //!
+//! Each thread owns its state. The supervisor's — slot, ring, controller,
+//! report digest, the recording's write half — is one struct it alone
+//! touches, and one loop feeds the detector from the ring (a replay) and
+//! then from the queue. What other threads see of it is one set of
+//! counters published under one mutex, once per event; the producer's
+//! four counters are atomics only it writes. A ledger sample reads the
+//! first, then the second, which is why it closes at every instant (see
+//! `stats_from`).
+//!
 //! The report channel out of the detector is bounded too
 //! ([`SpawnConfig::report_capacity`], [`ReportPolicy`]): a subscriber that
 //! stops draining can no longer grow an unbounded backlog, and every report
@@ -92,10 +101,9 @@ use bgpscope_stemming::{Stemming, StemmingConfig};
 
 use crate::classify::classify;
 use crate::control::{
-    stemming_at_level, AdaptiveConfig, CoalesceBuffer, Controller, ControllerConfig, FidelityLevel,
-    Fold,
+    stemming_at_level, AdaptiveConfig, CoalesceBuffer, Controller, FidelityLevel, Fold,
 };
-use crate::replay::{Frame, Overlay, RecorderConfig, RecordingSink};
+use crate::replay::{create_recording, Frame, FrameWriter, Overlay, RecorderConfig, RecordingSeal};
 use crate::report::{AnomalyReport, ReportDigest};
 
 /// An event with a multiplicity: the unit the spawned pipeline's queue,
@@ -1103,20 +1111,19 @@ impl RealtimeDetector {
             bounded::<AnomalyReport>(config.report_capacity)
         };
         let shared = Arc::new(SharedStats::default());
-        let digest = Arc::new(Mutex::new(ReportDigest::default()));
 
-        let recorder = match &config.recorder {
-            Some(rc) => match RecordingSink::create(rc, &config.pipeline) {
-                Ok(sink) => Some(Arc::new(sink)),
+        let (writer, recorder) = match &config.recorder {
+            Some(rc) => match create_recording(rc, &config.pipeline) {
+                Ok((writer, seal)) => (Some(writer), Some(seal)),
                 Err(e) => {
                     eprintln!(
                         "recording disabled: cannot create {}: {e}",
                         rc.path.display()
                     );
-                    None
+                    (None, None)
                 }
             },
-            None => None,
+            None => (None, None),
         };
 
         let controller = config
@@ -1130,15 +1137,20 @@ impl RealtimeDetector {
         let supervisor = Supervisor {
             config: config.pipeline.clone(),
             sup: config.supervisor.clone(),
-            fault: config.fault,
-            controller,
             shared: Arc::clone(&shared),
             event_rx: event_rx.clone(),
             report_tx,
             report_steal: report_rx.clone(),
             report_policy: config.report_policy,
-            digest: Arc::clone(&digest),
-            recorder: recorder.clone(),
+            state: SupervisorState {
+                slot: CheckpointSlot::default(),
+                ring: VecDeque::new(),
+                fault: FaultState::new(config.fault),
+                controller: controller.map(Controller::new),
+                fidelity: FidelityLevel::Full,
+                digest: ReportDigest::default(),
+                recorder: writer,
+            },
         };
         let join = std::thread::spawn(move || supervisor.run());
 
@@ -1151,7 +1163,6 @@ impl RealtimeDetector {
             shared,
             overload: config.overload,
             coalesce,
-            digest,
             recorder,
         }
     }
@@ -1266,13 +1277,11 @@ impl FaultState {
 
 /// The supervision loop around the detector: runs each detector incarnation
 /// under `catch_unwind`, checkpoints its state, and replays the in-flight
-/// ring after a crash.
+/// ring after a crash. Everything here is owned by the supervisor thread;
+/// what it tells other threads goes through [`SharedStats`].
 struct Supervisor {
     config: PipelineConfig,
     sup: SupervisorConfig,
-    fault: Option<PanicInjection>,
-    /// Resolved controller configuration under adaptive mode.
-    controller: Option<ControllerConfig>,
     shared: Arc<SharedStats>,
     event_rx: Receiver<WeightedEvent>,
     report_tx: Sender<AnomalyReport>,
@@ -1280,129 +1289,135 @@ struct Supervisor {
     /// [`ReportPolicy::DropOldest`] (shim receivers share one queue).
     report_steal: Receiver<AnomalyReport>,
     report_policy: ReportPolicy,
-    digest: Arc<Mutex<ReportDigest>>,
+    state: SupervisorState,
+}
+
+/// What outlives a detector incarnation — the state a panic unwinds past
+/// and the next incarnation picks up.
+struct SupervisorState {
+    /// The checkpoint a restart restores from.
+    slot: CheckpointSlot,
+    /// Events pulled off the queue since the last checkpoint: acked (and
+    /// drained) by the next checkpoint, replayed after a crash. Bounded by
+    /// the checkpoint interval because a checkpoint fires at latest on the
+    /// event that reaches the interval.
+    ring: VecDeque<WeightedEvent>,
+    fault: FaultState,
+    /// The controller's state is external pressure, not recoverable
+    /// detector state — a restarted detector resumes at whatever fidelity
+    /// the queue deserves now.
+    controller: Option<Controller>,
+    /// The level the controller last commanded ([`FidelityLevel::Full`]
+    /// without one).
+    fidelity: FidelityLevel,
+    /// Reports coalesced under [`ReportPolicy::Digest`]; returned to the
+    /// handle when the thread is joined.
+    digest: ReportDigest,
     /// When recording, every supervision step is framed here in consumer
     /// order (see [`crate::replay::Frame`]).
-    recorder: Option<Arc<RecordingSink>>,
+    recorder: Option<FrameWriter>,
 }
 
 impl Supervisor {
-    fn run(self) {
+    fn run(mut self) -> ReportDigest {
         let _guard = AliveGuard(Arc::clone(&self.shared));
-        let mut slot = CheckpointSlot::default();
-        // Events pulled off the queue since the last checkpoint: acked (and
-        // cleared) by the next checkpoint, replayed after a crash. Bounded
-        // by the checkpoint interval because a checkpoint fires at latest
-        // on the event that reaches the interval.
-        let mut ring: VecDeque<WeightedEvent> = VecDeque::new();
-        let mut fault = FaultState::new(self.fault);
-        // The controller outlives detector incarnations: its state is
-        // external pressure, not recoverable detector state — a restarted
-        // detector resumes at whatever fidelity the queue deserves now.
-        let mut controller = self.controller.map(Controller::new);
-        let mut restarts: u32 = 0;
-        loop {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                self.run_incarnation(&mut slot, &mut ring, &mut fault, &mut controller)
-            }));
-            match outcome {
-                Ok(()) => break,
-                Err(panic) => {
-                    let cause = panic_message(panic.as_ref());
-                    *self.shared.last_panic.lock().expect("panic slot poisoned") =
-                        Some(cause.clone());
-                    self.shared.restarts.fetch_add(1, Ordering::AcqRel);
-                    restarts += 1;
-                    let gave_up = restarts > self.sup.max_restarts;
-                    if let Some(rec) = &self.recorder {
-                        // The state this restart restores (or publishes as
-                        // final on give-up), recorded unconditionally:
-                        // snapshot amortization may have skipped the live
-                        // checkpoint's frame, and replay restores from the
-                        // last snapshot *in the recording* — which must
-                        // therefore be this exact checkpoint.
-                        rec.record_snapshot_forced(Frame::Snapshot {
-                            checkpoint: slot.checkpoint.clone(),
-                            overlay: self.shared.overlay(),
-                        });
-                        rec.record(Frame::Restart {
-                            cause,
-                            restarts: u64::from(restarts),
-                            gave_up,
-                            lost: if gave_up { ring.len() as u64 } else { 0 },
-                        });
-                    }
-                    if gave_up {
-                        // Terminal failure: the ring can no longer be
-                        // replayed — count it as lost (bounded by the
-                        // checkpoint interval) and close the pipeline.
-                        self.publish_restored(&slot.checkpoint, 0);
-                        self.shared
-                            .lost
-                            .fetch_add(ring.len() as u64, Ordering::AcqRel);
-                        self.shared.gave_up.store(true, Ordering::Release);
-                        break;
-                    }
-                    // Publish the restored counters and the replay debt as
-                    // one consistent set, then back off and restart.
-                    self.publish_restored(&slot.checkpoint, ring.len() as u64);
-                    let exponent = (restarts - 1).min(6);
-                    std::thread::sleep(self.sup.backoff * (1u32 << exponent));
-                }
+        while let Err(panic) = catch_unwind(AssertUnwindSafe(|| self.run_incarnation())) {
+            let cause = panic_message(panic.as_ref());
+            *self.shared.last_panic.lock().expect("panic slot poisoned") = Some(cause.clone());
+            let checkpoint = &self.state.slot.checkpoint;
+            let in_flight = self.state.ring.len() as u64;
+            // One critical section rolls the published counters back to
+            // the checkpoint and books the ring — as replay debt, or as
+            // lost (bounded by the checkpoint interval) when the restart
+            // budget is spent and it can no longer be replayed — so every
+            // stats snapshot taken during the restart still closes.
+            let (restarts, gave_up, lost, overlay) = {
+                let mut ledger = self.shared.ledger();
+                ledger.supervision.restarts += 1;
+                let gave_up = ledger.supervision.restarts > u64::from(self.sup.max_restarts);
+                let (debt, lost) = if gave_up {
+                    (0, in_flight)
+                } else {
+                    (in_flight, 0)
+                };
+                ledger.consumer = ConsumerCounters {
+                    counters: checkpoint.counters,
+                    carried: checkpoint.buffer.len() as u64,
+                    replayed_in_flight: debt,
+                };
+                ledger.supervision.lost_events += lost;
+                let overlay = self.shared.overlay(&ledger);
+                (ledger.supervision.restarts, gave_up, lost, overlay)
+            };
+            if let Some(rec) = &mut self.state.recorder {
+                // The state this restart restores (or publishes as final
+                // on give-up), recorded unconditionally: snapshot
+                // amortization may have skipped the live checkpoint's
+                // frame, and replay restores from the last snapshot *in
+                // the recording* — which must therefore be this exact
+                // checkpoint.
+                rec.record(Frame::Snapshot {
+                    checkpoint: checkpoint.clone(),
+                    overlay,
+                });
+                rec.record(Frame::Restart {
+                    cause,
+                    restarts,
+                    gave_up,
+                    lost,
+                });
             }
+            if gave_up {
+                // Terminal failure: close the pipeline.
+                self.shared.gave_up.store(true, Ordering::Release);
+                break;
+            }
+            let exponent = (restarts - 1).min(6);
+            std::thread::sleep(self.sup.backoff * (1u32 << exponent));
         }
+        self.state.digest
     }
 
-    /// One detector incarnation: restore from the checkpoint, replay the
-    /// un-acked ring, then consume the live feed until it closes, flushing
-    /// the final window on the way out. Panics anywhere in here unwind to
-    /// [`Supervisor::run`].
-    fn run_incarnation(
-        &self,
-        slot: &mut CheckpointSlot,
-        ring: &mut VecDeque<WeightedEvent>,
-        fault: &mut FaultState,
-        controller: &mut Option<Controller>,
-    ) {
+    /// One detector incarnation: restore from the checkpoint, then feed the
+    /// detector one event at a time — first the un-acked ring (a replay),
+    /// then the live queue until it closes — flushing the final window on
+    /// the way out. Panics anywhere in here unwind to [`Supervisor::run`].
+    fn run_incarnation(&mut self) {
         let interval = self.sup.checkpoint_interval.max(1);
-        let mut detector = slot.restore(self.config.clone());
+        let mut detector = self.state.slot.restore(self.config.clone());
         let mut since_checkpoint = 0usize;
-
-        // Replay: re-process the ring in order. Replayed events stay in the
-        // ring (still un-acked) until a checkpoint acks the processed
-        // prefix — a second crash mid-replay must replay them again.
-        let mut replayed = 0usize;
-        while replayed < ring.len() {
-            let event = ring[replayed].clone();
-            replayed += 1;
-            self.control_sample(controller);
-            let analyzed_before = detector.counters.analyzed;
-            let reports = self.ingest(&mut detector, event, true);
-            self.shared.replayed.fetch_add(1, Ordering::AcqRel);
-            since_checkpoint += 1;
-            self.sync(&detector, (ring.len() - replayed) as u64);
-            self.egress(reports);
-            if detector.counters.analyzed != analyzed_before || since_checkpoint >= interval {
-                self.take_checkpoint(&detector, slot);
-                ring.drain(..replayed);
-                replayed = 0;
-                since_checkpoint = 0;
+        // `ring[..cursor]` has been through this incarnation's detector.
+        // Replayed events stay in the ring (still un-acked) until a
+        // checkpoint acks the processed prefix — a second crash mid-replay
+        // must replay them again.
+        let mut cursor = 0usize;
+        loop {
+            let replayed = cursor < self.state.ring.len();
+            let event = if replayed {
+                self.state.ring[cursor].clone()
+            } else {
+                let Ok(event) = self.event_rx.recv() else {
+                    break;
+                };
+                // The ring takes the clone and the detector the original:
+                // the other way round measured +3 MB peak RSS on `spike`.
+                self.state.ring.push_back(event.clone());
+                self.state.fault.on_pull();
+                event
+            };
+            cursor += 1;
+            if let Some(controller) = &mut self.state.controller {
+                self.state.fidelity = controller.sample(self.event_rx.len() as u64);
             }
-        }
-
-        // Live feed.
-        while let Ok(event) = self.event_rx.recv() {
-            ring.push_back(event.clone());
-            fault.on_pull();
-            self.control_sample(controller);
             let analyzed_before = detector.counters.analyzed;
-            let reports = self.ingest(&mut detector, event, false);
+            let reports = self.ingest(&mut detector, event, replayed);
             since_checkpoint += 1;
-            self.sync(&detector, 0);
+            self.sync(&detector, self.state.ring.len() - cursor, replayed);
             self.egress(reports);
             if detector.counters.analyzed != analyzed_before || since_checkpoint >= interval {
-                self.take_checkpoint(&detector, slot);
-                ring.clear();
+                self.take_checkpoint(&detector);
+                self.state.ring.drain(..cursor);
+                cursor = 0;
                 since_checkpoint = 0;
             }
         }
@@ -1410,25 +1425,14 @@ impl Supervisor {
         // Feed closed: flush the final window. A panic inside this analysis
         // is recovered like any other — the next incarnation replays the
         // ring, finds the feed still closed, and flushes again.
-        if let Some(rec) = &self.recorder {
+        if let Some(rec) = &mut self.state.recorder {
             rec.record(Frame::Flush);
         }
         let reports = detector.flush();
-        self.sync(&detector, 0);
+        self.sync(&detector, 0, false);
         self.egress(reports);
-        self.take_checkpoint(&detector, slot);
-        ring.clear();
-    }
-
-    /// Feeds the ingest-queue depth to the adaptive controller, when there
-    /// is one, and publishes the fidelity level it commands.
-    fn control_sample(&self, controller: &mut Option<Controller>) {
-        if let Some(ctl) = controller {
-            let level = ctl.sample(self.event_rx.len() as u64);
-            self.shared
-                .fidelity
-                .store(u64::from(level.index()), Ordering::Release);
-        }
+        self.take_checkpoint(&detector);
+        self.state.ring.clear();
     }
 
     /// One event through the detector at the fidelity level in force:
@@ -1439,7 +1443,7 @@ impl Supervisor {
     /// frame in place, and the recorded ring replay that follows the
     /// [`Frame::Restart`] re-drives it, exactly like the live supervisor.
     fn ingest(
-        &self,
+        &mut self,
         detector: &mut RealtimeDetector,
         event: WeightedEvent,
         replayed: bool,
@@ -1448,10 +1452,10 @@ impl Supervisor {
         let fidelity = if pressure {
             FidelityLevel::Floor
         } else {
-            FidelityLevel::from_index(self.shared.fidelity.load(Ordering::Acquire) as u8)
+            self.state.fidelity
         };
         detector.set_fidelity(fidelity);
-        if let Some(rec) = &self.recorder {
+        if let Some(rec) = &mut self.state.recorder {
             rec.record(Frame::Event {
                 event: event.clone(),
                 fidelity: fidelity.index(),
@@ -1469,10 +1473,10 @@ impl Supervisor {
     /// Delivers reports to the subscriber under the report overload policy.
     /// Runs *before* the checkpoint that acks the events behind the reports
     /// (at-least-once delivery: a crash in between re-emits, never loses).
-    fn egress(&self, reports: Vec<AnomalyReport>) {
+    fn egress(&mut self, reports: Vec<AnomalyReport>) {
         for mut report in reports {
-            self.shared.reports_emitted.fetch_add(1, Ordering::AcqRel);
-            if let Some(rec) = &self.recorder {
+            self.shared.ledger().supervision.reports_emitted += 1;
+            if let Some(rec) = &mut self.state.recorder {
                 rec.record(Frame::Report {
                     report: report.clone(),
                 });
@@ -1486,7 +1490,7 @@ impl Supervisor {
                         Ok(()) => break,
                         Err(SendTimeoutError::Timeout(back)) => report = back,
                         Err(SendTimeoutError::Disconnected(_)) => {
-                            self.shared.report_shed.fetch_add(1, Ordering::AcqRel);
+                            self.shared.ledger().report_shed += 1;
                             break;
                         }
                     }
@@ -1500,18 +1504,16 @@ impl Supervisor {
                             // racing with the subscriber just means the
                             // queue made room on its own.
                             match self.report_steal.try_recv() {
-                                Ok(_oldest) => {
-                                    self.shared.report_shed.fetch_add(1, Ordering::AcqRel);
-                                }
+                                Ok(_oldest) => self.shared.ledger().report_shed += 1,
                                 Err(TryRecvError::Empty) => {}
                                 Err(TryRecvError::Disconnected) => {
-                                    self.shared.report_shed.fetch_add(1, Ordering::AcqRel);
+                                    self.shared.ledger().report_shed += 1;
                                     break;
                                 }
                             }
                         }
                         Err(TrySendError::Disconnected(_)) => {
-                            self.shared.report_shed.fetch_add(1, Ordering::AcqRel);
+                            self.shared.ledger().report_shed += 1;
                             break;
                         }
                     }
@@ -1519,54 +1521,46 @@ impl Supervisor {
                 ReportPolicy::Digest => match self.report_tx.try_send(report) {
                     Ok(()) => {}
                     Err(TrySendError::Full(back)) => {
-                        self.digest.lock().expect("digest poisoned").fold(&back);
-                        self.shared.reports_digested.fetch_add(1, Ordering::AcqRel);
+                        self.state.digest.fold(&back);
+                        self.shared.ledger().reports_digested += 1;
                     }
-                    Err(TrySendError::Disconnected(_)) => {
-                        self.shared.report_shed.fetch_add(1, Ordering::AcqRel);
-                    }
+                    Err(TrySendError::Disconnected(_)) => self.shared.ledger().report_shed += 1,
                 },
             }
         }
     }
 
-    /// Captures a checkpoint into `slot` (what a restart restores from)
+    /// Captures a checkpoint into the slot (what a restart restores from)
     /// and, when recording, frames it as a snapshot.
-    fn take_checkpoint(&self, detector: &RealtimeDetector, slot: &mut CheckpointSlot) {
+    fn take_checkpoint(&mut self, detector: &RealtimeDetector) {
+        let slot = &mut self.state.slot;
         slot.capture(detector);
         // Debug builds make every spawned-pipeline test a differential test
         // of the incremental capture against the from-empty one.
         debug_assert_eq!(slot.checkpoint, detector.checkpoint());
-        let slot = &slot.checkpoint;
-        self.shared.checkpoints.fetch_add(1, Ordering::AcqRel);
-        if let Some(rec) = &self.recorder {
+        self.shared.ledger().checkpoints += 1;
+        if let Some(rec) = &mut self.state.recorder {
             // Ask before cloning: a spike-window checkpoint the
             // amortization policy would drop is never materialized.
-            if rec.wants_snapshot(slot.buffer.len() as u64) {
+            if rec.wants_snapshot(slot.checkpoint.buffer.len() as u64) {
+                let overlay = self.shared.overlay(&self.shared.ledger());
                 rec.record(Frame::Snapshot {
-                    checkpoint: slot.clone(),
-                    overlay: self.shared.overlay(),
+                    checkpoint: slot.checkpoint.clone(),
+                    overlay,
                 });
             }
         }
     }
 
-    /// Publishes the detector's counters as one consistent set, plus the
-    /// current replay debt.
-    fn sync(&self, detector: &RealtimeDetector, replayed_in_flight: u64) {
-        *self.shared.consumer.lock().expect("stats poisoned") =
-            detector.consumer_counters(replayed_in_flight);
-    }
-
-    /// After a crash: rolls the published counters back to the checkpoint
-    /// and records the replay debt, atomically, so every stats snapshot
-    /// taken during the restart still closes.
-    fn publish_restored(&self, checkpoint: &PipelineCheckpoint, replayed_in_flight: u64) {
-        *self.shared.consumer.lock().expect("stats poisoned") = ConsumerCounters {
-            counters: checkpoint.counters,
-            carried: checkpoint.buffer.len() as u64,
-            replayed_in_flight,
-        };
+    /// The one lock per event: publishes the detector's counters as one
+    /// consistent set, plus the replay debt still in the ring, the replay
+    /// this event was (if it was one), and the fidelity level in force.
+    fn sync(&self, detector: &RealtimeDetector, replay_debt: usize, replayed: bool) {
+        let consumer = detector.consumer_counters(replay_debt as u64);
+        let mut ledger = self.shared.ledger();
+        ledger.consumer = consumer;
+        ledger.supervision.replayed_events += u64::from(replayed);
+        ledger.fidelity_level = u64::from(self.state.fidelity.index());
     }
 }
 
@@ -1581,9 +1575,9 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The detector thread's counters, published as one consistent set after
-/// each event (the detector's own invariant
-/// `ingested == analyzed + dropped + carried` holds within every snapshot).
+/// The detector's counters as of the last event it finished (the
+/// detector's own invariant `ingested == analyzed + dropped + carried`
+/// holds within every set).
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct ConsumerCounters {
     counters: DetectorCounters,
@@ -1604,16 +1598,32 @@ pub(crate) struct SupervisionCounts {
     pub(crate) reports_emitted: u64,
 }
 
-/// State shared between the producer-side handle and the detector thread.
-/// Producer counters are plain atomics (single writer: the handle);
-/// consumer counters go through a mutex so a snapshot is never torn across
-/// two detector iterations.
+/// Everything the supervisor thread publishes — it is the only writer —
+/// as one set behind one mutex, so no snapshot is torn across two
+/// detector iterations or across the two halves of a restart.
+#[derive(Debug, Default, Clone, Copy)]
+struct SupervisorLedger {
+    consumer: ConsumerCounters,
+    supervision: SupervisionCounts,
+    checkpoints: u64,
+    report_shed: u64,
+    reports_digested: u64,
+    /// The controller's level as a coarsening index (0 without one).
+    fidelity_level: u64,
+}
+
+/// What the producer-side handle (and any [`StatsProbe`]) shares with the
+/// supervisor thread, and nothing else: four counters only the handle
+/// writes (plain atomics), the supervisor's [`SupervisorLedger`], and the
+/// three flags and one message the two sides signal each other with.
 #[derive(Debug)]
 struct SharedStats {
     ingested: AtomicU64,
     shed: AtomicU64,
     parse_errors: AtomicU64,
-    consumer: Mutex<ConsumerCounters>,
+    /// Events absorbed into a merge-on-shed representative.
+    coalesced: AtomicU64,
+    supervisor: Mutex<SupervisorLedger>,
     /// Raised by the [`OverloadPolicy::Degrade`] producer on a full queue,
     /// lowered by the supervisor once the queue drains; while up, analysis
     /// runs at [`FidelityLevel::Floor`].
@@ -1621,18 +1631,6 @@ struct SharedStats {
     consumer_alive: AtomicBool,
     /// Set when the supervisor exhausted its restart budget.
     gave_up: AtomicBool,
-    restarts: AtomicU64,
-    checkpoints: AtomicU64,
-    replayed: AtomicU64,
-    lost: AtomicU64,
-    reports_emitted: AtomicU64,
-    report_shed: AtomicU64,
-    reports_digested: AtomicU64,
-    /// Events absorbed into a merge-on-shed representative (producer-side
-    /// writer: the handle).
-    coalesced: AtomicU64,
-    /// Current fidelity level index (writer: the adaptive supervisor).
-    fidelity: AtomicU64,
     last_panic: Mutex<Option<String>>,
 }
 
@@ -1641,18 +1639,24 @@ impl SharedStats {
         self.last_panic.lock().expect("panic slot poisoned").clone()
     }
 
-    /// Samples the producer/supervision counters the replayed detector
-    /// cannot recompute, for a [`Frame::Snapshot`] overlay.
-    fn overlay(&self) -> Overlay {
+    fn ledger(&self) -> std::sync::MutexGuard<'_, SupervisorLedger> {
+        self.supervisor.lock().expect("stats poisoned")
+    }
+
+    /// The producer/supervision counters a replayed detector cannot
+    /// recompute, for a [`Frame::Snapshot`] overlay or a stats snapshot:
+    /// the supervisor's from `ledger`, the producer's read now — after
+    /// `ledger` was (see [`stats_from`]).
+    fn overlay(&self, ledger: &SupervisorLedger) -> Overlay {
         Overlay {
             ingested: self.ingested.load(Ordering::Acquire),
             shed_events: self.shed.load(Ordering::Acquire),
             coalesced_events: self.coalesced.load(Ordering::Acquire),
             parse_errors: self.parse_errors.load(Ordering::Acquire),
-            report_shed: self.report_shed.load(Ordering::Acquire),
-            reports_digested: self.reports_digested.load(Ordering::Acquire),
-            fidelity_level: self.fidelity.load(Ordering::Acquire),
-            checkpoints: self.checkpoints.load(Ordering::Acquire),
+            report_shed: ledger.report_shed,
+            reports_digested: ledger.reports_digested,
+            fidelity_level: ledger.fidelity_level,
+            checkpoints: ledger.checkpoints,
         }
     }
 }
@@ -1663,50 +1667,33 @@ impl Default for SharedStats {
             ingested: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             parse_errors: AtomicU64::new(0),
-            consumer: Mutex::new(ConsumerCounters::default()),
+            coalesced: AtomicU64::new(0),
+            supervisor: Mutex::default(),
             pressure: AtomicBool::new(false),
             consumer_alive: AtomicBool::new(true),
             gave_up: AtomicBool::new(false),
-            restarts: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            replayed: AtomicU64::new(0),
-            lost: AtomicU64::new(0),
-            reports_emitted: AtomicU64::new(0),
-            report_shed: AtomicU64::new(0),
-            reports_digested: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            fidelity: AtomicU64::new(0),
             last_panic: Mutex::new(None),
         }
     }
 }
 
 /// Assembles a [`PipelineStats`] snapshot from the shared ledger. The
-/// consumer counters are read first, under their one mutex, so
+/// supervisor's side is read first, under its one mutex, so
 /// `consumer.ingested` can never exceed the producer's `ingested` read
 /// after it — every snapshot closes (`accounts_exactly`) even when
 /// sampled from a thread other than the producer's: a counter bumped
 /// between the two reads only ever *grows* the derived `queued`, which is
 /// exactly where an in-flight event belongs.
 fn stats_from(shared: &SharedStats) -> PipelineStats {
-    let consumer = *shared.consumer.lock().expect("stats poisoned");
-    PipelineStats::from_ledger(
-        consumer,
-        shared.overlay(),
-        SupervisionCounts {
-            restarts: shared.restarts.load(Ordering::Acquire),
-            replayed_events: shared.replayed.load(Ordering::Acquire),
-            lost_events: shared.lost.load(Ordering::Acquire),
-            reports_emitted: shared.reports_emitted.load(Ordering::Acquire),
-        },
-    )
+    let ledger = *shared.ledger();
+    PipelineStats::from_ledger(ledger.consumer, shared.overlay(&ledger), ledger.supervision)
 }
 
 /// A cloneable, thread-safe sampler of one spawned pipeline's ledger
 /// (see [`PipelineHandle::probe`]): safe to call from any thread at any
-/// time — every snapshot closes, because the consumer counters publish
-/// under one mutex and the derived `queued` absorbs any counter bumped
-/// mid-sample.
+/// time — every snapshot closes, because everything the supervisor
+/// counts publishes under one mutex, read before the producer's atomics,
+/// and the derived `queued` absorbs any counter bumped mid-sample.
 #[derive(Debug, Clone)]
 pub struct StatsProbe {
     shared: Arc<SharedStats>,
@@ -1758,16 +1745,17 @@ pub struct PipelineHandle {
     /// [`OverloadPolicy::DropOldest`] (shim receivers share one queue).
     steal_rx: Receiver<WeightedEvent>,
     reports: Receiver<AnomalyReport>,
-    join: Option<std::thread::JoinHandle<()>>,
+    /// The supervisor thread, which hands back its [`ReportDigest`];
+    /// `None` once [`PipelineHandle::shutdown`] has joined it.
+    join: Option<std::thread::JoinHandle<ReportDigest>>,
     shared: Arc<SharedStats>,
     overload: OverloadPolicy,
     /// Merge-on-shed buffer: present under adaptive DropOldest with a
     /// nonzero coalesce capacity.
     coalesce: Option<CoalesceBuffer>,
-    digest: Arc<Mutex<ReportDigest>>,
-    /// Shared with the supervisor; the handle writes [`Frame::Transition`]
-    /// frames and seals the recording with [`Frame::End`] at finish.
-    recorder: Option<Arc<RecordingSink>>,
+    /// The handle's lane into the recording: [`Frame::Transition`] frames,
+    /// and the closing [`Frame::End`] at shutdown.
+    recorder: Option<RecordingSeal>,
 }
 
 impl std::fmt::Debug for PipelineHandle {
@@ -1929,35 +1917,26 @@ impl PipelineHandle {
     /// Returns any reports drained while waiting — the consumer may itself
     /// be blocked on the bounded report queue, so waiting without draining
     /// could deadlock shutdown.
-    fn drain_coalesced(&mut self) -> Vec<AnomalyReport> {
+    fn drain_coalesced(&mut self, tx: &Sender<WeightedEvent>) -> Vec<AnomalyReport> {
         let mut drained = Vec::new();
         let Some(mut buf) = self.coalesce.take() else {
-            return drained;
-        };
-        let Some(tx) = self.tx.as_ref() else {
-            self.shared
-                .shed
-                .fetch_add(buf.len() as u64, Ordering::AcqRel);
             return drained;
         };
         while let Some(mut rep) = buf.pop() {
             loop {
                 match tx.try_send(rep) {
                     Ok(()) => break,
-                    Err(TrySendError::Full(back)) => {
+                    Err(TrySendError::Full(back))
+                        if self.shared.consumer_alive.load(Ordering::Acquire) =>
+                    {
                         rep = back;
-                        if !self.shared.consumer_alive.load(Ordering::Acquire) {
-                            self.shared
-                                .shed
-                                .fetch_add(1 + buf.len() as u64, Ordering::AcqRel);
-                            return drained;
-                        }
                         match self.reports.try_recv() {
                             Ok(report) => drained.push(report),
                             Err(_) => std::thread::sleep(Duration::from_millis(1)),
                         }
                     }
-                    Err(TrySendError::Disconnected(_)) => {
+                    // The consumer died with the queue full, or is gone.
+                    Err(_) => {
                         self.shared
                             .shed
                             .fetch_add(1 + buf.len() as u64, Ordering::AcqRel);
@@ -2028,8 +2007,8 @@ impl PipelineHandle {
         self.shared.consumer_alive.load(Ordering::Acquire)
     }
 
-    /// A live accounting snapshot. `queued` is derived from the producer
-    /// and consumer ledgers
+    /// A live accounting snapshot. `queued` is derived from the producer's
+    /// counters and the supervisor's ledger
     /// (`ingested - shed - coalesced - consumer-ingested`), so it covers
     /// both the channel and any merge-on-shed representatives waiting to
     /// re-enter it. The ledger closes at *every* instant, not just at
@@ -2053,10 +2032,7 @@ impl PipelineHandle {
     /// being recorded.
     pub fn record_transition(&self, kind: &str, detail: &str) {
         if let Some(rec) = &self.recorder {
-            rec.record(Frame::Transition {
-                kind: kind.to_owned(),
-                detail: detail.to_owned(),
-            });
+            rec.transition(kind, detail);
         }
     }
 
@@ -2084,22 +2060,37 @@ impl PipelineHandle {
     /// [`PipelineHandle::finish`] plus the final [`ReportDigest`] of
     /// coalesced reports (meaningful under [`ReportPolicy::Digest`]).
     pub fn finish_with_digest(mut self) -> (Vec<AnomalyReport>, PipelineStats, ReportDigest) {
-        let mut reports = self.drain_coalesced();
-        drop(self.tx.take());
-        if let Some(join) = self.join.take() {
-            // The report queue is bounded: the supervisor's final flush may
-            // be blocked on it, so drain while waiting instead of a blind
-            // join (which would deadlock under ReportPolicy::Block).
-            while !join.is_finished() {
-                match self.reports.try_recv() {
-                    Ok(report) => reports.push(report),
-                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
-                }
+        let join = self.join.take().expect("finish runs once");
+        let (reports, stats, digest) = self.shutdown(join);
+        // The supervisor catches consumer panics itself; a panic here
+        // would be a bug in the supervisor loop proper.
+        (reports, stats, digest.expect("supervisor thread panicked"))
+    }
+
+    /// The one way a spawned pipeline ends, whether finished or dropped:
+    /// closes the feed, joins the supervisor, settles the ledger and seals
+    /// the recording.
+    fn shutdown(
+        &mut self,
+        join: std::thread::JoinHandle<ReportDigest>,
+    ) -> (
+        Vec<AnomalyReport>,
+        PipelineStats,
+        std::thread::Result<ReportDigest>,
+    ) {
+        let tx = self.tx.take().expect("shutdown runs once");
+        let mut reports = self.drain_coalesced(&tx);
+        drop(tx);
+        // The report queue is bounded: the supervisor's final flush may be
+        // blocked on it, so drain while waiting instead of a blind join
+        // (which would deadlock under ReportPolicy::Block).
+        while !join.is_finished() {
+            match self.reports.try_recv() {
+                Ok(report) => reports.push(report),
+                Err(_) => std::thread::sleep(Duration::from_millis(1)),
             }
-            // The supervisor catches consumer panics itself; a panic here
-            // would be a bug in the supervisor loop proper.
-            join.join().expect("supervisor thread panicked");
         }
+        let digest = join.join();
         // A supervisor that gave up leaves events stranded in the channel
         // (this handle's receiver clone keeps it connected): count them as
         // shed so even a crashed pipeline finishes with `queued == 0` and
@@ -2110,12 +2101,10 @@ impl PipelineHandle {
         while let Ok(report) = self.reports.try_recv() {
             reports.push(report);
         }
-        let digest = self.digest.lock().expect("digest poisoned").clone();
         let stats = self.stats();
-        // The supervisor is gone and the ledger is final: seal the
-        // recording with the End frame (idempotent — Drop re-seals as a
-        // no-op).
-        if let Some(rec) = &self.recorder {
+        // The supervisor is gone — its frames are with the writer thread —
+        // and the ledger is final: seal the recording with the End frame.
+        if let Some(rec) = self.recorder.take() {
             rec.seal(&stats);
         }
         (reports, stats, digest)
@@ -2123,26 +2112,12 @@ impl PipelineHandle {
 }
 
 impl Drop for PipelineHandle {
+    /// A handle dropped without `finish` discards its report stream but
+    /// still shuts the supervisor down cleanly and seals the recording, so
+    /// the file ends with a complete End frame instead of a torn tail.
     fn drop(&mut self) {
-        // Reports drained while flushing the merge buffer are discarded —
-        // a handle dropped without `finish` discards its report stream.
-        let _ = self.drain_coalesced();
-        drop(self.tx.take());
         if let Some(join) = self.join.take() {
-            // A handle dropped without `finish` still shuts the supervisor
-            // down cleanly — keep draining reports so its final flush can
-            // complete against the bounded report queue.
-            while !join.is_finished() {
-                if self.reports.try_recv().is_err() {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-            let _ = join.join();
-        }
-        // Seal the recording even on a drop-without-finish, so the file
-        // ends with a complete End frame instead of a torn tail.
-        if let Some(rec) = &self.recorder {
-            rec.seal(&stats_from(&self.shared));
+            let _ = self.shutdown(join);
         }
     }
 }
@@ -2690,6 +2665,15 @@ mod tests {
             );
             assert!(sent > 20, "{mode}: the feed must outlive the first crash");
             assert!(stats.accounts_exactly(), "{mode}: {stats}");
+            // The give-up published the restored counters, zero replay debt
+            // and the lost ring as one set; `finish` sheds what the dead
+            // supervisor left queued.
+            assert_eq!(stats.replayed_in_flight, 0, "{mode}: {stats}");
+            let (_reports, last) = handle.finish();
+            assert_eq!(last.lost_events, stats.lost_events, "{mode}: {last}");
+            assert_eq!(last.replayed_in_flight, 0, "{mode}: {last}");
+            assert_eq!(last.queued, 0, "{mode}: {last}");
+            assert!(last.accounts_exactly(), "{mode}: {last}");
         }
     }
 

@@ -50,8 +50,9 @@ use std::collections::BTreeSet;
 use std::fs::File;
 use std::io::{BufWriter, Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::SyncSender;
+use std::sync::Arc;
 use std::time::Duration;
 
 use bgpscope_bgp::{EventStream, Timestamp};
@@ -147,7 +148,8 @@ pub struct Overlay {
 }
 
 /// One recorded step of the run, in consumer order (the supervisor thread
-/// writes every frame, so the file order *is* the replay order).
+/// writes every frame replay acts on, so the file order *is* the replay
+/// order).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Frame {
     /// One detector ingest: the exact event and the fidelity level read
@@ -194,7 +196,11 @@ pub enum Frame {
         lost: u64,
     },
     /// An out-of-band supervision transition (shard quarantine, source
-    /// quarantine). Informational: replay does not act on it.
+    /// quarantine). Informational: replay does not act on it, and its
+    /// position among the other frames carries no meaning — the handle
+    /// writes it on its own lane, so it may precede up to one batch (256
+    /// frames) of supervisor frames that happened before it.
+    /// [`Replay::transitions`] is a position-less list.
     Transition {
         /// Transition kind (e.g. `"quarantine"`, `"source-quarantine"`).
         kind: String,
@@ -228,7 +234,7 @@ const SINK_CHANNEL_DEPTH: usize = 32;
 /// recorded: its payload is then proportional to the normal event flow
 /// (one snapshot per checkpoint interval, each carrying at most a
 /// window's worth of small buffers). Above the budget, snapshots are
-/// amortized against the event stream — see [`RecordingSink::record`].
+/// amortized against the event stream — see [`FrameWriter::wants_snapshot`].
 const SNAPSHOT_EVENT_BUDGET: u64 = 512;
 
 /// `BufWriter` capacity for segment files: large enough that a segment
@@ -245,9 +251,9 @@ struct SinkInner {
     /// Reused per-frame serialization buffer (one allocation for the
     /// whole recording, not one per frame).
     line: String,
-    /// First write error, latched and shared with the handle side:
-    /// recording is best-effort and must never take the pipeline down.
-    error: Arc<Mutex<Option<String>>>,
+    /// Latched on the first write error, which is reported once on
+    /// stderr: recording is best-effort and must never take the pipeline
+    /// down. The supervisor's [`FrameWriter`] reads it to stop framing.
     failed: Arc<AtomicBool>,
 }
 
@@ -306,201 +312,167 @@ impl SinkInner {
 
     fn latch(&mut self, message: String) {
         eprintln!("recording to {} disabled: {message}", self.base.display());
-        *self.error.lock().expect("recording error slot poisoned") = Some(message);
         self.failed.store(true, Ordering::Release);
         self.writer = None;
     }
 }
 
-/// The write side of a recording. Frame serialization and file I/O run on
-/// a dedicated writer thread so the supervisor's hot path only hands the
-/// frame over a bounded channel — recording a run must not cost the run
-/// its throughput. Frames are written in hand-over order, which is
-/// consumer order. All I/O errors are latched on the writer thread,
-/// reported once on stderr, and leave the pipeline itself untouched.
-#[derive(Debug)]
-pub struct RecordingSink {
-    /// Frames accumulated since the last hand-over (flushed at
-    /// [`SINK_BATCH_FRAMES`], and at seal).
-    batch: Mutex<Vec<Frame>>,
-    /// Hand-over lane to the writer thread; `None` once sealed.
-    tx: Mutex<Option<std::sync::mpsc::SyncSender<Vec<Frame>>>>,
-    worker: Mutex<Option<std::thread::JoinHandle<()>>>,
-    error: Arc<Mutex<Option<String>>>,
-    failed: Arc<AtomicBool>,
-    sealed: AtomicBool,
-    /// Event frames handed over so far (the snapshot amortization clock).
-    events_seen: AtomicU64,
-    /// `events_seen` at the last snapshot actually recorded.
-    snapshot_mark: AtomicU64,
+/// Creates a recording: writes the manifest, removes stale `.seg<k>`
+/// chunks from a previous run at the same path, and starts the writer
+/// thread.
+///
+/// # The write side of a recording
+///
+/// Frame serialization and file I/O run on a dedicated writer thread fed
+/// batches of frames over one bounded channel, so recording a run costs
+/// the run an encode, not a disk write. The channel has two senders, one
+/// per thread that frames anything, and neither shares state with the
+/// other: the supervisor owns the [`FrameWriter`] (every `Event`,
+/// `Report`, `Snapshot`, `Restart` and `Flush` frame, batched, in
+/// consumer order) and the pipeline handle keeps the [`RecordingSeal`]
+/// (out-of-band `Transition` frames and the closing `End`). The handle
+/// seals after joining the supervisor, whose writer hands over its last
+/// batch when it drops, so `End` is always the final frame. All I/O
+/// errors are latched on the writer thread, reported once on stderr, and
+/// leave the pipeline itself untouched.
+///
+/// # Errors
+///
+/// Returns the I/O error when the manifest cannot be written or the
+/// writer thread cannot spawn (the caller then runs unrecorded).
+pub(crate) fn create_recording(
+    config: &RecorderConfig,
+    pipeline: &PipelineConfig,
+) -> std::io::Result<(FrameWriter, RecordingSeal)> {
+    let frames_per_segment = config.frames_per_segment.max(16) as u64;
+    let manifest = Manifest {
+        version: RECORDING_VERSION,
+        label: config.label.clone(),
+        frames_per_segment,
+        config: pipeline.clone(),
+    };
+    let json = serde_json::to_string(&manifest)
+        .map_err(|e| std::io::Error::other(format!("manifest encode failed: {e}")))?;
+    std::fs::write(&config.path, json)?;
+    let mut stale = 0u64;
+    while std::fs::remove_file(segment_path(&config.path, stale)).is_ok() {
+        stale += 1;
+    }
+    let failed = Arc::new(AtomicBool::new(false));
+    let inner = SinkInner {
+        base: config.path.clone(),
+        frames_per_segment,
+        writer: None,
+        segment: 0,
+        frames_in_segment: 0,
+        line: String::with_capacity(1024),
+        failed: Arc::clone(&failed),
+    };
+    let (tx, rx) = std::sync::mpsc::sync_channel(SINK_CHANNEL_DEPTH);
+    let worker = std::thread::Builder::new()
+        .name("bgpscope-recorder".to_owned())
+        .spawn(move || inner.run(rx))?;
+    let writer = FrameWriter {
+        batch: Vec::with_capacity(SINK_BATCH_FRAMES),
+        tx: tx.clone(),
+        failed,
+        events_seen: 0,
+        snapshot_mark: 0,
+    };
+    Ok((writer, RecordingSeal { tx, worker }))
 }
 
-impl RecordingSink {
-    /// Creates the recording: writes the manifest, removes stale
-    /// `.seg<k>` chunks from a previous run at the same path, and starts
-    /// the writer thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error when the manifest cannot be written or the
-    /// writer thread cannot spawn (the caller then runs unrecorded).
-    pub fn create(config: &RecorderConfig, pipeline: &PipelineConfig) -> std::io::Result<Self> {
-        let manifest = Manifest {
-            version: RECORDING_VERSION,
-            label: config.label.clone(),
-            frames_per_segment: config.frames_per_segment.max(16) as u64,
-            config: pipeline.clone(),
-        };
-        let json = serde_json::to_string(&manifest)
-            .map_err(|e| std::io::Error::other(format!("manifest encode failed: {e}")))?;
-        std::fs::write(&config.path, json)?;
-        let mut stale = 0u64;
-        while std::fs::remove_file(segment_path(&config.path, stale)).is_ok() {
-            stale += 1;
+/// The supervisor's half of a recording (see [`create_recording`]): plain
+/// state owned by the one thread that frames the run. The per-frame path
+/// takes no lock; the only shared word it touches is the writer thread's
+/// `failed` latch.
+#[derive(Debug)]
+pub(crate) struct FrameWriter {
+    /// Frames accumulated since the last hand-over (flushed at
+    /// [`SINK_BATCH_FRAMES`], and on drop).
+    batch: Vec<Frame>,
+    tx: SyncSender<Vec<Frame>>,
+    failed: Arc<AtomicBool>,
+    /// Event frames recorded so far (the snapshot amortization clock).
+    events_seen: u64,
+    /// `events_seen` at the last snapshot recorded.
+    snapshot_mark: u64,
+}
+
+impl FrameWriter {
+    /// Frames one supervision step (no-op after a latched write error;
+    /// blocks only when the writer thread is [`SINK_CHANNEL_DEPTH`]
+    /// batches behind). A [`Frame::Snapshot`] is recorded as given: the
+    /// caller decides with [`FrameWriter::wants_snapshot`] whether an
+    /// ordinary checkpoint is framed at all, and the checkpoint a restart
+    /// *restores* always is — replay must see that exact state (not an
+    /// older amortized snapshot) to re-drive the next incarnation from the
+    /// point the live supervisor did.
+    pub(crate) fn record(&mut self, frame: Frame) {
+        if self.failed.load(Ordering::Acquire) {
+            return;
         }
-        let error = Arc::new(Mutex::new(None));
-        let failed = Arc::new(AtomicBool::new(false));
-        let inner = SinkInner {
-            base: config.path.clone(),
-            frames_per_segment: config.frames_per_segment.max(16) as u64,
-            writer: None,
-            segment: 0,
-            frames_in_segment: 0,
-            line: String::with_capacity(1024),
-            error: Arc::clone(&error),
-            failed: Arc::clone(&failed),
-        };
-        let (tx, rx) = std::sync::mpsc::sync_channel(SINK_CHANNEL_DEPTH);
-        let worker = std::thread::Builder::new()
-            .name("bgpscope-recorder".to_owned())
-            .spawn(move || inner.run(rx))?;
-        Ok(RecordingSink {
-            batch: Mutex::new(Vec::with_capacity(SINK_BATCH_FRAMES)),
-            tx: Mutex::new(Some(tx)),
-            worker: Mutex::new(Some(worker)),
-            error,
-            failed,
-            sealed: AtomicBool::new(false),
-            events_seen: AtomicU64::new(0),
-            snapshot_mark: AtomicU64::new(0),
-        })
+        match &frame {
+            Frame::Event { .. } => self.events_seen += 1,
+            Frame::Snapshot { .. } => self.snapshot_mark = self.events_seen,
+            _ => {}
+        }
+        self.batch.push(frame);
+        if self.batch.len() >= SINK_BATCH_FRAMES {
+            let full = std::mem::replace(&mut self.batch, Vec::with_capacity(SINK_BATCH_FRAMES));
+            // A send error means the writer thread is gone — it latched its
+            // error on the way out.
+            let _ = self.tx.send(full);
+        }
     }
 
-    /// Hands one frame to the writer thread (no-op after seal or a
-    /// latched error; blocks only when the writer is
-    /// [`SINK_CHANNEL_DEPTH`] frames behind).
-    ///
-    /// Snapshot frames are *amortized*: a snapshot whose checkpoint
-    /// buffers more than [`SNAPSHOT_EVENT_BUDGET`] events is recorded
-    /// only once at least twice that many fresh events have flowed since
-    /// the last recorded snapshot. During an event spike the window
-    /// buffer grows to thousands of events, and without the amortization
-    /// a checkpoint-interval-sized stride of multi-megabyte snapshots
+    /// The snapshot amortization policy, asked *before* a checkpoint is
+    /// cloned into a [`Frame::Snapshot`] (during a spike the buffer clone
+    /// alone is milliseconds of work at every checkpoint interval): a
+    /// checkpoint buffering more than [`SNAPSHOT_EVENT_BUDGET`] events is
+    /// framed only once at least twice that many fresh events have flowed
+    /// since the last recorded snapshot. Without it a spike window's
+    /// checkpoint-interval-sized stride of multi-megabyte snapshots
     /// dominates the recording (and the time to write it). Seeks stay
     /// correct with sparse snapshots — they just re-drive a longer (still
     /// O(buffer)) frame suffix from the one they jump to.
-    pub(crate) fn record(&self, frame: Frame) {
-        if self.sealed.load(Ordering::Acquire) || self.failed.load(Ordering::Acquire) {
-            return;
-        }
-        if let Frame::Snapshot { checkpoint, .. } = &frame {
-            if !self.wants_snapshot(checkpoint.buffer.len() as u64) {
-                return;
-            }
-        }
-        self.record_admitted(frame);
-    }
-
-    /// The snapshot amortization test, without side effects: callers that
-    /// must *clone* a checkpoint to build a [`Frame::Snapshot`] ask this
-    /// first so a snapshot the policy would drop is never materialized
-    /// (during a spike the buffer clone alone is milliseconds of work at
-    /// every checkpoint interval).
     pub(crate) fn wants_snapshot(&self, buffered: u64) -> bool {
-        let seen = self.events_seen.load(Ordering::Acquire);
-        let gap = seen.saturating_sub(self.snapshot_mark.load(Ordering::Acquire));
+        let gap = self.events_seen - self.snapshot_mark;
         buffered <= SNAPSHOT_EVENT_BUDGET || gap >= buffered.saturating_mul(2)
-    }
-
-    /// Records a snapshot unconditionally, bypassing the amortization
-    /// policy. Used for the checkpoint a restart *restores*: replay must
-    /// see that exact state (not an older amortized snapshot) to re-drive
-    /// the next incarnation from the same point the live supervisor did.
-    /// Restarts are rare, so this never dominates recording cost.
-    pub(crate) fn record_snapshot_forced(&self, frame: Frame) {
-        if self.sealed.load(Ordering::Acquire) || self.failed.load(Ordering::Acquire) {
-            return;
-        }
-        self.record_admitted(frame);
-    }
-
-    fn record_admitted(&self, frame: Frame) {
-        match &frame {
-            Frame::Event { .. } => {
-                self.events_seen.fetch_add(1, Ordering::AcqRel);
-            }
-            Frame::Snapshot { .. } => {
-                self.snapshot_mark
-                    .store(self.events_seen.load(Ordering::Acquire), Ordering::Release);
-            }
-            _ => {}
-        }
-        let mut batch = self.batch.lock().expect("recording sink poisoned");
-        batch.push(frame);
-        if batch.len() >= SINK_BATCH_FRAMES {
-            let full = std::mem::replace(&mut *batch, Vec::with_capacity(SINK_BATCH_FRAMES));
-            drop(batch);
-            if let Some(tx) = self.tx.lock().expect("recording sink poisoned").as_ref() {
-                // A send error means the writer thread is gone — it
-                // latched its error on the way out.
-                let _ = tx.send(full);
-            }
-        }
-    }
-
-    /// Hands over the pending batch plus the terminal [`Frame::End`],
-    /// then joins the writer thread (which flushes the tail segment).
-    /// Idempotent.
-    pub(crate) fn seal(&self, stats: &PipelineStats) {
-        if self.sealed.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let mut tail = std::mem::take(&mut *self.batch.lock().expect("recording sink poisoned"));
-        tail.push(Frame::End { stats: *stats });
-        if let Some(tx) = self.tx.lock().expect("recording sink poisoned").take() {
-            let _ = tx.send(tail);
-        }
-        if let Some(worker) = self.worker.lock().expect("recording sink poisoned").take() {
-            let _ = worker.join();
-        }
-    }
-
-    /// The latched write error, if recording failed mid-run.
-    pub fn error(&self) -> Option<String> {
-        self.error
-            .lock()
-            .expect("recording error slot poisoned")
-            .clone()
     }
 }
 
-impl Drop for RecordingSink {
+impl Drop for FrameWriter {
+    /// The supervisor is exiting (or unwinding): the pending batch goes to
+    /// the writer thread before the handle can seal behind it.
     fn drop(&mut self) {
-        // A sink dropped without seal (create-then-abandon) still flushes:
-        // the pending batch is handed over, then dropping the sender
-        // disconnects the channel and the writer thread drains and exits.
-        let tail = std::mem::take(&mut *self.batch.lock().expect("recording sink poisoned"));
-        let mut guard = self.tx.lock().expect("recording sink poisoned");
-        if let Some(tx) = guard.as_ref() {
-            if !tail.is_empty() {
-                let _ = tx.send(tail);
-            }
-        }
-        drop(guard.take());
-        drop(guard);
-        if let Some(worker) = self.worker.lock().expect("recording sink poisoned").take() {
-            let _ = worker.join();
-        }
+        let _ = self.tx.send(std::mem::take(&mut self.batch));
+    }
+}
+
+/// The pipeline handle's half of a recording (see [`create_recording`]).
+#[derive(Debug)]
+pub(crate) struct RecordingSeal {
+    tx: SyncSender<Vec<Frame>>,
+    worker: std::thread::JoinHandle<()>,
+}
+
+impl RecordingSeal {
+    /// Frames an out-of-band [`Frame::Transition`], handed over at once.
+    pub(crate) fn transition(&self, kind: &str, detail: &str) {
+        let _ = self.tx.send(vec![Frame::Transition {
+            kind: kind.to_owned(),
+            detail: detail.to_owned(),
+        }]);
+    }
+
+    /// Writes the terminal [`Frame::End`] and joins the writer thread
+    /// (which flushes the tail segment). Call once the supervisor thread —
+    /// the other sender — is gone.
+    pub(crate) fn seal(self, stats: &PipelineStats) {
+        let _ = self.tx.send(vec![Frame::End { stats: *stats }]);
+        drop(self.tx);
+        let _ = self.worker.join();
     }
 }
 
@@ -553,6 +525,27 @@ struct Counts {
     restarts: u64,
     lost: u64,
     snapshots: u64,
+}
+
+impl Counts {
+    /// How one frame moves the counters: the single definition behind both
+    /// the index [`Replay::load`] builds and the cursor [`Replay::apply`]
+    /// drives, so the two cannot drift.
+    fn absorb(&mut self, frame: &Frame) {
+        match frame {
+            Frame::Event { replayed, .. } => {
+                self.events += 1;
+                self.replayed += u64::from(*replayed);
+            }
+            Frame::Report { .. } => self.reports += 1,
+            Frame::Snapshot { .. } => self.snapshots += 1,
+            Frame::Restart { lost, .. } => {
+                self.restarts += 1;
+                self.lost += lost;
+            }
+            Frame::Transition { .. } | Frame::Flush | Frame::End { .. } => {}
+        }
+    }
 }
 
 /// Index entry for one [`Frame::Event`]: raw event time, the monotone
@@ -820,9 +813,7 @@ impl Replay {
                     }
                 };
                 match &frame {
-                    Frame::Event {
-                        event, replayed, ..
-                    } => {
+                    Frame::Event { event, .. } => {
                         let time_us = event.event.time.as_micros();
                         clock_us = clock_us.max(time_us);
                         events.push(EventIdx {
@@ -830,47 +821,30 @@ impl Replay {
                             clock_us,
                             pos,
                         });
-                        counts.events += 1;
-                        if *replayed {
-                            counts.replayed += 1;
-                        }
                     }
-                    Frame::Report { report } => {
-                        recorded_reports.push((pos, report.clone()));
-                        counts.reports += 1;
-                    }
+                    Frame::Report { report } => recorded_reports.push((pos, report.clone())),
+                    // Indexed with the counters just *before* the frame.
                     Frame::Snapshot {
                         checkpoint,
                         overlay,
-                    } => {
-                        snapshots.push(SnapshotIdx {
-                            pos,
-                            counts,
-                            checkpoint: checkpoint.clone(),
-                            overlay: *overlay,
-                        });
-                        counts.snapshots += 1;
-                    }
-                    Frame::Restart {
-                        cause,
-                        gave_up,
-                        lost,
-                        ..
-                    } => {
-                        restarts.push(RestartIdx {
-                            clock_us,
-                            cause: cause.clone(),
-                            gave_up: *gave_up,
-                        });
-                        counts.restarts += 1;
-                        counts.lost += lost;
-                    }
+                    } => snapshots.push(SnapshotIdx {
+                        pos,
+                        counts,
+                        checkpoint: checkpoint.clone(),
+                        overlay: *overlay,
+                    }),
+                    Frame::Restart { cause, gave_up, .. } => restarts.push(RestartIdx {
+                        clock_us,
+                        cause: cause.clone(),
+                        gave_up: *gave_up,
+                    }),
                     Frame::Transition { kind, detail } => {
                         transitions.push((kind.clone(), detail.clone()));
                     }
                     Frame::Flush => {}
                     Frame::End { stats } => end_stats = Some(*stats),
                 }
+                counts.absorb(&frame);
                 pos += 1;
             }
             if truncated {
@@ -1306,28 +1280,15 @@ impl Replay {
     fn apply(&mut self, frame: &Frame) {
         match frame {
             Frame::Event {
-                event,
-                fidelity,
-                replayed,
+                event, fidelity, ..
             } => {
                 self.detector
                     .set_fidelity(FidelityLevel::from_index(*fidelity));
                 let reports = self.detector.ingest_weighted(event.clone());
                 self.recomputed.extend(reports);
-                self.counts.events += 1;
-                if *replayed {
-                    self.counts.replayed += 1;
-                }
             }
-            Frame::Report { .. } => self.counts.reports += 1,
-            Frame::Transition { .. } => {}
-            Frame::Snapshot { checkpoint, .. } => {
-                self.last_checkpoint = Some(checkpoint.clone());
-                self.counts.snapshots += 1;
-            }
-            Frame::Restart { lost, .. } => {
-                self.counts.restarts += 1;
-                self.counts.lost += lost;
+            Frame::Snapshot { checkpoint, .. } => self.last_checkpoint = Some(checkpoint.clone()),
+            Frame::Restart { .. } => {
                 // The supervisor restored the last checkpoint (a fresh
                 // detector when it crashed before the first one); the
                 // recorded replayed-flag events that follow re-drive the
@@ -1341,8 +1302,9 @@ impl Replay {
                 let reports = self.detector.flush();
                 self.recomputed.extend(reports);
             }
-            Frame::End { .. } => {}
+            Frame::Report { .. } | Frame::Transition { .. } | Frame::End { .. } => {}
         }
+        self.counts.absorb(frame);
         self.pos += 1;
     }
 
@@ -1454,10 +1416,28 @@ mod tests {
     #[test]
     fn record_replay_round_trip_final_state() {
         let base = temp_base("roundtrip");
-        let live = record_run(&base, 400, 64);
+        let config = SpawnConfig::new(small_config())
+            .with_recorder(RecorderConfig::new(&base).with_frames_per_segment(64));
+        let mut handle = RealtimeDetector::spawn(config);
+        for i in 0..400 {
+            if i == 200 {
+                // The handle frames this on its own lane, mid-run, while
+                // the supervisor is framing events on its.
+                handle.record_transition("quarantine", "shard 7: injected");
+            }
+            handle.ingest_event(storm_event(i)).unwrap();
+        }
+        let (_reports, live) = handle.finish();
+
         let mut replay = Replay::load(&base).expect("load recording");
         assert!(!replay.truncated());
         assert_eq!(replay.events_total(), 400);
+        assert_eq!(
+            replay.transitions(),
+            [("quarantine".to_owned(), "shard 7: injected".to_owned())]
+        );
+        let last = replay.frame_at(replay.frames_total() - 1).expect("frame");
+        assert_eq!(last, Frame::End { stats: live });
         replay.to_end().expect("replay to end");
         assert_eq!(replay.stats(), live);
         assert_eq!(replay.end_stats(), Some(live));

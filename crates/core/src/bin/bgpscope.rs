@@ -42,6 +42,8 @@
 use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Duration;
 
 use bgpscope::prelude::*;
 
@@ -148,6 +150,23 @@ fn usage() -> ExitCode {
 }
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
+
+/// The value of a value-taking flag: the next argument, parsed. The one
+/// place the two flag errors are worded.
+fn value<T: FromStr>(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    it.next()
+        .ok_or_else(|| format!("{flag} needs a value"))?
+        .parse()
+        .map_err(|e| format!("{flag}: {e}"))
+}
+
+/// A dead run is never a silent run: its final ledger goes to stderr.
+fn eprint_ledger(stats: &impl std::fmt::Display, json: &str) {
+    eprintln!("{stats}\nledger {json}");
+}
 
 fn with_stream(
     args: &[String],
@@ -339,57 +358,15 @@ fn cmd_pipeline(path: &str, rest: &[String]) -> CliResult {
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--capacity" => {
-                capacity = it
-                    .next()
-                    .ok_or("--capacity needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--capacity: {e}"))?;
-            }
-            "--policy" => {
-                policy = it.next().ok_or("--policy needs a value")?.parse()?;
-            }
-            "--report-capacity" => {
-                report_capacity = it
-                    .next()
-                    .ok_or("--report-capacity needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--report-capacity: {e}"))?;
-            }
-            "--report-policy" => {
-                report_policy = it.next().ok_or("--report-policy needs a value")?.parse()?;
-            }
-            "--checkpoint-interval" => {
-                checkpoint_interval = it
-                    .next()
-                    .ok_or("--checkpoint-interval needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--checkpoint-interval: {e}"))?;
-            }
+            "--capacity" => capacity = value(&mut it, arg)?,
+            "--policy" => policy = value(&mut it, arg)?,
+            "--report-capacity" => report_capacity = value(&mut it, arg)?,
+            "--report-policy" => report_policy = value(&mut it, arg)?,
+            "--checkpoint-interval" => checkpoint_interval = value(&mut it, arg)?,
             "--adaptive" => adaptive = true,
-            "--shards" => {
-                shards = it
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-            }
-            "--quarantine-after" => {
-                quarantine_after = Some(
-                    it.next()
-                        .ok_or("--quarantine-after needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--quarantine-after: {e}"))?,
-                );
-            }
-            "--target-depth" => {
-                target_depth = Some(
-                    it.next()
-                        .ok_or("--target-depth needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--target-depth: {e}"))?,
-                );
-            }
+            "--shards" => shards = value(&mut it, arg)?,
+            "--quarantine-after" => quarantine_after = Some(value(&mut it, arg)?),
+            "--target-depth" => target_depth = Some(value(&mut it, arg)?),
             other => return Err(format!("unknown flag {other}").into()),
         }
     }
@@ -461,7 +438,7 @@ fn replay_trace(
             for panic in &run.panics {
                 eprintln!("  {panic}");
             }
-            eprintln!("{}\nledger {}", run.stats, run.stats.to_json());
+            eprint_ledger(&run.stats, &run.stats.to_json());
             return Err(PipelineClosed.into());
         }
     }
@@ -507,91 +484,35 @@ fn run_ingest(args: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
         match arg.as_str() {
             "--lossy" => config = config.lossy(),
             "--passthrough" => config = config.passthrough(),
-            "--buffer-capacity" => {
-                config = config.with_buffer_capacity(
-                    it.next()
-                        .ok_or("--buffer-capacity needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--buffer-capacity: {e}"))?,
-                );
-            }
-            "--batch" => {
-                config = config.with_batch_size(
-                    it.next()
-                        .ok_or("--batch needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--batch: {e}"))?,
-                );
-            }
-            "--channel-batches" => {
-                config = config.with_channel_batches(
-                    it.next()
-                        .ok_or("--channel-batches needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--channel-batches: {e}"))?,
-                );
-            }
-            "--capacity" => {
-                capacity = it
-                    .next()
-                    .ok_or("--capacity needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--capacity: {e}"))?;
-            }
-            "--policy" => {
-                policy = it.next().ok_or("--policy needs a value")?.parse()?;
-            }
-            "--shards" => {
-                config = config.with_shards(
-                    it.next()
-                        .ok_or("--shards needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--shards: {e}"))?,
-                );
-            }
-            "--bench" => {
-                bench = Some(it.next().ok_or("--bench needs a path")?.clone());
-            }
+            "--buffer-capacity" => config = config.with_buffer_capacity(value(&mut it, arg)?),
+            "--batch" => config = config.with_batch_size(value(&mut it, arg)?),
+            "--channel-batches" => config = config.with_channel_batches(value(&mut it, arg)?),
+            "--capacity" => capacity = value(&mut it, arg)?,
+            "--policy" => policy = value(&mut it, arg)?,
+            "--shards" => config = config.with_shards(value(&mut it, arg)?),
+            "--bench" => bench = Some(value(&mut it, arg)?),
             "--retries" => {
                 supervised = true;
-                source_policy = source_policy.with_max_retries(
-                    it.next()
-                        .ok_or("--retries needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--retries: {e}"))?,
-                );
+                source_policy = source_policy.with_max_retries(value(&mut it, arg)?);
             }
             "--backoff-ms" => {
                 supervised = true;
-                let base: u64 = it
-                    .next()
-                    .ok_or("--backoff-ms needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--backoff-ms: {e}"))?;
+                let base: u64 = value(&mut it, arg)?;
                 // Cap the exponential curve at 50 doublings' worth, never
                 // below the default 500ms ceiling.
                 source_policy = source_policy.with_backoff(
-                    std::time::Duration::from_millis(base),
-                    std::time::Duration::from_millis((base * 50).max(500)),
+                    Duration::from_millis(base),
+                    Duration::from_millis((base * 50).max(500)),
                 );
             }
             "--stall-timeout-ms" => {
                 supervised = true;
-                source_policy = source_policy.with_stall_timeout(std::time::Duration::from_millis(
-                    it.next()
-                        .ok_or("--stall-timeout-ms needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--stall-timeout-ms: {e}"))?,
-                ));
+                source_policy =
+                    source_policy.with_stall_timeout(Duration::from_millis(value(&mut it, arg)?));
             }
             "--poison-threshold" => {
                 supervised = true;
-                source_policy = source_policy.with_poison_threshold(
-                    it.next()
-                        .ok_or("--poison-threshold needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--poison-threshold: {e}"))?,
-                );
+                source_policy = source_policy.with_poison_threshold(value(&mut it, arg)?);
             }
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}").into()),
             path => paths.push(path.to_owned()),
@@ -624,10 +545,9 @@ fn run_ingest(args: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
     };
     let report = match result {
         Ok(report) => report,
-        // A dead run is never a silent run: the final ledger comes out.
         Err(IngestError::Pipeline { cause, stats }) => {
             eprintln!("bgpscope: stem pipeline closed mid-ingest: {cause}");
-            eprintln!("{stats}\nledger {}", stats.to_json());
+            eprint_ledger(&stats, &stats.to_json());
             return Err(PipelineClosed.into());
         }
         Err(e) => {
@@ -635,7 +555,7 @@ fn run_ingest(args: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
                 for source in sources {
                     eprintln!("  {source}");
                 }
-                eprintln!("{stats}\nledger {}", stats.to_json());
+                eprint_ledger(stats, &stats.to_json());
             }
             return Err(e.into());
         }
@@ -669,8 +589,8 @@ fn print_ingest_report(
 }
 
 /// Replays a trace through the supervised realtime pipeline with a
-/// recorder armed: every ingested event, controller decision, restart,
-/// emitted report, and periodic ledger snapshot is captured in an
+/// recorder armed: every ingested event, restart, emitted report,
+/// and periodic ledger snapshot is captured in an
 /// append-only segmented recording at `<recording>.seg<k>` (manifest at
 /// `<recording>`), ready for `bgpscope replay`.
 fn cmd_record(events_path: &str, recording: &str, rest: &[String]) -> CliResult {
@@ -681,34 +601,13 @@ fn cmd_record(events_path: &str, recording: &str, rest: &[String]) -> CliResult 
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--capacity" => {
-                capacity = it
-                    .next()
-                    .ok_or("--capacity needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--capacity: {e}"))?;
-            }
-            "--policy" => {
-                policy = it.next().ok_or("--policy needs a value")?.parse()?;
-            }
-            "--checkpoint-interval" => {
-                checkpoint_interval = it
-                    .next()
-                    .ok_or("--checkpoint-interval needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--checkpoint-interval: {e}"))?;
-            }
+            "--capacity" => capacity = value(&mut it, arg)?,
+            "--policy" => policy = value(&mut it, arg)?,
+            "--checkpoint-interval" => checkpoint_interval = value(&mut it, arg)?,
             "--frames-per-segment" => {
-                recorder = recorder.with_frames_per_segment(
-                    it.next()
-                        .ok_or("--frames-per-segment needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--frames-per-segment: {e}"))?,
-                );
+                recorder = recorder.with_frames_per_segment(value(&mut it, arg)?);
             }
-            "--label" => {
-                recorder = recorder.with_label(it.next().ok_or("--label needs a value")?.clone());
-            }
+            "--label" => recorder = recorder.with_label(value::<String>(&mut it, arg)?),
             other => return Err(format!("unknown flag {other}").into()),
         }
     }
@@ -749,49 +648,13 @@ fn cmd_replay(recording: &str, rest: &[String]) -> CliResult {
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--seek" => {
-                seek = Some(
-                    it.next()
-                        .ok_or("--seek needs seconds")?
-                        .parse()
-                        .map_err(|e| format!("--seek: {e}"))?,
-                );
-            }
-            "--hotspot" => {
-                hotspot = Some(
-                    it.next()
-                        .ok_or("--hotspot needs an index")?
-                        .parse()
-                        .map_err(|e| format!("--hotspot: {e}"))?,
-                );
-            }
-            "--step" => {
-                step = Some(
-                    it.next()
-                        .ok_or("--step needs a count")?
-                        .parse()
-                        .map_err(|e| format!("--step: {e}"))?,
-                );
-            }
-            "--rate" => {
-                rate = Some(
-                    it.next()
-                        .ok_or("--rate needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--rate: {e}"))?,
-                );
-            }
-            "--frames" => {
-                frames_dir = Some(it.next().ok_or("--frames needs a directory")?.clone());
-            }
+            "--seek" => seek = Some(value(&mut it, arg)?),
+            "--hotspot" => hotspot = Some(value(&mut it, arg)?),
+            "--step" => step = Some(value(&mut it, arg)?),
+            "--rate" => rate = Some(value(&mut it, arg)?),
+            "--frames" => frames_dir = Some(value(&mut it, arg)?),
             "--timeline" => timeline = true,
-            "--span" => {
-                span_secs = it
-                    .next()
-                    .ok_or("--span needs seconds")?
-                    .parse()
-                    .map_err(|e| format!("--span: {e}"))?;
-            }
+            "--span" => span_secs = value(&mut it, arg)?,
             other => return Err(format!("unknown flag {other}").into()),
         }
     }
@@ -854,7 +717,7 @@ fn cmd_replay(recording: &str, rest: &[String]) -> CliResult {
         // through quiet gaps until the cursor reaches the end.
         let mut played = 0u64;
         while replay.cursor_events() < replay.events_total() {
-            let applied = replay.play(r, std::time::Duration::from_secs(1))?;
+            let applied = replay.play(r, Duration::from_secs(1))?;
             if applied > 0 {
                 played += applied;
                 println!(

@@ -1030,311 +1030,226 @@ struct SourceState {
 
 type SharedSources = Arc<Mutex<Vec<SourceState>>>;
 
-/// Folds the reader's monotone counters into the ledger and, when the
-/// worker is recovering from a degraded spell, advances the health FSM.
-fn fold_counters(
-    state: &mut SourceState,
-    counters: (u64, u64, u64),
-    prev: &mut (u64, u64, u64),
-    recovering: &mut bool,
-) {
-    let ledger = &mut state.ledger;
-    ledger.records_decoded += counters.0 - prev.0;
-    ledger.records_skipped += counters.1 - prev.1;
-    ledger.trailing_tolerated += counters.2 - prev.2;
-    *prev = counters;
-    if *recovering {
-        if ledger.health == SourceHealth::Degraded {
-            ledger.health = SourceHealth::Recovered;
-        }
-        *recovering = false;
-    }
-}
+/// A reader's monotone counters: records decoded, skipped, and tolerated
+/// with trailing bytes.
+type ReaderCounters = (u64, u64, u64);
 
-/// Atomically accounts a decoded batch and enqueues it: `events_decoded`
-/// and `queued` move together under the ledger lock, in the same critical
-/// section as the channel insert, so the per-source invariant holds at
-/// every instant. Returns `false` when the source is quarantined or the
-/// fan-in is gone — the batch is shed (`stall_shed`) and the worker must
-/// exit.
-#[allow(clippy::too_many_arguments)]
-fn account_and_send(
+/// One supervised decode worker — everything its thread owns: it drives a
+/// (re)buildable [`RecordReader`] over its source, applying the
+/// [`SourcePolicy`] — backoff-retry for transient I/O faults (rebuild +
+/// fast-forward past delivered records), the poison breaker for record
+/// positions that keep failing decode — and feeds decoded batches into the
+/// fan-in under the exact-accounting protocol of [`SourceWorker::flush`].
+struct SourceWorker {
     idx: usize,
-    shared: &SharedSources,
-    tx: &channel::Sender<Vec<Event>>,
-    batch: &mut Vec<Event>,
-    batch_size: usize,
-    counters: (u64, u64, u64),
-    prev: &mut (u64, u64, u64),
-    stats: &mut StageStats,
-    recovering: &mut bool,
-) -> bool {
-    let mut payload = std::mem::replace(batch, Vec::with_capacity(batch_size));
-    let len = payload.len() as u64;
-    loop {
-        let mut guard = shared.lock().unwrap();
-        let state = &mut guard[idx];
-        fold_counters(state, counters, prev, recovering);
-        if payload.is_empty() {
-            state.decode = *stats;
-            return true;
-        }
-        if state.ledger.health == SourceHealth::Quarantined {
-            state.ledger.events_decoded += len;
-            state.ledger.stall_shed += len;
-            state.decode = *stats;
-            state.done = true;
-            return false;
-        }
-        match tx.try_send(payload) {
-            Ok(()) => {
-                state.ledger.events_decoded += len;
-                state.ledger.queued += len;
-                state.decode = *stats;
-                return true;
-            }
-            Err(channel::TrySendError::Full(p)) => {
-                payload = p;
-                drop(guard);
-                let start = Instant::now();
-                std::thread::sleep(Duration::from_micros(200));
-                stats.blocked_out_secs += start.elapsed().as_secs_f64();
-            }
-            Err(channel::TrySendError::Disconnected(_)) => {
-                // The merge side is gone (teardown); shed so the ledger
-                // still closes.
-                state.ledger.events_decoded += len;
-                state.ledger.stall_shed += len;
-                state.decode = *stats;
-                state.done = true;
-                return false;
-            }
-        }
-    }
-}
-
-/// Marks source `idx` quarantined with `cause` and records the worker's
-/// exit.
-fn quarantine_worker(idx: usize, shared: &SharedSources, stats: &StageStats, cause: String) {
-    let mut guard = shared.lock().unwrap();
-    let state = &mut guard[idx];
-    if state.ledger.health != SourceHealth::Quarantined {
-        state.ledger.health = SourceHealth::Quarantined;
-        state.ledger.quarantine_cause = Some(cause);
-    }
-    state.decode = *stats;
-    state.done = true;
-}
-
-/// One supervised decode worker: drives a (re)buildable [`RecordReader`]
-/// over its source, applying the [`SourcePolicy`] — backoff-retry for
-/// transient I/O faults (rebuild + fast-forward past delivered records),
-/// the poison breaker for record positions that keep failing decode — and
-/// feeds decoded batches into the fan-in under the exact-accounting
-/// protocol of [`account_and_send`].
-#[allow(clippy::too_many_arguments)]
-fn supervised_source_worker(
-    idx: usize,
-    mut open: SourceFactory,
-    mode: IngestMode,
-    buffer_capacity: usize,
-    batch_size: usize,
-    policy: SourcePolicy,
     shared: SharedSources,
     tx: channel::Sender<Vec<Event>>,
-) {
-    let mut stats = StageStats::default();
-    let mut batch: Vec<Event> = Vec::with_capacity(batch_size);
-    // Record positions whose effects (delivered event, counted skip) are
-    // fully accounted — the exact fast-forward resume point.
-    let mut good_consumed = 0u64;
-    let mut transient_failures = 0u32;
-    let mut poison_failures = 0u32;
-    let mut recovering = false;
+    policy: SourcePolicy,
+    batch: Vec<Event>,
+    batch_size: usize,
+    /// The current reader's counters as of the last fold into the ledger.
+    prev: ReaderCounters,
+    stats: StageStats,
+    /// Set by a degraded spell; the next fold marks the source Recovered.
+    recovering: bool,
+    transient_failures: u32,
+}
 
-    'rebuild: loop {
-        let start = Instant::now();
-        let built = open().map_err(MrtError::Io).and_then(|reader| {
-            let mut records = match mode {
-                IngestMode::Strict => RecordReader::with_capacity(reader, buffer_capacity),
-                IngestMode::Lossy => RecordReader::lossy_with_capacity(reader, buffer_capacity),
-            };
-            records.fast_forward(good_consumed)?;
-            Ok(records)
-        });
-        stats.busy_secs += start.elapsed().as_secs_f64();
-        let mut records = match built {
-            Ok(records) => records,
-            Err(e) => {
-                transient_failures += 1;
-                if transient_failures > policy.max_retries {
-                    quarantine_worker(
-                        idx,
-                        &shared,
-                        &stats,
-                        format!(
-                            "transient retry budget exhausted after {} attempt(s): {e}",
-                            transient_failures
-                        ),
-                    );
-                    return;
-                }
-                degrade_and_back_off(idx, &shared, &policy, transient_failures);
-                recovering = true;
-                continue 'rebuild;
-            }
-        };
-        // Fresh reader: counters restart at zero (fast-forward is
-        // counter-neutral), so the fold baseline restarts too.
-        let mut prev = (0u64, 0u64, 0u64);
-        loop {
+impl SourceWorker {
+    fn run(mut self, mut open: SourceFactory, mode: IngestMode, buffer_capacity: usize) {
+        // Record positions whose effects (delivered event, counted skip) are
+        // fully accounted — the exact fast-forward resume point.
+        let mut good_consumed = 0u64;
+        let mut poison_failures = 0u32;
+
+        'rebuild: loop {
             let start = Instant::now();
-            let next = records.next_event();
-            stats.busy_secs += start.elapsed().as_secs_f64();
-            let counters = (
-                records.records_decoded(),
-                records.records_skipped(),
-                records.trailing_tolerated(),
-            );
-            match next {
-                Ok(Some(event)) => {
-                    transient_failures = 0;
-                    poison_failures = 0;
-                    // The event is in hand and any lossy skips before it
-                    // are in `counters`, folded no later than the next
-                    // flush — safe to resume past all of them.
-                    good_consumed = records.records_consumed();
-                    batch.push(event);
-                    if batch.len() >= batch_size
-                        && !account_and_send(
-                            idx,
-                            &shared,
-                            &tx,
-                            &mut batch,
-                            batch_size,
-                            counters,
-                            &mut prev,
-                            &mut stats,
-                            &mut recovering,
-                        )
-                    {
-                        return;
-                    }
-                }
-                Ok(None) => {
-                    let delivered = account_and_send(
-                        idx,
-                        &shared,
-                        &tx,
-                        &mut batch,
-                        batch_size,
-                        counters,
-                        &mut prev,
-                        &mut stats,
-                        &mut recovering,
-                    );
-                    if delivered {
-                        let mut guard = shared.lock().unwrap();
-                        let state = &mut guard[idx];
-                        state.decode = stats;
-                        state.done = true;
-                    }
-                    return;
-                }
-                Err(e @ (MrtError::Io(_) | MrtError::Truncated)) => {
-                    // Transient: deliver the good prefix, then rebuild and
-                    // fast-forward. An I/O fault never consumes a record
-                    // position, so `records_consumed()` is exactly the
-                    // accounted prefix (including lossy skips just folded).
-                    good_consumed = records.records_consumed();
-                    if !account_and_send(
-                        idx,
-                        &shared,
-                        &tx,
-                        &mut batch,
-                        batch_size,
-                        counters,
-                        &mut prev,
-                        &mut stats,
-                        &mut recovering,
-                    ) {
-                        return;
-                    }
-                    transient_failures += 1;
-                    if transient_failures > policy.max_retries {
-                        quarantine_worker(
-                            idx,
-                            &shared,
-                            &stats,
-                            format!(
-                                "transient retry budget exhausted after {} attempt(s): {e}",
-                                transient_failures
-                            ),
-                        );
-                        return;
-                    }
-                    degrade_and_back_off(idx, &shared, &policy, transient_failures);
-                    recovering = true;
-                    continue 'rebuild;
-                }
-                Err(_poison) => {
-                    // Poison record position (strict decode failure; the
-                    // failing attempt consumed the position).
-                    if !account_and_send(
-                        idx,
-                        &shared,
-                        &tx,
-                        &mut batch,
-                        batch_size,
-                        counters,
-                        &mut prev,
-                        &mut stats,
-                        &mut recovering,
-                    ) {
-                        return;
-                    }
-                    poison_failures += 1;
-                    if poison_failures >= policy.poison_threshold {
-                        // Give up on the position: accept its consumption
-                        // and move on with the same reader.
-                        good_consumed = records.records_consumed();
+            let built = open().map_err(MrtError::Io).and_then(|reader| {
+                let mut records = match mode {
+                    IngestMode::Strict => RecordReader::with_capacity(reader, buffer_capacity),
+                    IngestMode::Lossy => RecordReader::lossy_with_capacity(reader, buffer_capacity),
+                };
+                records.fast_forward(good_consumed)?;
+                Ok(records)
+            });
+            self.stats.busy_secs += start.elapsed().as_secs_f64();
+            let mut records = match built {
+                Ok(records) => records,
+                Err(e) if self.retry_after(&e) => continue 'rebuild,
+                Err(_) => return,
+            };
+            // Fresh reader: counters restart at zero (fast-forward is
+            // counter-neutral), so the fold baseline restarts too.
+            self.prev = (0, 0, 0);
+            loop {
+                let start = Instant::now();
+                let next = records.next_event();
+                self.stats.busy_secs += start.elapsed().as_secs_f64();
+                let counters = (
+                    records.records_decoded(),
+                    records.records_skipped(),
+                    records.trailing_tolerated(),
+                );
+                match next {
+                    Ok(Some(event)) => {
+                        self.transient_failures = 0;
                         poison_failures = 0;
-                        let mut guard = shared.lock().unwrap();
-                        guard[idx].ledger.poison_skipped += 1;
-                    } else {
-                        // Re-attempt the position with a rebuilt reader —
-                        // the bytes may differ on a re-read (bounded
-                        // corruption), and `e` tells us nothing about
-                        // which. No backoff: this is a decode retry, not
-                        // an I/O wait.
-                        {
-                            let mut guard = shared.lock().unwrap();
-                            let ledger = &mut guard[idx].ledger;
-                            ledger.source_retries += 1;
-                            if ledger.health != SourceHealth::Quarantined {
-                                ledger.health = SourceHealth::Degraded;
-                            }
+                        // The event is in hand and any lossy skips before it
+                        // are in `counters`, folded no later than the next
+                        // flush — safe to resume past all of them.
+                        good_consumed = records.records_consumed();
+                        self.batch.push(event);
+                        if self.batch.len() >= self.batch_size && !self.flush(counters) {
+                            return;
                         }
-                        recovering = true;
+                    }
+                    Ok(None) => {
+                        if self.flush(counters) {
+                            let mut guard = self.shared.lock().unwrap();
+                            guard[self.idx].done = true;
+                        }
+                        return;
+                    }
+                    Err(e @ (MrtError::Io(_) | MrtError::Truncated)) => {
+                        // Transient: deliver the good prefix, then rebuild and
+                        // fast-forward. An I/O fault never consumes a record
+                        // position, so `records_consumed()` is exactly the
+                        // accounted prefix (including lossy skips just folded).
+                        good_consumed = records.records_consumed();
+                        if !self.flush(counters) || !self.retry_after(&e) {
+                            return;
+                        }
                         continue 'rebuild;
+                    }
+                    Err(_poison) => {
+                        // Poison record position (strict decode failure; the
+                        // failing attempt consumed the position).
+                        if !self.flush(counters) {
+                            return;
+                        }
+                        poison_failures += 1;
+                        if poison_failures >= self.policy.poison_threshold {
+                            // Give up on the position: accept its consumption
+                            // and move on with the same reader.
+                            good_consumed = records.records_consumed();
+                            poison_failures = 0;
+                            let mut guard = self.shared.lock().unwrap();
+                            guard[self.idx].ledger.poison_skipped += 1;
+                        } else {
+                            // Re-attempt the position with a rebuilt reader —
+                            // the bytes may differ on a re-read (bounded
+                            // corruption), and `e` tells us nothing about
+                            // which. No backoff: this is a decode retry, not
+                            // an I/O wait.
+                            self.degrade();
+                            continue 'rebuild;
+                        }
                     }
                 }
             }
         }
     }
-}
 
-/// Marks the source Degraded and sleeps the jittered exponential backoff.
-fn degrade_and_back_off(idx: usize, shared: &SharedSources, policy: &SourcePolicy, failures: u32) {
-    {
-        let mut guard = shared.lock().unwrap();
-        let ledger = &mut guard[idx].ledger;
+    /// Atomically accounts the pending batch and enqueues it:
+    /// `events_decoded` and `queued` move together under the ledger lock,
+    /// in the same critical section as the channel insert, so the
+    /// per-source invariant holds at every instant. The same section folds
+    /// the reader's `counters` into the ledger and, when the worker is
+    /// recovering from a degraded spell, advances the health FSM. Returns
+    /// `false` when the source is quarantined or the fan-in is gone — the
+    /// batch is shed (`stall_shed`) and the worker must exit.
+    fn flush(&mut self, counters: ReaderCounters) -> bool {
+        let mut payload = std::mem::replace(&mut self.batch, Vec::with_capacity(self.batch_size));
+        let len = payload.len() as u64;
+        loop {
+            let mut guard = self.shared.lock().unwrap();
+            let state = &mut guard[self.idx];
+            let ledger = &mut state.ledger;
+            ledger.records_decoded += counters.0 - self.prev.0;
+            ledger.records_skipped += counters.1 - self.prev.1;
+            ledger.trailing_tolerated += counters.2 - self.prev.2;
+            self.prev = counters;
+            if std::mem::take(&mut self.recovering) && ledger.health == SourceHealth::Degraded {
+                ledger.health = SourceHealth::Recovered;
+            }
+            // Shed when quarantined, or when the merge side is gone
+            // (teardown), so the ledger still closes.
+            let delivered = if payload.is_empty() {
+                true
+            } else if ledger.health == SourceHealth::Quarantined {
+                false
+            } else {
+                match self.tx.try_send(payload) {
+                    Ok(()) => true,
+                    Err(channel::TrySendError::Full(p)) => {
+                        payload = p;
+                        drop(guard);
+                        let start = Instant::now();
+                        std::thread::sleep(Duration::from_micros(200));
+                        self.stats.blocked_out_secs += start.elapsed().as_secs_f64();
+                        continue;
+                    }
+                    Err(channel::TrySendError::Disconnected(_)) => false,
+                }
+            };
+            ledger.events_decoded += len;
+            if delivered {
+                ledger.queued += len;
+            } else {
+                ledger.stall_shed += len;
+                state.done = true;
+            }
+            state.decode = self.stats;
+            return delivered;
+        }
+    }
+
+    /// Marks the source quarantined with `cause` and records the worker's
+    /// exit.
+    fn quarantine(&self, cause: String) {
+        let mut guard = self.shared.lock().unwrap();
+        let state = &mut guard[self.idx];
+        if state.ledger.health != SourceHealth::Quarantined {
+            state.ledger.health = SourceHealth::Quarantined;
+            state.ledger.quarantine_cause = Some(cause);
+        }
+        state.decode = self.stats;
+        state.done = true;
+    }
+
+    /// Counts a retry and marks the source Degraded until the next fold.
+    fn degrade(&mut self) {
+        let mut guard = self.shared.lock().unwrap();
+        let ledger = &mut guard[self.idx].ledger;
         ledger.source_retries += 1;
         if ledger.health != SourceHealth::Quarantined {
             ledger.health = SourceHealth::Degraded;
         }
+        self.recovering = true;
     }
-    std::thread::sleep(policy.backoff(idx, failures));
+
+    /// [`SourceWorker::degrade`], then sleeps the jittered exponential
+    /// backoff.
+    fn degrade_and_back_off(&mut self, failures: u32) {
+        self.degrade();
+        std::thread::sleep(self.policy.backoff(self.idx, failures));
+    }
+
+    /// One more transient failure: quarantines the source (`false` — the
+    /// worker must exit) when the retry budget is spent, otherwise degrades
+    /// it and backs off before the rebuild.
+    fn retry_after(&mut self, e: &MrtError) -> bool {
+        self.transient_failures += 1;
+        if self.transient_failures > self.policy.max_retries {
+            self.quarantine(format!(
+                "transient retry budget exhausted after {} attempt(s): {e}",
+                self.transient_failures
+            ));
+            return false;
+        }
+        self.degrade_and_back_off(self.transient_failures);
+        true
+    }
 }
 
 /// A ledger-snapshot observer: called with the per-source ledgers under
@@ -1437,21 +1352,20 @@ impl MultiSourceIngest {
         for (idx, spec) in sources.into_iter().enumerate() {
             let (tx, rx) = channel::bounded::<Vec<Event>>(channel_batches);
             rxs.push(rx);
-            let shared = Arc::clone(&shared);
-            let policy = policy.clone();
+            let worker = SourceWorker {
+                idx,
+                shared: Arc::clone(&shared),
+                tx,
+                policy: policy.clone(),
+                batch: Vec::with_capacity(batch_size),
+                batch_size,
+                prev: (0, 0, 0),
+                stats: StageStats::default(),
+                recovering: false,
+                transient_failures: 0,
+            };
             let (mode, buffer_capacity) = (config.mode, config.buffer_capacity);
-            std::thread::spawn(move || {
-                supervised_source_worker(
-                    idx,
-                    spec.open,
-                    mode,
-                    buffer_capacity,
-                    batch_size,
-                    policy,
-                    shared,
-                    tx,
-                );
-            });
+            std::thread::spawn(move || worker.run(spec.open, mode, buffer_capacity));
         }
 
         let mut collectors: Vec<Collector> = (0..n).map(|_| Collector::new()).collect();
