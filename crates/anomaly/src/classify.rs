@@ -137,13 +137,12 @@ pub fn classify(component: &Component, stream: &EventStream) -> Verdict {
         // as the component duration over the per-(peer, prefix) transition
         // count.
         let cycle_period_secs = component.timerange().as_secs_f64() / transitions.max(1.0);
-        let alternating_paths = origins.values().map(BTreeSet::len).max().unwrap_or(0) >= 2
-            || distinct_paths(&events) >= 2;
+        let paths = distinct_paths(&events);
+        let alternating_paths =
+            origins.values().map(BTreeSet::len).max().unwrap_or(0) >= 2 || paths >= 2;
         if cycle_period_secs <= 1.0 && alternating_paths {
             notes.push(format!(
-                "~{:.4} s cycle period with {} distinct paths",
-                cycle_period_secs,
-                distinct_paths(&events)
+                "~{cycle_period_secs:.4} s cycle period with {paths} distinct paths"
             ));
             return Verdict {
                 kind: AnomalyKind::MedOscillation,
@@ -261,7 +260,7 @@ pub fn classify(component: &Component, stream: &EventStream) -> Verdict {
                 paths_per_prefix
                     .entry(e.prefix)
                     .or_default()
-                    .insert((e.attrs.next_hop, e.attrs.as_path.clone()));
+                    .insert((e.attrs.next_hop, &e.attrs.as_path));
             }
         }
         let moved = paths_per_prefix.values().filter(|s| s.len() >= 2).count();
@@ -311,27 +310,30 @@ fn median_interarrival(events: &[&bgpscope_bgp::Event]) -> Timestamp {
 /// transition is any consecutive pair of events that differ in kind,
 /// nexthop, or AS path.
 fn mean_transitions_per_peer_prefix(events: &[&bgpscope_bgp::Event]) -> f64 {
-    use std::collections::HashMap;
-    type State = (EventKind, bgpscope_bgp::RouterId, bgpscope_bgp::AsPath);
-    let mut last: HashMap<(bgpscope_bgp::PeerId, bgpscope_bgp::Prefix), State> = HashMap::new();
-    let mut transitions: HashMap<(bgpscope_bgp::PeerId, bgpscope_bgp::Prefix), u64> =
-        HashMap::new();
+    use std::collections::hash_map::{Entry, HashMap};
+    // Per (peer, prefix): the last state seen and the transitions so far.
+    let mut timelines = HashMap::new();
     // Events are scanned in stream order (component indices are ordered).
     for e in events {
-        let key = (e.peer, e.prefix);
-        let state = (e.kind, e.attrs.next_hop, e.attrs.as_path.clone());
-        if let Some(prev) = last.get(&key) {
-            if *prev != state {
-                *transitions.entry(key).or_insert(0) += 1;
+        let state = (e.kind, e.attrs.next_hop, &e.attrs.as_path);
+        match timelines.entry((e.peer, e.prefix)) {
+            Entry::Occupied(mut timeline) => {
+                let (last, transitions) = timeline.get_mut();
+                if *last != state {
+                    *last = state;
+                    *transitions += 1;
+                }
+            }
+            Entry::Vacant(timeline) => {
+                timeline.insert((state, 0u64));
             }
         }
-        transitions.entry(key).or_insert(0);
-        last.insert(key, state);
     }
-    if transitions.is_empty() {
+    if timelines.is_empty() {
         return 0.0;
     }
-    transitions.values().sum::<u64>() as f64 / transitions.len() as f64
+    let transitions: u64 = timelines.values().map(|(_, transitions)| transitions).sum();
+    transitions as f64 / timelines.len() as f64
 }
 
 /// Number of distinct (nexthop, AS path) pairs among announcements.
@@ -339,7 +341,7 @@ fn distinct_paths(events: &[&bgpscope_bgp::Event]) -> usize {
     events
         .iter()
         .filter(|e| e.kind == EventKind::Announce)
-        .map(|e| (e.attrs.next_hop, e.attrs.as_path.clone()))
+        .map(|e| (e.attrs.next_hop, &e.attrs.as_path))
         .collect::<BTreeSet<_>>()
         .len()
 }

@@ -92,16 +92,16 @@ impl Stemming {
     ///
     /// The window is encoded once into one flat symbol arena and counted
     /// **once** into a [`SubsequenceCounter`] — a sub-sequence index — which
-    /// is then updated *decrementally*: each extraction calls
-    /// [`SubsequenceCounter::remove_weighted`] for just the swept component's
-    /// distinct sequences, so round `k+1` starts from round `k`'s counts
-    /// instead of recounting every surviving event, and gets its winner from
-    /// the index's heap instead of a fold over every surviving sub-sequence.
-    /// Two counting-sorted arrays keyed by prefix symbol (→ events, →
-    /// sequence groups) let the E sweep touch only the component being
-    /// extracted. Per-round cost drops from O(alive) to O(component) plus
-    /// one scan of the live groups for P; results are bit-identical to the
-    /// retained from-scratch loop in [`crate::reference`] (proved by the
+    /// is then updated *decrementally*: each extraction removes just the
+    /// swept component's distinct sequences, by the index node each one's
+    /// add returned (no lookup), so round `k+1` starts from round `k`'s
+    /// counts instead of recounting every surviving event, and gets its
+    /// winner from the index's heap instead of a fold over every surviving
+    /// sub-sequence. Two counting-sorted arrays keyed by prefix symbol (→
+    /// events, → sequence groups) let the E sweep touch only the component
+    /// being extracted. Per-round cost drops from O(alive) to O(component)
+    /// plus one scan of the live groups for P; results are bit-identical to
+    /// the retained from-scratch loop in [`crate::reference`] (proved by the
     /// differential proptest harness).
     ///
     /// The identity rests on two facts: sub-sequence counts are additive per
@@ -112,6 +112,24 @@ impl Stemming {
     /// live or die together — a prefix is swept at most once, which is what
     /// lets the E-sweep take a prefix's whole event list without per-event
     /// liveness checks.
+    ///
+    /// **Support pruning.** The index holds only what can win. A prefix
+    /// symbol `p` occurs in no sequence but its own events', and only last,
+    /// so a sub-sequence holding `p` has a count of at most `W(p)`, the
+    /// summed weight of `p`'s groups. Under a rule whose first key is the
+    /// count, the index's winner query leaves out everything below
+    /// `min_support` (at least 1) — `RankingRule::candidate_floor` — and
+    /// removals only lower counts, so where `W(p)` is below that floor no
+    /// sub-sequence holding `p` is ever a candidate. Those groups are added
+    /// without their final `p`: their `p`-free sub-sequences are exactly the
+    /// sub-sequences of the shortened sequence, with the same counts, and
+    /// groups that differ only in such a `p` share one node whose held
+    /// weights add up. In a churn window almost every prefix is a singleton,
+    /// so the index shrinks to the window's distinct peer/hop/path
+    /// sequences. P is still found on the full sequences. `CoverageWeighted`
+    /// ranks `count × (length − 1)`, so a longer, rarer sub-sequence can win:
+    /// its floor is 1, and a group under it has weight 0 and is not added at
+    /// all — the same code, with nothing pruned.
     pub fn decompose_weighted<F>(&self, stream: &EventStream, weight_of: F) -> StemmingResult
     where
         F: Fn(&bgpscope_bgp::Event) -> u64,
@@ -133,58 +151,23 @@ impl Stemming {
         F: Fn(usize, &bgpscope_bgp::Event) -> u64,
     {
         let events = stream.events();
-        let mut encoder = SequenceEncoder::new();
-
-        // Encode the window into one flat arena: event `i`'s sequence is
-        // `arena[bounds[i]..bounds[i + 1]]`, and it ends with the event's
-        // interned prefix symbol.
-        let symbols_bound = events
-            .iter()
-            .map(|e| e.attrs.as_path.asns().len() + 3)
-            .sum();
-        let mut arena: Vec<Symbol> = Vec::with_capacity(symbols_bound);
-        let mut bounds = Vec::with_capacity(events.len() + 1);
-        bounds.push(0);
-        for event in events {
-            encoder.encode_into(event, &mut arena);
-            bounds.push(arena.len());
-        }
+        let Window {
+            encoder,
+            arena,
+            bounds,
+            event_prefix,
+            groups,
+            mut counter,
+        } = self.window(events, weight_of);
         let seq_of = |i: usize| &arena[bounds[i]..bounds[i + 1]];
-        let event_prefix: Vec<usize> = (0..events.len())
-            .map(|i| arena[bounds[i + 1] - 1].index())
-            .collect();
-
-        // Group events by distinct sequence (repr = first event index).
-        let mut group_of: HashMap<&[Symbol], usize> = HashMap::new();
-        let mut group_weights: Vec<u64> = Vec::new();
-        let mut group_reprs: Vec<usize> = Vec::new();
-        for (i, event) in events.iter().enumerate() {
-            let g = *group_of.entry(seq_of(i)).or_insert_with(|| {
-                group_reprs.push(i);
-                group_weights.push(0);
-                group_reprs.len() - 1
-            });
-            group_weights[g] += weight_of(i, event);
-        }
-        // Only needed to form the groups; free it before the index is built.
-        drop(group_of);
-        let group_prefix: Vec<usize> = group_reprs.iter().map(|&i| event_prefix[i]).collect();
 
         // Invert the stream: prefix symbol → event indices (ascending) and
         // prefix symbol → groups.
         let symbols = encoder.interner().len();
-        let prefix_events = Buckets::new(symbols, &event_prefix);
-        let prefix_groups = Buckets::new(symbols, &group_prefix);
+        let prefix_events = Buckets::new(symbols, event_prefix.iter().copied());
+        let prefix_groups = Buckets::new(symbols, groups.iter().map(|g| g.prefix));
 
-        // Count once over the whole stream; later removals maintain the
-        // counts in place.
-        let mut counter = SubsequenceCounter::new(self.config.max_subseq_len);
-        counter.reserve(group_reprs.iter().map(|&i| seq_of(i).len()).sum());
-        for (g, &repr) in group_reprs.iter().enumerate() {
-            counter.add_weighted(seq_of(repr), group_weights[g]);
-        }
-
-        let mut live_groups: Vec<usize> = (0..group_reprs.len()).collect();
+        let mut live_groups: Vec<usize> = (0..groups.len()).collect();
         // Indexed by symbol; only prefix symbols are ever set.
         let mut swept = vec![false; symbols];
         let mut alive_count = events.len();
@@ -207,8 +190,8 @@ impl Stemming {
             // groups are counted nowhere, so only this rescan finds them.
             let mut hit = Vec::new();
             for &g in &live_groups {
-                let p = group_prefix[g];
-                if !swept[p] && contains_subslice(seq_of(group_reprs[g]), &winner) {
+                let p = groups[g].prefix;
+                if !swept[p] && contains_subslice(seq_of(groups[g].repr), &winner) {
                     swept[p] = true;
                     hit.push(p);
                 }
@@ -224,7 +207,7 @@ impl Stemming {
                 prefixes.insert(events[of_prefix[0]].prefix);
                 indices.extend_from_slice(of_prefix);
                 for &g in prefix_groups.get(p) {
-                    let removed = counter.remove_weighted(seq_of(group_reprs[g]), group_weights[g]);
+                    let removed = counter.remove_held(groups[g].held, groups[g].weight);
                     debug_assert!(removed, "a live group's weight must be removable");
                 }
             }
@@ -234,7 +217,7 @@ impl Stemming {
                 "winning sub-sequence must match events"
             );
             alive_count -= indices.len();
-            live_groups.retain(|&g| !swept[group_prefix[g]]);
+            live_groups.retain(|&g| !swept[groups[g].prefix]);
 
             let mut start = Timestamp(u64::MAX);
             let mut end = Timestamp::ZERO;
@@ -278,10 +261,111 @@ impl Stemming {
             residual_indices,
         }
     }
+
+    /// Encodes `events` into one flat arena, groups them by distinct
+    /// sequence, and counts each group into the index once — holding only
+    /// what can win (see [`Stemming::decompose_weighted`]).
+    fn window<F>(&self, events: &[bgpscope_bgp::Event], weight_of: F) -> Window
+    where
+        F: Fn(usize, &bgpscope_bgp::Event) -> u64,
+    {
+        let mut encoder = SequenceEncoder::new();
+        let symbols_bound = events
+            .iter()
+            .map(|e| e.attrs.as_path.asns().len() + 3)
+            .sum();
+        let mut arena: Vec<Symbol> = Vec::with_capacity(symbols_bound);
+        let mut bounds = Vec::with_capacity(events.len() + 1);
+        bounds.push(0);
+        for event in events {
+            encoder.encode_into(event, &mut arena);
+            bounds.push(arena.len());
+        }
+        let seq_of = |i: usize| &arena[bounds[i]..bounds[i + 1]];
+        let event_prefix: Vec<usize> = (0..events.len())
+            .map(|i| arena[bounds[i + 1] - 1].index())
+            .collect();
+
+        // Group events by distinct sequence (repr = first event index).
+        let mut group_of: HashMap<&[Symbol], usize> = HashMap::new();
+        let mut groups: Vec<Group> = Vec::new();
+        for (i, event) in events.iter().enumerate() {
+            let g = *group_of.entry(seq_of(i)).or_insert_with(|| {
+                groups.push(Group {
+                    repr: i,
+                    prefix: event_prefix[i],
+                    weight: 0,
+                    held: 0,
+                });
+                groups.len() - 1
+            });
+            groups[g].weight += weight_of(i, event);
+        }
+        // Only needed to form the groups; free it before the index is built.
+        drop(group_of);
+
+        // Support pruning: a prefix symbol `p` ends its events' sequences
+        // and occurs in no other, so a sub-sequence holding `p` has a count
+        // of at most the summed weight of `p`'s groups. Below the floor it
+        // can never be a candidate, so those groups are indexed without `p`:
+        // every other sub-sequence of theirs keeps its exact count.
+        let mut prefix_weight = vec![0u64; encoder.interner().len()];
+        for group in &groups {
+            prefix_weight[group.prefix] += group.weight;
+        }
+        let floor = self.config.ranking.candidate_floor(self.config.min_support);
+        let indexed = |group: &Group| {
+            let seq = seq_of(group.repr);
+            if prefix_weight[group.prefix] < floor {
+                &seq[..seq.len() - 1]
+            } else {
+                seq
+            }
+        };
+        let mut counter = SubsequenceCounter::new(self.config.max_subseq_len);
+        counter.reserve(groups.iter().map(|group| indexed(group).len()).sum());
+        for group in &mut groups {
+            group.held = counter.add_held(indexed(group), group.weight);
+        }
+        Window {
+            encoder,
+            arena,
+            bounds,
+            event_prefix,
+            groups,
+            counter,
+        }
+    }
 }
 
-/// Items `0..keys.len()` bucketed by key with one counting sort: bucket `k`
-/// lists, in ascending order, the items whose key is `k`.
+/// One window, encoded and counted once: what the rounds of
+/// [`Stemming::decompose_weighted_indexed`] start from.
+struct Window {
+    encoder: SequenceEncoder,
+    /// Event `i`'s sequence is `arena[bounds[i]..bounds[i + 1]]`; it ends
+    /// with the event's interned prefix symbol, `event_prefix[i]`.
+    arena: Vec<Symbol>,
+    bounds: Vec<usize>,
+    event_prefix: Vec<usize>,
+    groups: Vec<Group>,
+    /// The sub-sequence index over the groups.
+    counter: SubsequenceCounter,
+}
+
+/// The events of a window that share one sequence.
+struct Group {
+    /// The first of them.
+    repr: usize,
+    /// Their prefix symbol.
+    prefix: usize,
+    /// Their summed weight.
+    weight: u64,
+    /// The index node holding them (the root when `weight` is 0).
+    held: u32,
+}
+
+/// Items `0..n` bucketed by key with one counting sort: bucket `k` lists, in
+/// ascending order, the items whose key is `k`.
 struct Buckets {
     /// Bucket `k` is `items[starts[k]..starts[k + 1]]`.
     starts: Vec<usize>,
@@ -289,18 +373,18 @@ struct Buckets {
 }
 
 impl Buckets {
-    /// `keys[item]` is the item's bucket, below `buckets`.
-    fn new(buckets: usize, keys: &[usize]) -> Self {
+    /// `keys` yields each item's bucket in item order, each below `buckets`.
+    fn new(buckets: usize, keys: impl Iterator<Item = usize> + Clone) -> Self {
         let mut starts = vec![0; buckets + 1];
-        for &key in keys {
+        for key in keys.clone() {
             starts[key + 1] += 1;
         }
         for k in 0..buckets {
             starts[k + 1] += starts[k];
         }
         let mut next = starts.clone();
-        let mut items = vec![0; keys.len()];
-        for (item, &key) in keys.iter().enumerate() {
+        let mut items = vec![0; starts[buckets]];
+        for (item, key) in keys.enumerate() {
             items[next[key]] = item;
             next[key] += 1;
         }
@@ -697,6 +781,46 @@ mod tests {
         let result = Stemming::new().decompose(&stream);
         let sub = result.component_stream(&stream, 0);
         assert_eq!(sub.len(), result.components()[0].event_count());
+    }
+
+    /// A churn window — 350 withdrawals, each for its own prefix, over 4
+    /// peers × 32 paths — indexes no prefix under a count-first rule with
+    /// `min_support` 2: at most the nodes of its distinct peer/hop/path
+    /// sequences. `CoverageWeighted` indexes every full sequence.
+    #[test]
+    fn the_index_holds_only_what_can_win() {
+        let events: Vec<Event> = (0..350u64)
+            .map(|i| {
+                let (peer, path) = ((i % 4) as u8, i / 4 % 32);
+                withdraw(
+                    i,
+                    peer,
+                    peer,
+                    &format!("11423 {} {}", 209 + path % 4, 7000 + path),
+                    &format!("10.{}.{}.0/24", i / 250, i % 250),
+                )
+            })
+            .collect();
+        let index_nodes = |ranking| {
+            let config = StemmingConfig {
+                ranking,
+                min_support: 2,
+                ..StemmingConfig::default()
+            };
+            let window = Stemming::with_config(config).window(&events, |_, _| 1);
+            window.counter.node_count()
+        };
+        let trie_nodes = |without_prefix: usize| {
+            let mut encoder = SequenceEncoder::new();
+            let mut counter = SubsequenceCounter::new(0);
+            for event in &events {
+                let seq = encoder.encode(event);
+                counter.add(&seq[..seq.len() - without_prefix]);
+            }
+            counter.node_count()
+        };
+        assert!(index_nodes(RankingRule::CountThenLength) <= trie_nodes(1));
+        assert_eq!(index_nodes(RankingRule::CoverageWeighted), trie_nodes(0));
     }
 
     #[test]

@@ -10,26 +10,32 @@
 //!   the root by an edge map `(node, symbol) → node` with integer keys and
 //!   std's keyed hasher (sequences are peer-controlled input). A node holds
 //!   its support `count` — the paper's "number of events containing `s`" —
-//!   and where one occurrence of it sits in the arena. The node spelling a
-//!   whole sequence also holds that sequence's multiplicity, so a persistent
-//!   oscillation (the *same* sequence millions of times) is one path and one
-//!   number.
-//! * **Suffix links and the stamp.** Every node points at the node spelling
-//!   it without its first symbol, and a node is only ever created together
-//!   with its whole suffix chain. Counting a sequence therefore costs one
-//!   hash lookup per symbol: step from the longest sub-sequence ending at the
-//!   previous symbol to the longest ending at this one, then follow its chain
-//!   down through every shorter one ending here. Each counting walk carries a
-//!   fresh stamp and a node takes the weight only the first time the stamp
-//!   reaches it. That is the once-per-event rule: in `1 2 1 2` the pair `1 2`
-//!   ends at two positions and is counted once.
-//! * **Winner heap.** [`SubsequenceCounter::best`] keeps a lazy max-heap over
-//!   the candidate nodes keyed `(rule score, lexicographic rank)`, the rank
-//!   coming from one sort of the nodes' arena slices. A removal does not touch the
-//!   heap; a top entry whose stored score is no longer the node's score is
-//!   re-filed at its current score when it surfaces. That is sound because
-//!   removals only lower scores, so a stored score never understates; an add
-//!   raises them and therefore discards the heap.
+//!   where one occurrence of it sits in the arena, and its parent (itself
+//!   without its last symbol). The node spelling a whole sequence also holds
+//!   that sequence's multiplicity, so a persistent oscillation (the *same*
+//!   sequence millions of times) is one path and one number.
+//! * **Ancestors and suffix links.** Every node also points at the node
+//!   spelling it without its first symbol, and a node is only ever created
+//!   together with its whole suffix chain. Every sub-sequence ending at a
+//!   position of a sequence is a suffix of the longest counted one ending
+//!   there, so a counting walk visits each position's longest and follows its
+//!   chain. Below the length cap the longest one ending at position `k` is
+//!   the sequence's first `k + 1` symbols — an ancestor of the node spelling
+//!   the sequence — so the walk climbs parent links and does no hash lookup
+//!   at all; only positions past the cap cost one lookup each (drop the first
+//!   symbol of the previous position's longest, extend by this one). Without
+//!   a repeated symbol no sub-sequence ends at two positions, so every node
+//!   the walk meets is distinct; a sequence that repeats one (`1 2 1 2`)
+//!   collects its nodes first and visits each once. That is the
+//!   once-per-event rule.
+//! * **Winner heap.** [`SubsequenceCounter::best`] keeps a lazy max-heap of
+//!   `(rule score, node)` over the candidate nodes, built in place in O(n)
+//!   and ordered by score, then by the nodes' arena slices — compared only
+//!   when scores tie, and never sorted. A removal does not touch the heap; a
+//!   top entry whose stored score is no longer the node's score is re-filed
+//!   at its current score when it surfaces. That is sound because removals
+//!   only lower scores, so a stored score never understates; an add raises
+//!   them and therefore discards the heap.
 //!
 //! The counts are built lazily, on the first query
 //! ([`SubsequenceCounter::materialize_counts`], `count_of`, `stats`, `best`):
@@ -43,14 +49,13 @@
 //! component — O(component) per round instead of a full O(alive) recount —
 //! and ask for each round's winner without folding over every survivor.
 //!
-//! No result depends on the edge map's iteration order: it is only ever
-//! looked up, and every ordered step goes through node ids (assigned in walk
-//! order) or the arena-slice sort.
+//! No result depends on the edge map's iteration order or on node ids: the
+//! map is only ever looked up, and the one ordered choice, the winner, is a
+//! total order over scores and arena slices.
 
-use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 use bgpscope_bgp::intern::Symbol;
@@ -81,6 +86,19 @@ impl SubsequenceStat {
 /// The empty sub-sequence: every walk starts here.
 const ROOT: u32 = 0;
 
+/// The edge map's key: `parent`'s child along `symbol`. Hashed as one `u64`,
+/// so the keyed hasher runs over one word instead of two, and stored as two
+/// `u32`s, so an entry stays 12 bytes (a `u64` key pads it to 16, which a
+/// 40,000-event window's table shows in peak memory).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Edge(u32, Symbol);
+
+impl Hash for Edge {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64((u64::from(self.0) << 32) | u64::from(self.1 .0));
+    }
+}
+
 /// One distinct contiguous sub-sequence.
 #[derive(Debug)]
 struct Node {
@@ -93,8 +111,9 @@ struct Node {
     /// One occurrence: `arena[arena_off..arena_off + len]`.
     arena_off: u32,
     len: u32,
-    /// The last counting walk that reached this node.
-    stamp: u32,
+    /// The node spelling this sub-sequence without its last symbol — the
+    /// node whose edge leads here (`ROOT` for a single symbol and the root).
+    parent: u32,
     /// The node spelling this sub-sequence without its first symbol (`ROOT`
     /// for a single symbol). Every node a counting walk can reach has its
     /// whole suffix chain in the trie; nodes longer than `max_len` only
@@ -104,13 +123,13 @@ struct Node {
 
 impl Node {
     /// A node no sequence has been counted into yet.
-    fn new(arena_off: u32, len: u32) -> Self {
+    fn new(arena_off: u32, len: u32, parent: u32) -> Self {
         Node {
             count: 0,
             held: 0,
             arena_off,
             len,
-            stamp: 0,
+            parent,
             suffix: ROOT,
         }
     }
@@ -128,18 +147,46 @@ impl Node {
     }
 }
 
+/// A candidate in the winner heap: `(score when filed, node)`.
+type Filed = ((u64, u64), u32);
+
 /// The lazy winner heap of [`SubsequenceCounter::best`].
 #[derive(Debug)]
 struct Winners {
     /// The arguments of the `best` call that built it.
     rule: RankingRule,
     min_support: u64,
-    /// Candidate nodes in lexicographic order of their sub-sequences; a
-    /// node's position is its rank.
-    by_rank: Vec<u32>,
-    /// `(score when filed, rank)`: the top is the greatest score and, among
-    /// equals, the lexicographically first.
-    heap: BinaryHeap<((u64, u64), Reverse<u32>)>,
+    /// A binary max-heap under [`ranks_above`]: the top is the greatest
+    /// filed score and, among equals, the lexicographically first.
+    heap: Vec<Filed>,
+}
+
+/// Whether `a` ranks above `b`: the greater filed score, and on equal scores
+/// the lexicographically first sub-sequence. Two nodes never spell the same
+/// sub-sequence, so the order is total.
+fn ranks_above(nodes: &[Node], arena: &[Symbol], a: &Filed, b: &Filed) -> bool {
+    let slice = |node: u32| &arena[nodes[node as usize].range()];
+    a.0 > b.0 || (a.0 == b.0 && slice(a.1) < slice(b.1))
+}
+
+/// Moves `heap[at]` down until neither child ranks above it.
+fn sift_down(heap: &mut [Filed], mut at: usize, above: impl Fn(&Filed, &Filed) -> bool) {
+    loop {
+        let (left, right) = (2 * at + 1, 2 * at + 2);
+        if left >= heap.len() {
+            return;
+        }
+        let child = if right < heap.len() && above(&heap[right], &heap[left]) {
+            right
+        } else {
+            left
+        };
+        if !above(&heap[child], &heap[at]) {
+            return;
+        }
+        heap.swap(at, child);
+        at = child;
+    }
 }
 
 /// Accumulates event sequences and counts their contiguous sub-sequences.
@@ -170,12 +217,10 @@ pub struct SubsequenceCounter {
     arena: Vec<Symbol>,
     /// `nodes[ROOT]` is the empty sub-sequence.
     nodes: Vec<Node>,
-    edges: HashMap<(u32, Symbol), u32>,
+    edges: HashMap<Edge, u32>,
     /// Whether the sub-sequence counts exist; from then on every add and
     /// remove keeps them current.
     built: bool,
-    /// The stamp of the last counting walk.
-    stamp: u32,
     /// The winner heap, while no add has happened since it was built.
     winners: Option<Winners>,
 }
@@ -191,10 +236,9 @@ impl SubsequenceCounter {
             total: 0,
             distinct: 0,
             arena: Vec::new(),
-            nodes: vec![Node::new(0, 0)],
+            nodes: vec![Node::new(0, 0, ROOT)],
             edges: HashMap::new(),
             built: false,
-            stamp: 0,
             winners: None,
         }
     }
@@ -209,12 +253,13 @@ impl SubsequenceCounter {
     /// Makes room for distinct sequences totalling `symbols` symbols. The
     /// arena needs at most that. The edge map gets an entry per symbol — what
     /// the sequences' own paths need when they share nothing; sub-sequences
-    /// push the real figure up and sharing pulls it down (1.7 nodes per
-    /// symbol in a 300-event churn window, 0.85 in a 40,000-event one), so
-    /// this spares the map most of its rehashing without ever sizing it past
-    /// what it would have grown to. The node array is left to grow: growing
-    /// it is a copy, not a rehash, and a reservation that falls just short
-    /// doubles it at its largest.
+    /// push the real figure up and sharing pulls it down (with the
+    /// decomposition's support pruning, 1.03 nodes per symbol indexed over
+    /// `grass`'s 308-event churn windows and 0.9 over `spike`'s windows of up
+    /// to 40,000 events), so this spares the map most of its rehashing
+    /// without sizing it far past what it would have grown to. The node
+    /// array is left to grow: growing it is a copy, not a rehash, and a
+    /// reservation that falls just short doubles it at its largest.
     pub(crate) fn reserve(&mut self, symbols: usize) {
         self.arena.reserve_exact(symbols);
         self.edges.reserve(symbols);
@@ -234,8 +279,16 @@ impl SubsequenceCounter {
     /// count. Once they are built, each distinct sub-sequence of `seq` gains
     /// `weight` in place, and the winner heap is discarded.
     pub fn add_weighted(&mut self, seq: &[Symbol], weight: u64) {
+        self.add_held(seq, weight);
+    }
+
+    /// [`SubsequenceCounter::add_weighted`], returning the node that holds
+    /// `seq` — what [`SubsequenceCounter::remove_held`] takes to remove it
+    /// again without looking it up. A zero `weight` adds nothing and returns
+    /// the root.
+    pub(crate) fn add_held(&mut self, seq: &[Symbol], weight: u64) -> u32 {
         if weight == 0 {
-            return;
+            return ROOT;
         }
         let terminal = self.intern(seq);
         let held = &mut self.nodes[terminal as usize].held;
@@ -248,6 +301,7 @@ impl SubsequenceCounter {
         if self.built {
             self.for_each_counted(terminal, |count| *count += weight);
         }
+        terminal
     }
 
     /// Removes one previously added occurrence of `seq` (weight 1). See
@@ -269,12 +323,19 @@ impl SubsequenceCounter {
     /// and the counter is left untouched (never a silent `u64` underflow).
     /// A zero `weight` is a no-op returning `true`, mirroring the add path.
     pub fn remove_weighted(&mut self, seq: &[Symbol], weight: u64) -> bool {
+        weight == 0
+            || self
+                .find(seq)
+                .is_some_and(|terminal| self.remove_held(terminal, weight))
+    }
+
+    /// [`SubsequenceCounter::remove_weighted`] of the sequence `terminal`
+    /// spells — a node [`SubsequenceCounter::add_held`] returned — with the
+    /// same rejections, and no lookup.
+    pub(crate) fn remove_held(&mut self, terminal: u32, weight: u64) -> bool {
         if weight == 0 {
             return true;
         }
-        let Some(terminal) = self.find(seq) else {
-            return false;
-        };
         let held = &mut self.nodes[terminal as usize].held;
         if *held < weight {
             return false;
@@ -352,65 +413,53 @@ impl SubsequenceCounter {
     /// better-supported sub-sequence further down the ranking is *not*
     /// returned in its place.
     ///
-    /// The first call after an add (or with different arguments) sorts the
-    /// candidate sub-sequences once and heapifies them; later calls only
-    /// re-file the stale entries that surface, so a round of the
-    /// decomposition costs O(log n) per sub-sequence its removals touched,
-    /// not a fold over every survivor.
+    /// The first call after an add (or with different arguments) heapifies
+    /// the candidate sub-sequences in O(n); later calls only re-file the
+    /// stale entries that surface, so a round of the decomposition costs
+    /// O(log n) per sub-sequence its removals touched, not a fold over every
+    /// survivor.
     pub fn best(&mut self, rule: RankingRule, min_support: u64) -> Option<SubsequenceStat> {
         self.materialize_counts();
         if !matches!(&self.winners, Some(w) if (w.rule, w.min_support) == (rule, min_support)) {
             self.winners = Some(self.rank_candidates(rule, min_support));
         }
-        let winners = self.winners.as_mut().expect("built above");
+        let (nodes, arena) = (&self.nodes, &self.arena);
+        let above = |a: &Filed, b: &Filed| ranks_above(nodes, arena, a, b);
+        let heap = &mut self.winners.as_mut().expect("built above").heap;
         loop {
-            let mut top = winners.heap.peek_mut()?;
-            let (filed, Reverse(rank)) = *top;
-            let node = &self.nodes[winners.by_rank[rank as usize] as usize];
+            let &(filed, top) = heap.first()?;
+            let node = &nodes[top as usize];
             let current = rule.score(node.count, node.len as usize);
             if node.count == 0 {
-                PeekMut::pop(top);
+                heap.swap_remove(0);
             } else if filed == current {
-                return (node.count >= min_support).then(|| node.stat(&self.arena));
+                return (node.count >= min_support).then(|| node.stat(arena));
             } else {
                 // Stale: removals lowered it. Re-file and look again.
-                top.0 = current;
+                heap[0].0 = current;
             }
+            sift_down(heap, 0, above);
         }
     }
 
-    /// Ranks the candidates for [`SubsequenceCounter::best`]. Where the
-    /// count is the rule's first key, a sub-sequence below `min_support` can
-    /// neither be returned nor outrank one that can, now or after any
-    /// removal, so it is left out (in a churn window most sub-sequences end
-    /// in their event's own prefix and have count 1). Under a rule that can
-    /// rank a rarer sub-sequence first, every live one is a candidate.
+    /// Heapifies the candidates for [`SubsequenceCounter::best`]: every node
+    /// at or above the rule's [`RankingRule::candidate_floor`] (in a churn
+    /// window most sub-sequences that are not left out end in their event's
+    /// own prefix and have count 1).
     fn rank_candidates(&self, rule: RankingRule, min_support: u64) -> Winners {
-        let floor = if rule.count_ranks_first() {
-            min_support.max(1)
-        } else {
-            1
-        };
-        let mut by_rank: Vec<u32> = (0..self.nodes.len() as u32)
-            .filter(|&node| self.nodes[node as usize].count >= floor)
+        let floor = rule.candidate_floor(min_support);
+        let mut heap: Vec<Filed> = (0..self.nodes.len() as u32)
+            .zip(&self.nodes)
+            .filter(|(_, node)| node.count >= floor)
+            .map(|(id, node)| (rule.score(node.count, node.len as usize), id))
             .collect();
-        let slice = |node: u32| &self.arena[self.nodes[node as usize].range()];
-        by_rank.sort_unstable_by(|&a, &b| slice(a).cmp(slice(b)));
-        let heap = by_rank
-            .iter()
-            .enumerate()
-            .map(|(rank, &node)| {
-                let node = &self.nodes[node as usize];
-                (
-                    rule.score(node.count, node.len as usize),
-                    Reverse(rank as u32),
-                )
-            })
-            .collect();
+        let above = |a: &Filed, b: &Filed| ranks_above(&self.nodes, &self.arena, a, b);
+        for at in (0..heap.len() / 2).rev() {
+            sift_down(&mut heap, at, above);
+        }
         Winners {
             rule,
             min_support,
-            by_rank,
             heap,
         }
     }
@@ -418,7 +467,7 @@ impl SubsequenceCounter {
     /// The node spelling `seq`, if the trie has it.
     fn find(&self, seq: &[Symbol]) -> Option<u32> {
         seq.iter().try_fold(ROOT, |node, &symbol| {
-            self.edges.get(&(node, symbol)).copied()
+            self.edges.get(&Edge(node, symbol)).copied()
         })
     }
 
@@ -438,6 +487,12 @@ impl SubsequenceCounter {
         node
     }
 
+    /// Nodes in the trie, the root included.
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
     /// The longest sub-sequence counted.
     fn cap(&self) -> usize {
         match self.max_len {
@@ -455,14 +510,14 @@ impl SubsequenceCounter {
         let mut first = None;
         let mut unlinked: Option<u32> = None;
         loop {
-            let (node, found) = match self.edges.entry((parent, symbol)) {
+            let (node, found) = match self.edges.entry(Edge(parent, symbol)) {
                 Entry::Occupied(edge) => (*edge.get(), true),
                 Entry::Vacant(edge) => {
                     let id = u32::try_from(self.nodes.len()).expect("trie node ids fit in u32");
                     let len = self.nodes[parent as usize].len + 1;
                     let arena_off =
                         u32::try_from(end - len as usize).expect("arena offsets fit in u32");
-                    self.nodes.push(Node::new(arena_off, len));
+                    self.nodes.push(Node::new(arena_off, len, parent));
                     (*edge.insert(id), false)
                 }
             };
@@ -483,38 +538,53 @@ impl SubsequenceCounter {
     /// The one counting walk: calls `visit` on the count of each *distinct*
     /// contiguous sub-sequence, 2 to `max_len` symbols long, of the sequence
     /// `terminal` spells — exactly once each, however many times it occurs
-    /// (path `1 2 1 2`, prepending). Creates the nodes it does not find.
+    /// (path `1 2 1 2`). Creates the nodes it does not find.
     ///
-    /// One hash lookup per symbol: `top` is the longest counted sub-sequence
-    /// ending at the current symbol, and the shorter ones ending there are
-    /// its suffix chain.
+    /// Each position's longest counted sub-sequence, then its suffix chain:
+    /// below the cap the longest ones are `terminal` and its ancestors,
+    /// reached by parent links; past it, one edge lookup per position.
     fn for_each_counted(&mut self, terminal: u32, mut visit: impl FnMut(&mut u64)) {
-        self.stamp = match self.stamp.checked_add(1) {
-            Some(stamp) => stamp,
-            None => {
-                self.nodes.iter_mut().for_each(|node| node.stamp = 0);
-                1
+        let cap = self.cap();
+        let span = self.nodes[terminal as usize].range();
+        let seq = &self.arena[span.clone()];
+        // Only a repeated symbol lets a sub-sequence end at two positions;
+        // then the walk collects the nodes and visits each distinct one once.
+        let repeats = (1..seq.len()).any(|at| seq[..at].contains(&seq[at]));
+        let mut reached = Vec::new();
+        let mut chain = |nodes: &mut [Node], mut node: u32| {
+            while nodes[node as usize].len >= 2 {
+                if repeats {
+                    reached.push(node);
+                } else {
+                    visit(&mut nodes[node as usize].count);
+                }
+                node = nodes[node as usize].suffix;
             }
         };
-        let stamp = self.stamp;
-        let cap = self.cap();
-        let mut top = ROOT;
-        for at in self.nodes[terminal as usize].range() {
-            if self.nodes[top as usize].len as usize == cap {
-                top = self.nodes[top as usize].suffix;
-            }
-            top = self.child(top, self.arena[at], at + 1);
-            let mut node = top;
-            loop {
-                let reached = &mut self.nodes[node as usize];
-                // A sub-sequence this walk has met before has met all of its
-                // suffixes before, too.
-                if reached.len < 2 || reached.stamp == stamp {
-                    break;
+        let mut longest = ROOT;
+        let mut node = terminal;
+        while node != ROOT {
+            let parent = self.nodes[node as usize].parent;
+            if self.nodes[node as usize].len as usize <= cap {
+                if longest == ROOT {
+                    longest = node;
                 }
-                reached.stamp = stamp;
-                visit(&mut reached.count);
-                node = reached.suffix;
+                chain(&mut self.nodes, node);
+            }
+            node = parent;
+        }
+        // A sequence past the cap: `longest` spells its first `cap` symbols,
+        // and each later position drops the first and adds its own.
+        for at in span.start + cap.min(span.len())..span.end {
+            let shorter = self.nodes[longest as usize].suffix;
+            longest = self.child(shorter, self.arena[at], at + 1);
+            chain(&mut self.nodes, longest);
+        }
+        if repeats {
+            reached.sort_unstable();
+            reached.dedup();
+            for node in reached {
+                visit(&mut self.nodes[node as usize].count);
             }
         }
     }
@@ -522,6 +592,8 @@ impl SubsequenceCounter {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn s(v: u32) -> Symbol {
@@ -720,5 +792,54 @@ mod tests {
         // Both pairs have count 1; lexicographic fallback picks [1,2].
         let best = c.best(RankingRule::CountOnly, 1).expect("non-empty");
         assert_eq!(best.subseq, vec![s(1), s(2)]);
+    }
+
+    /// 96 pairs of equal score added in a scrambled order: the heap is built
+    /// without a sort, so the lexicographic tie-break rests on its slice
+    /// comparisons alone. Removals — some partial, leaving a pair below the
+    /// rest — must leave the winner a counter built fresh from the survivors
+    /// picks.
+    #[test]
+    fn equal_scores_fall_to_the_lexicographically_first() {
+        let pair = |i: usize| [s(i as u32 / 8), s(100 + i as u32 % 8)];
+        // 37 is prime to 96, so this visits every pair once, out of order.
+        let scrambled: Vec<usize> = (0..96).map(|i| i * 37 % 96).collect();
+        for rule in RankingRule::ALL {
+            let mut c = SubsequenceCounter::new(0);
+            let mut held = BTreeMap::new();
+            for &i in &scrambled {
+                c.add_weighted(&pair(i), 2);
+                held.insert(pair(i), 2);
+            }
+            assert_eq!(
+                c.best(rule, 1).expect("winner").subseq,
+                pair(0).to_vec(),
+                "{rule:?}"
+            );
+            for (step, &i) in scrambled.iter().enumerate() {
+                let weight = if step % 3 == 0 { 1 } else { held[&pair(i)] };
+                assert!(c.remove_weighted(&pair(i), weight));
+                match held[&pair(i)] - weight {
+                    0 => held.remove(&pair(i)),
+                    left => held.insert(pair(i), left),
+                };
+                let mut fresh = SubsequenceCounter::new(0);
+                for (seq, &weight) in &held {
+                    fresh.add_weighted(seq, weight);
+                }
+                assert_eq!(
+                    c.best(rule, 1),
+                    fresh.best(rule, 1),
+                    "{rule:?}, step {step}"
+                );
+            }
+        }
+    }
+
+    /// The layout the hot walks are sized for: growing it costs peak memory
+    /// on the largest windows.
+    #[test]
+    fn a_node_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 32);
     }
 }

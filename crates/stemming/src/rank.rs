@@ -58,6 +58,21 @@ impl RankingRule {
         }
     }
 
+    /// The least count a sub-sequence needs to matter to a winner query
+    /// with threshold `min_support`. Where the count is the first key, one
+    /// below `min_support` can neither be returned nor outrank one that can,
+    /// now or after any removal (removals only lower counts), so the floor is
+    /// `min_support` (at least 1: a count of 0 is no sub-sequence). Under a
+    /// rule that can rank a rarer sub-sequence first, every live one matters
+    /// and the floor is 1.
+    pub(crate) fn candidate_floor(&self, min_support: u64) -> u64 {
+        if self.count_ranks_first() {
+            min_support.max(1)
+        } else {
+            1
+        }
+    }
+
     /// Strict "is `a` ranked above `b`".
     pub fn better(&self, a: &SubsequenceStat, b: &SubsequenceStat) -> bool {
         self.score(a.count, a.len()) > self.score(b.count, b.len())

@@ -14,6 +14,9 @@
 //! and streams with more correlation groups than `max_components` (the loop
 //! must stop with live state mid-flight). The configurations cover all three
 //! ranking rules, several support thresholds and sub-sequence length caps.
+//! A second generator gives most events a prefix of their own — the
+//! steady-state churn shape, and the one where the index leaves prefix
+//! symbols out (support pruning).
 //!
 //! Three fixed windows at the end guard what the generated ones are too
 //! small for: a hash-iteration-order leak (two runs in one process hash
@@ -61,20 +64,40 @@ fn event_from((group, tail, hops, looped, prefix_idx, time_ms, announce): Draw) 
     }
 }
 
-fn stream_strategy() -> impl Strategy<Value = EventStream> {
-    collection::vec(
-        (
-            0usize..4,
-            0u32..6,
-            0usize..7,
-            any::<bool>(),
-            0usize..10,
-            0u64..2000,
-            any::<bool>(),
-        ),
-        0..120,
+fn draw_strategy() -> impl Strategy<Value = Draw> {
+    (
+        0usize..4,
+        0u32..6,
+        0usize..7,
+        any::<bool>(),
+        0usize..10,
+        0u64..2000,
+        any::<bool>(),
     )
-    .prop_map(|draws| draws.into_iter().map(event_from).collect())
+}
+
+fn stream_strategy() -> impl Strategy<Value = EventStream> {
+    collection::vec(draw_strategy(), 0..120)
+        .prop_map(|draws| draws.into_iter().map(event_from).collect())
+}
+
+/// Churn streams: three events in four carry a prefix no other event has,
+/// the rest draw from the shared pool. Most prefixes then weigh less than
+/// the support floor, which is where the index drops the prefix symbol.
+fn churn_strategy() -> impl Strategy<Value = EventStream> {
+    collection::vec((draw_strategy(), 0usize..4), 0..120).prop_map(|draws| {
+        draws
+            .into_iter()
+            .enumerate()
+            .map(|(at, (mut draw, shared))| {
+                if shared != 0 {
+                    // Past the pool's ten indices and below 256: unique.
+                    draw.4 = 10 + at;
+                }
+                event_from(draw)
+            })
+            .collect()
+    })
 }
 
 /// Deterministic per-*instance* weight with a real zero class: two identical
@@ -145,6 +168,27 @@ proptest! {
     #[test]
     fn incremental_matches_reference_across_rules_and_thresholds(
         stream in stream_strategy(),
+        rule in 0usize..3,
+        support in 0usize..3,
+        cap in 0usize..3,
+    ) {
+        let config = StemmingConfig {
+            ranking: RankingRule::ALL[rule],
+            min_support: [1, 2, 5][support],
+            max_subseq_len: [0, 2, 3][cap],
+            ..StemmingConfig::default()
+        };
+        assert_paths_identical(&stream, &config);
+    }
+
+    /// The same sweep over churn streams, where most prefixes are unique
+    /// and weigh 0 to 3: the index holds those groups without their prefix
+    /// symbol under the count-first rules and whole under
+    /// `CoverageWeighted`, and removes every group by the node its add
+    /// returned.
+    #[test]
+    fn churn_streams_match_reference_across_rules_and_thresholds(
+        stream in churn_strategy(),
         rule in 0usize..3,
         support in 0usize..3,
         cap in 0usize..3,
