@@ -1145,6 +1145,7 @@ impl RealtimeDetector {
             state: SupervisorState {
                 slot: CheckpointSlot::default(),
                 ring: VecDeque::new(),
+                inbox: VecDeque::with_capacity(PULL_BATCH),
                 fault: FaultState::new(config.fault),
                 controller: controller.map(Controller::new),
                 fidelity: FidelityLevel::Full,
@@ -1275,6 +1276,12 @@ impl FaultState {
     }
 }
 
+/// Most events the supervisor drains off the queue under one lock. Large
+/// enough that a full queue costs one producer wakeup per batch, small
+/// enough that the inbox — un-stealable under
+/// [`OverloadPolicy::DropOldest`] — stays a sliver of the default capacity.
+const PULL_BATCH: usize = 256;
+
 /// The supervision loop around the detector: runs each detector incarnation
 /// under `catch_unwind`, checkpoints its state, and replays the in-flight
 /// ring after a crash. Everything here is owned by the supervisor thread;
@@ -1302,6 +1309,11 @@ struct SupervisorState {
     /// the checkpoint interval because a checkpoint fires at latest on the
     /// event that reaches the interval.
     ring: VecDeque<WeightedEvent>,
+    /// Events drained off the queue in one [`Receiver::recv_many`] batch
+    /// and not yet pulled into the ring. Still queue as far as every
+    /// ledger and bound is concerned: counted in the derived `queued`,
+    /// sampled with the channel depth, shed if the supervisor gives up.
+    inbox: VecDeque<WeightedEvent>,
     fault: FaultState,
     /// The controller's state is external pressure, not recoverable
     /// detector state — a restarted detector resumes at whatever fidelity
@@ -1330,12 +1342,17 @@ impl Supervisor {
             // the checkpoint and books the ring — as replay debt, or as
             // lost (bounded by the checkpoint interval) when the restart
             // budget is spent and it can no longer be replayed — so every
-            // stats snapshot taken during the restart still closes.
+            // stats snapshot taken during the restart still closes. A
+            // give-up also sheds the inbox: those events never reached a
+            // detector, so they leave the derived `queued` the way events
+            // stranded in the channel do at shutdown.
             let (restarts, gave_up, lost, overlay) = {
                 let mut ledger = self.shared.ledger();
                 ledger.supervision.restarts += 1;
                 let gave_up = ledger.supervision.restarts > u64::from(self.sup.max_restarts);
                 let (debt, lost) = if gave_up {
+                    let stranded = std::mem::take(&mut self.state.inbox).len() as u64;
+                    self.shared.shed.fetch_add(stranded, Ordering::AcqRel);
                     (0, in_flight)
                 } else {
                     (in_flight, 0)
@@ -1381,7 +1398,10 @@ impl Supervisor {
     /// One detector incarnation: restore from the checkpoint, then feed the
     /// detector one event at a time — first the un-acked ring (a replay),
     /// then the live queue until it closes — flushing the final window on
-    /// the way out. Panics anywhere in here unwind to [`Supervisor::run`].
+    /// the way out. The queue is drained into the inbox up to
+    /// [`PULL_BATCH`] events per lock, and each event is *pulled* — moved
+    /// into the ring, counted by [`FaultState::on_pull`] — one at a time.
+    /// Panics anywhere in here unwind to [`Supervisor::run`].
     fn run_incarnation(&mut self) {
         let interval = self.sup.checkpoint_interval.max(1);
         let mut detector = self.state.slot.restore(self.config.clone());
@@ -1396,18 +1416,31 @@ impl Supervisor {
             let event = if replayed {
                 self.state.ring[cursor].clone()
             } else {
-                let Ok(event) = self.event_rx.recv() else {
+                if self.state.inbox.is_empty()
+                    && self
+                        .event_rx
+                        .recv_many(&mut self.state.inbox, PULL_BATCH)
+                        .is_err()
+                {
                     break;
-                };
-                // The ring takes the clone and the detector the original:
-                // the other way round measured +3 MB peak RSS on `spike`.
+                }
+                let event = self
+                    .state
+                    .inbox
+                    .pop_front()
+                    .expect("recv_many moved an event");
+                // The ring's clone shares the event's AS path with the
+                // detector's copy (a refcount bump); only a non-empty
+                // community list is still copied, so for most events it no
+                // longer matters to the heap which side takes the clone.
                 self.state.ring.push_back(event.clone());
                 self.state.fault.on_pull();
                 event
             };
             cursor += 1;
             if let Some(controller) = &mut self.state.controller {
-                self.state.fidelity = controller.sample(self.event_rx.len() as u64);
+                let depth = self.event_rx.len() + self.state.inbox.len();
+                self.state.fidelity = controller.sample(depth as u64);
             }
             let analyzed_before = detector.counters.analyzed;
             let reports = self.ingest(&mut detector, event, replayed);
@@ -1463,8 +1496,8 @@ impl Supervisor {
             });
         }
         let reports = detector.ingest_weighted(event);
-        if pressure && self.event_rx.is_empty() {
-            // The queue drained: the pressure is off.
+        if pressure && self.state.inbox.is_empty() && self.event_rx.is_empty() {
+            // The queue and the inbox drained: the pressure is off.
             self.shared.pressure.store(false, Ordering::Release);
         }
         reports
@@ -1997,7 +2030,9 @@ impl PipelineHandle {
         &self.reports
     }
 
-    /// Events currently queued between producer and detector.
+    /// Events currently in the channel between producer and detector. This
+    /// excludes up to 256 events the supervisor has already drained into
+    /// its inbox but not yet pulled; [`PipelineStats::queued`] counts both.
     pub fn queue_len(&self) -> usize {
         self.steal_rx.len()
     }
@@ -2675,6 +2710,107 @@ mod tests {
             assert_eq!(last.queued, 0, "{mode}: {last}");
             assert!(last.accounts_exactly(), "{mode}: {last}");
         }
+    }
+
+    /// A pipeline whose supervisor can be parked in report egress: every
+    /// 5-event window of [`window_feed`] yields a report, and a Block
+    /// report queue of one that nobody reads holds the second.
+    fn stallable() -> SpawnConfig {
+        SpawnConfig::new(PipelineConfig {
+            window: Timestamp::from_secs(10),
+            min_events: 2,
+            min_component_events: 2,
+            ..PipelineConfig::default()
+        })
+        .with_report_capacity(1)
+        .with_report_policy(ReportPolicy::Block)
+    }
+
+    /// `windows` windows of five withdrawals, 20 s apart.
+    fn window_feed(windows: u64) -> impl Iterator<Item = Event> {
+        (0..windows).flat_map(|w| (0..5u8).map(move |i| withdraw_event(w * 20, i)))
+    }
+
+    /// Feeds windows 0–2 and waits until closing window 1 has emitted the
+    /// second report: from then on a [`stallable`] supervisor is blocked in
+    /// egress, so whatever the producer sends next waits in the channel
+    /// and the next `recv_many` finds it all there.
+    fn stall_in_egress(handle: &mut PipelineHandle, feed: &mut impl Iterator<Item = Event>) {
+        for event in feed.take(15) {
+            handle.ingest_event(event).unwrap();
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while handle.stats().reports_emitted < 2 {
+            assert!(std::time::Instant::now() < deadline, "no second report");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A give-up with events drained into the inbox sheds them in the same
+    /// pass that books the lost ring: 1,000 events queue behind a stalled
+    /// supervisor, so the batch it drains next is full and the injected
+    /// panic lands with most of it still in the inbox.
+    #[test]
+    fn give_up_sheds_the_inbox() {
+        let interval = 8;
+        let config = stallable()
+            .with_supervisor(
+                SupervisorConfig::default()
+                    .with_checkpoint_interval(interval)
+                    .with_max_restarts(0),
+            )
+            .with_fault(PanicInjection {
+                after_events: 30,
+                repeat: 1,
+            });
+        let mut handle = RealtimeDetector::spawn(config);
+        let mut feed = window_feed(205);
+        stall_in_egress(&mut handle, &mut feed);
+        for event in feed {
+            handle.ingest_event(event).unwrap();
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while handle.is_alive() {
+            assert!(std::time::Instant::now() < deadline, "never gave up");
+            let _ = handle.reports().recv_timeout(Duration::from_millis(1));
+        }
+        let stats = handle.stats();
+        // Nothing is shed before `finish` but the inbox.
+        assert!(stats.shed_events > 0, "the inbox was empty: {stats}");
+        assert!(stats.lost_events > 0, "{stats}");
+        assert!(stats.lost_events <= interval as u64, "{stats}");
+        assert!(stats.accounts_exactly(), "{stats}");
+        let (_reports, last) = handle.finish();
+        assert_eq!(last.queued, 0, "{last}");
+        assert_eq!(last.lost_events, stats.lost_events, "{last}");
+        assert_eq!(last.ingested, 1_025, "{last}");
+        assert!(last.accounts_exactly(), "{last}");
+    }
+
+    /// The controller samples the channel plus the inbox: 235 events queue
+    /// behind a stalled supervisor, which then drains them in one batch.
+    /// The channel reads empty from then on, yet the backlog — nearly
+    /// twice the target depth of 128 — must keep fidelity down while it
+    /// is worked off.
+    #[test]
+    fn controller_counts_the_inbox_as_queue() {
+        let config = stallable()
+            .with_capacity(256)
+            .with_adaptive(AdaptiveConfig::default());
+        let mut handle = RealtimeDetector::spawn(config);
+        let mut feed = window_feed(50);
+        stall_in_egress(&mut handle, &mut feed);
+        for event in feed {
+            handle.ingest_event(event).unwrap();
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while handle.stats().queued > 0 {
+            assert!(std::time::Instant::now() < deadline, "backlog not drained");
+            let _ = handle.reports().recv_timeout(Duration::from_millis(1));
+        }
+        let (_reports, stats) = handle.finish();
+        assert!(stats.degraded_windows >= 20, "{stats}");
+        assert!(stats.accounts_exactly(), "{stats}");
     }
 
     /// Blocks until the supervisor has consumed every queued event, so the

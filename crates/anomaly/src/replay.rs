@@ -1389,6 +1389,50 @@ mod tests {
         )
     }
 
+    /// The serialized form of an event, as every `Frame::Event` and
+    /// snapshot buffer stores it. The literals were captured while
+    /// `AsPath` still held a `Vec`; a change here changes every recording
+    /// and must come with a `RECORDING_VERSION` bump.
+    #[test]
+    fn event_serialized_form_is_pinned() {
+        use bgpscope_bgp::{AsPath, Community, LocalPref, Med, Origin};
+        let mut attrs = PathAttributes::new(
+            RouterId::from_octets(2, 2, 2, 2),
+            "11423 209 701 701".parse().unwrap(),
+        );
+        attrs.origin = Origin::Incomplete;
+        attrs.med = Some(Med(7));
+        attrs.local_pref = Some(LocalPref(100));
+        attrs.add_community(Community(0x2C9F_0001));
+        let full = Event::withdraw(
+            Timestamp::from_millis(1_250),
+            PeerId::from_octets(1, 1, 1, 1),
+            Prefix::from_octets(10, 3, 0, 0, 16),
+            attrs,
+        );
+        let bare = Event::announce(
+            Timestamp::from_secs(9),
+            PeerId::from_octets(1, 1, 1, 1),
+            Prefix::from_octets(192, 0, 2, 0, 24),
+            PathAttributes::new(RouterId::from_octets(2, 2, 2, 2), AsPath::empty()),
+        );
+        let pinned = [
+            (
+                full,
+                r#"{"time":1250000,"kind":"Withdraw","peer":16843009,"prefix":{"addr":167968768,"len":16},"attrs":{"origin":"Incomplete","as_path":{"asns":[11423,209,701,701]},"next_hop":33686018,"med":7,"local_pref":100,"communities":[748617729]}}"#,
+            ),
+            (
+                bare,
+                r#"{"time":9000000,"peer":16843009,"prefix":{"addr":3221225984,"len":24},"attrs":{"as_path":{"asns":[]},"next_hop":33686018}}"#,
+            ),
+        ];
+        assert_eq!(RECORDING_VERSION, 3);
+        for (event, json) in pinned {
+            assert_eq!(serde_json::to_string(&event).unwrap(), json);
+            assert_eq!(serde_json::from_str::<Event>(json).unwrap(), event);
+        }
+    }
+
     fn small_config() -> PipelineConfig {
         PipelineConfig {
             window: Timestamp::from_secs(20),

@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -58,18 +59,26 @@ impl From<u32> for Asn {
 /// assert_eq!(p.origin_as(), Some(Asn(701)));
 /// assert_eq!(p.first_as(), Some(Asn(11423)));
 /// ```
+///
+/// The ASNs live in one shared, immutable allocation: cloning a path — and
+/// so an event, into the in-flight ring, a checkpoint or a recorded frame —
+/// bumps a reference count instead of copying the hops. Equality, ordering
+/// and hashing are the slice's, and the serialized form is a plain list.
 #[derive(Clone, PartialEq, Eq, Hash, Default, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct AsPath {
-    asns: Vec<Asn>,
+    asns: Arc<[Asn]>,
 }
 
 impl AsPath {
     /// An empty AS path (a locally originated route).
     pub fn empty() -> Self {
-        AsPath { asns: Vec::new() }
+        AsPath::default()
     }
 
-    /// Builds a path from an ordered iterator of ASNs, nearest-first.
+    /// Builds a path from an ordered iterator of ASNs, nearest-first. An
+    /// iterator whose length is exact up front — a mapped range, a `Vec`,
+    /// a slice — fills one allocation; any other is collected into a
+    /// `Vec` first.
     pub fn from_asns<I: IntoIterator<Item = Asn>>(asns: I) -> Self {
         AsPath {
             asns: asns.into_iter().collect(),
@@ -78,9 +87,7 @@ impl AsPath {
 
     /// Builds a path from raw `u32` AS numbers, nearest-first.
     pub fn from_u32s<I: IntoIterator<Item = u32>>(asns: I) -> Self {
-        AsPath {
-            asns: asns.into_iter().map(Asn).collect(),
-        }
+        AsPath::from_asns(asns.into_iter().map(Asn))
     }
 
     /// True for a locally originated route (no ASes on the path).
@@ -96,7 +103,7 @@ impl AsPath {
     /// Number of distinct ASes on the path.
     pub fn unique_len(&self) -> usize {
         let mut seen: Vec<Asn> = Vec::with_capacity(self.asns.len());
-        for &a in &self.asns {
+        for &a in self.asns.iter() {
             if !seen.contains(&a) {
                 seen.push(a);
             }
@@ -134,10 +141,7 @@ impl AsPath {
     /// Returns a new path with `asn` prepended (as done when an AS
     /// re-announces a route to an EBGP peer). Prepend `count` copies.
     pub fn prepended(&self, asn: Asn, count: usize) -> AsPath {
-        let mut asns = Vec::with_capacity(self.asns.len() + count);
-        asns.extend(std::iter::repeat_n(asn, count));
-        asns.extend_from_slice(&self.asns);
-        AsPath { asns }
+        AsPath::from_asns(std::iter::repeat_n(asn, count).chain(self.asns.iter().copied()))
     }
 
     /// Iterates over the ASNs nearest-first.
@@ -149,7 +153,7 @@ impl AsPath {
 impl fmt::Display for AsPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for a in &self.asns {
+        for a in self.asns.iter() {
             if !first {
                 write!(f, " ")?;
             }
@@ -175,9 +179,11 @@ impl FromIterator<Asn> for AsPath {
     }
 }
 
+/// Appends by building a new path: the storage may be shared with clones,
+/// which keep the old hops.
 impl Extend<Asn> for AsPath {
     fn extend<T: IntoIterator<Item = Asn>>(&mut self, iter: T) {
-        self.asns.extend(iter);
+        self.asns = self.asns.iter().copied().chain(iter).collect();
     }
 }
 
@@ -194,9 +200,12 @@ impl FromStr for AsPath {
     type Err = std::num::ParseIntError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut asns = Vec::new();
-        for tok in s.split_whitespace() {
-            asns.push(Asn(tok.parse()?));
+        // Counting the tokens first sizes the path up front: it is
+        // allocated once and parsed in place.
+        let mut asns: Arc<[Asn]> = (0..s.split_whitespace().count()).map(|_| Asn(0)).collect();
+        let slots = Arc::get_mut(&mut asns).expect("a fresh Arc has no other owner");
+        for (slot, tok) in slots.iter_mut().zip(s.split_whitespace()) {
+            *slot = Asn(tok.parse()?);
         }
         Ok(AsPath { asns })
     }
@@ -251,5 +260,22 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         assert!("11423 banana".parse::<AsPath>().is_err());
+    }
+
+    #[test]
+    fn clones_share_storage() {
+        let p: AsPath = "11423 209 701".parse().unwrap();
+        let q = p.clone();
+        assert!(std::ptr::eq(p.asns().as_ptr(), q.asns().as_ptr()));
+        assert_eq!(p, q);
+    }
+
+    #[test]
+    fn extend_appends_and_leaves_clones_alone() {
+        let mut p: AsPath = "11423 209".parse().unwrap();
+        let before = p.clone();
+        p.extend([Asn(701), Asn(1299)]);
+        assert_eq!(p.to_string(), "11423 209 701 1299");
+        assert_eq!(before.to_string(), "11423 209");
     }
 }

@@ -4,14 +4,19 @@
 //! `bounded`) on a `Mutex<VecDeque>` + two condvars — enough for the
 //! pipeline's backpressure needs: `try_send`, `send_timeout`, `recv_timeout`,
 //! `len`/`capacity`/`is_full`, and the `TrySendError`/`SendTimeoutError`/
-//! `RecvTimeoutError` surface mirroring the real crate. `thread::scope`
-//! delegates to `std::thread::scope`, preserving crossbeam's
-//! `Result`-returning signature.
+//! `RecvTimeoutError` surface mirroring the real crate. Wakeups are
+//! counted: the mutex also guards how many receivers and senders are
+//! parked on each condvar, and a side notifies only when the other has a
+//! parked thread — a futex wake is a syscall even with no waiter.
+//! [`channel::Receiver::recv_many`] is a shim extension (crossbeam spells
+//! it `recv` + `try_iter().take(n)`): a batch under one lock and at most
+//! one wake. `thread::scope` delegates to `std::thread::scope`, preserving
+//! crossbeam's `Result`-returning signature.
 
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     /// Error from [`Sender::send`]: all receivers are gone. Carries the
@@ -186,6 +191,16 @@ pub mod channel {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers parked on `not_empty`.
+        parked_receivers: usize,
+        /// Senders parked on `not_full`.
+        parked_senders: usize,
+    }
+
+    impl<T> State<T> {
+        fn is_full(&self, capacity: Option<usize>) -> bool {
+            capacity.is_some_and(|cap| self.queue.len() >= cap)
+        }
     }
 
     struct Shared<T> {
@@ -196,12 +211,43 @@ pub mod channel {
         not_full: Condvar,
     }
 
+    impl<T> Shared<T> {
+        fn lock(&self) -> MutexGuard<'_, State<T>> {
+            self.state.lock().expect("channel poisoned")
+        }
+
+        /// Pushes onto a queue the caller found not full, unlocks, and
+        /// wakes one parked receiver if there is one.
+        fn push(&self, mut state: MutexGuard<'_, State<T>>, value: T) {
+            state.queue.push_back(value);
+            let wake = state.parked_receivers > 0;
+            drop(state);
+            if wake {
+                self.not_empty.notify_one();
+            }
+        }
+
+        /// Unlocks after `freed` values left the queue, and wakes parked
+        /// senders if there are any: one for one slot, all for more.
+        fn freed(&self, state: MutexGuard<'_, State<T>>, freed: usize) {
+            let wake = state.parked_senders > 0;
+            drop(state);
+            if wake && freed == 1 {
+                self.not_full.notify_one();
+            } else if wake && freed > 1 {
+                self.not_full.notify_all();
+            }
+        }
+    }
+
     fn make_channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
+                parked_receivers: 0,
+                parked_senders: 0,
             }),
             capacity,
             not_empty: Condvar::new(),
@@ -239,7 +285,7 @@ pub mod channel {
 
     impl<T> Clone for Sender<T> {
         fn clone(&self) -> Self {
-            self.shared.state.lock().expect("channel poisoned").senders += 1;
+            self.shared.lock().senders += 1;
             Sender {
                 shared: Arc::clone(&self.shared),
             }
@@ -248,9 +294,9 @@ pub mod channel {
 
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
-            let mut state = self.shared.state.lock().expect("channel poisoned");
+            let mut state = self.shared.lock();
             state.senders -= 1;
-            if state.senders == 0 {
+            if state.senders == 0 && state.parked_receivers > 0 {
                 // Wake receivers blocked on an empty queue so they observe
                 // the disconnect.
                 drop(state);
@@ -263,86 +309,69 @@ pub mod channel {
         /// Sends a value, blocking while a bounded queue is full; errors
         /// when all receivers are gone.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut state = self.shared.state.lock().expect("channel poisoned");
+            let mut state = self.shared.lock();
             loop {
                 if state.receivers == 0 {
                     return Err(SendError(value));
                 }
-                match self.shared.capacity {
-                    Some(cap) if state.queue.len() >= cap => {
-                        state = self.shared.not_full.wait(state).expect("channel poisoned");
-                    }
-                    _ => break,
+                if !state.is_full(self.shared.capacity) {
+                    break;
                 }
+                state.parked_senders += 1;
+                state = self.shared.not_full.wait(state).expect("channel poisoned");
+                state.parked_senders -= 1;
             }
-            state.queue.push_back(value);
-            drop(state);
-            self.shared.not_empty.notify_one();
+            self.shared.push(state, value);
             Ok(())
         }
 
         /// Non-blocking send: fails with [`TrySendError::Full`] instead of
         /// waiting for queue space.
         pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            let mut state = self.shared.state.lock().expect("channel poisoned");
+            let state = self.shared.lock();
             if state.receivers == 0 {
                 return Err(TrySendError::Disconnected(value));
             }
-            if let Some(cap) = self.shared.capacity {
-                if state.queue.len() >= cap {
-                    return Err(TrySendError::Full(value));
-                }
+            if state.is_full(self.shared.capacity) {
+                return Err(TrySendError::Full(value));
             }
-            state.queue.push_back(value);
-            drop(state);
-            self.shared.not_empty.notify_one();
+            self.shared.push(state, value);
             Ok(())
         }
 
-        /// Sends, waiting at most `timeout` for queue space.
+        /// Sends, waiting at most `timeout` for queue space. The clock is
+        /// read only once the queue is found full.
         pub fn send_timeout(&self, value: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
-            let deadline = Instant::now() + timeout;
-            let mut state = self.shared.state.lock().expect("channel poisoned");
+            let mut deadline = None;
+            let mut state = self.shared.lock();
             loop {
                 if state.receivers == 0 {
                     return Err(SendTimeoutError::Disconnected(value));
                 }
-                match self.shared.capacity {
-                    Some(cap) if state.queue.len() >= cap => {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            return Err(SendTimeoutError::Timeout(value));
-                        }
-                        let (next, timed_out) = self
-                            .shared
-                            .not_full
-                            .wait_timeout(state, deadline - now)
-                            .expect("channel poisoned");
-                        state = next;
-                        if timed_out.timed_out() && state.queue.len() >= cap {
-                            if state.receivers == 0 {
-                                return Err(SendTimeoutError::Disconnected(value));
-                            }
-                            return Err(SendTimeoutError::Timeout(value));
-                        }
-                    }
-                    _ => break,
+                if !state.is_full(self.shared.capacity) {
+                    break;
                 }
+                let now = Instant::now();
+                let deadline = *deadline.get_or_insert(now + timeout);
+                if now >= deadline {
+                    return Err(SendTimeoutError::Timeout(value));
+                }
+                state.parked_senders += 1;
+                let (next, _) = self
+                    .shared
+                    .not_full
+                    .wait_timeout(state, deadline - now)
+                    .expect("channel poisoned");
+                state = next;
+                state.parked_senders -= 1;
             }
-            state.queue.push_back(value);
-            drop(state);
-            self.shared.not_empty.notify_one();
+            self.shared.push(state, value);
             Ok(())
         }
 
         /// Queued values right now.
         pub fn len(&self) -> usize {
-            self.shared
-                .state
-                .lock()
-                .expect("channel poisoned")
-                .queue
-                .len()
+            self.shared.lock().queue.len()
         }
 
         /// True when nothing is queued.
@@ -353,10 +382,7 @@ pub mod channel {
         /// True when a bounded queue is at capacity (always false for
         /// unbounded channels).
         pub fn is_full(&self) -> bool {
-            match self.shared.capacity {
-                Some(cap) => self.len() >= cap,
-                None => false,
-            }
+            self.shared.lock().is_full(self.shared.capacity)
         }
 
         /// The bound, or `None` for unbounded channels.
@@ -372,11 +398,7 @@ pub mod channel {
 
     impl<T> Clone for Receiver<T> {
         fn clone(&self) -> Self {
-            self.shared
-                .state
-                .lock()
-                .expect("channel poisoned")
-                .receivers += 1;
+            self.shared.lock().receivers += 1;
             Receiver {
                 shared: Arc::clone(&self.shared),
             }
@@ -385,9 +407,9 @@ pub mod channel {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            let mut state = self.shared.state.lock().expect("channel poisoned");
+            let mut state = self.shared.lock();
             state.receivers -= 1;
-            if state.receivers == 0 {
+            if state.receivers == 0 && state.parked_senders > 0 {
                 // Wake senders blocked on a full queue so they observe the
                 // disconnect.
                 drop(state);
@@ -399,26 +421,47 @@ pub mod channel {
     impl<T> Receiver<T> {
         /// Blocks until a value arrives or all senders are gone.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let mut state = self.shared.state.lock().expect("channel poisoned");
+            let mut state = self.shared.lock();
             loop {
                 if let Some(value) = state.queue.pop_front() {
-                    drop(state);
-                    self.shared.not_full.notify_one();
+                    self.shared.freed(state, 1);
                     return Ok(value);
                 }
                 if state.senders == 0 {
                     return Err(RecvError);
                 }
+                state.parked_receivers += 1;
                 state = self.shared.not_empty.wait(state).expect("channel poisoned");
+                state.parked_receivers -= 1;
             }
+        }
+
+        /// Blocks until at least one value is queued, then moves up to
+        /// `max` of them, oldest first, onto the back of `into` under one
+        /// lock, waking parked senders once. Returns how many moved; errors
+        /// only when the queue is empty and all senders are gone. A shim
+        /// extension: crossbeam spells it `recv` + `try_iter().take(n)`.
+        pub fn recv_many(&self, into: &mut VecDeque<T>, max: usize) -> Result<usize, RecvError> {
+            let mut state = self.shared.lock();
+            while state.queue.is_empty() {
+                if state.senders == 0 {
+                    return Err(RecvError);
+                }
+                state.parked_receivers += 1;
+                state = self.shared.not_empty.wait(state).expect("channel poisoned");
+                state.parked_receivers -= 1;
+            }
+            let n = max.min(state.queue.len());
+            into.extend(state.queue.drain(..n));
+            self.shared.freed(state, n);
+            Ok(n)
         }
 
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut state = self.shared.state.lock().expect("channel poisoned");
+            let mut state = self.shared.lock();
             if let Some(value) = state.queue.pop_front() {
-                drop(state);
-                self.shared.not_full.notify_one();
+                self.shared.freed(state, 1);
                 return Ok(value);
             }
             if state.senders == 0 {
@@ -430,11 +473,10 @@ pub mod channel {
         /// Receives, waiting at most `timeout` for a value.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             let deadline = Instant::now() + timeout;
-            let mut state = self.shared.state.lock().expect("channel poisoned");
+            let mut state = self.shared.lock();
             loop {
                 if let Some(value) = state.queue.pop_front() {
-                    drop(state);
-                    self.shared.not_full.notify_one();
+                    self.shared.freed(state, 1);
                     return Ok(value);
                 }
                 if state.senders == 0 {
@@ -444,23 +486,20 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                state.parked_receivers += 1;
                 let (next, _) = self
                     .shared
                     .not_empty
                     .wait_timeout(state, deadline - now)
                     .expect("channel poisoned");
                 state = next;
+                state.parked_receivers -= 1;
             }
         }
 
         /// Queued values right now.
         pub fn len(&self) -> usize {
-            self.shared
-                .state
-                .lock()
-                .expect("channel poisoned")
-                .queue
-                .len()
+            self.shared.lock().queue.len()
         }
 
         /// True when nothing is queued.
@@ -471,6 +510,12 @@ pub mod channel {
         /// The bound, or `None` for unbounded channels.
         pub fn capacity(&self) -> Option<usize> {
             self.shared.capacity
+        }
+
+        /// Senders parked on a full queue right now.
+        #[cfg(test)]
+        pub(crate) fn parked_senders(&self) -> usize {
+            self.shared.lock().parked_senders
         }
 
         /// Iterates until the channel disconnects.
@@ -516,7 +561,8 @@ pub mod thread {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, unbounded, RecvTimeoutError, TrySendError};
+    use super::channel::{bounded, unbounded, RecvError, RecvTimeoutError, TrySendError};
+    use std::collections::VecDeque;
     use std::time::{Duration, Instant};
 
     #[test]
@@ -631,6 +677,74 @@ mod tests {
         let mut all = shed;
         all.extend(&kept);
         assert_eq!(all, (0..10).collect::<Vec<_>>());
+    }
+
+    /// `recv_many` moves at most `max` values per call in FIFO order, and
+    /// errors only once the queue is empty and every sender is gone. The
+    /// producer outruns a bounded(2) queue, so both sides park and wake
+    /// each other throughout: a lost wakeup hangs this test.
+    #[test]
+    fn recv_many_is_fifo_bounded_and_errs_only_when_drained() {
+        let (tx, rx) = bounded(2);
+        let producer = std::thread::spawn(move || {
+            for i in 0..2_000u32 {
+                tx.send(i).unwrap();
+            }
+        });
+        let mut got = VecDeque::new();
+        loop {
+            let before = got.len();
+            match rx.recv_many(&mut got, 3) {
+                Ok(n) => {
+                    assert!((1..=3).contains(&n), "moved {n}");
+                    assert_eq!(got.len(), before + n);
+                }
+                Err(RecvError) => break,
+            }
+        }
+        producer.join().unwrap();
+        assert!(got.into_iter().eq(0..2_000));
+    }
+
+    /// On an empty queue `recv_many` waits for a value instead of
+    /// returning an empty batch.
+    #[test]
+    fn recv_many_blocks_until_a_value_arrives() {
+        let (tx, rx) = unbounded::<u32>();
+        let consumer = std::thread::spawn(move || {
+            let mut got = VecDeque::new();
+            let n = rx.recv_many(&mut got, 8).unwrap();
+            (n, got)
+        });
+        tx.send(5).unwrap();
+        let (n, got) = consumer.join().unwrap();
+        assert_eq!((n, Vec::from(got)), (1, vec![5]));
+    }
+
+    #[test]
+    fn parked_sender_completes_after_one_recv_many() {
+        let (tx, rx) = bounded(2);
+        tx.send(1u32).unwrap();
+        tx.send(2).unwrap();
+        let producer = std::thread::spawn(move || tx.send(3).unwrap());
+        while rx.parked_senders() == 0 {
+            std::thread::yield_now();
+        }
+        let mut got = VecDeque::new();
+        assert_eq!(rx.recv_many(&mut got, 8).unwrap(), 2);
+        producer.join().unwrap();
+        assert_eq!(rx.recv().unwrap(), 3);
+        assert_eq!(Vec::from(got), vec![1, 2]);
+    }
+
+    #[test]
+    fn send_timeout_zero_sends_with_room_and_times_out_when_full() {
+        let (tx, rx) = bounded(1);
+        tx.send_timeout(1u32, Duration::ZERO).unwrap();
+        let err = tx.send_timeout(2, Duration::ZERO).unwrap_err();
+        assert!(err.is_timeout());
+        assert_eq!(err.into_inner(), 2);
+        assert_eq!(rx.try_recv().unwrap(), 1);
     }
 
     #[test]

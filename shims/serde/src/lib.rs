@@ -409,6 +409,22 @@ impl<T: Serialize> Serialize for [T] {
     }
 }
 
+/// A shared slice serializes as the sequence it holds, like a `Vec`.
+impl<T: Serialize> Serialize for std::sync::Arc<[T]> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::sync::Arc<[T]> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Vec::<T>::from_value(v).map(Into::into)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {
