@@ -1,11 +1,11 @@
 //! Structural classification of Stemming components.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use bgpscope_bgp::{Asn, EventKind, EventStream, Timestamp};
+use bgpscope_bgp::{AsPath, Asn, Event, EventKind, EventStream, RouterId, Timestamp};
 use bgpscope_stemming::Component;
 
 /// The anomaly taxonomy, following the paper's case studies.
@@ -63,31 +63,55 @@ pub struct Verdict {
 
 /// Classifies one component against the stream it was extracted from.
 ///
-/// Signatures (checked in order):
+/// Signatures, checked in order; the first that matches decides:
 ///
-/// 1. **Origin hijack** — some prefix is announced with two different origin
-///    ASes inside the component.
-/// 2. **Oscillation / flap** — many events per prefix. Sub-second median
-///    inter-arrival with alternation between ≥ 2 distinct paths ⇒ MED-style
-///    oscillation; slower cycles ⇒ continuous flap.
-/// 3. **Session reset / mass withdrawal** — withdrawal-dominated over many
-///    prefixes. A single peer (or withdrawals paired with re-announcements
-///    of the same paths) ⇒ reset.
-/// 4. **Route leak** — announcement-dominated with announcements moving
-///    prefixes onto clearly longer AS paths than the withdrawn ones.
+/// 1. **Origin hijack** — fewer than 8 events per prefix, and some prefix is
+///    announced with two different origin ASes (the note names the first
+///    such prefix).
+/// 2. **Oscillation / flap** — at least 8 events per prefix, and a mean of at
+///    least 12 state changes per (peer, prefix) timeline, a change being a
+///    consecutive pair that differs in kind, nexthop or AS path. A cycle
+///    period (the component's span over that mean) of at most 1 s, with
+///    either two origins for some prefix or two distinct announced
+///    (nexthop, path) pairs ⇒ MED-style oscillation; otherwise ⇒ continuous
+///    flap.
+/// 3. **Session reset / mass withdrawal** — at least 5 prefixes and 25%
+///    withdrawals. Announcements restoring a withdrawn (prefix, path), at
+///    least half as many as the withdrawals ⇒ reset. Failing that, 80%
+///    withdrawals from a single peer ⇒ reset; from several ⇒ mass
+///    withdrawal.
+/// 4. **Route leak** — at least 5 prefixes and 50% announcements, and at
+///    least half the prefixes announced on a path 3+ hops longer than the
+///    shortest path any of their events carries.
+/// 5. **Path shift** — at least 5 prefixes and 80% announcements, and at
+///    least half the prefixes announced on two or more distinct
+///    (nexthop, path) pairs.
+///
+/// Otherwise — and for an empty component — the verdict is **Unknown**.
+///
+/// The component's events are sorted once by (prefix, peer), component
+/// order kept inside each run, and every signature is read off that one
+/// vector's prefix runs and (prefix, peer) runs; the reset test re-sorts it
+/// in place by (prefix, path), the oscillation test by (nexthop, path). A
+/// component costs the same few allocations whatever its size.
 pub fn classify(component: &Component, stream: &EventStream) -> Verdict {
-    let events: Vec<&bgpscope_bgp::Event> = component
-        .event_indices
-        .iter()
-        .map(|&i| &stream.events()[i])
-        .collect();
-    if events.is_empty() {
+    if component.event_indices.is_empty() {
         return Verdict {
             kind: AnomalyKind::Unknown,
             confidence: 0.0,
             notes: vec!["empty component".into()],
         };
     }
+    let stream = stream.events();
+    // An event's position in the component is its last sort key, so the
+    // unstable sort, which allocates nothing, keeps component order.
+    let mut events: Vec<Ref<'_>> = component
+        .event_indices
+        .iter()
+        .enumerate()
+        .map(|(at, &i)| (&stream[i], at))
+        .collect();
+    events.sort_unstable_by(|(a, i), (b, j)| (a.prefix, a.peer, i).cmp(&(b.prefix, b.peer, j)));
 
     let n = events.len() as f64;
     let wd_frac = component.withdraw_count as f64 / n;
@@ -98,18 +122,14 @@ pub fn classify(component: &Component, stream: &EventStream) -> Verdict {
     // 1. Origin hijack — only when the component is not flap-shaped: a fast
     // oscillation between alternate paths can also cross origins, but its
     // events-per-prefix signature is the stronger evidence.
-    let mut origins: BTreeMap<_, BTreeSet<Asn>> = BTreeMap::new();
-    for e in &events {
-        if e.kind == EventKind::Announce {
-            if let Some(origin) = e.attrs.as_path.origin_as() {
-                origins.entry(e.prefix).or_default().insert(origin);
-            }
-        }
-    }
     if epp < 8.0 {
-        if let Some((prefix, asns)) = origins.iter().find(|(_, s)| s.len() >= 2) {
+        if let Some(run) = prefix_runs(&events).find(|run| has_two_origins(run)) {
+            let asns: BTreeSet<Asn> = announced(run)
+                .filter_map(|e| e.attrs.as_path.origin_as())
+                .collect();
             notes.push(format!(
-                "prefix {prefix} announced by {} distinct origin ASes: {:?}",
+                "prefix {} announced by {} distinct origin ASes: {:?}",
+                run[0].0.prefix,
                 asns.len(),
                 asns
             ));
@@ -126,40 +146,41 @@ pub fn classify(component: &Component, stream: &EventStream) -> Verdict {
     // discriminating signal is *sustained repetition*: how many times each
     // (peer, prefix) timeline changed state. A two-cycle leak yields a
     // handful of transitions; a flap yields two per cycle, indefinitely.
-    let transitions = mean_transitions_per_peer_prefix(&events);
-    if epp >= 8.0 && transitions >= 12.0 {
-        notes.push(format!(
-            "{epp:.1} events per prefix, {transitions:.0} transitions per (peer, prefix)"
-        ));
-        // Oscillation vs flap: the cycle period. A flapping session cycles
-        // on human timescales (the paper's customer: once a minute); the
-        // MED oscillation cycles in micro/milliseconds. Estimate the period
-        // as the component duration over the per-(peer, prefix) transition
-        // count.
-        let cycle_period_secs = component.timerange().as_secs_f64() / transitions.max(1.0);
-        let paths = distinct_paths(&events);
-        let alternating_paths =
-            origins.values().map(BTreeSet::len).max().unwrap_or(0) >= 2 || paths >= 2;
-        if cycle_period_secs <= 1.0 && alternating_paths {
+    if epp >= 8.0 {
+        let transitions = mean_transitions_per_peer_prefix(&events);
+        if transitions >= 12.0 {
             notes.push(format!(
-                "~{cycle_period_secs:.4} s cycle period with {paths} distinct paths"
+                "{epp:.1} events per prefix, {transitions:.0} transitions per (peer, prefix)"
+            ));
+            // Oscillation vs flap: the cycle period. A flapping session
+            // cycles on human timescales (the paper's customer: once a
+            // minute); the MED oscillation cycles in micro/milliseconds.
+            // Estimate the period as the component duration over the
+            // per-(peer, prefix) transition count.
+            let cycle_period_secs = component.timerange().as_secs_f64() / transitions.max(1.0);
+            let two_origins = prefix_runs(&events).any(has_two_origins);
+            let paths = distinct_paths(&mut events);
+            if cycle_period_secs <= 1.0 && (two_origins || paths >= 2) {
+                notes.push(format!(
+                    "~{cycle_period_secs:.4} s cycle period with {paths} distinct paths"
+                ));
+                return Verdict {
+                    kind: AnomalyKind::MedOscillation,
+                    confidence: 0.85,
+                    notes,
+                };
+            }
+            notes.push(format!(
+                "~{:.1} s cycle period, median inter-arrival {}",
+                cycle_period_secs,
+                median_interarrival(&events)
             ));
             return Verdict {
-                kind: AnomalyKind::MedOscillation,
-                confidence: 0.85,
+                kind: AnomalyKind::RouteFlap,
+                confidence: 0.8,
                 notes,
             };
         }
-        notes.push(format!(
-            "~{:.1} s cycle period, median inter-arrival {}",
-            cycle_period_secs,
-            median_interarrival(&events)
-        ));
-        return Verdict {
-            kind: AnomalyKind::RouteFlap,
-            confidence: 0.8,
-            notes,
-        };
     }
 
     // 3. Session reset / mass withdrawal. The gate is lenient (25%
@@ -167,20 +188,7 @@ pub fn classify(component: &Component, stream: &EventStream) -> Verdict {
     // pre-incident announcements and the post-reset table re-exchange; the
     // restored-paths check below is the discriminating signal.
     if component.prefix_count() >= 5 && wd_frac >= 0.25 {
-        let peers: BTreeSet<_> = events.iter().map(|e| e.peer).collect();
-        // Re-announcement check: announcements that restore a withdrawn path.
-        let withdrawn_paths: BTreeSet<_> = events
-            .iter()
-            .filter(|e| e.kind == EventKind::Withdraw)
-            .map(|e| (&e.prefix, &e.attrs.as_path))
-            .collect();
-        let restored = events
-            .iter()
-            .filter(|e| {
-                e.kind == EventKind::Announce
-                    && withdrawn_paths.contains(&(&e.prefix, &e.attrs.as_path))
-            })
-            .count();
+        let restored = restored_paths(&mut events);
         if restored as f64 >= 0.5 * component.withdraw_count as f64 {
             // Withdrawals paired with re-announcements of the same paths:
             // the session came back and the tables were re-exchanged.
@@ -196,7 +204,8 @@ pub fn classify(component: &Component, stream: &EventStream) -> Verdict {
             };
         }
         if wd_frac >= 0.8 {
-            if peers.len() == 1 {
+            let first_peer = events[0].0.peer;
+            if events.iter().all(|(e, _)| e.peer == first_peer) {
                 notes.push(format!(
                     "pure withdrawal storm from a single peer ({} events)",
                     component.withdraw_count
@@ -226,16 +235,13 @@ pub fn classify(component: &Component, stream: &EventStream) -> Verdict {
     if ann_frac >= 0.5 && component.prefix_count() >= 5 {
         // Per prefix: the shortest path seen in ANY event (withdrawals show
         // the pre-leak path) vs the longest ANNOUNCED path (the leak).
-        let mut span: BTreeMap<_, (usize, usize)> = BTreeMap::new(); // (min any, max announced)
-        for e in &events {
-            let len = e.attrs.as_path.hop_count();
-            let entry = span.entry(e.prefix).or_insert((len, 0));
-            entry.0 = entry.0.min(len);
-            if e.kind == EventKind::Announce {
-                entry.1 = entry.1.max(len);
-            }
-        }
-        let elongated = span.values().filter(|(lo, hi)| *hi >= lo + 3).count();
+        let elongated = prefix_runs(&events)
+            .filter(|run| {
+                let shortest = run.iter().map(|(e, _)| e.attrs.as_path.hop_count()).min();
+                let longest = announced(run).map(|e| e.attrs.as_path.hop_count()).max();
+                longest.unwrap_or(0) >= shortest.unwrap_or(0) + 3
+            })
+            .count();
         let elongated_frac = elongated as f64 / component.prefix_count().max(1) as f64;
         if elongated_frac >= 0.5 {
             notes.push(format!(
@@ -254,16 +260,9 @@ pub fn classify(component: &Component, stream: &EventStream) -> Verdict {
     // two or more distinct paths (they moved), path lengths similar (so not
     // a leak).
     if ann_frac >= 0.8 && component.prefix_count() >= 5 {
-        let mut paths_per_prefix: BTreeMap<_, BTreeSet<_>> = BTreeMap::new();
-        for e in &events {
-            if e.kind == EventKind::Announce {
-                paths_per_prefix
-                    .entry(e.prefix)
-                    .or_default()
-                    .insert((e.attrs.next_hop, &e.attrs.as_path));
-            }
-        }
-        let moved = paths_per_prefix.values().filter(|s| s.len() >= 2).count();
+        let moved = prefix_runs(&events)
+            .filter(|run| two_distinct(announced(run).map(path_of)))
+            .count();
         let moved_frac = moved as f64 / component.prefix_count().max(1) as f64;
         if moved_frac >= 0.5 {
             notes.push(format!(
@@ -291,14 +290,51 @@ pub fn classify(component: &Component, stream: &EventStream) -> Verdict {
     }
 }
 
+/// One event of the component being classified, with its position in the
+/// component.
+type Ref<'a> = (&'a Event, usize);
+
+/// The runs of `events` that share a prefix.
+fn prefix_runs<'e, 'a>(events: &'e [Ref<'a>]) -> impl Iterator<Item = &'e [Ref<'a>]> {
+    events.chunk_by(|(a, _), (b, _)| a.prefix == b.prefix)
+}
+
+/// The announcements among `events`.
+fn announced<'e, 'a>(events: &'e [Ref<'a>]) -> impl Iterator<Item = &'a Event> + 'e {
+    events
+        .iter()
+        .map(|&(e, _)| e)
+        .filter(|e| e.kind == EventKind::Announce)
+}
+
+/// Whether `run`'s announcements name two different origin ASes.
+fn has_two_origins(run: &[Ref<'_>]) -> bool {
+    two_distinct(announced(run).filter_map(|e| e.attrs.as_path.origin_as()))
+}
+
+/// Whether `items` yields two different values.
+fn two_distinct<T: PartialEq>(mut items: impl Iterator<Item = T>) -> bool {
+    match items.next() {
+        Some(first) => items.any(|item| item != first),
+        None => false,
+    }
+}
+
+/// An announcement's path as the oscillation and shift tests tell paths
+/// apart: nexthop and AS path.
+fn path_of(e: &Event) -> (RouterId, &AsPath) {
+    (e.attrs.next_hop, &e.attrs.as_path)
+}
+
 /// Median gap between consecutive event times in the component.
-fn median_interarrival(events: &[&bgpscope_bgp::Event]) -> Timestamp {
-    let mut times: Vec<Timestamp> = events.iter().map(|e| e.time).collect();
-    times.sort_unstable();
-    let mut gaps: Vec<u64> = times
-        .windows(2)
-        .map(|w| w[1].saturating_since(w[0]).as_micros())
-        .collect();
+fn median_interarrival(events: &[Ref<'_>]) -> Timestamp {
+    // The sorted times become their gaps in place: one buffer.
+    let mut gaps: Vec<u64> = events.iter().map(|(e, _)| e.time.as_micros()).collect();
+    gaps.sort_unstable();
+    for i in 1..gaps.len() {
+        gaps[i - 1] = gaps[i] - gaps[i - 1];
+    }
+    gaps.pop();
     if gaps.is_empty() {
         return Timestamp::ZERO;
     }
@@ -308,48 +344,57 @@ fn median_interarrival(events: &[&bgpscope_bgp::Event]) -> Timestamp {
 
 /// Mean number of state transitions per (peer, prefix) timeline — a
 /// transition is any consecutive pair of events that differ in kind,
-/// nexthop, or AS path.
-fn mean_transitions_per_peer_prefix(events: &[&bgpscope_bgp::Event]) -> f64 {
-    use std::collections::hash_map::{Entry, HashMap};
-    // Per (peer, prefix): the last state seen and the transitions so far.
-    let mut timelines = HashMap::new();
-    // Events are scanned in stream order (component indices are ordered).
-    for e in events {
-        let state = (e.kind, e.attrs.next_hop, &e.attrs.as_path);
-        match timelines.entry((e.peer, e.prefix)) {
-            Entry::Occupied(mut timeline) => {
-                let (last, transitions) = timeline.get_mut();
-                if *last != state {
-                    *last = state;
-                    *transitions += 1;
-                }
-            }
-            Entry::Vacant(timeline) => {
-                timeline.insert((state, 0u64));
-            }
-        }
+/// nexthop, or AS path. `events` are in (prefix, peer) order, component
+/// order inside each run.
+fn mean_transitions_per_peer_prefix(events: &[Ref<'_>]) -> f64 {
+    fn state(e: &Event) -> (EventKind, RouterId, &AsPath) {
+        (e.kind, e.attrs.next_hop, &e.attrs.as_path)
     }
-    if timelines.is_empty() {
-        return 0.0;
+    let mut timelines = 0u64;
+    let mut transitions = 0u64;
+    for run in events.chunk_by(|(a, _), (b, _)| (a.prefix, a.peer) == (b.prefix, b.peer)) {
+        timelines += 1;
+        transitions += run
+            .windows(2)
+            .filter(|pair| state(pair[0].0) != state(pair[1].0))
+            .count() as u64;
     }
-    let transitions: u64 = timelines.values().map(|(_, transitions)| transitions).sum();
-    transitions as f64 / timelines.len() as f64
+    transitions as f64 / timelines.max(1) as f64
 }
 
-/// Number of distinct (nexthop, AS path) pairs among announcements.
-fn distinct_paths(events: &[&bgpscope_bgp::Event]) -> usize {
+/// Number of distinct (nexthop, AS path) pairs among announcements. Sorts
+/// `events` by that pair, so equal ones are adjacent.
+fn distinct_paths(events: &mut [Ref<'_>]) -> usize {
+    events.sort_unstable_by(|(a, _), (b, _)| path_of(a).cmp(&path_of(b)));
+    let mut distinct = 0;
+    let mut last = None;
+    for path in announced(events).map(path_of) {
+        if last != Some(path) {
+            distinct += 1;
+            last = Some(path);
+        }
+    }
+    distinct
+}
+
+/// Announcements that restore a withdrawn (prefix, AS path) — with the
+/// withdrawals, a session's tables going and coming back. Sorts `events` by
+/// (prefix, path), which keeps each prefix's events together.
+fn restored_paths(events: &mut [Ref<'_>]) -> usize {
+    events.sort_unstable_by(|(a, _), (b, _)| {
+        (a.prefix, &a.attrs.as_path).cmp(&(b.prefix, &b.attrs.as_path))
+    });
     events
-        .iter()
-        .filter(|e| e.kind == EventKind::Announce)
-        .map(|e| (e.attrs.next_hop, &e.attrs.as_path))
-        .collect::<BTreeSet<_>>()
-        .len()
+        .chunk_by(|(a, _), (b, _)| (a.prefix, &a.attrs.as_path) == (b.prefix, &b.attrs.as_path))
+        .filter(|run| run.iter().any(|(e, _)| e.kind == EventKind::Withdraw))
+        .map(|run| announced(run).count())
+        .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpscope_bgp::{Event, PathAttributes, PeerId, Prefix, RouterId};
+    use bgpscope_bgp::{PathAttributes, PeerId, Prefix};
     use bgpscope_stemming::Stemming;
 
     fn peer(n: u8) -> PeerId {

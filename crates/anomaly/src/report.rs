@@ -280,6 +280,46 @@ mod tests {
         assert!(text.contains("11423-209"));
     }
 
+    /// A report's serialized form, captured before stems, common portions
+    /// and prefixes were rendered through one writer: every element kind —
+    /// peer, nexthop, AS, prefix — in a common portion, a prefix and an
+    /// origin set in a note. Rendering must not move a byte, and neither may
+    /// the recording format that carries reports.
+    #[test]
+    fn report_json_is_pinned() {
+        let peer = PeerId::from_octets(128, 32, 1, 3);
+        let px: Prefix = "192.96.10.0/24".parse().unwrap();
+        let stream: EventStream = (0..6u64)
+            .map(|i| {
+                let attrs = if i < 3 {
+                    PathAttributes::new(
+                        RouterId::from_octets(128, 32, 0, 70),
+                        "11423 209 701".parse().unwrap(),
+                    )
+                } else {
+                    PathAttributes::new(
+                        RouterId::from_octets(128, 32, 0, 66),
+                        "11423 666".parse().unwrap(),
+                    )
+                };
+                Event::announce(Timestamp::from_secs(i), peer, px, attrs)
+            })
+            .collect();
+        let result = Stemming::new().decompose(&stream);
+        let component = &result.components()[0];
+        let report = AnomalyReport::new(component, classify(component, &stream), result.symbols());
+        assert_eq!(
+            serde_json::to_string(&report).unwrap(),
+            concat!(
+                r#"{"verdict":{"kind":"OriginHijack","confidence":0.9,"notes":["prefix 192.96.10.0/24 announced by 2 distinct origin ASes: {AS666, AS701}"]},"#,
+                r#""stem":"701-192.96.10.0/24","common_portion":"128.32.1.3-128.32.0.70-11423-209-701-192.96.10.0/24","#,
+                r#""event_count":6,"prefix_count":1,"sample_prefixes":["192.96.10.0/24"],"start":0,"end":5000000,"#,
+                r#""announce_count":6,"withdraw_count":0,"degraded":false}"#
+            )
+        );
+        assert_eq!(crate::replay::RECORDING_VERSION, 3);
+    }
+
     fn sample_report(stem: &str, start: u64, end: u64, events: usize) -> AnomalyReport {
         let peer = PeerId::from_octets(128, 32, 1, 3);
         let hop = RouterId::from_octets(128, 32, 0, 66);

@@ -129,9 +129,52 @@ impl Prefix {
 }
 
 impl fmt::Display for Prefix {
+    /// `a.b.c.d/len`, rendered on the stack and written in one piece. Width
+    /// and precision are ignored.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.network(), self.len)
+        let mut buf = [0u8; MAX_PREFIX_TEXT];
+        let mut end = dotted_quad(self.addr, &mut buf);
+        buf[end] = b'/';
+        end = push_decimal(&mut buf, end + 1, self.len);
+        f.write_str(ascii(&buf[..end]))
     }
+}
+
+/// The longest rendered prefix, `255.255.255.255/32`.
+const MAX_PREFIX_TEXT: usize = 18;
+
+/// Writes `addr` as a dotted quad at the start of `buf` and returns its
+/// length (at most 15).
+fn dotted_quad(addr: u32, buf: &mut [u8; MAX_PREFIX_TEXT]) -> usize {
+    let mut end = 0;
+    for (i, octet) in addr.to_be_bytes().into_iter().enumerate() {
+        if i > 0 {
+            buf[end] = b'.';
+            end += 1;
+        }
+        end = push_decimal(buf, end, octet);
+    }
+    end
+}
+
+/// Writes `value` in decimal at `buf[at..]` and returns the new end.
+fn push_decimal(buf: &mut [u8], mut at: usize, value: u8) -> usize {
+    if value >= 100 {
+        buf[at] = b'0' + value / 100;
+        at += 1;
+    }
+    if value >= 10 {
+        buf[at] = b'0' + value / 10 % 10;
+        at += 1;
+    }
+    buf[at] = b'0' + value % 10;
+    at + 1
+}
+
+/// The text [`dotted_quad`] and [`push_decimal`] wrote: digits, dots and a
+/// slash.
+fn ascii(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("dotted-quad text is ASCII")
 }
 
 impl fmt::Debug for Prefix {
@@ -229,8 +272,11 @@ impl RouterId {
 }
 
 impl fmt::Display for RouterId {
+    /// The dotted quad, padded like [`Ipv4Addr`]'s.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", Ipv4Addr::from(self.0))
+        let mut buf = [0u8; MAX_PREFIX_TEXT];
+        let end = dotted_quad(self.0, &mut buf);
+        f.pad(ascii(&buf[..end]))
     }
 }
 
@@ -319,6 +365,47 @@ mod tests {
         assert!(d.contains_addr(u32::MAX));
         assert_eq!(Prefix::mask(0), 0);
         assert_eq!(Prefix::mask(32), u32::MAX);
+    }
+
+    /// Octets whose decimal forms have one, two and three digits, at both
+    /// ends of each width.
+    const OCTETS: [u8; 8] = [0, 9, 10, 99, 100, 199, 200, 255];
+
+    fn every_address() -> impl Iterator<Item = u32> {
+        OCTETS.into_iter().flat_map(|a| {
+            OCTETS.into_iter().flat_map(move |b| {
+                OCTETS.into_iter().flat_map(move |c| {
+                    OCTETS
+                        .into_iter()
+                        .map(move |d| u32::from_be_bytes([a, b, c, d]))
+                })
+            })
+        })
+    }
+
+    #[test]
+    fn prefix_display_matches_std_for_every_length() {
+        for addr in every_address() {
+            for len in 0..=32u8 {
+                let p = Prefix::new(addr, len);
+                let expected = format!("{}/{}", Ipv4Addr::from(p.addr()), len);
+                assert_eq!(p.to_string(), expected);
+                // Width is not applied to a prefix.
+                assert_eq!(format!("{p:>24}"), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn router_id_display_matches_std() {
+        for addr in every_address() {
+            let (ours, std) = (RouterId(addr), Ipv4Addr::from(addr));
+            assert_eq!(ours.to_string(), std.to_string());
+            assert_eq!(
+                format!("{ours:>17}|{ours:<16}|{ours:.4}"),
+                format!("{std:>17}|{std:<16}|{std:.4}")
+            );
+        }
     }
 
     #[test]

@@ -116,6 +116,14 @@ impl Interner {
         Interner::default()
     }
 
+    /// An empty interner that holds `capacity` elements before it grows.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Interner {
+            forward: HashMap::with_capacity(capacity),
+            reverse: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Interns `element`, returning its stable symbol.
     pub fn intern(&mut self, element: Element) -> Symbol {
         if let Some(&sym) = self.forward.get(&element) {
@@ -176,13 +184,31 @@ impl Interner {
         self.intern(Element::Prefix(p))
     }
 
-    /// Renders a symbol for humans (`<kind>:<value>`).
+    /// Renders a symbol for humans; one this interner never produced renders
+    /// as `?sym<n>`.
     pub fn display(&self, sym: Symbol) -> String {
-        match self.try_resolve(sym) {
-            Some(e) => format!("{}", e),
-            None => format!("?sym{}", sym.0),
-        }
+        render(&self.reverse, &[sym])
     }
+}
+
+/// Renders `syms` joined by `-` into one string, each resolved against
+/// `elements` (`?sym<n>` when out of range). Every rendered symbol goes
+/// through here: a single one, a stem, a common portion.
+fn render(elements: &[Element], syms: &[Symbol]) -> String {
+    use fmt::Write;
+    // A rendered dotted quad is at most 15 bytes; the rest are shorter.
+    let mut out = String::with_capacity(syms.len() * 16);
+    for (i, &sym) in syms.iter().enumerate() {
+        if i > 0 {
+            out.push('-');
+        }
+        let written = match elements.get(sym.index()) {
+            Some(element) => write!(out, "{element}"),
+            None => write!(out, "?sym{}", sym.0),
+        };
+        written.expect("writing to a String cannot fail");
+    }
+    out
 }
 
 /// A read-only snapshot view of an [`Interner`] suitable for sharing with
@@ -210,10 +236,13 @@ impl SymbolTable {
 
     /// Renders a symbol for humans.
     pub fn display(&self, sym: Symbol) -> String {
-        match self.resolve(sym) {
-            Some(e) => format!("{}", e),
-            None => format!("?sym{}", sym.0),
-        }
+        render(&self.reverse, &[sym])
+    }
+
+    /// Renders `syms` joined by `-` into one string — `11423-209-701` — the
+    /// form a stem and a common portion take in a report.
+    pub fn render(&self, syms: &[Symbol]) -> String {
+        render(&self.reverse, syms)
     }
 }
 
@@ -279,5 +308,19 @@ mod tests {
         assert_eq!(t.resolve(s), Some(Element::As(Asn(11423))));
         assert_eq!(t.len(), 1);
         assert_eq!(t.display(s), "11423");
+    }
+
+    #[test]
+    fn render_joins_with_dashes() {
+        let mut i = Interner::with_capacity(4);
+        let peer = i.peer(PeerId(RouterId::from_octets(128, 32, 1, 3)));
+        let asn = i.asn(Asn(209));
+        let px = i.prefix("12.2.41.0/24".parse().unwrap());
+        let t: SymbolTable = i.into();
+        assert_eq!(
+            t.render(&[peer, asn, px, Symbol(7)]),
+            "128.32.1.3-209-12.2.41.0/24-?sym7"
+        );
+        assert_eq!(t.render(&[]), "");
     }
 }

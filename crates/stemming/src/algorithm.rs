@@ -97,12 +97,13 @@ impl Stemming {
     /// add returned (no lookup), so round `k+1` starts from round `k`'s
     /// counts instead of recounting every surviving event, and gets its
     /// winner from the index's heap instead of a fold over every surviving
-    /// sub-sequence. Two counting-sorted arrays keyed by prefix symbol (→
-    /// events, → sequence groups) let the E sweep touch only the component
-    /// being extracted. Per-round cost drops from O(alive) to O(component)
-    /// plus one scan of the live groups for P; results are bit-identical to
-    /// the retained from-scratch loop in [`crate::reference`] (proved by the
-    /// differential proptest harness).
+    /// sub-sequence. Two counting-sorted arrays — prefix symbol → events, and
+    /// symbol → the groups whose sequence holds it (postings) — let P scan
+    /// only the groups posted under the winner's rarest symbol and the E
+    /// sweep touch only the component being extracted. Per-round cost drops
+    /// from O(alive) to O(component) plus those postings; results are
+    /// bit-identical to the retained from-scratch loop in
+    /// [`crate::reference`] (proved by the differential proptest harness).
     ///
     /// The identity rests on two facts: sub-sequence counts are additive per
     /// (distinct sequence, multiplicity), so subtracting a component's
@@ -161,13 +162,24 @@ impl Stemming {
         } = self.window(events, weight_of);
         let seq_of = |i: usize| &arena[bounds[i]..bounds[i + 1]];
 
-        // Invert the stream: prefix symbol → event indices (ascending) and
-        // prefix symbol → groups.
+        // Invert the stream: prefix symbol → event indices, and symbol →
+        // the groups whose sequence holds it (its postings), both ascending.
+        // A symbol repeated inside one sequence posts its group once per
+        // occurrence. A prefix symbol occurs only last, and only in its own
+        // groups' sequences, so its postings are exactly the prefix's groups.
         let symbols = encoder.interner().len();
-        let prefix_events = Buckets::new(symbols, event_prefix.iter().copied());
-        let prefix_groups = Buckets::new(symbols, groups.iter().map(|g| g.prefix));
+        let prefix_events = Buckets::new(
+            symbols,
+            event_prefix.iter().enumerate().map(|(i, &p)| (p, i)),
+        );
+        let postings = Buckets::new(
+            symbols,
+            groups
+                .iter()
+                .enumerate()
+                .flat_map(|(g, group)| seq_of(group.repr).iter().map(move |s| (s.index(), g))),
+        );
 
-        let mut live_groups: Vec<usize> = (0..groups.len()).collect();
         // Indexed by symbol; only prefix symbols are ever set.
         let mut swept = vec![false; symbols];
         let mut alive_count = events.len();
@@ -185,13 +197,22 @@ impl Stemming {
             };
             let winner = best.subseq;
 
-            // P: prefixes of live groups containing the winner. A group is
-            // live exactly when its (single) prefix is unswept. Zero-weight
-            // groups are counted nowhere, so only this rescan finds them.
+            // P: prefixes of live groups containing the winner. Each such
+            // group holds every symbol of the winner, so it is posted under
+            // the rarest one, whose postings list it in the ascending group
+            // order a scan of every group would meet it in. A group is live
+            // exactly when its (single) prefix is unswept. Zero-weight
+            // groups are counted nowhere but posted like any other.
+            let rarest = winner
+                .iter()
+                .map(|s| postings.get(s.index()))
+                .min_by_key(|groups| groups.len())
+                .expect("a winning sub-sequence is never empty");
             let mut hit = Vec::new();
-            for &g in &live_groups {
-                let p = groups[g].prefix;
-                if !swept[p] && contains_subslice(seq_of(groups[g].repr), &winner) {
+            for &g in rarest {
+                let group = &groups[g as usize];
+                let p = group.prefix;
+                if !swept[p] && contains_subslice(seq_of(group.repr), &winner) {
                     swept[p] = true;
                     hit.push(p);
                 }
@@ -204,10 +225,11 @@ impl Stemming {
             let mut indices = Vec::new();
             for &p in &hit {
                 let of_prefix = prefix_events.get(p);
-                prefixes.insert(events[of_prefix[0]].prefix);
-                indices.extend_from_slice(of_prefix);
-                for &g in prefix_groups.get(p) {
-                    let removed = counter.remove_held(groups[g].held, groups[g].weight);
+                prefixes.insert(events[of_prefix[0] as usize].prefix);
+                indices.extend(of_prefix.iter().map(|&i| i as usize));
+                for &g in postings.get(p) {
+                    let group = &groups[g as usize];
+                    let removed = counter.remove_held(group.held, group.weight);
                     debug_assert!(removed, "a live group's weight must be removable");
                 }
             }
@@ -217,7 +239,6 @@ impl Stemming {
                 "winning sub-sequence must match events"
             );
             alive_count -= indices.len();
-            live_groups.retain(|&g| !swept[groups[g].prefix]);
 
             let mut start = Timestamp(u64::MAX);
             let mut end = Timestamp::ZERO;
@@ -269,7 +290,7 @@ impl Stemming {
     where
         F: Fn(usize, &bgpscope_bgp::Event) -> u64,
     {
-        let mut encoder = SequenceEncoder::new();
+        let mut encoder = SequenceEncoder::with_capacity(presized(events.len() * 3 / 2));
         let symbols_bound = events
             .iter()
             .map(|e| e.attrs.as_path.asns().len() + 3)
@@ -287,7 +308,8 @@ impl Stemming {
             .collect();
 
         // Group events by distinct sequence (repr = first event index).
-        let mut group_of: HashMap<&[Symbol], usize> = HashMap::new();
+        let mut group_of: HashMap<&[Symbol], usize> =
+            HashMap::with_capacity(presized(events.len()));
         let mut groups: Vec<Group> = Vec::new();
         for (i, event) in events.iter().enumerate() {
             let g = *group_of.entry(seq_of(i)).or_insert_with(|| {
@@ -338,6 +360,17 @@ impl Stemming {
     }
 }
 
+/// The capacity a window's interner and group map are created with, for
+/// `wanted` entries: up front, so a small window never rehashes them. A
+/// churn window needs at most 1.5 symbols and one distinct sequence per
+/// event (`grass`: 1.39 and 1.00). Past 4,096 a table grows from there to
+/// the power of two growing from empty would have reached, so a
+/// 40,000-event window — 0.34 symbols and 0.43 sequences per event on
+/// `spike` — holds no bigger tables than before.
+fn presized(wanted: usize) -> usize {
+    wanted.min(4096)
+}
+
 /// One window, encoded and counted once: what the rounds of
 /// [`Stemming::decompose_weighted_indexed`] start from.
 struct Window {
@@ -364,35 +397,42 @@ struct Group {
     held: u32,
 }
 
-/// Items `0..n` bucketed by key with one counting sort: bucket `k` lists, in
-/// ascending order, the items whose key is `k`.
+/// Items bucketed by key with one counting sort: bucket `k` lists the items
+/// filed under `k`, in filing order. Items and offsets are `u32`, half the
+/// size of `usize` ones, like the index's node ids.
 struct Buckets {
     /// Bucket `k` is `items[starts[k]..starts[k + 1]]`.
-    starts: Vec<usize>,
-    items: Vec<usize>,
+    starts: Vec<u32>,
+    items: Vec<u32>,
 }
 
 impl Buckets {
-    /// `keys` yields each item's bucket in item order, each below `buckets`.
-    fn new(buckets: usize, keys: impl Iterator<Item = usize> + Clone) -> Self {
-        let mut starts = vec![0; buckets + 1];
-        for key in keys.clone() {
-            starts[key + 1] += 1;
+    /// `entries` yields `(key, item)` pairs, each key below `buckets`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are 2³² entries or more, or an item does not fit a
+    /// `u32`.
+    fn new(buckets: usize, entries: impl Iterator<Item = (usize, usize)> + Clone) -> Self {
+        const TOO_MANY: &str = "a window files fewer than 2^32 entries";
+        let mut starts = vec![0u32; buckets + 1];
+        for (key, _) in entries.clone() {
+            starts[key + 1] = starts[key + 1].checked_add(1).expect(TOO_MANY);
         }
         for k in 0..buckets {
-            starts[k + 1] += starts[k];
+            starts[k + 1] = starts[k + 1].checked_add(starts[k]).expect(TOO_MANY);
         }
         let mut next = starts.clone();
-        let mut items = vec![0; starts[buckets]];
-        for (item, key) in keys.enumerate() {
-            items[next[key]] = item;
+        let mut items = vec![0; starts[buckets] as usize];
+        for (key, item) in entries {
+            items[next[key] as usize] = u32::try_from(item).expect(TOO_MANY);
             next[key] += 1;
         }
         Buckets { starts, items }
     }
 
-    fn get(&self, key: usize) -> &[usize] {
-        &self.items[self.starts[key]..self.starts[key + 1]]
+    fn get(&self, key: usize) -> &[u32] {
+        &self.items[self.starts[key] as usize..self.starts[key + 1] as usize]
     }
 }
 

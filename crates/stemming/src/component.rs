@@ -19,7 +19,7 @@ pub struct Stem(pub Symbol, pub Symbol);
 impl Stem {
     /// Renders the stem as `a-b` using a symbol table.
     pub fn display(&self, symbols: &SymbolTable) -> String {
-        format!("{}-{}", symbols.display(self.0), symbols.display(self.1))
+        symbols.render(&[self.0, self.1])
     }
 }
 
@@ -90,11 +90,7 @@ impl Component {
 
     /// Renders the common portion as `a-b-c` using a symbol table.
     pub fn display_subsequence(&self, symbols: &SymbolTable) -> String {
-        self.subsequence
-            .iter()
-            .map(|&s| symbols.display(s))
-            .collect::<Vec<_>>()
-            .join("-")
+        symbols.render(&self.subsequence)
     }
 
     /// A one-line operator summary.

@@ -21,6 +21,14 @@ impl SequenceEncoder {
         SequenceEncoder::default()
     }
 
+    /// A fresh encoder whose symbol table holds `symbols` symbols before it
+    /// grows. Numbering is first-appearance order either way.
+    pub fn with_capacity(symbols: usize) -> Self {
+        SequenceEncoder {
+            interner: Interner::with_capacity(symbols),
+        }
+    }
+
     /// Encodes one event into its sequence `x h a1 … an p`.
     pub fn encode(&mut self, event: &Event) -> Vec<Symbol> {
         sequence_of(event, &mut self.interner)
