@@ -1165,6 +1165,7 @@ impl RealtimeDetector {
             overload: config.overload,
             coalesce,
             recorder,
+            batch: VecDeque::new(),
         }
     }
 }
@@ -1789,6 +1790,10 @@ pub struct PipelineHandle {
     /// The handle's lane into the recording: [`Frame::Transition`] frames,
     /// and the closing [`Frame::End`] at shutdown.
     recorder: Option<RecordingSeal>,
+    /// The batch buffer [`PipelineHandle::ingest_event`] and
+    /// [`PipelineHandle::ingest_update`] push through, reused (always
+    /// empty between calls).
+    batch: VecDeque<WeightedEvent>,
 }
 
 impl std::fmt::Debug for PipelineHandle {
@@ -1803,7 +1808,8 @@ impl std::fmt::Debug for PipelineHandle {
 impl PipelineHandle {
     /// Ingests one raw update: collector augmentation happens here on the
     /// producer side (it is cheap), so backpressure applies between
-    /// augmentation and the expensive windowed analysis.
+    /// augmentation and the expensive windowed analysis. The update's
+    /// events enter the queue as one batch.
     ///
     /// # Errors
     ///
@@ -1814,113 +1820,185 @@ impl PipelineHandle {
         time: Timestamp,
     ) -> Result<(), PipelineClosed> {
         let events = self.collector.apply_update(msg, time);
-        for event in events {
-            self.ingest_event(event)?;
-        }
-        Ok(())
+        self.push_events(events)
     }
 
-    /// Ingests one already-augmented event, applying the overload policy.
+    /// Ingests one already-augmented event, applying the overload policy:
+    /// a batch of one through the handle's one push path.
     ///
     /// # Errors
     ///
     /// Returns [`PipelineClosed`] when the detector thread is gone.
     pub fn ingest_event(&mut self, event: Event) -> Result<(), PipelineClosed> {
-        self.push(event, None)
+        self.push_events(std::iter::once(event))
     }
 
-    /// [`PipelineHandle::ingest_event`], optionally for a caller that owns
-    /// the report stream (the sharded pipeline): every report delivered so
-    /// far moves into `sink` before the push, and again each time the push
-    /// finds the queue still full. A supervisor blocked on the bounded
-    /// report queue under [`ReportPolicy::Block`] therefore always gets
-    /// room, and the producer never waits on a consumer waiting on it.
-    pub(crate) fn push(
+    /// Pushes `events` as one batch through the handle's reused batch
+    /// buffer.
+    fn push_events(
         &mut self,
-        event: Event,
+        events: impl IntoIterator<Item = Event>,
+    ) -> Result<(), PipelineClosed> {
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.extend(events.into_iter().map(WeightedEvent::unit));
+        let pushed = self.push_batch(&mut batch, None);
+        self.batch = batch;
+        pushed
+    }
+
+    /// The one push path: enqueues `batch` in order under the overload
+    /// policy and leaves it empty. The whole batch joins `ingested` with
+    /// one atomic add; every event of it then reaches the queue or is
+    /// counted as shed, so the ledger closes whatever happens.
+    ///
+    /// The policies keep their per-event meaning. [`OverloadPolicy::Block`]
+    /// moves what fits and waits for room for the rest, losslessly;
+    /// [`OverloadPolicy::Degrade`] does the same and raises the pressure
+    /// flag whenever a fill finds the queue full;
+    /// [`OverloadPolicy::DropNewest`] sheds the events that did not fit in
+    /// one fill that does not wait — so with a `capacity` smaller than the
+    /// batch, all but `capacity` events of each batch are shed however fast
+    /// the consumer is, where a push per event let it free slots in between;
+    /// [`OverloadPolicy::DropOldest`] runs its steal (or coalescing) loop
+    /// for each event in turn.
+    ///
+    /// A caller that owns the report stream (the sharded pipeline) passes
+    /// `sink`: every report delivered so far moves into it before the
+    /// first fill, and again after every fill that timed out on a full
+    /// queue. A supervisor blocked on the bounded report queue under
+    /// [`ReportPolicy::Block`] therefore always gets room, and the
+    /// producer never waits on a consumer waiting on it. A timed-out fill
+    /// also checks the detector thread is still alive, and bails out
+    /// instead of deadlocking when it is not — the receiver clone this
+    /// handle holds would otherwise keep the channel connected forever.
+    pub(crate) fn push_batch(
+        &mut self,
+        batch: &mut VecDeque<WeightedEvent>,
         mut sink: Option<&mut Vec<AnomalyReport>>,
     ) -> Result<(), PipelineClosed> {
+        if self.tx.is_none() {
+            batch.clear();
+            return Err(PipelineClosed);
+        }
+        self.shared
+            .ingested
+            .fetch_add(batch.len() as u64, Ordering::AcqRel);
+        self.drain_reports(&mut sink);
+        let pushed = match self.overload {
+            OverloadPolicy::Block | OverloadPolicy::Degrade => self.fill_blocking(batch, &mut sink),
+            // What does not fit stays in `batch`: shed, counted below.
+            OverloadPolicy::DropNewest => self
+                .tx
+                .as_ref()
+                .expect("checked above")
+                .send_many(batch, Duration::ZERO)
+                .map(drop)
+                .map_err(|_| PipelineClosed),
+            OverloadPolicy::DropOldest => std::iter::from_fn(|| batch.pop_front())
+                .try_for_each(|event| self.push_dropping_oldest(event)),
+        };
+        // Only a closed pipeline or DropNewest leaves events behind; a
+        // delivered batch costs no second atomic.
+        if !batch.is_empty() {
+            self.shared
+                .shed
+                .fetch_add(batch.len() as u64, Ordering::AcqRel);
+            batch.clear();
+        }
+        pushed
+    }
+
+    /// Moves every report delivered so far into `sink`, if there is one.
+    fn drain_reports(&self, sink: &mut Option<&mut Vec<AnomalyReport>>) {
+        if let Some(sink) = sink {
+            while let Ok(report) = self.reports.try_recv() {
+                sink.push(report);
+            }
+        }
+    }
+
+    /// Lossless delivery for [`OverloadPolicy::Block`] and
+    /// [`OverloadPolicy::Degrade`] (see [`PipelineHandle::push_batch`]):
+    /// fills the queue until `batch` is empty, the first fill without
+    /// waiting. Leaves the undelivered rest in `batch` on error.
+    fn fill_blocking(
+        &self,
+        batch: &mut VecDeque<WeightedEvent>,
+        sink: &mut Option<&mut Vec<AnomalyReport>>,
+    ) -> Result<(), PipelineClosed> {
+        let tx = self.tx.as_ref().expect("an open pipeline");
+        let mut wait = Duration::ZERO;
+        loop {
+            let moved = tx.send_many(batch, wait).map_err(|_| PipelineClosed)?;
+            if batch.is_empty() {
+                return Ok(());
+            }
+            if self.overload == OverloadPolicy::Degrade {
+                // Queue full: pin analysis at the fidelity floor (the
+                // consumer lifts it once the queue drains), then keep
+                // delivering losslessly, exactly like `Block`.
+                self.shared.pressure.store(true, Ordering::Release);
+            }
+            if moved == 0 && !wait.is_zero() {
+                if !self.shared.consumer_alive.load(Ordering::Acquire) {
+                    return Err(PipelineClosed);
+                }
+                self.drain_reports(sink);
+            }
+            wait = Duration::from_millis(50);
+        }
+    }
+
+    /// One event under [`OverloadPolicy::DropOldest`]: returns merged
+    /// representatives to the queue while it has room, then makes room
+    /// for the event by stealing the oldest queued one — shed, or folded
+    /// into a representative under merge-on-shed. An event that cannot be
+    /// delivered because the pipeline closed is counted as shed here.
+    fn push_dropping_oldest(&mut self, mut event: WeightedEvent) -> Result<(), PipelineClosed> {
         // Opportunistically return merged representatives to the queue
         // while it has room, so coalesced evidence re-enters analysis as
         // soon as pressure eases.
         self.flush_coalesced();
-        let event = WeightedEvent::unit(event);
-        let tx = self.tx.as_ref().ok_or(PipelineClosed)?;
-        self.shared.ingested.fetch_add(1, Ordering::AcqRel);
-        let reports = &self.reports;
-        let mut drain = || {
-            if let Some(sink) = sink.as_deref_mut() {
-                while let Ok(report) = reports.try_recv() {
-                    sink.push(report);
-                }
-            }
-        };
-        drain();
-        match self.overload {
-            OverloadPolicy::Block | OverloadPolicy::Degrade => {
-                if self.overload == OverloadPolicy::Degrade && tx.is_full() {
-                    // Queue full: pin analysis at the fidelity floor (the
-                    // consumer lifts it once the queue drains), then
-                    // deliver losslessly, exactly like `Block`.
-                    self.shared.pressure.store(true, Ordering::Release);
-                }
-                Self::send_blocking(&self.shared, tx, event, drain)
-            }
-            OverloadPolicy::DropNewest => match tx.try_send(event) {
-                Ok(()) => Ok(()),
-                Err(TrySendError::Full(_)) => {
-                    self.shared.shed.fetch_add(1, Ordering::AcqRel);
-                    Ok(())
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.shared.shed.fetch_add(1, Ordering::AcqRel);
-                    Err(PipelineClosed)
-                }
-            },
-            OverloadPolicy::DropOldest => {
-                let mut event = event;
-                loop {
-                    match tx.try_send(event) {
-                        Ok(()) => return Ok(()),
-                        Err(TrySendError::Full(back)) => {
-                            event = back;
-                            // Steal the oldest queued event to make room.
-                            // The consumer only ever removes, so this
-                            // converges; racing with it just means the
-                            // queue made room on its own.
-                            match self.steal_rx.try_recv() {
-                                Ok(oldest) => match self.coalesce.as_mut() {
-                                    // Merge-on-shed: fold the stolen event
-                                    // into a weighted representative
-                                    // instead of discarding it.
-                                    Some(buf) => match buf.fold(oldest) {
-                                        Fold::Merged => {
-                                            self.shared.coalesced.fetch_add(1, Ordering::AcqRel);
-                                        }
-                                        // A held representative stays on
-                                        // the ledger's derived `queued`
-                                        // until it re-enters the queue.
-                                        Fold::Held => {}
-                                        Fold::Shed(_victim) => {
-                                            self.shared.shed.fetch_add(1, Ordering::AcqRel);
-                                        }
-                                    },
-                                    None => {
-                                        self.shared.shed.fetch_add(1, Ordering::AcqRel);
-                                    }
-                                },
-                                Err(TryRecvError::Empty) => {}
-                                Err(TryRecvError::Disconnected) => {
-                                    self.shared.shed.fetch_add(1, Ordering::AcqRel);
-                                    return Err(PipelineClosed);
+        let tx = self.tx.as_ref().expect("an open pipeline");
+        loop {
+            match tx.try_send(event) {
+                Ok(()) => return Ok(()),
+                Err(TrySendError::Full(back)) => {
+                    event = back;
+                    // Steal the oldest queued event to make room. The
+                    // consumer only ever removes, so this converges; racing
+                    // with it just means the queue made room on its own.
+                    match self.steal_rx.try_recv() {
+                        Ok(oldest) => match self.coalesce.as_mut() {
+                            // Merge-on-shed: fold the stolen event into a
+                            // weighted representative instead of
+                            // discarding it.
+                            Some(buf) => match buf.fold(oldest) {
+                                Fold::Merged => {
+                                    self.shared.coalesced.fetch_add(1, Ordering::AcqRel);
                                 }
+                                // A held representative stays on the
+                                // ledger's derived `queued` until it
+                                // re-enters the queue.
+                                Fold::Held => {}
+                                Fold::Shed(_victim) => {
+                                    self.shared.shed.fetch_add(1, Ordering::AcqRel);
+                                }
+                            },
+                            None => {
+                                self.shared.shed.fetch_add(1, Ordering::AcqRel);
                             }
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
+                        },
+                        Err(TryRecvError::Empty) => {}
+                        Err(TryRecvError::Disconnected) => {
                             self.shared.shed.fetch_add(1, Ordering::AcqRel);
                             return Err(PipelineClosed);
                         }
                     }
+                }
+                Err(TrySendError::Disconnected(_)) => {
+                    self.shared.shed.fetch_add(1, Ordering::AcqRel);
+                    return Err(PipelineClosed);
                 }
             }
         }
@@ -1979,36 +2057,6 @@ impl PipelineHandle {
             }
         }
         drained
-    }
-
-    /// Lossless delivery with a liveness check: blocks while the queue is
-    /// full, but bails out (instead of deadlocking) if the detector thread
-    /// died — its receiver clone held by this handle would otherwise keep
-    /// the channel "connected" forever. `still_full` runs after every
-    /// timed-out attempt (see [`PipelineHandle::push`]).
-    fn send_blocking(
-        shared: &SharedStats,
-        tx: &Sender<WeightedEvent>,
-        mut event: WeightedEvent,
-        mut still_full: impl FnMut(),
-    ) -> Result<(), PipelineClosed> {
-        loop {
-            match tx.send_timeout(event, Duration::from_millis(50)) {
-                Ok(()) => return Ok(()),
-                Err(SendTimeoutError::Timeout(back)) => {
-                    if !shared.consumer_alive.load(Ordering::Acquire) {
-                        shared.shed.fetch_add(1, Ordering::AcqRel);
-                        return Err(PipelineClosed);
-                    }
-                    event = back;
-                    still_full();
-                }
-                Err(SendTimeoutError::Disconnected(_)) => {
-                    shared.shed.fetch_add(1, Ordering::AcqRel);
-                    return Err(PipelineClosed);
-                }
-            }
-        }
     }
 
     /// Records feed records skipped as unparseable upstream, so they show

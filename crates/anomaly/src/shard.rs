@@ -55,7 +55,7 @@
 //!
 //! [`SupervisorConfig::max_restarts`]: crate::pipeline::SupervisorConfig
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use serde::Serialize;
@@ -65,7 +65,7 @@ use bgpscope_collector::Collector;
 
 use crate::pipeline::{
     PanicInjection, PipelineClosed, PipelineHandle, PipelineStats, RealtimeDetector, SpawnConfig,
-    StatsProbe,
+    StatsProbe, WeightedEvent,
 };
 use crate::report::{AnomalyReport, ReportDigest};
 
@@ -228,19 +228,23 @@ struct ShardCell {
 }
 
 /// One shard: a live handle (`None` once reaped), the reports and digest
-/// taken off it so far, the thread-safe ledger probe, and the supervision
-/// cell observers sample.
+/// taken off it so far, the thread-safe ledger probe, the supervision
+/// cell observers sample, and the reused buffer its share of a batch is
+/// routed into.
 #[derive(Debug)]
 struct Shard {
     handle: Option<PipelineHandle>,
     /// Reports drained from the shard's bounded report queue during ingest
-    /// (see [`PipelineHandle::push`]), then whatever the reaped handle
-    /// still held.
+    /// (see [`PipelineHandle::push_batch`]), then whatever the reaped
+    /// handle still held.
     reports: Vec<AnomalyReport>,
     /// The reaped handle's report digest.
     digest: ReportDigest,
     probe: StatsProbe,
     cell: Arc<Mutex<ShardCell>>,
+    /// This shard's events of the batch being ingested, in batch order;
+    /// empty between batches.
+    pending: VecDeque<WeightedEvent>,
 }
 
 impl Shard {
@@ -476,6 +480,7 @@ impl ShardedPipeline {
                     digest: ReportDigest::default(),
                     probe,
                     cell: Arc::new(Mutex::new(ShardCell::default())),
+                    pending: VecDeque::new(),
                 }
             })
             .collect();
@@ -528,8 +533,8 @@ impl ShardedPipeline {
     }
 
     /// Ingests one raw update: collector augmentation happens once at the
-    /// sharded layer (the RIB is global), then each event routes to its
-    /// shard.
+    /// sharded layer (the RIB is global), then its events route to their
+    /// shards as one batch.
     ///
     /// # Errors
     ///
@@ -540,48 +545,76 @@ impl ShardedPipeline {
         time: Timestamp,
     ) -> Result<(), PipelineClosed> {
         let events = self.collector.apply_update(msg, time);
-        for event in events {
-            self.ingest_event(event)?;
-        }
-        Ok(())
+        self.ingest_batch(events)
     }
 
-    /// Ingests one already-augmented event into its shard, first moving the
-    /// shard's delivered reports out of its bounded report queue (they come
-    /// back from [`ShardedPipeline::finish`]), so a supervisor blocked on
-    /// that queue never blocks the feed in turn. A shard observed dead
-    /// (restart budget exhausted) is quarantined here: its handle is reaped
-    /// and the event — like every later one routed to it — is counted in
-    /// its `quarantine_shed`.
+    /// Ingests one already-augmented event into its shard: a batch of one
+    /// (see [`ShardedPipeline::ingest_batch`]).
     ///
     /// # Errors
     ///
     /// Returns [`PipelineClosed`] only when **all** shards are quarantined;
-    /// the triggering event is still on the ledger.
+    /// the event is still on the ledger.
     pub fn ingest_event(&mut self, event: Event) -> Result<(), PipelineClosed> {
-        let k = self.router.route_event(&event);
-        let alive = self.shards[k]
-            .handle
-            .as_ref()
-            .is_some_and(PipelineHandle::is_alive);
-        if alive {
-            let shard = &mut self.shards[k];
-            let handle = shard.handle.as_mut().expect("alive shard");
-            match handle.push(event, Some(&mut shard.reports)) {
-                Ok(()) => return Ok(()),
-                // The handle already counted the event (ingested + shed);
-                // the death is terminal — quarantine the shard.
-                Err(PipelineClosed) => self.reap(k),
-            }
-        } else {
-            self.reap(k);
-            self.shards[k]
-                .cell
-                .lock()
-                .expect("shard cell poisoned")
-                .quarantine_shed += 1;
+        self.ingest_batch(std::iter::once(event))
+    }
+
+    /// Ingests already-augmented events: each is routed to its shard,
+    /// keeping batch order within every shard, and each shard with events
+    /// takes its share in one push — one `ingested` add, one liveness
+    /// check, what fits moved under one queue lock. The push first moves
+    /// the shard's delivered reports out of its bounded report queue (they
+    /// come back from [`ShardedPipeline::finish`]), and again after every
+    /// fill that timed out on a full event queue, so a supervisor blocked
+    /// on the report queue never blocks the feed in turn. A shard observed
+    /// dead (restart budget exhausted) is quarantined here: its handle is
+    /// reaped and its share — like every later event routed to it — is
+    /// counted in its `quarantine_shed`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineClosed`] only when **all** shards are quarantined;
+    /// every event of the batch is still on the ledger.
+    pub fn ingest_batch(
+        &mut self,
+        events: impl IntoIterator<Item = Event>,
+    ) -> Result<(), PipelineClosed> {
+        for event in events {
+            let k = self.router.route_event(&event);
+            self.shards[k].pending.push_back(WeightedEvent::unit(event));
         }
-        if self.live_shards() == 0 {
+        let mut reaped = false;
+        for k in 0..self.shards.len() {
+            let shard = &mut self.shards[k];
+            if shard.pending.is_empty() {
+                continue;
+            }
+            match shard.handle.as_mut().filter(|handle| handle.is_alive()) {
+                Some(handle) => {
+                    if handle
+                        .push_batch(&mut shard.pending, Some(&mut shard.reports))
+                        .is_ok()
+                    {
+                        continue;
+                    }
+                    // The handle already counted the batch (ingested +
+                    // shed); the death is terminal — quarantine the shard.
+                    self.reap(k);
+                }
+                None => {
+                    let routed = shard.pending.len() as u64;
+                    shard.pending.clear();
+                    self.reap(k);
+                    self.shards[k]
+                        .cell
+                        .lock()
+                        .expect("shard cell poisoned")
+                        .quarantine_shed += routed;
+                }
+            }
+            reaped = true;
+        }
+        if reaped && self.live_shards() == 0 {
             Err(PipelineClosed)
         } else {
             Ok(())
@@ -1040,6 +1073,33 @@ mod tests {
             "routing sent everything to one shard: {}",
             run.stats
         );
+    }
+
+    /// A batch is routed exactly as its events would be one at a time:
+    /// every shard sees the same events in the same order, so ledgers and
+    /// merged incidents are equal.
+    #[test]
+    fn ingest_batch_routes_like_event_by_event() {
+        let events: Vec<Event> = (0..600u64)
+            .map(|i| withdraw_event(i, (i % 5) as u8, (i % 11) as u8))
+            .collect();
+        let run = |batch: usize| {
+            let config =
+                ShardedConfig::new(3, SpawnConfig::new(small_pipeline())).with_range_bits(16);
+            let mut pipeline = ShardedPipeline::spawn(config);
+            for chunk in events.chunks(batch) {
+                pipeline.ingest_batch(chunk.iter().cloned()).unwrap();
+            }
+            pipeline.finish_merged()
+        };
+        let (one, batched) = (run(1), run(37));
+        assert!(batched.stats.accounts_exactly(), "{}", batched.stats);
+        assert_eq!(batched.incidents, one.incidents);
+        assert!(!one.incidents.is_empty());
+        for (b, o) in batched.stats.shards.iter().zip(&one.stats.shards) {
+            assert_eq!(b.stats.ingested, o.stats.ingested);
+            assert_eq!(b.stats.analyzed, o.stats.analyzed);
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use std::collections::HashMap;
 
 use bgpscope_bgp::{
-    AdjRibIn, Event, EventStream, PathAttributes, PeerId, Prefix, RibChange, Route, Timestamp,
-    UpdateMessage,
+    AdjRibIn, Event, EventKind, EventStream, PathAttributes, PeerId, Prefix, RibChange, Route,
+    Timestamp, UpdateMessage,
 };
 
 /// A passive collector holding one Adj-RIB-In per peer.
@@ -67,24 +67,51 @@ impl Collector {
     /// the peer map.
     pub fn apply_update(&mut self, msg: &UpdateMessage, time: Timestamp) -> Vec<Event> {
         let mut events = Vec::with_capacity(msg.change_count());
-        if let Some(rib) = self.peers.get_mut(&msg.peer) {
-            for &prefix in &msg.withdrawn {
-                if let RibChange::Removed(old) = rib.withdraw(prefix) {
-                    events.push(Event::withdraw(time, msg.peer, prefix, old));
-                }
+        for &prefix in &msg.withdrawn {
+            if let Some(old) = self.remove(msg.peer, prefix) {
+                events.push(Event::withdraw(time, msg.peer, prefix, old));
             }
         }
         if let Some(attrs) = &msg.attrs {
-            if !msg.nlri.is_empty() {
-                let rib = self.peers.entry(msg.peer).or_default();
-                for &prefix in &msg.nlri {
-                    rib.announce(prefix, attrs.clone());
-                    events.push(Event::announce(time, msg.peer, prefix, attrs.clone()));
-                }
+            for &prefix in &msg.nlri {
+                self.install(msg.peer, prefix, attrs.clone());
+                events.push(Event::announce(time, msg.peer, prefix, attrs.clone()));
             }
         }
         self.event_count += events.len() as u64;
         events
+    }
+
+    /// Augments one per-prefix event in place — what
+    /// [`Collector::apply_update`] does for the one-prefix UPDATE the event
+    /// stands for, without building that UPDATE or a `Vec` of results.
+    ///
+    /// An announce installs its attributes and comes back as it went in. A
+    /// withdraw comes back carrying the attributes of the route it removed,
+    /// or is `None` when the peer holds no route for the prefix (a stale
+    /// withdrawal, or a peer that never announced anything).
+    pub fn augment(&mut self, mut event: Event) -> Option<Event> {
+        match event.kind {
+            EventKind::Announce => self.install(event.peer, event.prefix, event.attrs.clone()),
+            EventKind::Withdraw => event.attrs = self.remove(event.peer, event.prefix)?,
+        }
+        self.event_count += 1;
+        Some(event)
+    }
+
+    /// Installs (or implicitly replaces) `peer`'s route to `prefix`,
+    /// creating the peer's Adj-RIB-In on its first announcement.
+    fn install(&mut self, peer: PeerId, prefix: Prefix, attrs: PathAttributes) {
+        self.peers.entry(peer).or_default().announce(prefix, attrs);
+    }
+
+    /// Removes `peer`'s route to `prefix`, returning its attributes; `None`
+    /// when there was none. Never creates a peer.
+    fn remove(&mut self, peer: PeerId, prefix: Prefix) -> Option<PathAttributes> {
+        match self.peers.get_mut(&peer)?.withdraw(prefix) {
+            RibChange::Removed(old) => Some(old),
+            _ => None,
+        }
     }
 
     /// Applies many updates (each with its timestamp), returning one sorted
@@ -229,6 +256,26 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].attrs.as_path.to_string(), "11423 11422 209");
         assert_eq!(rex.route_count(), 1);
+    }
+
+    #[test]
+    fn augment_moves_announces_and_restores_withdrawn_attrs() {
+        let mut rex = Collector::new();
+        let a = attrs(66, "11423 209");
+        let prefix = p("10.0.0.0/8");
+        let stale = Event::withdraw(Timestamp::from_secs(1), peer(3), prefix, attrs(1, "1"));
+        assert_eq!(rex.augment(stale), None, "unknown peer");
+        assert_eq!(rex.peers().count(), 0);
+        let announce = Event::announce(Timestamp::from_secs(2), peer(3), prefix, a.clone());
+        assert_eq!(rex.augment(announce.clone()), Some(announce));
+        let withdraw = Event::withdraw(Timestamp::from_secs(3), peer(3), prefix, attrs(1, "1"));
+        let out = rex.augment(withdraw).expect("a live route");
+        assert_eq!(out.attrs, a);
+        assert_eq!(out.time, Timestamp::from_secs(3));
+        let again = Event::withdraw(Timestamp::from_secs(4), peer(3), prefix, a);
+        assert_eq!(rex.augment(again), None, "stale withdrawal");
+        assert_eq!(rex.events_seen(), 2);
+        assert_eq!(rex.route_count(), 0);
     }
 
     #[test]

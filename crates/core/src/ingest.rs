@@ -10,25 +10,34 @@
 //!    into fixed-size `Vec`s sent over a bounded channel. Memory is the
 //!    reader's refill buffer plus at most `channel_batches + 1` in-flight
 //!    batches, independent of archive size.
-//! 2. **augment** — the caller's thread replays each decoded event through
-//!    a [`Collector`] ([`AugmentMode::Rebuild`]), so withdrawals regain the
-//!    attributes of the route they removed and withdrawals for prefixes the
-//!    peer never announced are filtered out, exactly as the paper's REX
-//!    appliance does on live feeds. [`AugmentMode::Passthrough`] forwards
-//!    archive events untouched (for archives that were already augmented at
-//!    capture time).
+//! 2. **augment** — the caller's thread moves each decoded event through
+//!    a [`Collector`] ([`AugmentMode::Rebuild`], [`Collector::augment`]),
+//!    so withdrawals regain the attributes of the route they removed and
+//!    withdrawals for prefixes the peer never announced are filtered out,
+//!    exactly as the paper's REX appliance does on live feeds.
+//!    [`AugmentMode::Passthrough`] forwards archive events untouched (for
+//!    archives that were already augmented at capture time). A decoded
+//!    batch is augmented into one reused batch, which goes to the stem
+//!    stage whole ([`ShardedPipeline::ingest_batch`]).
 //! 3. **stem** — the sharded supervised pipeline ([`ShardedPipeline`];
 //!    one shard is the unsharded run): windowed stemming + classification
 //!    behind per-shard bounded queues, with the crash-recovery, quarantine
-//!    and overload machinery the `pipeline` subcommand exposes. Reports are
-//!    drained from the shards while events are still being pushed, so a
-//!    bounded report queue never stalls the feed, and come back as the
-//!    merged global incidents.
+//!    and overload machinery the `pipeline` subcommand exposes. Each shard
+//!    takes its share of a batch in one push. Reports are drained from the
+//!    shards while events are still being pushed, so a bounded report
+//!    queue never stalls the feed, and come back as the merged global
+//!    incidents.
+//!
+//! Nothing between the archive bytes and a shard's queue is paid per event
+//! except the decode and the RIB update: decoded AS paths are shared (the
+//! reader caches the paths it decoded recently), augmentation moves the
+//! event instead of rebuilding it from an UPDATE, and queue locks, counters
+//! and timers are paid per batch.
 //!
 //! Each stage keeps a wall-clock occupancy ledger ([`StageStats`]): time
 //! spent doing its own work vs. waiting on its input or output queue, so a
 //! replay tells you *which* stage is the bottleneck, not just how fast the
-//! whole thing went.
+//! whole thing went. The clocks are read per batch, never per event.
 //!
 //! # Multi-source fan-in
 //!
@@ -61,7 +70,7 @@ use bgpscope_anomaly::{
     AnomalyReport, PipelineStats, ReportDigest, ShardedConfig, ShardedPipeline, ShardedStats,
     SpawnConfig,
 };
-use bgpscope_bgp::{splitmix64, Event, EventKind, UpdateMessage};
+use bgpscope_bgp::{splitmix64, Event};
 use bgpscope_collector::Collector;
 use bgpscope_mrt::{MrtError, RecordReader, DEFAULT_BUFFER_CAPACITY};
 use crossbeam::channel;
@@ -189,7 +198,17 @@ impl IngestConfig {
     }
 }
 
-/// Wall-clock occupancy of one pipeline stage.
+/// Wall-clock occupancy of one pipeline stage, timed per batch.
+///
+/// * **decode** — busy: building each batch, from its first record to its
+///   last (for a supervised source also reopening and fast-forwarding its
+///   reader, but never a retry backoff); blocked out: handing the batch to
+///   the augment stage, waiting for room included.
+/// * **augment** — busy: augmenting each batch, from its first event to
+///   its hand-off (under [`MultiSourceIngest`] that span also holds the
+///   merge picks that produced it); blocked in: waiting for a decoded
+///   batch; blocked out: handing the batch to the stem stage, waiting on
+///   full shard queues included.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct StageStats {
     /// Seconds spent doing the stage's own work.
@@ -467,40 +486,42 @@ fn decode_stage<R: Read>(
     };
     let mut stats = StageStats::default();
     let mut events_decoded = 0u64;
-    let mut batch = Vec::with_capacity(batch_size);
     let result = loop {
+        // One busy interval per batch, from its first record to its last.
         let start = Instant::now();
-        let next = records.next_event();
-        stats.busy_secs += start.elapsed().as_secs_f64();
-        match next {
-            Ok(Some(event)) => {
-                events_decoded += 1;
-                batch.push(event);
-                if batch.len() == batch_size {
-                    let start = Instant::now();
-                    let sent = tx.send(std::mem::replace(
-                        &mut batch,
-                        Vec::with_capacity(batch_size),
-                    ));
-                    stats.blocked_out_secs += start.elapsed().as_secs_f64();
-                    if sent.is_err() {
-                        // Downstream hung up (pipeline died); stop quietly —
-                        // the augment side reports the real failure.
-                        break Ok(());
+        let mut batch = Vec::with_capacity(batch_size);
+        let decoded = loop {
+            match records.next_event() {
+                Ok(Some(event)) => {
+                    batch.push(event);
+                    if batch.len() == batch_size {
+                        break Ok(true);
                     }
                 }
+                Ok(None) => break Ok(false),
+                Err(e) => break Err(e),
             }
-            Ok(None) => {
-                if !batch.is_empty() {
-                    let start = Instant::now();
-                    let _ = tx.send(std::mem::take(&mut batch));
-                    stats.blocked_out_secs += start.elapsed().as_secs_f64();
-                }
+        };
+        stats.busy_secs += start.elapsed().as_secs_f64();
+        events_decoded += batch.len() as u64;
+        // A partial trailing batch is dropped on error: the run fails as a
+        // whole, so nothing downstream may act on its events.
+        let more = match decoded {
+            Ok(more) => more,
+            Err(e) => break Err(e),
+        };
+        if !batch.is_empty() {
+            let start = Instant::now();
+            let sent = tx.send(batch);
+            stats.blocked_out_secs += start.elapsed().as_secs_f64();
+            if sent.is_err() {
+                // Downstream hung up (pipeline died); stop quietly — the
+                // augment side reports the real failure.
                 break Ok(());
             }
-            // A partial trailing batch is dropped on error: the run fails
-            // as a whole, so nothing downstream may act on its events.
-            Err(e) => break Err(e),
+        }
+        if !more {
+            break Ok(());
         }
     };
     let front = FrontEnd {
@@ -518,35 +539,24 @@ fn to_json(value: &impl Serialize) -> String {
     serde_json::to_string(value).expect("ingest ledgers are always serializable")
 }
 
-/// The UPDATE a decoded archive event stands for, ready to be replayed
-/// through a collector.
-fn update_of(event: &Event) -> UpdateMessage {
-    match event.kind {
-        EventKind::Announce => {
-            UpdateMessage::announce(event.peer, event.attrs.clone(), [event.prefix])
-        }
-        EventKind::Withdraw => UpdateMessage::withdraw(event.peer, [event.prefix]),
-    }
-}
-
-/// What one decoded event became on its way into the stem pipeline.
-struct Augmented {
-    forwarded: u64,
-    withdraw_filtered: bool,
-}
-
 /// Everything after a decoded event, shared by [`ingest`] and
 /// [`MultiSourceIngest::run`]: augment → stem → report. Owns the sharded
-/// stem pipeline, the augment mode and the augment stage's occupancy
-/// ledger; only the decode front-ends differ.
+/// stem pipeline, the augment mode, the batch of augmented events on its
+/// way to the stem stage and the augment stage's occupancy ledger; only
+/// the decode front-ends differ.
 struct BackHalf {
     started: Instant,
     pipeline: ShardedPipeline,
     mode: AugmentMode,
     stage: StageStats,
+    /// Augmented events not yet handed to the stem pipeline, in order;
+    /// reused from batch to batch.
+    augmented: Vec<Event>,
+    /// When the batch being assembled took its first event.
+    batch_started: Option<Instant>,
     events_forwarded: u64,
     withdraws_filtered: u64,
-    /// Set once the stem pipeline refuses an event: every shard is
+    /// Set once the stem pipeline refuses a batch: every shard is
     /// quarantined and the run can only fail.
     closed: bool,
 }
@@ -561,6 +571,8 @@ impl BackHalf {
             )),
             mode: config.augment,
             stage: StageStats::default(),
+            augmented: Vec::with_capacity(config.batch_size.max(1)),
+            batch_started: None,
             events_forwarded: 0,
             withdraws_filtered: 0,
             closed: false,
@@ -568,36 +580,50 @@ impl BackHalf {
     }
 
     /// Augments one decoded event against `collector` (the RIB state of
-    /// the source it came from) and forwards what comes out to its shard.
-    fn push(&mut self, collector: &mut Collector, event: Event) -> Augmented {
-        let start = Instant::now();
-        let mut withdraw_filtered = false;
-        let outputs = match self.mode {
-            AugmentMode::Passthrough => vec![event],
-            AugmentMode::Rebuild => {
-                let outputs = collector.apply_update(&update_of(&event), event.time);
-                withdraw_filtered = outputs.is_empty() && event.kind == EventKind::Withdraw;
-                outputs
-            }
+    /// the source it came from) into the batch for the stem stage. Returns
+    /// `false` when rebuild augmentation filtered it out as a stale
+    /// withdrawal.
+    fn augment(&mut self, collector: &mut Collector, event: Event) -> bool {
+        self.batch_started.get_or_insert_with(Instant::now);
+        let augmented = match self.mode {
+            AugmentMode::Passthrough => Some(event),
+            AugmentMode::Rebuild => collector.augment(event),
         };
-        self.stage.busy_secs += start.elapsed().as_secs_f64();
-        let mut forwarded = 0;
-        for out in outputs {
-            let start = Instant::now();
-            let pushed = self.pipeline.ingest_event(out);
-            self.stage.blocked_out_secs += start.elapsed().as_secs_f64();
-            if pushed.is_err() {
-                self.closed = true;
-                break;
+        match augmented {
+            Some(event) => {
+                self.augmented.push(event);
+                self.events_forwarded += 1;
+                true
             }
-            forwarded += 1;
+            None => {
+                self.withdraws_filtered += 1;
+                false
+            }
         }
-        self.events_forwarded += forwarded;
-        self.withdraws_filtered += u64::from(withdraw_filtered);
-        Augmented {
-            forwarded,
-            withdraw_filtered,
+    }
+
+    /// Hands the batch to the stem pipeline, closing the back half if the
+    /// pipeline refuses it. Every event of the batch is on the stem
+    /// ledger either way.
+    fn flush(&mut self) {
+        if let Some(started) = self.batch_started.take() {
+            self.stage.busy_secs += started.elapsed().as_secs_f64();
         }
+        if self.augmented.is_empty() {
+            return;
+        }
+        let start = Instant::now();
+        let pushed = self.pipeline.ingest_batch(self.augmented.drain(..));
+        self.stage.blocked_out_secs += start.elapsed().as_secs_f64();
+        self.closed |= pushed.is_err();
+    }
+
+    /// Augments a whole decoded batch of one source and hands it on.
+    fn push_batch(&mut self, collector: &mut Collector, batch: Vec<Event>) {
+        for event in batch {
+            self.augment(collector, event);
+        }
+        self.flush();
     }
 
     /// Tears the stem pipeline down for a run that failed upstream of it
@@ -708,17 +734,12 @@ pub fn ingest<R: Read + Send>(
 
         let mut collector = Collector::new();
 
-        'drain: loop {
+        while !back.closed {
             let start = Instant::now();
             let batch = rx.recv();
             back.stage.blocked_in_secs += start.elapsed().as_secs_f64();
             let Ok(batch) = batch else { break };
-            for event in batch {
-                back.push(&mut collector, event);
-                if back.closed {
-                    break 'drain;
-                }
-            }
+            back.push_batch(&mut collector, batch);
         }
 
         // Unblock (and stop) the decoder before joining it.
@@ -1050,6 +1071,9 @@ struct SourceWorker {
     /// The current reader's counters as of the last fold into the ledger.
     prev: ReaderCounters,
     stats: StageStats,
+    /// Start of the busy interval running now: everything since the last
+    /// flush or backoff (decoding, reader rebuilds), timed per batch.
+    busy_since: Instant,
     /// Set by a degraded spell; the next fold marks the source Recovered.
     recovering: bool,
     transient_failures: u32,
@@ -1061,9 +1085,9 @@ impl SourceWorker {
         // fully accounted — the exact fast-forward resume point.
         let mut good_consumed = 0u64;
         let mut poison_failures = 0u32;
+        self.busy_since = Instant::now();
 
         'rebuild: loop {
-            let start = Instant::now();
             let built = open().map_err(MrtError::Io).and_then(|reader| {
                 let mut records = match mode {
                     IngestMode::Strict => RecordReader::with_capacity(reader, buffer_capacity),
@@ -1072,7 +1096,6 @@ impl SourceWorker {
                 records.fast_forward(good_consumed)?;
                 Ok(records)
             });
-            self.stats.busy_secs += start.elapsed().as_secs_f64();
             let mut records = match built {
                 Ok(records) => records,
                 Err(e) if self.retry_after(&e) => continue 'rebuild,
@@ -1082,9 +1105,7 @@ impl SourceWorker {
             // counter-neutral), so the fold baseline restarts too.
             self.prev = (0, 0, 0);
             loop {
-                let start = Instant::now();
                 let next = records.next_event();
-                self.stats.busy_secs += start.elapsed().as_secs_f64();
                 let counters = (
                     records.records_decoded(),
                     records.records_skipped(),
@@ -1150,6 +1171,12 @@ impl SourceWorker {
         }
     }
 
+    /// Closes the running busy interval into the stage ledger; the next
+    /// one starts when the caller resets `busy_since`.
+    fn bank_busy(&mut self) {
+        self.stats.busy_secs += self.busy_since.elapsed().as_secs_f64();
+    }
+
     /// Atomically accounts the pending batch and enqueues it:
     /// `events_decoded` and `queued` move together under the ledger lock,
     /// in the same critical section as the channel insert, so the
@@ -1159,6 +1186,7 @@ impl SourceWorker {
     /// `false` when the source is quarantined or the fan-in is gone — the
     /// batch is shed (`stall_shed`) and the worker must exit.
     fn flush(&mut self, counters: ReaderCounters) -> bool {
+        self.bank_busy();
         let mut payload = std::mem::replace(&mut self.batch, Vec::with_capacity(self.batch_size));
         let len = payload.len() as u64;
         loop {
@@ -1200,13 +1228,16 @@ impl SourceWorker {
                 state.done = true;
             }
             state.decode = self.stats;
+            drop(guard);
+            self.busy_since = Instant::now();
             return delivered;
         }
     }
 
     /// Marks the source quarantined with `cause` and records the worker's
     /// exit.
-    fn quarantine(&self, cause: String) {
+    fn quarantine(&mut self, cause: String) {
+        self.bank_busy();
         let mut guard = self.shared.lock().unwrap();
         let state = &mut guard[self.idx];
         if state.ledger.health != SourceHealth::Quarantined {
@@ -1232,7 +1263,9 @@ impl SourceWorker {
     /// backoff.
     fn degrade_and_back_off(&mut self, failures: u32) {
         self.degrade();
+        self.bank_busy();
         std::thread::sleep(self.policy.backoff(self.idx, failures));
+        self.busy_since = Instant::now();
     }
 
     /// One more transient failure: quarantines the source (`false` — the
@@ -1253,8 +1286,16 @@ impl SourceWorker {
 }
 
 /// A ledger-snapshot observer: called with the per-source ledgers under
-/// the ledger lock at every merge/quarantine instant.
+/// the ledger lock at every flush/quarantine instant.
 type SourceProbe = Box<dyn FnMut(&[SourceLedger])>;
+
+/// One source's merged events since the last flush of the fan-in.
+#[derive(Debug, Default, Clone, Copy)]
+struct Unbooked {
+    merged: u64,
+    forwarded: u64,
+    filtered: u64,
+}
 
 /// Supervised multi-source MRT fan-in: N decode workers (one per source,
 /// each under a [`SourcePolicy`]) feeding the deterministic k-way merge
@@ -1296,7 +1337,7 @@ impl MultiSourceIngest {
     }
 
     /// Installs a snapshot probe: called with the per-source ledgers after
-    /// every merged event and every quarantine, under the ledger lock —
+    /// every flushed batch and every quarantine, under the ledger lock —
     /// each snapshot is an instant at which every ledger invariant must
     /// hold. Tests use this to assert exact accounting at every step.
     pub fn with_probe(mut self, probe: impl FnMut(&[SourceLedger]) + 'static) -> Self {
@@ -1361,6 +1402,7 @@ impl MultiSourceIngest {
                 batch_size,
                 prev: (0, 0, 0),
                 stats: StageStats::default(),
+                busy_since: Instant::now(),
                 recovering: false,
                 transient_failures: 0,
             };
@@ -1376,6 +1418,31 @@ impl MultiSourceIngest {
 
         let snapshot =
             |guard: &[SourceState]| guard.iter().map(|s| s.ledger.clone()).collect::<Vec<_>>();
+        // Merged events not yet booked into their source's ledger: the
+        // merge counts them as it takes them, and each flush books them —
+        // together with the batch they went out in — under one ledger
+        // lock. Until then they stay `queued`, so every ledger closes at
+        // every instant.
+        let mut unbooked = vec![Unbooked::default(); n];
+        let flush =
+            |back: &mut BackHalf, unbooked: &mut [Unbooked], probe: &mut Option<SourceProbe>| {
+                back.flush();
+                if unbooked.iter().all(|u| u.merged == 0) {
+                    return;
+                }
+                let mut guard = shared.lock().unwrap();
+                for (state, u) in guard.iter_mut().zip(unbooked.iter_mut()) {
+                    let ledger = &mut state.ledger;
+                    ledger.queued -= u.merged;
+                    ledger.events_merged += u.merged;
+                    ledger.events_forwarded += u.forwarded;
+                    ledger.withdraws_filtered += u.filtered;
+                    *u = Unbooked::default();
+                }
+                if let Some(probe) = probe.as_mut() {
+                    probe(&snapshot(&guard));
+                }
+            };
 
         'merge: loop {
             // Fill: every live source must have an event staged before the
@@ -1388,9 +1455,25 @@ impl MultiSourceIngest {
                 if disconnected[i] || quarantined[i] || !heads[i].is_empty() {
                     continue;
                 }
-                let start = Instant::now();
-                let pulled = rxs[i].recv_timeout(policy.stall_timeout);
-                back.stage.blocked_in_secs += start.elapsed().as_secs_f64();
+                let pulled = match rxs[i].try_recv() {
+                    Ok(batch) => Ok(batch),
+                    Err(channel::TryRecvError::Disconnected) => {
+                        Err(channel::RecvTimeoutError::Disconnected)
+                    }
+                    // Nothing queued: the fill will wait, so what has been
+                    // merged goes out first and reaches the stem stage
+                    // while the merge waits.
+                    Err(channel::TryRecvError::Empty) => {
+                        flush(&mut back, &mut unbooked, &mut probe);
+                        if back.closed {
+                            break 'merge;
+                        }
+                        let start = Instant::now();
+                        let pulled = rxs[i].recv_timeout(policy.stall_timeout);
+                        back.stage.blocked_in_secs += start.elapsed().as_secs_f64();
+                        pulled
+                    }
+                };
                 match pulled {
                     Ok(batch) => {
                         if timeouts[i] > 0 {
@@ -1467,27 +1550,22 @@ impl MultiSourceIngest {
                 .min_by_key(|&i| (heads[i].front().expect("non-empty head").time, i))
                 .expect("at least one staged event");
             let event = heads[pick].pop_front().expect("picked head");
-            {
-                let mut guard = shared.lock().unwrap();
-                let ledger = &mut guard[pick].ledger;
-                ledger.queued -= 1;
-                ledger.events_merged += 1;
+            let forwarded = back.augment(&mut collectors[pick], event);
+            let counts = &mut unbooked[pick];
+            counts.merged += 1;
+            if forwarded {
+                counts.forwarded += 1;
+            } else {
+                counts.filtered += 1;
             }
-
-            let augmented = back.push(&mut collectors[pick], event);
-            {
-                let mut guard = shared.lock().unwrap();
-                let ledger = &mut guard[pick].ledger;
-                ledger.withdraws_filtered += u64::from(augmented.withdraw_filtered);
-                ledger.events_forwarded += augmented.forwarded;
-                if let Some(probe) = probe.as_mut() {
-                    probe(&snapshot(&guard));
+            if back.augmented.len() >= batch_size {
+                flush(&mut back, &mut unbooked, &mut probe);
+                if back.closed {
+                    break 'merge;
                 }
             }
-            if back.closed {
-                break 'merge;
-            }
         }
+        flush(&mut back, &mut unbooked, &mut probe);
 
         // Tear the fan-in down: dropping the receivers makes any still-live
         // worker shed-and-exit on its next enqueue attempt.
@@ -1643,14 +1721,17 @@ mod tests {
         json
     }
 
-    /// The synchronous reference: one `RealtimeDetector` at `level` doing
+    /// The synchronous reference: one `RealtimeDetector` at `level` behind
     /// its own rebuild augmentation.
     fn sync_run(stream: &EventStream, level: FidelityLevel) -> (Vec<String>, PipelineStats) {
+        let mut collector = Collector::new();
         let mut detector = RealtimeDetector::new(PipelineConfig::default());
         detector.set_fidelity(level);
         let mut reports = Vec::new();
         for event in stream {
-            reports.extend(detector.ingest_update(&update_of(event), event.time));
+            if let Some(event) = collector.augment(event.clone()) {
+                reports.extend(detector.ingest_event(event));
+            }
         }
         reports.extend(detector.flush());
         (sorted_json(&reports), detector.stats())
@@ -1907,6 +1988,107 @@ mod tests {
                 .run()
                 .unwrap();
         assert_eq!(report.events_decoded, 120);
+        assert!(report.sources_account_exactly());
+    }
+
+    /// A reader over `data` that stops once at byte `gate` until `open`
+    /// says so (waiting at most 10 s), recording whether it was let through.
+    struct Gated {
+        data: Vec<u8>,
+        pos: usize,
+        gate: Option<usize>,
+        open: Box<dyn Fn() -> bool + Send>,
+        opened: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl Read for Gated {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            if self.gate == Some(self.pos) {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !(self.open)() && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                self.opened
+                    .store((self.open)(), std::sync::atomic::Ordering::SeqCst);
+                self.gate = None;
+            }
+            let limit = self.gate.unwrap_or(self.data.len());
+            let end = limit.min(self.pos + out.len());
+            let n = end - self.pos;
+            out[..n].copy_from_slice(&self.data[self.pos..end]);
+            self.pos = end;
+            Ok(n)
+        }
+    }
+
+    /// Events merged before a blocking fill reach the stem stage before
+    /// the fill waits. Source "b" delivers one batch, then its reader
+    /// stops at a gate that opens only once the probe has seen that batch
+    /// merged and booked: a merge that sat on merged events while waiting
+    /// for more of "b" would never see the gate open.
+    #[test]
+    fn multi_source_flushes_merged_events_before_a_blocking_fill() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        let batch = 16;
+        let b_stream = source_stream(2, 40);
+        let mut first = EventStream::new();
+        for event in b_stream.iter().take(batch) {
+            first.push(event.clone());
+        }
+        let gate = archive_of(&first).len();
+        let b_merged = Arc::new(AtomicU64::new(0));
+        let opened = Arc::new(AtomicBool::new(false));
+        let b_archive = archive_of(&b_stream);
+        let (seen, flag) = (Arc::clone(&b_merged), Arc::clone(&opened));
+        let b = SourceSpec::new("b", move || {
+            let seen = Arc::clone(&seen);
+            Ok(Box::new(Gated {
+                data: b_archive.clone(),
+                pos: 0,
+                gate: Some(gate),
+                open: Box::new(move || seen.load(Ordering::SeqCst) >= batch as u64),
+                opened: Arc::clone(&flag),
+            }) as Box<dyn Read + Send>)
+        });
+        // One extra early event on "a" puts b's last delivered event one
+        // past a multiple of the batch size in merge order, so only a
+        // flush before the wait — not a full batch — can book it.
+        let mut a_stream = EventStream::new();
+        a_stream.push(Event::announce(
+            Timestamp::ZERO,
+            PeerId::from_octets(10, 1, 0, 1),
+            "21.255.0.0/24".parse().unwrap(),
+            attrs(&[701]),
+        ));
+        for event in &source_stream(1, 40) {
+            a_stream.push(event.clone());
+        }
+        let probed = Arc::clone(&b_merged);
+        let report = MultiSourceIngest::new(
+            IngestConfig::default().with_batch_size(batch),
+            test_policy().with_stall_timeout(Duration::from_secs(30)),
+        )
+        .source(SourceSpec::from_bytes("a", archive_of(&a_stream)))
+        .source(b)
+        .with_probe(move |ledgers| {
+            for l in ledgers {
+                assert!(l.accounts_exactly(), "open ledger mid-run: {l:?}");
+                assert_eq!(
+                    l.events_forwarded + l.withdraws_filtered,
+                    l.events_merged,
+                    "merged but not booked at a flush: {l:?}"
+                );
+            }
+            probed.store(ledgers[1].events_merged, Ordering::SeqCst);
+        })
+        .run()
+        .unwrap();
+        assert!(
+            opened.load(Ordering::SeqCst),
+            "the merge waited on b with b's merged events still unflushed"
+        );
+        assert_eq!(report.events_decoded, 161);
+        assert_eq!(report.stats.ingested, 161);
         assert!(report.sources_account_exactly());
     }
 

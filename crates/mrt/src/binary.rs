@@ -114,7 +114,85 @@ fn put_attrs(buf: &mut Vec<u8>, attrs: &PathAttributes) -> Result<(), MrtError> 
     Ok(())
 }
 
-fn get_attrs(buf: &mut &[u8]) -> Result<PathAttributes, MrtError> {
+/// Slots in a [`PathTable`], and so the most AS paths it holds. A power of
+/// two: 4,096 slots take 64 KiB, which with the paths they hold stays
+/// within a core's L2 cache.
+pub(crate) const PATH_TABLE_SLOTS: usize = 1 << PATH_TABLE_BITS;
+const PATH_TABLE_BITS: u32 = 12;
+
+/// The AS paths a reader decoded recently, each stored once, in a
+/// direct-mapped cache: one slot per hash of the hops. An archive repeats a
+/// few paths across many prefixes and updates, so the hops just read are
+/// usually the path already in their slot, and the event gets a clone of
+/// it — a reference-count bump, no allocation. Otherwise a new path is
+/// built and replaces the slot's. A miss therefore costs a hash and a
+/// comparison over a plain decode; the table never grows, probes or clears,
+/// and its memory is constant in the archive size.
+///
+/// The hash is unkeyed although paths are peer-controlled input: with no
+/// probe sequence to lengthen, paths crafted to collide only evict each
+/// other, which is the plain decode. Being unkeyed also makes which paths
+/// share storage the same on every run.
+pub(crate) struct PathTable {
+    slots: Box<[Option<AsPath>]>,
+    /// The hops being decoded, read here before the slot is known.
+    scratch: Vec<Asn>,
+}
+
+impl Default for PathTable {
+    fn default() -> Self {
+        PathTable {
+            slots: vec![None; PATH_TABLE_SLOTS].into_boxed_slice(),
+            scratch: Vec::new(),
+        }
+    }
+}
+
+impl fmt::Debug for PathTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PathTable")
+            .field("held", &self.len())
+            .finish()
+    }
+}
+
+impl PathTable {
+    /// Reads `hops` big-endian ASNs off `buf` (the caller checked they are
+    /// there) and returns the path with those hops: the slot's own if it
+    /// holds them, else a new path that takes over the slot.
+    fn decode(&mut self, buf: &mut &[u8], hops: usize) -> AsPath {
+        self.scratch.clear();
+        self.scratch.extend((0..hops).map(|_| Asn(buf.get_u32())));
+        let slot = &mut self.slots[slot_of(&self.scratch)];
+        if let Some(path) = slot {
+            if path.asns() == self.scratch.as_slice() {
+                return path.clone();
+            }
+        }
+        // Drop the evicted path first: the new one likely reuses its memory.
+        *slot = None;
+        let path = AsPath::from_asns(self.scratch.iter().copied());
+        *slot = Some(path.clone());
+        path
+    }
+
+    /// Paths held right now.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.iter().filter(|slot| slot.is_some()).count()
+    }
+}
+
+/// The slot for a path's hops: an Fx-style multiplicative hash over the
+/// length and the ASNs, taking its high bits, which mix best.
+fn slot_of(hops: &[Asn]) -> usize {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let hash = hops.iter().fold(hops.len() as u64, |hash, asn| {
+        (hash.rotate_left(5) ^ u64::from(asn.0)).wrapping_mul(K)
+    });
+    (hash >> (u64::BITS - PATH_TABLE_BITS)) as usize
+}
+
+fn get_attrs(buf: &mut &[u8], paths: &mut PathTable) -> Result<PathAttributes, MrtError> {
     if buf.remaining() < 7 {
         return Err(MrtError::Truncated);
     }
@@ -155,7 +233,7 @@ fn get_attrs(buf: &mut &[u8]) -> Result<PathAttributes, MrtError> {
     if buf.remaining() < path_len * 4 {
         return Err(MrtError::Truncated);
     }
-    let as_path = AsPath::from_asns((0..path_len).map(|_| Asn(buf.get_u32())));
+    let as_path = paths.decode(buf, path_len);
     if buf.remaining() < 2 {
         return Err(MrtError::Truncated);
     }
@@ -258,6 +336,7 @@ pub(crate) fn decode_event_body(
     time: Timestamp,
     subtype: u16,
     body: &mut &[u8],
+    paths: &mut PathTable,
 ) -> Result<Event, MrtError> {
     let kind = match subtype {
         SUBTYPE_ANNOUNCE => EventKind::Announce,
@@ -265,7 +344,7 @@ pub(crate) fn decode_event_body(
         other => return Err(MrtError::UnknownSubtype(other)),
     };
     let (peer, prefix) = read_peer_prefix(body)?;
-    let attrs = get_attrs(body)?;
+    let attrs = get_attrs(body, paths)?;
     Ok(Event {
         time,
         kind,
@@ -276,9 +355,13 @@ pub(crate) fn decode_event_body(
 }
 
 /// Decodes one RIB-entry-record body (everything after the record header).
-pub(crate) fn decode_rib_body(time: Timestamp, body: &mut &[u8]) -> Result<Route, MrtError> {
+pub(crate) fn decode_rib_body(
+    time: Timestamp,
+    body: &mut &[u8],
+    paths: &mut PathTable,
+) -> Result<Route, MrtError> {
     let (peer, prefix) = read_peer_prefix(body)?;
-    let attrs = get_attrs(body)?;
+    let attrs = get_attrs(body, paths)?;
     Ok(Route {
         prefix,
         peer,
@@ -360,6 +443,29 @@ pub fn read_rib<R: Read>(reader: R) -> Result<Vec<Route>, MrtError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn paths_sharing_a_slot_evict_each_other_and_decode_intact() {
+        let one = [Asn(64_512), Asn(701)];
+        let other = (0..)
+            .map(|asn| [Asn(asn), Asn(701)])
+            .find(|hops| hops != &one && slot_of(hops) == slot_of(&one))
+            .unwrap();
+        let mut encoded = Vec::new();
+        for hops in [one, other, one] {
+            encoded.extend(hops.iter().flat_map(|asn| asn.0.to_be_bytes()));
+        }
+        let mut table = PathTable::default();
+        let mut buf = encoded.as_slice();
+        let first = table.decode(&mut buf, 2);
+        let second = table.decode(&mut buf, 2);
+        let third = table.decode(&mut buf, 2);
+        assert!(buf.is_empty());
+        assert_eq!((first.asns(), second.asns()), (&one[..], &other[..]));
+        assert_eq!(third, first);
+        assert!(!std::ptr::eq(third.asns().as_ptr(), first.asns().as_ptr()));
+        assert_eq!(table.len(), 1);
+    }
 
     fn sample_event(kind: EventKind) -> Event {
         let mut attrs = PathAttributes::new(

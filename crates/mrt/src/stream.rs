@@ -38,7 +38,7 @@ use std::ops::Range;
 use bgpscope_bgp::{Event, Route, Timestamp};
 
 use crate::binary::{
-    decode_event_body, decode_rib_body, read_header, MrtError, RECORD_TYPE_EVENT,
+    decode_event_body, decode_rib_body, read_header, MrtError, PathTable, RECORD_TYPE_EVENT,
     RECORD_TYPE_RIB_ENTRY,
 };
 
@@ -136,6 +136,9 @@ pub struct RecordReader<R> {
     records_skipped: u64,
     trailing_tolerated: u64,
     records_consumed: u64,
+    /// The AS paths decoded recently, each stored once (a fixed-size
+    /// cache; see [`PathTable`]).
+    paths: PathTable,
 }
 
 impl<R: Read> RecordReader<R> {
@@ -159,6 +162,7 @@ impl<R: Read> RecordReader<R> {
             records_skipped: 0,
             trailing_tolerated: 0,
             records_consumed: 0,
+            paths: PathTable::default(),
         }
     }
 
@@ -402,7 +406,7 @@ impl<R: Read> RecordReader<R> {
                 continue;
             }
             let mut slice = &self.buf[body];
-            match decode_event_body(time, subtype, &mut slice) {
+            match decode_event_body(time, subtype, &mut slice, &mut self.paths) {
                 Ok(event) => {
                     if !slice.is_empty() {
                         if self.strict {
@@ -439,7 +443,7 @@ impl<R: Read> RecordReader<R> {
                 continue;
             }
             let mut slice = &self.buf[body];
-            match decode_rib_body(time, &mut slice) {
+            match decode_rib_body(time, &mut slice, &mut self.paths) {
                 Ok(route) => {
                     if !slice.is_empty() {
                         if self.strict {
@@ -495,7 +499,7 @@ impl<R: Read> Iterator for Events<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binary::put_record;
+    use crate::binary::{put_record, PATH_TABLE_SLOTS};
     use crate::{read_events, write_events, write_rib};
     use bgpscope_bgp::{AsPath, EventStream, PathAttributes, PeerId, Prefix, RouterId, Timestamp};
 
@@ -566,6 +570,78 @@ mod tests {
         // record exceeded the chunk size, so memory stayed at `capacity`.
         assert_eq!(reader.buffer_size(), capacity);
         assert_eq!(reader.records_decoded(), stream.len() as u64);
+    }
+
+    #[test]
+    fn equal_decoded_paths_share_storage() {
+        // `synthetic_stream` cycles through nine paths (lengths 0..9).
+        let stream = synthetic_stream(40);
+        let mut archive = Vec::new();
+        write_events(&mut archive, &stream).unwrap();
+        let (decoded, reader) = collect_events(RecordReader::with_capacity(archive.as_slice(), 64));
+        assert_eq!(decoded, stream);
+        let hops = |i: usize| decoded.events()[i].attrs.as_path.asns().as_ptr();
+        assert!(std::ptr::eq(hops(1), hops(10)));
+        assert!(std::ptr::eq(hops(8), hops(35)));
+        assert!(!std::ptr::eq(hops(1), hops(2)));
+        assert_eq!(reader.paths.len(), 9);
+    }
+
+    #[test]
+    fn rib_entries_share_paths_with_each_other() {
+        let routes: Vec<bgpscope_bgp::Route> = (0..6u8)
+            .map(|i| bgpscope_bgp::Route {
+                prefix: Prefix::from_octets(10, i, 0, 0, 16),
+                peer: PeerId::from_octets(1, 1, 1, 1),
+                attrs: PathAttributes::new(RouterId(9), AsPath::from_u32s([701, 1299])),
+                time: Timestamp::ZERO,
+            })
+            .collect();
+        let mut archive = Vec::new();
+        write_rib(&mut archive, &routes).unwrap();
+        let mut reader = RecordReader::new(archive.as_slice());
+        let first = reader.next_route().unwrap().unwrap();
+        while let Some(route) = reader.next_route().unwrap() {
+            assert_eq!(route.attrs, first.attrs);
+            assert!(std::ptr::eq(
+                route.attrs.as_path.asns().as_ptr(),
+                first.attrs.as_path.asns().as_ptr()
+            ));
+        }
+        assert_eq!(reader.paths.len(), 1);
+    }
+
+    #[test]
+    fn path_table_holds_at_most_its_slots_and_decodes_every_path() {
+        // More distinct paths than the table has slots, then the first path
+        // again: it was evicted along the way and must come back intact.
+        let distinct = PATH_TABLE_SLOTS + 1_000;
+        let peer = PeerId::from_octets(1, 1, 1, 1);
+        let event = |i: usize| {
+            let path = AsPath::from_u32s([i as u32, 7_018]);
+            let prefix = Prefix::from_octets(10, (i >> 16) as u8, (i >> 8) as u8, i as u8, 32);
+            Event::announce(
+                Timestamp::from_secs(i as u64),
+                peer,
+                prefix,
+                PathAttributes::new(RouterId(9), path),
+            )
+        };
+        let mut stream = EventStream::new();
+        for i in 0..distinct {
+            stream.push(event(i));
+        }
+        stream.push(event(0));
+        let mut archive = Vec::new();
+        write_events(&mut archive, &stream).unwrap();
+        let mut reader = RecordReader::new(archive.as_slice());
+        for expected in &stream {
+            assert_eq!(&reader.next_event().unwrap().unwrap(), expected);
+        }
+        assert!(reader.next_event().unwrap().is_none());
+        let held = reader.paths.len();
+        assert!(held <= PATH_TABLE_SLOTS, "{held} paths held");
+        assert!(held > PATH_TABLE_SLOTS / 2, "only {held} slots filled");
     }
 
     #[test]

@@ -8,10 +8,14 @@
 //! counted: the mutex also guards how many receivers and senders are
 //! parked on each condvar, and a side notifies only when the other has a
 //! parked thread — a futex wake is a syscall even with no waiter.
-//! [`channel::Receiver::recv_many`] is a shim extension (crossbeam spells
-//! it `recv` + `try_iter().take(n)`): a batch under one lock and at most
-//! one wake. `thread::scope` delegates to `std::thread::scope`, preserving
-//! crossbeam's `Result`-returning signature.
+//! A thread signaled but not yet running is not signaled again: a burst of
+//! sends to a parked receiver costs one wake, not one per send.
+//! [`channel::Receiver::recv_many`] and its mirror
+//! [`channel::Sender::send_many`] are shim extensions (crossbeam spells
+//! them `recv` + `try_iter().take(n)` and a `send` loop): a batch under one
+//! lock and at most one wake. A bounded queue's storage never grows past
+//! its bound. `thread::scope` delegates to `std::thread::scope`,
+//! preserving crossbeam's `Result`-returning signature.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -195,11 +199,35 @@ pub mod channel {
         parked_receivers: usize,
         /// Senders parked on `not_full`.
         parked_senders: usize,
+        /// Parked receivers already signaled that have not run yet (never
+        /// more than are awake and about to re-check the queue).
+        signaled_receivers: usize,
+        /// Parked senders already signaled that have not run yet.
+        signaled_senders: usize,
     }
 
     impl<T> State<T> {
         fn is_full(&self, capacity: Option<usize>) -> bool {
             capacity.is_some_and(|cap| self.queue.len() >= cap)
+        }
+
+        /// Grows the queue's storage, if needed, to take `n` more values.
+        /// An unbounded queue grows as `VecDeque` does. A bounded one
+        /// doubles too, but never past its capacity: plain growth of a
+        /// queue that is not a power of two in size would double to nearly
+        /// twice the bound.
+        fn make_room(&mut self, n: usize, capacity: Option<usize>) {
+            let queue = &mut self.queue;
+            let Some(cap) = capacity else {
+                queue.reserve(n);
+                return;
+            };
+            let needed = queue.len() + n;
+            if needed <= queue.capacity() {
+                return;
+            }
+            let target = needed.max(queue.capacity() * 2).min(cap.max(needed));
+            queue.reserve_exact(target - queue.len());
         }
     }
 
@@ -209,6 +237,9 @@ pub mod channel {
         capacity: Option<usize>,
         not_empty: Condvar,
         not_full: Condvar,
+        /// Condvar notifications sent, for the tests.
+        #[cfg(test)]
+        notifications: std::sync::atomic::AtomicUsize,
     }
 
     impl<T> Shared<T> {
@@ -216,26 +247,104 @@ pub mod channel {
             self.state.lock().expect("channel poisoned")
         }
 
+        #[cfg(test)]
+        fn count_notification(&self) {
+            self.notifications
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+
+        #[cfg(not(test))]
+        fn count_notification(&self) {}
+
+        /// Parks a receiver on `not_empty`, for at most `timeout` when one
+        /// is given, and returns the re-taken lock.
+        fn park_receiver<'a>(
+            &self,
+            mut state: MutexGuard<'a, State<T>>,
+            timeout: Option<Duration>,
+        ) -> MutexGuard<'a, State<T>> {
+            state.parked_receivers += 1;
+            let mut state = match timeout {
+                None => self.not_empty.wait(state).expect("channel poisoned"),
+                Some(timeout) => {
+                    self.not_empty
+                        .wait_timeout(state, timeout)
+                        .expect("channel poisoned")
+                        .0
+                }
+            };
+            state.parked_receivers -= 1;
+            state.signaled_receivers = state.signaled_receivers.saturating_sub(1);
+            state
+        }
+
+        /// Parks a sender on `not_full` for at most `timeout` when one is
+        /// given, and returns the re-taken lock.
+        fn park_sender<'a>(
+            &self,
+            mut state: MutexGuard<'a, State<T>>,
+            timeout: Option<Duration>,
+        ) -> MutexGuard<'a, State<T>> {
+            state.parked_senders += 1;
+            let mut state = match timeout {
+                None => self.not_full.wait(state).expect("channel poisoned"),
+                Some(timeout) => {
+                    self.not_full
+                        .wait_timeout(state, timeout)
+                        .expect("channel poisoned")
+                        .0
+                }
+            };
+            state.parked_senders -= 1;
+            state.signaled_senders = state.signaled_senders.saturating_sub(1);
+            state
+        }
+
         /// Pushes onto a queue the caller found not full, unlocks, and
-        /// wakes one parked receiver if there is one.
+        /// wakes a parked receiver (see [`Shared::added`]).
         fn push(&self, mut state: MutexGuard<'_, State<T>>, value: T) {
+            state.make_room(1, self.capacity);
             state.queue.push_back(value);
-            let wake = state.parked_receivers > 0;
+            self.added(state, 1);
+        }
+
+        /// Unlocks after `added` values joined the queue, and wakes parked
+        /// receivers not yet signaled: one for one value, all for more.
+        fn added(&self, mut state: MutexGuard<'_, State<T>>, added: usize) {
+            let unsignaled = state.parked_receivers - state.signaled_receivers;
+            let all = added > 1 && unsignaled > 1;
+            let one = added > 0 && unsignaled > 0 && !all;
+            if all {
+                state.signaled_receivers = state.parked_receivers;
+            } else if one {
+                state.signaled_receivers += 1;
+            }
             drop(state);
-            if wake {
+            if all {
+                self.count_notification();
+                self.not_empty.notify_all();
+            } else if one {
+                self.count_notification();
                 self.not_empty.notify_one();
             }
         }
 
         /// Unlocks after `freed` values left the queue, and wakes parked
-        /// senders if there are any: one for one slot, all for more.
-        fn freed(&self, state: MutexGuard<'_, State<T>>, freed: usize) {
-            let wake = state.parked_senders > 0;
+        /// senders not yet signaled: one for one slot, all for more.
+        fn freed(&self, mut state: MutexGuard<'_, State<T>>, freed: usize) {
+            let unsignaled = state.parked_senders - state.signaled_senders;
+            let all = freed > 1 && unsignaled > 1;
+            let one = freed > 0 && unsignaled > 0 && !all;
+            if all {
+                state.signaled_senders = state.parked_senders;
+            } else if one {
+                state.signaled_senders += 1;
+            }
             drop(state);
-            if wake && freed == 1 {
-                self.not_full.notify_one();
-            } else if wake && freed > 1 {
+            if all {
                 self.not_full.notify_all();
+            } else if one {
+                self.not_full.notify_one();
             }
         }
     }
@@ -248,10 +357,14 @@ pub mod channel {
                 receivers: 1,
                 parked_receivers: 0,
                 parked_senders: 0,
+                signaled_receivers: 0,
+                signaled_senders: 0,
             }),
             capacity,
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
+            #[cfg(test)]
+            notifications: std::sync::atomic::AtomicUsize::new(0),
         });
         (
             Sender {
@@ -317,9 +430,7 @@ pub mod channel {
                 if !state.is_full(self.shared.capacity) {
                     break;
                 }
-                state.parked_senders += 1;
-                state = self.shared.not_full.wait(state).expect("channel poisoned");
-                state.parked_senders -= 1;
+                state = self.shared.park_sender(state, None);
             }
             self.shared.push(state, value);
             Ok(())
@@ -356,17 +467,50 @@ pub mod channel {
                 if now >= deadline {
                     return Err(SendTimeoutError::Timeout(value));
                 }
-                state.parked_senders += 1;
-                let (next, _) = self
-                    .shared
-                    .not_full
-                    .wait_timeout(state, deadline - now)
-                    .expect("channel poisoned");
-                state = next;
-                state.parked_senders -= 1;
+                state = self.shared.park_sender(state, Some(deadline - now));
             }
             self.shared.push(state, value);
             Ok(())
+        }
+
+        /// Moves values from the front of `from` onto the queue, oldest
+        /// first — as many as fit — under one lock, then wakes parked
+        /// receivers once: one for one value, all for more. A full queue is waited on for at most `timeout`
+        /// (`Duration::ZERO` never waits; the clock is read only once the
+        /// queue is found full). Returns how many moved: 0 only when
+        /// `from` is empty or the wait timed out. Errors, moving nothing,
+        /// only when all receivers are gone. A shim extension, the mirror
+        /// of [`Receiver::recv_many`]: crossbeam spells it a `send` loop.
+        pub fn send_many(
+            &self,
+            from: &mut VecDeque<T>,
+            timeout: Duration,
+        ) -> Result<usize, SendError<()>> {
+            let mut deadline = None;
+            let mut state = self.shared.lock();
+            loop {
+                if state.receivers == 0 {
+                    return Err(SendError(()));
+                }
+                if from.is_empty() || !state.is_full(self.shared.capacity) {
+                    break;
+                }
+                let now = Instant::now();
+                let deadline = *deadline.get_or_insert(now + timeout);
+                if now >= deadline {
+                    return Ok(0);
+                }
+                state = self.shared.park_sender(state, Some(deadline - now));
+            }
+            let room = self
+                .shared
+                .capacity
+                .map_or(usize::MAX, |cap| cap - state.queue.len());
+            let n = room.min(from.len());
+            state.make_room(n, self.shared.capacity);
+            state.queue.extend(from.drain(..n));
+            self.shared.added(state, n);
+            Ok(n)
         }
 
         /// Queued values right now.
@@ -430,9 +574,7 @@ pub mod channel {
                 if state.senders == 0 {
                     return Err(RecvError);
                 }
-                state.parked_receivers += 1;
-                state = self.shared.not_empty.wait(state).expect("channel poisoned");
-                state.parked_receivers -= 1;
+                state = self.shared.park_receiver(state, None);
             }
         }
 
@@ -447,9 +589,7 @@ pub mod channel {
                 if state.senders == 0 {
                     return Err(RecvError);
                 }
-                state.parked_receivers += 1;
-                state = self.shared.not_empty.wait(state).expect("channel poisoned");
-                state.parked_receivers -= 1;
+                state = self.shared.park_receiver(state, None);
             }
             let n = max.min(state.queue.len());
             into.extend(state.queue.drain(..n));
@@ -486,14 +626,7 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                state.parked_receivers += 1;
-                let (next, _) = self
-                    .shared
-                    .not_empty
-                    .wait_timeout(state, deadline - now)
-                    .expect("channel poisoned");
-                state = next;
-                state.parked_receivers -= 1;
+                state = self.shared.park_receiver(state, Some(deadline - now));
             }
         }
 
@@ -516,6 +649,26 @@ pub mod channel {
         #[cfg(test)]
         pub(crate) fn parked_senders(&self) -> usize {
             self.shared.lock().parked_senders
+        }
+
+        /// Receivers parked on an empty queue right now.
+        #[cfg(test)]
+        pub(crate) fn parked_receivers(&self) -> usize {
+            self.shared.lock().parked_receivers
+        }
+
+        /// Notifications sent to parked receivers so far.
+        #[cfg(test)]
+        pub(crate) fn notifications(&self) -> usize {
+            self.shared
+                .notifications
+                .load(std::sync::atomic::Ordering::Relaxed)
+        }
+
+        /// Values the queue's storage holds without growing.
+        #[cfg(test)]
+        pub(crate) fn storage_capacity(&self) -> usize {
+            self.shared.lock().queue.capacity()
         }
 
         /// Iterates until the channel disconnects.
@@ -561,7 +714,9 @@ pub mod thread {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, unbounded, RecvError, RecvTimeoutError, TrySendError};
+    use super::channel::{
+        bounded, unbounded, RecvError, RecvTimeoutError, SendError, TrySendError,
+    };
     use std::collections::VecDeque;
     use std::time::{Duration, Instant};
 
@@ -735,6 +890,160 @@ mod tests {
         producer.join().unwrap();
         assert_eq!(rx.recv().unwrap(), 3);
         assert_eq!(Vec::from(got), vec![1, 2]);
+    }
+
+    /// `send_many` moves what fits in FIFO order from odd-sized batches
+    /// while a consumer drains a bounded(2) queue: both sides park and wake
+    /// each other throughout, so a lost wakeup hangs this test.
+    #[test]
+    fn send_many_is_fifo_across_partial_moves() {
+        let (tx, rx) = bounded(2);
+        let producer = std::thread::spawn(move || {
+            let mut next = 0u32;
+            let mut pending = VecDeque::new();
+            for size in (1..).step_by(2) {
+                if next == 2_000 {
+                    break;
+                }
+                pending.extend(next..(next + size).min(2_000));
+                next = (next + size).min(2_000);
+                while !pending.is_empty() {
+                    let before = pending.len();
+                    let moved = tx.send_many(&mut pending, Duration::from_secs(5)).unwrap();
+                    assert!((1..=2).contains(&moved), "moved {moved}");
+                    assert_eq!(pending.len(), before - moved);
+                }
+            }
+        });
+        let got: Vec<u32> = rx.iter().collect();
+        producer.join().unwrap();
+        assert!(got.into_iter().eq(0..2_000));
+    }
+
+    #[test]
+    fn send_many_moves_only_what_fits_into_a_nearly_full_queue() {
+        let (tx, rx) = bounded(4);
+        for i in 0..3u32 {
+            tx.send(i).unwrap();
+        }
+        let mut batch: VecDeque<u32> = (3..6).collect();
+        assert_eq!(tx.send_many(&mut batch, Duration::ZERO), Ok(1));
+        assert_eq!(Vec::from(batch.clone()), vec![4, 5]);
+        // Full: a zero timeout moves nothing and does not wait.
+        assert_eq!(tx.send_many(&mut batch, Duration::ZERO), Ok(0));
+        let started = Instant::now();
+        assert_eq!(tx.send_many(&mut batch, Duration::from_millis(30)), Ok(0));
+        assert!(started.elapsed() >= Duration::from_millis(30));
+        assert_eq!(rx.recv().unwrap(), 0);
+        assert_eq!(tx.send_many(&mut batch, Duration::ZERO), Ok(1));
+        drop(tx);
+        assert_eq!(rx.iter().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
+        assert_eq!(Vec::from(batch), vec![5]);
+    }
+
+    #[test]
+    fn send_many_wakes_a_parked_receiver() {
+        let (tx, rx) = bounded(8);
+        let probe = rx.clone();
+        let consumer = std::thread::spawn(move || {
+            let mut got = VecDeque::new();
+            rx.recv_many(&mut got, 8).unwrap();
+            got
+        });
+        while probe.parked_receivers() == 0 {
+            std::thread::yield_now();
+        }
+        let mut batch: VecDeque<u32> = (0..3).collect();
+        assert_eq!(tx.send_many(&mut batch, Duration::ZERO), Ok(3));
+        let got = consumer.join().unwrap();
+        assert!(!got.is_empty() && got.iter().copied().eq(0..got.len() as u32));
+    }
+
+    /// Sends that land while a signaled receiver has not run yet do not
+    /// signal it again.
+    #[test]
+    fn a_burst_signals_a_parked_receiver_once() {
+        let (tx, rx) = bounded(64);
+        let probe = rx.clone();
+        let consumer = std::thread::spawn(move || rx.recv().unwrap());
+        while probe.parked_receivers() == 0 {
+            std::thread::yield_now();
+        }
+        for i in 0..32u32 {
+            tx.try_send(i).unwrap();
+        }
+        assert_eq!(consumer.join().unwrap(), 0);
+        assert_eq!(probe.notifications(), 1);
+    }
+
+    /// Two parked receivers are both woken — by a two-value batch, and by
+    /// two single sends, the second signaling the one the first did not.
+    #[test]
+    fn every_parked_receiver_gets_woken_for_values_it_can_take() {
+        for batched in [true, false] {
+            let (tx, rx) = bounded::<u32>(8);
+            let probe = rx.clone();
+            let consumers: Vec<_> = (0..2)
+                .map(|_| {
+                    let rx = rx.clone();
+                    std::thread::spawn(move || rx.recv().unwrap())
+                })
+                .collect();
+            while probe.parked_receivers() < 2 {
+                std::thread::yield_now();
+            }
+            if batched {
+                let mut batch: VecDeque<u32> = (0..2).collect();
+                assert_eq!(tx.send_many(&mut batch, Duration::ZERO), Ok(2));
+            } else {
+                tx.try_send(0).unwrap();
+                tx.try_send(1).unwrap();
+            }
+            let mut got: Vec<u32> = consumers.into_iter().map(|c| c.join().unwrap()).collect();
+            got.sort_unstable();
+            assert_eq!(got, vec![0, 1], "batched: {batched}");
+        }
+    }
+
+    #[test]
+    fn send_many_errs_only_once_disconnected() {
+        let (tx, rx) = bounded(1);
+        let mut batch: VecDeque<u32> = (0..3).collect();
+        assert_eq!(tx.send_many(&mut batch, Duration::ZERO), Ok(1));
+        assert_eq!(tx.send_many(&mut batch, Duration::ZERO), Ok(0));
+        assert_eq!(tx.send_many(&mut VecDeque::new(), Duration::ZERO), Ok(0));
+        drop(rx);
+        assert_eq!(tx.send_many(&mut batch, Duration::ZERO), Err(SendError(())));
+        assert_eq!(Vec::from(batch), vec![1, 2], "nothing moved on error");
+    }
+
+    /// Bulk moves grow the queue's storage no further than its bound, yet
+    /// still by doubling: odd-sized batches into bounded(1,000) would
+    /// otherwise leave storage for nearly twice the bound.
+    #[test]
+    fn send_many_storage_never_exceeds_the_bound() {
+        let (tx, rx) = bounded(1_000);
+        let mut next = 0u32;
+        for size in (3..).step_by(4) {
+            let mut batch: VecDeque<u32> = (next..next + size).collect();
+            next += size;
+            tx.send_many(&mut batch, Duration::ZERO).unwrap();
+            if tx.is_full() {
+                break;
+            }
+        }
+        assert_eq!(rx.len(), 1_000);
+        assert!(
+            rx.storage_capacity() <= 1_000,
+            "storage for {} values",
+            rx.storage_capacity()
+        );
+        // Single sends into a non-power-of-two bound are capped too.
+        let (tx, rx) = bounded(100);
+        for i in 0..100u32 {
+            tx.try_send(i).unwrap();
+        }
+        assert!(rx.storage_capacity() <= 100);
     }
 
     #[test]
