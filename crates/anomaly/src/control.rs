@@ -21,7 +21,7 @@
 //! [`stemming_at_level`] maps a level to a concrete Stemming configuration
 //! by interpolating between the full-fidelity [`StemmingConfig`] and the
 //! [`DegradeConfig`] floor; [`CoalesceBuffer`] implements the merge-on-shed
-//! half of adaptive mode (see [`AdaptiveConfig`]).
+//! half of adaptive mode (see [`crate::SpawnConfig::adaptive`]).
 
 use bgpscope_stemming::StemmingConfig;
 use serde::{Deserialize, Serialize};
@@ -137,41 +137,6 @@ impl ControllerConfig {
                 (capacity as u64 / 2).max(1)
             };
         }
-        self
-    }
-}
-
-/// Adaptive overload control for a spawned pipeline: steers fidelity with
-/// the [`Controller`] loop and, under
-/// [`crate::OverloadPolicy::DropOldest`], turns sheds into merges — the
-/// stolen event is coalesced into a weighted representative (see
-/// [`CoalesceBuffer`]) instead of discarded, counted on the ledger as
-/// [`crate::PipelineStats::coalesced_events`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AdaptiveConfig {
-    /// The controller law tunables.
-    pub controller: ControllerConfig,
-    /// Distinct (kind, peer, prefix, attributes) representatives the
-    /// merge-on-shed buffer holds; a stolen event that matches none and
-    /// finds the buffer full is shed as before. `0` disables merge-on-shed
-    /// (sheds behave exactly as non-adaptive DropOldest).
-    pub coalesce_capacity: usize,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            controller: ControllerConfig::default(),
-            coalesce_capacity: 64,
-        }
-    }
-}
-
-impl AdaptiveConfig {
-    /// Sets the controller's target queue depth (`0` = derive from queue
-    /// capacity at spawn).
-    pub fn with_target_depth(mut self, depth: u64) -> Self {
-        self.controller.target_depth = depth;
         self
     }
 }

@@ -47,8 +47,7 @@ pub mod shard;
 
 pub use classify::{classify, AnomalyKind, Verdict};
 pub use control::{
-    stemming_at_level, AdaptiveConfig, CoalesceBuffer, Controller, ControllerConfig, FidelityLevel,
-    Fold,
+    stemming_at_level, CoalesceBuffer, Controller, ControllerConfig, FidelityLevel, Fold,
 };
 pub use igp::enrich_with_igp;
 pub use pipeline::{

@@ -101,7 +101,7 @@ use bgpscope_stemming::{Stemming, StemmingConfig};
 
 use crate::classify::classify;
 use crate::control::{
-    stemming_at_level, AdaptiveConfig, CoalesceBuffer, Controller, FidelityLevel, Fold,
+    stemming_at_level, CoalesceBuffer, Controller, ControllerConfig, FidelityLevel, Fold,
 };
 use crate::replay::{create_recording, Frame, FrameWriter, Overlay, RecorderConfig, RecordingSeal};
 use crate::report::{AnomalyReport, ReportDigest};
@@ -484,7 +484,8 @@ pub struct SpawnConfig {
     pub overload: OverloadPolicy,
     /// Report-queue bound in reports (`0` = unbounded, the pre-egress-
     /// bounding behavior — a stalled subscriber can then grow the backlog
-    /// without limit).
+    /// without limit). A shard of a [`crate::ShardedPipeline`] has no
+    /// subscriber and ignores it, and `report_policy` with it.
     pub report_capacity: usize,
     /// What to do when the bounded report queue is full. Ignored when
     /// `report_capacity == 0`.
@@ -494,11 +495,13 @@ pub struct SpawnConfig {
     /// Optional consumer-panic fault injection (soak testing).
     pub fault: Option<PanicInjection>,
     /// Closed-loop overload control (see [`crate::control`]): when set, a
-    /// [`Controller`] continuously scales Stemming fidelity with queue
-    /// depth, and — under [`OverloadPolicy::DropOldest`] — sheds become
-    /// merges (`coalesced_events`). `None` keeps full fidelity (floor
-    /// fidelity under [`OverloadPolicy::Degrade`] pressure).
-    pub adaptive: Option<AdaptiveConfig>,
+    /// [`Controller`] with these tunables continuously scales Stemming
+    /// fidelity with queue depth, and — under [`OverloadPolicy::DropOldest`]
+    /// — sheds become merges: the stolen event is folded into one of up to
+    /// 64 weighted representatives ([`CoalesceBuffer`]) instead of
+    /// discarded, counted as `coalesced_events`. `None` keeps full fidelity
+    /// (floor fidelity under [`OverloadPolicy::Degrade`] pressure).
+    pub adaptive: Option<ControllerConfig>,
     /// When set, the run is recorded as a replayable frame log (see
     /// [`crate::replay`]): every ingest with the fidelity level in force,
     /// every emitted report, restart, and checkpoint snapshot. Recording is
@@ -569,7 +572,7 @@ impl SpawnConfig {
     }
 
     /// Enables closed-loop overload control (see [`SpawnConfig::adaptive`]).
-    pub fn with_adaptive(mut self, adaptive: AdaptiveConfig) -> Self {
+    pub fn with_adaptive(mut self, adaptive: ControllerConfig) -> Self {
         self.adaptive = Some(adaptive);
         self
     }
@@ -1128,11 +1131,9 @@ impl RealtimeDetector {
 
         let controller = config
             .adaptive
-            .map(|a| a.controller.resolved_against_capacity(config.capacity));
-        let coalesce = config.adaptive.and_then(|a| {
-            (config.overload == OverloadPolicy::DropOldest && a.coalesce_capacity > 0)
-                .then(|| CoalesceBuffer::new(a.coalesce_capacity))
-        });
+            .map(|c| c.resolved_against_capacity(config.capacity));
+        let coalesce = (controller.is_some() && config.overload == OverloadPolicy::DropOldest)
+            .then(|| CoalesceBuffer::new(COALESCE_CAPACITY));
 
         let supervisor = Supervisor {
             config: config.pipeline.clone(),
@@ -1282,6 +1283,11 @@ impl FaultState {
 /// enough that the inbox — un-stealable under
 /// [`OverloadPolicy::DropOldest`] — stays a sliver of the default capacity.
 const PULL_BATCH: usize = 256;
+
+/// Distinct (kind, peer, prefix, attributes) representatives the
+/// merge-on-shed buffer of an adaptive DropOldest pipeline holds; a stolen
+/// event that matches none and finds the buffer full is shed as before.
+const COALESCE_CAPACITY: usize = 64;
 
 /// The supervision loop around the detector: runs each detector incarnation
 /// under `catch_unwind`, checkpoints its state, and replays the in-flight
@@ -1784,8 +1790,7 @@ pub struct PipelineHandle {
     join: Option<std::thread::JoinHandle<ReportDigest>>,
     shared: Arc<SharedStats>,
     overload: OverloadPolicy,
-    /// Merge-on-shed buffer: present under adaptive DropOldest with a
-    /// nonzero coalesce capacity.
+    /// Merge-on-shed buffer: present under adaptive DropOldest.
     coalesce: Option<CoalesceBuffer>,
     /// The handle's lane into the recording: [`Frame::Transition`] frames,
     /// and the closing [`Frame::End`] at shutdown.
@@ -1841,7 +1846,7 @@ impl PipelineHandle {
     ) -> Result<(), PipelineClosed> {
         let mut batch = std::mem::take(&mut self.batch);
         batch.extend(events.into_iter().map(WeightedEvent::unit));
-        let pushed = self.push_batch(&mut batch, None);
+        let pushed = self.push_batch(&mut batch);
         self.batch = batch;
         pushed
     }
@@ -1862,19 +1867,13 @@ impl PipelineHandle {
     /// [`OverloadPolicy::DropOldest`] runs its steal (or coalescing) loop
     /// for each event in turn.
     ///
-    /// A caller that owns the report stream (the sharded pipeline) passes
-    /// `sink`: every report delivered so far moves into it before the
-    /// first fill, and again after every fill that timed out on a full
-    /// queue. A supervisor blocked on the bounded report queue under
-    /// [`ReportPolicy::Block`] therefore always gets room, and the
-    /// producer never waits on a consumer waiting on it. A timed-out fill
-    /// also checks the detector thread is still alive, and bails out
-    /// instead of deadlocking when it is not — the receiver clone this
-    /// handle holds would otherwise keep the channel connected forever.
+    /// A timed-out fill checks the detector thread is still alive, and
+    /// bails out instead of deadlocking when it is not — the receiver
+    /// clone this handle holds would otherwise keep the channel connected
+    /// forever.
     pub(crate) fn push_batch(
         &mut self,
         batch: &mut VecDeque<WeightedEvent>,
-        mut sink: Option<&mut Vec<AnomalyReport>>,
     ) -> Result<(), PipelineClosed> {
         if self.tx.is_none() {
             batch.clear();
@@ -1883,9 +1882,8 @@ impl PipelineHandle {
         self.shared
             .ingested
             .fetch_add(batch.len() as u64, Ordering::AcqRel);
-        self.drain_reports(&mut sink);
         let pushed = match self.overload {
-            OverloadPolicy::Block | OverloadPolicy::Degrade => self.fill_blocking(batch, &mut sink),
+            OverloadPolicy::Block | OverloadPolicy::Degrade => self.fill_blocking(batch),
             // What does not fit stays in `batch`: shed, counted below.
             OverloadPolicy::DropNewest => self
                 .tx
@@ -1908,24 +1906,11 @@ impl PipelineHandle {
         pushed
     }
 
-    /// Moves every report delivered so far into `sink`, if there is one.
-    fn drain_reports(&self, sink: &mut Option<&mut Vec<AnomalyReport>>) {
-        if let Some(sink) = sink {
-            while let Ok(report) = self.reports.try_recv() {
-                sink.push(report);
-            }
-        }
-    }
-
     /// Lossless delivery for [`OverloadPolicy::Block`] and
     /// [`OverloadPolicy::Degrade`] (see [`PipelineHandle::push_batch`]):
     /// fills the queue until `batch` is empty, the first fill without
     /// waiting. Leaves the undelivered rest in `batch` on error.
-    fn fill_blocking(
-        &self,
-        batch: &mut VecDeque<WeightedEvent>,
-        sink: &mut Option<&mut Vec<AnomalyReport>>,
-    ) -> Result<(), PipelineClosed> {
+    fn fill_blocking(&self, batch: &mut VecDeque<WeightedEvent>) -> Result<(), PipelineClosed> {
         let tx = self.tx.as_ref().expect("an open pipeline");
         let mut wait = Duration::ZERO;
         loop {
@@ -1939,11 +1924,9 @@ impl PipelineHandle {
                 // delivering losslessly, exactly like `Block`.
                 self.shared.pressure.store(true, Ordering::Release);
             }
-            if moved == 0 && !wait.is_zero() {
-                if !self.shared.consumer_alive.load(Ordering::Acquire) {
-                    return Err(PipelineClosed);
-                }
-                self.drain_reports(sink);
+            if moved == 0 && !wait.is_zero() && !self.shared.consumer_alive.load(Ordering::Acquire)
+            {
+                return Err(PipelineClosed);
             }
             wait = Duration::from_millis(50);
         }
@@ -2095,7 +2078,8 @@ impl PipelineHandle {
     /// (`ingested - shed - coalesced - consumer-ingested`), so it covers
     /// both the channel and any merge-on-shed representatives waiting to
     /// re-enter it. The ledger closes at *every* instant, not just at
-    /// quiescence, and from *any* sampling thread — see [`stats_from`].
+    /// quiescence, and from *any* sampling thread: the supervisor's side is
+    /// read first, under its one mutex, then the producer's atomics.
     pub fn stats(&self) -> PipelineStats {
         stats_from(&self.shared)
     }
@@ -2164,14 +2148,17 @@ impl PipelineHandle {
         let tx = self.tx.take().expect("shutdown runs once");
         let mut reports = self.drain_coalesced(&tx);
         drop(tx);
-        // The report queue is bounded: the supervisor's final flush may be
-        // blocked on it, so drain while waiting instead of a blind join
-        // (which would deadlock under ReportPolicy::Block).
+        // A bounded report queue may hold the supervisor's final flush up:
+        // take a report whenever it is full instead of a blind join (which
+        // would deadlock under ReportPolicy::Block).
         while !join.is_finished() {
-            match self.reports.try_recv() {
-                Ok(report) => reports.push(report),
-                Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            if self.reports.capacity() == Some(self.reports.len()) {
+                if let Ok(report) = self.reports.try_recv() {
+                    reports.push(report);
+                    continue;
+                }
             }
+            std::thread::sleep(Duration::from_millis(1));
         }
         let digest = join.join();
         // A supervisor that gave up leaves events stranded in the channel
@@ -2181,8 +2168,13 @@ impl PipelineHandle {
         while self.steal_rx.try_recv().is_ok() {
             self.shared.shed.fetch_add(1, Ordering::AcqRel);
         }
-        while let Ok(report) = self.reports.try_recv() {
-            reports.push(report);
+        // The rest in one piece: a shard's unbounded queue holds every
+        // report of the run, and copying out of it would hold each twice.
+        let mut queued = self.reports.take_all();
+        if reports.is_empty() {
+            reports = queued;
+        } else {
+            reports.append(&mut queued);
         }
         let stats = self.stats();
         // The supervisor is gone — its frames are with the writer thread —
@@ -2714,7 +2706,7 @@ mod tests {
             after_events: 20,
             repeat: u32::MAX,
         });
-        let adaptive = plain.clone().with_adaptive(AdaptiveConfig::default());
+        let adaptive = plain.clone().with_adaptive(ControllerConfig::default());
         for (mode, config) in [("plain", plain), ("adaptive", adaptive)] {
             let mut handle = RealtimeDetector::spawn(config);
             let mut sent = 0u64;
@@ -2844,7 +2836,7 @@ mod tests {
     fn controller_counts_the_inbox_as_queue() {
         let config = stallable()
             .with_capacity(256)
-            .with_adaptive(AdaptiveConfig::default());
+            .with_adaptive(ControllerConfig::default());
         let mut handle = RealtimeDetector::spawn(config);
         let mut feed = window_feed(50);
         stall_in_egress(&mut handle, &mut feed);
@@ -3005,7 +2997,7 @@ mod tests {
         })
         .with_capacity(4)
         .with_overload(OverloadPolicy::DropOldest)
-        .with_adaptive(AdaptiveConfig::default().with_target_depth(2));
+        .with_adaptive(ControllerConfig::default().with_target_depth(2));
         let mut handle = RealtimeDetector::spawn(config);
         // Few distinct prefixes, so stolen events nearly always find a
         // matching representative to merge into.

@@ -147,35 +147,6 @@ impl ReportDigest {
             }
         }
     }
-
-    /// Merges another digest into this one (used by the sharded pipeline to
-    /// unify per-shard digests): counts and envelopes combine exactly, the
-    /// stem sample stays capped at [`ReportDigest::MAX_STEMS`].
-    pub fn merge(&mut self, other: &ReportDigest) {
-        self.coalesced += other.coalesced;
-        self.event_count += other.event_count;
-        self.announce_count += other.announce_count;
-        self.withdraw_count += other.withdraw_count;
-        self.degraded += other.degraded;
-        self.first_start = match (self.first_start, other.first_start) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.last_end = match (self.last_end, other.last_end) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        for stem in &other.stems {
-            if !self.stems.contains(stem) {
-                if self.stems.len() < Self::MAX_STEMS {
-                    self.stems.push(stem.clone());
-                } else {
-                    self.stems_truncated = true;
-                }
-            }
-        }
-        self.stems_truncated |= other.stems_truncated;
-    }
 }
 
 impl fmt::Display for ReportDigest {

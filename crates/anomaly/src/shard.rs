@@ -67,7 +67,7 @@ use crate::pipeline::{
     PanicInjection, PipelineClosed, PipelineHandle, PipelineStats, RealtimeDetector, SpawnConfig,
     StatsProbe, WeightedEvent,
 };
-use crate::report::{AnomalyReport, ReportDigest};
+use crate::report::AnomalyReport;
 
 /// Deterministic (peer, prefix-range) → shard routing.
 ///
@@ -153,7 +153,10 @@ pub struct ShardedConfig {
     pub shards: usize,
     /// Template applied to every shard. With more than one shard, a
     /// configured recording path is suffixed per shard (`<path>.shard<k>`)
-    /// so shards never clobber each other's files.
+    /// so shards never clobber each other's files. Its report bound and
+    /// policy do not apply: a shard is not a subscriber, so every shard's
+    /// report queue is unbounded and is read once, when the shard is
+    /// reaped.
     pub spawn: SpawnConfig,
     /// Leading prefix bits in the routing key (see
     /// [`ShardRouter::with_range_bits`]).
@@ -189,11 +192,12 @@ impl ShardedConfig {
         self
     }
 
-    /// The spawn configuration for shard `k`: the template with the fault
-    /// resolved per-shard and, when there is more than one shard, the
-    /// recording path suffixed `.shard<k>`.
+    /// The spawn configuration for shard `k`: the template with an
+    /// unbounded report queue, the fault resolved per-shard and, when there
+    /// is more than one shard, the recording path suffixed `.shard<k>`.
     fn spawn_for(&self, k: usize) -> SpawnConfig {
         let mut spawn = self.spawn.clone();
+        spawn.report_capacity = 0;
         if self.shards > 1 {
             if let Some(recorder) = &mut spawn.recorder {
                 recorder.path = format!("{}.shard{k}", recorder.path.display()).into();
@@ -227,19 +231,14 @@ struct ShardCell {
     stats: Option<PipelineStats>,
 }
 
-/// One shard: a live handle (`None` once reaped), the reports and digest
-/// taken off it so far, the thread-safe ledger probe, the supervision
+/// One shard: a live handle (`None` once reaped), the reports taken off
+/// it when it was reaped, the thread-safe ledger probe, the supervision
 /// cell observers sample, and the reused buffer its share of a batch is
 /// routed into.
 #[derive(Debug)]
 struct Shard {
     handle: Option<PipelineHandle>,
-    /// Reports drained from the shard's bounded report queue during ingest
-    /// (see [`PipelineHandle::push_batch`]), then whatever the reaped
-    /// handle still held.
     reports: Vec<AnomalyReport>,
-    /// The reaped handle's report digest.
-    digest: ReportDigest,
     probe: StatsProbe,
     cell: Arc<Mutex<ShardCell>>,
     /// This shard's events of the batch being ingested, in batch order;
@@ -335,29 +334,27 @@ impl ShardedStats {
             .collect()
     }
 
-    /// Stable machine-readable serialization: the global
-    /// [`PipelineStats::to_json`] object extended with `shards` (per-shard
-    /// snapshots) and `quarantined_shards` — the extension *appends*, so
-    /// every consumer of the flat schema keeps working.
+    /// Stable machine-readable serialization (see the [`Serialize`] impl).
     pub fn to_json(&self) -> String {
-        let mut json = self.global.to_json();
-        assert_eq!(json.pop(), Some('}'), "stats JSON is always an object");
-        let shards: Vec<String> = self
-            .shards
-            .iter()
-            .map(|s| serde_json::to_string(s).expect("ShardSnapshot is always serializable"))
-            .collect();
-        let quarantined: Vec<String> = self
-            .quarantined_shards()
-            .iter()
-            .map(usize::to_string)
-            .collect();
-        json.push_str(&format!(
-            ",\"shards\":[{}],\"quarantined_shards\":[{}]}}",
-            shards.join(","),
-            quarantined.join(",")
+        serde_json::to_string(self).expect("ShardedStats is always serializable")
+    }
+}
+
+/// The global [`PipelineStats`] object extended with `shards` (per-shard
+/// snapshots) and `quarantined_shards`: the extension *appends*, so every
+/// consumer of the flat schema keeps working.
+impl Serialize for ShardedStats {
+    fn to_value(&self) -> serde::Value {
+        let mut value = self.global.to_value();
+        let serde::Value::Map(fields) = &mut value else {
+            unreachable!("the global ledger serializes as a map");
+        };
+        fields.push(("shards".into(), self.shards.to_value()));
+        fields.push((
+            "quarantined_shards".into(),
+            self.quarantined_shards().to_value(),
         ));
-        json
+        value
     }
 }
 
@@ -449,8 +446,6 @@ pub struct ShardedRun {
     pub shard_reports: Vec<Vec<AnomalyReport>>,
     /// The final global + per-shard ledgers.
     pub stats: ShardedStats,
-    /// Per-shard report digests (meaningful under `ReportPolicy::Digest`).
-    pub digests: Vec<ReportDigest>,
     /// Every shard panic observed over the run, quarantines included.
     pub panics: Vec<ShardPanic>,
 }
@@ -477,7 +472,6 @@ impl ShardedPipeline {
                 Shard {
                     handle: Some(handle),
                     reports: Vec::new(),
-                    digest: ReportDigest::default(),
                     probe,
                     cell: Arc::new(Mutex::new(ShardCell::default())),
                     pending: VecDeque::new(),
@@ -562,11 +556,7 @@ impl ShardedPipeline {
     /// Ingests already-augmented events: each is routed to its shard,
     /// keeping batch order within every shard, and each shard with events
     /// takes its share in one push — one `ingested` add, one liveness
-    /// check, what fits moved under one queue lock. The push first moves
-    /// the shard's delivered reports out of its bounded report queue (they
-    /// come back from [`ShardedPipeline::finish`]), and again after every
-    /// fill that timed out on a full event queue, so a supervisor blocked
-    /// on the report queue never blocks the feed in turn. A shard observed
+    /// check, what fits moved under one queue lock. A shard observed
     /// dead (restart budget exhausted) is quarantined here: its handle is
     /// reaped and its share — like every later event routed to it — is
     /// counted in its `quarantine_shed`.
@@ -591,10 +581,7 @@ impl ShardedPipeline {
             }
             match shard.handle.as_mut().filter(|handle| handle.is_alive()) {
                 Some(handle) => {
-                    if handle
-                        .push_batch(&mut shard.pending, Some(&mut shard.reports))
-                        .is_ok()
-                    {
+                    if handle.push_batch(&mut shard.pending).is_ok() {
                         continue;
                     }
                     // The handle already counted the batch (ingested +
@@ -624,8 +611,8 @@ impl ShardedPipeline {
     /// Reaps shard `k`'s handle, if it still has one: finishes it (a live
     /// shard flushes its final window; a dead one has its stranded queued
     /// events counted as shed, its in-flight ring already counted as
-    /// `lost_events` by the supervisor's give-up) and keeps its reports and
-    /// digest. A shard whose supervisor gave up — before this call or
+    /// `lost_events` by the supervisor's give-up) and keeps its reports. A
+    /// shard whose supervisor gave up — before this call or
     /// during the final drain — is quarantined: its keyspace is degraded
     /// from here on; its siblings are untouched.
     fn reap(&mut self, k: usize) {
@@ -646,14 +633,12 @@ impl ShardedPipeline {
                 ),
             );
         }
-        let (reports, stats, digest) = handle.finish_with_digest();
-        shard.reports.extend(reports);
-        shard.digest = digest;
+        let (reports, stats) = handle.finish();
+        shard.reports = reports;
         // Publish the whole transition — flag, cause, final ledger — in
         // one critical section. An observer sampling concurrently sees
-        // either the live ledger (the probe stays valid through
-        // `finish_with_digest`) or the complete reaped one, never the
-        // in-between.
+        // either the live ledger (the probe stays valid through `finish`)
+        // or the complete reaped one, never the in-between.
         let mut cell = shard.cell.lock().expect("shard cell poisoned");
         cell.quarantined = dead || shard.probe.gave_up();
         cell.cause = shard.probe.last_panic();
@@ -762,7 +747,6 @@ impl ShardedPipeline {
             stats: self.stats(),
             // After the reaps, so a give-up during the final drain is in.
             panics: self.panic_causes(),
-            digests: self.shards.iter().map(|s| s.digest.clone()).collect(),
             shard_reports: self.shards.into_iter().map(|s| s.reports).collect(),
         }
     }
@@ -960,7 +944,7 @@ fn merge_class(mut class: Vec<(usize, AnomalyReport)>) -> GlobalIncident {
 mod tests {
     use super::*;
     use crate::classify::{AnomalyKind, Verdict};
-    use crate::pipeline::{PipelineConfig, SupervisorConfig};
+    use crate::pipeline::{PipelineConfig, ReportPolicy, SupervisorConfig};
     use crate::replay::{RecorderConfig, Replay};
     use bgpscope_bgp::PathAttributes;
     use bgpscope_bgp::RouterId;
@@ -1099,6 +1083,71 @@ mod tests {
         for (b, o) in batched.stats.shards.iter().zip(&one.stats.shards) {
             assert_eq!(b.stats.ingested, o.stats.ingested);
             assert_eq!(b.stats.analyzed, o.stats.analyzed);
+        }
+    }
+
+    /// A shard is not a subscriber: whatever report bound and policy the
+    /// template asks for, a sharded run delivers every report its shards'
+    /// detectors emit, so its incidents are those of one synchronous
+    /// detector per shard fed the same routed events, run after run.
+    #[test]
+    fn sharded_run_keeps_every_report_whatever_the_template_report_bound() {
+        let mut feed = Vec::new();
+        for w in 0..6u64 {
+            for i in 0..10u8 {
+                for p in 0..4u8 {
+                    feed.push(Event::withdraw(
+                        Timestamp::from_secs(w * 300 + 4 * u64::from(i) + u64::from(p)),
+                        PeerId::from_octets(10, p, 0, 1),
+                        Prefix::from_octets(40, i, 0, 0, 16),
+                        PathAttributes::new(
+                            RouterId::from_octets(2, 2, 2, 2),
+                            format!("11423 209 {}", 700 + u32::from(p)).parse().unwrap(),
+                        ),
+                    ));
+                }
+            }
+        }
+        for shards in [1, 2] {
+            let router = ShardRouter::new(shards).with_range_bits(16);
+            let mut detectors: Vec<RealtimeDetector> = (0..shards)
+                .map(|_| RealtimeDetector::new(small_pipeline()))
+                .collect();
+            let mut oracle: Vec<Vec<AnomalyReport>> = vec![Vec::new(); shards];
+            for event in &feed {
+                let k = router.route_event(event);
+                oracle[k].extend(detectors[k].ingest_event(event.clone()));
+            }
+            for (k, detector) in detectors.into_iter().enumerate() {
+                oracle[k].extend(detector.finish());
+            }
+            // One report per window on every shard.
+            assert_eq!(oracle.iter().map(Vec::len).sum::<usize>(), 6 * shards);
+            let expected = merge_incidents(&oracle);
+            for attempt in 0..10 {
+                let template = SpawnConfig::new(small_pipeline())
+                    .with_report_capacity(1)
+                    .with_report_policy(ReportPolicy::Digest);
+                let mut pipeline = ShardedPipeline::spawn(
+                    ShardedConfig::new(shards, template).with_range_bits(16),
+                );
+                for event in &feed {
+                    pipeline.ingest_event(event.clone()).unwrap();
+                }
+                let run = pipeline.finish();
+                let global = run.stats.global;
+                assert_eq!(
+                    (global.reports_digested, global.report_shed),
+                    (0, 0),
+                    "{shards} shard(s), run {attempt}: {}",
+                    run.stats
+                );
+                assert_eq!(
+                    run.incidents, expected,
+                    "{shards} shard(s), run {attempt}: {} of {} reports delivered",
+                    global.reports_delivered, global.reports_emitted
+                );
+            }
         }
     }
 
@@ -1324,6 +1373,44 @@ mod tests {
         assert!(json.contains("\"quarantined\":false"), "{json}");
         assert!(json.matches("\"ingested\"").count() >= 3, "{json}");
         assert!(json.ends_with("\"quarantined_shards\":[]}"), "{json}");
+        // The whole document, byte for byte: one live shard, one
+        // quarantined.
+        let ledger = |ingested, shed| PipelineStats {
+            ingested,
+            analyzed: ingested - shed,
+            shed_events: shed,
+            ..PipelineStats::default()
+        };
+        let pinned = ShardedStats::from_snapshots(vec![
+            ShardSnapshot {
+                shard: 0,
+                quarantined: false,
+                quarantine_shed: 0,
+                stats: ledger(7, 0),
+            },
+            ShardSnapshot {
+                shard: 1,
+                quarantined: true,
+                quarantine_shed: 2,
+                stats: ledger(5, 2),
+            },
+        ]);
+        let zeros = "\"dropped_events\":0,\"carry_forward_evictions\":0,\"degraded_windows\":0,\
+            \"clamped_events\":0,\"parse_errors\":0,\"carried\":0,\"queued\":0,\"restarts\":0,\
+            \"checkpoints\":0,\"replayed_events\":0,\"replayed_in_flight\":0,\"lost_events\":0,\
+            \"reports_emitted\":0,\"reports_delivered\":0,\"report_shed\":0,\
+            \"reports_digested\":0,\"coalesced_events\":0,\"fidelity_level\":0";
+        assert_eq!(
+            pinned.to_json(),
+            format!(
+                "{{\"ingested\":12,\"analyzed\":10,\"shed_events\":2,{zeros},\"shards\":[\
+                 {{\"shard\":0,\"quarantined\":false,\"quarantine_shed\":0,\"stats\":\
+                 {{\"ingested\":7,\"analyzed\":7,\"shed_events\":0,{zeros}}}}},\
+                 {{\"shard\":1,\"quarantined\":true,\"quarantine_shed\":2,\"stats\":\
+                 {{\"ingested\":5,\"analyzed\":3,\"shed_events\":2,{zeros}}}}}],\
+                 \"quarantined_shards\":[1]}}"
+            )
+        );
     }
 
     #[test]

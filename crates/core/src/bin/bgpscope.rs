@@ -6,7 +6,6 @@
 //! bgpscope animate  <events.(mrt|txt)> <out-dir>  # frame SVGs of the incident
 //! bgpscope rate     <events.(mrt|txt)> [bucket-secs]
 //! bgpscope pipeline <events.(mrt|txt)> [--capacity N] [--policy P]
-//!                   [--report-capacity N] [--report-policy P]
 //!                   [--checkpoint-interval N]
 //!                   [--adaptive [--target-depth N]]
 //!                   [--shards N] [--quarantine-after R]
@@ -119,7 +118,6 @@ fn usage() -> ExitCode {
          animate  <events> <out-dir>   write key animation frames as SVG\n\
          rate     <events> [bucket-s]  event-rate series + spikes\n\
          pipeline <events> [--capacity N] [--policy block|drop-newest|drop-oldest|degrade]\n\
-         \u{20}                 [--report-capacity N] [--report-policy block|drop-oldest|digest]\n\
          \u{20}                 [--checkpoint-interval N]\n\
          \u{20}                 [--adaptive [--target-depth N]]\n\
          \u{20}                 [--shards N] [--quarantine-after R]\n\
@@ -341,15 +339,13 @@ fn cmd_rate(stream: EventStream, bucket_secs: u64) -> CliResult {
 
 /// Replays a trace through the sharded supervised realtime pipeline
 /// (`--shards`, default 1) behind bounded queues, then prints the merged
-/// global incidents, any report digest, and the global plus per-shard
-/// event ledger (human-readable plus one machine-readable JSON line). When
-/// every shard dies mid-replay the final ledger still comes out — on
-/// stderr, with a nonzero exit — so a crashed run is never a silent run.
+/// global incidents and the global plus per-shard event ledger
+/// (human-readable plus one machine-readable JSON line). When every shard
+/// dies mid-replay the final ledger still comes out — on stderr, with a
+/// nonzero exit — so a crashed run is never a silent run.
 fn cmd_pipeline(path: &str, rest: &[String]) -> CliResult {
     let mut capacity = 65_536usize;
     let mut policy = OverloadPolicy::Block;
-    let mut report_capacity = 1_024usize;
-    let mut report_policy = ReportPolicy::Block;
     let mut checkpoint_interval = 256usize;
     let mut adaptive = false;
     let mut target_depth: Option<u64> = None;
@@ -360,8 +356,6 @@ fn cmd_pipeline(path: &str, rest: &[String]) -> CliResult {
         match arg.as_str() {
             "--capacity" => capacity = value(&mut it, arg)?,
             "--policy" => policy = value(&mut it, arg)?,
-            "--report-capacity" => report_capacity = value(&mut it, arg)?,
-            "--report-policy" => report_policy = value(&mut it, arg)?,
             "--checkpoint-interval" => checkpoint_interval = value(&mut it, arg)?,
             "--adaptive" => adaptive = true,
             "--shards" => shards = value(&mut it, arg)?,
@@ -381,22 +375,16 @@ fn cmd_pipeline(path: &str, rest: &[String]) -> CliResult {
     let mut spawn = SpawnConfig::new(PipelineConfig::default())
         .with_capacity(capacity)
         .with_overload(policy)
-        .with_report_capacity(report_capacity)
-        .with_report_policy(report_policy)
         .with_supervisor(supervisor);
     if adaptive {
         // 0 means "derive from the queue capacity at spawn".
-        spawn = spawn
-            .with_adaptive(AdaptiveConfig::default().with_target_depth(target_depth.unwrap_or(0)));
+        spawn = spawn.with_adaptive(
+            ControllerConfig::default().with_target_depth(target_depth.unwrap_or(0)),
+        );
     }
     let run = replay_trace(&stream, parse_errors, spawn, shards)?;
     for (i, incident) in run.incidents.iter().enumerate() {
         print!("incident {i}:\n{incident}");
-    }
-    for (k, digest) in run.digests.iter().enumerate() {
-        if !digest.is_empty() {
-            println!("shard {k} {digest}");
-        }
     }
     for panic in &run.panics {
         println!("panic on {panic}");
@@ -406,8 +394,7 @@ fn cmd_pipeline(path: &str, rest: &[String]) -> CliResult {
         println!("quarantined shards: {quarantined:?} — their keyspace is degraded, losses counted on the ledger");
     }
     println!(
-        "{} global incident(s) over {} shard(s); policy {policy}, capacity {capacity}; \
-         report policy {report_policy}, report capacity {report_capacity}\n{}",
+        "{} global incident(s) over {} shard(s); policy {policy}, capacity {capacity}\n{}",
         run.incidents.len(),
         run.stats.shards.len(),
         run.stats
@@ -565,18 +552,15 @@ fn run_ingest(args: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
 }
 
 /// Shared success-path output for both ingest legs: anomaly reports, the
-/// digest, the ingest summary (including per-source ledgers and any
-/// PARTIAL RESULT banner), the pipeline stats, the machine-readable
-/// ledger line, and the optional bench file.
+/// ingest summary (including per-source ledgers and any PARTIAL RESULT
+/// banner), the pipeline stats, the machine-readable ledger line, and the
+/// optional bench file.
 fn print_ingest_report(
     report: &IngestReport,
     bench: Option<&str>,
 ) -> Result<(), Box<dyn std::error::Error>> {
     for (i, anomaly) in report.reports.iter().enumerate() {
         print!("report {i}:\n{anomaly}");
-    }
-    if !report.digest.is_empty() {
-        println!("{}", report.digest);
     }
     print!("{report}");
     println!("{}", report.stats);

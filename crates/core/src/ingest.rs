@@ -23,10 +23,8 @@
 //!    one shard is the unsharded run): windowed stemming + classification
 //!    behind per-shard bounded queues, with the crash-recovery, quarantine
 //!    and overload machinery the `pipeline` subcommand exposes. Each shard
-//!    takes its share of a batch in one push. Reports are drained from the
-//!    shards while events are still being pushed, so a bounded report
-//!    queue never stalls the feed, and come back as the merged global
-//!    incidents.
+//!    takes its share of a batch in one push and keeps its reports until
+//!    the run finishes; they come back as the merged global incidents.
 //!
 //! Nothing between the archive bytes and a shard's queue is paid per event
 //! except the decode and the RIB update: decoded AS paths are shared (the
@@ -67,14 +65,13 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bgpscope_anomaly::{
-    AnomalyReport, PipelineStats, ReportDigest, ShardedConfig, ShardedPipeline, ShardedStats,
-    SpawnConfig,
+    AnomalyReport, PipelineStats, ShardedConfig, ShardedPipeline, ShardedStats, SpawnConfig,
 };
 use bgpscope_bgp::{splitmix64, Event};
 use bgpscope_collector::Collector;
 use bgpscope_mrt::{MrtError, RecordReader, DEFAULT_BUFFER_CAPACITY};
 use crossbeam::channel;
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 /// How the decode stage treats records it cannot decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -131,7 +128,8 @@ pub struct IngestConfig {
     /// Bounded decode→augment channel depth, in batches.
     pub channel_batches: usize,
     /// Configuration for the supervised stem pipeline (applied to every
-    /// shard).
+    /// shard). Its report bound and policy do not apply: a shard keeps
+    /// every report until the run finishes (see [`ShardedConfig::spawn`]).
     pub spawn: SpawnConfig,
     /// Stem-stage shard count (min 1, the default): events fan out across
     /// that many independently supervised shards ([`ShardedPipeline`])
@@ -249,8 +247,6 @@ pub struct IngestReport {
     /// The stem pipeline's reports, merged across shards into global
     /// incidents and ordered by (event count desc, start, end, stem).
     pub reports: Vec<AnomalyReport>,
-    /// Digest of any reports shed under the report overload policy.
-    pub digest: ReportDigest,
     /// The stem pipeline's exact event ledger: the *global* ledger, the sum
     /// of the per-shard ledgers.
     pub stats: PipelineStats,
@@ -260,9 +256,6 @@ pub struct IngestReport {
     pub decode: StageStats,
     /// Augment-stage occupancy.
     pub augment: StageStats,
-    /// Stem-stage occupancy *proxy*: busy time is the augment stage's
-    /// blocked-out time (stem queue backpressure) plus the final drain.
-    pub stem: StageStats,
     /// Wall-clock seconds for the whole replay, drain included.
     pub elapsed_secs: f64,
     /// Decoded events per wall-clock second.
@@ -307,43 +300,48 @@ impl IngestReport {
     /// The report as one machine-readable JSON object (what
     /// `bgpscope ingest --bench FILE` writes): the scalar fields, then
     /// `stages` (each [`StageStats`] plus its `occupancy`), `sources` (the
-    /// [`SourceLedger`]s) and `ledger` ([`ShardedStats::to_json`]).
+    /// [`SourceLedger`]s) and `ledger` (the [`ShardedStats`] document).
     pub fn bench_json(&self) -> String {
         let stage = |stats: &StageStats| {
-            let mut object = to_json(stats);
-            assert_eq!(object.pop(), Some('}'), "a stage is a JSON object");
-            format!(
-                "{object},\"occupancy\":{:.4}}}",
-                stats.occupancy(self.elapsed_secs)
-            )
+            let mut value = stats.to_value();
+            if let Value::Map(fields) = &mut value {
+                let occupancy = stats.occupancy(self.elapsed_secs);
+                fields.push(("occupancy".into(), occupancy.to_value()));
+            }
+            value
         };
-        format!(
-            "{{\"events_per_sec\":{:.1},\"events_decoded\":{},\"events_forwarded\":{},\
-             \"records_decoded\":{},\"records_skipped\":{},\"trailing_tolerated\":{},\
-             \"withdraws_filtered\":{},\"reports\":{},\"elapsed_secs\":{:.6},\
-             \"peak_rss_bytes\":{},\"stages\":{{\"decode\":{},\"augment\":{},\"stem\":{}}},\
-             \"sources\":{},\"ledger\":{}}}",
-            self.events_per_sec,
-            self.events_decoded,
-            self.events_forwarded,
-            self.records_decoded,
-            self.records_skipped,
-            self.trailing_tolerated,
-            self.withdraws_filtered,
-            self.reports.len(),
-            self.elapsed_secs,
-            self.peak_rss_bytes,
-            stage(&self.decode),
-            stage(&self.augment),
-            stage(&self.stem),
-            to_json(&self.sources),
-            // The extended schema: the flat global ledger plus `shards[]`
-            // and `quarantined_shards`.
-            match &self.shard_stats {
-                Some(sharded) => sharded.to_json(),
-                None => self.stats.to_json(),
-            },
-        )
+        let ledger = match &self.shard_stats {
+            Some(sharded) => sharded.to_value(),
+            None => self.stats.to_value(),
+        };
+        let json = Value::Map(vec![
+            ("events_per_sec".into(), self.events_per_sec.to_value()),
+            ("events_decoded".into(), self.events_decoded.to_value()),
+            ("events_forwarded".into(), self.events_forwarded.to_value()),
+            ("records_decoded".into(), self.records_decoded.to_value()),
+            ("records_skipped".into(), self.records_skipped.to_value()),
+            (
+                "trailing_tolerated".into(),
+                self.trailing_tolerated.to_value(),
+            ),
+            (
+                "withdraws_filtered".into(),
+                self.withdraws_filtered.to_value(),
+            ),
+            ("reports".into(), self.reports.len().to_value()),
+            ("elapsed_secs".into(), self.elapsed_secs.to_value()),
+            ("peak_rss_bytes".into(), self.peak_rss_bytes.to_value()),
+            (
+                "stages".into(),
+                Value::Map(vec![
+                    ("decode".into(), stage(&self.decode)),
+                    ("augment".into(), stage(&self.augment)),
+                ]),
+            ),
+            ("sources".into(), self.sources.to_value()),
+            ("ledger".into(), ledger),
+        ]);
+        serde_json::to_string(&json).expect("a value tree is always serializable")
     }
 }
 
@@ -372,10 +370,9 @@ impl std::fmt::Display for IngestReport {
         )?;
         writeln!(
             f,
-            "stage occupancy: decode {:.0}%, augment {:.0}%, stem {:.0}% (proxy)",
+            "stage occupancy: decode {:.0}%, augment {:.0}%",
             self.decode.occupancy(self.elapsed_secs) * 100.0,
             self.augment.occupancy(self.elapsed_secs) * 100.0,
-            self.stem.occupancy(self.elapsed_secs) * 100.0,
         )?;
         for source in &self.sources {
             writeln!(f, "{source}")?;
@@ -535,10 +532,6 @@ fn decode_stage<R: Read>(
     (front, result)
 }
 
-fn to_json(value: &impl Serialize) -> String {
-    serde_json::to_string(value).expect("ingest ledgers are always serializable")
-}
-
 /// Everything after a decoded event, shared by [`ingest`] and
 /// [`MultiSourceIngest::run`]: augment → stem → report. Owns the sharded
 /// stem pipeline, the augment mode, the batch of augmented events on its
@@ -637,7 +630,6 @@ impl BackHalf {
     /// the [`IngestError::Pipeline`] of a run whose stem stage closed,
     /// carrying every quarantined shard's root cause.
     fn finish(self, front: FrontEnd) -> Result<IngestReport, IngestError> {
-        let drain_start = Instant::now();
         let run = self.pipeline.finish_merged();
         if self.closed {
             let causes: Vec<String> = run.panics.iter().map(ToString::to_string).collect();
@@ -650,12 +642,7 @@ impl BackHalf {
                 stats: Box::new(run.stats.global),
             });
         }
-        let drain = drain_start.elapsed().as_secs_f64();
         let elapsed = self.started.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
-        let mut digest = ReportDigest::default();
-        for shard_digest in &run.digests {
-            digest.merge(shard_digest);
-        }
         Ok(IngestReport {
             records_decoded: front.records_decoded,
             records_skipped: front.records_skipped,
@@ -664,20 +651,10 @@ impl BackHalf {
             events_forwarded: self.events_forwarded,
             withdraws_filtered: self.withdraws_filtered,
             reports: run.incidents.into_iter().map(|i| i.report).collect(),
-            digest,
             stats: run.stats.global,
             shard_stats: Some(run.stats),
             decode: front.decode,
             augment: self.stage,
-            // The stem stage runs inside the supervised shards where we
-            // can't plant timers, so its occupancy is a proxy: the time it
-            // made the augment stage wait (queue backpressure) plus the
-            // final drain.
-            stem: StageStats {
-                busy_secs: self.stage.blocked_out_secs + drain,
-                blocked_in_secs: self.stage.blocked_in_secs,
-                blocked_out_secs: 0.0,
-            },
             elapsed_secs: elapsed,
             events_per_sec: front.events_decoded as f64 / elapsed,
             peak_rss_bytes: peak_rss_bytes(),
@@ -820,9 +797,6 @@ pub struct SourcePolicy {
     pub backoff_base: Duration,
     /// Backoff ceiling.
     pub backoff_max: Duration,
-    /// Seed for the deterministic backoff jitter (multiplier in
-    /// `[0.5, 1.5)`), so retry storms desynchronize reproducibly.
-    pub jitter_seed: u64,
     /// With no event merged from a source for this long the watchdog flips
     /// it Degraded; after a second consecutive timeout, Quarantined.
     pub stall_timeout: Duration,
@@ -837,7 +811,6 @@ impl Default for SourcePolicy {
             max_retries: 4,
             backoff_base: Duration::from_millis(10),
             backoff_max: Duration::from_millis(500),
-            jitter_seed: 0xB6E0_5EED,
             stall_timeout: Duration::from_secs(2),
             poison_threshold: 2,
         }
@@ -871,13 +844,15 @@ impl SourcePolicy {
     }
 
     /// Backoff before retry number `failures` of source `idx`:
-    /// `min(base·2^(failures-1), max)`, jittered into `[0.5, 1.5)×`.
+    /// `min(base·2^(failures-1), max)`, jittered into `[0.5, 1.5)×` by a
+    /// fixed seed, so retry storms desynchronize reproducibly.
     fn backoff(&self, idx: usize, failures: u32) -> Duration {
+        const JITTER_SEED: u64 = 0xB6E0_5EED;
         let exp = failures.saturating_sub(1).min(16);
         let raw = self.backoff_base.as_secs_f64() * (1u64 << exp) as f64;
         let capped = raw.min(self.backoff_max.as_secs_f64());
         let salt = ((idx as u64) << 32) | u64::from(failures);
-        let jitter = 0.5 + (splitmix64(self.jitter_seed ^ salt) >> 11) as f64 / (1u64 << 53) as f64;
+        let jitter = 0.5 + (splitmix64(JITTER_SEED ^ salt) >> 11) as f64 / (1u64 << 53) as f64;
         Duration::from_secs_f64(capped * jitter)
     }
 }
@@ -1716,7 +1691,10 @@ mod tests {
     }
 
     fn sorted_json(reports: &[AnomalyReport]) -> Vec<String> {
-        let mut json: Vec<String> = reports.iter().map(to_json).collect();
+        let mut json: Vec<String> = reports
+            .iter()
+            .map(|r| serde_json::to_string(r).unwrap())
+            .collect();
         json.sort();
         json
     }
@@ -1772,10 +1750,10 @@ mod tests {
         }
     }
 
-    /// More reports than the report queue holds, then more events than the
-    /// event queue holds: at the parent the supervisor blocked on the full
-    /// report queue, the feed blocked on the full event queue, and nobody
-    /// read either.
+    /// More reports than the template's report bound, then more events than
+    /// the event queue holds: the bound does not apply to a shard, whose
+    /// report queue nobody reads until the run finishes, so the supervisor
+    /// never blocks on it and the feed never blocks on the supervisor.
     #[test]
     fn ingest_drains_its_own_report_queue() {
         let archive = archive_of(&windowed_stream(12));

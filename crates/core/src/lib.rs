@@ -59,13 +59,13 @@ pub use rex::Rex;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use bgpscope_anomaly::{
-        classify, enrich_with_igp, merge_incidents, scan_deaggregation, scan_moas, AdaptiveConfig,
-        AnomalyKind, AnomalyReport, ControllerConfig, DegradeConfig, FidelityLevel, GlobalIncident,
-        Hotspot, OverloadPolicy, PanicInjection, PipelineCheckpoint, PipelineClosed,
-        PipelineConfig, PipelineHandle, PipelineStats, RealtimeDetector, RecorderConfig, Replay,
-        ReplayError, ReportDigest, ReportPolicy, ShardPanic, ShardRouter, ShardSnapshot,
-        ShardedConfig, ShardedObserver, ShardedPipeline, ShardedRun, ShardedStats, SpawnConfig,
-        StatsProbe, SupervisorConfig, Timeline, TimelineBucket, WeightedEvent,
+        classify, enrich_with_igp, merge_incidents, scan_deaggregation, scan_moas, AnomalyKind,
+        AnomalyReport, ControllerConfig, DegradeConfig, FidelityLevel, GlobalIncident, Hotspot,
+        OverloadPolicy, PanicInjection, PipelineCheckpoint, PipelineClosed, PipelineConfig,
+        PipelineHandle, PipelineStats, RealtimeDetector, RecorderConfig, Replay, ReplayError,
+        ReportDigest, ReportPolicy, ShardPanic, ShardRouter, ShardSnapshot, ShardedConfig,
+        ShardedObserver, ShardedPipeline, ShardedRun, ShardedStats, SpawnConfig, StatsProbe,
+        SupervisorConfig, Timeline, TimelineBucket, WeightedEvent,
     };
     pub use bgpscope_bgp::{
         AsPath, Asn, Community, Event, EventKind, EventStream, LocalPref, Med, PathAttributes,

@@ -13,7 +13,8 @@
 //! [`channel::Receiver::recv_many`] and its mirror
 //! [`channel::Sender::send_many`] are shim extensions (crossbeam spells
 //! them `recv` + `try_iter().take(n)` and a `send` loop): a batch under one
-//! lock and at most one wake. A bounded queue's storage never grows past
+//! lock and at most one wake. So is [`channel::Receiver::take_all`], which
+//! hands the queue's storage over instead of copying out of it. A bounded queue's storage never grows past
 //! its bound. `thread::scope` delegates to `std::thread::scope`,
 //! preserving crossbeam's `Result`-returning signature.
 
@@ -597,6 +598,18 @@ pub mod channel {
             Ok(n)
         }
 
+        /// Takes every queued value, oldest first, by handing over the
+        /// queue's storage, and wakes parked senders. A shim extension:
+        /// crossbeam spells it `try_iter().collect()`, which holds each
+        /// value twice until the channel drops — the queue's storage and
+        /// the collected `Vec`.
+        pub fn take_all(&self) -> Vec<T> {
+            let mut state = self.shared.lock();
+            let queue = std::mem::take(&mut state.queue);
+            self.shared.freed(state, queue.len());
+            queue.into()
+        }
+
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut state = self.shared.lock();
@@ -890,6 +903,26 @@ mod tests {
         producer.join().unwrap();
         assert_eq!(rx.recv().unwrap(), 3);
         assert_eq!(Vec::from(got), vec![1, 2]);
+    }
+
+    /// `take_all` hands over everything queued, oldest first — also once
+    /// the queue's storage has wrapped — and wakes a parked sender.
+    #[test]
+    fn take_all_is_fifo_and_wakes_a_parked_sender() {
+        let (tx, rx) = bounded(3);
+        for i in 0..3u32 {
+            tx.send(i).unwrap();
+        }
+        assert_eq!(rx.recv().unwrap(), 0);
+        tx.send(3).unwrap();
+        let producer = std::thread::spawn(move || tx.send(4).unwrap());
+        while rx.parked_senders() == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(rx.take_all(), vec![1, 2, 3]);
+        producer.join().unwrap();
+        assert_eq!(rx.take_all(), vec![4]);
+        assert!(rx.take_all().is_empty());
     }
 
     /// `send_many` moves what fits in FIFO order from odd-sized batches

@@ -66,10 +66,6 @@ fn demo_loop_detects_pipelines_records_and_replays() {
         "8",
         "--policy",
         "degrade",
-        "--report-capacity",
-        "2",
-        "--report-policy",
-        "digest",
         "--checkpoint-interval",
         "16",
         "--shards",
@@ -116,7 +112,7 @@ fn no_arguments_prints_usage_and_exits_1() {
             "missing {line:?} in\n{text}"
         );
     }
-    assert_eq!(text.lines().count(), 33, "{text}");
+    assert_eq!(text.lines().count(), 32, "{text}");
 }
 
 #[test]

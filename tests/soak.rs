@@ -17,7 +17,7 @@
 //!   sampled instant (including mid-restart) and, with
 //!   `carried == queued == replayed_in_flight == 0`, at quiescence — and
 //!   every report too: `emitted == delivered + shed + digested`,
-//! * under [`AdaptiveConfig`] the closed-loop controller degrades fidelity
+//! * under adaptive control the closed-loop controller degrades fidelity
 //!   during the storm, merge-on-shed preserves the anomaly evidence as
 //!   weighted representatives, and fidelity recovers to full once the
 //!   queue quiets,
@@ -740,7 +740,7 @@ fn soak_netsim_ten_thousand_as_flaps_feed_sharded_pipeline() {
 }
 
 /// Adaptive leg: the storm feed through a deliberately tiny queue under
-/// `OverloadPolicy::DropOldest` with [`AdaptiveConfig`] — the closed-loop
+/// `OverloadPolicy::DropOldest` with adaptive control — the closed-loop
 /// controller replaces the binary Degrade flip and the stolen events are
 /// coalesced into weighted representatives instead of discarded. Asserts
 /// the extended ledger (`+ coalesced`) closes at every snapshot, that the
@@ -777,12 +777,9 @@ fn soak_adaptive_storm_coalesces_and_recovers_fidelity() {
     // the calm streak), so once the storm raises the level it stays raised
     // until the feed actually quiets — which the tail below provides 600
     // calm samples for.
-    let adaptive = AdaptiveConfig {
-        controller: ControllerConfig {
-            recovery_patience: 64,
-            ..ControllerConfig::default()
-        },
-        ..AdaptiveConfig::default()
+    let adaptive = ControllerConfig {
+        recovery_patience: 64,
+        ..ControllerConfig::default()
     };
     let config = SpawnConfig::new(pipeline)
         .with_capacity(ADAPTIVE_CAPACITY)
