@@ -52,14 +52,14 @@ pub use control::{
 pub use igp::enrich_with_igp;
 pub use pipeline::{
     DegradeConfig, DetectorCounters, OverloadPolicy, PanicInjection, PipelineCheckpoint,
-    PipelineClosed, PipelineConfig, PipelineHandle, PipelineStats, RealtimeDetector, ReportPolicy,
-    SpawnConfig, StatsProbe, SupervisorConfig, WeightedEvent,
+    PipelineClosed, PipelineConfig, PipelineHandle, PipelineStats, RealtimeDetector, SpawnConfig,
+    StatsProbe, SupervisorConfig, WeightedEvent,
 };
 pub use replay::{
     Frame, Hotspot, Manifest, RecorderConfig, Replay, ReplayError, Timeline, TimelineBucket,
     RECORDING_VERSION,
 };
-pub use report::{AnomalyReport, ReportDigest};
+pub use report::AnomalyReport;
 pub use scan::{scan_deaggregation, scan_moas, DeaggregationBurst, MoasConflict};
 pub use shard::{
     merge_incidents, GlobalIncident, ShardPanic, ShardRouter, ShardSnapshot, ShardedConfig,

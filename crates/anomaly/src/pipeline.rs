@@ -66,7 +66,7 @@
 //! egress and checkpoint re-emits rather than loses them.
 //!
 //! Each thread owns its state. The supervisor's — slot, ring, controller,
-//! report digest, the recording's write half — is one struct it alone
+//! the recording's write half — is one struct it alone
 //! touches, and one loop feeds the detector from the ring (a replay) and
 //! then from the queue. What other threads see of it is one set of
 //! counters published under one mutex, once per event; the producer's
@@ -74,15 +74,19 @@
 //! first, then the second, which is why it closes at every instant (see
 //! `stats_from`).
 //!
-//! The report channel out of the detector is bounded too
-//! ([`SpawnConfig::report_capacity`], [`ReportPolicy`]): a subscriber that
-//! stops draining can no longer grow an unbounded backlog, and every report
-//! the policy sheds is counted (`report_shed`) or coalesced into a
-//! [`ReportDigest`] (`reports_digested`):
+//! The report channel out of the detector may be bounded too
+//! ([`SpawnConfig::report_capacity`]). A full report queue blocks the
+//! detector until the subscriber drains it: no report is ever dropped or
+//! thinned, and a stalled subscriber stalls analysis, which fills the
+//! ingest queue, where the [`OverloadPolicy`] governs. Only a subscriber
+//! that hung up loses reports, each counted in `report_shed`:
 //!
 //! ```text
 //! reports_emitted == reports_delivered + report_shed + reports_digested
 //! ```
+//!
+//! (`reports_digested` stays in the ledger for recordings made when a
+//! report queue could coalesce its overflow; a live run leaves it 0.)
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -104,7 +108,7 @@ use crate::control::{
     stemming_at_level, CoalesceBuffer, Controller, ControllerConfig, FidelityLevel, Fold,
 };
 use crate::replay::{create_recording, Frame, FrameWriter, Overlay, RecorderConfig, RecordingSeal};
-use crate::report::{AnomalyReport, ReportDigest};
+use crate::report::AnomalyReport;
 
 /// An event with a multiplicity: the unit the spawned pipeline's queue,
 /// in-flight ring, and analysis window carry. Every event enters with
@@ -308,60 +312,6 @@ impl std::str::FromStr for OverloadPolicy {
     }
 }
 
-/// What the detector does when the bounded *report* queue is full — the
-/// egress-side sibling of [`OverloadPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReportPolicy {
-    /// Apply backpressure: the detector blocks until the subscriber drains.
-    /// Lossless — and because the detector stalls, the bounded ingest queue
-    /// fills behind it and the ingest [`OverloadPolicy`] takes over, so
-    /// end-to-end behavior stays governed. Never loses a report.
-    Block,
-    /// Shed the oldest queued report to make room for the newest — the
-    /// subscriber sees the most recent incidents. Every shed report is
-    /// counted in [`PipelineStats::report_shed`].
-    DropOldest,
-    /// Coalesce the overflowing report into a [`ReportDigest`] instead of
-    /// dropping it: the anomaly record is thinned to aggregate counts, a
-    /// time envelope, and a stem sample — never silently truncated. Counted
-    /// in [`PipelineStats::reports_digested`].
-    Digest,
-}
-
-impl ReportPolicy {
-    /// All three policies, for exhaustive testing.
-    pub const ALL: [ReportPolicy; 3] = [
-        ReportPolicy::Block,
-        ReportPolicy::DropOldest,
-        ReportPolicy::Digest,
-    ];
-}
-
-impl std::fmt::Display for ReportPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ReportPolicy::Block => "block",
-            ReportPolicy::DropOldest => "drop-oldest",
-            ReportPolicy::Digest => "digest",
-        })
-    }
-}
-
-impl std::str::FromStr for ReportPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "block" => Ok(ReportPolicy::Block),
-            "drop-oldest" => Ok(ReportPolicy::DropOldest),
-            "digest" => Ok(ReportPolicy::Digest),
-            other => Err(format!(
-                "unknown report policy {other:?} (expected block, drop-oldest, or digest)"
-            )),
-        }
-    }
-}
-
 /// How the supervisor around the spawned detector behaves.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
@@ -482,14 +432,12 @@ pub struct SpawnConfig {
     /// What to do when the bounded queue is full. Ignored when
     /// `capacity == 0`.
     pub overload: OverloadPolicy,
-    /// Report-queue bound in reports (`0` = unbounded, the pre-egress-
-    /// bounding behavior — a stalled subscriber can then grow the backlog
-    /// without limit). A shard of a [`crate::ShardedPipeline`] has no
-    /// subscriber and ignores it, and `report_policy` with it.
+    /// Report-queue bound in reports (`0` = unbounded — a stalled
+    /// subscriber can then grow the backlog without limit). A full queue
+    /// blocks the detector until the subscriber takes a report; nothing is
+    /// dropped. A shard of a [`crate::ShardedPipeline`] has no subscriber
+    /// and ignores it.
     pub report_capacity: usize,
-    /// What to do when the bounded report queue is full. Ignored when
-    /// `report_capacity == 0`.
-    pub report_policy: ReportPolicy,
     /// Crash-recovery supervision around the detector thread.
     pub supervisor: SupervisorConfig,
     /// Optional consumer-panic fault injection (soak testing).
@@ -517,7 +465,6 @@ impl Default for SpawnConfig {
             capacity: 65_536,
             overload: OverloadPolicy::Block,
             report_capacity: 1_024,
-            report_policy: ReportPolicy::Block,
             supervisor: SupervisorConfig::default(),
             fault: None,
             adaptive: None,
@@ -550,12 +497,6 @@ impl SpawnConfig {
     /// Sets the report-queue capacity (`0` = unbounded).
     pub fn with_report_capacity(mut self, capacity: usize) -> Self {
         self.report_capacity = capacity;
-        self
-    }
-
-    /// Sets the report overload policy.
-    pub fn with_report_policy(mut self, policy: ReportPolicy) -> Self {
-        self.report_policy = policy;
         self
     }
 
@@ -652,11 +593,15 @@ pub struct PipelineStats {
     /// Reports that reached (or will reach) the subscriber:
     /// `reports_emitted - report_shed - reports_digested`.
     pub reports_delivered: u64,
-    /// Reports shed by [`ReportPolicy::DropOldest`] (or undeliverable to a
-    /// disconnected subscriber).
+    /// Reports undeliverable because the subscriber hung up (in a
+    /// recording of an older build, also reports its full report queue
+    /// shed).
     pub report_shed: u64,
-    /// Reports coalesced into the [`ReportDigest`] by
-    /// [`ReportPolicy::Digest`].
+    /// Reports an older build's full report queue coalesced into counts
+    /// instead of delivering. A live run never does that, so this is 0
+    /// except when replaying such a recording; it stays in the ledger (and
+    /// the [`Overlay`]) so those recordings still replay with a closed
+    /// ledger.
     pub reports_digested: u64,
     /// Events absorbed into a weighted representative by adaptive
     /// merge-on-shed instead of being dropped (see
@@ -859,8 +804,7 @@ impl RealtimeDetector {
     /// The accounting snapshot: the spawned pipeline's ledger derivation
     /// with the detector as its own producer and subscriber — everything
     /// ingested reached it (`queued` is always 0 here) and every report is
-    /// returned directly to the caller (all delivered, none shed or
-    /// digested).
+    /// returned directly to the caller (all delivered, none shed).
     pub fn stats(&self) -> PipelineStats {
         PipelineStats::from_ledger(
             self.consumer_counters(0),
@@ -1093,8 +1037,7 @@ impl RealtimeDetector {
     /// Feed raw updates (or pre-augmented events) through the returned
     /// [`PipelineHandle`]; completed reports stream from
     /// [`PipelineHandle::reports`] (bounded by
-    /// [`SpawnConfig::report_capacity`] under
-    /// [`SpawnConfig::report_policy`]). Call [`PipelineHandle::finish`] (or
+    /// [`SpawnConfig::report_capacity`]). Call [`PipelineHandle::finish`] (or
     /// drop the handle) to end the run — the final window flushes on
     /// shutdown.
     ///
@@ -1141,8 +1084,6 @@ impl RealtimeDetector {
             shared: Arc::clone(&shared),
             event_rx: event_rx.clone(),
             report_tx,
-            report_steal: report_rx.clone(),
-            report_policy: config.report_policy,
             state: SupervisorState {
                 slot: CheckpointSlot::default(),
                 ring: VecDeque::new(),
@@ -1150,7 +1091,6 @@ impl RealtimeDetector {
                 fault: FaultState::new(config.fault),
                 controller: controller.map(Controller::new),
                 fidelity: FidelityLevel::Full,
-                digest: ReportDigest::default(),
                 recorder: writer,
             },
         };
@@ -1299,10 +1239,6 @@ struct Supervisor {
     shared: Arc<SharedStats>,
     event_rx: Receiver<WeightedEvent>,
     report_tx: Sender<AnomalyReport>,
-    /// Receiver clone used only to steal the oldest queued report under
-    /// [`ReportPolicy::DropOldest`] (shim receivers share one queue).
-    report_steal: Receiver<AnomalyReport>,
-    report_policy: ReportPolicy,
     state: SupervisorState,
 }
 
@@ -1329,16 +1265,13 @@ struct SupervisorState {
     /// The level the controller last commanded ([`FidelityLevel::Full`]
     /// without one).
     fidelity: FidelityLevel,
-    /// Reports coalesced under [`ReportPolicy::Digest`]; returned to the
-    /// handle when the thread is joined.
-    digest: ReportDigest,
     /// When recording, every supervision step is framed here in consumer
     /// order (see [`crate::replay::Frame`]).
     recorder: Option<FrameWriter>,
 }
 
 impl Supervisor {
-    fn run(mut self) -> ReportDigest {
+    fn run(mut self) {
         let _guard = AliveGuard(Arc::clone(&self.shared));
         while let Err(panic) = catch_unwind(AssertUnwindSafe(|| self.run_incarnation())) {
             let cause = panic_message(panic.as_ref());
@@ -1399,7 +1332,6 @@ impl Supervisor {
             let exponent = (restarts - 1).min(6);
             std::thread::sleep(self.sup.backoff * (1u32 << exponent));
         }
-        self.state.digest
     }
 
     /// One detector incarnation: restore from the checkpoint, then feed the
@@ -1510,7 +1442,7 @@ impl Supervisor {
         reports
     }
 
-    /// Delivers reports to the subscriber under the report overload policy.
+    /// Delivers reports to the subscriber, waiting while its queue is full.
     /// Runs *before* the checkpoint that acks the events behind the reports
     /// (at-least-once delivery: a crash in between re-emits, never loses).
     fn egress(&mut self, reports: Vec<AnomalyReport>) {
@@ -1521,51 +1453,18 @@ impl Supervisor {
                     report: report.clone(),
                 });
             }
-            match self.report_policy {
-                ReportPolicy::Block => loop {
-                    match self
-                        .report_tx
-                        .send_timeout(report, Duration::from_millis(50))
-                    {
-                        Ok(()) => break,
-                        Err(SendTimeoutError::Timeout(back)) => report = back,
-                        Err(SendTimeoutError::Disconnected(_)) => {
-                            self.shared.ledger().report_shed += 1;
-                            break;
-                        }
+            loop {
+                match self
+                    .report_tx
+                    .send_timeout(report, Duration::from_millis(50))
+                {
+                    Ok(()) => break,
+                    Err(SendTimeoutError::Timeout(back)) => report = back,
+                    Err(SendTimeoutError::Disconnected(_)) => {
+                        self.shared.ledger().report_shed += 1;
+                        break;
                     }
-                },
-                ReportPolicy::DropOldest => loop {
-                    match self.report_tx.try_send(report) {
-                        Ok(()) => break,
-                        Err(TrySendError::Full(back)) => {
-                            report = back;
-                            // Steal the oldest queued report to make room;
-                            // racing with the subscriber just means the
-                            // queue made room on its own.
-                            match self.report_steal.try_recv() {
-                                Ok(_oldest) => self.shared.ledger().report_shed += 1,
-                                Err(TryRecvError::Empty) => {}
-                                Err(TryRecvError::Disconnected) => {
-                                    self.shared.ledger().report_shed += 1;
-                                    break;
-                                }
-                            }
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            self.shared.ledger().report_shed += 1;
-                            break;
-                        }
-                    }
-                },
-                ReportPolicy::Digest => match self.report_tx.try_send(report) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(back)) => {
-                        self.state.digest.fold(&back);
-                        self.shared.ledger().reports_digested += 1;
-                    }
-                    Err(TrySendError::Disconnected(_)) => self.shared.ledger().report_shed += 1,
-                },
+                }
             }
         }
     }
@@ -1647,7 +1546,6 @@ struct SupervisorLedger {
     supervision: SupervisionCounts,
     checkpoints: u64,
     report_shed: u64,
-    reports_digested: u64,
     /// The controller's level as a coarsening index (0 without one).
     fidelity_level: u64,
 }
@@ -1694,7 +1592,7 @@ impl SharedStats {
             coalesced_events: self.coalesced.load(Ordering::Acquire),
             parse_errors: self.parse_errors.load(Ordering::Acquire),
             report_shed: ledger.report_shed,
-            reports_digested: ledger.reports_digested,
+            reports_digested: 0,
             fidelity_level: ledger.fidelity_level,
             checkpoints: ledger.checkpoints,
         }
@@ -1785,9 +1683,9 @@ pub struct PipelineHandle {
     /// [`OverloadPolicy::DropOldest`] (shim receivers share one queue).
     steal_rx: Receiver<WeightedEvent>,
     reports: Receiver<AnomalyReport>,
-    /// The supervisor thread, which hands back its [`ReportDigest`];
-    /// `None` once [`PipelineHandle::shutdown`] has joined it.
-    join: Option<std::thread::JoinHandle<ReportDigest>>,
+    /// The supervisor thread; `None` once [`PipelineHandle::shutdown`] has
+    /// joined it.
+    join: Option<std::thread::JoinHandle<()>>,
     shared: Arc<SharedStats>,
     overload: OverloadPolicy,
     /// Merge-on-shed buffer: present under adaptive DropOldest.
@@ -2103,11 +2001,6 @@ impl PipelineHandle {
         }
     }
 
-    /// Reports currently queued between the supervisor and the subscriber.
-    pub fn report_queue_len(&self) -> usize {
-        self.reports.len()
-    }
-
     /// The message of the most recent consumer panic the supervisor caught,
     /// if any.
     pub fn last_panic(&self) -> Option<String> {
@@ -2119,19 +2012,13 @@ impl PipelineHandle {
     /// snapshot (`carried == queued == replayed_in_flight == 0`, so the
     /// ledger closes as
     /// `ingested == analyzed + shed_events + dropped_events`).
-    pub fn finish(self) -> (Vec<AnomalyReport>, PipelineStats) {
-        let (reports, stats, _digest) = self.finish_with_digest();
-        (reports, stats)
-    }
-
-    /// [`PipelineHandle::finish`] plus the final [`ReportDigest`] of
-    /// coalesced reports (meaningful under [`ReportPolicy::Digest`]).
-    pub fn finish_with_digest(mut self) -> (Vec<AnomalyReport>, PipelineStats, ReportDigest) {
+    pub fn finish(mut self) -> (Vec<AnomalyReport>, PipelineStats) {
         let join = self.join.take().expect("finish runs once");
-        let (reports, stats, digest) = self.shutdown(join);
+        let (reports, stats, joined) = self.shutdown(join);
         // The supervisor catches consumer panics itself; a panic here
         // would be a bug in the supervisor loop proper.
-        (reports, stats, digest.expect("supervisor thread panicked"))
+        joined.expect("supervisor thread panicked");
+        (reports, stats)
     }
 
     /// The one way a spawned pipeline ends, whether finished or dropped:
@@ -2139,18 +2026,14 @@ impl PipelineHandle {
     /// the recording.
     fn shutdown(
         &mut self,
-        join: std::thread::JoinHandle<ReportDigest>,
-    ) -> (
-        Vec<AnomalyReport>,
-        PipelineStats,
-        std::thread::Result<ReportDigest>,
-    ) {
+        join: std::thread::JoinHandle<()>,
+    ) -> (Vec<AnomalyReport>, PipelineStats, std::thread::Result<()>) {
         let tx = self.tx.take().expect("shutdown runs once");
         let mut reports = self.drain_coalesced(&tx);
         drop(tx);
         // A bounded report queue may hold the supervisor's final flush up:
         // take a report whenever it is full instead of a blind join (which
-        // would deadlock under ReportPolicy::Block).
+        // would deadlock while the supervisor waits in egress).
         while !join.is_finished() {
             if self.reports.capacity() == Some(self.reports.len()) {
                 if let Ok(report) = self.reports.try_recv() {
@@ -2160,7 +2043,7 @@ impl PipelineHandle {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        let digest = join.join();
+        let joined = join.join();
         // A supervisor that gave up leaves events stranded in the channel
         // (this handle's receiver clone keeps it connected): count them as
         // shed so even a crashed pipeline finishes with `queued == 0` and
@@ -2182,7 +2065,7 @@ impl PipelineHandle {
         if let Some(rec) = self.recorder.take() {
             rec.seal(&stats);
         }
-        (reports, stats, digest)
+        (reports, stats, joined)
     }
 }
 
@@ -2553,14 +2436,6 @@ mod tests {
         assert!("bananas".parse::<OverloadPolicy>().is_err());
     }
 
-    #[test]
-    fn report_policy_parses_from_str() {
-        for policy in ReportPolicy::ALL {
-            assert_eq!(policy.to_string().parse::<ReportPolicy>(), Ok(policy));
-        }
-        assert!("bananas".parse::<ReportPolicy>().is_err());
-    }
-
     /// A checkpoint captures everything `restore` needs: the restored
     /// detector checkpoints back to the identical value.
     #[test]
@@ -2753,8 +2628,8 @@ mod tests {
     }
 
     /// A pipeline whose supervisor can be parked in report egress: every
-    /// 5-event window of [`window_feed`] yields a report, and a Block
-    /// report queue of one that nobody reads holds the second.
+    /// 5-event window of [`window_feed`] yields a report, and a report
+    /// queue of one that nobody reads holds the second.
     fn stallable() -> SpawnConfig {
         SpawnConfig::new(PipelineConfig {
             window: Timestamp::from_secs(10),
@@ -2763,7 +2638,6 @@ mod tests {
             ..PipelineConfig::default()
         })
         .with_report_capacity(1)
-        .with_report_policy(ReportPolicy::Block)
     }
 
     /// `windows` windows of five withdrawals, 20 s apart.
@@ -2851,85 +2725,6 @@ mod tests {
         let (_reports, stats) = handle.finish();
         assert!(stats.degraded_windows >= 20, "{stats}");
         assert!(stats.accounts_exactly(), "{stats}");
-    }
-
-    /// Blocks until the supervisor has consumed every queued event, so the
-    /// stalled-subscriber report assertions are deterministic, not a race
-    /// against `finish`'s drain loop.
-    fn wait_for_quiesce(handle: &PipelineHandle) {
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while handle.stats().queued > 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "supervisor failed to quiesce"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    /// DropOldest report policy under a stalled subscriber: the report
-    /// queue never exceeds its capacity, newest reports win, and every shed
-    /// report is on the ledger.
-    #[test]
-    fn report_drop_oldest_bounds_queue_and_accounts() {
-        let config = SpawnConfig::new(PipelineConfig {
-            window: Timestamp::from_secs(10),
-            min_events: 2,
-            min_component_events: 2,
-            ..PipelineConfig::default()
-        })
-        .with_report_capacity(2)
-        .with_report_policy(ReportPolicy::DropOldest);
-        let mut handle = RealtimeDetector::spawn(config);
-        // Each window yields a report; the subscriber never reads.
-        for w in 0..40u64 {
-            for i in 0..5u8 {
-                handle.ingest_event(withdraw_event(w * 20, i)).unwrap();
-            }
-        }
-        wait_for_quiesce(&handle);
-        assert!(handle.report_queue_len() <= 2, "queue exceeded capacity");
-        let (reports, stats) = handle.finish();
-        assert!(stats.reports_emitted > 2, "{stats}");
-        assert!(stats.report_shed > 0, "{stats}");
-        assert!(stats.reports_account_exactly(), "{stats}");
-        assert_eq!(reports.len() as u64, stats.reports_delivered, "{stats}");
-    }
-
-    /// Digest report policy under a stalled subscriber: overflow reports
-    /// coalesce into the digest instead of vanishing, and the report ledger
-    /// closes.
-    #[test]
-    fn report_digest_coalesces_overflow() {
-        let config = SpawnConfig::new(PipelineConfig {
-            window: Timestamp::from_secs(10),
-            min_events: 2,
-            min_component_events: 2,
-            ..PipelineConfig::default()
-        })
-        .with_report_capacity(1)
-        .with_report_policy(ReportPolicy::Digest);
-        let mut handle = RealtimeDetector::spawn(config);
-        for w in 0..40u64 {
-            for i in 0..5u8 {
-                handle.ingest_event(withdraw_event(w * 20, i)).unwrap();
-            }
-        }
-        wait_for_quiesce(&handle);
-        assert!(handle.report_queue_len() <= 1, "queue exceeded capacity");
-        let (reports, stats, digest) = handle.finish_with_digest();
-        assert!(stats.reports_digested > 0, "{stats}");
-        assert_eq!(stats.reports_digested, digest.coalesced, "{stats}");
-        assert!(!digest.is_empty());
-        assert!(digest.event_count > 0);
-        assert!(stats.reports_account_exactly(), "{stats}");
-        assert_eq!(
-            reports.len() as u64 + digest.coalesced,
-            stats.reports_emitted,
-            "{stats}"
-        );
-        let text = digest.to_string();
-        assert!(text.contains("coalesced"), "{text}");
     }
 
     /// The JSON ledger is stable: every documented field is present under

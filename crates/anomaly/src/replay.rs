@@ -135,7 +135,9 @@ pub struct Overlay {
     pub parse_errors: u64,
     /// Reports shed at egress so far.
     pub report_shed: u64,
-    /// Reports folded into the digest so far.
+    /// Reports an older build's full report queue coalesced into counts so
+    /// far; 0 in every recording made now, kept so format-3 recordings
+    /// that carry it still replay with a closed report ledger.
     pub reports_digested: u64,
     /// Fidelity level in force.
     pub fidelity_level: u64,
@@ -1629,5 +1631,36 @@ mod tests {
         assert!(replay.cursor_events() >= advanced);
         assert!(replay.play(-1.0, Duration::from_secs(1)).is_err());
         cleanup(&base);
+    }
+
+    /// A format-3 recording made when a full report queue could coalesce
+    /// its overflow into counts (report queue of one, nobody reading, eight
+    /// one-report windows): 8 reports emitted, 2 delivered, 6 digested.
+    /// No live run writes `reports_digested` any more, but the ledger keeps
+    /// it so that such a recording replays with a closed report ledger.
+    #[test]
+    fn digest_era_recording_replays_with_a_closed_report_ledger() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures/report_digest_era.rec");
+        let mut replay = Replay::load(path).expect("fixture loads");
+        replay.seek_events(replay.events_total() / 2).unwrap();
+        let mid = replay.stats();
+        assert!(mid.reports_account_exactly(), "{mid}");
+        assert!(mid.reports_digested > 0, "{mid}");
+        replay.to_end().unwrap();
+        let stats = replay.stats();
+        assert_eq!(
+            (
+                stats.reports_emitted,
+                stats.reports_delivered,
+                stats.report_shed,
+                stats.reports_digested
+            ),
+            (8, 2, 0, 6),
+            "{stats}"
+        );
+        assert!(stats.reports_account_exactly(), "{stats}");
+        assert!(stats.accounts_exactly(), "{stats}");
+        assert_eq!(replay.end_stats(), Some(stats));
     }
 }

@@ -80,101 +80,6 @@ impl AnomalyReport {
     }
 }
 
-/// A coalesced summary of reports shed by the bounded report egress under
-/// [`crate::pipeline::ReportPolicy::Digest`].
-///
-/// When the report queue is full, the overflowing report is folded in here
-/// instead of being dropped: the anomaly record is *thinned* — individual
-/// reports collapse into aggregate counts, a time envelope, and a capped
-/// stem sample — but never silently truncated. The pipeline counts every
-/// fold in `PipelineStats::reports_digested`, so
-/// `reports_emitted == reports_delivered + report_shed + reports_digested`
-/// stays exact.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ReportDigest {
-    /// Reports folded into this digest.
-    pub coalesced: u64,
-    /// Total events across the folded reports.
-    pub event_count: u64,
-    /// Total announcements across the folded reports.
-    pub announce_count: u64,
-    /// Total withdrawals across the folded reports.
-    pub withdraw_count: u64,
-    /// Folded reports produced by degraded-mode analysis passes.
-    pub degraded: u64,
-    /// Earliest incident start among the folded reports.
-    pub first_start: Option<Timestamp>,
-    /// Latest incident end among the folded reports.
-    pub last_end: Option<Timestamp>,
-    /// Distinct stems seen, first-seen order, capped at
-    /// [`ReportDigest::MAX_STEMS`] (`stems_truncated` flags overflow).
-    pub stems: Vec<String>,
-    /// True when more distinct stems were folded than `stems` can hold.
-    pub stems_truncated: bool,
-}
-
-impl ReportDigest {
-    /// Cap on the distinct stems a digest records.
-    pub const MAX_STEMS: usize = 16;
-
-    /// True when nothing has been folded in.
-    pub fn is_empty(&self) -> bool {
-        self.coalesced == 0
-    }
-
-    /// Folds one shed report into the digest.
-    pub fn fold(&mut self, report: &AnomalyReport) {
-        self.coalesced += 1;
-        self.event_count += report.event_count as u64;
-        self.announce_count += report.announce_count as u64;
-        self.withdraw_count += report.withdraw_count as u64;
-        if report.degraded {
-            self.degraded += 1;
-        }
-        self.first_start = Some(match self.first_start {
-            Some(start) => start.min(report.start),
-            None => report.start,
-        });
-        self.last_end = Some(match self.last_end {
-            Some(end) => end.max(report.end),
-            None => report.end,
-        });
-        if !self.stems.contains(&report.stem) {
-            if self.stems.len() < Self::MAX_STEMS {
-                self.stems.push(report.stem.clone());
-            } else {
-                self.stems_truncated = true;
-            }
-        }
-    }
-}
-
-impl fmt::Display for ReportDigest {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_empty() {
-            return write!(f, "digest: empty");
-        }
-        writeln!(
-            f,
-            "digest: {} reports coalesced — {} events ({} announce / {} withdraw), {} degraded",
-            self.coalesced,
-            self.event_count,
-            self.announce_count,
-            self.withdraw_count,
-            self.degraded
-        )?;
-        if let (Some(start), Some(end)) = (self.first_start, self.last_end) {
-            writeln!(f, "  span {start} .. {end}")?;
-        }
-        write!(
-            f,
-            "  stems: {}{}",
-            self.stems.join(", "),
-            if self.stems_truncated { ", …" } else { "" }
-        )
-    }
-}
-
 impl fmt::Display for AnomalyReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -289,61 +194,5 @@ mod tests {
             )
         );
         assert_eq!(crate::replay::RECORDING_VERSION, 3);
-    }
-
-    fn sample_report(stem: &str, start: u64, end: u64, events: usize) -> AnomalyReport {
-        let peer = PeerId::from_octets(128, 32, 1, 3);
-        let hop = RouterId::from_octets(128, 32, 0, 66);
-        let stream: EventStream = (0..events)
-            .map(|i| {
-                Event::withdraw(
-                    Timestamp::from_secs(start + (end - start) * i as u64 / events.max(2) as u64),
-                    peer,
-                    Prefix::from_octets(10, i as u8, 0, 0, 16),
-                    PathAttributes::new(hop, "11423 209".parse().unwrap()),
-                )
-            })
-            .collect();
-        let result = Stemming::new().decompose(&stream);
-        let component = &result.components()[0];
-        let verdict = classify(component, &stream);
-        let mut report = AnomalyReport::new(component, verdict, result.symbols());
-        // The synthetic stream always stems the same way; relabel so digest
-        // dedup sees distinct incidents.
-        report.stem = stem.to_owned();
-        report.start = Timestamp::from_secs(start);
-        report.end = Timestamp::from_secs(end);
-        report
-    }
-
-    #[test]
-    fn digest_folds_counts_envelope_and_stems() {
-        let mut digest = ReportDigest::default();
-        assert!(digest.is_empty());
-        digest.fold(&sample_report("a-b", 100, 200, 10));
-        digest.fold(&sample_report("c-d", 50, 150, 10));
-        digest.fold(&sample_report("a-b", 120, 300, 10));
-        assert_eq!(digest.coalesced, 3);
-        assert_eq!(digest.event_count, 30);
-        assert_eq!(digest.withdraw_count, 30);
-        assert_eq!(digest.first_start, Some(Timestamp::from_secs(50)));
-        assert_eq!(digest.last_end, Some(Timestamp::from_secs(300)));
-        // Stems dedup in first-seen order.
-        assert_eq!(digest.stems, vec!["a-b".to_owned(), "c-d".to_owned()]);
-        assert!(!digest.stems_truncated);
-        let text = digest.to_string();
-        assert!(text.contains("3 reports coalesced"), "{text}");
-        assert!(text.contains("a-b, c-d"), "{text}");
-    }
-
-    #[test]
-    fn digest_stem_list_is_capped_not_unbounded() {
-        let mut digest = ReportDigest::default();
-        for i in 0..(ReportDigest::MAX_STEMS + 5) {
-            digest.fold(&sample_report(&format!("stem-{i}"), 0, 10, 5));
-        }
-        assert_eq!(digest.stems.len(), ReportDigest::MAX_STEMS);
-        assert!(digest.stems_truncated);
-        assert_eq!(digest.coalesced, (ReportDigest::MAX_STEMS + 5) as u64);
     }
 }

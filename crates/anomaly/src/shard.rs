@@ -153,10 +153,9 @@ pub struct ShardedConfig {
     pub shards: usize,
     /// Template applied to every shard. With more than one shard, a
     /// configured recording path is suffixed per shard (`<path>.shard<k>`)
-    /// so shards never clobber each other's files. Its report bound and
-    /// policy do not apply: a shard is not a subscriber, so every shard's
-    /// report queue is unbounded and is read once, when the shard is
-    /// reaped.
+    /// so shards never clobber each other's files. Its report bound does
+    /// not apply: a shard is not a subscriber, so every shard's report
+    /// queue is unbounded and is read once, when the shard is reaped.
     pub spawn: SpawnConfig,
     /// Leading prefix bits in the routing key (see
     /// [`ShardRouter::with_range_bits`]).
@@ -944,7 +943,7 @@ fn merge_class(mut class: Vec<(usize, AnomalyReport)>) -> GlobalIncident {
 mod tests {
     use super::*;
     use crate::classify::{AnomalyKind, Verdict};
-    use crate::pipeline::{PipelineConfig, ReportPolicy, SupervisorConfig};
+    use crate::pipeline::{PipelineConfig, SupervisorConfig};
     use crate::replay::{RecorderConfig, Replay};
     use bgpscope_bgp::PathAttributes;
     use bgpscope_bgp::RouterId;
@@ -1086,10 +1085,14 @@ mod tests {
         }
     }
 
-    /// A shard is not a subscriber: whatever report bound and policy the
-    /// template asks for, a sharded run delivers every report its shards'
-    /// detectors emit, so its incidents are those of one synchronous
-    /// detector per shard fed the same routed events, run after run.
+    /// A shard is not a subscriber: whatever report bound the template asks
+    /// for, a sharded run delivers every report its shards' detectors emit,
+    /// so its incidents are those of one synchronous detector per shard fed
+    /// the same routed events, run after run. A shard that honoured the
+    /// template's bound of one would park in egress at its second report,
+    /// its ingest queue of eight would fill, and the producer would wait
+    /// forever — so the feed runs on its own thread under a deadline, and
+    /// that failure is an assertion rather than a hang.
     #[test]
     fn sharded_run_keeps_every_report_whatever_the_template_report_bound() {
         let mut feed = Vec::new();
@@ -1126,15 +1129,25 @@ mod tests {
             let expected = merge_incidents(&oracle);
             for attempt in 0..10 {
                 let template = SpawnConfig::new(small_pipeline())
-                    .with_report_capacity(1)
-                    .with_report_policy(ReportPolicy::Digest);
+                    .with_capacity(8)
+                    .with_report_capacity(1);
                 let mut pipeline = ShardedPipeline::spawn(
                     ShardedConfig::new(shards, template).with_range_bits(16),
                 );
-                for event in &feed {
-                    pipeline.ingest_event(event.clone()).unwrap();
-                }
-                let run = pipeline.finish();
+                let events = feed.clone();
+                let (done, run) = crossbeam::channel::bounded(1);
+                std::thread::spawn(move || {
+                    for event in events {
+                        pipeline.ingest_event(event).unwrap();
+                    }
+                    let _ = done.send(pipeline.finish());
+                });
+                let run = match run.recv_timeout(Duration::from_secs(30)) {
+                    Ok(run) => run,
+                    Err(e) => {
+                        panic!("{shards} shard(s), run {attempt}: feed did not finish: {e:?}")
+                    }
+                };
                 let global = run.stats.global;
                 assert_eq!(
                     (global.reports_digested, global.report_shed),

@@ -13,9 +13,15 @@
 //!   the quarantine hand-off. The old code published the hand-off in two
 //!   steps (`handle.take()`, then remains stored), and a concurrent sample
 //!   in the window read an all-zero shard ledger.
+//!
+//! At the midpoint of each feed the producer waits until every sampler has
+//! taken a sample since ingest began, so the samples overlap the feed on
+//! any scheduler rather than only on a fast one.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use bgpscope_anomaly::{
     PanicInjection, PipelineConfig, RealtimeDetector, ShardedConfig, ShardedPipeline, SpawnConfig,
@@ -48,6 +54,78 @@ fn small_config() -> PipelineConfig {
     }
 }
 
+/// Sampler threads, each running `sample` in a loop until stopped and
+/// counting its samples where the producer can read them.
+struct Samplers {
+    stop: Arc<AtomicBool>,
+    counts: Vec<Arc<AtomicU64>>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Samplers {
+    fn spawn(n: usize, sample: impl Fn() + Send + Sync + 'static) -> Self {
+        let sample = Arc::new(sample);
+        let stop = Arc::new(AtomicBool::new(false));
+        let counts: Vec<_> = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
+        let threads = counts
+            .iter()
+            .map(|count| {
+                let (sample, stop, count) =
+                    (Arc::clone(&sample), Arc::clone(&stop), Arc::clone(count));
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        sample();
+                        count.fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+            })
+            .collect();
+        Samplers {
+            stop,
+            counts,
+            threads,
+        }
+    }
+
+    fn counts(&self) -> Vec<u64> {
+        self.counts
+            .iter()
+            .map(|count| count.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    /// Waits until every sampler has sampled since `counts` were read. A
+    /// sampler that panicked stops counting; the wait then ends and
+    /// [`Samplers::finish`] reports the panic.
+    fn wait_past(&self, counts: &[u64]) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while self
+            .counts()
+            .iter()
+            .zip(counts)
+            .any(|(now, then)| now <= then)
+        {
+            if self.threads.iter().any(JoinHandle::is_finished) {
+                return;
+            }
+            assert!(Instant::now() < deadline, "a sampler never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Stops and joins the samplers; returns how many samples each took.
+    fn finish(self) -> Vec<u64> {
+        self.stop.store(true, Ordering::Relaxed);
+        for thread in self.threads {
+            thread.join().expect("sampler never panics");
+        }
+        self.counts
+            .iter()
+            .map(|count| count.load(Ordering::Relaxed))
+            .collect()
+    }
+}
+
 /// Every `StatsProbe` sample taken during ingest + repeated consumer
 /// crashes closes both ledgers exactly.
 #[test]
@@ -64,35 +142,24 @@ fn probe_samples_close_exactly_under_restarts() {
         });
     let mut handle = RealtimeDetector::spawn(spawn);
     let probe = handle.probe();
-    let stop = Arc::new(AtomicBool::new(false));
+    let samplers = Samplers::spawn(2, move || {
+        let stats = probe.stats();
+        assert!(stats.accounts_exactly(), "torn probe sample: {stats:?}");
+        assert!(
+            stats.reports_account_exactly(),
+            "torn report sample: {stats:?}"
+        );
+    });
 
-    let samplers: Vec<_> = (0..2)
-        .map(|_| {
-            let probe = probe.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut samples = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let stats = probe.stats();
-                    assert!(stats.accounts_exactly(), "torn probe sample: {stats:?}");
-                    assert!(
-                        stats.reports_account_exactly(),
-                        "torn report sample: {stats:?}"
-                    );
-                    samples += 1;
-                }
-                samples
-            })
-        })
-        .collect();
-
+    let started = samplers.counts();
     for i in 0..2_000 {
+        if i == 1_000 {
+            samplers.wait_past(&started);
+        }
         handle.ingest_event(storm_event(i)).expect("pipeline alive");
     }
     let (_reports, stats) = handle.finish();
-    stop.store(true, Ordering::Relaxed);
-    for sampler in samplers {
-        let samples = sampler.join().expect("sampler never panics");
+    for samples in samplers.finish() {
         assert!(samples > 0, "sampler made progress");
     }
     assert!(stats.accounts_exactly());
@@ -121,29 +188,20 @@ fn sharded_observer_samples_close_exactly_through_quarantine() {
         },
     ));
     let observer = pipeline.observer();
-    let stop = Arc::new(AtomicBool::new(false));
+    let samplers = Samplers::spawn(2, move || {
+        let stats = observer.stats();
+        assert!(stats.accounts_exactly(), "torn sharded sample: {stats:?}");
+        assert!(
+            stats.reports_account_exactly(),
+            "torn sharded report sample: {stats:?}"
+        );
+    });
 
-    let samplers: Vec<_> = (0..2)
-        .map(|_| {
-            let observer = observer.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut samples = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let stats = observer.stats();
-                    assert!(stats.accounts_exactly(), "torn sharded sample: {stats:?}");
-                    assert!(
-                        stats.reports_account_exactly(),
-                        "torn sharded report sample: {stats:?}"
-                    );
-                    samples += 1;
-                }
-                samples
-            })
-        })
-        .collect();
-
+    let started = samplers.counts();
     for i in 0..3_000 {
+        if i == 1_500 {
+            samplers.wait_past(&started);
+        }
         pipeline
             .ingest_event(storm_event(i))
             .expect("three shards stay live");
@@ -151,9 +209,7 @@ fn sharded_observer_samples_close_exactly_through_quarantine() {
     // Whether the producer or `finish` is first to find shard 1 dead is a
     // scheduling accident; that it ends the run quarantined is not.
     let run = pipeline.finish();
-    stop.store(true, Ordering::Relaxed);
-    for sampler in samplers {
-        let samples = sampler.join().expect("sampler never panics");
+    for samples in samplers.finish() {
         assert!(samples > 0, "sampler made progress");
     }
     assert!(run.stats.accounts_exactly());

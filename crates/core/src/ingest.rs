@@ -128,7 +128,7 @@ pub struct IngestConfig {
     /// Bounded decode→augment channel depth, in batches.
     pub channel_batches: usize,
     /// Configuration for the supervised stem pipeline (applied to every
-    /// shard). Its report bound and policy do not apply: a shard keeps
+    /// shard). Its report bound does not apply: a shard keeps
     /// every report until the run finishes (see [`ShardedConfig::spawn`]).
     pub spawn: SpawnConfig,
     /// Stem-stage shard count (min 1, the default): events fan out across
@@ -694,7 +694,7 @@ pub fn peak_rss_bytes() -> u64 {
 /// augment stage runs on the calling thread; stemming runs inside the
 /// supervised pipeline spawned from `config.spawn`. Memory stays constant
 /// in the archive size. Returns the full [`IngestReport`] — reports,
-/// digest, exact ledger, per-stage occupancy and throughput — or an
+/// exact ledger, per-stage occupancy and throughput — or an
 /// [`IngestError`] if decoding or the stem pipeline failed.
 pub fn ingest<R: Read + Send>(
     reader: R,

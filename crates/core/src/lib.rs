@@ -63,9 +63,9 @@ pub mod prelude {
         AnomalyReport, ControllerConfig, DegradeConfig, FidelityLevel, GlobalIncident, Hotspot,
         OverloadPolicy, PanicInjection, PipelineCheckpoint, PipelineClosed, PipelineConfig,
         PipelineHandle, PipelineStats, RealtimeDetector, RecorderConfig, Replay, ReplayError,
-        ReportDigest, ReportPolicy, ShardPanic, ShardRouter, ShardSnapshot, ShardedConfig,
-        ShardedObserver, ShardedPipeline, ShardedRun, ShardedStats, SpawnConfig, StatsProbe,
-        SupervisorConfig, Timeline, TimelineBucket, WeightedEvent,
+        ShardPanic, ShardRouter, ShardSnapshot, ShardedConfig, ShardedObserver, ShardedPipeline,
+        ShardedRun, ShardedStats, SpawnConfig, StatsProbe, SupervisorConfig, Timeline,
+        TimelineBucket, WeightedEvent,
     };
     pub use bgpscope_bgp::{
         AsPath, Asn, Community, Event, EventKind, EventStream, LocalPref, Med, PathAttributes,

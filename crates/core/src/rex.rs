@@ -6,7 +6,7 @@ use bgpscope_anomaly::{classify, AnomalyReport};
 use bgpscope_bgp::{EventStream, Timestamp, UpdateMessage};
 use bgpscope_collector::{Collector, EventRateMeter, RateSeries};
 use bgpscope_mrt::MrtError;
-use bgpscope_stemming::{Stemming, StemmingConfig};
+use bgpscope_stemming::Stemming;
 use bgpscope_tamp::{prune_flat, GraphBuilder, RouteInput, TampGraph};
 
 /// A passive route explorer: feed it raw updates, ask it for pictures,
@@ -36,7 +36,6 @@ pub struct Rex {
     label: String,
     collector: Collector,
     history: EventStream,
-    stemming_config: StemmingConfig,
 }
 
 impl Rex {
@@ -46,13 +45,7 @@ impl Rex {
             label: label.into(),
             collector: Collector::new(),
             history: EventStream::new(),
-            stemming_config: StemmingConfig::default(),
         }
-    }
-
-    /// Overrides the Stemming configuration used by [`Rex::decompose`].
-    pub fn set_stemming_config(&mut self, config: StemmingConfig) {
-        self.stemming_config = config;
     }
 
     /// The site label.
@@ -115,7 +108,7 @@ impl Rex {
 
     /// Stemming over the full recorded history.
     pub fn decompose(&self) -> bgpscope_stemming::StemmingResult {
-        Stemming::with_config(self.stemming_config.clone()).decompose(&self.history)
+        Stemming::new().decompose(&self.history)
     }
 
     /// Stemming over a time window of the history.
@@ -125,7 +118,7 @@ impl Rex {
         end: Timestamp,
     ) -> (EventStream, bgpscope_stemming::StemmingResult) {
         let window = self.history.window(start, end);
-        let result = Stemming::with_config(self.stemming_config.clone()).decompose(&window);
+        let result = Stemming::new().decompose(&window);
         (window, result)
     }
 

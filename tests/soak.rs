@@ -2,8 +2,8 @@
 //!
 //! A seeded [`FaultPlan`] throws update storms, feed stalls, out-of-order
 //! delivery, corrupt feed text, injected consumer panics, and stalled
-//! report subscribers at the supervised pipeline under every overload and
-//! report policy, and asserts the robustness contract:
+//! report subscribers at the supervised pipeline under every overload
+//! policy, and asserts the robustness contract:
 //!
 //! * the pipeline never deadlocks or panics (the test completing is the
 //!   proof; CI additionally runs this file under a wall-clock timeout),
@@ -892,29 +892,27 @@ fn soak_adaptive_storm_coalesces_and_recovers_fidelity() {
 /// Stalled-subscriber harness: the producer feeds from its own thread while
 /// the main thread plays a subscriber that reads nothing for the stall
 /// window, then drains attentively. Returns (reports received, final stats,
-/// digest, max observed report-queue length).
-fn run_subscriber_stall(policy: ReportPolicy) -> (u64, PipelineStats, ReportDigest, usize) {
+/// max observed report-queue length).
+fn run_subscriber_stall() -> (u64, PipelineStats, usize) {
     const REPORT_CAPACITY: usize = 4;
     let plan = FaultPlan::storm_soak(0xd5_2005).with_subscriber_stall(Duration::from_millis(300));
     let stall = plan.subscriber_stall.expect("plan arms the stall");
     let feed = plan.build_feed();
 
-    let config = spawn_config(OverloadPolicy::Block)
-        .with_report_capacity(REPORT_CAPACITY)
-        .with_report_policy(policy);
+    let config = spawn_config(OverloadPolicy::Block).with_report_capacity(REPORT_CAPACITY);
     let mut handle = RealtimeDetector::spawn(config);
     let report_rx = handle.reports().clone();
     let producer = std::thread::spawn(move || {
         for (i, (msg, time)) in feed.iter().enumerate() {
             handle
                 .ingest_update(msg, *time)
-                .unwrap_or_else(|_| panic!("{policy}: pipeline died at feed item {i}"));
+                .unwrap_or_else(|_| panic!("pipeline died at feed item {i}"));
         }
         handle
     });
 
     // The stall: a wedged subscriber. The report queue must stay within its
-    // bound the whole time — backpressure (or shedding) does the limiting,
+    // bound the whole time — backpressure does the limiting,
     // not subscriber goodwill.
     let mut max_queue = 0usize;
     let stall_end = Instant::now() + stall.duration;
@@ -933,61 +931,30 @@ fn run_subscriber_stall(policy: ReportPolicy) -> (u64, PipelineStats, ReportDige
         } else {
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert!(started.elapsed() < DEADLINE, "{policy}: drain livelock");
+        assert!(started.elapsed() < DEADLINE, "drain livelock");
     }
     let handle = producer.join().expect("producer thread");
-    let (rest, stats, digest) = handle.finish_with_digest();
+    let (rest, stats) = handle.finish();
     received += rest.len() as u64;
     // Reports the two drains raced over are already counted; nothing else
     // can be in flight after finish.
-    (received, stats, digest, max_queue)
+    (received, stats, max_queue)
 }
 
-/// Block report policy under a stalled subscriber: the queue stays within
-/// `report_capacity` and *every* emitted report is eventually delivered —
-/// Block never loses or thins the anomaly record.
+/// A stalled subscriber: the report queue stays within `report_capacity`
+/// and *every* emitted report is eventually delivered — a full report
+/// queue never loses or thins the anomaly record.
 #[test]
 fn soak_subscriber_stall_block_loses_nothing() {
-    let (received, stats, digest, max_queue) = run_subscriber_stall(ReportPolicy::Block);
+    let (received, stats, max_queue) = run_subscriber_stall();
     assert!(max_queue <= 4, "report queue grew to {max_queue}: {stats}");
     assert_eq!(stats.report_shed, 0, "Block must never shed: {stats}");
     assert_eq!(stats.reports_digested, 0, "{stats}");
-    assert!(digest.is_empty(), "{stats}");
     assert_eq!(received, stats.reports_emitted, "{stats}");
     assert_eq!(received, stats.reports_delivered, "{stats}");
     assert!(stats.reports_account_exactly(), "{stats}");
     assert!(stats.accounts_exactly(), "{stats}");
     assert!(stats.reports_emitted > 0, "{stats}");
-}
-
-/// DropOldest report policy under a stalled subscriber: bounded queue, and
-/// whatever was shed is on the ledger exactly.
-#[test]
-fn soak_subscriber_stall_drop_oldest_accounts() {
-    let (received, stats, digest, max_queue) = run_subscriber_stall(ReportPolicy::DropOldest);
-    assert!(max_queue <= 4, "report queue grew to {max_queue}: {stats}");
-    assert_eq!(stats.reports_digested, 0, "{stats}");
-    assert!(digest.is_empty(), "{stats}");
-    assert_eq!(received, stats.reports_delivered, "{stats}");
-    assert!(stats.reports_account_exactly(), "{stats}");
-    assert!(stats.accounts_exactly(), "{stats}");
-}
-
-/// Digest report policy under a stalled subscriber: bounded queue, and
-/// every overflowing report is folded into the digest, never vanished.
-#[test]
-fn soak_subscriber_stall_digest_coalesces() {
-    let (received, stats, digest, max_queue) = run_subscriber_stall(ReportPolicy::Digest);
-    assert!(max_queue <= 4, "report queue grew to {max_queue}: {stats}");
-    assert_eq!(stats.report_shed, 0, "{stats}");
-    assert_eq!(stats.reports_digested, digest.coalesced, "{stats}");
-    assert_eq!(
-        received + digest.coalesced,
-        stats.reports_emitted,
-        "{stats}"
-    );
-    assert!(stats.reports_account_exactly(), "{stats}");
-    assert!(stats.accounts_exactly(), "{stats}");
 }
 
 /// Nightly wall-clock soak (kept off the PR-blocking path via `#[ignore]`):
