@@ -4,8 +4,12 @@
 //! peer, BGP nexthop, the ASes on the path, and the prefix. Interning each
 //! element to a dense `u32` keeps the Stemming hot loop allocation-free and
 //! lets TAMP store prefix sets as integer sets.
+//!
+//! Elements come from routes a peer announces, so the forward map is a
+//! [`ProbeMap`]: an unkeyed home slot and a bounded probe, with a keyed
+//! overflow for keys that collide (the HashDoS bound is in
+//! [`crate::probe`]).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -13,6 +17,7 @@ use serde::{Deserialize, Serialize};
 use crate::addr::{Prefix, RouterId};
 use crate::aspath::Asn;
 use crate::message::PeerId;
+use crate::probe::ProbeMap;
 
 /// What kind of network element a [`Symbol`] denotes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -90,7 +95,8 @@ impl Symbol {
     }
 }
 
-/// Bidirectional map between [`Element`]s and dense [`Symbol`]s.
+/// Bidirectional map between [`Element`]s and dense [`Symbol`]s, numbered
+/// in order of first appearance.
 ///
 /// # Example
 ///
@@ -104,9 +110,9 @@ impl Symbol {
 /// assert_eq!(s1, s2);
 /// assert_eq!(interner.resolve(s1), Element::As(Asn(209)));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Interner {
-    forward: HashMap<Element, Symbol>,
+    forward: ProbeMap<Element, Symbol>,
     reverse: Vec<Element>,
 }
 
@@ -119,25 +125,25 @@ impl Interner {
     /// An empty interner that holds `capacity` elements before it grows.
     pub fn with_capacity(capacity: usize) -> Self {
         Interner {
-            forward: HashMap::with_capacity(capacity),
+            forward: ProbeMap::with_capacity(capacity),
             reverse: Vec::with_capacity(capacity),
         }
     }
 
-    /// Interns `element`, returning its stable symbol.
+    /// Interns `element`, returning its stable symbol: the next unused one
+    /// if `element` is new. One probe either way.
     pub fn intern(&mut self, element: Element) -> Symbol {
-        if let Some(&sym) = self.forward.get(&element) {
-            return sym;
-        }
-        let sym = Symbol(self.reverse.len() as u32);
-        self.forward.insert(element, sym);
-        self.reverse.push(element);
-        sym
+        let reverse = &mut self.reverse;
+        self.forward.get_or_insert_with(element, || {
+            let sym = Symbol(reverse.len() as u32);
+            reverse.push(element);
+            sym
+        })
     }
 
     /// Looks up the symbol for an element without interning it.
     pub fn get(&self, element: &Element) -> Option<Symbol> {
-        self.forward.get(element).copied()
+        self.forward.get(element)
     }
 
     /// Resolves a symbol back to its element.

@@ -31,6 +31,7 @@ pub mod decision;
 pub mod event;
 pub mod intern;
 pub mod message;
+pub mod probe;
 pub mod rib;
 pub mod trie;
 

@@ -16,6 +16,7 @@ use std::io::{Read, Write};
 
 use bytes::{Buf, BufMut};
 
+use bgpscope_bgp::probe::mix;
 use bgpscope_bgp::{
     AsPath, Asn, Community, Event, EventKind, EventStream, LocalPref, Med, Origin, PathAttributes,
     PeerId, Prefix, Route, RouterId, Timestamp,
@@ -182,13 +183,12 @@ impl PathTable {
     }
 }
 
-/// The slot for a path's hops: an Fx-style multiplicative hash over the
-/// length and the ASNs, taking its high bits, which mix best.
+/// The slot for a path's hops: the workspace's unkeyed multiplicative mix
+/// over the length and the ASNs, taking its high bits, which mix best.
 fn slot_of(hops: &[Asn]) -> usize {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    let hash = hops.iter().fold(hops.len() as u64, |hash, asn| {
-        (hash.rotate_left(5) ^ u64::from(asn.0)).wrapping_mul(K)
-    });
+    let hash = hops
+        .iter()
+        .fold(hops.len() as u64, |hash, asn| mix(hash, u64::from(asn.0)));
     (hash >> (u64::BITS - PATH_TABLE_BITS)) as usize
 }
 

@@ -1,10 +1,11 @@
 //! The recursive Stemming decomposition.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
 use bgpscope_bgp::intern::{Symbol, SymbolTable};
+use bgpscope_bgp::probe::ProbeMap;
 use bgpscope_bgp::{EventKind, EventStream, Timestamp};
 
 use crate::component::{Component, Stem};
@@ -308,11 +309,11 @@ impl Stemming {
             .collect();
 
         // Group events by distinct sequence (repr = first event index).
-        let mut group_of: HashMap<&[Symbol], usize> =
-            HashMap::with_capacity(presized(events.len()));
+        let mut group_of: ProbeMap<&[Symbol], usize> =
+            ProbeMap::with_capacity(presized(events.len()));
         let mut groups: Vec<Group> = Vec::new();
         for (i, event) in events.iter().enumerate() {
-            let g = *group_of.entry(seq_of(i)).or_insert_with(|| {
+            let g = group_of.get_or_insert_with(seq_of(i), || {
                 groups.push(Group {
                     repr: i,
                     prefix: event_prefix[i],

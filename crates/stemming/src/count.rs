@@ -7,8 +7,9 @@
 //! * **Arena.** Every distinct full sequence is appended once to one flat
 //!   `Vec<Symbol>`; everything else refers to it by offset and length.
 //! * **Trie.** One node per distinct contiguous sub-sequence, reached from
-//!   the root by an edge map `(node, symbol) → node` with integer keys and
-//!   std's keyed hasher (sequences are peer-controlled input). A node holds
+//!   the root by an edge map `(node, symbol) → node` with integer keys, a
+//!   [`ProbeMap`]: sequences are peer-controlled input, so a probe is bounded
+//!   and colliding keys fall back to std's keyed hasher. A node holds
 //!   its support `count` — the paper's "number of events containing `s`" —
 //!   where one occurrence of it sits in the arena, and its parent (itself
 //!   without its last symbol). The node spelling a whole sequence also holds
@@ -53,12 +54,11 @@
 //! map is only ever looked up, and the one ordered choice, the winner, is a
 //! total order over scores and arena slices.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::num::NonZeroU32;
 use std::ops::Range;
 
 use bgpscope_bgp::intern::Symbol;
+use bgpscope_bgp::probe::ProbeMap;
 
 use crate::rank::RankingRule;
 
@@ -86,18 +86,13 @@ impl SubsequenceStat {
 /// The empty sub-sequence: every walk starts here.
 const ROOT: u32 = 0;
 
-/// The edge map's key: `parent`'s child along `symbol`. Hashed as one `u64`,
-/// so the keyed hasher runs over one word instead of two, and stored as two
-/// `u32`s, so an entry stays 12 bytes (a `u64` key pads it to 16, which a
-/// 40,000-event window's table shows in peak memory).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The edge map's key: `parent`'s child along `symbol`. Two `u32`s, and
+/// the child's id is a `NonZeroU32` (the root is nobody's child), whose
+/// zero marks a free slot: a slot of the map is 12 bytes, where a `u32` id
+/// pads it to 16 and a `u64` key to 24. A 40,000-event window's table
+/// shows in peak memory, and a smaller one in every probe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Edge(u32, Symbol);
-
-impl Hash for Edge {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64((u64::from(self.0) << 32) | u64::from(self.1 .0));
-    }
-}
 
 /// One distinct contiguous sub-sequence.
 #[derive(Debug)]
@@ -217,7 +212,7 @@ pub struct SubsequenceCounter {
     arena: Vec<Symbol>,
     /// `nodes[ROOT]` is the empty sub-sequence.
     nodes: Vec<Node>,
-    edges: HashMap<Edge, u32>,
+    edges: ProbeMap<Edge, NonZeroU32>,
     /// Whether the sub-sequence counts exist; from then on every add and
     /// remove keeps them current.
     built: bool,
@@ -237,7 +232,7 @@ impl SubsequenceCounter {
             distinct: 0,
             arena: Vec::new(),
             nodes: vec![Node::new(0, 0, ROOT)],
-            edges: HashMap::new(),
+            edges: ProbeMap::new(),
             built: false,
             winners: None,
         }
@@ -467,7 +462,7 @@ impl SubsequenceCounter {
     /// The node spelling `seq`, if the trie has it.
     fn find(&self, seq: &[Symbol]) -> Option<u32> {
         seq.iter().try_fold(ROOT, |node, &symbol| {
-            self.edges.get(&Edge(node, symbol)).copied()
+            self.edges.get(&Edge(node, symbol)).map(NonZeroU32::get)
         })
     }
 
@@ -510,17 +505,20 @@ impl SubsequenceCounter {
         let mut first = None;
         let mut unlinked: Option<u32> = None;
         loop {
-            let (node, found) = match self.edges.entry(Edge(parent, symbol)) {
-                Entry::Occupied(edge) => (*edge.get(), true),
-                Entry::Vacant(edge) => {
-                    let id = u32::try_from(self.nodes.len()).expect("trie node ids fit in u32");
-                    let len = self.nodes[parent as usize].len + 1;
-                    let arena_off =
-                        u32::try_from(end - len as usize).expect("arena offsets fit in u32");
-                    self.nodes.push(Node::new(arena_off, len, parent));
-                    (*edge.insert(id), false)
-                }
-            };
+            let fresh = u32::try_from(self.nodes.len())
+                .ok()
+                .and_then(NonZeroU32::new)
+                .expect("trie node ids fit in u32, and the root is node 0");
+            let nodes = &mut self.nodes;
+            let node = self.edges.get_or_insert_with(Edge(parent, symbol), || {
+                let len = nodes[parent as usize].len + 1;
+                let arena_off =
+                    u32::try_from(end - len as usize).expect("arena offsets fit in u32");
+                nodes.push(Node::new(arena_off, len, parent));
+                fresh
+            });
+            let found = node != fresh;
+            let node = node.get();
             if let Some(longer) = unlinked {
                 self.nodes[longer as usize].suffix = node;
             }
@@ -841,5 +839,12 @@ mod tests {
     #[test]
     fn a_node_is_32_bytes() {
         assert_eq!(std::mem::size_of::<Node>(), 32);
+    }
+
+    /// The edge map stores `Option<(Edge, NonZeroU32)>` slots: the id's
+    /// zero niche is what keeps a slot at 12 bytes.
+    #[test]
+    fn an_edge_slot_is_12_bytes() {
+        assert_eq!(std::mem::size_of::<Option<(Edge, NonZeroU32)>>(), 12);
     }
 }
