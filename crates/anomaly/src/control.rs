@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 use crate::pipeline::{DegradeConfig, WeightedEvent};
 
 /// How much Stemming fidelity an analysis pass runs at. `Full` is the
-/// configured [`StemmingConfig`] untouched; [`FidelityLevel::FLOOR`] is
+/// configured [`StemmingConfig`] untouched; [`FidelityLevel::Floor`] is
 /// the [`DegradeConfig`] floor, where the Degrade overload policy pins the
 /// detector under queue pressure; the levels between interpolate (see
 /// [`stemming_at_level`]).
@@ -49,8 +49,6 @@ pub enum FidelityLevel {
 }
 
 impl FidelityLevel {
-    /// The coarsest level.
-    pub const FLOOR: FidelityLevel = FidelityLevel::Floor;
     /// Number of coarsening steps between [`FidelityLevel::Full`] (0) and
     /// [`FidelityLevel::Floor`].
     pub const STEPS: u8 = 4;

@@ -783,22 +783,9 @@ impl RealtimeDetector {
         }
     }
 
-    /// The underlying collector (RIB state, peer list).
-    pub fn collector(&self) -> &Collector {
-        &self.collector
-    }
-
     /// Total reports emitted so far.
     pub fn reports_emitted(&self) -> usize {
         self.counters.reports_emitted as usize
-    }
-
-    /// Events discarded unanalyzed: terminal [`RealtimeDetector::flush`]es
-    /// of buffers below `min_events`, plus carry-forward cap evictions.
-    /// Window-boundary rotations never drop events silently — small windows
-    /// carry forward, bounded by `max_carry_events` / `max_carry_age`.
-    pub fn dropped_events(&self) -> usize {
-        self.counters.dropped_events as usize
     }
 
     /// The accounting snapshot: the spawned pipeline's ledger derivation
@@ -870,11 +857,6 @@ impl RealtimeDetector {
     /// re-applied by whoever drives the detector.
     pub fn set_fidelity(&mut self, fidelity: FidelityLevel) {
         self.fidelity = fidelity;
-    }
-
-    /// The current fidelity level.
-    pub fn fidelity(&self) -> FidelityLevel {
-        self.fidelity
     }
 
     /// Records feed records that were skipped as unparseable upstream (e.g.
@@ -982,7 +964,7 @@ impl RealtimeDetector {
 
     /// Analyzes and clears the current buffer (terminal flush). A buffer
     /// below `min_events` is discarded and counted in
-    /// [`RealtimeDetector::dropped_events`].
+    /// [`PipelineStats::dropped_events`].
     pub fn flush(&mut self) -> Vec<AnomalyReport> {
         if self.buffer.len() < self.config.min_events {
             self.counters.dropped_events += self.buffer.len() as u64;
@@ -1948,11 +1930,6 @@ impl PipelineHandle {
             .fetch_add(n as u64, Ordering::AcqRel);
     }
 
-    /// The producer-side collector (RIB state, peer list).
-    pub fn collector(&self) -> &Collector {
-        &self.collector
-    }
-
     /// The report stream. Reports arrive as incidents complete; iterate (or
     /// `recv`) to consume them. Disconnects once the detector thread exits.
     pub fn reports(&self) -> &Receiver<AnomalyReport> {
@@ -2197,7 +2174,7 @@ mod tests {
         for i in 15..30u8 {
             reports.extend(det.ingest_event(withdraw_event(400, i)));
         }
-        assert_eq!(det.dropped_events(), 0);
+        assert_eq!(det.stats().dropped_events, 0);
         reports.extend(det.finish());
         assert!(
             !reports.is_empty(),
@@ -2214,7 +2191,6 @@ mod tests {
             det.ingest_event(withdraw_event(0, i));
         }
         assert!(det.flush().is_empty());
-        assert_eq!(det.dropped_events(), 3);
         let stats = det.stats();
         assert_eq!(stats.ingested, 3);
         assert_eq!(stats.dropped_events, 3);

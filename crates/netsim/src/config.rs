@@ -1,10 +1,13 @@
 //! Protocol-timing configuration: MRAI pacing and the session FSM.
 //!
-//! The default [`ProtocolConfig`] is **legacy-instant**: MRAI intervals of
-//! zero (every UPDATE goes out the moment the decision process emits it)
-//! and an instantaneous session FSM (`SessionDown`/`SessionUp` take effect
-//! at their scheduled instant). That reproduces the pre-timer simulator
-//! bit-for-bit, so every existing scenario and seed keeps its feed.
+//! The default [`ProtocolConfig`] is **unpaced, with zero timers**: MRAI
+//! intervals of zero (every UPDATE goes out the moment the decision process
+//! emits it) and a session FSM whose hold, connect-retry and establishment
+//! timers are all zero, so `SessionDown`/`SessionUp` take effect at their
+//! scheduled instant. Every scenario keeps the feed it had before the
+//! simulator had timers (`tests/pinned_feeds.rs` pins 97 of them); only
+//! flap schedules that restore a link already up, or act twice on one
+//! router at one instant, differ (DESIGN.md decision 19).
 //!
 //! [`ProtocolConfig::realistic`] turns both machines on with RFC-flavored
 //! defaults: 30 s eBGP / 5 s iBGP MRAI with 25 % interval jitter, a 90 s
@@ -35,9 +38,10 @@ pub enum PeerRelation {
 
 /// Minimum Route Advertisement Interval configuration.
 ///
-/// An interval of zero disables pacing on sessions of that kind — the
-/// legacy instant path, bit-identical to the pre-MRAI engine by
-/// construction (and locked by the backward-compat oracle test).
+/// An interval of zero disables pacing on sessions of that kind: every
+/// change goes out the instant the decision process emits it,
+/// bit-identical to the pre-MRAI engine by construction (and locked by the
+/// backward-compat oracle test). The default is zero on both kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MraiConfig {
     /// MRAI for eBGP sessions (RFC 4271 suggests 30 s).
@@ -57,16 +61,6 @@ pub struct MraiConfig {
 }
 
 impl MraiConfig {
-    /// Pacing off: zero intervals, the legacy instant behavior.
-    pub fn instant() -> Self {
-        MraiConfig {
-            ebgp: Timestamp::ZERO,
-            ibgp: Timestamp::ZERO,
-            jitter_per_mille: 0,
-            rate_limit_withdrawals: false,
-        }
-    }
-
     /// RFC-flavored defaults: 30 s eBGP, 5 s iBGP, 25 % jitter,
     /// withdrawals unthrottled.
     pub fn realistic() -> Self {
@@ -105,17 +99,17 @@ impl MraiConfig {
 }
 
 impl Default for MraiConfig {
+    /// Pacing off: zero intervals, no jitter.
     fn default() -> Self {
-        MraiConfig::instant()
+        MraiConfig::uniform(Timestamp::ZERO)
     }
 }
 
-/// Session finite-state-machine timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Session finite-state-machine timing. The default is all timers zero:
+/// a failure is detected, and a restored link re-established, at the
+/// instant it happens.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FsmConfig {
-    /// `true`: `SessionDown`/`SessionUp` act instantly (legacy pair).
-    /// `false`: the timed FSM below runs instead.
-    pub instant: bool,
     /// How long a silent failure goes unnoticed: a side of a failed link
     /// keeps its session Established (and keeps sending into the void)
     /// until the hold timer expires, then drops the peer's routes — the
@@ -129,21 +123,10 @@ pub struct FsmConfig {
 }
 
 impl FsmConfig {
-    /// The legacy instantaneous down/up pair.
-    pub fn instant() -> Self {
-        FsmConfig {
-            instant: true,
-            hold_time: Timestamp::ZERO,
-            connect_retry: Timestamp::ZERO,
-            establish_delay: Timestamp::ZERO,
-        }
-    }
-
     /// Timed FSM with RFC-flavored defaults: 90 s hold, 30 s connect
     /// retry, 500 ms establishment.
     pub fn realistic() -> Self {
         FsmConfig {
-            instant: false,
             hold_time: Timestamp::from_secs(90),
             connect_retry: Timestamp::from_secs(30),
             establish_delay: Timestamp::from_millis(500),
@@ -157,17 +140,10 @@ impl FsmConfig {
         establish_delay: Timestamp,
     ) -> Self {
         FsmConfig {
-            instant: false,
             hold_time,
             connect_retry,
             establish_delay,
         }
-    }
-}
-
-impl Default for FsmConfig {
-    fn default() -> Self {
-        FsmConfig::instant()
     }
 }
 
@@ -181,11 +157,6 @@ pub struct ProtocolConfig {
 }
 
 impl ProtocolConfig {
-    /// The legacy-instant bundle (the default).
-    pub fn legacy() -> Self {
-        ProtocolConfig::default()
-    }
-
     /// Both machines on with RFC-flavored defaults.
     pub fn realistic() -> Self {
         ProtocolConfig {
@@ -214,13 +185,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_legacy_instant() {
+    fn default_is_unpaced_with_zero_timers() {
         let p = ProtocolConfig::default();
-        assert_eq!(p, ProtocolConfig::legacy());
-        assert_eq!(p.mrai, MraiConfig::instant());
-        assert!(p.fsm.instant);
-        assert_eq!(p.mrai.ebgp, Timestamp::ZERO);
-        assert_eq!(p.mrai.ibgp, Timestamp::ZERO);
+        assert_eq!(p.mrai, MraiConfig::uniform(Timestamp::ZERO));
+        assert_eq!(p.mrai.jitter_per_mille, 0);
+        assert!(!p.mrai.rate_limit_withdrawals);
+        assert_eq!(
+            p.fsm,
+            FsmConfig::timed(Timestamp::ZERO, Timestamp::ZERO, Timestamp::ZERO)
+        );
     }
 
     #[test]
@@ -230,13 +203,13 @@ mod tests {
         assert_eq!(p.mrai.ibgp, Timestamp::from_secs(5));
         assert_eq!(p.mrai.jitter_per_mille, 250);
         assert!(!p.mrai.rate_limit_withdrawals);
-        assert!(!p.fsm.instant);
+        assert_eq!(p.fsm, FsmConfig::realistic());
         assert_eq!(p.fsm.hold_time, Timestamp::from_secs(90));
     }
 
     #[test]
     fn builders_compose() {
-        let p = ProtocolConfig::legacy()
+        let p = ProtocolConfig::default()
             .with_mrai(
                 MraiConfig::uniform(Timestamp::from_secs(3)).with_rate_limited_withdrawals(true),
             )
@@ -248,7 +221,7 @@ mod tests {
         assert_eq!(p.mrai.ebgp, Timestamp::from_secs(3));
         assert_eq!(p.mrai.ibgp, Timestamp::from_secs(3));
         assert!(p.mrai.rate_limit_withdrawals);
-        assert!(!p.fsm.instant);
+        assert_eq!(p.fsm.hold_time, Timestamp::from_secs(9));
         assert_eq!(p.fsm.connect_retry, Timestamp::from_secs(2));
     }
 }

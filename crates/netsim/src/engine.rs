@@ -48,12 +48,12 @@ pub(crate) enum Action {
         /// The message.
         msg: UpdateMessage,
     },
-    /// Fail the link between two routers. Instant FSM: both sides drop to
-    /// Idle and withdraw immediately. Timed FSM: the link goes silent and
-    /// each Established side notices only when its hold timer expires.
+    /// Fail the link between two routers: the link goes silent and each
+    /// Established side notices when its hold timer expires — at once
+    /// under the default zero hold time.
     SessionDown(RouterId, RouterId),
-    /// Restore the link. Instant FSM: both sides re-establish and exchange
-    /// tables immediately. Timed FSM: Idle sides re-run the connect path.
+    /// Restore the link: Idle sides re-run the connect path and exchange
+    /// tables once established — at once under the default zero timers.
     SessionUp(RouterId, RouterId),
     /// Locally originate (`Some`) or withdraw (`None`) a route at a router.
     Originate {
@@ -173,16 +173,16 @@ pub struct SimStats {
     pub dropped_on_down_session: u64,
     /// Link/session down events executed.
     pub session_downs: u64,
-    /// Session establishments (instant ups, or timed FSM completions).
+    /// Session establishments (FSM completions).
     pub session_ups: u64,
     /// MRAI flushes that put at least one UPDATE on the wire.
     pub mrai_flushes: u64,
     /// Per-prefix changes absorbed inside an MRAI window before reaching
     /// the wire (last-writer-wins overwrites and net-no-change cancels).
     pub mrai_coalesced: u64,
-    /// Hold-timer expiries (timed FSM down-detections).
+    /// Hold-timer expiries (FSM down-detections).
     pub hold_expiries: u64,
-    /// Idle → Connect transitions (timed FSM reconnect attempts).
+    /// Idle → Connect transitions (FSM reconnect attempts).
     pub connect_retries: u64,
     /// Time of the last delivered message — the quiescence point of a run
     /// (trailing timer no-ops don't move it).
@@ -218,9 +218,9 @@ pub struct Sim {
     /// Protocol timing (FSM timers, MRAI interval jitter). Per-session MRAI
     /// intervals are baked into the sessions at build time.
     pub protocol: ProtocolConfig,
-    /// Physical link state per normalized router pair. Under the timed FSM
-    /// this is what `SessionDown`/`SessionUp` toggle; sessions only notice
-    /// through their timers.
+    /// Physical link state per normalized router pair: what
+    /// `SessionDown`/`SessionUp` toggle; sessions only notice through
+    /// their timers.
     link_up: HashMap<(RouterId, RouterId), bool>,
     /// Max extra per-delivery jitter in microseconds.
     pub jitter_max_micros: u64,
@@ -527,42 +527,9 @@ impl Sim {
         self.schedule_outbound(from, out);
     }
 
-    /// Instant-FSM link failure: both sides drop, withdraw, done — the
-    /// legacy `SessionDown` semantics, bit-for-bit.
-    fn session_down_instant(&mut self, a: RouterId, b: RouterId) {
-        let mut any = false;
-        for (x, y) in [(a, b), (b, a)] {
-            if let Some(r) = self.routers.get_mut(&x) {
-                if let Some(s) = r.sessions.get_mut(&y) {
-                    if s.is_established() {
-                        s.state = SessionState::Idle;
-                        s.epoch += 1;
-                        any = true;
-                    }
-                    s.adj_rib_out.clear();
-                    s.pending.clear();
-                }
-            }
-        }
-        self.link_up.insert(link_key(a, b), false);
-        if !any {
-            return;
-        }
-        self.stats.session_downs += 1;
-        let now = self.now;
-        for (x, y) in [(a, b), (b, a)] {
-            let out = self
-                .routers
-                .get_mut(&x)
-                .map(|r| r.drop_peer_routes(y, now))
-                .unwrap_or_default();
-            self.dispatch(x, out);
-        }
-    }
-
-    /// Timed-FSM link failure: the link goes silent; Established sides
-    /// notice at hold-timer expiry.
-    fn session_down_timed(&mut self, a: RouterId, b: RouterId) {
+    /// Link failure: the link goes silent; Established sides notice at
+    /// hold-timer expiry (at once under the default zero hold time).
+    fn fail_link(&mut self, a: RouterId, b: RouterId) {
         if !self.link_is_up(a, b) {
             return;
         }
@@ -593,41 +560,8 @@ impl Sim {
         }
     }
 
-    /// Instant-FSM link restoration: both sides re-establish and exchange
-    /// tables immediately — the legacy `SessionUp` semantics.
-    fn session_up_instant(&mut self, a: RouterId, b: RouterId) {
-        let mut any = false;
-        let now = self.now;
-        for (x, y) in [(a, b), (b, a)] {
-            if let Some(r) = self.routers.get_mut(&x) {
-                if let Some(s) = r.sessions.get_mut(&y) {
-                    if !s.is_established() {
-                        s.state = SessionState::Established;
-                        s.epoch += 1;
-                        s.next_allowed = now;
-                        any = true;
-                    }
-                }
-                r.clear_adj_out(y);
-            }
-        }
-        self.link_up.insert(link_key(a, b), true);
-        if !any {
-            return;
-        }
-        self.stats.session_ups += 1;
-        for (x, y) in [(a, b), (b, a)] {
-            let out = self
-                .routers
-                .get_mut(&x)
-                .map(|r| r.full_table_to(y, now))
-                .unwrap_or_default();
-            self.dispatch(x, out);
-        }
-    }
-
-    /// Timed-FSM link restoration: kick Idle sides onto the connect path.
-    fn session_up_timed(&mut self, a: RouterId, b: RouterId) {
+    /// Link restoration: kick Idle sides onto the connect path.
+    fn restore_link(&mut self, a: RouterId, b: RouterId) {
         if self.link_is_up(a, b) {
             return;
         }
@@ -684,20 +618,8 @@ impl Sim {
                     }
                 }
             }
-            Action::SessionDown(a, b) => {
-                if self.protocol.fsm.instant {
-                    self.session_down_instant(a, b);
-                } else {
-                    self.session_down_timed(a, b);
-                }
-            }
-            Action::SessionUp(a, b) => {
-                if self.protocol.fsm.instant {
-                    self.session_up_instant(a, b);
-                } else {
-                    self.session_up_timed(a, b);
-                }
-            }
+            Action::SessionDown(a, b) => self.fail_link(a, b),
+            Action::SessionUp(a, b) => self.restore_link(a, b),
             Action::Originate {
                 router,
                 prefix,
@@ -1081,6 +1003,24 @@ mod tests {
         assert_ne!(new_best.peer.router_id(), best_peer);
     }
 
+    /// Restoring a link that is already up changes nothing: the sender's
+    /// adj-RIB-out survives, so a later withdrawal still reaches the peer
+    /// instead of leaving it a stale route.
+    #[test]
+    fn redundant_session_up_keeps_adj_rib_out() {
+        let mut sim = SimBuilder::new(5)
+            .router(rid(1), Asn(1))
+            .router(rid(2), Asn(2))
+            .session(rid(1), rid(2), SessionKind::Ebgp)
+            .build();
+        sim.originate(rid(1), p("10.0.0.0/8"), Timestamp::ZERO);
+        sim.session_up(rid(1), rid(2), Timestamp::from_secs(1));
+        sim.withdraw(rid(1), p("10.0.0.0/8"), Timestamp::from_secs(2));
+        sim.run_to_completion();
+        assert_eq!(sim.stats().session_ups, 0);
+        assert_eq!(sim.router(rid(2)).unwrap().rib.prefix_count(), 0);
+    }
+
     /// The maximum-prefix fuse: a leak beyond the limit closes the session,
     /// as in the paper's ISP-A/ISP-B incident.
     #[test]
@@ -1262,7 +1202,7 @@ mod tests {
             .router(rid(1), Asn(1))
             .router(rid(2), Asn(2))
             .session(rid(1), rid(2), SessionKind::Ebgp)
-            .protocol(ProtocolConfig::legacy().with_mrai(MraiConfig::uniform(mrai)))
+            .protocol(ProtocolConfig::default().with_mrai(MraiConfig::uniform(mrai)))
             .build();
         sim.jitter_max_micros = 0;
         sim.record_deliveries = true;
@@ -1307,7 +1247,7 @@ mod tests {
             .router(rid(2), Asn(2))
             .session(rid(1), rid(2), SessionKind::Ebgp)
             .monitor(rid(2))
-            .protocol(ProtocolConfig::legacy().with_fsm(fsm))
+            .protocol(ProtocolConfig::default().with_fsm(fsm))
             .build();
         sim.originate(rid(1), p("10.0.0.0/8"), Timestamp::ZERO);
         // Link fails at t=20s and recovers at t=40s (after detection at 29s).
@@ -1351,7 +1291,7 @@ mod tests {
             .router(rid(1), Asn(1))
             .router(rid(2), Asn(2))
             .session(rid(1), rid(2), SessionKind::Ebgp)
-            .protocol(ProtocolConfig::legacy().with_fsm(FsmConfig::realistic()))
+            .protocol(ProtocolConfig::default().with_fsm(FsmConfig::realistic()))
             .build();
         // Link dies at t=1s; an origination at t=2s is sent (sender still
         // believes the session is up) but never arrives.

@@ -59,8 +59,9 @@ pub struct Session {
     pub peer: RouterId,
     /// Relationship.
     pub kind: SessionKind,
-    /// FSM state. Under the legacy-instant FSM this toggles directly
-    /// between Established and Idle; the timed FSM walks the full machine.
+    /// FSM state: Idle → Connect → Established, driven by the engine's
+    /// timers (all zero by default, so a flap walks the whole machine at
+    /// one instant).
     pub state: SessionState,
     /// Gao-Rexford relationship of the remote router (None: legacy
     /// unrestricted export).
@@ -72,7 +73,7 @@ pub struct Session {
     pub send_med: bool,
     /// Minimum Route Advertisement Interval for this session. Zero means
     /// unpaced: every change goes out the instant the decision process
-    /// emits it (the legacy engine, bit-for-bit).
+    /// emits it (the pre-MRAI engine, bit-for-bit).
     pub mrai: Timestamp,
     /// Whether withdrawals are rate-limited along with advertisements
     /// (RFC 4271 default is no: withdrawals bypass the MRAI timer).
@@ -467,14 +468,6 @@ impl Router {
         out
     }
 
-    /// Clears the outbound state for `peer` (its view dies with the session).
-    pub(crate) fn clear_adj_out(&mut self, peer: RouterId) {
-        if let Some(s) = self.sessions.get_mut(&peer) {
-            s.adj_rib_out.clear();
-            s.pending.clear();
-        }
-    }
-
     /// Engine hook: recompute and emit best-path diffs for `touched`
     /// prefixes against previously captured `old_bests` (used after
     /// decision-config changes such as IGP metric updates).
@@ -564,9 +557,11 @@ impl Router {
     }
 
     /// Routes one desired per-(peer, prefix) wire state either straight to
-    /// the output (unpaced session: the legacy instant path, bit-identical
-    /// to the pre-MRAI engine) or into the session's `pending` staging map
-    /// behind the MRAI timer. `desired == None` means withdrawal.
+    /// the output (unpaced session, bit-identical to the pre-MRAI engine)
+    /// or into the session's `pending` staging map behind the MRAI timer.
+    /// `desired == None` means withdrawal. The unpaced branch is not the
+    /// paced one at a zero interval: the pacer batches pending changes per
+    /// attribute set, which reorders a zero-interval session's feed.
     fn stage_export(
         &mut self,
         peer: RouterId,
@@ -959,7 +954,7 @@ mod tests {
                 Timestamp::ZERO,
             );
         }
-        r.clear_adj_out(rid(3));
+        r.sessions.get_mut(&rid(3)).unwrap().adj_rib_out.clear();
         let out = r.full_table_to(rid(3), Timestamp::from_secs(1));
         assert_eq!(out.len(), 3);
         assert!(out

@@ -27,9 +27,9 @@ struct PendingSession {
 /// both ends. `SessionKind::IbgpClient` means **`b` is a client of `a`**
 /// (`a` is the route reflector); `b` sees `a` as a plain IBGP peer.
 ///
-/// Protocol timing defaults to [`ProtocolConfig::legacy`]: instant FSM and
-/// MRAI off, the pre-timer engine bit-for-bit. Opt into realistic dynamics
-/// with [`SimBuilder::protocol`].
+/// Protocol timing defaults to [`ProtocolConfig::default`]: MRAI off and
+/// zero FSM timers, the pre-timer engine bit-for-bit. Opt into realistic
+/// dynamics with [`SimBuilder::protocol`].
 #[derive(Debug, Default)]
 pub struct SimBuilder {
     seed: u64,
@@ -281,7 +281,7 @@ mod tests {
             .provider_customer(rid(1), rid(2))
             .peer_link(rid(2), rid(3))
             .session(rid(1), rid(4), SessionKind::Ibgp)
-            .protocol(ProtocolConfig::legacy().with_mrai(MraiConfig::realistic()))
+            .protocol(ProtocolConfig::default().with_mrai(MraiConfig::realistic()))
             .build();
         let r1 = sim.router(rid(1)).unwrap();
         let r2 = sim.router(rid(2)).unwrap();

@@ -65,7 +65,7 @@ fn converge_and_withdraw(
     mrai: MraiConfig,
 ) -> (Sim, Vec<RouterId>, Vec<Prefix>, Timestamp) {
     let (mut sim, topo) = TopologyGen::new(1234, ases)
-        .protocol(ProtocolConfig::legacy().with_mrai(mrai))
+        .protocol(ProtocolConfig::default().with_mrai(mrai))
         .build();
     let origins = topo.sample_stubs(n_prefixes, 7);
     let prefixes: Vec<Prefix> = (0..origins.len())
@@ -119,7 +119,7 @@ fn thousand_as_hierarchy_converges_loop_free() {
 fn quiescence_scales_with_mrai() {
     let quiesce_under = |mrai: Timestamp| {
         let (mut sim, topo) = TopologyGen::new(1234, 1_000)
-            .protocol(ProtocolConfig::legacy().with_mrai(MraiConfig::uniform(mrai)))
+            .protocol(ProtocolConfig::default().with_mrai(MraiConfig::uniform(mrai)))
             .build();
         let origin = topo.sample_stubs(1, 7)[0];
         let px = Prefix::from_octets(30, 0, 0, 0, 16);

@@ -49,7 +49,7 @@ fn build(seed: u64, n: u8, extra_edges: &[(u8, u8)], protocol: ProtocolConfig) -
 }
 
 fn fast_protocol() -> ProtocolConfig {
-    ProtocolConfig::legacy()
+    ProtocolConfig::default()
         .with_mrai(MraiConfig::uniform(Timestamp::from_millis(200)).with_jitter_per_mille(250))
         .with_fsm(FsmConfig::timed(
             Timestamp::from_millis(900),
@@ -156,7 +156,7 @@ proptest! {
         origins in proptest::collection::vec((0u8..8, 0u8..12), 1..6),
     ) {
         let run = |schedule_seed: Option<u64>| {
-            let mut sim = build(seed, n, &extra, ProtocolConfig::legacy());
+            let mut sim = build(seed, n, &extra, ProtocolConfig::default());
             if let Some(s) = schedule_seed {
                 sim.reseed_schedule(s);
             }
@@ -169,7 +169,7 @@ proptest! {
 
         // Converged state is schedule-independent: rebuild and inspect RIBs.
         let final_best = |schedule_seed: Option<u64>| {
-            let mut sim = build(seed, n, &extra, ProtocolConfig::legacy());
+            let mut sim = build(seed, n, &extra, ProtocolConfig::default());
             if let Some(s) = schedule_seed {
                 sim.reseed_schedule(s);
             }

@@ -72,7 +72,7 @@ fn advertisements_respect_min_gap() {
     let mrai = Timestamp::from_secs(2);
     let mut sim = chain(
         3,
-        ProtocolConfig::legacy().with_mrai(MraiConfig::uniform(mrai)),
+        ProtocolConfig::default().with_mrai(MraiConfig::uniform(mrai)),
     );
     let px: Prefix = "30.0.0.0/16".parse().unwrap();
     Injector::route_flap(
@@ -107,7 +107,7 @@ fn coalescing_is_last_writer_wins() {
     let mrai = Timestamp::from_secs(5);
     let mut sim = chain(
         4,
-        ProtocolConfig::legacy().with_mrai(MraiConfig::uniform(mrai)),
+        ProtocolConfig::default().with_mrai(MraiConfig::uniform(mrai)),
     );
     let px: Prefix = "30.0.0.0/16".parse().unwrap();
     // Burn the open window with a first announcement...
@@ -148,7 +148,7 @@ fn withdrawals_bypass_by_default() {
     let mrai = Timestamp::from_secs(10);
     let mut sim = chain(
         5,
-        ProtocolConfig::legacy().with_mrai(MraiConfig::uniform(mrai)),
+        ProtocolConfig::default().with_mrai(MraiConfig::uniform(mrai)),
     );
     let px: Prefix = "30.0.0.0/16".parse().unwrap();
     sim.originate(rid(1), px, Timestamp::ZERO);
@@ -174,7 +174,7 @@ fn withdrawals_coalesce_in_wrate_mode() {
     let mrai = Timestamp::from_secs(10);
     let mut sim = chain(
         6,
-        ProtocolConfig::legacy()
+        ProtocolConfig::default()
             .with_mrai(MraiConfig::uniform(mrai).with_rate_limited_withdrawals(true)),
     );
     let px: Prefix = "30.0.0.0/16".parse().unwrap();
@@ -240,7 +240,7 @@ fn mrai_zero_is_bit_identical_to_legacy_default() {
         (out.collector_feed, deliveries, stats)
     };
     let legacy = run(ProtocolConfig::default());
-    let explicit_zero = run(ProtocolConfig::legacy()
+    let explicit_zero = run(ProtocolConfig::default()
         .with_mrai(MraiConfig::uniform(Timestamp::ZERO).with_jitter_per_mille(250)));
     assert_eq!(legacy.0, explicit_zero.0, "collector feeds diverged");
     assert_eq!(legacy.1, explicit_zero.1, "delivery logs diverged");

@@ -299,12 +299,6 @@ impl SubsequenceCounter {
         terminal
     }
 
-    /// Removes one previously added occurrence of `seq` (weight 1). See
-    /// [`SubsequenceCounter::remove_weighted`].
-    pub fn remove(&mut self, seq: &[Symbol]) -> bool {
-        self.remove_weighted(seq, 1)
-    }
-
     /// Removes `weight` worth of a previously added sequence, mirroring
     /// [`SubsequenceCounter::add_weighted`]: the sequence's multiplicity and
     /// every one of its distinct sub-sequences' counts drop by `weight`, and
@@ -726,7 +720,7 @@ mod tests {
         assert!(!c.remove_weighted(&[s(1), s(2), s(3)], 3));
         // Fully-removed sequence: a second removal is rejected too.
         assert!(c.remove_weighted(&[s(1), s(2), s(3)], 2));
-        assert!(!c.remove(&[s(1), s(2), s(3)]));
+        assert!(!c.remove_weighted(&[s(1), s(2), s(3)], 1));
 
         c.add_weighted(&[s(1), s(2), s(3)], 2);
         assert_eq!(sorted_stats(&mut c), before);

@@ -20,7 +20,10 @@
 //! Stemming is temporally independent: it never reasons about event order, so
 //! it works at any time-scale — seconds-wide windows catch session resets,
 //! hour- or day-wide windows let a single-prefix persistent oscillation
-//! overwhelm every other correlation (see [`window`]).
+//! overwhelm every other correlation. The scale is the caller's window: the
+//! anomaly crate's realtime detector runs Stemming over tumbling windows of
+//! `PipelineConfig::window`, so a slow anomaly is found by running it at a
+//! wider window.
 //!
 //! # Example
 //!
@@ -60,11 +63,9 @@ pub mod rank;
 #[doc(hidden)]
 pub mod reference;
 pub mod sequence;
-pub mod window;
 
 pub use algorithm::{Stemming, StemmingConfig, StemmingResult};
 pub use component::{Component, Stem};
 pub use count::{SubsequenceCounter, SubsequenceStat};
 pub use rank::RankingRule;
 pub use sequence::{sequence_of, SequenceEncoder};
-pub use window::{MultiScaleDetector, TimeScale, WindowedFinding};

@@ -118,44 +118,80 @@ fn fig8_spikes_and_grass() {
     );
 }
 
-/// Multi-timescale analysis (§III-B): a slow single-prefix anomaly invisible
-/// in short windows dominates the long window.
+/// Runs the realtime detector over `events` (time-sorted) at one window
+/// width: the time-scale is the window, nothing else.
+fn detect_at(window_secs: u64, events: Vec<Event>) -> Vec<AnomalyReport> {
+    let mut detector = RealtimeDetector::new(PipelineConfig {
+        window: Timestamp::from_secs(window_secs),
+        ..PipelineConfig::default()
+    });
+    let mut reports: Vec<AnomalyReport> = events
+        .into_iter()
+        .flat_map(|e| detector.ingest_event(e))
+        .collect();
+    reports.extend(detector.finish());
+    reports
+}
+
+fn withdraw(t_secs: u64, prefix: &str, path: &str) -> Event {
+    Event::withdraw(
+        Timestamp::from_secs(t_secs),
+        PeerId::from_octets(1, 1, 1, 1),
+        prefix.parse().unwrap(),
+        PathAttributes::new(RouterId(9), path.parse().unwrap()),
+    )
+}
+
+/// Multi-timescale analysis (§III-B): a slow single-prefix anomaly
+/// dominates a day-wide window and is only ever a fragment of a
+/// 15-minute one.
 #[test]
 fn multiscale_detection() {
-    use bgpscope_stemming::{MultiScaleDetector, TimeScale};
     // A slow flap: 1 event/10 min for a day on one prefix + noise bursts.
     let mut events: Vec<Event> = (0..144u64)
-        .map(|i| {
-            Event::withdraw(
-                Timestamp::from_secs(i * 600),
-                PeerId::from_octets(1, 1, 1, 1),
-                "4.5.0.0/16".parse().unwrap(),
-                PathAttributes::new(RouterId(9), "2 9".parse().unwrap()),
-            )
-        })
+        .map(|i| withdraw(i * 600, "4.5.0.0/16", "2 9"))
         .collect();
     let churn = ChurnGenerator::generic(11, 300);
     events.extend(churn.events(Timestamp::ZERO, Timestamp::from_secs(86_400), 400));
     events.sort_by_key(|e| e.time);
-    let stream: EventStream = events.into_iter().collect();
+    let flap = |r: &&AnomalyReport| r.sample_prefixes.iter().any(|p| p == "4.5.0.0/16");
 
-    let detector = MultiScaleDetector::with_parts(
-        Stemming::new(),
-        vec![
-            TimeScale::tumbling(Timestamp::from_secs(900)),
-            TimeScale::tumbling(Timestamp::from_secs(86_400)),
-        ],
+    // At day scale the slow flap is the strongest component, whole.
+    let day = detect_at(86_400, events.clone());
+    let top = day.first().expect("day-scale report");
+    assert!(flap(&top), "top report {top:?}");
+    assert_eq!(top.event_count, 144);
+    assert_eq!(top.prefix_count, 1);
+
+    // At 15 minutes it never leads with more than a fragment of itself.
+    let short = detect_at(900, events);
+    let largest = short.iter().filter(flap).map(|r| r.event_count).max();
+    assert!(
+        largest.is_some_and(|n| n < 144 / 4),
+        "short windows saw {largest:?} flap events in one report"
     );
-    let findings = detector.analyze(&stream, 4);
-    let day = findings
-        .iter()
-        .filter(|f| f.scale.width == Timestamp::from_secs(86_400))
-        .max_by_key(|f| f.event_count)
-        .expect("day-scale finding");
-    // At day scale the slow flap is the strongest component.
-    let top = &day.result.components()[0];
-    assert!(top.prefixes.contains(&"4.5.0.0/16".parse().unwrap()));
-    assert!(top.support >= 100);
+}
+
+/// A 50-event burst inside one 15-minute window is reported whole when
+/// the window closes.
+#[test]
+fn short_window_finds_a_burst() {
+    let mut events: Vec<Event> = (0..50)
+        .map(|i| withdraw(100 + i / 10, &format!("10.{i}.0.0/16"), "11423 209"))
+        .collect();
+    events.push(withdraw(90_000, "99.0.0.0/8", "7 8"));
+    let reports = detect_at(900, events);
+    assert_eq!(reports.len(), 1, "{reports:?}");
+    assert_eq!(reports[0].event_count, 50);
+    assert_eq!(reports[0].prefix_count, 50);
+}
+
+/// No events, no reports, at any scale.
+#[test]
+fn empty_stream_reports_nothing() {
+    for window in [900, 86_400] {
+        assert!(detect_at(window, Vec::new()).is_empty());
+    }
 }
 
 /// Figure 9's event-volume claim: events per flap scale with the size of

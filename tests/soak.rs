@@ -602,7 +602,7 @@ fn soak_shard_quarantine_bounds_loss_and_spares_siblings() {
 /// about the update sequence is scripted here: the anomalies are whatever
 /// the protocol dynamics actually produce.
 fn netsim_scale_soak(ases: usize) {
-    let protocol = ProtocolConfig::legacy()
+    let protocol = ProtocolConfig::default()
         .with_mrai(MraiConfig::uniform(Timestamp::from_secs(2)))
         .with_fsm(FsmConfig::timed(
             Timestamp::from_secs(6),
