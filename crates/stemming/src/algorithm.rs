@@ -9,7 +9,7 @@ use bgpscope_bgp::probe::ProbeMap;
 use bgpscope_bgp::{EventKind, EventStream, Timestamp};
 
 use crate::component::{Component, Stem};
-use crate::count::SubsequenceCounter;
+use crate::count::{Leaf, SubsequenceCounter};
 use crate::rank::RankingRule;
 use crate::sequence::SequenceEncoder;
 
@@ -95,10 +95,10 @@ impl Stemming {
     /// **once** into a [`SubsequenceCounter`] — a sub-sequence index — which
     /// is then updated *decrementally*: each extraction removes just the
     /// swept component's distinct sequences, by the index node each one's
-    /// add returned (no lookup), so round `k+1` starts from round `k`'s
-    /// counts instead of recounting every surviving event, and gets its
-    /// winner from the index's heap instead of a fold over every surviving
-    /// sub-sequence. Two counting-sorted arrays — prefix symbol → events, and
+    /// add returned (no lookup), and zeroes its prefixes' leaves (below), so
+    /// round `k+1` starts from round `k`'s counts instead of recounting every
+    /// surviving event, and gets its winner from the index's heap instead of
+    /// a fold over every surviving sub-sequence. Two counting-sorted arrays — prefix symbol → events, and
     /// symbol → the groups whose sequence holds it (postings) — let P scan
     /// only the groups posted under the winner's rarest symbol and the E
     /// sweep touch only the component being extracted. Per-round cost drops
@@ -115,23 +115,27 @@ impl Stemming {
     /// lets the E-sweep take a prefix's whole event list without per-event
     /// liveness checks.
     ///
-    /// **Support pruning.** The index holds only what can win. A prefix
-    /// symbol `p` occurs in no sequence but its own events', and only last,
-    /// so a sub-sequence holding `p` has a count of at most `W(p)`, the
-    /// summed weight of `p`'s groups. Under a rule whose first key is the
-    /// count, the index's winner query leaves out everything below
-    /// `min_support` (at least 1) — `RankingRule::candidate_floor` — and
-    /// removals only lower counts, so where `W(p)` is below that floor no
-    /// sub-sequence holding `p` is ever a candidate. Those groups are added
-    /// without their final `p`: their `p`-free sub-sequences are exactly the
-    /// sub-sequences of the shortened sequence, with the same counts, and
-    /// groups that differ only in such a `p` share one node whose held
-    /// weights add up. In a churn window almost every prefix is a singleton,
-    /// so the index shrinks to the window's distinct peer/hop/path
-    /// sequences. P is still found on the full sequences. `CoverageWeighted`
-    /// ranks `count × (length − 1)`, so a longer, rarer sub-sequence can win:
-    /// its floor is 1, and a group under it has weight 0 and is not added at
-    /// all — the same code, with nothing pruned.
+    /// **One leaf per prefix.** The index holds each peer/hop/path sequence
+    /// once and each prefix once. A prefix symbol `p` occurs in no sequence
+    /// but its own events', and only last, so a sub-sequence holding `p` is
+    /// a suffix of `p`'s groups' sequences, counted at the summed weight of
+    /// the groups that end in it. Those counts cannot change until `p` is
+    /// swept, and then all of `p`'s groups go together. So every group is
+    /// added without its final `p` — its `p`-free sub-sequences are exactly
+    /// the sub-sequences of the shortened sequence, with the same counts,
+    /// and groups that differ only in the prefix share one node whose held
+    /// weights add up — and `p` gets one *leaf*: a candidate outside the
+    /// trie holding the best of its suffixes under the ranking rule (score,
+    /// then the lexicographically first). No other suffix of `p` could be
+    /// the winner while the leaf stands, and the E-sweep zeroes the leaf
+    /// when `p` goes. Under a rule whose first key is the count, the winner
+    /// query leaves out everything below `min_support` (at least 1) —
+    /// `RankingRule::candidate_floor` — so a prefix whose best suffix is
+    /// below that floor gets no leaf; under `CoverageWeighted` the floor is
+    /// 1 and only a prefix whose groups all weigh 0 has none. A churn window
+    /// shrinks to its distinct peer/hop/path sequences, and a session-flap
+    /// window to those plus a node per prefix. P is still found on the full
+    /// sequences.
     pub fn decompose_weighted<F>(&self, stream: &EventStream, weight_of: F) -> StemmingResult
     where
         F: Fn(&bgpscope_bgp::Event) -> u64,
@@ -159,30 +163,15 @@ impl Stemming {
             bounds,
             event_prefix,
             groups,
+            prefix_events,
+            postings,
+            leaves,
             mut counter,
         } = self.window(events, weight_of);
         let seq_of = |i: usize| &arena[bounds[i]..bounds[i + 1]];
 
-        // Invert the stream: prefix symbol → event indices, and symbol →
-        // the groups whose sequence holds it (its postings), both ascending.
-        // A symbol repeated inside one sequence posts its group once per
-        // occurrence. A prefix symbol occurs only last, and only in its own
-        // groups' sequences, so its postings are exactly the prefix's groups.
-        let symbols = encoder.interner().len();
-        let prefix_events = Buckets::new(
-            symbols,
-            event_prefix.iter().enumerate().map(|(i, &p)| (p, i)),
-        );
-        let postings = Buckets::new(
-            symbols,
-            groups
-                .iter()
-                .enumerate()
-                .flat_map(|(g, group)| seq_of(group.repr).iter().map(move |s| (s.index(), g))),
-        );
-
         // Indexed by symbol; only prefix symbols are ever set.
-        let mut swept = vec![false; symbols];
+        let mut swept = vec![false; leaves.len()];
         let mut alive_count = events.len();
         let mut components = Vec::new();
 
@@ -221,19 +210,26 @@ impl Stemming {
 
             // E: the union of the swept prefixes' event lists — every listed
             // event is still alive (its prefix was never swept before).
-            // Subtract each dying group from the counter as its prefix goes.
-            let mut prefixes = BTreeSet::new();
+            // Subtract each dying group from the counter, and zero the
+            // prefix's leaf, as its prefix goes.
             let mut indices = Vec::new();
             for &p in &hit {
-                let of_prefix = prefix_events.get(p);
-                prefixes.insert(events[of_prefix[0] as usize].prefix);
-                indices.extend(of_prefix.iter().map(|&i| i as usize));
+                indices.extend(prefix_events.get(p).iter().map(|&i| i as usize));
+                if let Some(leaf) = leaves[p] {
+                    counter.remove_leaf(leaf);
+                }
                 for &g in postings.get(p) {
                     let group = &groups[g as usize];
                     let removed = counter.remove_held(group.held, group.weight);
                     debug_assert!(removed, "a live group's weight must be removable");
                 }
             }
+            // Collected, the set is one sort and a bulk build: a flap
+            // window's component holds 20,000 prefixes.
+            let prefixes: BTreeSet<_> = hit
+                .iter()
+                .map(|&p| events[prefix_events.get(p)[0] as usize].prefix)
+                .collect();
             indices.sort_unstable();
             debug_assert!(
                 !indices.is_empty(),
@@ -285,8 +281,9 @@ impl Stemming {
     }
 
     /// Encodes `events` into one flat arena, groups them by distinct
-    /// sequence, and counts each group into the index once — holding only
-    /// what can win (see [`Stemming::decompose_weighted`]).
+    /// sequence, files them, and counts each group into the index once:
+    /// without its prefix symbol, which each prefix's leaf stands for (see
+    /// [`Stemming::decompose_weighted`]).
     fn window<F>(&self, events: &[bgpscope_bgp::Event], weight_of: F) -> Window
     where
         F: Fn(usize, &bgpscope_bgp::Event) -> u64,
@@ -327,28 +324,54 @@ impl Stemming {
         // Only needed to form the groups; free it before the index is built.
         drop(group_of);
 
-        // Support pruning: a prefix symbol `p` ends its events' sequences
-        // and occurs in no other, so a sub-sequence holding `p` has a count
-        // of at most the summed weight of `p`'s groups. Below the floor it
-        // can never be a candidate, so those groups are indexed without `p`:
-        // every other sub-sequence of theirs keeps its exact count.
-        let mut prefix_weight = vec![0u64; encoder.interner().len()];
-        for group in &groups {
-            prefix_weight[group.prefix] += group.weight;
-        }
-        let floor = self.config.ranking.candidate_floor(self.config.min_support);
-        let indexed = |group: &Group| {
+        // Invert the stream: prefix symbol → event indices, and symbol →
+        // the groups whose sequence holds it (its postings), both ascending.
+        // A symbol repeated inside one sequence posts its group once per
+        // occurrence. A prefix symbol occurs only last, and only in its own
+        // groups' sequences, so its postings are exactly the prefix's groups.
+        let symbols = encoder.interner().len();
+        let prefix_events = Buckets::new(
+            symbols,
+            event_prefix.iter().enumerate().map(|(i, &p)| (p, i)),
+        );
+        let postings = Buckets::new(
+            symbols,
+            groups
+                .iter()
+                .enumerate()
+                .flat_map(|(g, group)| seq_of(group.repr).iter().map(move |s| (s.index(), g))),
+        );
+
+        // The trie holds every group without its prefix symbol: a
+        // sub-sequence free of it keeps its exact count, and groups that
+        // differ only in the prefix share one node whose held weights add.
+        let without_prefix = |group: &Group| {
             let seq = seq_of(group.repr);
-            if prefix_weight[group.prefix] < floor {
-                &seq[..seq.len() - 1]
-            } else {
-                seq
-            }
+            &seq[..seq.len() - 1]
         };
         let mut counter = SubsequenceCounter::new(self.config.max_subseq_len);
-        counter.reserve(groups.iter().map(|group| indexed(group).len()).sum());
+        counter.reserve(presized(
+            groups.iter().map(|group| without_prefix(group).len()).sum(),
+        ));
         for group in &mut groups {
-            group.held = counter.add_held(indexed(group), group.weight);
+            group.held = counter.add_held(without_prefix(group), group.weight);
+        }
+
+        // Each prefix gets one leaf: the best of its groups' suffixes, all
+        // of which end in it. None when that suffix is below the floor.
+        let floor = self.config.ranking.candidate_floor(self.config.min_support);
+        let mut leaves = vec![None; symbols];
+        let mut of_prefix = Vec::new();
+        for (p, leaf) in leaves.iter_mut().enumerate() {
+            if prefix_events.get(p).is_empty() {
+                continue;
+            }
+            of_prefix.clear();
+            of_prefix.extend(postings.get(p).iter().map(|&g| {
+                let group = &groups[g as usize];
+                (seq_of(group.repr), group.weight)
+            }));
+            *leaf = counter.add_leaf(self.config.ranking, floor, &mut of_prefix);
         }
         Window {
             encoder,
@@ -356,6 +379,9 @@ impl Stemming {
             bounds,
             event_prefix,
             groups,
+            prefix_events,
+            postings,
+            leaves,
             counter,
         }
     }
@@ -382,6 +408,12 @@ struct Window {
     bounds: Vec<usize>,
     event_prefix: Vec<usize>,
     groups: Vec<Group>,
+    /// Prefix symbol → its events.
+    prefix_events: Buckets,
+    /// Symbol → the groups whose sequence holds it.
+    postings: Buckets,
+    /// Symbol → its leaf in the index; only prefix symbols have one.
+    leaves: Vec<Option<Leaf>>,
     /// The sub-sequence index over the groups.
     counter: SubsequenceCounter,
 }
@@ -394,7 +426,8 @@ struct Group {
     prefix: usize,
     /// Their summed weight.
     weight: u64,
-    /// The index node holding them (the root when `weight` is 0).
+    /// The index node holding them without their prefix symbol (the root
+    /// when `weight` is 0).
     held: u32,
 }
 
@@ -824,13 +857,49 @@ mod tests {
         assert_eq!(sub.len(), result.components()[0].event_count());
     }
 
+    /// The index holds each peer/hop/path sequence once and each prefix
+    /// once. Under every rule, no trie node holds a prefix symbol, and a
+    /// prefix has at most one leaf: its best suffix, which ends in it.
+    /// Returns the index's trie nodes (the root included) and leaves.
+    fn index_shape(events: &[Event], ranking: RankingRule) -> (usize, usize) {
+        let config = StemmingConfig {
+            ranking,
+            min_support: 2,
+            ..StemmingConfig::default()
+        };
+        let window = Stemming::with_config(config).window(events, |_, _| 1);
+        let is_prefix = |s: &Symbol| !window.prefix_events.get(s.index()).is_empty();
+        let mut with_leaf = BTreeSet::new();
+        let mut trie = 0;
+        for (subseq, leaf) in window.counter.nodes() {
+            if leaf {
+                let (last, body) = subseq.split_last().expect("a leaf is a suffix");
+                assert!(is_prefix(last), "{ranking:?}: a leaf ends in its prefix");
+                assert!(!body.iter().any(is_prefix), "{ranking:?}: {subseq:?}");
+                assert!(with_leaf.insert(*last), "{ranking:?}: two leaves");
+            } else {
+                assert!(
+                    !subseq.iter().any(is_prefix),
+                    "{ranking:?}: a trie node holds a prefix: {subseq:?}"
+                );
+                trie += 1;
+            }
+        }
+        assert_eq!(trie + with_leaf.len(), window.counter.node_count());
+        (trie, with_leaf.len())
+    }
+
     /// A churn window — 350 withdrawals, each for its own prefix, over 4
-    /// peers × 32 paths — indexes no prefix under a count-first rule with
-    /// `min_support` 2: at most the nodes of its distinct peer/hop/path
-    /// sequences. `CoverageWeighted` indexes every full sequence.
+    /// peers × 32 paths — indexes the nodes of its distinct peer/hop/path
+    /// sequences; each prefix weighs 1, below `min_support` 2, so it gets a
+    /// leaf only under `CoverageWeighted`, whose floor is 1. A 40,000-event
+    /// session-flap window — 20,000 prefixes, each announced and withdrawn
+    /// over one of 13 three-hop paths — holds at most 20,100 nodes: a leaf
+    /// per prefix on a trie of its 13 sequences, where indexing every full
+    /// sequence took 120,076.
     #[test]
     fn the_index_holds_only_what_can_win() {
-        let events: Vec<Event> = (0..350u64)
+        let churn: Vec<Event> = (0..350u64)
             .map(|i| {
                 let (peer, path) = ((i % 4) as u8, i / 4 % 32);
                 withdraw(
@@ -842,26 +911,50 @@ mod tests {
                 )
             })
             .collect();
-        let index_nodes = |ranking| {
-            let config = StemmingConfig {
-                ranking,
-                min_support: 2,
-                ..StemmingConfig::default()
-            };
-            let window = Stemming::with_config(config).window(&events, |_, _| 1);
-            window.counter.node_count()
-        };
-        let trie_nodes = |without_prefix: usize| {
-            let mut encoder = SequenceEncoder::new();
-            let mut counter = SubsequenceCounter::new(0);
-            for event in &events {
-                let seq = encoder.encode(event);
-                counter.add(&seq[..seq.len() - without_prefix]);
+        let mut encoder = SequenceEncoder::new();
+        let mut without_prefix = SubsequenceCounter::new(0);
+        for event in &churn {
+            let seq = encoder.encode(event);
+            without_prefix.add(&seq[..seq.len() - 1]);
+        }
+        for ranking in RankingRule::ALL {
+            let leaves = if ranking.count_ranks_first() { 0 } else { 350 };
+            assert_eq!(
+                index_shape(&churn, ranking),
+                (without_prefix.node_count(), leaves),
+                "{ranking:?}"
+            );
+        }
+
+        let flap = |t: u64, i: u64| {
+            let event = withdraw(
+                t,
+                3,
+                66,
+                &format!("7018 209 {}", 300 + i % 13),
+                &format!("20.{}.{}.0/24", i / 256, i % 256),
+            );
+            if t < 20_000 {
+                Event::announce(event.time, event.peer, event.prefix, event.attrs)
+            } else {
+                event
             }
-            counter.node_count()
         };
-        assert!(index_nodes(RankingRule::CountThenLength) <= trie_nodes(1));
-        assert_eq!(index_nodes(RankingRule::CoverageWeighted), trie_nodes(0));
+        let flaps: Vec<Event> = (0..20_000)
+            .map(|i| flap(i, i))
+            .chain((0..20_000).map(|i| flap(20_000 + i, i)))
+            .collect();
+        let mut every_full_sequence = SubsequenceCounter::new(0);
+        for event in &flaps {
+            every_full_sequence.add(&encoder.encode(event));
+        }
+        assert_eq!(every_full_sequence.node_count(), 120_076);
+        for ranking in RankingRule::ALL {
+            let (trie, leaves) = index_shape(&flaps, ranking);
+            assert_eq!(leaves, 20_000, "{ranking:?}");
+            assert_eq!(trie, 76, "{ranking:?}");
+            assert!(trie + leaves <= 20_100, "{ranking:?}");
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! A window's sequences share almost all of their sub-sequences, so the
 //! counter keeps each one once:
 //!
-//! * **Arena.** Every distinct full sequence is appended once to one flat
-//!   `Vec<Symbol>`; everything else refers to it by offset and length.
+//! * **Arena.** Every distinct full sequence, and every leaf's sub-sequence
+//!   (below), is appended once to one flat `Vec<Symbol>`; everything else
+//!   refers to it by offset and length.
 //! * **Trie.** One node per distinct contiguous sub-sequence, reached from
 //!   the root by an edge map `(node, symbol) → node` with integer keys, a
 //!   [`ProbeMap`]: sequences are peer-controlled input, so a probe is bounded
@@ -29,14 +30,24 @@
 //!   the walk meets is distinct; a sequence that repeats one (`1 2 1 2`)
 //!   collects its nodes first and visits each once. That is the
 //!   once-per-event rule.
+//! * **Leaves: candidates outside the trie.** Some symbols occur only last,
+//!   each in its own set of sequences — the decomposition's prefix symbols.
+//!   A sub-sequence holding one is a suffix of those sequences, and its count
+//!   cannot change until they all go. The caller indexes them without that
+//!   symbol and gives it one *leaf* (`add_leaf`): a node reached by no edge
+//!   and no walk, holding the best of those suffixes under one ranking rule
+//!   (`best_suffix`), its count set from the start. The winner heap ranks a
+//!   leaf like any node; the caller zeroes it when the sequences go
+//!   (`remove_leaf`).
 //! * **Winner heap.** [`SubsequenceCounter::best`] keeps a lazy max-heap of
 //!   `(rule score, node)` over the candidate nodes, built in place in O(n)
-//!   and ordered by score, then by the nodes' arena slices — compared only
-//!   when scores tie, and never sorted. A removal does not touch the heap; a
-//!   top entry whose stored score is no longer the node's score is re-filed
-//!   at its current score when it surfaces. That is sound because removals
-//!   only lower scores, so a stored score never understates; an add raises
-//!   them and therefore discards the heap.
+//!   and ordered by `RankingRule::ranks_above`: by score, then by the
+//!   nodes' arena slices — compared only when scores tie, and never sorted.
+//!   A removal does not touch the heap; a top entry whose stored score is no
+//!   longer the node's score is re-filed at its current score when it
+//!   surfaces. That is sound because removals only lower scores, so a stored
+//!   score never understates; an add raises them and therefore discards the
+//!   heap.
 //!
 //! The counts are built lazily, on the first query
 //! ([`SubsequenceCounter::materialize_counts`], `count_of`, `stats`, `best`):
@@ -60,7 +71,7 @@ use std::ops::Range;
 use bgpscope_bgp::intern::Symbol;
 use bgpscope_bgp::probe::ProbeMap;
 
-use crate::rank::RankingRule;
+use crate::rank::{RankingRule, Score};
 
 /// Count statistics for one sub-sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,12 +105,18 @@ const ROOT: u32 = 0;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Edge(u32, Symbol);
 
+/// A leaf's node: what [`SubsequenceCounter::add_leaf`] returns and
+/// [`SubsequenceCounter::remove_leaf`] takes. Never the root.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Leaf(NonZeroU32);
+
 /// One distinct contiguous sub-sequence.
 #[derive(Debug)]
 struct Node {
     /// Summed weight of the held sequences containing this sub-sequence.
     /// Kept only for sub-sequences of 2 to `max_len` symbols, and only once
-    /// the counts are built; zero everywhere else.
+    /// the counts are built; zero everywhere else. A leaf holds its count
+    /// from the start, and zero once removed.
     count: u64,
     /// Weight held of the full sequence this node spells (0 = not held).
     held: u64,
@@ -107,7 +124,8 @@ struct Node {
     arena_off: u32,
     len: u32,
     /// The node spelling this sub-sequence without its last symbol — the
-    /// node whose edge leads here (`ROOT` for a single symbol and the root).
+    /// node whose edge leads here (`ROOT` for a single symbol, the root and
+    /// a leaf).
     parent: u32,
     /// The node spelling this sub-sequence without its first symbol (`ROOT`
     /// for a single symbol). Every node a counting walk can reach has its
@@ -143,7 +161,7 @@ impl Node {
 }
 
 /// A candidate in the winner heap: `(score when filed, node)`.
-type Filed = ((u64, u64), u32);
+type Filed = (Score, u32);
 
 /// The lazy winner heap of [`SubsequenceCounter::best`].
 #[derive(Debug)]
@@ -156,12 +174,12 @@ struct Winners {
     heap: Vec<Filed>,
 }
 
-/// Whether `a` ranks above `b`: the greater filed score, and on equal scores
-/// the lexicographically first sub-sequence. Two nodes never spell the same
-/// sub-sequence, so the order is total.
+/// [`RankingRule::ranks_above`] of two filed candidates. Two nodes never
+/// spell the same sub-sequence (a leaf ends in a symbol no trie node holds,
+/// and each such symbol has one leaf), so the order is total.
 fn ranks_above(nodes: &[Node], arena: &[Symbol], a: &Filed, b: &Filed) -> bool {
-    let slice = |node: u32| &arena[nodes[node as usize].range()];
-    a.0 > b.0 || (a.0 == b.0 && slice(a.1) < slice(b.1))
+    let slice = |node: u32| move || &arena[nodes[node as usize].range()];
+    RankingRule::ranks_above((a.0, slice(a.1)), (b.0, slice(b.1)))
 }
 
 /// Moves `heap[at]` down until neither child ranks above it.
@@ -245,16 +263,16 @@ impl SubsequenceCounter {
         Self::new(max_len)
     }
 
-    /// Makes room for distinct sequences totalling `symbols` symbols. The
-    /// arena needs at most that. The edge map gets an entry per symbol — what
-    /// the sequences' own paths need when they share nothing; sub-sequences
-    /// push the real figure up and sharing pulls it down (with the
-    /// decomposition's support pruning, 1.03 nodes per symbol indexed over
-    /// `grass`'s 308-event churn windows and 0.9 over `spike`'s windows of up
-    /// to 40,000 events), so this spares the map most of its rehashing
-    /// without sizing it far past what it would have grown to. The node
-    /// array is left to grow: growing it is a copy, not a rehash, and a
-    /// reservation that falls just short doubles it at its largest.
+    /// Makes room for `symbols` symbols of distinct sequences, and an edge
+    /// per symbol — what the sequences' own paths need when they share
+    /// nothing. Sub-sequences push the real figure up and sharing pulls it
+    /// down: with the decomposition indexing sequences without their prefix
+    /// symbol, 1.03 nodes per symbol indexed over `grass`'s 308-event churn
+    /// windows, and 76 trie nodes for a 40,000-event session-flap window's
+    /// 100,000 symbols indexed, which is why the caller caps `symbols` (as
+    /// it caps its other window tables). The node array is left to grow:
+    /// growing it is a copy, not a rehash, and a reservation that falls just
+    /// short doubles it at its largest.
     pub(crate) fn reserve(&mut self, symbols: usize) {
         self.arena.reserve_exact(symbols);
         self.edges.reserve(symbols);
@@ -345,6 +363,52 @@ impl SubsequenceCounter {
         true
     }
 
+    /// Gives one symbol its leaf: the best of the suffixes ending in it
+    /// ([`best_suffix`] under `rule`), over `groups` — `(sequence, weight)`
+    /// pairs that all end in that symbol — as one candidate outside the
+    /// trie. The caller indexes those sequences without their last symbol,
+    /// and the symbol must occur in no other sequence, and only last: then
+    /// each suffix holding it keeps its count until the groups go together,
+    /// and the best one stands for all of them. `None`, and nothing added,
+    /// when the best suffix's count is below `floor` — under a rule whose
+    /// first key is the count, none can then be a candidate. Sorts `groups`.
+    ///
+    /// A leaf is ranked by `rule`: [`SubsequenceCounter::best`] under
+    /// another rule sees only the suffix this one chose.
+    pub(crate) fn add_leaf(
+        &mut self,
+        rule: RankingRule,
+        floor: u64,
+        groups: &mut [(&[Symbol], u64)],
+    ) -> Option<Leaf> {
+        // No suffix counts more than all the groups: a churn prefix, alone
+        // in the window, is turned away without ranking its suffixes.
+        if groups.iter().map(|&(_, weight)| weight).sum::<u64>() < floor {
+            return None;
+        }
+        let (suffix, count) = best_suffix(rule, self.max_len, groups)?;
+        if count < floor {
+            return None;
+        }
+        let id = u32::try_from(self.nodes.len())
+            .ok()
+            .and_then(NonZeroU32::new)
+            .expect("trie node ids fit in u32, and the root is node 0");
+        let arena_off = u32::try_from(self.arena.len()).expect("arena offsets fit in u32");
+        self.arena.extend_from_slice(suffix);
+        let mut leaf = Node::new(arena_off, suffix.len() as u32, ROOT);
+        leaf.count = count;
+        self.nodes.push(leaf);
+        self.winners = None;
+        Some(Leaf(id))
+    }
+
+    /// Zeroes a leaf: its sequences are gone. Idempotent, and like a removal
+    /// it only lowers a score, so the winner heap stays.
+    pub(crate) fn remove_leaf(&mut self, leaf: Leaf) {
+        self.nodes[leaf.0.get() as usize].count = 0;
+    }
+
     /// Total sequences added (with multiplicity / weight).
     pub fn total(&self) -> u64 {
         self.total
@@ -431,10 +495,9 @@ impl SubsequenceCounter {
         }
     }
 
-    /// Heapifies the candidates for [`SubsequenceCounter::best`]: every node
-    /// at or above the rule's [`RankingRule::candidate_floor`] (in a churn
-    /// window most sub-sequences that are not left out end in their event's
-    /// own prefix and have count 1).
+    /// Heapifies the candidates for [`SubsequenceCounter::best`]: every node,
+    /// trie node or leaf, at or above the rule's
+    /// [`RankingRule::candidate_floor`].
     fn rank_candidates(&self, rule: RankingRule, min_support: u64) -> Winners {
         let floor = rule.candidate_floor(min_support);
         let mut heap: Vec<Filed> = (0..self.nodes.len() as u32)
@@ -476,18 +539,25 @@ impl SubsequenceCounter {
         node
     }
 
-    /// Nodes in the trie, the root included.
+    /// Nodes in the index — trie nodes, the root included, and leaves.
     #[cfg(test)]
     pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
+    /// Every node's sub-sequence, and whether the node is a leaf (reached by
+    /// no edge).
+    #[cfg(test)]
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = (&[Symbol], bool)> {
+        (0..self.nodes.len() as u32).map(|id| {
+            let subseq = &self.arena[self.nodes[id as usize].range()];
+            (subseq, self.find(subseq) != Some(id))
+        })
+    }
+
     /// The longest sub-sequence counted.
     fn cap(&self) -> usize {
-        match self.max_len {
-            0 => usize::MAX,
-            cap => cap,
-        }
+        cap_of(self.max_len)
     }
 
     /// The child of `parent` along `symbol`, created — together with as much
@@ -580,6 +650,55 @@ impl SubsequenceCounter {
             }
         }
     }
+}
+
+/// The longest sub-sequence a `max_len` of 0 (no limit) or more counts.
+fn cap_of(max_len: usize) -> usize {
+    match max_len {
+        0 => usize::MAX,
+        cap => cap,
+    }
+}
+
+/// The best suffix, 2 to `max_len` symbols long (0 = no limit), of the
+/// sequences in `groups`: `(sequence, weight)` pairs that all end in one
+/// symbol. A suffix counts the summed weight of the groups whose sequence
+/// ends in it, and the best is the first under
+/// [`RankingRule::ranks_above`]. `None` when no sequence has two symbols.
+/// Sorts `groups`.
+pub(crate) fn best_suffix<'s>(
+    rule: RankingRule,
+    max_len: usize,
+    groups: &mut [(&'s [Symbol], u64)],
+) -> Option<(&'s [Symbol], u64)> {
+    // Read back to front, the sequences ending in one suffix sit together:
+    // one pass per length sums each run.
+    groups.sort_unstable_by(|a, b| a.0.iter().rev().cmp(b.0.iter().rev()));
+    let longest = groups.iter().map(|(seq, _)| seq.len()).max()?;
+    let mut best: Option<(Score, &[Symbol], u64)> = None;
+    for len in 2..=longest.min(cap_of(max_len)) {
+        let mut at = 0;
+        while at < groups.len() {
+            let (seq, mut count) = groups[at];
+            at += 1;
+            if seq.len() < len {
+                continue;
+            }
+            let suffix = &seq[seq.len() - len..];
+            while let Some(&(_, weight)) = groups.get(at).filter(|(next, _)| next.ends_with(suffix))
+            {
+                count += weight;
+                at += 1;
+            }
+            let score = rule.score(count, len);
+            if best.is_none_or(|(top, subseq, _)| {
+                RankingRule::ranks_above((score, || suffix), (top, || subseq))
+            }) {
+                best = Some((score, suffix, count));
+            }
+        }
+    }
+    best.map(|(_, suffix, count)| (suffix, count))
 }
 
 #[cfg(test)]
@@ -826,6 +945,118 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// [`best_suffix`] by brute force: every suffix of every group, 2 to the
+    /// cap long, counted by scanning every group, and the winner folded with
+    /// [`RankingRule::better`] over a map that iterates in lexicographic
+    /// order — the reference decomposition's own tie-break.
+    fn brute_best_suffix(
+        rule: RankingRule,
+        max_len: usize,
+        groups: &[(&[Symbol], u64)],
+    ) -> Option<SubsequenceStat> {
+        let cap = if max_len == 0 { usize::MAX } else { max_len };
+        let mut counts: BTreeMap<&[Symbol], u64> = BTreeMap::new();
+        for (seq, _) in groups {
+            for len in 2..=seq.len().min(cap) {
+                let suffix = &seq[seq.len() - len..];
+                let count = groups
+                    .iter()
+                    .filter(|(other, _)| other.ends_with(suffix))
+                    .map(|&(_, weight)| weight)
+                    .sum();
+                counts.insert(suffix, count);
+            }
+        }
+        counts
+            .into_iter()
+            .map(|(subseq, count)| SubsequenceStat {
+                subseq: subseq.to_vec(),
+                count,
+            })
+            .reduce(|best, candidate| {
+                if rule.better(&candidate, &best) {
+                    candidate
+                } else {
+                    best
+                }
+            })
+    }
+
+    /// The leaf chooser against brute force, under every rule: one to four
+    /// groups ending in one prefix symbol, over a three-symbol alphabet so
+    /// that suffixes recur across groups, of mixed lengths (a lone prefix
+    /// symbol included), with weights 0 to 3, uncapped and capped below the
+    /// longest sequences.
+    #[test]
+    fn best_suffix_is_the_brute_force_winner() {
+        let prefix = s(99);
+        let mut state = 36_001u64;
+        let mut draw = |below: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % below
+        };
+        for case in 0..3_000 {
+            let sequences: Vec<Vec<Symbol>> = (0..1 + draw(4))
+                .map(|_| {
+                    let mut seq: Vec<Symbol> =
+                        (0..draw(6)).map(|_| s(1 + draw(3) as u32)).collect();
+                    seq.push(prefix);
+                    seq
+                })
+                .collect();
+            let weights: Vec<u64> = sequences.iter().map(|_| draw(4)).collect();
+            for rule in RankingRule::ALL {
+                for max_len in [0, 2, 3] {
+                    let mut groups: Vec<(&[Symbol], u64)> = sequences
+                        .iter()
+                        .map(Vec::as_slice)
+                        .zip(weights.iter().copied())
+                        .collect();
+                    let want = brute_best_suffix(rule, max_len, &groups);
+                    let got = best_suffix(rule, max_len, &mut groups).map(|(subseq, count)| {
+                        SubsequenceStat {
+                            subseq: subseq.to_vec(),
+                            count,
+                        }
+                    });
+                    assert_eq!(
+                        got, want,
+                        "case {case}, {rule:?}, cap {max_len}: {sequences:?} weighing {weights:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Two groups share the suffix `2 3 9`: it counts both weights, so it
+    /// outranks each group's longer suffixes under the count-first rules.
+    /// A leaf below the floor is not added, and a removed leaf leaves no
+    /// winner.
+    #[test]
+    fn a_leaf_holds_the_best_suffix_until_removed() {
+        let (a, b) = ([s(1), s(2), s(3), s(9)], [s(4), s(2), s(3), s(9)]);
+        let mut c = SubsequenceCounter::new(0);
+        let leaf = c
+            .add_leaf(RankingRule::CountThenLength, 2, &mut [(&a, 1), (&b, 2)])
+            .expect("3 events end in 2 3 9");
+        assert_eq!(
+            c.best(RankingRule::CountThenLength, 2),
+            Some(SubsequenceStat {
+                subseq: vec![s(2), s(3), s(9)],
+                count: 3
+            })
+        );
+        assert_eq!(
+            c.add_leaf(RankingRule::CountThenLength, 4, &mut [(&a, 1), (&b, 2)]),
+            None
+        );
+        c.remove_leaf(leaf);
+        assert_eq!(c.best(RankingRule::CountThenLength, 1), None);
+        assert!(c.stats().is_empty());
     }
 
     /// The layout the hot walks are sized for: growing it costs peak memory

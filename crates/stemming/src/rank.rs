@@ -13,7 +13,12 @@
 
 use serde::{Deserialize, Serialize};
 
+use bgpscope_bgp::intern::Symbol;
+
 use crate::count::SubsequenceStat;
+
+/// A rule's sort key for one sub-sequence ([`RankingRule::score`]).
+pub(crate) type Score = (u64, u64);
 
 /// How to pick the winning sub-sequence among all counted ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -41,7 +46,7 @@ impl RankingRule {
     /// The rule's sort key for a sub-sequence contained in `count` events and
     /// `len` symbols long: the greater key ranks above. Equal keys fall to
     /// lexicographic symbol order in the callers.
-    pub(crate) fn score(&self, count: u64, len: usize) -> (u64, u64) {
+    pub(crate) fn score(&self, count: u64, len: usize) -> Score {
         match self {
             RankingRule::CountThenLength => (count, len as u64),
             RankingRule::CountOnly => (count, 0),
@@ -71,6 +76,18 @@ impl RankingRule {
         } else {
             1
         }
+    }
+
+    /// The one order over candidate sub-sequences, shared by the index's
+    /// winner heap and its per-prefix leaves: whether `a`, at score `a.0`,
+    /// ranks above `b` — the greater score, and on equal scores the
+    /// lexicographically first sub-sequence. Total over distinct
+    /// sub-sequences. A sub-sequence is read only when the scores tie.
+    pub(crate) fn ranks_above<'s>(
+        a: (Score, impl FnOnce() -> &'s [Symbol]),
+        b: (Score, impl FnOnce() -> &'s [Symbol]),
+    ) -> bool {
+        a.0 > b.0 || (a.0 == b.0 && a.1() < b.1())
     }
 
     /// Strict "is `a` ranked above `b`".

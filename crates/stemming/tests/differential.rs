@@ -14,15 +14,24 @@
 //! and streams with more correlation groups than `max_components` (the loop
 //! must stop with live state mid-flight). The configurations cover all three
 //! ranking rules, several support thresholds and sub-sequence length caps.
-//! A second generator gives most events a prefix of their own — the
-//! steady-state churn shape, and the one where the index leaves prefix
-//! symbols out (support pruning).
 //!
-//! Three fixed windows at the end guard what the generated ones are too
+//! The index holds every group without its prefix symbol, and gives each
+//! prefix one leaf: the best of the suffixes that end in it, or none when
+//! that is below the support floor. Two more generators aim at that rule.
+//! The churn generator gives most events a prefix of their own, so most
+//! prefixes weigh less than the floor and get no leaf. The flap/leak
+//! generator has one peer announce and withdraw every prefix with the same
+//! attributes over a few shared paths, so a lone prefix weighs up to 6 and
+//! its leaf decides rounds; a second peer re-announces some of them over
+//! paths that end in the same hops, so a prefix has several groups and its
+//! suffixes count across them.
+//!
+//! Four fixed windows at the end guard what the generated ones are too
 //! small for: a hash-iteration-order leak (two runs in one process hash
-//! differently) and a heavily stale winner heap.
+//! differently), a heavily stale winner heap, and thousands of leaves.
 //!
-//! Case count honors `PROPTEST_CASES` (CI raises it to 1024, in `--release`).
+//! Case count honors `PROPTEST_CASES` (CI raises it to 4096, in `--release`:
+//! every generated window is at most 120 events).
 
 use proptest::prelude::*;
 
@@ -97,6 +106,55 @@ fn churn_strategy() -> impl Strategy<Value = EventStream> {
                 event_from(draw)
             })
             .collect()
+    })
+}
+
+/// Paths of the flap/leak streams: a flapped prefix goes over one of four
+/// three-hop paths that share their first hop.
+fn flap_path(path: u32) -> [u32; 3] {
+    [7018, 100 + path, 200 + path % 2]
+}
+
+/// Flap/leak streams, up to 30 prefixes: peer 1 announces every prefix over
+/// a shared path, then withdraws it with the same attributes. A second peer
+/// re-announces a prefix drawn with `leak` 1 to 3 over a path that ends in
+/// the flapped one's last three, two or one hops.
+fn flap_leak_strategy() -> impl Strategy<Value = EventStream> {
+    collection::vec((0u32..4, 0usize..6, 0u64..2000), 0..30).prop_map(|prefixes| {
+        let prefix = |i: usize| Prefix::from_octets(50, 0, i as u8, 0, 24);
+        let event = |announce: bool, peer: u8, path: &[u32], i: usize, time_ms: u64| {
+            let attrs = PathAttributes::new(
+                RouterId::from_octets(128, 32, 0, peer),
+                AsPath::from_u32s(path.iter().copied()),
+            );
+            let (time, peer) = (
+                Timestamp::from_millis(time_ms),
+                PeerId::from_octets(128, 32, 1, peer),
+            );
+            if announce {
+                Event::announce(time, peer, prefix(i), attrs)
+            } else {
+                Event::withdraw(time, peer, prefix(i), attrs)
+            }
+        };
+        let announces = prefixes
+            .iter()
+            .enumerate()
+            .map(|(i, &(path, _, t))| event(true, 1, &flap_path(path), i, t));
+        let withdraws = prefixes
+            .iter()
+            .enumerate()
+            .map(|(i, &(path, _, t))| event(false, 1, &flap_path(path), i, t + 2000));
+        let leaks = prefixes
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(_, leak, _))| (1..=3).contains(&leak))
+            .map(|(i, &(path, leak, t))| {
+                let mut leaked = vec![3356];
+                leaked.extend_from_slice(&flap_path(path)[3 - leak..]);
+                event(true, 2, &leaked, i, t + 4000)
+            });
+        announces.chain(withdraws).chain(leaks).collect()
     })
 }
 
@@ -202,6 +260,26 @@ proptest! {
         assert_paths_identical(&stream, &config);
     }
 
+    /// The sweep over flap/leak streams, at thresholds 1 to 3: a prefix's
+    /// one or more groups weigh 0 to 9 together, so whether it gets a leaf,
+    /// and which suffix its leaf holds, moves with the rule, the threshold
+    /// and the cap.
+    #[test]
+    fn flap_leak_streams_match_reference_across_rules_and_thresholds(
+        stream in flap_leak_strategy(),
+        rule in 0usize..3,
+        support in 1u64..4,
+        cap in 0usize..3,
+    ) {
+        let config = StemmingConfig {
+            ranking: RankingRule::ALL[rule],
+            min_support: support,
+            max_subseq_len: [0, 2, 3][cap],
+            ..StemmingConfig::default()
+        };
+        assert_paths_identical(&stream, &config);
+    }
+
     /// The unweighted entry point (`decompose`) against the reference with
     /// unit weights.
     #[test]
@@ -269,11 +347,14 @@ fn coverage_winner_below_min_support_stops_the_loop() {
     assert_results_identical(&shipped, &reference, stream.len());
 }
 
-/// Decomposes `stream` twice in this process and once by the reference; all
-/// three must agree. Two runs build their hash maps under different keys, so
+/// Decomposes `stream` under `ranking` twice in this process and once by the
+/// reference; all three must agree. Two runs build their hash maps under different keys, so
 /// a result that leaked a map's iteration order would differ between them.
-fn assert_deterministic_and_identical(stream: &EventStream) {
-    let stemming = Stemming::new();
+fn assert_deterministic_and_identical(stream: &EventStream, ranking: RankingRule) {
+    let stemming = Stemming::with_config(StemmingConfig {
+        ranking,
+        ..StemmingConfig::default()
+    });
     let first = stemming.decompose(stream);
     let second = stemming.decompose(stream);
     assert_results_identical(&first, &second, stream.len());
@@ -300,7 +381,7 @@ fn session_flap_window_is_deterministic() {
         .chain((0..1000).map(|i| flap(1000 + u64::from(i), i)))
         .collect();
     assert_eq!(stream.len(), 2000);
-    assert_deterministic_and_identical(&stream);
+    assert_deterministic_and_identical(&stream, RankingRule::default());
 }
 
 /// A one-prefix oscillation: one sequence with multiplicity 10⁴.
@@ -309,7 +390,7 @@ fn oscillation_window_is_deterministic() {
     let stream: EventStream = (0..10_000)
         .map(|t| withdraw(t, 4, &[2, 9], Prefix::from_octets(4, 5, 0, 0, 16)))
         .collect();
-    assert_deterministic_and_identical(&stream);
+    assert_deterministic_and_identical(&stream, RankingRule::default());
 }
 
 /// A 350-event churn window, the steady-state shape: almost every event its
@@ -333,5 +414,33 @@ fn churn_window_is_deterministic() {
             withdraw(t, 1 + draw(3) as u8, &path, prefix)
         })
         .collect();
-    assert_deterministic_and_identical(&stream);
+    assert_deterministic_and_identical(&stream, RankingRule::default());
+}
+
+/// A 2,000-event flap and leak under every rule: peer 1 announces and
+/// withdraws 800 prefixes over 13 three-hop paths, and peer 2 re-announces
+/// every other one over a path that ends in the same one, two or three hops.
+/// Every prefix weighs at least 2, so each has a leaf, and a leaked
+/// prefix's leaf counts a suffix across its two groups.
+#[test]
+fn flap_leak_window_is_deterministic() {
+    let path_of = |i: u32| [7018, 209, 300 + i % 13];
+    let prefix = |i: u32| Prefix::from_octets(60, (i / 250) as u8, (i % 250) as u8, 0, 24);
+    let flap = |t: u64, i: u32| withdraw(t, 3, &path_of(i), prefix(i));
+    let announce =
+        |event: Event| Event::announce(event.time, event.peer, event.prefix, event.attrs);
+    let leak = |i: u32| {
+        let mut path = vec![3356];
+        path.extend_from_slice(&path_of(i)[i as usize / 2 % 3..]);
+        announce(withdraw(1600 + u64::from(i), 4, &path, prefix(i)))
+    };
+    let stream: EventStream = (0..800)
+        .map(|i| announce(flap(u64::from(i), i)))
+        .chain((0..800).map(|i| flap(800 + u64::from(i), i)))
+        .chain((0..800).step_by(2).map(leak))
+        .collect();
+    assert_eq!(stream.len(), 2_000);
+    for ranking in RankingRule::ALL {
+        assert_deterministic_and_identical(&stream, ranking);
+    }
 }
