@@ -101,7 +101,7 @@ use serde::{Deserialize, Serialize};
 
 use bgpscope_bgp::{Event, EventStream, Timestamp, UpdateMessage};
 use bgpscope_collector::Collector;
-use bgpscope_stemming::{Stemming, StemmingConfig};
+use bgpscope_stemming::{EncodingCache, Stemming, StemmingConfig};
 
 use crate::classify::classify;
 use crate::control::{
@@ -767,6 +767,10 @@ pub struct RealtimeDetector {
     fidelity: FidelityLevel,
     // Accounting (see PipelineStats).
     counters: DetectorCounters,
+    /// Each (peer, nexthop, AS path) encoded once for Stemming, across
+    /// windows. Not state: no result depends on it, so it is neither
+    /// checkpointed nor recorded, and a restored detector starts cold.
+    encoding: EncodingCache,
 }
 
 impl RealtimeDetector {
@@ -780,6 +784,7 @@ impl RealtimeDetector {
             window_start: None,
             fidelity: FidelityLevel::Full,
             counters: DetectorCounters::default(),
+            encoding: EncodingCache::new(),
         }
     }
 
@@ -843,6 +848,7 @@ impl RealtimeDetector {
             window_start: checkpoint.window_start,
             fidelity: FidelityLevel::Full,
             counters: checkpoint.counters,
+            encoding: EncodingCache::new(),
         }
     }
 
@@ -992,7 +998,7 @@ impl RealtimeDetector {
             .map(|w| w.event)
             .collect();
         let stemming = Stemming::with_config(stemming_config);
-        let result = stemming.decompose_weighted_indexed(&stream, |i, _| weights[i]);
+        let result = stemming.decompose_cached(&mut self.encoding, &stream, |i, _| weights[i]);
         let mut reports = Vec::new();
         for component in result.components() {
             if component.event_count() < self.config.min_component_events {

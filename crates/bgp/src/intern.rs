@@ -134,7 +134,7 @@ impl Interner {
     /// if `element` is new. One probe either way.
     pub fn intern(&mut self, element: Element) -> Symbol {
         let reverse = &mut self.reverse;
-        self.forward.get_or_insert_with(element, || {
+        self.forward.get_or_insert_with(&element, || {
             let sym = Symbol(reverse.len() as u32);
             reverse.push(element);
             sym
@@ -263,6 +263,14 @@ impl From<&Interner> for SymbolTable {
 impl From<Interner> for SymbolTable {
     fn from(i: Interner) -> Self {
         SymbolTable { reverse: i.reverse }
+    }
+}
+
+/// Symbol `n` is `elements[n]`: a table numbered elsewhere, as Stemming
+/// numbers a window's symbols through its encoding cache.
+impl From<Vec<Element>> for SymbolTable {
+    fn from(reverse: Vec<Element>) -> Self {
+        SymbolTable { reverse }
     }
 }
 

@@ -1,10 +1,10 @@
 //! A map with a bounded probe and a keyed overflow, for keys a peer picks.
 //!
-//! Stemming's window build looks a key up for every symbol of every event:
-//! the interner (`Element → Symbol`), the grouping of events by sequence,
-//! and the sub-sequence index's edges (`(node, symbol) → node`). Those keys
-//! come from AS paths and prefixes, so whoever announces routes chooses
-//! them. A std `HashMap` meets that with a keyed SipHash per operation,
+//! Stemming's window build looks keys up for every event: its encoding
+//! cache's memo (`(peer, nexthop, AS path) → path`) and interner
+//! (`Element → Symbol`), the window's prefixes and groups, and the
+//! sub-sequence index's edges (`(node, symbol) → node`). Those keys come
+//! from AS paths and prefixes, so whoever announces routes chooses them. A std `HashMap` meets that with a keyed SipHash per operation,
 //! which is most of what the build costs. [`ProbeMap`] keeps the same bound
 //! on what crafted keys can do, and pays the keyed hash only when keys
 //! actually collide:
@@ -24,11 +24,17 @@
 //! the key). Collisions only push keys into the overflow, where they cost
 //! what every key cost in a std `HashMap`.
 //!
+//! Keys may own heap data — Stemming's encoding cache keys a whole AS path
+//! — and are then looked up by a borrowed form, as in a std `HashMap`
+//! (`Vec<u32>` by `&[u32]`): a lookup builds no key, and an insert makes
+//! the one owned copy.
+//!
 //! The table doubles when its entries, slotted and overflowed, pass 3/4 of
 //! its slots. Growing places every entry afresh, so overflowed keys move
 //! back into slots wherever the bigger table has room. There is no removal
 //! and no iteration: no caller needs either.
 
+use std::borrow::Borrow;
 #[cfg(test)]
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -65,9 +71,14 @@ impl Hasher for Mixer {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
             let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
+            word[..rest.len()].copy_from_slice(rest);
             self.write_u64(u64::from_le_bytes(word));
         }
     }
@@ -120,6 +131,8 @@ enum Probe<V> {
 
 /// An insert-only map whose operations cost at most [`PROBES`] slot
 /// compares plus one keyed lookup, whatever the keys (see the module doc).
+/// Values are `Copy`; keys are looked up by any borrowed form `Q` whose
+/// hash and equality agree with theirs.
 ///
 /// # Example
 ///
@@ -127,12 +140,17 @@ enum Probe<V> {
 /// use bgpscope_bgp::probe::ProbeMap;
 ///
 /// let mut ids: ProbeMap<u32, usize> = ProbeMap::new();
-/// assert_eq!(ids.get_or_insert_with(209, || 0), 0);
-/// assert_eq!(ids.get_or_insert_with(701, || 1), 1);
-/// assert_eq!(ids.get_or_insert_with(209, || 2), 0);
+/// assert_eq!(ids.get_or_insert_with(&209, || 0), 0);
+/// assert_eq!(ids.get_or_insert_with(&701, || 1), 1);
+/// assert_eq!(ids.get_or_insert_with(&209, || 2), 0);
 /// assert_eq!(ids.get(&701), Some(1));
 /// assert_eq!(ids.get(&1239), None);
 /// assert_eq!(ids.len(), 2);
+///
+/// // Owned keys, looked up and inserted by a borrowed slice.
+/// let mut paths: ProbeMap<Vec<u32>, usize> = ProbeMap::new();
+/// assert_eq!(paths.get_or_insert_with(&[11423, 209][..], || 0), 0);
+/// assert_eq!(paths.get(&[11423, 209][..]), Some(0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProbeMap<K, V> {
@@ -152,13 +170,13 @@ pub struct ProbeMap<K, V> {
     keyed: Cell<usize>,
 }
 
-impl<K: Copy + Eq + Hash, V: Copy> Default for ProbeMap<K, V> {
+impl<K: Eq + Hash, V: Copy> Default for ProbeMap<K, V> {
     fn default() -> Self {
         ProbeMap::new()
     }
 }
 
-impl<K: Copy + Eq + Hash, V: Copy> ProbeMap<K, V> {
+impl<K: Eq + Hash, V: Copy> ProbeMap<K, V> {
     /// An empty map; it allocates on the first insert.
     pub fn new() -> Self {
         ProbeMap {
@@ -199,7 +217,11 @@ impl<K: Copy + Eq + Hash, V: Copy> ProbeMap<K, V> {
     }
 
     /// The value `key` maps to, if any.
-    pub fn get(&self, key: &K) -> Option<V> {
+    pub fn get<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
         match self.probe(key) {
             Probe::Hit(value) => Some(value),
             Probe::Vacant(_) => None,
@@ -207,18 +229,23 @@ impl<K: Copy + Eq + Hash, V: Copy> ProbeMap<K, V> {
         }
     }
 
-    /// The value `key` maps to, first inserting `value()` if it maps to
-    /// none. `value` runs only when the key is new.
-    pub fn get_or_insert_with(&mut self, key: K, value: impl FnOnce() -> V) -> V {
-        let vacant = match self.probe(&key) {
+    /// The value `key` maps to, first inserting its owned copy with
+    /// `value()` if it maps to none. The copy is made, and `value` runs,
+    /// only when the key is new.
+    pub fn get_or_insert_with<Q>(&mut self, key: &Q, value: impl FnOnce() -> V) -> V
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ToOwned<Owned = K> + ?Sized,
+    {
+        let vacant = match self.probe(key) {
             Probe::Hit(found) => return found,
             Probe::Vacant(at) => Some(at),
-            Probe::Full => match self.overflowed(&key) {
+            Probe::Full => match self.overflowed(key) {
                 Some(found) => return found,
                 None => None,
             },
         };
-        let value = value();
+        let (key, value) = (key.to_owned(), value());
         self.len += 1;
         if self.len > max_load(self.slots.len()) {
             self.rebuild(slots_for(self.len));
@@ -231,16 +258,21 @@ impl<K: Copy + Eq + Hash, V: Copy> ProbeMap<K, V> {
         value
     }
 
-    /// The slot index `key`'s window starts at. The table must have slots.
+    /// The slot index a key hashing like `key` starts its window at. The
+    /// table must have slots.
     #[inline]
-    fn home(&self, key: &K) -> usize {
+    fn home<Q: Hash + ?Sized>(&self, key: &Q) -> usize {
         (hash_of(key) >> self.shift) as usize
     }
 
     /// Looks for `key` in its window: at most [`PROBES`] slots, stopping at
     /// the first free one.
     #[inline]
-    fn probe(&self, key: &K) -> Probe<V> {
+    fn probe<Q>(&self, key: &Q) -> Probe<V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
         if self.slots.is_empty() {
             return Probe::Full;
         }
@@ -250,9 +282,9 @@ impl<K: Copy + Eq + Hash, V: Copy> ProbeMap<K, V> {
             let at = (home + step) & mask;
             #[cfg(test)]
             self.compared.set(self.compared.get() + 1);
-            match self.slots[at] {
+            match &self.slots[at] {
                 None => return Probe::Vacant(at),
-                Some((slotted, value)) if slotted == *key => return Probe::Hit(value),
+                Some((slotted, value)) if slotted.borrow() == key => return Probe::Hit(*value),
                 Some(_) => {}
             }
         }
@@ -260,7 +292,11 @@ impl<K: Copy + Eq + Hash, V: Copy> ProbeMap<K, V> {
     }
 
     /// `key`'s value in the overflow: the one keyed lookup.
-    fn overflowed(&self, key: &K) -> Option<V> {
+    fn overflowed<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
         if self.overflow.is_empty() {
             return None;
         }
@@ -288,7 +324,9 @@ impl<K: Copy + Eq + Hash, V: Copy> ProbeMap<K, V> {
     /// Moves every entry into a table of `slots` slots (a power of two of at
     /// least [`PROBES`]). Overflowed keys get a slot wherever one is free.
     fn rebuild(&mut self, slots: usize) {
-        let old = std::mem::replace(&mut self.slots, vec![None; slots]);
+        let mut fresh = Vec::with_capacity(slots);
+        fresh.resize_with(slots, || None);
+        let old = std::mem::replace(&mut self.slots, fresh);
         let overflow = std::mem::take(&mut self.overflow);
         self.shift = u64::BITS - slots.trailing_zeros();
         for (key, value) in old.into_iter().flatten().chain(overflow) {
@@ -329,7 +367,7 @@ mod tests {
         let mut map: ProbeMap<Clash, u32> = ProbeMap::new();
         for k in 0..1_000 {
             let (value, compared, keyed) =
-                cost(&mut map, |map| map.get_or_insert_with(Clash(k), || k * 3));
+                cost(&mut map, |map| map.get_or_insert_with(&Clash(k), || k * 3));
             assert_eq!(value, k * 3);
             assert!(
                 compared <= PROBES,
@@ -348,7 +386,7 @@ mod tests {
             assert_eq!(found, Some(k * 3));
             assert!(compared <= PROBES && keyed <= 1);
             let (again, compared, keyed) = cost(&mut map, |map| {
-                map.get_or_insert_with(Clash(k), || u32::MAX)
+                map.get_or_insert_with(&Clash(k), || u32::MAX)
             });
             assert_eq!(again, k * 3);
             assert!(compared <= PROBES && keyed <= 1);
@@ -357,6 +395,29 @@ mod tests {
             let (found, compared, keyed) = cost(&mut map, |map| map.get(&Clash(k)));
             assert_eq!(found, None);
             assert!(compared <= PROBES && keyed <= 1);
+        }
+    }
+
+    /// Owned keys looked up by a borrowed form: `Vec<Clash>` by
+    /// `&[Clash]`, where every key of one length hashes the same. An
+    /// operation stays within the bound, and a lookup makes no owned key.
+    #[test]
+    fn colliding_owned_keys_cost_at_most_a_window_and_one_keyed_lookup() {
+        let key = |k: u32| [Clash(k), Clash(k / 2)];
+        let mut map: ProbeMap<Vec<Clash>, u32> = ProbeMap::new();
+        for k in 0..1_000 {
+            let (value, compared, keyed) = cost(&mut map, |map| {
+                map.get_or_insert_with(&key(k)[..], || k * 3)
+            });
+            assert_eq!(value, k * 3);
+            assert!(compared <= PROBES && keyed <= 1, "insert of {k}");
+        }
+        assert_eq!(map.len(), 1_000);
+        assert_eq!(map.overflow.len(), 1_000 - PROBES);
+        for k in 0..2_000 {
+            let (found, compared, keyed) = cost(&mut map, |map| map.get(&key(k)[..]));
+            assert_eq!(found, (k < 1_000).then_some(k * 3));
+            assert!(compared <= PROBES && keyed <= 1, "lookup of {k}");
         }
     }
 
@@ -371,7 +432,7 @@ mod tests {
             .take(2 * PROBES)
             .collect();
         for &k in &keys {
-            map.get_or_insert_with(k, || k + 1);
+            map.get_or_insert_with(&k, || k + 1);
         }
         assert_eq!(map.overflow.len(), PROBES);
         // In a 65,536-slot table their homes spread over 256 slots, and
@@ -390,7 +451,7 @@ mod tests {
         let mut map: ProbeMap<u32, u32> = ProbeMap::with_capacity(0);
         assert!(map.slots.is_empty() && map.is_empty());
         assert_eq!(map.get(&1), None);
-        assert_eq!(map.get_or_insert_with(1, || 2), 2);
+        assert_eq!(map.get_or_insert_with(&1, || 2), 2);
         assert_eq!(map.slots.len(), PROBES);
         assert_eq!(ProbeMap::<u32, u32>::with_capacity(13).slots.len(), 32);
     }

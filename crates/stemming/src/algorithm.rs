@@ -4,14 +4,14 @@ use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
-use bgpscope_bgp::intern::{Symbol, SymbolTable};
+use bgpscope_bgp::intern::{Element, Symbol, SymbolTable};
 use bgpscope_bgp::probe::ProbeMap;
 use bgpscope_bgp::{EventKind, EventStream, Timestamp};
 
+use crate::cache::{presized, EncodingCache, Sequences};
 use crate::component::{Component, Stem};
-use crate::count::{Leaf, SubsequenceCounter};
+use crate::count::{Leaf, SubsequenceCounter, ROOT};
 use crate::rank::RankingRule;
-use crate::sequence::SequenceEncoder;
 
 /// Tunables for [`Stemming`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -91,14 +91,28 @@ impl Stemming {
     ///
     /// # Incremental rounds
     ///
-    /// The window is encoded once into one flat symbol arena and counted
+    /// The window is encoded once, grouped by distinct sequence, and counted
     /// **once** into a [`SubsequenceCounter`] — a sub-sequence index — which
     /// is then updated *decrementally*: each extraction removes just the
     /// swept component's distinct sequences, by the index node each one's
     /// add returned (no lookup), and zeroes its prefixes' leaves (below), so
     /// round `k+1` starts from round `k`'s counts instead of recounting every
     /// surviving event, and gets its winner from the index's heap instead of
-    /// a fold over every surviving sub-sequence. Two counting-sorted arrays — prefix symbol → events, and
+    /// a fold over every surviving sub-sequence.
+    ///
+    /// Encoding goes through an [`EncodingCache`] (a cold one here; a
+    /// detector keeps one across windows, [`Stemming::decompose_cached`]):
+    /// an event costs one lookup of its (peer, nexthop, AS path), by value,
+    /// and one of its prefix, not one per symbol. Equal paths — prepends
+    /// collapsed, shared or not — are one window path, numbered the first
+    /// time the window meets it in order of first appearance, as symbol by
+    /// symbol interning numbers them. A group is a distinct (path, prefix),
+    /// its sequence the path followed by the prefix symbol; a prefix's
+    /// lookup finds its first group, and only its later paths look up a
+    /// group. Each path is walked down the index once, and every later group
+    /// on it adds its weight at the node that walk returned.
+    ///
+    /// Two counting-sorted arrays — prefix symbol → events, and
     /// symbol → the groups whose sequence holds it (postings) — let P scan
     /// only the groups posted under the winner's rarest symbol and the E
     /// sweep touch only the component being extracted. Per-round cost drops
@@ -156,19 +170,42 @@ impl Stemming {
     where
         F: Fn(usize, &bgpscope_bgp::Event) -> u64,
     {
+        self.decompose_cached(&mut EncodingCache::new(), stream, weight_of)
+    }
+
+    /// [`Stemming::decompose_weighted_indexed`] through a session-lived
+    /// [`EncodingCache`]: each (peer, nexthop, AS path) the cache already
+    /// holds costs one lookup per event instead of one per symbol. The
+    /// result is the same whatever the cache holds — symbols are numbered
+    /// per window, in order of first appearance — so a caller may drop,
+    /// clear or replace the cache at any point. A stream of more than
+    /// [`EncodingCache::MAX_PATHS`] events runs through a cold cache of its
+    /// own, leaving `cache` untouched.
+    pub fn decompose_cached<F>(
+        &self,
+        cache: &mut EncodingCache,
+        stream: &EventStream,
+        weight_of: F,
+    ) -> StemmingResult
+    where
+        F: Fn(usize, &bgpscope_bgp::Event) -> u64,
+    {
         let events = stream.events();
+        let window = if events.len() > EncodingCache::MAX_PATHS {
+            self.window(&mut EncodingCache::new(), events, weight_of)
+        } else {
+            self.window(cache, events, weight_of)
+        };
         let Window {
-            encoder,
-            arena,
-            bounds,
+            symbols,
+            sequences,
             event_prefix,
             groups,
             prefix_events,
             postings,
             leaves,
             mut counter,
-        } = self.window(events, weight_of);
-        let seq_of = |i: usize| &arena[bounds[i]..bounds[i + 1]];
+        } = window;
 
         // Indexed by symbol; only prefix symbols are ever set.
         let mut swept = vec![false; leaves.len()];
@@ -200,9 +237,8 @@ impl Stemming {
                 .expect("a winning sub-sequence is never empty");
             let mut hit = Vec::new();
             for &g in rarest {
-                let group = &groups[g as usize];
-                let p = group.prefix;
-                if !swept[p] && contains_subslice(seq_of(group.repr), &winner) {
+                let p = groups[g as usize].prefix.index();
+                if !swept[p] && contains_subslice(sequences.get(g as usize), &winner) {
                     swept[p] = true;
                     hit.push(p);
                 }
@@ -269,114 +305,126 @@ impl Stemming {
         drop(counter);
 
         let residual_indices = (0..events.len())
-            .filter(|&i| !swept[event_prefix[i]])
+            .filter(|&i| !swept[event_prefix[i].index()])
             .collect();
 
         StemmingResult {
             components,
-            symbols: encoder.into_interner().into(),
+            symbols: symbols.into(),
             total_events: events.len(),
             residual_indices,
         }
     }
 
-    /// Encodes `events` into one flat arena, groups them by distinct
-    /// sequence, files them, and counts each group into the index once:
-    /// without its prefix symbol, which each prefix's leaf stands for (see
+    /// Encodes `events` through `cache`, groups them by distinct sequence,
+    /// files them, and counts each group into the index once: without its
+    /// prefix symbol, which each prefix's leaf stands for (see
     /// [`Stemming::decompose_weighted`]).
-    fn window<F>(&self, events: &[bgpscope_bgp::Event], weight_of: F) -> Window
+    fn window<F>(
+        &self,
+        cache: &mut EncodingCache,
+        events: &[bgpscope_bgp::Event],
+        weight_of: F,
+    ) -> Window
     where
         F: Fn(usize, &bgpscope_bgp::Event) -> u64,
     {
-        let mut encoder = SequenceEncoder::with_capacity(presized(events.len() * 3 / 2));
-        let symbols_bound = events
-            .iter()
-            .map(|e| e.attrs.as_path.asns().len() + 3)
-            .sum();
-        let mut arena: Vec<Symbol> = Vec::with_capacity(symbols_bound);
-        let mut bounds = Vec::with_capacity(events.len() + 1);
-        bounds.push(0);
-        for event in events {
-            encoder.encode_into(event, &mut arena);
-            bounds.push(arena.len());
-        }
-        let seq_of = |i: usize| &arena[bounds[i]..bounds[i + 1]];
-        let event_prefix: Vec<usize> = (0..events.len())
-            .map(|i| arena[bounds[i + 1] - 1].index())
-            .collect();
-
-        // Group events by distinct sequence (repr = first event index).
-        let mut group_of: ProbeMap<&[Symbol], usize> =
-            ProbeMap::with_capacity(presized(events.len()));
+        // A group is a distinct sequence: a distinct (path, prefix), since
+        // the cache gives equal paths one window path. Its sequence is its
+        // path followed by its prefix. A prefix files its first group, and
+        // almost every prefix has one group in a window, so its lookup
+        // finds the group; only a prefix's later paths need the group map.
+        let mut encoder = cache.window(events.len());
+        let mut later_groups: ProbeMap<(u32, Symbol), u32> = ProbeMap::new();
         let mut groups: Vec<Group> = Vec::new();
-        for (i, event) in events.iter().enumerate() {
-            let g = group_of.get_or_insert_with(seq_of(i), || {
-                groups.push(Group {
-                    repr: i,
-                    prefix: event_prefix[i],
-                    weight: 0,
-                    held: 0,
-                });
-                groups.len() - 1
+        let new_group = |groups: &mut Vec<Group>, path, prefix| {
+            groups.push(Group {
+                path,
+                prefix,
+                weight: 0,
+                held: ROOT,
             });
-            groups[g].weight += weight_of(i, event);
+            (groups.len() - 1) as u32
+        };
+        let mut event_prefix = Vec::with_capacity(events.len());
+        for (i, event) in events.iter().enumerate() {
+            let path = encoder.path(event);
+            let first = encoder.prefix(event.prefix, |prefix| new_group(&mut groups, path, prefix));
+            let Group {
+                path: on, prefix, ..
+            } = groups[first as usize];
+            let g = if on == path {
+                first
+            } else {
+                later_groups
+                    .get_or_insert_with(&(path, prefix), || new_group(&mut groups, path, prefix))
+            };
+            groups[g as usize].weight += weight_of(i, event);
+            event_prefix.push(prefix);
         }
         // Only needed to form the groups; free it before the index is built.
-        drop(group_of);
+        drop(later_groups);
+        let (symbols, paths) = encoder.finish();
+        let mut sequences = Sequences::default();
+        for group in &groups {
+            sequences.extend(paths.get(group.path as usize), group.prefix);
+        }
 
         // Invert the stream: prefix symbol → event indices, and symbol →
         // the groups whose sequence holds it (its postings), both ascending.
         // A symbol repeated inside one sequence posts its group once per
         // occurrence. A prefix symbol occurs only last, and only in its own
         // groups' sequences, so its postings are exactly the prefix's groups.
-        let symbols = encoder.interner().len();
         let prefix_events = Buckets::new(
-            symbols,
-            event_prefix.iter().enumerate().map(|(i, &p)| (p, i)),
+            symbols.len(),
+            event_prefix.iter().enumerate().map(|(i, p)| (p.index(), i)),
         );
         let postings = Buckets::new(
-            symbols,
-            groups
-                .iter()
-                .enumerate()
-                .flat_map(|(g, group)| seq_of(group.repr).iter().map(move |s| (s.index(), g))),
+            symbols.len(),
+            (0..groups.len()).flat_map(|g| sequences.get(g).iter().map(move |s| (s.index(), g))),
         );
 
-        // The trie holds every group without its prefix symbol: a
-        // sub-sequence free of it keeps its exact count, and groups that
-        // differ only in the prefix share one node whose held weights add.
-        let without_prefix = |group: &Group| {
-            let seq = seq_of(group.repr);
-            &seq[..seq.len() - 1]
-        };
+        // The trie holds every group without its prefix symbol — its path:
+        // a sub-sequence free of it keeps its exact count, and groups on one
+        // path share the node the path's one walk returned, their held
+        // weights adding up.
+        // Sized by the groups' paths counted once per group, not once per
+        // distinct path: a churn window's paths are few, but their
+        // sub-sequences take about one node per symbol of every group.
         let mut counter = SubsequenceCounter::new(self.config.max_subseq_len);
-        counter.reserve(presized(
-            groups.iter().map(|group| without_prefix(group).len()).sum(),
-        ));
-        for group in &mut groups {
-            group.held = counter.add_held(without_prefix(group), group.weight);
+        counter.reserve(presized(sequences.symbols() - groups.len()));
+        let mut path_node = vec![ROOT; paths.len()];
+        for group in groups.iter_mut().filter(|group| group.weight > 0) {
+            let node = &mut path_node[group.path as usize];
+            if *node == ROOT {
+                // A path holds a peer and a nexthop: never the root.
+                *node = counter.intern(paths.get(group.path as usize));
+            }
+            counter.hold(*node, group.weight);
+            group.held = *node;
         }
 
         // Each prefix gets one leaf: the best of its groups' suffixes, all
         // of which end in it. None when that suffix is below the floor.
         let floor = self.config.ranking.candidate_floor(self.config.min_support);
-        let mut leaves = vec![None; symbols];
+        let mut leaves = vec![None; symbols.len()];
         let mut of_prefix = Vec::new();
         for (p, leaf) in leaves.iter_mut().enumerate() {
             if prefix_events.get(p).is_empty() {
                 continue;
             }
             of_prefix.clear();
-            of_prefix.extend(postings.get(p).iter().map(|&g| {
-                let group = &groups[g as usize];
-                (seq_of(group.repr), group.weight)
-            }));
+            of_prefix.extend(
+                postings
+                    .get(p)
+                    .iter()
+                    .map(|&g| (sequences.get(g as usize), groups[g as usize].weight)),
+            );
             *leaf = counter.add_leaf(self.config.ranking, floor, &mut of_prefix);
         }
         Window {
-            encoder,
-            arena,
-            bounds,
+            symbols,
+            sequences,
             event_prefix,
             groups,
             prefix_events,
@@ -387,26 +435,15 @@ impl Stemming {
     }
 }
 
-/// The capacity a window's interner and group map are created with, for
-/// `wanted` entries: up front, so a small window never rehashes them. A
-/// churn window needs at most 1.5 symbols and one distinct sequence per
-/// event (`grass`: 1.39 and 1.00). Past 4,096 a table grows from there to
-/// the power of two growing from empty would have reached, so a
-/// 40,000-event window — 0.34 symbols and 0.43 sequences per event on
-/// `spike` — holds no bigger tables than before.
-fn presized(wanted: usize) -> usize {
-    wanted.min(4096)
-}
-
 /// One window, encoded and counted once: what the rounds of
 /// [`Stemming::decompose_weighted_indexed`] start from.
 struct Window {
-    encoder: SequenceEncoder,
-    /// Event `i`'s sequence is `arena[bounds[i]..bounds[i + 1]]`; it ends
-    /// with the event's interned prefix symbol, `event_prefix[i]`.
-    arena: Vec<Symbol>,
-    bounds: Vec<usize>,
-    event_prefix: Vec<usize>,
+    /// Window symbol → its element, in order of first appearance.
+    symbols: Vec<Element>,
+    /// Group `g`'s sequence: its path, then its prefix symbol.
+    sequences: Sequences,
+    /// Event `i`'s prefix symbol.
+    event_prefix: Vec<Symbol>,
     groups: Vec<Group>,
     /// Prefix symbol → its events.
     prefix_events: Buckets,
@@ -420,10 +457,10 @@ struct Window {
 
 /// The events of a window that share one sequence.
 struct Group {
-    /// The first of them.
-    repr: usize,
+    /// Their window path.
+    path: u32,
     /// Their prefix symbol.
-    prefix: usize,
+    prefix: Symbol,
     /// Their summed weight.
     weight: u64,
     /// The index node holding them without their prefix symbol (the root
@@ -566,6 +603,7 @@ impl StemmingResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequence::SequenceEncoder;
     use bgpscope_bgp::intern::Element;
     use bgpscope_bgp::{Asn, Event, PathAttributes, PeerId, RouterId};
 
@@ -867,7 +905,8 @@ mod tests {
             min_support: 2,
             ..StemmingConfig::default()
         };
-        let window = Stemming::with_config(config).window(events, |_, _| 1);
+        let window =
+            Stemming::with_config(config).window(&mut EncodingCache::new(), events, |_, _| 1);
         let is_prefix = |s: &Symbol| !window.prefix_events.get(s.index()).is_empty();
         let mut with_leaf = BTreeSet::new();
         let mut trie = 0;
@@ -889,17 +928,10 @@ mod tests {
         (trie, with_leaf.len())
     }
 
-    /// A churn window — 350 withdrawals, each for its own prefix, over 4
-    /// peers × 32 paths — indexes the nodes of its distinct peer/hop/path
-    /// sequences; each prefix weighs 1, below `min_support` 2, so it gets a
-    /// leaf only under `CoverageWeighted`, whose floor is 1. A 40,000-event
-    /// session-flap window — 20,000 prefixes, each announced and withdrawn
-    /// over one of 13 three-hop paths — holds at most 20,100 nodes: a leaf
-    /// per prefix on a trie of its 13 sequences, where indexing every full
-    /// sequence took 120,076.
-    #[test]
-    fn the_index_holds_only_what_can_win() {
-        let churn: Vec<Event> = (0..350u64)
+    /// A churn window: 350 withdrawals, each for its own prefix, over 4
+    /// peers × 32 paths.
+    fn churn_window() -> Vec<Event> {
+        (0..350u64)
             .map(|i| {
                 let (peer, path) = ((i % 4) as u8, i / 4 % 32);
                 withdraw(
@@ -910,7 +942,40 @@ mod tests {
                     &format!("10.{}.{}.0/24", i / 250, i % 250),
                 )
             })
-            .collect();
+            .collect()
+    }
+
+    /// A 40,000-event session-flap window: 20,000 prefixes, each announced
+    /// and withdrawn over one of 13 three-hop paths.
+    fn flap_window() -> Vec<Event> {
+        let flap = |t: u64, i: u64| {
+            let event = withdraw(
+                t,
+                3,
+                66,
+                &format!("7018 209 {}", 300 + i % 13),
+                &format!("20.{}.{}.0/24", i / 256, i % 256),
+            );
+            if t < 20_000 {
+                Event::announce(event.time, event.peer, event.prefix, event.attrs)
+            } else {
+                event
+            }
+        };
+        (0..20_000)
+            .map(|i| flap(i, i))
+            .chain((0..20_000).map(|i| flap(20_000 + i, i)))
+            .collect()
+    }
+
+    /// The churn window indexes the nodes of its distinct peer/hop/path
+    /// sequences; each prefix weighs 1, below `min_support` 2, so it gets a
+    /// leaf only under `CoverageWeighted`, whose floor is 1. The flap window
+    /// holds at most 20,100 nodes: a leaf per prefix on a trie of its 13
+    /// sequences, where indexing every full sequence took 120,076.
+    #[test]
+    fn the_index_holds_only_what_can_win() {
+        let churn = churn_window();
         let mut encoder = SequenceEncoder::new();
         let mut without_prefix = SubsequenceCounter::new(0);
         for event in &churn {
@@ -926,24 +991,7 @@ mod tests {
             );
         }
 
-        let flap = |t: u64, i: u64| {
-            let event = withdraw(
-                t,
-                3,
-                66,
-                &format!("7018 209 {}", 300 + i % 13),
-                &format!("20.{}.{}.0/24", i / 256, i % 256),
-            );
-            if t < 20_000 {
-                Event::announce(event.time, event.peer, event.prefix, event.attrs)
-            } else {
-                event
-            }
-        };
-        let flaps: Vec<Event> = (0..20_000)
-            .map(|i| flap(i, i))
-            .chain((0..20_000).map(|i| flap(20_000 + i, i)))
-            .collect();
+        let flaps = flap_window();
         let mut every_full_sequence = SubsequenceCounter::new(0);
         for event in &flaps {
             every_full_sequence.add(&encoder.encode(event));
@@ -955,6 +1003,56 @@ mod tests {
             assert_eq!(trie, 76, "{ranking:?}");
             assert!(trie + leaves <= 20_100, "{ranking:?}");
         }
+    }
+
+    /// The encode work is per distinct (peer, nexthop, path), not per
+    /// symbol. Interning every symbol of every event takes 240,000 element
+    /// lookups on the flap window; through the encoding cache it encodes
+    /// its 13 paths once each and looks up 40,000 prefixes, and a second
+    /// window through the same cache encodes none. The churn window walks
+    /// the trie once per distinct peer/hop/path sequence, not once per
+    /// group, and a prepended or unshared copy of a path is the same path.
+    #[test]
+    fn each_path_is_encoded_and_walked_once() {
+        let stemming = Stemming::new();
+        let flaps = flap_window();
+        let symbols: usize = flaps
+            .iter()
+            .map(|e| SequenceEncoder::new().encode(e).len())
+            .sum();
+        assert_eq!(symbols, 240_000);
+        let mut cache = EncodingCache::new();
+        let window = stemming.window(&mut cache, &flaps, |_, _| 1);
+        assert_eq!((cache.encoded, cache.prefix_lookups), (13, 40_000));
+        assert_eq!(window.counter.walks, 13);
+        stemming.window(&mut cache, &flaps, |_, _| 1);
+        assert_eq!((cache.encoded, cache.prefix_lookups), (13, 80_000));
+
+        let churn = churn_window();
+        let mut encoder = SequenceEncoder::new();
+        let distinct: BTreeSet<Vec<Symbol>> = churn
+            .iter()
+            .map(|e| {
+                let mut seq = encoder.encode(e);
+                seq.pop();
+                seq
+            })
+            .collect();
+        assert_eq!(distinct.len(), 128);
+        let window = stemming.window(&mut EncodingCache::new(), &churn, |_, _| 1);
+        assert_eq!(window.groups.len(), 350);
+        assert_eq!(window.counter.walks, 128);
+
+        let copies = vec![
+            withdraw(0, 1, 1, "11423 209 701", "10.0.0.0/8"),
+            withdraw(1, 1, 1, "11423 11423 209 701 701", "10.0.0.0/8"),
+            withdraw(2, 1, 1, "11423 209 701", "10.0.0.0/8"),
+            withdraw(3, 1, 1, "11423 209 209 701", "10.1.0.0/16"),
+        ];
+        let mut cache = EncodingCache::new();
+        let window = stemming.window(&mut cache, &copies, |_, _| 1);
+        assert_eq!((cache.encoded, window.groups.len()), (1, 2));
+        assert_eq!(window.counter.walks, 1);
     }
 
     #[test]

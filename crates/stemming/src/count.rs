@@ -95,7 +95,7 @@ impl SubsequenceStat {
 }
 
 /// The empty sub-sequence: every walk starts here.
-const ROOT: u32 = 0;
+pub(crate) const ROOT: u32 = 0;
 
 /// The edge map's key: `parent`'s child along `symbol`. Two `u32`s, and
 /// the child's id is a `NonZeroU32` (the root is nobody's child), whose
@@ -236,6 +236,9 @@ pub struct SubsequenceCounter {
     built: bool,
     /// The winner heap, while no add has happened since it was built.
     winners: Option<Winners>,
+    /// Walks down the trie to a sequence's node, for the structural tests.
+    #[cfg(test)]
+    pub(crate) walks: usize,
 }
 
 impl SubsequenceCounter {
@@ -253,6 +256,8 @@ impl SubsequenceCounter {
             edges: ProbeMap::new(),
             built: false,
             winners: None,
+            #[cfg(test)]
+            walks: 0,
         }
     }
 
@@ -292,18 +297,18 @@ impl SubsequenceCounter {
     /// count. Once they are built, each distinct sub-sequence of `seq` gains
     /// `weight` in place, and the winner heap is discarded.
     pub fn add_weighted(&mut self, seq: &[Symbol], weight: u64) {
-        self.add_held(seq, weight);
+        if weight > 0 {
+            let terminal = self.intern(seq);
+            self.hold(terminal, weight);
+        }
     }
 
-    /// [`SubsequenceCounter::add_weighted`], returning the node that holds
-    /// `seq` — what [`SubsequenceCounter::remove_held`] takes to remove it
-    /// again without looking it up. A zero `weight` adds nothing and returns
-    /// the root.
-    pub(crate) fn add_held(&mut self, seq: &[Symbol], weight: u64) -> u32 {
-        if weight == 0 {
-            return ROOT;
-        }
-        let terminal = self.intern(seq);
+    /// Adds a non-zero `weight` of the sequence `terminal` spells — a node
+    /// [`SubsequenceCounter::intern`] returned — without walking to it:
+    /// how the decomposition adds every group on one path after the path's
+    /// one walk, and removes it again by that node
+    /// ([`SubsequenceCounter::remove_held`]).
+    pub(crate) fn hold(&mut self, terminal: u32, weight: u64) {
         let held = &mut self.nodes[terminal as usize].held;
         if *held == 0 {
             self.distinct += 1;
@@ -314,7 +319,6 @@ impl SubsequenceCounter {
         if self.built {
             self.for_each_counted(terminal, |count| *count += weight);
         }
-        terminal
     }
 
     /// Removes `weight` worth of a previously added sequence, mirroring
@@ -337,7 +341,7 @@ impl SubsequenceCounter {
     }
 
     /// [`SubsequenceCounter::remove_weighted`] of the sequence `terminal`
-    /// spells — a node [`SubsequenceCounter::add_held`] returned — with the
+    /// spells — a node [`SubsequenceCounter::intern`] returned — with the
     /// same rejections, and no lookup.
     pub(crate) fn remove_held(&mut self, terminal: u32, weight: u64) -> bool {
         if weight == 0 {
@@ -523,10 +527,15 @@ impl SubsequenceCounter {
         })
     }
 
-    /// The node spelling the whole of `seq`. If the walk has to create
-    /// nodes, `seq` is new to the arena and is appended; otherwise it is a
-    /// prefix of a sequence already there and the node points into that.
-    fn intern(&mut self, seq: &[Symbol]) -> u32 {
+    /// The node spelling the whole of `seq`: one walk down the trie. If the
+    /// walk has to create nodes, `seq` is new to the arena and is appended;
+    /// otherwise it is a prefix of a sequence already there and the node
+    /// points into that.
+    pub(crate) fn intern(&mut self, seq: &[Symbol]) -> u32 {
+        #[cfg(test)]
+        {
+            self.walks += 1;
+        }
         let base = self.arena.len();
         let nodes_before = self.nodes.len();
         let mut node = ROOT;
@@ -574,7 +583,7 @@ impl SubsequenceCounter {
                 .and_then(NonZeroU32::new)
                 .expect("trie node ids fit in u32, and the root is node 0");
             let nodes = &mut self.nodes;
-            let node = self.edges.get_or_insert_with(Edge(parent, symbol), || {
+            let node = self.edges.get_or_insert_with(&Edge(parent, symbol), || {
                 let len = nodes[parent as usize].len + 1;
                 let arena_off =
                     u32::try_from(end - len as usize).expect("arena offsets fit in u32");

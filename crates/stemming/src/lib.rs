@@ -57,6 +57,7 @@
 //! ```
 
 pub mod algorithm;
+pub mod cache;
 pub mod component;
 pub mod count;
 pub mod rank;
@@ -65,6 +66,7 @@ pub mod reference;
 pub mod sequence;
 
 pub use algorithm::{Stemming, StemmingConfig, StemmingResult};
+pub use cache::EncodingCache;
 pub use component::{Component, Stem};
 pub use count::{SubsequenceCounter, SubsequenceStat};
 pub use rank::RankingRule;

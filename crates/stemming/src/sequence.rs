@@ -9,7 +9,11 @@
 use bgpscope_bgp::intern::{Element, Interner, Symbol};
 use bgpscope_bgp::Event;
 
-/// Encodes events into interned symbol sequences, owning the interner.
+/// Encodes events into interned symbol sequences, owning the interner:
+/// symbol by symbol, in order of first appearance. The reference
+/// decomposition encodes this way; the shipped one goes through an
+/// [`EncodingCache`](crate::EncodingCache), which numbers a window's
+/// symbols the same.
 #[derive(Debug, Default)]
 pub struct SequenceEncoder {
     interner: Interner,
@@ -21,23 +25,9 @@ impl SequenceEncoder {
         SequenceEncoder::default()
     }
 
-    /// A fresh encoder whose symbol table holds `symbols` symbols before it
-    /// grows. Numbering is first-appearance order either way.
-    pub fn with_capacity(symbols: usize) -> Self {
-        SequenceEncoder {
-            interner: Interner::with_capacity(symbols),
-        }
-    }
-
     /// Encodes one event into its sequence `x h a1 … an p`.
     pub fn encode(&mut self, event: &Event) -> Vec<Symbol> {
         sequence_of(event, &mut self.interner)
-    }
-
-    /// Appends one event's sequence to `out` — how a whole window is encoded
-    /// into one flat arena without a `Vec` per event.
-    pub fn encode_into(&mut self, event: &Event, out: &mut Vec<Symbol>) {
-        append_sequence(event, &mut self.interner, out);
     }
 
     /// The interner accumulated so far.
@@ -57,11 +47,6 @@ impl SequenceEncoder {
 /// duplicate ASes collapsed.
 pub fn sequence_of(event: &Event, interner: &mut Interner) -> Vec<Symbol> {
     let mut seq = Vec::with_capacity(event.attrs.as_path.asns().len() + 3);
-    append_sequence(event, interner, &mut seq);
-    seq
-}
-
-fn append_sequence(event: &Event, interner: &mut Interner, seq: &mut Vec<Symbol>) {
     seq.push(interner.intern(Element::Peer(event.peer)));
     seq.push(interner.intern(Element::Nexthop(event.attrs.next_hop)));
     let mut prev = None;
@@ -73,6 +58,7 @@ fn append_sequence(event: &Event, interner: &mut Interner, seq: &mut Vec<Symbol>
         prev = Some(asn);
     }
     seq.push(interner.intern(Element::Prefix(event.prefix)));
+    seq
 }
 
 #[cfg(test)]

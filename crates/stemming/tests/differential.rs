@@ -26,9 +26,19 @@
 //! paths that end in the same hops, so a prefix has several groups and its
 //! suffixes count across them.
 //!
-//! Four fixed windows at the end guard what the generated ones are too
+//! The decomposition encodes through an `EncodingCache` that lives across
+//! windows and numbers each window's symbols in order of first appearance
+//! in that window. The session-cache generator aims at it: runs of 2 to 8
+//! windows drawing paths from one pool of shared `AsPath` values (so the
+//! cache's memo hits), next to unshared copies of equal paths and
+//! prepended variants (`1 1 2` beside `1 2`), which must collapse to one
+//! sequence. Every window goes through one cache, a fresh cache, and a
+//! cache cleared before it, and each must match the reference.
+//!
+//! Five fixed windows at the end guard what the generated ones are too
 //! small for: a hash-iteration-order leak (two runs in one process hash
-//! differently), a heavily stale winner heap, and thousands of leaves.
+//! differently), a heavily stale winner heap, thousands of leaves, and a
+//! long run of windows through one cache.
 //!
 //! Case count honors `PROPTEST_CASES` (CI raises it to 4096, in `--release`:
 //! every generated window is at most 120 events).
@@ -39,7 +49,7 @@ use bgpscope_bgp::{
     AsPath, Event, EventStream, PathAttributes, PeerId, Prefix, RouterId, Timestamp,
 };
 use bgpscope_stemming::reference::decompose_weighted_reference;
-use bgpscope_stemming::{RankingRule, Stemming, StemmingConfig, StemmingResult};
+use bgpscope_stemming::{EncodingCache, RankingRule, Stemming, StemmingConfig, StemmingResult};
 
 /// Leading AS pairs per correlation group. Groups 0/1 share AS 100 and
 /// groups 0/3 share AS 200, so sub-sequences overlap *across* groups.
@@ -158,6 +168,71 @@ fn flap_leak_strategy() -> impl Strategy<Value = EventStream> {
     })
 }
 
+/// The shared paths of the session-cache streams: prefixes and extensions
+/// of one another, so sub-sequences recur across them.
+const POOL_PATHS: [&[u32]; 6] = [
+    &[100, 200, 300],
+    &[100, 200],
+    &[100, 400, 300],
+    &[500, 200],
+    &[100, 200, 300, 600],
+    &[],
+];
+
+/// One event of a session-cache stream:
+/// `(peer, pool path, variant, prefix_idx, time_ms, announce)`.
+type CacheDraw = (u8, usize, u8, usize, u64, bool);
+
+/// An event over pool path `path`, as the pool's own shared value (variant
+/// 0), an unshared copy of it (1), with its first AS prepended once (2), or
+/// with every AS doubled (3). All four encode to one sequence.
+fn cache_event(
+    pool: &[AsPath],
+    (peer, path, variant, prefix_idx, time_ms, announce): CacheDraw,
+) -> Event {
+    let shared = &pool[path];
+    let asns = shared.asns().iter().copied();
+    let as_path = match variant {
+        0 => shared.clone(),
+        1 => AsPath::from_asns(asns),
+        2 => AsPath::from_asns(shared.first_as().into_iter().chain(asns)),
+        _ => AsPath::from_asns(asns.flat_map(|asn| [asn, asn])),
+    };
+    // Three peers over two nexthops: a nexthop recurs across peers.
+    let attrs = PathAttributes::new(RouterId::from_octets(128, 32, 0, 1 + peer % 2), as_path);
+    let peer = PeerId::from_octets(128, 32, 1, 1 + peer);
+    let prefix = Prefix::from_octets(10, (prefix_idx % 3) as u8, prefix_idx as u8, 0, 24);
+    let time = Timestamp::from_millis(time_ms);
+    if announce {
+        Event::announce(time, peer, prefix, attrs)
+    } else {
+        Event::withdraw(time, peer, prefix, attrs)
+    }
+}
+
+/// Runs of 2 to 8 windows of up to 40 events each, over one pool of shared
+/// paths.
+fn cache_windows_strategy() -> impl Strategy<Value = Vec<EventStream>> {
+    let draw = (
+        0u8..3,
+        0usize..POOL_PATHS.len(),
+        0u8..4,
+        0usize..12,
+        0u64..2000,
+        any::<bool>(),
+    );
+    collection::vec(collection::vec(draw, 0..40), 2..9).prop_map(|windows| {
+        let pool: Vec<AsPath> = POOL_PATHS
+            .iter()
+            .map(|path| AsPath::from_u32s(path.iter().copied()))
+            .collect();
+        windows
+            .into_iter()
+            .map(|draws| draws.into_iter().map(|d| cache_event(&pool, d)).collect())
+            .collect()
+    })
+}
+
 /// Deterministic per-*instance* weight with a real zero class: two identical
 /// events at different stream positions weigh differently. Both paths call
 /// this on demand, so it must be a pure function of its arguments.
@@ -186,6 +261,40 @@ fn assert_paths_identical(stream: &EventStream, config: &StemmingConfig) {
         Stemming::with_config(config.clone()).decompose_weighted_indexed(stream, weight_of);
     let reference = decompose_weighted_reference(config, stream, weight_of);
     assert_results_identical(&shipped, &reference, stream.len());
+}
+
+/// Decomposes each of `windows` in turn three ways — through one cache
+/// kept across them, through a fresh cache, and through a cache cleared
+/// before each — and holds every result to the reference.
+fn assert_windows_identical_through_caches(windows: &[EventStream], config: &StemmingConfig) {
+    let stemming = Stemming::with_config(config.clone());
+    let (mut session, mut reset) = (EncodingCache::new(), EncodingCache::new());
+    for (at, stream) in windows.iter().enumerate() {
+        let reference = decompose_weighted_reference(config, stream, weight_of);
+        reset.clear();
+        let through = [
+            (
+                "one cache",
+                stemming.decompose_cached(&mut session, stream, weight_of),
+            ),
+            (
+                "a fresh cache",
+                stemming.decompose_weighted_indexed(stream, weight_of),
+            ),
+            (
+                "a cleared cache",
+                stemming.decompose_cached(&mut reset, stream, weight_of),
+            ),
+        ];
+        for (how, shipped) in &through {
+            assert_eq!(
+                shipped.report(),
+                reference.report(),
+                "window {at} through {how}"
+            );
+            assert_results_identical(shipped, &reference, stream.len());
+        }
+    }
 }
 
 proptest! {
@@ -278,6 +387,26 @@ proptest! {
             ..StemmingConfig::default()
         };
         assert_paths_identical(&stream, &config);
+    }
+
+    /// Runs of windows through the session encoding cache, at thresholds 1
+    /// to 3: shared, unshared and prepended copies of one path are one
+    /// sequence, and every window numbers its symbols afresh, whatever the
+    /// cache met in the windows before it.
+    #[test]
+    fn session_cache_windows_match_reference_across_rules_and_thresholds(
+        windows in cache_windows_strategy(),
+        rule in 0usize..3,
+        support in 1u64..4,
+        cap in 0usize..3,
+    ) {
+        let config = StemmingConfig {
+            ranking: RankingRule::ALL[rule],
+            min_support: support,
+            max_subseq_len: [0, 2, 3][cap],
+            ..StemmingConfig::default()
+        };
+        assert_windows_identical_through_caches(&windows, &config);
     }
 
     /// The unweighted entry point (`decompose`) against the reference with
@@ -442,5 +571,50 @@ fn flap_leak_window_is_deterministic() {
     assert_eq!(stream.len(), 2_000);
     for ranking in RankingRule::ALL {
         assert_deterministic_and_identical(&stream, ranking);
+    }
+}
+
+/// Six 300-event windows through one cache, under every rule: the pool's
+/// paths in all four forms, over three peers and 40 prefixes. Each window
+/// meets the peers, paths and prefixes in its own order.
+#[test]
+fn session_cache_window_run_is_deterministic() {
+    let mut state = 37_001u64;
+    let mut draw = |below: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % below
+    };
+    let pool: Vec<AsPath> = POOL_PATHS
+        .iter()
+        .map(|path| AsPath::from_u32s(path.iter().copied()))
+        .collect();
+    let windows: Vec<EventStream> = (0..6)
+        .map(|_| {
+            (0..300)
+                .map(|_| {
+                    let event = (
+                        draw(3) as u8,
+                        draw(POOL_PATHS.len() as u64) as usize,
+                        draw(4) as u8,
+                        draw(40) as usize,
+                        draw(2000),
+                        draw(2) == 0,
+                    );
+                    cache_event(&pool, event)
+                })
+                .collect()
+        })
+        .collect();
+    for ranking in RankingRule::ALL {
+        for min_support in 1..=3 {
+            let config = StemmingConfig {
+                ranking,
+                min_support,
+                ..StemmingConfig::default()
+            };
+            assert_windows_identical_through_caches(&windows, &config);
+        }
     }
 }
