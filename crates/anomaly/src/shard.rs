@@ -55,11 +55,13 @@
 //!
 //! [`SupervisorConfig::max_restarts`]: crate::pipeline::SupervisorConfig
 
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use serde::Serialize;
 
+use bgpscope_bgp::probe::ProbeMap;
 use bgpscope_bgp::{Event, PeerId, Prefix, Timestamp, UpdateMessage};
 use bgpscope_collector::Collector;
 
@@ -792,6 +794,10 @@ impl std::fmt::Display for GlobalIncident {
 ///
 /// The result is sorted by (event count desc, start, end, stem) — a total,
 /// deterministic order independent of shard interleaving.
+///
+/// O(n log n) in the reports: each stem group is joined by one sort and a
+/// sweep (`join_overlapping`), and the incidents are built in their sorted
+/// places.
 pub fn merge_incidents(per_shard: &[Vec<AnomalyReport>]) -> Vec<GlobalIncident> {
     merge_incidents_owned(per_shard.to_vec())
 }
@@ -799,76 +805,148 @@ pub fn merge_incidents(per_shard: &[Vec<AnomalyReport>]) -> Vec<GlobalIncident> 
 /// [`merge_incidents`] by value: singletons are moved into their incident,
 /// never cloned.
 fn merge_incidents_owned(per_shard: Vec<Vec<AnomalyReport>>) -> Vec<GlobalIncident> {
-    // Flatten deterministically: shard order, then emission order.
-    let members: Vec<(usize, AnomalyReport)> = per_shard
+    // Flatten deterministically: shard order, then emission order. Each
+    // report is moved once more, into its incident.
+    let mut members: Vec<Option<(usize, AnomalyReport)>> = per_shard
         .into_iter()
         .enumerate()
-        .flat_map(|(k, reports)| reports.into_iter().map(move |report| (k, report)))
+        .flat_map(|(k, reports)| reports.into_iter().map(move |report| Some((k, report))))
         .collect();
 
-    // Group by stem in first-seen order (stable across runs, unlike a
-    // HashMap iteration).
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut by_stem: HashMap<&str, usize> = HashMap::new();
-    for (i, (_, report)) in members.iter().enumerate() {
-        let g = *by_stem.entry(report.stem.as_str()).or_insert_with(|| {
-            groups.push(Vec::new());
-            groups.len() - 1
-        });
-        groups[g].push(i);
-    }
+    let (classes, order) = {
+        let member = |i: usize| members[i].as_ref().expect("no member is taken yet");
 
-    // Equivalence classes (member indices), in first-member order.
-    let mut classes: Vec<Vec<usize>> = Vec::new();
-    for group in &groups {
-        // Union-find within the stem group: connect different-shard
-        // members with overlapping envelopes.
-        let mut parent: Vec<usize> = (0..group.len()).collect();
-        for a in 0..group.len() {
-            for b in (a + 1)..group.len() {
-                let (shard_a, ra) = &members[group[a]];
-                let (shard_b, rb) = &members[group[b]];
-                if shard_a != shard_b && ra.start <= rb.end && rb.start <= ra.end {
-                    let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-                    if ra != rb {
-                        parent[ra.max(rb)] = ra.min(rb);
-                    }
+        // Group by stem in first-seen order (stable across runs, unlike a
+        // HashMap iteration).
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut by_stem: ProbeMap<&str, usize> = ProbeMap::new();
+        for i in 0..members.len() {
+            let g = by_stem.get_or_insert_with(&member(i).1.stem.as_str(), || {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[g].push(i);
+        }
+
+        // Equivalence classes (member indices), in first-member order.
+        let mut classes: Vec<Vec<usize>> = Vec::new();
+        for group in &groups {
+            let spans: Vec<Span> = group
+                .iter()
+                .map(|&i| {
+                    let (shard, report) = member(i);
+                    (*shard, report.start, report.end)
+                })
+                .collect();
+            let mut parent = join_overlapping(&spans);
+            // Root (a group position) → its class.
+            let mut class_of = vec![usize::MAX; group.len()];
+            for (i, &m) in group.iter().enumerate() {
+                let root = find(&mut parent, i);
+                if class_of[root] == usize::MAX {
+                    class_of[root] = classes.len();
+                    classes.push(Vec::new());
                 }
+                classes[class_of[root]].push(m);
             }
         }
-        let mut class_of: HashMap<usize, usize> = HashMap::new();
-        for (i, &member) in group.iter().enumerate() {
-            let root = find(&mut parent, i);
-            let c = *class_of.entry(root).or_insert_with(|| {
-                classes.push(Vec::new());
-                classes.len() - 1
-            });
-            classes[c].push(member);
+
+        // Sorted by (event count desc, start, end, stem), ties in class
+        // order. A merged incident sums its members' counts and spans their
+        // envelopes, so the keys come from the members, and each incident is
+        // built in its place: the classes are sorted, not the incidents.
+        let mut order: Vec<(Reverse<usize>, Timestamp, Timestamp, usize)> = classes
+            .iter()
+            .enumerate()
+            .map(|(c, class)| {
+                let reports = || class.iter().map(|&i| &member(i).1);
+                let events = reports().map(|report| report.event_count).sum();
+                let start = reports().map(|report| report.start).min();
+                let end = reports().map(|report| report.end).max();
+                let (start, end) = start.zip(end).expect("a class has a member");
+                (Reverse(events), start, end, c)
+            })
+            .collect();
+        let stem = |c: usize| member(classes[c][0]).1.stem.as_str();
+        order.sort_unstable_by(|a, b| {
+            (a.0, a.1, a.2)
+                .cmp(&(b.0, b.1, b.2))
+                .then_with(|| stem(a.3).cmp(stem(b.3)))
+                .then(a.3.cmp(&b.3))
+        });
+        (classes, order)
+    };
+
+    let mut take = |i: usize| members[i].take().expect("one class per member");
+    order
+        .into_iter()
+        .map(|(.., c)| match classes[c][..] {
+            [only] => {
+                let (shard, report) = take(only);
+                GlobalIncident {
+                    report,
+                    shards: vec![shard],
+                    merged_from: 1,
+                }
+            }
+            ref class => merge_class(class.iter().map(|&i| take(i)).collect()),
+        })
+        .collect()
+}
+
+/// A stem group member's shard and envelope: `(shard, start, end)`.
+type Span = (usize, Timestamp, Timestamp);
+
+/// Union-find over one stem group, given its members' spans: joins every
+/// two members from different shards whose envelopes overlap, and returns
+/// the parent links, indexed like `spans`.
+///
+/// One sort by start and a sweep, O(g log g) in the group's size. Sorted
+/// by start, a member overlaps exactly the earlier members that have not
+/// ended before it starts — the active ones — and is joined to those of
+/// other shards. Once joined, a shard's
+/// active members are one class, and a later member overlaps one of them
+/// if and only if it overlaps the one that ends last: only that one stays
+/// active. A group from one shard joins nothing. Envelopes are ordered
+/// (`start <= end`), as every report a detector makes has them.
+fn join_overlapping(spans: &[Span]) -> Vec<usize> {
+    let mut parent: Vec<usize> = (0..spans.len()).collect();
+    let (shard, start, end) = (
+        |i: usize| spans[i].0,
+        |i: usize| spans[i].1,
+        |i: usize| spans[i].2,
+    );
+    if (1..spans.len()).all(|i| shard(i) == shard(0)) {
+        return parent;
+    }
+    let mut by_start: Vec<usize> = (0..spans.len()).collect();
+    by_start.sort_by_key(|&i| start(i));
+    // Per shard met so far: its active members.
+    let mut active: Vec<(usize, Vec<usize>)> = Vec::new();
+    for i in by_start {
+        for (other, live) in &mut active {
+            if *other == shard(i) {
+                continue;
+            }
+            live.retain(|&j| end(j) >= start(i));
+            let Some(&last) = live.iter().max_by_key(|&&j| end(j)) else {
+                continue;
+            };
+            for &j in live.iter() {
+                let (a, b) = (find(&mut parent, i), find(&mut parent, j));
+                if a != b {
+                    parent[a.max(b)] = a.min(b);
+                }
+            }
+            live.clear();
+            live.push(last);
+        }
+        match active.iter_mut().find(|(other, _)| *other == shard(i)) {
+            Some((_, live)) => live.push(i),
+            None => active.push((shard(i), vec![i])),
         }
     }
-
-    let mut members: Vec<Option<(usize, AnomalyReport)>> = members.into_iter().map(Some).collect();
-    let mut incidents: Vec<GlobalIncident> = classes
-        .iter()
-        .map(|class| {
-            merge_class(
-                class
-                    .iter()
-                    .map(|&i| members[i].take().expect("one class per member"))
-                    .collect(),
-            )
-        })
-        .collect();
-
-    incidents.sort_by(|a, b| {
-        b.report
-            .event_count
-            .cmp(&a.report.event_count)
-            .then(a.report.start.cmp(&b.report.start))
-            .then(a.report.end.cmp(&b.report.end))
-            .then(a.report.stem.cmp(&b.report.stem))
-    });
-    incidents
+    parent
 }
 
 /// Path-compressing union-find lookup.

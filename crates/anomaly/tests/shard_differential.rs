@@ -21,11 +21,20 @@
 //!    three-prefix cluster names the stem by prefix, the oracle by AS
 //!    pair. Incidents are identified instead by the cluster's address
 //!    family, which splitting cannot change.)
+//! 3. **The merge is the one it replaced** — `merge_incidents` joins the
+//!    members of a stem group with one sort and a sweep. Over generated
+//!    report sets (1 to 4 shards, three stems, envelopes that overlap and
+//!    chain), its incidents equal, by `==`, those of the loop that tested
+//!    every pair, kept here verbatim as the oracle: the same classes, the
+//!    same members in each, in the same order.
 
 use proptest::prelude::*;
 
+use std::collections::HashMap;
+
 use bgpscope_anomaly::{
-    merge_incidents, AnomalyReport, PipelineConfig, RealtimeDetector, ShardRouter,
+    merge_incidents, AnomalyKind, AnomalyReport, GlobalIncident, PipelineConfig, RealtimeDetector,
+    ShardRouter, Verdict,
 };
 use bgpscope_bgp::{AsPath, Event, PathAttributes, PeerId, Prefix, RouterId, Timestamp};
 
@@ -246,5 +255,209 @@ proptest! {
             sorted.dedup();
             prop_assert_eq!(&sorted, &incident.shards, "shard list must be ascending/distinct");
         }
+    }
+}
+
+/// One generated report:
+/// `(stem, start_s, length_s, events, degraded, igp_nearby, prefixes)`.
+type ReportDraw = (usize, u64, u64, usize, bool, usize, usize);
+
+/// A report from a draw: one of three stems, an envelope inside 0–140 s
+/// (so envelopes overlap, nest and chain), 1–4 events, and up to three
+/// sample prefixes from a pool of five, so merged samples share entries.
+fn drawn_report(
+    (stem, start, length, events, degraded, igp, prefixes): ReportDraw,
+) -> AnomalyReport {
+    let stem = ["a-b", "b-c", "c-d"][stem].to_owned();
+    AnomalyReport {
+        verdict: Verdict {
+            kind: [AnomalyKind::SessionReset, AnomalyKind::Unknown][events % 2],
+            confidence: 0.1 * events as f64,
+            notes: Vec::new(),
+        },
+        common_portion: format!("{stem}-{events}"),
+        stem,
+        event_count: events,
+        prefix_count: prefixes.max(1),
+        sample_prefixes: (0..prefixes)
+            .map(|k| format!("10.{}.0.0/16", (start as usize + k) % 5))
+            .collect(),
+        start: Timestamp::from_secs(start),
+        end: Timestamp::from_secs(start + length),
+        announce_count: events / 2,
+        withdraw_count: events - events / 2,
+        igp_nearby: igp.checked_sub(1),
+        degraded,
+    }
+}
+
+fn arb_shard_reports() -> impl Strategy<Value = Vec<Vec<AnomalyReport>>> {
+    let draw = (
+        0usize..3,
+        0u64..100,
+        0u64..40,
+        1usize..5,
+        any::<bool>(),
+        0usize..3,
+        0usize..4,
+    );
+    collection::vec(collection::vec(draw, 0..12), 1..5).prop_map(|shards| {
+        shards
+            .into_iter()
+            .map(|draws| draws.into_iter().map(drawn_report).collect())
+            .collect()
+    })
+}
+
+// The merge before the sweep, verbatim: every pair of a stem group tested.
+fn quadratic_merge(per_shard: Vec<Vec<AnomalyReport>>) -> Vec<GlobalIncident> {
+    // Flatten deterministically: shard order, then emission order.
+    let members: Vec<(usize, AnomalyReport)> = per_shard
+        .into_iter()
+        .enumerate()
+        .flat_map(|(k, reports)| reports.into_iter().map(move |report| (k, report)))
+        .collect();
+
+    // Group by stem in first-seen order (stable across runs, unlike a
+    // HashMap iteration).
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut by_stem: HashMap<&str, usize> = HashMap::new();
+    for (i, (_, report)) in members.iter().enumerate() {
+        let g = *by_stem.entry(report.stem.as_str()).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(i);
+    }
+
+    // Equivalence classes (member indices), in first-member order.
+    let mut classes: Vec<Vec<usize>> = Vec::new();
+    for group in &groups {
+        // Union-find within the stem group: connect different-shard
+        // members with overlapping envelopes.
+        let mut parent: Vec<usize> = (0..group.len()).collect();
+        for a in 0..group.len() {
+            for b in (a + 1)..group.len() {
+                let (shard_a, ra) = &members[group[a]];
+                let (shard_b, rb) = &members[group[b]];
+                if shard_a != shard_b && ra.start <= rb.end && rb.start <= ra.end {
+                    let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
+                    if ra != rb {
+                        parent[ra.max(rb)] = ra.min(rb);
+                    }
+                }
+            }
+        }
+        let mut class_of: HashMap<usize, usize> = HashMap::new();
+        for (i, &member) in group.iter().enumerate() {
+            let root = find(&mut parent, i);
+            let c = *class_of.entry(root).or_insert_with(|| {
+                classes.push(Vec::new());
+                classes.len() - 1
+            });
+            classes[c].push(member);
+        }
+    }
+
+    let mut members: Vec<Option<(usize, AnomalyReport)>> = members.into_iter().map(Some).collect();
+    let mut incidents: Vec<GlobalIncident> = classes
+        .iter()
+        .map(|class| {
+            merge_class(
+                class
+                    .iter()
+                    .map(|&i| members[i].take().expect("one class per member"))
+                    .collect(),
+            )
+        })
+        .collect();
+
+    incidents.sort_by(|a, b| {
+        b.report
+            .event_count
+            .cmp(&a.report.event_count)
+            .then(a.report.start.cmp(&b.report.start))
+            .then(a.report.end.cmp(&b.report.end))
+            .then(a.report.stem.cmp(&b.report.stem))
+    });
+    incidents
+}
+
+/// Path-compressing union-find lookup.
+fn find(parent: &mut [usize], mut i: usize) -> usize {
+    while parent[i] != i {
+        parent[i] = parent[parent[i]];
+        i = parent[i];
+    }
+    i
+}
+
+/// Merges one equivalence class of same-stem `(shard, report)` members. A
+/// singleton passes through bit-identically.
+fn merge_class(mut class: Vec<(usize, AnomalyReport)>) -> GlobalIncident {
+    let mut shards: Vec<usize> = class.iter().map(|(shard, _)| *shard).collect();
+    shards.sort_unstable();
+    shards.dedup();
+    if class.len() == 1 {
+        let (_, report) = class.pop().expect("singleton class");
+        return GlobalIncident {
+            report,
+            shards,
+            merged_from: 1,
+        };
+    }
+    // Base: the largest member (ties: first in shard/emission order) keeps
+    // its verdict and common portion.
+    let mut base = 0;
+    for (i, (_, report)) in class.iter().enumerate().skip(1) {
+        if report.event_count > class[base].1.event_count {
+            base = i;
+        }
+    }
+    let mut merged = class[base].1.clone();
+    merged.event_count = 0;
+    merged.prefix_count = 0;
+    merged.announce_count = 0;
+    merged.withdraw_count = 0;
+    merged.sample_prefixes = Vec::new();
+    merged.degraded = false;
+    merged.igp_nearby = None;
+    for (_, report) in &class {
+        merged.event_count += report.event_count;
+        merged.prefix_count += report.prefix_count;
+        merged.announce_count += report.announce_count;
+        merged.withdraw_count += report.withdraw_count;
+        merged.start = merged.start.min(report.start);
+        merged.end = merged.end.max(report.end);
+        merged.degraded |= report.degraded;
+        merged.igp_nearby = match (merged.igp_nearby, report.igp_nearby) {
+            (None, nearby) => nearby,
+            (nearby, None) => nearby,
+            (Some(a), Some(b)) => Some(a + b),
+        };
+        for prefix in &report.sample_prefixes {
+            if merged.sample_prefixes.len() >= 10 {
+                break;
+            }
+            if !merged.sample_prefixes.contains(prefix) {
+                merged.sample_prefixes.push(prefix.clone());
+            }
+        }
+    }
+    GlobalIncident {
+        report: merged,
+        shards,
+        merged_from: class.len(),
+    }
+}
+
+proptest! {
+    /// Property 3: the sweep merges exactly as the pairwise loop did.
+    #[test]
+    fn merge_matches_the_pairwise_oracle(shard_reports in arb_shard_reports()) {
+        prop_assert_eq!(
+            merge_incidents(&shard_reports),
+            quadratic_merge(shard_reports.clone())
+        );
     }
 }

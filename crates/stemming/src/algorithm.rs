@@ -8,9 +8,9 @@ use bgpscope_bgp::intern::{Element, Symbol, SymbolTable};
 use bgpscope_bgp::probe::ProbeMap;
 use bgpscope_bgp::{EventKind, EventStream, Timestamp};
 
-use crate::cache::{presized, EncodingCache, Sequences};
+use crate::cache::{EncodingCache, Sequences, WindowIndex};
 use crate::component::{Component, Stem};
-use crate::count::{Leaf, SubsequenceCounter, ROOT};
+use crate::count::{Leaf, ROOT};
 use crate::rank::RankingRule;
 
 /// Tunables for [`Stemming`].
@@ -92,10 +92,11 @@ impl Stemming {
     /// # Incremental rounds
     ///
     /// The window is encoded once, grouped by distinct sequence, and counted
-    /// **once** into a [`SubsequenceCounter`] — a sub-sequence index — which
-    /// is then updated *decrementally*: each extraction removes just the
-    /// swept component's distinct sequences, by the index node each one's
-    /// add returned (no lookup), and zeroes its prefixes' leaves (below), so
+    /// **once** into a [`SubsequenceCounter`](crate::SubsequenceCounter) — a
+    /// sub-sequence index — which is then updated *decrementally*: each
+    /// extraction removes just the swept component's distinct sequences, by
+    /// the index node each one's add returned (no lookup), summed per node,
+    /// and zeroes its prefixes' leaves (below), so
     /// round `k+1` starts from round `k`'s counts instead of recounting every
     /// surviving event, and gets its winner from the index's heap instead of
     /// a fold over every surviving sub-sequence.
@@ -111,6 +112,16 @@ impl Stemming {
     /// lookup finds its first group, and only its later paths look up a
     /// group. Each path is walked down the index once, and every later group
     /// on it adds its weight at the node that walk returned.
+    ///
+    /// The index is the cache's too. Its trie — each path's node and the
+    /// nodes of its sub-sequences — is built the first time the cache meets
+    /// the path and kept across windows: a window on paths met before holds
+    /// each group's weight at its path's node and counts the nodes the
+    /// path's kept walk lists, creating nothing. Its counts and leaves are
+    /// the window's, zeroed when the window ends, and every scan covers only
+    /// the nodes the window touched. The trie is in the cache's symbols; a
+    /// tie-break reads each of them as its window symbol, so the winner,
+    /// its spelling and every component are what a per-window index gives.
     ///
     /// Two counting-sorted arrays — prefix symbol → events, and
     /// symbol → the groups whose sequence holds it (postings) — let P scan
@@ -191,10 +202,12 @@ impl Stemming {
         F: Fn(usize, &bgpscope_bgp::Event) -> u64,
     {
         let events = stream.events();
-        let window = if events.len() > EncodingCache::MAX_PATHS {
-            self.window(&mut EncodingCache::new(), events, weight_of)
+        let mut cold;
+        let cache = if events.len() > EncodingCache::MAX_PATHS {
+            cold = EncodingCache::new();
+            &mut cold
         } else {
-            self.window(cache, events, weight_of)
+            cache
         };
         let Window {
             symbols,
@@ -204,13 +217,16 @@ impl Stemming {
             prefix_events,
             postings,
             leaves,
-            mut counter,
-        } = window;
+            mut index,
+        } = self.window(cache, events, weight_of);
+        let (counter, spell) = index.parts();
 
         // Indexed by symbol; only prefix symbols are ever set.
         let mut swept = vec![false; leaves.len()];
         let mut alive_count = events.len();
         let mut components = Vec::new();
+        // The dying groups of a round: (node, weight).
+        let mut dying: Vec<(u32, u64)> = Vec::new();
 
         while components.len() < self.config.max_components
             && alive_count >= self.config.min_residual_events
@@ -219,7 +235,8 @@ impl Stemming {
             // a rule whose first key is not the count, a better-supported
             // sub-sequence further down the ranking must not keep the loop
             // going.
-            let Some(best) = counter.best(self.config.ranking, self.config.min_support) else {
+            let Some(best) = counter.best_in(self.config.ranking, self.config.min_support, spell)
+            else {
                 break;
             };
             let winner = best.subseq;
@@ -249,16 +266,24 @@ impl Stemming {
             // Subtract each dying group from the counter, and zero the
             // prefix's leaf, as its prefix goes.
             let mut indices = Vec::new();
+            dying.clear();
             for &p in &hit {
                 indices.extend(prefix_events.get(p).iter().map(|&i| i as usize));
                 if let Some(leaf) = leaves[p] {
                     counter.remove_leaf(leaf);
                 }
-                for &g in postings.get(p) {
+                dying.extend(postings.get(p).iter().map(|&g| {
                     let group = &groups[g as usize];
-                    let removed = counter.remove_held(group.held, group.weight);
-                    debug_assert!(removed, "a live group's weight must be removable");
-                }
+                    (group.held, group.weight)
+                }));
+            }
+            // The groups on one path share its node: what dies of each node
+            // is removed in one pass along its walk.
+            dying.sort_unstable_by_key(|&(node, _)| node);
+            for on_node in dying.chunk_by(|a, b| a.0 == b.0) {
+                let weight = on_node.iter().map(|&(_, weight)| weight).sum();
+                let removed = counter.remove_held(on_node[0].0, weight);
+                debug_assert!(removed, "a live group's weight must be removable");
             }
             // Collected, the set is one sort and a bulk build: a flap
             // window's component holds 20,000 prefixes.
@@ -300,9 +325,9 @@ impl Stemming {
                 withdraw_count,
             });
         }
-        // The index is dead weight from here on: free it before the symbol
-        // table is copied out and the caller starts classifying.
-        drop(counter);
+        // The index is dead weight from here on: take the window's counts
+        // and leaves off it, keeping the trie for the next window.
+        drop(index);
 
         let residual_indices = (0..events.len())
             .filter(|&i| !swept[event_prefix[i].index()])
@@ -317,15 +342,15 @@ impl Stemming {
     }
 
     /// Encodes `events` through `cache`, groups them by distinct sequence,
-    /// files them, and counts each group into the index once: without its
-    /// prefix symbol, which each prefix's leaf stands for (see
+    /// files them, and holds each group in the cache's index once: without
+    /// its prefix symbol, which each prefix's leaf stands for (see
     /// [`Stemming::decompose_weighted`]).
-    fn window<F>(
+    fn window<'c, F>(
         &self,
-        cache: &mut EncodingCache,
+        cache: &'c mut EncodingCache,
         events: &[bgpscope_bgp::Event],
         weight_of: F,
-    ) -> Window
+    ) -> Window<'c>
     where
         F: Fn(usize, &bgpscope_bgp::Event) -> u64,
     {
@@ -364,7 +389,7 @@ impl Stemming {
         }
         // Only needed to form the groups; free it before the index is built.
         drop(later_groups);
-        let (symbols, paths) = encoder.finish();
+        let (symbols, paths, mut index) = encoder.finish(self.config.max_subseq_len);
         let mut sequences = Sequences::default();
         for group in &groups {
             sequences.extend(paths.get(group.path as usize), group.prefix);
@@ -387,26 +412,16 @@ impl Stemming {
         // The trie holds every group without its prefix symbol — its path:
         // a sub-sequence free of it keeps its exact count, and groups on one
         // path share the node the path's one walk returned, their held
-        // weights adding up.
-        // Sized by the groups' paths counted once per group, not once per
-        // distinct path: a churn window's paths are few, but their
-        // sub-sequences take about one node per symbol of every group.
-        let mut counter = SubsequenceCounter::new(self.config.max_subseq_len);
-        counter.reserve(presized(sequences.symbols() - groups.len()));
-        let mut path_node = vec![ROOT; paths.len()];
+        // weights adding up. The trie is the cache's: a path it met in an
+        // earlier window is not walked again.
         for group in groups.iter_mut().filter(|group| group.weight > 0) {
-            let node = &mut path_node[group.path as usize];
-            if *node == ROOT {
-                // A path holds a peer and a nexthop: never the root.
-                *node = counter.intern(paths.get(group.path as usize));
-            }
-            counter.hold(*node, group.weight);
-            group.held = *node;
+            group.held = index.hold(group.path, group.weight);
         }
 
         // Each prefix gets one leaf: the best of its groups' suffixes, all
         // of which end in it. None when that suffix is below the floor.
         let floor = self.config.ranking.candidate_floor(self.config.min_support);
+        let (counter, _) = index.parts();
         let mut leaves = vec![None; symbols.len()];
         let mut of_prefix = Vec::new();
         for (p, leaf) in leaves.iter_mut().enumerate() {
@@ -430,14 +445,14 @@ impl Stemming {
             prefix_events,
             postings,
             leaves,
-            counter,
+            index,
         }
     }
 }
 
 /// One window, encoded and counted once: what the rounds of
 /// [`Stemming::decompose_weighted_indexed`] start from.
-struct Window {
+struct Window<'c> {
     /// Window symbol → its element, in order of first appearance.
     symbols: Vec<Element>,
     /// Group `g`'s sequence: its path, then its prefix symbol.
@@ -452,7 +467,7 @@ struct Window {
     /// Symbol → its leaf in the index; only prefix symbols have one.
     leaves: Vec<Option<Leaf>>,
     /// The sub-sequence index over the groups.
-    counter: SubsequenceCounter,
+    index: WindowIndex<'c>,
 }
 
 /// The events of a window that share one sequence.
@@ -603,6 +618,7 @@ impl StemmingResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::count::SubsequenceCounter;
     use crate::sequence::SequenceEncoder;
     use bgpscope_bgp::intern::Element;
     use bgpscope_bgp::{Asn, Event, PathAttributes, PeerId, RouterId};
@@ -905,12 +921,14 @@ mod tests {
             min_support: 2,
             ..StemmingConfig::default()
         };
-        let window =
-            Stemming::with_config(config).window(&mut EncodingCache::new(), events, |_, _| 1);
-        let is_prefix = |s: &Symbol| !window.prefix_events.get(s.index()).is_empty();
+        let mut cache = EncodingCache::new();
+        let mut window = Stemming::with_config(config).window(&mut cache, events, |_, _| 1);
+        let prefix_events = &window.prefix_events;
+        let is_prefix = |s: &Symbol| !prefix_events.get(s.index()).is_empty();
+        let (counter, spell) = window.index.parts();
         let mut with_leaf = BTreeSet::new();
         let mut trie = 0;
-        for (subseq, leaf) in window.counter.nodes() {
+        for (subseq, leaf) in counter.nodes(spell) {
             if leaf {
                 let (last, body) = subseq.split_last().expect("a leaf is a suffix");
                 assert!(is_prefix(last), "{ranking:?}: a leaf ends in its prefix");
@@ -924,7 +942,7 @@ mod tests {
                 trie += 1;
             }
         }
-        assert_eq!(trie + with_leaf.len(), window.counter.node_count());
+        assert_eq!(trie + with_leaf.len(), counter.node_count());
         (trie, with_leaf.len())
     }
 
@@ -1022,11 +1040,12 @@ mod tests {
             .sum();
         assert_eq!(symbols, 240_000);
         let mut cache = EncodingCache::new();
-        let window = stemming.window(&mut cache, &flaps, |_, _| 1);
+        drop(stemming.window(&mut cache, &flaps, |_, _| 1));
         assert_eq!((cache.encoded, cache.prefix_lookups), (13, 40_000));
-        assert_eq!(window.counter.walks, 13);
-        stemming.window(&mut cache, &flaps, |_, _| 1);
+        assert_eq!(cache.index().walks, 13);
+        drop(stemming.window(&mut cache, &flaps, |_, _| 1));
         assert_eq!((cache.encoded, cache.prefix_lookups), (13, 80_000));
+        assert_eq!(cache.index().walks, 13);
 
         let churn = churn_window();
         let mut encoder = SequenceEncoder::new();
@@ -1039,9 +1058,11 @@ mod tests {
             })
             .collect();
         assert_eq!(distinct.len(), 128);
-        let window = stemming.window(&mut EncodingCache::new(), &churn, |_, _| 1);
+        let mut cache = EncodingCache::new();
+        let window = stemming.window(&mut cache, &churn, |_, _| 1);
         assert_eq!(window.groups.len(), 350);
-        assert_eq!(window.counter.walks, 128);
+        drop(window);
+        assert_eq!(cache.index().walks, 128);
 
         let copies = vec![
             withdraw(0, 1, 1, "11423 209 701", "10.0.0.0/8"),
@@ -1050,9 +1071,69 @@ mod tests {
             withdraw(3, 1, 1, "11423 209 209 701", "10.1.0.0/16"),
         ];
         let mut cache = EncodingCache::new();
-        let window = stemming.window(&mut cache, &copies, |_, _| 1);
-        assert_eq!((cache.encoded, window.groups.len()), (1, 2));
-        assert_eq!(window.counter.walks, 1);
+        let groups = stemming.window(&mut cache, &copies, |_, _| 1).groups.len();
+        assert_eq!((cache.encoded, groups), (1, 2));
+        assert_eq!(cache.index().walks, 1);
+    }
+
+    /// A window on paths the index has met before creates no trie node,
+    /// no edge and no walk down the trie: it only holds and counts. So
+    /// under a length cap too, where counting walks create the nodes past
+    /// the cap.
+    #[test]
+    fn a_second_window_on_the_same_paths_builds_nothing() {
+        for max_subseq_len in [0, 2] {
+            let stemming = Stemming::with_config(StemmingConfig {
+                max_subseq_len,
+                ..StemmingConfig::default()
+            });
+            for events in [churn_window(), flap_window()] {
+                let stream: EventStream = events.into_iter().collect();
+                let mut cache = EncodingCache::new();
+                let built = |cache: &EncodingCache| {
+                    let index = cache.index();
+                    (index.trie_nodes(), index.edge_count(), index.walks)
+                };
+                let first = stemming.decompose_cached(&mut cache, &stream, |_, _| 1);
+                let after_first = built(&cache);
+                let second = stemming.decompose_cached(&mut cache, &stream, |_, _| 1);
+                assert_eq!(built(&cache), after_first, "cap {max_subseq_len}");
+                assert_eq!(second.components(), first.components());
+            }
+        }
+    }
+
+    /// After a window of 20,000 prefixes, a 300-event window's scans —
+    /// building the counts, heapifying the candidates, resetting — read no
+    /// more nodes than the window touched: as many as on a cold index,
+    /// though the warm trie holds more, and none of the 20,000 leaves.
+    #[test]
+    fn a_window_scans_only_what_it_touched() {
+        let stemming = Stemming::new();
+        let small: EventStream = churn_window().into_iter().take(300).collect();
+        let scans = |cache: &mut EncodingCache| {
+            let before = cache.index().scanned;
+            stemming.decompose_cached(cache, &small, |_, _| 1);
+            let after = cache.index().scanned;
+            (
+                after.materialize - before.materialize,
+                after.heapify - before.heapify,
+                after.reset - before.reset,
+            )
+        };
+        let mut cold = EncodingCache::new();
+        let (materialize, heapify, touched) = scans(&mut cold);
+        assert!(materialize <= touched && heapify <= touched && touched > 0);
+
+        let mut warm = EncodingCache::new();
+        let churn: EventStream = churn_window().into_iter().collect();
+        let flaps: EventStream = flap_window().into_iter().collect();
+        stemming.decompose_cached(&mut warm, &churn, |_, _| 1);
+        let before = warm.index().scanned.heapify;
+        stemming.decompose_cached(&mut warm, &flaps, |_, _| 1);
+        assert!(warm.index().scanned.heapify - before >= 20_000);
+        assert!(warm.index().trie_nodes() > cold.index().trie_nodes());
+        assert_eq!(scans(&mut warm), (materialize, heapify, touched));
     }
 
     #[test]

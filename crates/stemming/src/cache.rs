@@ -22,6 +22,18 @@
 //!   prefixes draw from the same counter — exactly the ids
 //!   [`SequenceEncoder`](crate::SequenceEncoder) gives, symbol by symbol.
 //!   Every later event on the path costs one stamp compare.
+//! * **The index's trie.** Stemming's sub-sequence index
+//!   ([`SubsequenceCounter`]) over the cache paths, in cache symbols, with
+//!   each cache path's node beside it: a path is walked down the trie once
+//!   per session, its counting walk — the nodes of its sub-sequences — is
+//!   kept from its second use, and a window only holds its groups' weights
+//!   at their paths' nodes and adds them along the kept walks. The counts
+//!   and the leaves (which hold prefixes, window symbols) are the window's:
+//!   when the window ends they are zeroed, and the trie is kept. The index compares and hands out sub-sequences in
+//!   window symbols, each cache symbol read through its stamp, so its
+//!   tie-breaks are the ones a per-window index makes. The trie counts
+//!   sub-sequences up to one length cap; a window under another cap (the
+//!   pipeline's degraded fidelity lowers it) starts a new one.
 //! * **Not state.** The cache changes no result: a window decomposes the
 //!   same through a warm cache, a cold one or one cleared between windows.
 //!   So a detector neither checkpoints, records nor serializes it, and a
@@ -31,11 +43,18 @@
 //!   [`ProbeMap`]: colliding keys cost at most its probe bound plus one keyed
 //!   lookup. And it holds at most [`EncodingCache::MAX_PATHS`] keys: a window
 //!   that could take it past that starts with it cleared, and a window of
-//!   more events than that runs through a cold cache of its own.
+//!   more events than that runs through a cold cache of its own. Paths are
+//!   peer-chosen in length too, and a path of `n` symbols can make about
+//!   `n²` trie nodes: the trie holds at most [`EncodingCache::MAX_NODES`]
+//!   between windows. A window whose paths could take it past that starts
+//!   it afresh, and if the window alone could, the trie it grew is dropped
+//!   when it ends.
 
 use bgpscope_bgp::intern::{Element, Interner, Symbol};
 use bgpscope_bgp::probe::ProbeMap;
 use bgpscope_bgp::{Asn, Event, PeerId, Prefix, RouterId};
+
+use crate::count::{nodes_bound, SubsequenceCounter, ROOT};
 
 /// Sequences end to end: sequence `k` is `symbols[bounds[k]..bounds[k + 1]]`.
 #[derive(Debug)]
@@ -62,11 +81,6 @@ impl Sequences {
     /// Number of sequences.
     pub(crate) fn len(&self) -> usize {
         self.bounds.len() - 1
-    }
-
-    /// Symbols over all sequences.
-    pub(crate) fn symbols(&self) -> usize {
-        self.symbols.len()
     }
 
     /// Appends `symbol` to the sequence being built.
@@ -121,6 +135,12 @@ pub struct EncodingCache {
     /// Per cache path: the epoch it was last met in, and its window path
     /// then.
     path_stamps: Vec<(u32, u32)>,
+    /// The sub-sequence index over the cache paths: its trie lives as long
+    /// as the cache, its counts and leaves for one window.
+    index: SubsequenceCounter,
+    /// Per cache path: its node in `index`, or `ROOT` until it is first
+    /// held.
+    path_nodes: Vec<u32>,
     /// The key being looked up.
     key: Vec<u32>,
     /// Paths encoded (memo misses), for the structural tests.
@@ -135,6 +155,13 @@ impl EncodingCache {
     /// The most (peer, nexthop, path) keys a cache holds. At a window start,
     /// a cache that the window's events could take past it is cleared.
     pub const MAX_PATHS: usize = 1 << 16;
+
+    /// The most nodes the index's trie holds between windows, and the most
+    /// entries its kept counting walks do: at most 131,072 of each, about
+    /// 8 MB by their layout. A window whose paths could take the index past
+    /// it starts the trie afresh, and one that alone took it past drops the
+    /// trie when it ends.
+    pub const MAX_NODES: usize = 1 << 17;
 
     /// An empty cache; it allocates on first use.
     pub fn new() -> Self {
@@ -159,6 +186,14 @@ impl EncodingCache {
         self.epoch = 0;
         self.symbol_stamps.clear();
         self.path_stamps.clear();
+        self.drop_trie(self.index.max_len());
+        self.path_nodes.clear();
+    }
+
+    /// Starts the index's trie afresh, counting up to `max_len` symbols.
+    fn drop_trie(&mut self, max_len: usize) {
+        self.index = SubsequenceCounter::new(max_len);
+        self.path_nodes.fill(ROOT);
     }
 
     /// Starts a window of `events` events: after this, no stamp is current.
@@ -175,6 +210,7 @@ impl EncodingCache {
             prefixes: ProbeMap::with_capacity(presized(events)),
             symbols: Vec::new(),
             paths: Sequences::default(),
+            cache_paths: Vec::new(),
         }
     }
 
@@ -194,6 +230,7 @@ impl EncodingCache {
         }
         let (elements, paths) = (&mut self.elements, &mut self.paths);
         let (symbol_stamps, path_stamps) = (&mut self.symbol_stamps, &mut self.path_stamps);
+        let path_nodes = &mut self.path_nodes;
         #[cfg(test)]
         let encoded = &mut self.encoded;
         let path = self.memo.get_or_insert_with(&key[..], || {
@@ -208,6 +245,7 @@ impl EncodingCache {
             }
             symbol_stamps.resize(elements.len(), (0, Symbol(0)));
             path_stamps.push((0, 0));
+            path_nodes.push(ROOT);
             paths.close()
         });
         path as usize
@@ -234,9 +272,11 @@ pub(crate) struct WindowEncoder<'c> {
     symbols: Vec<Element>,
     /// The window paths, `x h a1 … an` in window symbols.
     paths: Sequences,
+    /// Window path → its cache path.
+    cache_paths: Vec<u32>,
 }
 
-impl WindowEncoder<'_> {
+impl<'c> WindowEncoder<'c> {
     /// The window path of `event`'s (peer, nexthop, AS path): its sequence
     /// `x h a1 … an p` is that path followed by the prefix's symbol.
     pub(crate) fn path(&mut self, event: &Event) -> u32 {
@@ -256,6 +296,7 @@ impl WindowEncoder<'_> {
             }
             *met = epoch;
             *window_path = self.paths.close();
+            self.cache_paths.push(path as u32);
         }
         *window_path
     }
@@ -275,9 +316,11 @@ impl WindowEncoder<'_> {
         })
     }
 
-    /// The window's symbol table and paths. No two paths are equal: a
-    /// group is a distinct (path, prefix) because of it.
-    pub(crate) fn finish(self) -> (Vec<Element>, Sequences) {
+    /// The window's symbol table and paths, and the cache's index made
+    /// ready to count the window's sequences up to `max_len` symbols. No
+    /// two paths are equal: a group is a distinct (path, prefix) because of
+    /// it.
+    pub(crate) fn finish(self, max_len: usize) -> (Vec<Element>, Sequences, WindowIndex<'c>) {
         debug_assert!(
             {
                 let mut seen = std::collections::HashSet::new();
@@ -285,7 +328,98 @@ impl WindowEncoder<'_> {
             },
             "two window paths spell one sequence"
         );
-        (self.symbols, self.paths)
+        let cache = self.cache;
+        debug_assert_eq!(cache.index.total(), 0, "the last window's index was reset");
+        if cache.index.max_len() != max_len {
+            cache.drop_trie(max_len);
+        }
+        // A path the index has walked twice — interned, its counting walk
+        // kept — adds nothing to it; any other can add up to its bound.
+        let index = &cache.index;
+        let new = (0..self.paths.len())
+            .filter(|&w| {
+                let node = cache.path_nodes[self.cache_paths[w] as usize];
+                node == ROOT || !index.walk_kept(node)
+            })
+            .map(|w| nodes_bound(self.paths.get(w).len(), max_len))
+            .fold(0, usize::saturating_add);
+        if index.size().saturating_add(new) > EncodingCache::MAX_NODES {
+            cache.drop_trie(max_len);
+        }
+        if cache.index.size() == 1 {
+            // A fresh trie is sized for this window's paths up front, not
+            // grown from empty.
+            cache.index.reserve(presized(new));
+        }
+        let index = WindowIndex {
+            cache,
+            cache_paths: self.cache_paths,
+        };
+        (self.symbols, self.paths, index)
+    }
+}
+
+/// One window's use of the cache's sub-sequence index:
+/// [`WindowEncoder::finish`]. Dropping it takes the window's counts and
+/// leaves off the index and keeps the trie — unless the window grew it past
+/// [`EncodingCache::MAX_NODES`], which drops the trie.
+#[derive(Debug)]
+pub(crate) struct WindowIndex<'c> {
+    cache: &'c mut EncodingCache,
+    /// Window path → its cache path.
+    cache_paths: Vec<u32>,
+}
+
+impl WindowIndex<'_> {
+    /// Holds `weight` (non-zero) of the sequence window path `path` spells,
+    /// at its path's node, walking the path down the trie only the first
+    /// time the trie meets it; returns the node.
+    pub(crate) fn hold(&mut self, path: u32, weight: u64) -> u32 {
+        let cache = &mut *self.cache;
+        let path = self.cache_paths[path as usize] as usize;
+        let node = &mut cache.path_nodes[path];
+        if *node == ROOT {
+            // A path holds a peer and a nexthop: never the root.
+            *node = cache.index.intern(cache.paths.get(path));
+        }
+        cache.index.hold(*node, weight);
+        *node
+    }
+
+    /// The index, and the spelling that reads its cache symbols as this
+    /// window's symbols.
+    pub(crate) fn parts(
+        &mut self,
+    ) -> (
+        &mut SubsequenceCounter,
+        impl Fn(Symbol) -> Symbol + Copy + '_,
+    ) {
+        let cache = &mut *self.cache;
+        let (stamps, epoch) = (&cache.symbol_stamps, cache.epoch);
+        let spell = move |symbol: Symbol| {
+            let (numbered, id) = stamps[symbol.index()];
+            debug_assert_eq!(numbered, epoch, "a symbol the window never met");
+            id
+        };
+        (&mut cache.index, spell)
+    }
+}
+
+impl Drop for WindowIndex<'_> {
+    fn drop(&mut self) {
+        let cache = &mut *self.cache;
+        cache.index.reset();
+        if cache.index.size() > EncodingCache::MAX_NODES {
+            cache.drop_trie(cache.index.max_len());
+        }
+    }
+}
+
+#[cfg(test)]
+impl EncodingCache {
+    /// The index, between windows.
+    pub(crate) fn index(&self) -> &SubsequenceCounter {
+        &self.index
     }
 }
 
@@ -305,6 +439,79 @@ mod tests {
         );
         let prefix = Prefix::from_octets(10, 0, (k % 64) as u8, 0, 24);
         Event::withdraw(Timestamp::from_millis(u64::from(k)), peer, prefix, attrs)
+    }
+
+    /// Four withdrawals, one per prefix, over one path of `hops` distinct
+    /// ASes numbered from `first`.
+    fn long_path(first: u32, hops: u32) -> EventStream {
+        let peer = PeerId::from_octets(128, 32, 1, 1);
+        let attrs = PathAttributes::new(
+            RouterId::from_octets(128, 32, 0, 1),
+            AsPath::from_u32s(first..first + hops),
+        );
+        (0..4)
+            .map(|k| {
+                let prefix = Prefix::from_octets(10, k, 0, 0, 16);
+                Event::withdraw(Timestamp::ZERO, peer, prefix, attrs.clone())
+            })
+            .collect()
+    }
+
+    /// Long distinct paths — a path of `n` symbols makes about `n² / 2`
+    /// trie nodes — never leave the index past its bound between windows: a
+    /// path the trie holds costs nothing more, a window whose new paths
+    /// could take it past the bound starts it afresh, and a window that
+    /// alone goes past it drops it when it ends. Every window decomposes as
+    /// through a cold cache.
+    #[test]
+    fn the_index_holds_at_most_its_node_bound() {
+        let stemming = Stemming::new();
+        let mut cache = EncodingCache::new();
+        let mut sizes = Vec::new();
+        let windows = [
+            (0, 200),
+            (0, 200),
+            (1_000, 200),
+            (2_000, 200),
+            (3_000, 200),
+            (4_000, 200),
+            (5_000, 200),
+            (0, 600),
+            (0, 200),
+        ];
+        for (w, (first, hops)) in windows.into_iter().enumerate() {
+            let stream = long_path(first, hops);
+            let warm = stemming.decompose_cached(&mut cache, &stream, |_, _| 1);
+            let cold = stemming.decompose(&stream);
+            assert_eq!(warm.components(), cold.components(), "window {w}");
+            assert_eq!(warm.report(), cold.report(), "window {w}");
+            let size = cache.index().size();
+            assert!(size <= EncodingCache::MAX_NODES, "window {w}: {size}");
+            sizes.push(size);
+        }
+        // 202 symbols make 20,503 sub-sequences, and the root is a node; a
+        // later path shares its peer, its nexthop and the two together.
+        let (one, more) = (20_504, 20_500);
+        assert_eq!(
+            &sizes[..6],
+            &[
+                one,
+                one,
+                one + more,
+                one + 2 * more,
+                one + 3 * more,
+                one + 4 * more
+            ]
+        );
+        assert_eq!(
+            sizes[6], one,
+            "a new path past the bound starts the trie afresh"
+        );
+        assert_eq!(
+            sizes[7], 1,
+            "a window past the bound alone drops the trie after it"
+        );
+        assert_eq!(sizes[8], one);
     }
 
     /// More distinct keys than the cap, in windows of 8,192 events: the

@@ -4,9 +4,8 @@
 //! A window's sequences share almost all of their sub-sequences, so the
 //! counter keeps each one once:
 //!
-//! * **Arena.** Every distinct full sequence, and every leaf's sub-sequence
-//!   (below), is appended once to one flat `Vec<Symbol>`; everything else
-//!   refers to it by offset and length.
+//! * **Arena.** Every distinct full sequence is appended once to one flat
+//!   `Vec<Symbol>`; everything else refers to it by offset and length.
 //! * **Trie.** One node per distinct contiguous sub-sequence, reached from
 //!   the root by an edge map `(node, symbol) → node` with integer keys, a
 //!   [`ProbeMap`]: sequences are peer-controlled input, so a probe is bounded
@@ -34,36 +33,57 @@
 //!   each in its own set of sequences — the decomposition's prefix symbols.
 //!   A sub-sequence holding one is a suffix of those sequences, and its count
 //!   cannot change until they all go. The caller indexes them without that
-//!   symbol and gives it one *leaf* (`add_leaf`): a node reached by no edge
-//!   and no walk, holding the best of those suffixes under one ranking rule
-//!   (`best_suffix`), its count set from the start. The winner heap ranks a
-//!   leaf like any node; the caller zeroes it when the sequences go
-//!   (`remove_leaf`).
+//!   symbol and gives it one *leaf* (`add_leaf`): a node in an array and an
+//!   arena of their own, reached by no edge and no walk, holding the best of
+//!   those suffixes under one ranking rule (`best_suffix`), its count set
+//!   from the start. The winner heap ranks a leaf like any node; the caller
+//!   zeroes it when the sequences go (`remove_leaf`).
 //! * **Winner heap.** [`SubsequenceCounter::best`] keeps a lazy max-heap of
 //!   `(rule score, node)` over the candidate nodes, built in place in O(n)
 //!   and ordered by `RankingRule::ranks_above`: by score, then by the
-//!   nodes' arena slices — compared only when scores tie, and never sorted.
+//!   nodes' sub-sequences — compared only when scores tie, and never sorted.
 //!   A removal does not touch the heap; a top entry whose stored score is no
 //!   longer the node's score is re-filed at its current score when it
 //!   surfaces. That is sound because removals only lower scores, so a stored
 //!   score never understates; an add raises them and therefore discards the
-//!   heap.
+//!   heap. A node that a neighbour one symbol longer or shorter, at the same
+//!   count, ranks above is not filed at all (`outrank`): the two count the
+//!   same exactly when every held sequence holding the shorter holds the
+//!   longer, so every removal lowers both alike and the neighbour stays
+//!   above.
 //!
 //! The counts are built lazily, on the first query
 //! ([`SubsequenceCounter::materialize_counts`], `count_of`, `stats`, `best`):
 //! until then an add or remove touches only the sequence's own path (an add
-//! of a new sequence creates its nodes) and its multiplicity. Once they exist, [`SubsequenceCounter::add_weighted`] and
+//! of a new sequence creates its nodes) and its multiplicity. Once they
+//! exist, [`SubsequenceCounter::add_weighted`] and
 //! [`SubsequenceCounter::remove_weighted`] walk the one touched sequence and
-//! update its nodes in place. Nodes are never freed, but every query skips
-//! the ones at zero, so after a removal the counter is indistinguishable from
-//! one that never saw the sequence. This is what lets the recursive Stemming
-//! decomposition count a window once and then *subtract* each extracted
-//! component — O(component) per round instead of a full O(alive) recount —
-//! and ask for each round's winner without folding over every survivor.
+//! update its nodes in place. Every query skips the nodes at zero, so after a
+//! removal the counter is indistinguishable from one that never saw the
+//! sequence. This is what lets the recursive Stemming decomposition count a
+//! window once and then *subtract* each extracted component — O(component)
+//! per round instead of a full O(alive) recount — and ask for each round's
+//! winner without folding over every survivor.
+//!
+//! **The structure outlives the counts.** The trie — arena, nodes, edges —
+//! only grows: a node, once created, is never freed. The counts are what the
+//! held sequences put on it, and `reset` takes them off again: it zeroes
+//! every node held or counted since the last reset and drops the leaves, so
+//! what is counted next is counted on the same trie as on a fresh one. The
+//! counter lists each node the first time a hold or a count moves it off
+//! zero, and every scan — building the counts, heapifying the candidates,
+//! listing the stats, resetting — covers those lists and the leaves, never
+//! the whole trie: a trie grown over a session costs a window only what the
+//! window touches. A sequence counted again and again keeps its counting
+//! walk — the nodes it counts, from its third walk on — and is then counted
+//! by a pass over them. The decomposition keeps one counter per detector
+//! this way, in its [`EncodingCache`](crate::EncodingCache), over the
+//! cache's own symbols, and reads the trie's sub-sequences in window
+//! symbols through a *spelling* (`best_in`).
 //!
 //! No result depends on the edge map's iteration order or on node ids: the
 //! map is only ever looked up, and the one ordered choice, the winner, is a
-//! total order over scores and arena slices.
+//! total order over scores and spelled sub-sequences.
 
 use std::num::NonZeroU32;
 use std::ops::Range;
@@ -97,6 +117,20 @@ impl SubsequenceStat {
 /// The empty sub-sequence: every walk starts here.
 pub(crate) const ROOT: u32 = 0;
 
+/// The bit that marks a leaf's id in the winner heap: leaf `k` is filed as
+/// `LEAF | k`, and trie node ids stay below it.
+const LEAF: u32 = 1 << 31;
+
+/// [`Side::walk`] of a node no counting walk started from. Each walk from
+/// it that is not kept counts down by one.
+const UNWALKED: u32 = u32::MAX;
+/// Which walk from a node is kept: its third. A sequence's first two — its
+/// count and its removal within one window — are all that a window through
+/// a cold cache takes, and keeping them would be wasted there.
+const KEPT_WALK: u32 = 3;
+/// [`Side::walk`] at or below this is where a kept walk starts in `kept`.
+const KEPT_BELOW: u32 = UNWALKED - KEPT_WALK;
+
 /// The edge map's key: `parent`'s child along `symbol`. Two `u32`s, and
 /// the child's id is a `NonZeroU32` (the root is nobody's child), whose
 /// zero marks a free slot: a slot of the map is 12 bytes, where a `u32` id
@@ -105,8 +139,9 @@ pub(crate) const ROOT: u32 = 0;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Edge(u32, Symbol);
 
-/// A leaf's node: what [`SubsequenceCounter::add_leaf`] returns and
-/// [`SubsequenceCounter::remove_leaf`] takes. Never the root.
+/// A leaf: what [`SubsequenceCounter::add_leaf`] returns and
+/// [`SubsequenceCounter::remove_leaf`] takes, until the next reset. Its
+/// filed id, `LEAF | k`, never zero: an `Option<Leaf>` is 4 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Leaf(NonZeroU32);
 
@@ -118,9 +153,8 @@ struct Node {
     /// the counts are built; zero everywhere else. A leaf holds its count
     /// from the start, and zero once removed.
     count: u64,
-    /// Weight held of the full sequence this node spells (0 = not held).
-    held: u64,
-    /// One occurrence: `arena[arena_off..arena_off + len]`.
+    /// One occurrence: `arena[arena_off..arena_off + len]` (the leaves'
+    /// arena, for a leaf).
     arena_off: u32,
     len: u32,
     /// The node spelling this sub-sequence without its last symbol — the
@@ -132,6 +166,12 @@ struct Node {
     /// whole suffix chain in the trie; nodes longer than `max_len` only
     /// spell whole sequences and leave this at `ROOT`.
     suffix: u32,
+    /// Whether the node is in `touched` (a trie node's count has left
+    /// zero since the last reset).
+    listed: bool,
+    /// Whether the winner heap leaves the node out: a sub-sequence one
+    /// symbol longer or shorter, at the same count, always ranks above it.
+    outranked: bool,
 }
 
 impl Node {
@@ -139,11 +179,12 @@ impl Node {
     fn new(arena_off: u32, len: u32, parent: u32) -> Self {
         Node {
             count: 0,
-            held: 0,
             arena_off,
             len,
             parent,
             suffix: ROOT,
+            listed: false,
+            outranked: false,
         }
     }
 
@@ -151,16 +192,31 @@ impl Node {
         let off = self.arena_off as usize;
         off..off + self.len as usize
     }
-
-    fn stat(&self, arena: &[Symbol]) -> SubsequenceStat {
-        SubsequenceStat {
-            subseq: arena[self.range()].to_vec(),
-            count: self.count,
-        }
-    }
 }
 
-/// A candidate in the winner heap: `(score when filed, node)`.
+/// What the counter keeps beside each trie node about the sequence it
+/// spells: apart from the nodes, which every counting walk reads.
+#[derive(Debug, Clone, Copy)]
+struct Side {
+    /// Weight held of the sequence (0 = not held).
+    held: u64,
+    /// The counting walks from the node: [`UNWALKED`] less the walks taken,
+    /// or — from the [`KEPT_WALK`]th on — where the walk is kept in `kept`.
+    walk: u32,
+    /// Whether the node is in `holding`.
+    holding: bool,
+}
+
+impl Side {
+    const NEW: Side = Side {
+        held: 0,
+        walk: UNWALKED,
+        holding: false,
+    };
+}
+
+/// A candidate in the winner heap: `(score when filed, node)`, where the
+/// node is a trie node's id or a leaf's `LEAF | k`.
 type Filed = (Score, u32);
 
 /// The lazy winner heap of [`SubsequenceCounter::best`].
@@ -169,17 +225,83 @@ struct Winners {
     /// The arguments of the `best` call that built it.
     rule: RankingRule,
     min_support: u64,
-    /// A binary max-heap under [`ranks_above`]: the top is the greatest
-    /// filed score and, among equals, the lexicographically first.
+    /// A binary max-heap under [`Candidates::above`]: the top is the
+    /// greatest filed score and, among equals, the lexicographically first.
     heap: Vec<Filed>,
 }
 
-/// [`RankingRule::ranks_above`] of two filed candidates. Two nodes never
-/// spell the same sub-sequence (a leaf ends in a symbol no trie node holds,
-/// and each such symbol has one leaf), so the order is total.
-fn ranks_above(nodes: &[Node], arena: &[Symbol], a: &Filed, b: &Filed) -> bool {
-    let slice = |node: u32| move || &arena[nodes[node as usize].range()];
-    RankingRule::ranks_above((a.0, slice(a.1)), (b.0, slice(b.1)))
+/// The candidates a winner heap files — trie nodes and leaves — read in
+/// the caller's symbols: a trie node's symbols through `spell`, a leaf's
+/// as they were given.
+#[derive(Clone, Copy)]
+struct Candidates<'a, S> {
+    nodes: &'a [Node],
+    arena: &'a [Symbol],
+    leaves: &'a [Node],
+    leaf_arena: &'a [Symbol],
+    spell: S,
+}
+
+impl<'a, S: Fn(Symbol) -> Symbol + Copy + 'a> Candidates<'a, S> {
+    fn node(&self, id: u32) -> &'a Node {
+        if id & LEAF == 0 {
+            &self.nodes[id as usize]
+        } else {
+            &self.leaves[(id & !LEAF) as usize]
+        }
+    }
+
+    /// The symbols `id` stores, and whether they are the trie's (to be
+    /// read through `spell`).
+    fn stored(&self, id: u32) -> (&'a [Symbol], bool) {
+        if id & LEAF == 0 {
+            (&self.arena[self.node(id).range()], true)
+        } else {
+            (&self.leaf_arena[self.node(id).range()], false)
+        }
+    }
+
+    /// The sub-sequence `id` stands for, spelled.
+    fn spelled(&self, id: u32) -> impl Iterator<Item = Symbol> + 'a {
+        let (symbols, trie) = self.stored(id);
+        let spell = self.spell;
+        symbols
+            .iter()
+            .map(move |&symbol| if trie { spell(symbol) } else { symbol })
+    }
+
+    /// Whether `a`'s spelled sub-sequence is lexicographically before
+    /// `b`'s. Two trie symbols that are equal spell equal, so only the
+    /// first position where the stored symbols differ is spelled.
+    fn before(&self, a: u32, b: u32) -> bool {
+        let ((a, a_trie), (b, b_trie)) = (self.stored(a), self.stored(b));
+        let read = |symbol: Symbol, trie: bool| if trie { (self.spell)(symbol) } else { symbol };
+        for (&x, &y) in a.iter().zip(b) {
+            if x == y && a_trie == b_trie {
+                continue;
+            }
+            let (x, y) = (read(x, a_trie), read(y, b_trie));
+            if x != y {
+                return x < y;
+            }
+        }
+        a.len() < b.len()
+    }
+
+    /// [`RankingRule::ranks_above`] of two filed candidates. No two spell
+    /// the same sub-sequence (a leaf ends in a symbol no trie node holds,
+    /// each such symbol has one leaf, and the spelling is one-to-one on the
+    /// symbols the held sequences use), so the order is total.
+    fn above(&self, a: &Filed, b: &Filed) -> bool {
+        RankingRule::ranks_above(a.0, b.0, || self.before(a.1, b.1))
+    }
+
+    fn stat(&self, id: u32) -> SubsequenceStat {
+        SubsequenceStat {
+            subseq: self.spelled(id).collect(),
+            count: self.node(id).count,
+        }
+    }
 }
 
 /// Moves `heap[at]` down until neither child ranks above it.
@@ -224,21 +346,59 @@ pub struct SubsequenceCounter {
     max_len: usize,
     /// Total weight of the sequences held.
     total: u64,
-    /// Number of distinct sequences held (nodes with `held > 0`).
+    /// Number of distinct sequences held (nodes whose `held > 0`).
     distinct: usize,
     /// The distinct sequences, end to end.
     arena: Vec<Symbol>,
     /// `nodes[ROOT]` is the empty sub-sequence.
     nodes: Vec<Node>,
     edges: ProbeMap<Edge, NonZeroU32>,
+    /// The trie nodes a count moved off zero since the last reset, each
+    /// once, in the order they were met.
+    touched: Vec<u32>,
+    /// The trie nodes a hold moved off zero since the last reset, each
+    /// once.
+    holding: Vec<u32>,
+    /// Per trie node: the weight held of it, and its kept walk.
+    side: Vec<Side>,
+    /// The kept counting walks, end to end: a walk's length, then the
+    /// nodes it counts.
+    kept: Vec<u32>,
+    /// A walk being taken.
+    walk: Vec<u32>,
+    /// The leaves since the last reset, and their sub-sequences end to end.
+    leaves: Vec<Node>,
+    leaf_arena: Vec<Symbol>,
     /// Whether the sub-sequence counts exist; from then on every add and
     /// remove keeps them current.
     built: bool,
+    /// Whether a node may be marked outranked since the last reset.
+    outranked: bool,
     /// The winner heap, while no add has happened since it was built.
     winners: Option<Winners>,
     /// Walks down the trie to a sequence's node, for the structural tests.
     #[cfg(test)]
     pub(crate) walks: usize,
+    /// Nodes read by each whole-index scan — building the counts,
+    /// heapifying the candidates, resetting — for the structural tests.
+    #[cfg(test)]
+    pub(crate) scanned: Scanned,
+}
+
+/// [`SubsequenceCounter::scanned`].
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Scanned {
+    pub(crate) materialize: usize,
+    pub(crate) heapify: usize,
+    pub(crate) reset: usize,
+}
+
+impl Default for SubsequenceCounter {
+    /// [`SubsequenceCounter::new`] with no length limit.
+    fn default() -> Self {
+        SubsequenceCounter::new(0)
+    }
 }
 
 impl SubsequenceCounter {
@@ -254,10 +414,20 @@ impl SubsequenceCounter {
             arena: Vec::new(),
             nodes: vec![Node::new(0, 0, ROOT)],
             edges: ProbeMap::new(),
+            touched: Vec::new(),
+            holding: Vec::new(),
+            side: vec![Side::NEW],
+            kept: Vec::new(),
+            walk: Vec::new(),
+            leaves: Vec::new(),
+            leaf_arena: Vec::new(),
             built: false,
+            outranked: false,
             winners: None,
             #[cfg(test)]
             walks: 0,
+            #[cfg(test)]
+            scanned: Scanned::default(),
         }
     }
 
@@ -268,19 +438,18 @@ impl SubsequenceCounter {
         Self::new(max_len)
     }
 
-    /// Makes room for `symbols` symbols of distinct sequences, and an edge
-    /// per symbol — what the sequences' own paths need when they share
-    /// nothing. Sub-sequences push the real figure up and sharing pulls it
-    /// down: with the decomposition indexing sequences without their prefix
-    /// symbol, 1.03 nodes per symbol indexed over `grass`'s 308-event churn
-    /// windows, and 76 trie nodes for a 40,000-event session-flap window's
-    /// 100,000 symbols indexed, which is why the caller caps `symbols` (as
-    /// it caps its other window tables). The node array is left to grow:
-    /// growing it is a copy, not a rehash, and a reservation that falls just
-    /// short doubles it at its largest.
-    pub(crate) fn reserve(&mut self, symbols: usize) {
-        self.arena.reserve_exact(symbols);
-        self.edges.reserve(symbols);
+    /// Makes room for `nodes` new trie nodes, each with its edge, and as
+    /// many arena symbols.
+    pub(crate) fn reserve(&mut self, nodes: usize) {
+        self.arena.reserve(nodes);
+        self.nodes.reserve(nodes);
+        self.side.reserve(nodes);
+        self.edges.reserve(nodes);
+    }
+
+    /// The length limit this counter was made with (0 = none).
+    pub(crate) fn max_len(&self) -> usize {
+        self.max_len
     }
 
     /// Adds one event's sequence.
@@ -309,11 +478,15 @@ impl SubsequenceCounter {
     /// one walk, and removes it again by that node
     /// ([`SubsequenceCounter::remove_held`]).
     pub(crate) fn hold(&mut self, terminal: u32, weight: u64) {
-        let held = &mut self.nodes[terminal as usize].held;
-        if *held == 0 {
+        let side = &mut self.side[terminal as usize];
+        if side.held == 0 {
             self.distinct += 1;
+            if !side.holding {
+                side.holding = true;
+                self.holding.push(terminal);
+            }
         }
-        *held += weight;
+        side.held += weight;
         self.total += weight;
         self.winners = None;
         if self.built {
@@ -347,7 +520,7 @@ impl SubsequenceCounter {
         if weight == 0 {
             return true;
         }
-        let held = &mut self.nodes[terminal as usize].held;
+        let held = &mut self.side[terminal as usize].held;
         if *held < weight {
             return false;
         }
@@ -378,7 +551,9 @@ impl SubsequenceCounter {
     /// first key is the count, none can then be a candidate. Sorts `groups`.
     ///
     /// A leaf is ranked by `rule`: [`SubsequenceCounter::best`] under
-    /// another rule sees only the suffix this one chose.
+    /// another rule sees only the suffix this one chose. Its sub-sequence is
+    /// kept in the symbols `groups` gives — the caller's, which a spelling
+    /// maps the trie's symbols to — and it lasts until the next reset.
     pub(crate) fn add_leaf(
         &mut self,
         rule: RankingRule,
@@ -394,15 +569,16 @@ impl SubsequenceCounter {
         if count < floor {
             return None;
         }
-        let id = u32::try_from(self.nodes.len())
+        let id = u32::try_from(self.leaves.len())
             .ok()
-            .and_then(NonZeroU32::new)
-            .expect("trie node ids fit in u32, and the root is node 0");
-        let arena_off = u32::try_from(self.arena.len()).expect("arena offsets fit in u32");
-        self.arena.extend_from_slice(suffix);
+            .filter(|&k| k < LEAF)
+            .and_then(|k| NonZeroU32::new(LEAF | k))
+            .expect("leaf ids fit in 31 bits");
+        let arena_off = u32::try_from(self.leaf_arena.len()).expect("arena offsets fit in u32");
+        self.leaf_arena.extend_from_slice(suffix);
         let mut leaf = Node::new(arena_off, suffix.len() as u32, ROOT);
         leaf.count = count;
-        self.nodes.push(leaf);
+        self.leaves.push(leaf);
         self.winners = None;
         Some(Leaf(id))
     }
@@ -410,7 +586,40 @@ impl SubsequenceCounter {
     /// Zeroes a leaf: its sequences are gone. Idempotent, and like a removal
     /// it only lowers a score, so the winner heap stays.
     pub(crate) fn remove_leaf(&mut self, leaf: Leaf) {
-        self.nodes[leaf.0.get() as usize].count = 0;
+        self.leaves[(leaf.0.get() & !LEAF) as usize].count = 0;
+    }
+
+    /// Takes every held sequence, count and leaf off the counter and keeps
+    /// the trie: what is held next counts as on a fresh counter, and the
+    /// sequences already in the trie cost no new node. O(nodes touched since
+    /// the last reset), not O(trie).
+    pub(crate) fn reset(&mut self) {
+        #[cfg(test)]
+        {
+            self.scanned.reset += self.touched.len() + self.holding.len();
+        }
+        for &node in &self.touched {
+            let node = &mut self.nodes[node as usize];
+            node.count = 0;
+            node.listed = false;
+            node.outranked = false;
+        }
+        for &node in &self.holding {
+            self.side[node as usize] = Side {
+                held: 0,
+                holding: false,
+                ..self.side[node as usize]
+            };
+        }
+        self.touched.clear();
+        self.holding.clear();
+        self.leaves.clear();
+        self.leaf_arena.clear();
+        self.total = 0;
+        self.distinct = 0;
+        self.built = false;
+        self.outranked = false;
+        self.winners = None;
     }
 
     /// Total sequences added (with multiplicity / weight).
@@ -435,12 +644,15 @@ impl SubsequenceCounter {
             return;
         }
         self.built = true;
-        // Only nodes that exist now can hold a sequence; the walks append
-        // sub-sequence nodes behind them.
-        for terminal in 0..self.nodes.len() {
-            let held = self.nodes[terminal].held;
+        #[cfg(test)]
+        {
+            self.scanned.materialize += self.holding.len();
+        }
+        for at in 0..self.holding.len() {
+            let terminal = self.holding[at];
+            let held = self.side[terminal as usize].held;
             if held > 0 {
-                self.for_each_counted(terminal as u32, |count| *count += held);
+                self.for_each_counted(terminal, |count| *count += held);
             }
         }
     }
@@ -455,11 +667,29 @@ impl SubsequenceCounter {
     /// All sub-sequence statistics, in unspecified order.
     pub fn stats(&mut self) -> Vec<SubsequenceStat> {
         self.materialize_counts();
-        self.nodes
-            .iter()
-            .filter(|node| node.count > 0)
-            .map(|node| node.stat(&self.arena))
+        let candidates = self.candidates(|symbol| symbol);
+        self.ids()
+            .filter(|&id| candidates.node(id).count > 0)
+            .map(|id| candidates.stat(id))
             .collect()
+    }
+
+    /// The ids of every node a scan covers: the trie nodes listed since the
+    /// last reset, then the leaves.
+    fn ids(&self) -> impl Iterator<Item = u32> + '_ {
+        let leaves = 0..self.leaves.len() as u32;
+        self.touched.iter().copied().chain(leaves.map(|k| LEAF | k))
+    }
+
+    /// The candidates, read through `spell`.
+    fn candidates<S>(&self, spell: S) -> Candidates<'_, S> {
+        Candidates {
+            nodes: &self.nodes,
+            arena: &self.arena,
+            leaves: &self.leaves,
+            leaf_arena: &self.leaf_arena,
+            spell,
+        }
     }
 
     /// The best sub-sequence under `rule` — the one no other is
@@ -476,21 +706,44 @@ impl SubsequenceCounter {
     /// O(log n) per sub-sequence its removals touched, not a fold over every
     /// survivor.
     pub fn best(&mut self, rule: RankingRule, min_support: u64) -> Option<SubsequenceStat> {
+        self.best_in(rule, min_support, |symbol| symbol)
+    }
+
+    /// [`SubsequenceCounter::best`] with the trie's symbols read through
+    /// `spell`: the tie-break compares, and the result spells, `spell` of
+    /// each. Leaves are read as given. Until the next reset (or add), every
+    /// call must pass the same spelling, one-to-one on the symbols of the
+    /// held sequences.
+    pub(crate) fn best_in<S>(
+        &mut self,
+        rule: RankingRule,
+        min_support: u64,
+        spell: S,
+    ) -> Option<SubsequenceStat>
+    where
+        S: Fn(Symbol) -> Symbol + Copy,
+    {
         self.materialize_counts();
         if !matches!(&self.winners, Some(w) if (w.rule, w.min_support) == (rule, min_support)) {
-            self.winners = Some(self.rank_candidates(rule, min_support));
+            self.winners = Some(self.rank_candidates(rule, min_support, spell));
         }
-        let (nodes, arena) = (&self.nodes, &self.arena);
-        let above = |a: &Filed, b: &Filed| ranks_above(nodes, arena, a, b);
+        let candidates = Candidates {
+            nodes: &self.nodes,
+            arena: &self.arena,
+            leaves: &self.leaves,
+            leaf_arena: &self.leaf_arena,
+            spell,
+        };
+        let above = |a: &Filed, b: &Filed| candidates.above(a, b);
         let heap = &mut self.winners.as_mut().expect("built above").heap;
         loop {
             let &(filed, top) = heap.first()?;
-            let node = &nodes[top as usize];
+            let node = candidates.node(top);
             let current = rule.score(node.count, node.len as usize);
             if node.count == 0 {
                 heap.swap_remove(0);
             } else if filed == current {
-                return (node.count >= min_support).then(|| node.stat(arena));
+                return (node.count >= min_support).then(|| candidates.stat(top));
             } else {
                 // Stale: removals lowered it. Re-file and look again.
                 heap[0].0 = current;
@@ -499,24 +752,77 @@ impl SubsequenceCounter {
         }
     }
 
-    /// Heapifies the candidates for [`SubsequenceCounter::best`]: every node,
-    /// trie node or leaf, at or above the rule's
-    /// [`RankingRule::candidate_floor`].
-    fn rank_candidates(&self, rule: RankingRule, min_support: u64) -> Winners {
+    /// Heapifies the candidates for [`SubsequenceCounter::best`]: every node
+    /// listed since the last reset, trie node or leaf, at or above the
+    /// rule's [`RankingRule::candidate_floor`] and not outranked
+    /// ([`SubsequenceCounter::outrank`]).
+    fn rank_candidates<S>(&mut self, rule: RankingRule, min_support: u64, spell: S) -> Winners
+    where
+        S: Fn(Symbol) -> Symbol + Copy,
+    {
+        #[cfg(test)]
+        {
+            self.scanned.heapify += self.touched.len() + self.leaves.len();
+        }
         let floor = rule.candidate_floor(min_support);
-        let mut heap: Vec<Filed> = (0..self.nodes.len() as u32)
-            .zip(&self.nodes)
-            .filter(|(_, node)| node.count >= floor)
+        self.outrank(rule, floor);
+        let candidates = self.candidates(spell);
+        let mut heap: Vec<Filed> = self
+            .ids()
+            .map(|id| (id, candidates.node(id)))
+            .filter(|(_, node)| node.count >= floor && !node.outranked)
             .map(|(id, node)| (rule.score(node.count, node.len as usize), id))
             .collect();
-        let above = |a: &Filed, b: &Filed| ranks_above(&self.nodes, &self.arena, a, b);
         for at in (0..heap.len() / 2).rev() {
-            sift_down(&mut heap, at, above);
+            sift_down(&mut heap, at, |a, b| candidates.above(a, b));
         }
         Winners {
             rule,
             min_support,
             heap,
+        }
+    }
+
+    /// Marks the counted trie nodes no query under `rule` can return:
+    /// those a neighbour one symbol longer or shorter, at the same count,
+    /// ranks above. Two nodes one symbol apart count the same exactly when
+    /// every held sequence holding the shorter holds the longer, and a
+    /// removal then lowers both alike: the neighbour ranks above for good.
+    /// Where length breaks a tie on the count (`CountThenLength`,
+    /// `CoverageWeighted`) the longer wins, so a node is outranked by its
+    /// extension on either side; where it does not (`CountOnly`), the
+    /// lexicographic tie-break puts a node's parent — its prefix — first.
+    fn outrank(&mut self, rule: RankingRule, floor: u64) {
+        // Marks from a ranking under another rule, or before an add, are
+        // stale.
+        if self.outranked {
+            for &id in &self.touched {
+                self.nodes[id as usize].outranked = false;
+            }
+        }
+        self.outranked = true;
+        let longer_first = rule.longer_ranks_above();
+        for at in 0..self.touched.len() {
+            let id = self.touched[at] as usize;
+            let Node {
+                count,
+                parent,
+                suffix,
+                ..
+            } = self.nodes[id];
+            if count < floor {
+                continue;
+            }
+            let nodes = &mut self.nodes;
+            if longer_first {
+                for shorter in [parent, suffix] {
+                    if nodes[shorter as usize].count == count {
+                        nodes[shorter as usize].outranked = true;
+                    }
+                }
+            } else if nodes[parent as usize].count == count {
+                nodes[id].outranked = true;
+            }
         }
     }
 
@@ -548,20 +854,48 @@ impl SubsequenceCounter {
         node
     }
 
-    /// Nodes in the index — trie nodes, the root included, and leaves.
+    /// Whether the counting walk from `node` is kept: counting the
+    /// sequence it spells creates nothing.
+    pub(crate) fn walk_kept(&self, node: u32) -> bool {
+        self.side[node as usize].walk <= KEPT_BELOW
+    }
+
+    /// What bounds the counter's memory: its trie nodes, the root
+    /// included, or the entries of its kept walks, whichever is more.
+    pub(crate) fn size(&self) -> usize {
+        self.nodes.len().max(self.kept.len())
+    }
+
+    /// Trie nodes, the root included.
     #[cfg(test)]
-    pub(crate) fn node_count(&self) -> usize {
+    pub(crate) fn trie_nodes(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Every node's sub-sequence, and whether the node is a leaf (reached by
-    /// no edge).
+    /// Edges in the trie, for the structural tests.
     #[cfg(test)]
-    pub(crate) fn nodes(&self) -> impl Iterator<Item = (&[Symbol], bool)> {
-        (0..self.nodes.len() as u32).map(|id| {
-            let subseq = &self.arena[self.nodes[id as usize].range()];
-            (subseq, self.find(subseq) != Some(id))
-        })
+    pub(crate) fn edge_count(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// Nodes in the index — trie nodes, the root included, and leaves.
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
+        self.nodes.len() + self.leaves.len()
+    }
+
+    /// Every node's sub-sequence — the trie's read through `spell` — and
+    /// whether the node is a leaf.
+    #[cfg(test)]
+    pub(crate) fn nodes<'a, S>(&'a self, spell: S) -> impl Iterator<Item = (Vec<Symbol>, bool)> + 'a
+    where
+        S: Fn(Symbol) -> Symbol + Copy + 'a,
+    {
+        let candidates = self.candidates(spell);
+        let leaves = 0..self.leaves.len() as u32;
+        (0..self.nodes.len() as u32)
+            .chain(leaves.map(|k| LEAF | k))
+            .map(move |id| (candidates.spelled(id).collect(), id & LEAF != 0))
     }
 
     /// The longest sub-sequence counted.
@@ -580,14 +914,16 @@ impl SubsequenceCounter {
         loop {
             let fresh = u32::try_from(self.nodes.len())
                 .ok()
+                .filter(|&id| id < LEAF)
                 .and_then(NonZeroU32::new)
-                .expect("trie node ids fit in u32, and the root is node 0");
-            let nodes = &mut self.nodes;
+                .expect("trie node ids fit in 31 bits, and the root is node 0");
+            let (nodes, side) = (&mut self.nodes, &mut self.side);
             let node = self.edges.get_or_insert_with(&Edge(parent, symbol), || {
                 let len = nodes[parent as usize].len + 1;
                 let arena_off =
                     u32::try_from(end - len as usize).expect("arena offsets fit in u32");
                 nodes.push(Node::new(arena_off, len, parent));
+                side.push(Side::NEW);
                 fresh
             });
             let found = node != fresh;
@@ -606,30 +942,86 @@ impl SubsequenceCounter {
         }
     }
 
-    /// The one counting walk: calls `visit` on the count of each *distinct*
-    /// contiguous sub-sequence, 2 to `max_len` symbols long, of the sequence
-    /// `terminal` spells — exactly once each, however many times it occurs
-    /// (path `1 2 1 2`). Creates the nodes it does not find.
+    /// Calls `visit` on the count of each *distinct* contiguous
+    /// sub-sequence, 2 to `max_len` symbols long, of the sequence `terminal`
+    /// spells — exactly once each, however many times it occurs (path `1 2
+    /// 1 2`) — and lists each node `visit` moves off zero.
+    ///
+    /// The nodes are found by a counting walk ([`SubsequenceCounter::walk`]),
+    /// and the third walk from a node is kept: a sequence counted again —
+    /// held again in a later window, say — costs a pass over its kept nodes,
+    /// not a walk. The trie never drops a node, so a kept walk stays true.
+    fn for_each_counted(&mut self, terminal: u32, mut visit: impl FnMut(&mut u64)) {
+        let mut count = |counter: &mut Self, node: u32| {
+            let node_at = &mut counter.nodes[node as usize];
+            let was = node_at.count;
+            visit(&mut node_at.count);
+            if was == 0 && !node_at.listed {
+                node_at.listed = true;
+                counter.touched.push(node);
+            }
+        };
+        let state = self.side[terminal as usize].walk;
+        if state <= KEPT_BELOW {
+            let from = state as usize + 1;
+            for k in from..from + self.kept[state as usize] as usize {
+                count(self, self.kept[k]);
+            }
+            return;
+        }
+        let keep = state == KEPT_BELOW + 1;
+        let mut reached = std::mem::take(&mut self.walk);
+        reached.clear();
+        if self.walk(terminal, keep, &mut reached, &mut count) {
+            for &node in &reached {
+                count(self, node);
+            }
+        }
+        self.side[terminal as usize].walk = if keep {
+            let at = u32::try_from(self.kept.len())
+                .ok()
+                .filter(|&at| at <= KEPT_BELOW)
+                .expect("kept walks fit in u32");
+            self.kept.push(reached.len() as u32);
+            self.kept.extend_from_slice(&reached);
+            at
+        } else {
+            state - 1
+        };
+        self.walk = reached;
+    }
+
+    /// The one counting walk from `terminal`: reaches each *distinct* node
+    /// [`SubsequenceCounter::for_each_counted`] visits, creating the ones
+    /// the trie lacks, and passes it to `visit` — or, when `collect` is set
+    /// or the sequence repeats a symbol, pushes it onto `reached` instead and
+    /// returns true.
     ///
     /// Each position's longest counted sub-sequence, then its suffix chain:
     /// below the cap the longest ones are `terminal` and its ancestors,
     /// reached by parent links; past it, one edge lookup per position.
-    fn for_each_counted(&mut self, terminal: u32, mut visit: impl FnMut(&mut u64)) {
+    fn walk(
+        &mut self,
+        terminal: u32,
+        collect: bool,
+        reached: &mut Vec<u32>,
+        visit: &mut impl FnMut(&mut Self, u32),
+    ) -> bool {
         let cap = self.cap();
         let span = self.nodes[terminal as usize].range();
         let seq = &self.arena[span.clone()];
         // Only a repeated symbol lets a sub-sequence end at two positions;
-        // then the walk collects the nodes and visits each distinct one once.
+        // then the walk collects the nodes and dedupes them.
         let repeats = (1..seq.len()).any(|at| seq[..at].contains(&seq[at]));
-        let mut reached = Vec::new();
-        let mut chain = |nodes: &mut [Node], mut node: u32| {
-            while nodes[node as usize].len >= 2 {
-                if repeats {
+        let collect = collect || repeats;
+        let mut chain = |counter: &mut Self, mut node: u32| {
+            while counter.nodes[node as usize].len >= 2 {
+                if collect {
                     reached.push(node);
                 } else {
-                    visit(&mut nodes[node as usize].count);
+                    visit(counter, node);
                 }
-                node = nodes[node as usize].suffix;
+                node = counter.nodes[node as usize].suffix;
             }
         };
         let mut longest = ROOT;
@@ -640,7 +1032,7 @@ impl SubsequenceCounter {
                 if longest == ROOT {
                     longest = node;
                 }
-                chain(&mut self.nodes, node);
+                chain(self, node);
             }
             node = parent;
         }
@@ -649,15 +1041,13 @@ impl SubsequenceCounter {
         for at in span.start + cap.min(span.len())..span.end {
             let shorter = self.nodes[longest as usize].suffix;
             longest = self.child(shorter, self.arena[at], at + 1);
-            chain(&mut self.nodes, longest);
+            chain(self, longest);
         }
         if repeats {
             reached.sort_unstable();
             reached.dedup();
-            for node in reached {
-                visit(&mut self.nodes[node as usize].count);
-            }
         }
+        collect
     }
 }
 
@@ -667,6 +1057,15 @@ fn cap_of(max_len: usize) -> usize {
         0 => usize::MAX,
         cap => cap,
     }
+}
+
+/// The most trie nodes that indexing one sequence of `len` symbols, and
+/// counting it under `max_len`, can create: a walk down to depth `d` makes
+/// the node and, up to the cap, its suffix chain (at most `min(d, cap)`
+/// nodes), and a counting walk makes at most a chain of `cap` per position
+/// past the cap — together at most `len · (min(len, cap) + 1)`.
+pub(crate) fn nodes_bound(len: usize, max_len: usize) -> usize {
+    len.saturating_mul(len.min(cap_of(max_len)) + 1)
 }
 
 /// The best suffix, 2 to `max_len` symbols long (0 = no limit), of the
@@ -701,7 +1100,7 @@ pub(crate) fn best_suffix<'s>(
             }
             let score = rule.score(count, len);
             if best.is_none_or(|(top, subseq, _)| {
-                RankingRule::ranks_above((score, || suffix), (top, || subseq))
+                RankingRule::ranks_above(score, top, || suffix < subseq)
             }) {
                 best = Some((score, suffix, count));
             }

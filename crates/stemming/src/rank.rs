@@ -13,8 +13,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use bgpscope_bgp::intern::Symbol;
-
 use crate::count::SubsequenceStat;
 
 /// A rule's sort key for one sub-sequence ([`RankingRule::score`]).
@@ -63,6 +61,16 @@ impl RankingRule {
         }
     }
 
+    /// Whether, between two sub-sequences at the same count, the longer
+    /// always ranks above — the score grows with the length — rather than
+    /// the tie falling to lexicographic order.
+    pub(crate) fn longer_ranks_above(&self) -> bool {
+        match self {
+            RankingRule::CountThenLength | RankingRule::CoverageWeighted => true,
+            RankingRule::CountOnly => false,
+        }
+    }
+
     /// The least count a sub-sequence needs to matter to a winner query
     /// with threshold `min_support`. Where the count is the first key, one
     /// below `min_support` can neither be returned nor outrank one that can,
@@ -79,15 +87,13 @@ impl RankingRule {
     }
 
     /// The one order over candidate sub-sequences, shared by the index's
-    /// winner heap and its per-prefix leaves: whether `a`, at score `a.0`,
-    /// ranks above `b` — the greater score, and on equal scores the
-    /// lexicographically first sub-sequence. Total over distinct
-    /// sub-sequences. A sub-sequence is read only when the scores tie.
-    pub(crate) fn ranks_above<'s>(
-        a: (Score, impl FnOnce() -> &'s [Symbol]),
-        b: (Score, impl FnOnce() -> &'s [Symbol]),
-    ) -> bool {
-        a.0 > b.0 || (a.0 == b.0 && a.1() < b.1())
+    /// winner heap and its per-prefix leaves: whether a sub-sequence at
+    /// score `a` ranks above one at score `b` — the greater score, and on
+    /// equal scores the lexicographically first sub-sequence, which
+    /// `a_first` reports. Total over distinct sub-sequences. The
+    /// sub-sequences are read only when the scores tie.
+    pub(crate) fn ranks_above(a: Score, b: Score, a_first: impl FnOnce() -> bool) -> bool {
+        a > b || (a == b && a_first())
     }
 
     /// Strict "is `a` ranked above `b`".

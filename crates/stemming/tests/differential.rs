@@ -35,10 +35,21 @@
 //! sequence. Every window goes through one cache, a fresh cache, and a
 //! cache cleared before it, and each must match the reference.
 //!
-//! Five fixed windows at the end guard what the generated ones are too
-//! small for: a hash-iteration-order leak (two runs in one process hash
-//! differently), a heavily stale winner heap, thousands of leaves, and a
-//! long run of windows through one cache.
+//! The cache also keeps the sub-sequence index's trie from window to window
+//! (each window holds and counts on it, and zeroes what it counted when it
+//! ends), and drops it when a window counts under another length cap. The
+//! mixed-window generator aims at that: a window of up to 120 events, then
+//! one of up to 40 on the same pool, each under its own cap (0, 2 or 3),
+//! as the degrade ladder changes the cap between windows. A count left over
+//! from the window before, a leaf left behind, a tie broken on the cache's
+//! symbol ids instead of the window's, or a trie kept across a cap change
+//! shows as a window that differs from the reference.
+//!
+//! Six fixed runs at the end guard what the generated ones are too small
+//! for: a hash-iteration-order leak (two runs in one process hash
+//! differently), a heavily stale winner heap, thousands of leaves, a long
+//! run of windows through one cache, and 1,000-event windows between
+//! 40-event ones under a cap that changes from window to window.
 //!
 //! Case count honors `PROPTEST_CASES` (CI raises it to 4096, in `--release`:
 //! every generated window is at most 120 events).
@@ -210,18 +221,22 @@ fn cache_event(
     }
 }
 
-/// Runs of 2 to 8 windows of up to 40 events each, over one pool of shared
-/// paths.
-fn cache_windows_strategy() -> impl Strategy<Value = Vec<EventStream>> {
-    let draw = (
+/// One [`CacheDraw`].
+fn cache_draw() -> impl Strategy<Value = CacheDraw> {
+    (
         0u8..3,
         0usize..POOL_PATHS.len(),
         0u8..4,
         0usize..12,
         0u64..2000,
         any::<bool>(),
-    );
-    collection::vec(collection::vec(draw, 0..40), 2..9).prop_map(|windows| {
+    )
+}
+
+/// Runs of 2 to 8 windows of up to 40 events each, over one pool of shared
+/// paths.
+fn cache_windows_strategy() -> impl Strategy<Value = Vec<EventStream>> {
+    collection::vec(collection::vec(cache_draw(), 0..40), 2..9).prop_map(|windows| {
         let pool: Vec<AsPath> = POOL_PATHS
             .iter()
             .map(|path| AsPath::from_u32s(path.iter().copied()))
@@ -229,6 +244,33 @@ fn cache_windows_strategy() -> impl Strategy<Value = Vec<EventStream>> {
         windows
             .into_iter()
             .map(|draws| draws.into_iter().map(|d| cache_event(&pool, d)).collect())
+            .collect()
+    })
+}
+
+/// Runs of 1 to 4 pairs of windows over one pool of shared paths: a window
+/// of 40 to 120 events, then one of up to 40, each under a length cap of
+/// its own (an index into `[0, 2, 3]`).
+fn mixed_windows_strategy() -> impl Strategy<Value = Vec<(EventStream, usize)>> {
+    let pair = (
+        collection::vec(cache_draw(), 40..120),
+        0usize..3,
+        collection::vec(cache_draw(), 0..40),
+        0usize..3,
+    );
+    collection::vec(pair, 1..5).prop_map(|pairs| {
+        let pool: Vec<AsPath> = POOL_PATHS
+            .iter()
+            .map(|path| AsPath::from_u32s(path.iter().copied()))
+            .collect();
+        let window = |draws: Vec<CacheDraw>| -> EventStream {
+            draws.into_iter().map(|d| cache_event(&pool, d)).collect()
+        };
+        pairs
+            .into_iter()
+            .flat_map(|(big, big_cap, small, small_cap)| {
+                [(window(big), big_cap), (window(small), small_cap)]
+            })
             .collect()
     })
 }
@@ -267,9 +309,19 @@ fn assert_paths_identical(stream: &EventStream, config: &StemmingConfig) {
 /// kept across them, through a fresh cache, and through a cache cleared
 /// before each — and holds every result to the reference.
 fn assert_windows_identical_through_caches(windows: &[EventStream], config: &StemmingConfig) {
-    let stemming = Stemming::with_config(config.clone());
+    let configured: Vec<_> = windows
+        .iter()
+        .map(|stream| (stream.clone(), config.clone()))
+        .collect();
+    assert_configured_windows_identical_through_caches(&configured);
+}
+
+/// [`assert_windows_identical_through_caches`] with a configuration per
+/// window.
+fn assert_configured_windows_identical_through_caches(windows: &[(EventStream, StemmingConfig)]) {
     let (mut session, mut reset) = (EncodingCache::new(), EncodingCache::new());
-    for (at, stream) in windows.iter().enumerate() {
+    for (at, (stream, config)) in windows.iter().enumerate() {
+        let stemming = Stemming::with_config(config.clone());
         let reference = decompose_weighted_reference(config, stream, weight_of);
         reset.clear();
         let through = [
@@ -407,6 +459,30 @@ proptest! {
             ..StemmingConfig::default()
         };
         assert_windows_identical_through_caches(&windows, &config);
+    }
+
+    /// Large and small windows in turn, each under its own length cap, at
+    /// thresholds 1 to 3: the index kept across them holds only what each
+    /// window counted, and is started afresh whenever the cap changes.
+    #[test]
+    fn session_index_windows_match_reference_across_caps_and_sizes(
+        windows in mixed_windows_strategy(),
+        rule in 0usize..3,
+        support in 1u64..4,
+    ) {
+        let configured: Vec<_> = windows
+            .into_iter()
+            .map(|(stream, cap)| {
+                let config = StemmingConfig {
+                    ranking: RankingRule::ALL[rule],
+                    min_support: support,
+                    max_subseq_len: [0, 2, 3][cap],
+                    ..StemmingConfig::default()
+                };
+                (stream, config)
+            })
+            .collect();
+        assert_configured_windows_identical_through_caches(&configured);
     }
 
     /// The unweighted entry point (`decompose`) against the reference with
@@ -615,6 +691,62 @@ fn session_cache_window_run_is_deterministic() {
                 ..StemmingConfig::default()
             };
             assert_windows_identical_through_caches(&windows, &config);
+        }
+    }
+}
+
+/// Windows of 300, 40, 1,000, 40, 300 and 40 events through one cache,
+/// under caps 0, 2, 0, 6, 3 and 0 — the degrade ladder's 6 among them — and
+/// every rule and threshold 1 to 3: the pool's paths in all four forms,
+/// over three peers and 40 prefixes.
+#[test]
+fn session_index_run_across_caps_and_sizes_is_deterministic() {
+    let mut state = 38_001u64;
+    let mut draw = |below: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % below
+    };
+    let pool: Vec<AsPath> = POOL_PATHS
+        .iter()
+        .map(|path| AsPath::from_u32s(path.iter().copied()))
+        .collect();
+    let windows: Vec<(EventStream, usize)> =
+        [(300, 0), (40, 2), (1_000, 0), (40, 6), (300, 3), (40, 0)]
+            .into_iter()
+            .map(|(events, cap)| {
+                let stream = (0..events)
+                    .map(|_| {
+                        let event = (
+                            draw(3) as u8,
+                            draw(POOL_PATHS.len() as u64) as usize,
+                            draw(4) as u8,
+                            draw(40) as usize,
+                            draw(2000),
+                            draw(2) == 0,
+                        );
+                        cache_event(&pool, event)
+                    })
+                    .collect();
+                (stream, cap)
+            })
+            .collect();
+    for ranking in RankingRule::ALL {
+        for min_support in 1..=3 {
+            let configured: Vec<_> = windows
+                .iter()
+                .map(|(stream, cap)| {
+                    let config = StemmingConfig {
+                        ranking,
+                        min_support,
+                        max_subseq_len: *cap,
+                        ..StemmingConfig::default()
+                    };
+                    (stream.clone(), config)
+                })
+                .collect();
+            assert_configured_windows_identical_through_caches(&configured);
         }
     }
 }
