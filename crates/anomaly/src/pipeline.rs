@@ -1954,6 +1954,26 @@ impl PipelineHandle {
         self.shared.consumer_alive.load(Ordering::Acquire)
     }
 
+    /// True once the supervisor exhausted its restart budget and closed
+    /// the pipeline.
+    pub(crate) fn gave_up(&self) -> bool {
+        self.shared.gave_up.load(Ordering::Acquire)
+    }
+
+    /// Counts as shed what a supervisor that gave up left behind: events
+    /// stranded in the channel (this handle's receiver clone keeps it
+    /// connected) and merge-on-shed representatives that can no longer
+    /// re-enter it — so even a crashed pipeline settles at `queued == 0`
+    /// with a closed ledger. Only for a supervisor that has left its loop
+    /// (gave up, or joined); safe to call more than once.
+    pub(crate) fn shed_stranded(&mut self) {
+        let mut stranded = self.coalesce.take().map_or(0, |buf| buf.len() as u64);
+        while self.steal_rx.try_recv().is_ok() {
+            stranded += 1;
+        }
+        self.shared.shed.fetch_add(stranded, Ordering::AcqRel);
+    }
+
     /// A live accounting snapshot. `queued` is derived from the producer's
     /// counters and the supervisor's ledger
     /// (`ingested - shed - coalesced - consumer-ingested`), so it covers
@@ -2027,13 +2047,7 @@ impl PipelineHandle {
             std::thread::sleep(Duration::from_millis(1));
         }
         let joined = join.join();
-        // A supervisor that gave up leaves events stranded in the channel
-        // (this handle's receiver clone keeps it connected): count them as
-        // shed so even a crashed pipeline finishes with `queued == 0` and
-        // a closed ledger.
-        while self.steal_rx.try_recv().is_ok() {
-            self.shared.shed.fetch_add(1, Ordering::AcqRel);
-        }
+        self.shed_stranded();
         // The rest in one piece: a shard's unbounded queue holds every
         // report of the run, and copying out of it would hold each twice.
         let mut queued = self.reports.take_all();

@@ -18,7 +18,8 @@
 //! `<path>.seg0`, `<path>.seg1`, ….
 //! Chunking bounds recorder memory — frames stream through one
 //! `BufWriter` — and bounds *replay* work: [`Replay`] keeps at most one
-//! decoded segment in memory.
+//! decoded segment in memory. Its seek index keeps where each snapshot is,
+//! not the checkpoint it holds: a jump decodes that frame again.
 //!
 //! Because [`Frame::Event`] frames capture the exact ingest boundary —
 //! including ring replays after a crash (`replayed: true`) and the
@@ -48,7 +49,7 @@
 
 use std::collections::BTreeSet;
 use std::fs::File;
-use std::io::{BufWriter, Read as _, Write as _};
+use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::SyncSender;
@@ -561,13 +562,13 @@ struct EventIdx {
 }
 
 /// Index entry for one [`Frame::Snapshot`]: everything needed to land
-/// the cursor just *after* it in O(1).
+/// the cursor just *after* it but its checkpoint, which stays on disk
+/// until a jump decodes the frame.
 #[derive(Debug, Clone)]
 struct SnapshotIdx {
     pos: u64,
     /// Counters just before this frame.
     counts: Counts,
-    checkpoint: PipelineCheckpoint,
     overlay: Overlay,
 }
 
@@ -785,35 +786,8 @@ impl Replay {
         let mut pos = 0u64;
         let mut truncated = false;
         let mut segment = 0u64;
-        loop {
-            let seg_path = segment_path(&base, segment);
-            let mut data = String::new();
-            match File::open(&seg_path) {
-                Ok(mut file) => file
-                    .read_to_string(&mut data)
-                    .map_err(|e| ReplayError::Io(format!("{}: {e}", seg_path.display())))?,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
-                Err(e) => return Err(ReplayError::Io(format!("{}: {e}", seg_path.display()))),
-            };
-            let last_segment = !Path::new(&segment_path(&base, segment + 1)).exists();
-            for (lineno, line) in data.lines().enumerate() {
-                let frame: Frame = match serde_json::from_str(line) {
-                    Ok(frame) => frame,
-                    Err(e) => {
-                        // A bad *final* line of the *final* segment is a
-                        // torn write: recover the prefix. Anything else
-                        // is corruption.
-                        if last_segment && lineno + 1 == data.lines().count() {
-                            truncated = true;
-                            break;
-                        }
-                        return Err(ReplayError::Corrupt {
-                            segment,
-                            line: lineno as u64 + 1,
-                            cause: e.to_string(),
-                        });
-                    }
-                };
+        while !truncated {
+            let Some(torn) = decode_segment(&base, segment, |frame| {
                 match &frame {
                     Frame::Event { event, .. } => {
                         let time_us = event.event.time.as_micros();
@@ -826,13 +800,9 @@ impl Replay {
                     }
                     Frame::Report { report } => recorded_reports.push((pos, report.clone())),
                     // Indexed with the counters just *before* the frame.
-                    Frame::Snapshot {
-                        checkpoint,
-                        overlay,
-                    } => snapshots.push(SnapshotIdx {
+                    Frame::Snapshot { overlay, .. } => snapshots.push(SnapshotIdx {
                         pos,
                         counts,
-                        checkpoint: checkpoint.clone(),
                         overlay: *overlay,
                     }),
                     Frame::Restart { cause, gave_up, .. } => restarts.push(RestartIdx {
@@ -848,10 +818,11 @@ impl Replay {
                 }
                 counts.absorb(&frame);
                 pos += 1;
-            }
-            if truncated {
+            })?
+            else {
                 break;
-            }
+            };
+            truncated = torn;
             segment += 1;
         }
         // A recording whose sink never sealed (killed mid-run) has no End
@@ -1032,14 +1003,14 @@ impl Replay {
         self.playhead_us = None;
         let target = target.min(self.events_total());
         if target < self.counts.events {
-            self.rewind_toward(target);
+            self.rewind_toward(target)?;
         } else {
             // Forward: take a snapshot shortcut only when it skips past
             // the cursor (otherwise a linear scan from here is closer).
             let best = self.best_snapshot_for(target);
             if let Some(idx) = best {
                 if self.snapshots[idx].pos >= self.pos {
-                    self.jump_to_snapshot(idx);
+                    self.jump_to_snapshot(idx)?;
                 }
             }
         }
@@ -1197,13 +1168,7 @@ impl Replay {
         for pos in positions {
             match self.frame_at(pos)? {
                 Frame::Event { event, .. } => stream.push(event.event),
-                other => {
-                    return Err(ReplayError::Corrupt {
-                        segment: pos / self.manifest.frames_per_segment.max(1),
-                        line: pos % self.manifest.frames_per_segment.max(1) + 1,
-                        cause: format!("event index points at non-event frame {other:?}"),
-                    })
-                }
+                _ => return Err(self.misindexed(pos, "event")),
             }
         }
         Ok(stream)
@@ -1241,9 +1206,9 @@ impl Replay {
 
     /// Rewind: land on the best snapshot at or before `target` events,
     /// or back at a pristine detector when none precedes it.
-    fn rewind_toward(&mut self, target: u64) {
+    fn rewind_toward(&mut self, target: u64) -> Result<(), ReplayError> {
         match self.best_snapshot_for(target) {
-            Some(idx) => self.jump_to_snapshot(idx),
+            Some(idx) => self.jump_to_snapshot(idx)?,
             None => {
                 self.pos = 0;
                 self.counts = Counts::default();
@@ -1252,20 +1217,25 @@ impl Replay {
                 self.recomputed.clear();
             }
         }
+        Ok(())
     }
 
     /// Places the cursor immediately after snapshot `idx`, restoring the
     /// detector from its checkpoint — the exact state the live detector
-    /// had when that checkpoint was taken.
-    fn jump_to_snapshot(&mut self, idx: usize) {
-        let snap = &self.snapshots[idx];
-        self.pos = snap.pos + 1;
-        self.counts = snap.counts;
+    /// had when that checkpoint was taken. The checkpoint is decoded from
+    /// the snapshot's frame, through the segment cache.
+    fn jump_to_snapshot(&mut self, idx: usize) -> Result<(), ReplayError> {
+        let (pos, counts) = (self.snapshots[idx].pos, self.snapshots[idx].counts);
+        let Frame::Snapshot { checkpoint, .. } = self.frame_at(pos)? else {
+            return Err(self.misindexed(pos, "snapshot"));
+        };
+        self.pos = pos + 1;
+        self.counts = counts;
         self.counts.snapshots += 1;
-        self.detector =
-            RealtimeDetector::restore(self.manifest.config.clone(), snap.checkpoint.clone());
-        self.last_checkpoint = Some(snap.checkpoint.clone());
+        self.detector = RealtimeDetector::restore(self.manifest.config.clone(), checkpoint.clone());
+        self.last_checkpoint = Some(checkpoint);
         self.recomputed.clear();
+        Ok(())
     }
 
     /// Scans frames forward until `target` events have been applied.
@@ -1314,32 +1284,12 @@ impl Replay {
     /// cache.
     fn frame_at(&mut self, pos: u64) -> Result<Frame, ReplayError> {
         let per_seg = self.manifest.frames_per_segment.max(1);
-        let segment = pos / per_seg;
-        let offset = (pos % per_seg) as usize;
-        let cached = self.cache.as_ref().is_some_and(|(seg, _)| *seg == segment);
-        if !cached {
-            let seg_path = segment_path(&self.base, segment);
-            let data = std::fs::read_to_string(&seg_path)
-                .map_err(|e| ReplayError::Io(format!("{}: {e}", seg_path.display())))?;
+        let (segment, offset) = (pos / per_seg, (pos % per_seg) as usize);
+        if self.cache.as_ref().is_none_or(|(seg, _)| *seg != segment) {
             let mut frames = Vec::new();
-            for (lineno, line) in data.lines().enumerate() {
-                match serde_json::from_str::<Frame>(line) {
-                    Ok(frame) => frames.push(frame),
-                    Err(e) => {
-                        // Load already classified a bad tail as torn;
-                        // only the validated prefix is addressable, so a
-                        // decode failure here past it cannot be reached
-                        // for valid `pos`. Guard anyway.
-                        if segment * per_seg + lineno as u64 >= self.frames_total {
-                            break;
-                        }
-                        return Err(ReplayError::Corrupt {
-                            segment,
-                            line: lineno as u64 + 1,
-                            cause: e.to_string(),
-                        });
-                    }
-                }
+            if decode_segment(&self.base, segment, |frame| frames.push(frame))?.is_none() {
+                let path = segment_path(&self.base, segment);
+                return Err(ReplayError::Io(format!("{}: missing", path.display())));
             }
             self.cache = Some((segment, frames));
         }
@@ -1350,6 +1300,52 @@ impl Replay {
             cause: "frame index past segment end".to_owned(),
         })
     }
+
+    /// The error for an index entry at `pos` whose frame is not the
+    /// `kind` it was indexed as.
+    fn misindexed(&self, pos: u64, kind: &str) -> ReplayError {
+        let per_seg = self.manifest.frames_per_segment.max(1);
+        ReplayError::Corrupt {
+            segment: pos / per_seg,
+            line: pos % per_seg + 1,
+            cause: format!("{kind} index points at another frame"),
+        }
+    }
+}
+
+/// Decodes segment `segment` of the recording at `base`, handing each
+/// complete frame to `frame` in order: the one decoder behind
+/// [`Replay::load`]'s index and the cursor's segment cache. `None` when
+/// the segment does not exist; otherwise whether its tail was torn. A
+/// bad *final* line of the *final* segment is a torn write (the recorder
+/// died mid-write) and is dropped; a bad line anywhere else is
+/// corruption.
+fn decode_segment(
+    base: &Path,
+    segment: u64,
+    mut frame: impl FnMut(Frame),
+) -> Result<Option<bool>, ReplayError> {
+    let seg_path = segment_path(base, segment);
+    let data = match std::fs::read_to_string(&seg_path) {
+        Ok(data) => data,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(ReplayError::Io(format!("{}: {e}", seg_path.display()))),
+    };
+    let last_segment = !segment_path(base, segment + 1).exists();
+    for (lineno, line) in data.lines().enumerate() {
+        match serde_json::from_str(line) {
+            Ok(decoded) => frame(decoded),
+            Err(_) if last_segment && lineno + 1 == data.lines().count() => return Ok(Some(true)),
+            Err(e) => {
+                return Err(ReplayError::Corrupt {
+                    segment,
+                    line: lineno as u64 + 1,
+                    cause: e.to_string(),
+                })
+            }
+        }
+    }
+    Ok(Some(false))
 }
 
 #[cfg(test)]

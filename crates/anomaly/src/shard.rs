@@ -29,16 +29,20 @@
 //! # Quarantine (circuit breaker)
 //!
 //! A shard whose supervisor exhausts [`SupervisorConfig::max_restarts`]
-//! does *not* close the sharded pipeline: the shard is **quarantined** —
-//! by the producer the next time it routes there, or by `finish()` if it
-//! finds the shard dead first. Its handle is reaped (stranded queued events
-//! counted as shed, its
-//! in-flight ring already counted as that shard's `lost_events`), its
-//! keyspace is marked degraded ([`ShardSnapshot::quarantined`]), and every
-//! event subsequently routed to it is counted in
+//! does *not* close the sharded pipeline: the shard is **quarantined** the
+//! moment its supervisor gives up. Its in-flight ring is already counted
+//! as that shard's `lost_events`; its keyspace is marked degraded
+//! ([`ShardSnapshot::quarantined`]); the next time the producer routes
+//! there, the events stranded in its queue are counted as shed, and every
+//! event routed to it from then on is counted in
 //! [`ShardSnapshot::quarantine_shed`] (folded into the shard's
 //! `ingested`/`shed_events`, never silently discarded). Only when *all*
 //! shards are quarantined does ingest return [`PipelineClosed`].
+//!
+//! A shard is its handle: the flag, the panic cause, the restart count and
+//! the ledger are read from the handle's [`StatsProbe`], which outlives
+//! the handle, so a sample from any thread — before, during or after a
+//! quarantine or `finish` — reads one source and closes exactly.
 //!
 //! # Global ledger
 //!
@@ -57,7 +61,8 @@
 
 use std::cmp::Reverse;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use serde::Serialize;
 
@@ -157,7 +162,7 @@ pub struct ShardedConfig {
     /// configured recording path is suffixed per shard (`<path>.shard<k>`)
     /// so shards never clobber each other's files. Its report bound does
     /// not apply: a shard is not a subscriber, so every shard's report
-    /// queue is unbounded and is read once, when the shard is reaped.
+    /// queue is unbounded and is read once, when the shard finishes.
     pub spawn: SpawnConfig,
     /// Leading prefix bits in the routing key (see
     /// [`ShardRouter::with_range_bits`]).
@@ -211,64 +216,48 @@ impl ShardedConfig {
     }
 }
 
-/// The observable supervision state of one shard. Everything an observer
-/// can see about a quarantine — the flag, the cause, the reaped final
-/// ledger, the post-quarantine shed count — is published under this one
-/// mutex, in one critical section, so a sample taken from another thread
-/// (a recorder, a metrics scraper) can never read the transition half-done
-/// (the old code's `handle.take()` → remains-stored window read as an
-/// all-zero ledger).
-#[derive(Debug, Default)]
-struct ShardCell {
-    quarantined: bool,
-    /// Events routed here after quarantine (counted as this shard's
-    /// `ingested` + `shed_events` in every snapshot).
-    quarantine_shed: u64,
-    /// The panic cause captured at quarantine, surviving later panics on
-    /// other shards.
-    cause: Option<String>,
-    /// The final ledger, published together with `quarantined` once the
-    /// handle is reaped. `None` = sample the live probe.
-    stats: Option<PipelineStats>,
-}
-
-/// One shard: a live handle (`None` once reaped), the reports taken off
-/// it when it was reaped, the thread-safe ledger probe, the supervision
-/// cell observers sample, and the reused buffer its share of a batch is
-/// routed into.
+/// One shard: its handle, the reused buffer its share of a batch is
+/// routed into, and the count of events routed to it after quarantine
+/// (shared with every [`ShardedObserver`]).
 #[derive(Debug)]
 struct Shard {
-    handle: Option<PipelineHandle>,
-    reports: Vec<AnomalyReport>,
-    probe: StatsProbe,
-    cell: Arc<Mutex<ShardCell>>,
+    handle: PipelineHandle,
     /// This shard's events of the batch being ingested, in batch order;
     /// empty between batches.
     pending: VecDeque<WeightedEvent>,
+    quarantine_shed: Arc<AtomicU64>,
 }
 
 impl Shard {
     fn snapshot(&self, shard: usize) -> ShardSnapshot {
-        snapshot_shard(&self.probe, &self.cell, shard)
+        snapshot_shard(&self.handle.probe(), &self.quarantine_shed, shard)
+    }
+
+    /// Ends the shard's feed and returns its reports. A shard whose
+    /// supervisor gave up first has its quarantine written into its
+    /// recording.
+    fn finish(self, shard: usize) -> Vec<AnomalyReport> {
+        if self.handle.gave_up() {
+            let cause = self.handle.last_panic().unwrap_or_default();
+            self.handle
+                .record_transition("shard-quarantine", &format!("shard {shard}: {cause}"));
+        }
+        self.handle.finish().0
     }
 }
 
-/// Samples one shard's snapshot: the cell (one critical section) decides
-/// whether the ledger comes from the reaped final stats or the live
-/// probe, and folds the post-quarantine shed in — always consistent,
-/// from any thread.
-fn snapshot_shard(probe: &StatsProbe, cell: &Mutex<ShardCell>, shard: usize) -> ShardSnapshot {
-    let cell = cell.lock().expect("shard cell poisoned");
-    let mut stats = match cell.stats {
-        Some(stats) => stats,
-        None => probe.stats(),
-    };
-    stats.ingested += cell.quarantine_shed;
-    stats.shed_events += cell.quarantine_shed;
+/// Samples one shard's snapshot from its probe, from any thread: the
+/// probe's ledger closes, and the post-quarantine shed read after it is
+/// folded into `ingested` and `shed_events` alike.
+fn snapshot_shard(probe: &StatsProbe, quarantine_shed: &AtomicU64, shard: usize) -> ShardSnapshot {
+    let mut stats = probe.stats();
+    let quarantine_shed = quarantine_shed.load(Ordering::Acquire);
+    stats.ingested += quarantine_shed;
+    stats.shed_events += quarantine_shed;
     ShardSnapshot {
         shard,
-        quarantined: cell.quarantined,
-        quarantine_shed: cell.quarantine_shed,
+        quarantined: probe.gave_up(),
+        quarantine_shed,
         stats,
     }
 }
@@ -387,34 +376,49 @@ impl std::fmt::Display for ShardedStats {
 
 /// A thread-safe, cloneable view of a [`ShardedPipeline`]'s ledger (see
 /// [`ShardedPipeline::observer`]). Holds each shard's [`StatsProbe`] and
-/// supervision cell, so a sample never touches the pipeline itself — safe
-/// to hammer from a recorder or metrics thread while the owning thread
-/// ingests, restarts, and quarantines.
+/// post-quarantine shed count, so a sample never touches the pipeline
+/// itself — safe to hammer from a recorder or metrics thread while the
+/// owning thread ingests, restarts, and quarantines.
 #[derive(Debug, Clone)]
 pub struct ShardedObserver {
-    shards: Vec<(StatsProbe, Arc<Mutex<ShardCell>>)>,
+    shards: Vec<(StatsProbe, Arc<AtomicU64>)>,
 }
 
 impl ShardedObserver {
     /// A consistent global + per-shard snapshot, from any thread. Each
-    /// shard's ledger closes exactly on every sample: the cell lock makes
-    /// the quarantine hand-off atomic, and the live probe orders its reads
-    /// so concurrent counter bumps only grow the derived `queued`.
+    /// shard's ledger closes exactly on every sample: the probe reads the
+    /// supervisor's side under its mutex before the producer's counters,
+    /// so a counter bumped in between only grows the derived `queued`.
     pub fn stats(&self) -> ShardedStats {
         ShardedStats::from_snapshots(
             self.shards
                 .iter()
                 .enumerate()
-                .map(|(k, (probe, cell))| snapshot_shard(probe, cell, k))
+                .map(|(k, (probe, shed))| snapshot_shard(probe, shed, k))
                 .collect(),
         )
+    }
+
+    /// Every shard's most recent panic, with its restart count.
+    fn panic_causes(&self) -> Vec<ShardPanic> {
+        self.shards
+            .iter()
+            .enumerate()
+            .filter_map(|(shard, (probe, _))| {
+                Some(ShardPanic {
+                    shard,
+                    cause: probe.last_panic()?,
+                    restarts: probe.stats().restarts,
+                })
+            })
+            .collect()
     }
 }
 
 /// One shard's panic record: which shard, the captured cause, and how many
-/// restarts its supervisor had performed when last observed. Unlike the
-/// single pipeline's `last_panic()`, a quarantined shard's cause survives
-/// later panics on other shards.
+/// restarts its supervisor had performed when last observed. Each shard
+/// keeps its own cause, so a quarantine's survives later panics on other
+/// shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPanic {
     /// Shard index.
@@ -467,16 +471,10 @@ impl ShardedPipeline {
     pub fn spawn(config: ShardedConfig) -> Self {
         let router = ShardRouter::new(config.shards).with_range_bits(config.range_bits);
         let shards = (0..router.shards())
-            .map(|k| {
-                let handle = RealtimeDetector::spawn(config.spawn_for(k));
-                let probe = handle.probe();
-                Shard {
-                    handle: Some(handle),
-                    reports: Vec::new(),
-                    probe,
-                    cell: Arc::new(Mutex::new(ShardCell::default())),
-                    pending: VecDeque::new(),
-                }
+            .map(|k| Shard {
+                handle: RealtimeDetector::spawn(config.spawn_for(k)),
+                pending: VecDeque::new(),
+                quarantine_shed: Arc::default(),
             })
             .collect();
         ShardedPipeline {
@@ -488,35 +486,23 @@ impl ShardedPipeline {
 
     /// True while shard `k`'s detector thread is running.
     pub fn is_shard_alive(&self, k: usize) -> bool {
-        self.shards[k]
-            .handle
-            .as_ref()
-            .is_some_and(PipelineHandle::is_alive)
+        self.shards[k].handle.is_alive()
     }
 
-    /// True once shard `k` has been quarantined.
+    /// True once shard `k` has been quarantined: its supervisor gave up.
     pub fn is_quarantined(&self, k: usize) -> bool {
-        self.shards[k]
-            .cell
-            .lock()
-            .expect("shard cell poisoned")
-            .quarantined
+        self.shards[k].handle.gave_up()
     }
 
     /// Shards not yet quarantined.
     pub fn live_shards(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|s| !s.cell.lock().expect("shard cell poisoned").quarantined)
-            .count()
+        self.shards.iter().filter(|s| !s.handle.gave_up()).count()
     }
 
-    /// Events queued on shard `k` (0 for a quarantined shard).
+    /// Events in shard `k`'s channel (for a quarantined shard, those
+    /// stranded there until the producer next routes to it).
     pub fn queue_len(&self, k: usize) -> usize {
-        self.shards[k]
-            .handle
-            .as_ref()
-            .map_or(0, PipelineHandle::queue_len)
+        self.shards[k].handle.queue_len()
     }
 
     /// The deepest shard queue right now.
@@ -557,10 +543,9 @@ impl ShardedPipeline {
     /// Ingests already-augmented events: each is routed to its shard,
     /// keeping batch order within every shard, and each shard with events
     /// takes its share in one push — one `ingested` add, one liveness
-    /// check, what fits moved under one queue lock. A shard observed
-    /// dead (restart budget exhausted) is quarantined here: its handle is
-    /// reaped and its share — like every later event routed to it — is
-    /// counted in its `quarantine_shed`.
+    /// check, what fits moved under one queue lock. A quarantined shard's
+    /// share is counted in its `quarantine_shed`, and what its supervisor
+    /// left queued when it gave up is counted as shed.
     ///
     /// # Errors
     ///
@@ -574,85 +559,33 @@ impl ShardedPipeline {
             let k = self.router.route_event(&event);
             self.shards[k].pending.push_back(WeightedEvent::unit(event));
         }
-        let mut reaped = false;
-        for k in 0..self.shards.len() {
-            let shard = &mut self.shards[k];
-            if shard.pending.is_empty() {
+        let mut quarantined = false;
+        for shard in &mut self.shards {
+            if shard.pending.is_empty()
+                || !shard.handle.gave_up() && shard.handle.push_batch(&mut shard.pending).is_ok()
+            {
                 continue;
             }
-            match shard.handle.as_mut().filter(|handle| handle.is_alive()) {
-                Some(handle) => {
-                    if handle.push_batch(&mut shard.pending).is_ok() {
-                        continue;
-                    }
-                    // The handle already counted the batch (ingested +
-                    // shed); the death is terminal — quarantine the shard.
-                    self.reap(k);
-                }
-                None => {
-                    let routed = shard.pending.len() as u64;
-                    shard.pending.clear();
-                    self.reap(k);
-                    self.shards[k]
-                        .cell
-                        .lock()
-                        .expect("shard cell poisoned")
-                        .quarantine_shed += routed;
-                }
-            }
-            reaped = true;
+            // The supervisor gave up (a push it failed already counted its
+            // batch as ingested + shed, and left `pending` empty).
+            shard.handle.shed_stranded();
+            shard
+                .quarantine_shed
+                .fetch_add(shard.pending.len() as u64, Ordering::AcqRel);
+            shard.pending.clear();
+            quarantined = true;
         }
-        if reaped && self.live_shards() == 0 {
+        if quarantined && self.live_shards() == 0 {
             Err(PipelineClosed)
         } else {
             Ok(())
         }
     }
 
-    /// Reaps shard `k`'s handle, if it still has one: finishes it (a live
-    /// shard flushes its final window; a dead one has its stranded queued
-    /// events counted as shed, its in-flight ring already counted as
-    /// `lost_events` by the supervisor's give-up) and keeps its reports. A
-    /// shard whose supervisor gave up — before this call or
-    /// during the final drain — is quarantined: its keyspace is degraded
-    /// from here on; its siblings are untouched.
-    fn reap(&mut self, k: usize) {
-        let shard = &mut self.shards[k];
-        let Some(handle) = shard.handle.take() else {
-            return;
-        };
-        let dead = !handle.is_alive();
-        if dead {
-            handle.record_transition(
-                "shard-quarantine",
-                &format!(
-                    "shard {k}: {}",
-                    handle
-                        .last_panic()
-                        .as_deref()
-                        .unwrap_or("restart budget exhausted")
-                ),
-            );
-        }
-        let (reports, stats) = handle.finish();
-        shard.reports = reports;
-        // Publish the whole transition — flag, cause, final ledger — in
-        // one critical section. An observer sampling concurrently sees
-        // either the live ledger (the probe stays valid through `finish`)
-        // or the complete reaped one, never the in-between.
-        let mut cell = shard.cell.lock().expect("shard cell poisoned");
-        cell.quarantined = dead || shard.probe.gave_up();
-        cell.cause = shard.probe.last_panic();
-        cell.stats = Some(stats);
-    }
-
-    /// Records upstream parse errors on the first shard that is still
-    /// running (the global sum is what consumers read; a reaped shard's
-    /// ledger is frozen).
+    /// Records upstream parse errors on shard 0's ledger (the global sum
+    /// is what consumers read; a quarantined shard keeps its ledger).
     pub fn record_parse_errors(&self, n: usize) {
-        if let Some(handle) = self.shards.iter().find_map(|s| s.handle.as_ref()) {
-            handle.record_parse_errors(n);
-        }
+        self.shards[0].handle.record_parse_errors(n);
     }
 
     /// A live global + per-shard accounting snapshot. Called from the
@@ -672,53 +605,32 @@ impl ShardedPipeline {
     /// A thread-safe observer over the sharded ledger: a recorder or
     /// metrics thread holds one and samples [`ShardedObserver::stats`]
     /// while this pipeline keeps ingesting (and quarantining) on its own
-    /// thread. Every sample closes exactly — each shard is read either
-    /// from its live probe or from the complete reaped ledger published
-    /// in one critical section at quarantine, never the in-between.
+    /// thread. Every sample closes exactly, through quarantines and after
+    /// `finish`: each shard is read from its probe alone.
     pub fn observer(&self) -> ShardedObserver {
         ShardedObserver {
             shards: self
                 .shards
                 .iter()
-                .map(|s| (s.probe.clone(), Arc::clone(&s.cell)))
+                .map(|s| (s.handle.probe(), Arc::clone(&s.quarantine_shed)))
                 .collect(),
         }
     }
 
     /// Writes an operational transition marker (e.g. a source quarantine)
-    /// into shard 0's recording, if shard 0 is live and recording. A no-op
-    /// otherwise — transitions are diagnostics, never load-bearing.
+    /// into shard 0's recording. A no-op when the run is not recorded —
+    /// transitions are diagnostics, never load-bearing.
     pub fn record_transition(&self, kind: &str, detail: &str) {
-        if let Some(handle) = self.shards[0].handle.as_ref() {
-            handle.record_transition(kind, detail);
-        }
+        self.shards[0].handle.record_transition(kind, detail);
     }
 
-    /// Every shard panic observed so far: live shards report their most
-    /// recent cause, quarantined shards the cause captured at quarantine —
-    /// a quarantine's root cause survives later panics elsewhere.
+    /// Every shard panic observed so far: each shard's most recent cause,
+    /// so a quarantine's root cause survives later panics elsewhere.
     pub fn panic_causes(&self) -> Vec<ShardPanic> {
-        let mut causes = Vec::new();
-        for (k, shard) in self.shards.iter().enumerate() {
-            let (cause, restarts) = match &shard.handle {
-                Some(handle) => (handle.last_panic(), handle.stats().restarts),
-                None => {
-                    let cell = shard.cell.lock().expect("shard cell poisoned");
-                    (cell.cause.clone(), cell.stats.map_or(0, |s| s.restarts))
-                }
-            };
-            if let Some(cause) = cause {
-                causes.push(ShardPanic {
-                    shard: k,
-                    cause,
-                    restarts,
-                });
-            }
-        }
-        causes
+        self.observer().panic_causes()
     }
 
-    /// Ends the feed on every live shard, waits for their terminal
+    /// Ends the feed on every shard, waits for their terminal
     /// flushes, merges the per-shard anomalies into global incidents, and
     /// returns the full run record.
     pub fn finish(self) -> ShardedRun {
@@ -737,18 +649,22 @@ impl ShardedPipeline {
         run
     }
 
-    /// Reaps every shard into a run record whose `incidents` are still to
-    /// be merged from its `shard_reports`.
-    fn finish_unmerged(mut self) -> ShardedRun {
-        for k in 0..self.shards.len() {
-            self.reap(k);
-        }
+    /// Finishes every shard into a run record whose `incidents` are still
+    /// to be merged from its `shard_reports`.
+    fn finish_unmerged(self) -> ShardedRun {
+        let observer = self.observer();
+        let shard_reports = self
+            .shards
+            .into_iter()
+            .enumerate()
+            .map(|(k, shard)| shard.finish(k))
+            .collect();
+        // Read after the finishes, so a give-up during the final drain is in.
         ShardedRun {
             incidents: Vec::new(),
-            stats: self.stats(),
-            // After the reaps, so a give-up during the final drain is in.
-            panics: self.panic_causes(),
-            shard_reports: self.shards.into_iter().map(|s| s.reports).collect(),
+            stats: observer.stats(),
+            panics: observer.panic_causes(),
+            shard_reports,
         }
     }
 }
@@ -1245,7 +1161,8 @@ mod tests {
     #[test]
     fn quarantined_shard_is_isolated_and_accounted() {
         // The (200, 200) key routes to shard 0, where parse errors are
-        // recorded while it runs: quarantining it checks they move on.
+        // recorded: quarantining it checks a quarantined shard's ledger
+        // still counts them.
         let peer = PeerId::from_octets(10, 200, 0, 1);
         let prefix = Prefix::from_octets(40, 200, 0, 0, 16);
         let config = ShardedConfig::new(2, {
@@ -1299,7 +1216,7 @@ mod tests {
                 .ingest_event(withdraw_event(i + j, 200, 200))
                 .unwrap();
         }
-        // ... and parse errors land on a shard that still keeps a ledger.
+        // ... and parse errors still land on the ledger.
         pipeline.record_parse_errors(3);
         let causes = pipeline.panic_causes();
         assert_eq!(causes.len(), 1, "{causes:?}");
@@ -1326,6 +1243,73 @@ mod tests {
         assert_eq!(sibling_snap.stats.shed_events, 0, "sibling shed");
         assert_eq!(run.panics.len(), 1);
         assert_eq!(run.panics[0].shard, target);
+    }
+
+    /// The probe is the one home of a shard's supervision state: the
+    /// moment shard 1's supervisor gives up — before the producer routes
+    /// anything more — every view of the pipeline reads the quarantine,
+    /// the cause and the restart count the probe reads.
+    #[test]
+    fn quarantine_shows_at_give_up_in_every_view_as_the_probe_reads_it() {
+        let router = ShardRouter::new(2).with_range_bits(16);
+        let key = (0..=255u8)
+            .find(|&k| router.route_event(&withdraw_event(0, k, k)) == 1)
+            .expect("some key routes to shard 1");
+        let config = ShardedConfig::new(2, {
+            SpawnConfig::new(PipelineConfig {
+                min_events: 1_000_000,
+                ..small_pipeline()
+            })
+            .with_supervisor(SupervisorConfig::default().with_max_restarts(0))
+        })
+        .with_range_bits(16)
+        .with_shard_fault(
+            1,
+            PanicInjection {
+                after_events: 5,
+                repeat: u32::MAX,
+            },
+        );
+        let mut pipeline = ShardedPipeline::spawn(config);
+        let probe = pipeline.shards[1].handle.probe();
+        for i in 0..5u64 {
+            pipeline.ingest_event(withdraw_event(i, key, key)).unwrap();
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while pipeline.is_shard_alive(1) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "shard 1's supervisor never gave up"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(probe.gave_up());
+        let cause = probe.last_panic().expect("the injected panic is recorded");
+        assert!(cause.contains("injected"), "{cause}");
+        let restarts = probe.stats().restarts;
+        assert_eq!(restarts, 1, "max_restarts + the last straw");
+
+        // No event has been routed since the give-up.
+        assert!(pipeline.is_quarantined(1));
+        assert!(!pipeline.is_quarantined(0));
+        assert_eq!(pipeline.live_shards(), 1);
+        let stats = pipeline.stats();
+        assert_eq!(stats.quarantined_shards(), [1], "{stats}");
+        assert!(stats.accounts_exactly(), "{stats}");
+        assert_eq!(stats.shards[1].stats, probe.stats());
+        assert_eq!(pipeline.observer().stats().quarantined_shards(), [1]);
+        let causes = vec![ShardPanic {
+            shard: 1,
+            cause,
+            restarts,
+        }];
+        assert_eq!(pipeline.panic_causes(), causes);
+
+        let run = pipeline.finish();
+        assert!(run.stats.accounts_exactly(), "{}", run.stats);
+        assert_eq!(run.stats.quarantined_shards(), [1]);
+        assert_eq!(run.stats.shards[1].stats, probe.stats());
+        assert_eq!(run.panics, causes);
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //!                   [--checkpoint-interval N]
 //!                   [--adaptive [--target-depth N]]
 //!                   [--shards N] [--quarantine-after R]
+//!                   [--record PATH [--frames-per-segment N] [--label S]]
 //! bgpscope ingest   <archive.mrt> [archive2.mrt …] [--lossy] [--passthrough]
 //!                   [--buffer-capacity BYTES] [--batch N] [--channel-batches N]
 //!                   [--capacity N] [--policy P] [--shards N] [--bench FILE]
 //!                   [--retries N] [--backoff-ms N] [--stall-timeout-ms N]
 //!                   [--poison-threshold N]
-//! bgpscope record   <events.(mrt|txt)> <recording> [--capacity N] [--policy P]
-//!                   [--checkpoint-interval N] [--frames-per-segment N] [--label S]
+//! bgpscope record   <events.(mrt|txt)> <recording> [pipeline flags]
+//!                   # = pipeline <events> --record <recording> [flags]
 //! bgpscope replay   <recording> [--seek T|--hotspot N] [--step K] [--rate R]
 //!                   [--frames DIR] [--timeline] [--span SECS]
 //! bgpscope convert  <in.(mrt|txt)> <out.(mrt|txt)>
@@ -78,7 +79,12 @@ fn main() -> ExitCode {
             if args.len() < 3 {
                 return usage();
             }
-            cmd_record(&args[1], &args[2], &args[3..])
+            let rest: Vec<String> = ["--record", &args[2]]
+                .into_iter()
+                .map(String::from)
+                .chain(args[3..].iter().cloned())
+                .collect();
+            cmd_pipeline(&args[1], &rest)
         }
         Some("replay") => {
             if args.len() < 2 {
@@ -118,12 +124,12 @@ fn usage() -> ExitCode {
          animate  <events> <out-dir>   write key animation frames as SVG\n\
          rate     <events> [bucket-s]  event-rate series + spikes\n\
          pipeline <events> [--capacity N] [--policy block|drop-newest|drop-oldest|degrade]\n\
-         \u{20}                 [--checkpoint-interval N]\n\
-         \u{20}                 [--adaptive [--target-depth N]]\n\
+         \u{20}                 [--checkpoint-interval N] [--adaptive [--target-depth N]]\n\
          \u{20}                 [--shards N] [--quarantine-after R]\n\
-         \u{20}                             replay through the supervised realtime pipeline\n\
-         \u{20}                             (--shards N fans out over independently\n\
-         \u{20}                             supervised shards with per-shard quarantine)\n\
+         \u{20}                 [--record PATH [--frames-per-segment N] [--label S]]\n\
+         \u{20}                             replay through the supervised realtime pipeline;\n\
+         \u{20}                             --shards N fans out over supervised shards with\n\
+         \u{20}                             per-shard quarantine, --record PATH records the run\n\
          ingest   <archive.mrt> [archive2.mrt …] [--lossy] [--passthrough]\n\
          \u{20}                 [--buffer-capacity BYTES] [--batch N] [--channel-batches N]\n\
          \u{20}                 [--capacity N] [--policy P] [--shards N] [--bench FILE]\n\
@@ -134,8 +140,8 @@ fn usage() -> ExitCode {
          \u{20}                             (exit 3 = partial: some sources quarantined)\n\
          record   <events> <recording> [--capacity N] [--policy P]\n\
          \u{20}                 [--checkpoint-interval N] [--frames-per-segment N] [--label S]\n\
-         \u{20}                             replay the trace through the supervised pipeline\n\
-         \u{20}                             while recording a deterministic run artifact\n\
+         \u{20}                             = pipeline <events> --record <recording>, which\n\
+         \u{20}                             takes every pipeline flag\n\
          replay   <recording> [--seek T|--hotspot N] [--step K] [--rate R]\n\
          \u{20}                 [--frames DIR] [--timeline] [--span SECS]\n\
          \u{20}                             scrub a recording: seek a cursor (or hotspot),\n\
@@ -343,6 +349,12 @@ fn cmd_rate(stream: EventStream, bucket_secs: u64) -> CliResult {
 /// (human-readable plus one machine-readable JSON line). When every shard
 /// dies mid-replay the final ledger still comes out — on stderr, with a
 /// nonzero exit — so a crashed run is never a silent run.
+///
+/// `--record PATH` arms a recorder: every ingested event, restart,
+/// emitted report and periodic ledger snapshot goes into an append-only
+/// segmented recording (manifest at `PATH`, frames at `PATH.seg<k>`; with
+/// more than one shard, one recording per shard at `PATH.shard<k>`), ready
+/// for `bgpscope replay`. `record <events> <recording>` is this command.
 fn cmd_pipeline(path: &str, rest: &[String]) -> CliResult {
     let mut capacity = 65_536usize;
     let mut policy = OverloadPolicy::Block;
@@ -351,6 +363,9 @@ fn cmd_pipeline(path: &str, rest: &[String]) -> CliResult {
     let mut target_depth: Option<u64> = None;
     let mut shards = 1usize;
     let mut quarantine_after: Option<u32> = None;
+    let mut recorder: Option<RecorderConfig> = None;
+    let mut frames_per_segment: Option<usize> = None;
+    let mut label: Option<String> = None;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -361,11 +376,17 @@ fn cmd_pipeline(path: &str, rest: &[String]) -> CliResult {
             "--shards" => shards = value(&mut it, arg)?,
             "--quarantine-after" => quarantine_after = Some(value(&mut it, arg)?),
             "--target-depth" => target_depth = Some(value(&mut it, arg)?),
+            "--record" => recorder = Some(RecorderConfig::new(value::<String>(&mut it, arg)?)),
+            "--frames-per-segment" => frames_per_segment = Some(value(&mut it, arg)?),
+            "--label" => label = Some(value(&mut it, arg)?),
             other => return Err(format!("unknown flag {other}").into()),
         }
     }
     if target_depth.is_some() && !adaptive {
         return Err("--target-depth requires --adaptive".into());
+    }
+    if recorder.is_none() && (frames_per_segment.is_some() || label.is_some()) {
+        return Err("--frames-per-segment and --label require --record".into());
     }
     let (stream, parse_errors) = load_lossy(path)?;
     let mut supervisor = SupervisorConfig::default().with_checkpoint_interval(checkpoint_interval);
@@ -381,6 +402,16 @@ fn cmd_pipeline(path: &str, rest: &[String]) -> CliResult {
         spawn = spawn.with_adaptive(
             ControllerConfig::default().with_target_depth(target_depth.unwrap_or(0)),
         );
+    }
+    let recording = recorder.as_ref().map(|r| r.path.display().to_string());
+    if let Some(mut recorder) = recorder {
+        if let Some(frames) = frames_per_segment {
+            recorder = recorder.with_frames_per_segment(frames);
+        }
+        if let Some(label) = label {
+            recorder = recorder.with_label(label);
+        }
+        spawn = spawn.with_recorder(recorder);
     }
     let run = replay_trace(&stream, parse_errors, spawn, shards)?;
     for (i, incident) in run.incidents.iter().enumerate() {
@@ -399,6 +430,10 @@ fn cmd_pipeline(path: &str, rest: &[String]) -> CliResult {
         run.stats.shards.len(),
         run.stats
     );
+    if let Some(path) = recording {
+        let suffix = if shards > 1 { ".shard<k>" } else { "" };
+        println!("recorded to {path}{suffix} (+ .seg* segments)");
+    }
     println!("ledger {}", run.stats.to_json());
     Ok(())
 }
@@ -421,7 +456,7 @@ fn replay_trace(
                 "bgpscope: every shard quarantined at event {i}/{}",
                 stream.len()
             );
-            let run = pipeline.finish();
+            let run = pipeline.finish_merged();
             for panic in &run.panics {
                 eprintln!("  {panic}");
             }
@@ -429,7 +464,7 @@ fn replay_trace(
             return Err(PipelineClosed.into());
         }
     }
-    Ok(pipeline.finish())
+    Ok(pipeline.finish_merged())
 }
 
 /// Streams one or more MRT archives through the staged batch pipeline
@@ -569,47 +604,6 @@ fn print_ingest_report(
         fs::write(out, report.bench_json())?;
         println!("wrote {out}");
     }
-    Ok(())
-}
-
-/// Replays a trace through the supervised realtime pipeline with a
-/// recorder armed: every ingested event, restart, emitted report,
-/// and periodic ledger snapshot is captured in an
-/// append-only segmented recording at `<recording>.seg<k>` (manifest at
-/// `<recording>`), ready for `bgpscope replay`.
-fn cmd_record(events_path: &str, recording: &str, rest: &[String]) -> CliResult {
-    let mut capacity = 65_536usize;
-    let mut policy = OverloadPolicy::Block;
-    let mut checkpoint_interval = 256usize;
-    let mut recorder = RecorderConfig::new(recording);
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--capacity" => capacity = value(&mut it, arg)?,
-            "--policy" => policy = value(&mut it, arg)?,
-            "--checkpoint-interval" => checkpoint_interval = value(&mut it, arg)?,
-            "--frames-per-segment" => {
-                recorder = recorder.with_frames_per_segment(value(&mut it, arg)?);
-            }
-            "--label" => recorder = recorder.with_label(value::<String>(&mut it, arg)?),
-            other => return Err(format!("unknown flag {other}").into()),
-        }
-    }
-    let (stream, parse_errors) = load_lossy(events_path)?;
-    let spawn = SpawnConfig::new(PipelineConfig::default())
-        .with_capacity(capacity)
-        .with_overload(policy)
-        .with_supervisor(SupervisorConfig::default().with_checkpoint_interval(checkpoint_interval))
-        .with_recorder(recorder);
-    // One shard: the recording lands at the path as given.
-    let run = replay_trace(&stream, parse_errors, spawn, 1)?;
-    let stats = run.stats.global;
-    println!(
-        "recorded {} events, {} report(s) to {recording} (+ .seg* segments)\n{stats}",
-        stream.len(),
-        run.incidents.len()
-    );
-    println!("ledger {}", stats.to_json());
     Ok(())
 }
 

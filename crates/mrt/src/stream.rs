@@ -22,10 +22,9 @@
 //!   A *corrupted* length-prefix header — `body_len` past
 //!   [`MAX_RECORD_BODY`], or an absurd timestamp (`micros ≥ 1 000 000`,
 //!   which no encoder produces) — loses the framing itself, so the reader
-//!   scans forward to the next plausible record header
-//!   ([resync](RecordReader::skip_record)) and counts the garbage under
-//!   `records_skipped`. Only a truncated tail — where no next record can
-//!   exist — still errors.
+//!   scans forward to the next plausible record header (a resync) and
+//!   counts the garbage under `records_skipped`. Only a truncated tail —
+//!   where no next record can exist — still errors.
 //!
 //! For supervised multi-source ingestion the reader also exposes its raw
 //! record *position* ([`RecordReader::records_consumed`]) and a
@@ -350,26 +349,6 @@ impl<R: Read> RecordReader<R> {
             self.trailing_tolerated,
         ) = saved;
         Ok(advanced)
-    }
-
-    /// Discards the next record regardless of decodability, resyncing past
-    /// a corrupted header if needed — the poison-record breaker of a
-    /// supervised source, which gives up on a position after repeated
-    /// decode failures. Returns `false` at end of input. The skip counters
-    /// are left untouched; the caller accounts for the discard.
-    pub fn skip_record(&mut self) -> Result<bool, MrtError> {
-        let saved = (
-            self.records_decoded,
-            self.records_skipped,
-            self.trailing_tolerated,
-        );
-        let got = !matches!(self.next_record_with(true)?, RawNext::End);
-        (
-            self.records_decoded,
-            self.records_skipped,
-            self.trailing_tolerated,
-        ) = saved;
-        Ok(got)
     }
 
     /// Decodes the next event record.
@@ -936,25 +915,6 @@ mod tests {
             rebuilt.next_event().unwrap().unwrap(),
             first.next_event().unwrap().unwrap()
         );
-    }
-
-    #[test]
-    fn skip_record_discards_one_position_without_counting() {
-        let stream = synthetic_stream(4);
-        let mut archive = Vec::new();
-        write_events(&mut archive, &stream).unwrap();
-        let mut reader = RecordReader::new(archive.as_slice());
-        assert!(reader.next_event().unwrap().is_some());
-        assert!(reader.skip_record().unwrap());
-        assert_eq!(reader.records_skipped(), 0, "caller accounts the skip");
-        assert_eq!(reader.records_consumed(), 2);
-        let mut rest = EventStream::new();
-        while let Some(e) = reader.next_event().unwrap() {
-            rest.push(e);
-        }
-        assert_eq!(rest.len(), 2);
-        assert_eq!(rest.events()[0], stream.events()[2]);
-        assert!(!reader.skip_record().unwrap(), "false at end of input");
     }
 
     #[test]
