@@ -472,12 +472,13 @@ fn replay_trace(
 /// the ingest summary and the exact event ledger. `--bench FILE` also
 /// writes the machine-readable report (`IngestReport::bench_json`).
 ///
-/// With a single archive and no supervision flags this is the plain
-/// single-source pipeline. With several archives (or any of `--retries`,
-/// `--backoff-ms`, `--stall-timeout-ms`, `--poison-threshold`) each
-/// archive becomes a supervised source: transient read errors are retried
-/// with backoff, stalled or poisoned sources are quarantined, and the
-/// survivors' merged result still comes out. Exit codes: 0 clean, 2 hard
+/// Every archive is one source of the same fan-in. A single archive with
+/// no supervision flags is read once and fails on its first fault. With
+/// several archives (or any of `--retries`, `--backoff-ms`,
+/// `--stall-timeout-ms`, `--poison-threshold`) each archive becomes a
+/// supervised source: transient read errors are retried with backoff,
+/// stalled or poisoned sources are quarantined, and the survivors' merged
+/// result still comes out. Exit codes: 0 clean, 2 hard
 /// failure (including *every* source quarantined), 3 partial result —
 /// some sources were quarantined but the rest completed.
 fn cmd_ingest(args: &[String]) -> ExitCode {
@@ -548,10 +549,10 @@ fn run_ingest(args: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
             .with_capacity(capacity)
             .with_overload(policy),
     );
-    // Two decode front-ends, one pipeline behind them: a single archive
-    // with no supervision flags is read once and fails fast; otherwise each
-    // archive is a named source whose factory reopens the file on every
-    // retry rebuild.
+    // One fan-in either way: a single archive with no supervision flags is
+    // its one source, read once and never retried; otherwise each archive
+    // is a named source whose factory reopens the file on every retry
+    // rebuild.
     let result = if paths.len() == 1 && !supervised {
         ingest(std::io::BufReader::new(fs::File::open(&paths[0])?), config)
     } else {

@@ -1,24 +1,25 @@
 //! Staged batch ingestion: decode → augment → stem.
 //!
 //! Replays MRT archives of any size through the supervised realtime
-//! pipeline in constant memory. One path, three stages, each behind a
-//! bounded queue — N supervised sources (or one fail-fast reader) → augment
-//! → [`ShardedPipeline`] of M ≥ 1 shards:
+//! pipeline in constant memory: [`MultiSourceIngest`], N ≥ 1 sources →
+//! merge + augment → [`ShardedPipeline`] of M ≥ 1 shards, each stage behind
+//! a bounded queue. [`ingest`] is that run over one reader.
 //!
-//! 1. **decode** — a dedicated thread drives a streaming
-//!    [`RecordReader`] (strict or lossy) over the archive, batching events
+//! 1. **decode** — one thread per source drives a streaming
+//!    [`RecordReader`] (strict or lossy) over its archive, batching events
 //!    into fixed-size `Vec`s sent over a bounded channel. Memory is the
 //!    reader's refill buffer plus at most `channel_batches + 1` in-flight
-//!    batches, independent of archive size.
-//! 2. **augment** — the caller's thread moves each decoded event through
-//!    a [`Collector`] ([`AugmentMode::Rebuild`], [`Collector::augment`]),
-//!    so withdrawals regain the attributes of the route they removed and
-//!    withdrawals for prefixes the peer never announced are filtered out,
-//!    exactly as the paper's REX appliance does on live feeds.
-//!    [`AugmentMode::Passthrough`] forwards archive events untouched (for
-//!    archives that were already augmented at capture time). A decoded
-//!    batch is augmented into one reused batch, which goes to the stem
-//!    stage whole ([`ShardedPipeline::ingest_batch`]).
+//!    batches per source, independent of archive size.
+//! 2. **augment** — the caller's thread merges the sources' events and
+//!    moves each through that source's [`Collector`]
+//!    ([`AugmentMode::Rebuild`], [`Collector::augment`]), so withdrawals
+//!    regain the attributes of the route they removed and withdrawals for
+//!    prefixes the peer never announced are filtered out, exactly as the
+//!    paper's REX appliance does on live feeds. [`AugmentMode::Passthrough`]
+//!    forwards archive events untouched (for archives that were already
+//!    augmented at capture time). Augmented events collect in one reused
+//!    batch, which goes to the stem stage whole
+//!    ([`ShardedPipeline::ingest_batch`]).
 //! 3. **stem** — the sharded supervised pipeline ([`ShardedPipeline`];
 //!    one shard is the unsharded run): windowed stemming + classification
 //!    behind per-shard bounded queues, with the crash-recovery, quarantine
@@ -27,40 +28,41 @@
 //!    the run finishes; they come back as the merged global incidents.
 //!
 //! Nothing between the archive bytes and a shard's queue is paid per event
-//! except the decode and the RIB update: decoded AS paths are shared (the
-//! reader caches the paths it decoded recently), augmentation moves the
-//! event instead of rebuilding it from an UPDATE, and queue locks, counters
-//! and timers are paid per batch.
+//! except the decode, the merge pick and the RIB update: decoded AS paths
+//! are shared (the reader caches the paths it decoded recently),
+//! augmentation moves the event instead of rebuilding it from an UPDATE,
+//! and queue locks, ledger updates, counters and timers are paid per batch.
 //!
 //! Each stage keeps a wall-clock occupancy ledger ([`StageStats`]): time
 //! spent doing its own work vs. waiting on its input or output queue, so a
 //! replay tells you *which* stage is the bottleneck, not just how fast the
 //! whole thing went. The clocks are read per batch, never per event.
 //!
-//! # Multi-source fan-in
+//! # Sources and their supervision
 //!
-//! [`ingest`] decodes one reader and fails fast on the first undecodable
-//! record. [`MultiSourceIngest`] generalizes the decode stage to N archives — the
-//! paper's many-vantage-point monitoring model — with one *supervised*
-//! decode worker per source. Each worker is governed by a [`SourcePolicy`]:
-//! transient I/O errors are retried with exponential backoff and jitter
-//! (the reader is rebuilt from the source factory and fast-forwarded past
-//! already-delivered records via the length-prefixed framing), a record
-//! position that keeps failing decode is skipped after `poison_threshold`
-//! attempts, and a source that stops making progress for `stall_timeout`
-//! is flipped Degraded, then Quarantined, by the merge-side watchdog.
+//! A source is one vantage point's archive. A [`SourceSpec`] can be
+//! reopened, so it is *supervised* under a [`SourcePolicy`]: transient I/O
+//! errors are retried with exponential backoff and jitter (the reader is
+//! rebuilt from the factory and fast-forwarded past delivered records via
+//! the length-prefixed framing), a record position that keeps failing
+//! decode is skipped after `poison_threshold` attempts, and a source with no
+//! progress for `stall_timeout` is flipped Degraded, then Quarantined, by
+//! the merge-side watchdog. [`ingest`]'s reader cannot be reopened: its
+//! first fault ends the run ([`IngestError::Decode`]) and it is waited for,
+//! never stall-quarantined.
+//!
 //! Worker outputs are k-way merged deterministically by
 //! `(timestamp, source index)` — the merge waits until every live source
 //! has an event staged, so the fan-in order (and therefore everything
 //! downstream) is bit-identical run to run regardless of thread timing.
 //! Every source publishes a [`SourceLedger`] whose own invariant
 //! (`events_decoded == events_merged + stall_shed + queued`) holds at
-//! every instant, and ingest fails only when *every* source is
-//! quarantined ([`IngestError::AllSourcesQuarantined`]); otherwise it
-//! finishes with partial-source provenance on the report.
+//! every instant. A run with supervised sources fails only when *every*
+//! source is quarantined ([`IngestError::AllSourcesQuarantined`]);
+//! otherwise it finishes with partial-source provenance on the report.
 
 use std::collections::VecDeque;
-use std::io::Read;
+use std::io::{ErrorKind, Read};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -76,7 +78,10 @@ use serde::{Serialize, Value};
 /// How the decode stage treats records it cannot decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IngestMode {
-    /// Any undecodable record aborts the ingest with an error.
+    /// An undecodable record is a fault. A source that cannot be reopened
+    /// (the one of [`ingest`]) ends the run on it with an error; a
+    /// supervised source re-reads the record's position and skips it after
+    /// [`SourcePolicy::poison_threshold`] failed attempts.
     #[default]
     Strict,
     /// Unknown record types/subtypes are skipped by their length prefix and
@@ -114,7 +119,7 @@ impl std::fmt::Display for AugmentMode {
     }
 }
 
-/// Configuration for [`ingest`].
+/// Configuration for [`ingest`] and [`MultiSourceIngest`].
 #[derive(Debug)]
 pub struct IngestConfig {
     /// Strict or lossy decoding.
@@ -228,7 +233,7 @@ impl StageStats {
     }
 }
 
-/// The outcome of a completed [`ingest`] run.
+/// The outcome of a completed [`MultiSourceIngest`] (or [`ingest`]) run.
 #[derive(Debug)]
 pub struct IngestReport {
     /// Records the streaming reader decoded.
@@ -263,14 +268,14 @@ pub struct IngestReport {
     /// Peak resident set size (`VmHWM` from `/proc/self/status`), in bytes;
     /// 0 where procfs is unavailable.
     pub peak_rss_bytes: u64,
-    /// Per-source supervision ledgers when the run was a
-    /// [`MultiSourceIngest`]; empty for the single-source [`ingest`].
+    /// One ledger per source, in the order the sources were added
+    /// ([`ingest`]'s one source included).
     pub sources: Vec<SourceLedger>,
 }
 
 impl IngestReport {
-    /// Sources the supervisor quarantined (empty for single-source runs
-    /// and for multi-source runs where every source survived).
+    /// Sources the supervisor quarantined (empty when every source
+    /// survived).
     pub fn quarantined_sources(&self) -> Vec<&SourceLedger> {
         self.sources
             .iter()
@@ -288,11 +293,8 @@ impl IngestReport {
     /// True when every per-source ledger closes
     /// (`events_decoded == events_merged + stall_shed + queued`) *and*
     /// the sources' forwarded totals sum exactly into the stem pipeline's
-    /// global `ingested` count. Vacuously true for single-source runs.
+    /// global `ingested` count.
     pub fn sources_account_exactly(&self) -> bool {
-        if self.sources.is_empty() {
-            return true;
-        }
         self.sources.iter().all(|s| s.accounts_exactly())
             && self.sources.iter().map(|s| s.events_forwarded).sum::<u64>() == self.stats.ingested
     }
@@ -389,11 +391,12 @@ impl std::fmt::Display for IngestReport {
     }
 }
 
-/// Why an [`ingest`] run failed.
+/// Why a [`MultiSourceIngest`] (or [`ingest`]) run failed.
 #[derive(Debug)]
 pub enum IngestError {
-    /// The decode stage hit an undecodable record (strict mode) or a
-    /// truncated tail (either mode).
+    /// A source that cannot be reopened (the one of [`ingest`]) hit an
+    /// undecodable record (strict mode), a truncated tail (either mode) or
+    /// an I/O error.
     Decode(MrtError),
     /// The stem pipeline closed mid-replay (consumer crashed past its
     /// restart budget). Carries the final ledger so a crashed run is never
@@ -458,85 +461,10 @@ impl From<MrtError> for IngestError {
     }
 }
 
-/// What a decode front-end hands the back half at teardown.
-struct FrontEnd {
-    records_decoded: u64,
-    records_skipped: u64,
-    trailing_tolerated: u64,
-    events_decoded: u64,
-    decode: StageStats,
-    sources: Vec<SourceLedger>,
-}
-
-/// The fail-fast front-end of [`ingest`]: decodes `reader` to its end or to
-/// the first undecodable record.
-fn decode_stage<R: Read>(
-    reader: R,
-    mode: IngestMode,
-    buffer_capacity: usize,
-    batch_size: usize,
-    tx: channel::Sender<Vec<Event>>,
-) -> (FrontEnd, Result<(), MrtError>) {
-    let mut records = match mode {
-        IngestMode::Strict => RecordReader::with_capacity(reader, buffer_capacity),
-        IngestMode::Lossy => RecordReader::lossy_with_capacity(reader, buffer_capacity),
-    };
-    let mut stats = StageStats::default();
-    let mut events_decoded = 0u64;
-    let result = loop {
-        // One busy interval per batch, from its first record to its last.
-        let start = Instant::now();
-        let mut batch = Vec::with_capacity(batch_size);
-        let decoded = loop {
-            match records.next_event() {
-                Ok(Some(event)) => {
-                    batch.push(event);
-                    if batch.len() == batch_size {
-                        break Ok(true);
-                    }
-                }
-                Ok(None) => break Ok(false),
-                Err(e) => break Err(e),
-            }
-        };
-        stats.busy_secs += start.elapsed().as_secs_f64();
-        events_decoded += batch.len() as u64;
-        // A partial trailing batch is dropped on error: the run fails as a
-        // whole, so nothing downstream may act on its events.
-        let more = match decoded {
-            Ok(more) => more,
-            Err(e) => break Err(e),
-        };
-        if !batch.is_empty() {
-            let start = Instant::now();
-            let sent = tx.send(batch);
-            stats.blocked_out_secs += start.elapsed().as_secs_f64();
-            if sent.is_err() {
-                // Downstream hung up (pipeline died); stop quietly — the
-                // augment side reports the real failure.
-                break Ok(());
-            }
-        }
-        if !more {
-            break Ok(());
-        }
-    };
-    let front = FrontEnd {
-        records_decoded: records.records_decoded(),
-        records_skipped: records.records_skipped(),
-        trailing_tolerated: records.trailing_tolerated(),
-        events_decoded,
-        decode: stats,
-        sources: Vec::new(),
-    };
-    (front, result)
-}
-
-/// Everything after a decoded event, shared by [`ingest`] and
-/// [`MultiSourceIngest::run`]: augment → stem → report. Owns the sharded
-/// stem pipeline, the augment mode, the batch of augmented events on its
-/// way to the stem stage and the augment stage's occupancy ledger; only
-/// the decode front-ends differ.
+/// Everything after a merged event in [`MultiSourceIngest::run`]:
+/// augment → stem → report. Owns the sharded stem pipeline, the augment
+/// mode, the batch of augmented events on its way to the stem stage and the
+/// augment stage's occupancy ledger.
 struct BackHalf {
     started: Instant,
     pipeline: ShardedPipeline,
@@ -611,14 +539,6 @@ impl BackHalf {
         self.closed |= pushed.is_err();
     }
 
-    /// Augments a whole decoded batch of one source and hands it on.
-    fn push_batch(&mut self, collector: &mut Collector, batch: Vec<Event>) {
-        for event in batch {
-            self.augment(collector, event);
-        }
-        self.flush();
-    }
-
     /// Tears the stem pipeline down for a run that failed upstream of it
     /// (so its threads never outlive the call) and returns its final
     /// global ledger.
@@ -626,10 +546,14 @@ impl BackHalf {
         self.pipeline.finish_merged().stats.global
     }
 
-    /// Drains and joins the stem pipeline and assembles the report — or
-    /// the [`IngestError::Pipeline`] of a run whose stem stage closed,
-    /// carrying every quarantined shard's root cause.
-    fn finish(self, front: FrontEnd) -> Result<IngestReport, IngestError> {
+    /// Drains and joins the stem pipeline and assembles the report from
+    /// the final source ledgers and decode occupancy — or the
+    /// [`IngestError::Pipeline`] of a run whose stem stage closed.
+    fn finish(
+        self,
+        sources: Vec<SourceLedger>,
+        decode: StageStats,
+    ) -> Result<IngestReport, IngestError> {
         let run = self.pipeline.finish_merged();
         if self.closed {
             let causes: Vec<String> = run.panics.iter().map(ToString::to_string).collect();
@@ -643,22 +567,24 @@ impl BackHalf {
             });
         }
         let elapsed = self.started.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
+        let sum = |field: fn(&SourceLedger) -> u64| sources.iter().map(field).sum::<u64>();
+        let events_decoded = sum(|l| l.events_decoded);
         Ok(IngestReport {
-            records_decoded: front.records_decoded,
-            records_skipped: front.records_skipped,
-            trailing_tolerated: front.trailing_tolerated,
-            events_decoded: front.events_decoded,
+            records_decoded: sum(|l| l.records_decoded),
+            records_skipped: sum(|l| l.records_skipped),
+            trailing_tolerated: sum(|l| l.trailing_tolerated),
+            events_decoded,
             events_forwarded: self.events_forwarded,
             withdraws_filtered: self.withdraws_filtered,
             reports: run.incidents.into_iter().map(|i| i.report).collect(),
             stats: run.stats.global,
             shard_stats: Some(run.stats),
-            decode: front.decode,
+            decode,
             augment: self.stage,
             elapsed_secs: elapsed,
-            events_per_sec: front.events_decoded as f64 / elapsed,
+            events_per_sec: events_decoded as f64 / elapsed,
             peak_rss_bytes: peak_rss_bytes(),
-            sources: front.sources,
+            sources,
         })
     }
 }
@@ -688,50 +614,22 @@ pub fn peak_rss_bytes() -> u64 {
         .unwrap_or(0)
 }
 
-/// Replays an MRT event archive through decode → augment → stem.
+/// Replays one MRT archive through decode → augment → stem: a
+/// [`MultiSourceIngest`] run over one source read from `reader`.
 ///
-/// Decoding runs on its own thread behind a bounded batch channel; the
-/// augment stage runs on the calling thread; stemming runs inside the
-/// supervised pipeline spawned from `config.spawn`. Memory stays constant
-/// in the archive size. Returns the full [`IngestReport`] — reports,
-/// exact ledger, per-stage occupancy and throughput — or an
-/// [`IngestError`] if decoding or the stem pipeline failed.
-pub fn ingest<R: Read + Send>(
+/// The reader cannot be reopened, so its source is not supervised: its
+/// first undecodable record (strict mode), truncated tail or I/O error ends
+/// the run with [`IngestError::Decode`] (a stem stage that closed first is
+/// reported as [`IngestError::Pipeline`]), and a slow reader is waited for,
+/// never stall-quarantined. It is decoded on a detached worker thread,
+/// hence `'static`. Memory stays constant in the archive size.
+pub fn ingest<R: Read + Send + 'static>(
     reader: R,
     config: IngestConfig,
 ) -> Result<IngestReport, IngestError> {
-    let batch_size = config.batch_size.max(1);
-    let mut back = BackHalf::spawn(&config);
-    let (tx, rx) = channel::bounded::<Vec<Event>>(config.channel_batches.max(1));
-    let (mode, buffer_capacity) = (config.mode, config.buffer_capacity);
-
-    std::thread::scope(|scope| {
-        let decoder =
-            scope.spawn(move || decode_stage(reader, mode, buffer_capacity, batch_size, tx));
-
-        let mut collector = Collector::new();
-
-        while !back.closed {
-            let start = Instant::now();
-            let batch = rx.recv();
-            back.stage.blocked_in_secs += start.elapsed().as_secs_f64();
-            let Ok(batch) = batch else { break };
-            back.push_batch(&mut collector, batch);
-        }
-
-        // Unblock (and stop) the decoder before joining it.
-        drop(rx);
-        let (front, decoded) = decoder.join().expect("decode stage panicked");
-
-        match decoded {
-            // The archive is bad; a closed stem stage is reported first.
-            Err(e) if !back.closed => {
-                back.abort();
-                Err(IngestError::Decode(e))
-            }
-            _ => back.finish(front),
-        }
-    })
+    MultiSourceIngest::new(config, SourcePolicy::default())
+        .source(SourceSpec::once("archive", reader))
+        .run()
 }
 
 // ---------------------------------------------------------------------------
@@ -960,6 +858,9 @@ pub type SourceFactory = Box<dyn FnMut() -> std::io::Result<Box<dyn Read + Send>
 pub struct SourceSpec {
     name: String,
     open: SourceFactory,
+    /// False for [`SourceSpec::once`]: never rebuilt, never
+    /// stall-quarantined.
+    reopenable: bool,
 }
 
 impl SourceSpec {
@@ -972,6 +873,19 @@ impl SourceSpec {
         SourceSpec {
             name: name.into(),
             open: Box::new(open),
+            reopenable: true,
+        }
+    }
+
+    /// A source over a reader that can be read only once (the one of
+    /// [`ingest`]): never rebuilt, never stall-quarantined.
+    fn once(name: impl Into<String>, reader: impl Read + Send + 'static) -> Self {
+        let mut reader = Some(Box::new(reader) as Box<dyn Read + Send>);
+        SourceSpec {
+            reopenable: false,
+            ..SourceSpec::new(name, move || {
+                reader.take().ok_or(ErrorKind::Unsupported.into())
+            })
         }
     }
 
@@ -1016,12 +930,13 @@ impl Read for ArcBytes {
     }
 }
 
-/// Shared supervisor state for one source: its public ledger plus the
-/// worker's latest decode-stage occupancy snapshot and exit flag.
+/// Shared supervisor state for one source: its public ledger, the
+/// worker's latest decode-stage occupancy snapshot and, for a source that
+/// cannot be reopened, the fault that ended it.
 struct SourceState {
     ledger: SourceLedger,
     decode: StageStats,
-    done: bool,
+    fault: Option<MrtError>,
 }
 
 type SharedSources = Arc<Mutex<Vec<SourceState>>>;
@@ -1041,6 +956,8 @@ struct SourceWorker {
     shared: SharedSources,
     tx: channel::Sender<Vec<Event>>,
     policy: SourcePolicy,
+    /// False for a source that cannot be reopened: its first fault ends it.
+    reopenable: bool,
     batch: Vec<Event>,
     batch_size: usize,
     /// The current reader's counters as of the last fold into the ledger.
@@ -1100,12 +1017,10 @@ impl SourceWorker {
                         }
                     }
                     Ok(None) => {
-                        if self.flush(counters) {
-                            let mut guard = self.shared.lock().unwrap();
-                            guard[self.idx].done = true;
-                        }
+                        self.flush(counters);
                         return;
                     }
+                    Err(e) if !self.reopenable => return self.fail(e),
                     Err(e @ (MrtError::Io(_) | MrtError::Truncated)) => {
                         // Transient: deliver the good prefix, then rebuild and
                         // fast-forward. An I/O fault never consumes a record
@@ -1200,7 +1115,6 @@ impl SourceWorker {
                 ledger.queued += len;
             } else {
                 ledger.stall_shed += len;
-                state.done = true;
             }
             state.decode = self.stats;
             drop(guard);
@@ -1220,7 +1134,13 @@ impl SourceWorker {
             state.ledger.quarantine_cause = Some(cause);
         }
         state.decode = self.stats;
-        state.done = true;
+    }
+
+    /// Ends a source that cannot be reopened at its first fault, kept for
+    /// the run to return; the pending batch is dropped (the run fails).
+    fn fail(&mut self, e: MrtError) {
+        self.quarantine(e.to_string());
+        self.shared.lock().unwrap()[self.idx].fault = Some(e);
     }
 
     /// Counts a retry and marks the source Degraded until the next fold.
@@ -1326,10 +1246,11 @@ impl MultiSourceIngest {
     /// # Errors
     ///
     /// [`IngestError::AllSourcesQuarantined`] when no source survived;
-    /// [`IngestError::Pipeline`] when the stem stage died. A run where at
-    /// least one source survives *succeeds* with partial-source
-    /// provenance: [`IngestReport::is_partial`] and the `sources` ledgers
-    /// say exactly what was lost.
+    /// [`IngestError::Pipeline`] when the stem stage died;
+    /// [`IngestError::Decode`] when a source that cannot be reopened (the
+    /// one of [`ingest`]) faulted. A run where at least one source survives
+    /// *succeeds* with partial-source provenance: [`IngestReport::is_partial`]
+    /// and the `sources` ledgers say exactly what was lost.
     ///
     /// # Panics
     ///
@@ -1356,15 +1277,19 @@ impl MultiSourceIngest {
                 .map(|s| SourceState {
                     ledger: SourceLedger::new(s.name.clone()),
                     decode: StageStats::default(),
-                    done: false,
+                    fault: None,
                 })
                 .collect(),
         ));
+        let reopenable: Vec<bool> = sources.iter().map(|s| s.reopenable).collect();
 
         // Spawn one detached worker per source. Detached, not scoped: a
         // wedged worker (asleep inside a stalled read) must not block
         // ingest completion; it self-accounts and exits whenever it wakes.
+        // A source that cannot be reopened is waited for anyway, so its
+        // worker is joined and a panic in it reaches the caller.
         let mut rxs: Vec<channel::Receiver<Vec<Event>>> = Vec::with_capacity(n);
+        let mut joined = Vec::new();
         for (idx, spec) in sources.into_iter().enumerate() {
             let (tx, rx) = channel::bounded::<Vec<Event>>(channel_batches);
             rxs.push(rx);
@@ -1373,6 +1298,7 @@ impl MultiSourceIngest {
                 shared: Arc::clone(&shared),
                 tx,
                 policy: policy.clone(),
+                reopenable: spec.reopenable,
                 batch: Vec::with_capacity(batch_size),
                 batch_size,
                 prev: (0, 0, 0),
@@ -1382,7 +1308,10 @@ impl MultiSourceIngest {
                 transient_failures: 0,
             };
             let (mode, buffer_capacity) = (config.mode, config.buffer_capacity);
-            std::thread::spawn(move || worker.run(spec.open, mode, buffer_capacity));
+            let handle = std::thread::spawn(move || worker.run(spec.open, mode, buffer_capacity));
+            if !reopenable[idx] {
+                joined.push(handle);
+            }
         }
 
         let mut collectors: Vec<Collector> = (0..n).map(|_| Collector::new()).collect();
@@ -1422,9 +1351,10 @@ impl MultiSourceIngest {
         'merge: loop {
             // Fill: every live source must have an event staged before the
             // merge may pick — that is what makes the fan-in order
-            // deterministic. A live source that yields nothing within
-            // `stall_timeout` goes Degraded; on the second consecutive
-            // timeout the watchdog quarantines it and sheds its queue.
+            // deterministic. A live reopenable source that yields nothing
+            // within `stall_timeout` goes Degraded; on the second
+            // consecutive timeout the watchdog quarantines it and sheds its
+            // queue. One that cannot be reopened is waited for.
             let mut ready = true;
             for i in 0..n {
                 if disconnected[i] || quarantined[i] || !heads[i].is_empty() {
@@ -1444,7 +1374,13 @@ impl MultiSourceIngest {
                             break 'merge;
                         }
                         let start = Instant::now();
-                        let pulled = rxs[i].recv_timeout(policy.stall_timeout);
+                        let pulled = if reopenable[i] {
+                            rxs[i].recv_timeout(policy.stall_timeout)
+                        } else {
+                            rxs[i]
+                                .recv()
+                                .map_err(|_| channel::RecvTimeoutError::Disconnected)
+                        };
                         back.stage.blocked_in_secs += start.elapsed().as_secs_f64();
                         pulled
                     }
@@ -1545,37 +1481,39 @@ impl MultiSourceIngest {
         // Tear the fan-in down: dropping the receivers makes any still-live
         // worker shed-and-exit on its next enqueue attempt.
         drop(rxs);
+        for handle in joined {
+            handle.join().expect("a decode worker panicked");
+        }
 
-        let (ledgers, decode) = {
-            let guard = shared.lock().unwrap();
+        let (ledgers, decode, fault) = {
+            let mut guard = shared.lock().unwrap();
             let mut decode = StageStats::default();
             for state in guard.iter() {
                 decode.busy_secs += state.decode.busy_secs;
                 decode.blocked_in_secs += state.decode.blocked_in_secs;
                 decode.blocked_out_secs += state.decode.blocked_out_secs;
             }
-            (snapshot(&guard), decode)
+            let fault = guard.iter_mut().find_map(|s| s.fault.take());
+            (snapshot(&guard), decode, fault)
         };
 
-        if !back.closed
-            && ledgers
+        // A closed stem stage is reported first, by `finish`.
+        if !back.closed {
+            if let Some(e) = fault {
+                back.abort();
+                return Err(IngestError::Decode(e));
+            }
+            if ledgers
                 .iter()
                 .all(|l| l.health == SourceHealth::Quarantined)
-        {
-            return Err(IngestError::AllSourcesQuarantined {
-                stats: Box::new(back.abort()),
-                sources: ledgers,
-            });
+            {
+                return Err(IngestError::AllSourcesQuarantined {
+                    stats: Box::new(back.abort()),
+                    sources: ledgers,
+                });
+            }
         }
-
-        back.finish(FrontEnd {
-            records_decoded: ledgers.iter().map(|l| l.records_decoded).sum(),
-            records_skipped: ledgers.iter().map(|l| l.records_skipped).sum(),
-            trailing_tolerated: ledgers.iter().map(|l| l.trailing_tolerated).sum(),
-            events_decoded: ledgers.iter().map(|l| l.events_decoded).sum(),
-            decode,
-            sources: ledgers,
-        })
+        back.finish(ledgers, decode)
     }
 }
 
@@ -1584,7 +1522,8 @@ mod tests {
     use super::*;
     use bgpscope_anomaly::{FidelityLevel, OverloadPolicy, PipelineConfig, RealtimeDetector};
     use bgpscope_bgp::{EventStream, PathAttributes, PeerId, Prefix, RouterId, Timestamp};
-    use bgpscope_mrt::write_events;
+    use bgpscope_mrt::{write_events, FaultSpec, FaultyReader};
+    use std::io::Cursor;
 
     fn attrs(hops: &[u32]) -> PathAttributes {
         PathAttributes::new(
@@ -1644,7 +1583,7 @@ mod tests {
                 .with_shards(shards)
                 .with_batch_size(64)
                 .with_buffer_capacity(512);
-            let report = ingest(archive.as_slice(), config).unwrap();
+            let report = ingest(Cursor::new(archive.clone()), config).unwrap();
             assert_eq!(report.events_decoded, 800);
             assert_eq!(report.events_forwarded, 800);
             assert_eq!(report.records_decoded, 800);
@@ -1718,7 +1657,7 @@ mod tests {
     #[test]
     fn one_shard_ingest_equals_the_synchronous_detector() {
         let stream = windowed_stream(6);
-        let report = ingest(archive_of(&stream).as_slice(), IngestConfig::default()).unwrap();
+        let report = ingest(Cursor::new(archive_of(&stream)), IngestConfig::default()).unwrap();
         let (reports, mut stats) = sync_run(&stream, FidelityLevel::Full);
         assert!(reports.len() >= 6, "every window reports");
         assert_eq!(sorted_json(&report.reports), reports);
@@ -1734,7 +1673,7 @@ mod tests {
             .with_capacity(1)
             .with_overload(OverloadPolicy::Degrade);
         let config = IngestConfig::default().with_spawn(spawn);
-        let report = ingest(archive_of(&stream).as_slice(), config).unwrap();
+        let report = ingest(Cursor::new(archive_of(&stream)), config).unwrap();
         assert!(report.stats.degraded_windows > 0, "{}", report.stats);
         assert_eq!(report.stats.shed_events, 0, "Degrade is lossless");
         let (floor, _) = sync_run(&stream, FidelityLevel::Floor);
@@ -1763,7 +1702,7 @@ mod tests {
         let config = IngestConfig::default().with_spawn(spawn);
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let _ = tx.send(ingest(archive.as_slice(), config));
+            let _ = tx.send(ingest(Cursor::new(archive), config));
         });
         let report = rx
             .recv_timeout(Duration::from_secs(60))
@@ -1802,13 +1741,13 @@ mod tests {
             attrs(&[65000]),
         ));
         let archive = archive_of(&stream);
-        let report = ingest(archive.as_slice(), IngestConfig::default()).unwrap();
+        let report = ingest(Cursor::new(archive.clone()), IngestConfig::default()).unwrap();
         assert_eq!(report.events_decoded, 3);
         assert_eq!(report.events_forwarded, 2);
         assert_eq!(report.withdraws_filtered, 1);
 
         let passthrough =
-            ingest(archive.as_slice(), IngestConfig::default().passthrough()).unwrap();
+            ingest(Cursor::new(archive), IngestConfig::default().passthrough()).unwrap();
         assert_eq!(passthrough.events_forwarded, 3);
         assert_eq!(passthrough.withdraws_filtered, 0);
     }
@@ -1817,13 +1756,13 @@ mod tests {
     fn strict_ingest_rejects_truncated_archives() {
         let archive = archive_of(&paired_stream(8));
         let cut = &archive[..archive.len() - 3];
-        let err = ingest(cut, IngestConfig::default()).unwrap_err();
+        let err = ingest(Cursor::new(cut.to_vec()), IngestConfig::default()).unwrap_err();
         assert!(
             matches!(err, IngestError::Decode(MrtError::Truncated)),
             "got {err}"
         );
         // Lossy tolerates noise, not damage: a cut tail still errors.
-        let err = ingest(cut, IngestConfig::default().lossy()).unwrap_err();
+        let err = ingest(Cursor::new(cut.to_vec()), IngestConfig::default().lossy()).unwrap_err();
         assert!(
             matches!(err, IngestError::Decode(MrtError::Truncated)),
             "got {err}"
@@ -1842,13 +1781,13 @@ mod tests {
         archive.extend_from_slice(&4u32.to_be_bytes());
         archive.extend_from_slice(&[0, 1, 2, 3]);
 
-        let err = ingest(archive.as_slice(), IngestConfig::default()).unwrap_err();
+        let err = ingest(Cursor::new(archive.clone()), IngestConfig::default()).unwrap_err();
         assert!(matches!(
             err,
             IngestError::Decode(MrtError::UnknownType(0xDEAD))
         ));
 
-        let report = ingest(archive.as_slice(), IngestConfig::default().lossy()).unwrap();
+        let report = ingest(Cursor::new(archive), IngestConfig::default().lossy()).unwrap();
         assert_eq!(report.events_decoded, 8);
         assert_eq!(report.records_skipped, 1);
     }
@@ -1896,6 +1835,53 @@ mod tests {
             ));
         }
         stream
+    }
+
+    /// A source that cannot be reopened is waited for however long it
+    /// pauses: its reader stalls for six stall timeouts, three times what
+    /// the watchdog needs to quarantine a supervised source, and the run
+    /// still delivers every event with the source never leaving Healthy.
+    #[test]
+    fn a_source_that_cannot_be_reopened_is_waited_for_not_quarantined() {
+        let archive = archive_of(&paired_stream(40));
+        let stall = Duration::from_millis(50);
+        let armed = FaultSpec::new(1)
+            .stall(archive.len() as u64 / 2, stall * 6)
+            .arm();
+        let report = MultiSourceIngest::new(
+            IngestConfig::default().with_batch_size(8),
+            test_policy().with_stall_timeout(stall),
+        )
+        .source(SourceSpec::once(
+            "slow",
+            FaultyReader::new(Cursor::new(archive), armed),
+        ))
+        .run()
+        .unwrap();
+        assert_eq!(report.events_decoded, 80);
+        assert_eq!(report.stats.ingested, 80);
+        assert_eq!(report.sources[0].health, SourceHealth::Healthy);
+        assert!(report.sources_account_exactly());
+    }
+
+    /// A transient I/O fault mid-archive ends [`ingest`] with that very
+    /// fault: its reader cannot be reopened, so nothing retries it (a retry
+    /// would fail on the reopen instead, or heal).
+    #[test]
+    fn ingest_fails_on_its_first_io_fault_without_a_retry() {
+        let archive = archive_of(&paired_stream(40));
+        let armed = FaultSpec::new(1)
+            .transient_error(archive.len() as u64 / 2)
+            .arm();
+        let reader = FaultyReader::new(Cursor::new(archive), armed.clone());
+        let err = ingest(reader, IngestConfig::default().with_batch_size(8)).unwrap_err();
+        match err {
+            IngestError::Decode(MrtError::Io(e)) => {
+                assert!(e.to_string().contains("injected transient fault"), "{e}");
+            }
+            other => panic!("expected Decode(Io), got {other}"),
+        }
+        assert_eq!(armed.pending_transient_errors(), 0);
     }
 
     #[test]
@@ -2183,7 +2169,7 @@ mod tests {
         let archive = archive_of(&stream);
         assert!(archive.len() > 64 * 1024);
         let report = ingest(
-            archive.as_slice(),
+            Cursor::new(archive),
             IngestConfig::default()
                 .with_buffer_capacity(256)
                 .with_batch_size(16)

@@ -153,6 +153,22 @@ fn ingest_bench_writes_stages_sources_and_ledger() {
         let field = serde::map_field(&value, key).expect("bench JSON is a map");
         assert_ne!(field, &serde::Value::Null, "no {key:?} in {json}");
     }
+    // One archive is one source, and its ledger closes.
+    let Ok(serde::Value::Seq(sources)) = serde::map_field(&value, "sources") else {
+        panic!("sources is not a list in {json}");
+    };
+    assert_eq!(sources.len(), 1, "{json}");
+    let count = |key: &str| match serde::map_field(&sources[0], key) {
+        Ok(serde::Value::U64(n)) => *n,
+        other => panic!("{key}: {other:?} in {json}"),
+    };
+    assert!(count("events_decoded") > 0, "{json}");
+    assert_eq!(
+        count("events_decoded"),
+        count("events_merged") + count("stall_shed") + count("queued"),
+        "{json}"
+    );
+    assert_eq!(count("events_forwarded"), ledger(&out).ingested, "{json}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
