@@ -47,26 +47,27 @@
 //!
 //! The spawned pipeline is *supervised*: the detector runs inside
 //! [`std::panic::catch_unwind`] under a supervisor loop that checkpoints the
-//! detector's recoverable state ([`PipelineCheckpoint`]) every
+//! detector's recoverable state every
 //! [`SupervisorConfig::checkpoint_interval`] events and at every analysis
-//! pass — adaptive or not — each copying only what the detector buffered
-//! since the last (see `CheckpointSlot`). The checkpoint lives in memory;
-//! the one form of it the program puts on disk is the [`Frame::Snapshot`]
-//! of a recording ([`SpawnConfig::recorder`]). Events pulled off the
+//! pass — adaptive or not. The detector outlives a panic, so a checkpoint
+//! is a cursor into the window it holds and copies no event (see
+//! `CheckpointSlot`). It lives in memory; the one form of it the program
+//! puts on disk is the [`PipelineCheckpoint`] of a recording's
+//! [`Frame::Snapshot`] ([`SpawnConfig::recorder`]). Events pulled off the
 //! ingest queue are held in an in-flight ring until the next checkpoint
-//! acknowledges them; when the detector panics, the supervisor restores
-//! the last checkpoint, replays the ring, and resumes — up to [`SupervisorConfig::max_restarts`] times with
-//! exponential backoff. At most `checkpoint_interval` events can be lost,
-//! and only when the supervisor gives up entirely
-//! ([`PipelineStats::lost_events`] counts them, folded into `dropped_events`
-//! so the ledger still closes).
+//! acknowledges them; when the detector panics, the supervisor rewinds it
+//! to the last checkpoint, replays the ring, and resumes — up to
+//! [`SupervisorConfig::max_restarts`] times with exponential backoff. At
+//! most `checkpoint_interval` events can be lost, and only when the
+//! supervisor gives up entirely ([`PipelineStats::lost_events`] counts
+//! them, folded into `dropped_events` so the ledger still closes).
 //!
 //! Report delivery is *at-least-once*: reports are egressed before the
 //! checkpoint that acknowledges the events behind them, so a crash between
 //! egress and checkpoint re-emits rather than loses them.
 //!
-//! Each thread owns its state. The supervisor's — slot, ring, controller,
-//! the recording's write half — is one struct it alone
+//! Each thread owns its state. The supervisor's — detector, slot, ring,
+//! controller, the recording's write half — is one struct it alone
 //! touches, and one loop feeds the detector from the ring (a replay) and
 //! then from the queue. What other threads see of it is one set of
 //! counters published under one mutex, once per event; the producer's
@@ -327,9 +328,9 @@ pub struct SupervisorConfig {
     /// bounds both replay work and the worst-case loss when the supervisor
     /// gives up: `lost_events <= checkpoint_interval`, in every mode — the
     /// adaptive controller steers fidelity, never this cadence. It bounds
-    /// nothing else: a checkpoint copies the events buffered since the
-    /// last one, not the window, so the copying a run does is the same at
-    /// every interval.
+    /// nothing else: a checkpoint is a cursor into the window the detector
+    /// holds and copies no event, so a shorter interval costs cheap
+    /// captures, not copies.
     pub checkpoint_interval: usize,
 }
 
@@ -754,23 +755,85 @@ impl std::fmt::Display for PipelineStats {
     }
 }
 
+/// The buffered analysis window as Stemming reads it: the events, and
+/// index for index their merge weights.
+#[derive(Debug, Clone, Default)]
+struct Window {
+    events: EventStream,
+    weights: Vec<u64>,
+}
+
+impl Window {
+    fn len(&self) -> usize {
+        self.weights.len()
+    }
+
+    fn push(&mut self, weighted: WeightedEvent) {
+        self.events.push(weighted.event);
+        self.weights.push(weighted.weight);
+    }
+
+    /// Keeps, in order, the events `keep` accepts; it sees each once,
+    /// oldest first. Moves the survivors, cloning none.
+    fn retain(&mut self, mut keep: impl FnMut(&Event) -> bool) {
+        let events = std::mem::take(&mut self.events).into_events();
+        (self.events, self.weights) = events
+            .into_iter()
+            .zip(std::mem::take(&mut self.weights))
+            .filter(|(event, _)| keep(event))
+            .unzip();
+    }
+
+    /// The first `len` events with their weights, as a checkpoint holds
+    /// them.
+    fn weighted(&self, len: usize) -> Vec<WeightedEvent> {
+        self.events.events()[..len]
+            .iter()
+            .zip(&self.weights)
+            .map(|(event, &weight)| WeightedEvent {
+                event: event.clone(),
+                weight,
+            })
+            .collect()
+    }
+}
+
+/// What a [`CheckpointSlot`] needs of the detector to rewind it to the
+/// last capture once the window changed other than by `push` (see
+/// [`CheckpointSlot::rewind`]).
+#[derive(Debug, Default)]
+enum Rewind {
+    /// No slot captured this detector: it keeps nothing.
+    #[default]
+    Off,
+    /// Captured, and the window has only grown since: the live window
+    /// still holds the captured one as a prefix.
+    Armed,
+    /// The window as it stood when it first changed other than by `push`
+    /// after the capture — taken by an analysis or a flush, copied by an
+    /// eviction — kept until the next capture.
+    Retired(Window),
+}
+
 /// The streaming detector.
 #[derive(Debug)]
 pub struct RealtimeDetector {
     config: PipelineConfig,
     collector: Collector,
-    buffer: Vec<WeightedEvent>,
-    /// Advances whenever `buffer` changes other than by `push` (see
-    /// [`CheckpointSlot`]): within one epoch the buffer only grows.
-    buffer_epoch: u64,
+    window: Window,
+    rewind: Rewind,
     window_start: Option<Timestamp>,
     fidelity: FidelityLevel,
     // Accounting (see PipelineStats).
     counters: DetectorCounters,
     /// Each (peer, nexthop, AS path) encoded once for Stemming, across
     /// windows. Not state: no result depends on it, so it is neither
-    /// checkpointed nor recorded, and a restored detector starts cold.
+    /// checkpointed nor recorded, and a restored or rewound detector
+    /// starts cold.
     encoding: EncodingCache,
+    /// Events cloned to keep a rewind point (see `tests::CaptureAudit`).
+    #[cfg(test)]
+    rewind_copies: u64,
 }
 
 impl RealtimeDetector {
@@ -779,12 +842,14 @@ impl RealtimeDetector {
         RealtimeDetector {
             config,
             collector: Collector::new(),
-            buffer: Vec::new(),
-            buffer_epoch: 0,
+            window: Window::default(),
+            rewind: Rewind::Off,
             window_start: None,
             fidelity: FidelityLevel::Full,
             counters: DetectorCounters::default(),
             encoding: EncodingCache::new(),
+            #[cfg(test)]
+            rewind_copies: 0,
         }
     }
 
@@ -818,7 +883,7 @@ impl RealtimeDetector {
     pub(crate) fn consumer_counters(&self, replayed_in_flight: u64) -> ConsumerCounters {
         ConsumerCounters {
             counters: self.counters,
-            carried: self.buffer.len() as u64,
+            carried: self.window.len() as u64,
             replayed_in_flight,
         }
     }
@@ -829,9 +894,11 @@ impl RealtimeDetector {
     /// counters to an uninterrupted run — the property the checkpoint
     /// differential proptest pins.
     pub fn checkpoint(&self) -> PipelineCheckpoint {
-        let mut slot = CheckpointSlot::default();
-        slot.capture(self);
-        slot.checkpoint
+        PipelineCheckpoint {
+            buffer: self.window.weighted(self.window.len()),
+            window_start: self.window_start,
+            counters: self.counters,
+        }
     }
 
     /// Rebuilds a detector from a checkpoint. The collector starts fresh —
@@ -840,15 +907,14 @@ impl RealtimeDetector {
     /// pre-augmented events via [`RealtimeDetector::ingest_event`] are
     /// unaffected.
     pub fn restore(config: PipelineConfig, checkpoint: PipelineCheckpoint) -> Self {
+        let (events, weights) = (checkpoint.buffer.into_iter())
+            .map(|weighted| (weighted.event, weighted.weight))
+            .unzip();
         RealtimeDetector {
-            config,
-            collector: Collector::new(),
-            buffer: checkpoint.buffer,
-            buffer_epoch: 0,
+            window: Window { events, weights },
             window_start: checkpoint.window_start,
-            fidelity: FidelityLevel::Full,
             counters: checkpoint.counters,
-            encoding: EncodingCache::new(),
+            ..RealtimeDetector::new(config)
         }
     }
 
@@ -918,8 +984,8 @@ impl RealtimeDetector {
             self.window_start = Some(event_time);
             self.enforce_carry_cap(event_time);
         }
-        self.buffer.push(weighted);
-        if self.buffer.len() >= self.config.spike_events {
+        self.window.push(weighted);
+        if self.window.len() >= self.config.spike_events {
             // Spike fast-path: analyze immediately, *including* the event
             // that breached the threshold. The window clock keeps running —
             // a spike is an early analysis, not a new window.
@@ -932,7 +998,7 @@ impl RealtimeDetector {
     /// `min_events` is kept and carries into the next window instead of
     /// being discarded — a slow trickle must still accumulate evidence.
     fn rotate_window(&mut self) -> Vec<AnomalyReport> {
-        if self.buffer.len() < self.config.min_events {
+        if self.window.len() < self.config.min_events {
             return Vec::new();
         }
         self.analyze()
@@ -943,42 +1009,62 @@ impl RealtimeDetector {
     /// many windows. Evicts (oldest first) events past `max_carry_events`
     /// and events older than `max_carry_age` before the new window start;
     /// every eviction is counted.
+    ///
+    /// A carried buffer is below `min_events`, so when a slot captured the
+    /// window since it last changed other than by `push`, copying it whole
+    /// before the first eviction is what keeps that capture's rewind point.
     fn enforce_carry_cap(&mut self, new_start: Timestamp) {
-        if self.buffer.is_empty() {
+        let cutoff = Timestamp(
+            new_start
+                .as_micros()
+                .saturating_sub(self.config.max_carry_age.as_micros()),
+        );
+        let stale = |e: &Event| self.config.max_carry_age > Timestamp::ZERO && e.time < cutoff;
+        let fresh = self.window.events.iter().filter(|e| !stale(e)).count();
+        let excess = match self.config.max_carry_events {
+            0 => 0,
+            cap => fresh.saturating_sub(cap),
+        };
+        let evicted = self.window.len() - fresh + excess;
+        if evicted == 0 {
             return;
         }
-        let before = self.buffer.len();
-        if self.config.max_carry_age > Timestamp::ZERO {
-            let cutoff = Timestamp(
-                new_start
-                    .as_micros()
-                    .saturating_sub(self.config.max_carry_age.as_micros()),
-            );
-            self.buffer.retain(|w| w.event.time >= cutoff);
+        if matches!(self.rewind, Rewind::Armed) {
+            #[cfg(test)]
+            {
+                self.rewind_copies += self.window.len() as u64;
+            }
+            self.rewind = Rewind::Retired(self.window.clone());
         }
-        if self.config.max_carry_events > 0 && self.buffer.len() > self.config.max_carry_events {
-            let excess = self.buffer.len() - self.config.max_carry_events;
-            self.buffer.drain(..excess);
-        }
-        let evicted = (before - self.buffer.len()) as u64;
-        if evicted > 0 {
-            self.buffer_epoch += 1;
-        }
-        self.counters.carry_forward_evictions += evicted;
-        self.counters.dropped_events += evicted;
+        // The oldest `excess` of the fresh events go too.
+        let mut fresh_seen = 0;
+        self.window.retain(|e| {
+            fresh_seen += usize::from(!stale(e));
+            !stale(e) && fresh_seen > excess
+        });
+        self.counters.carry_forward_evictions += evicted as u64;
+        self.counters.dropped_events += evicted as u64;
     }
 
     /// Analyzes and clears the current buffer (terminal flush). A buffer
     /// below `min_events` is discarded and counted in
     /// [`PipelineStats::dropped_events`].
     pub fn flush(&mut self) -> Vec<AnomalyReport> {
-        if self.buffer.len() < self.config.min_events {
-            self.counters.dropped_events += self.buffer.len() as u64;
-            self.buffer.clear();
-            self.buffer_epoch += 1;
+        if self.window.len() < self.config.min_events {
+            self.counters.dropped_events += self.window.len() as u64;
+            self.retire_window();
             return Vec::new();
         }
         self.analyze()
+    }
+
+    /// Empties the window, keeping the old one for a rewind when it is the
+    /// first change other than by `push` since a slot's capture.
+    fn retire_window(&mut self) {
+        let old = std::mem::take(&mut self.window);
+        if matches!(self.rewind, Rewind::Armed) {
+            self.rewind = Rewind::Retired(old);
+        }
     }
 
     fn analyze(&mut self) -> Vec<AnomalyReport> {
@@ -990,21 +1076,21 @@ impl RealtimeDetector {
         if reduced {
             self.counters.degraded_windows += 1;
         }
-        self.counters.analyzed += self.buffer.len() as u64;
-        let weights: Vec<u64> = self.buffer.iter().map(|w| w.weight).collect();
-        self.buffer_epoch += 1;
-        let stream: EventStream = std::mem::take(&mut self.buffer)
-            .into_iter()
-            .map(|w| w.event)
-            .collect();
+        self.counters.analyzed += self.window.len() as u64;
+        // Stemming borrows the window in place; it is retired only once
+        // the pass is done, so a panic inside the pass leaves it whole.
+        let window = &self.window;
         let stemming = Stemming::with_config(stemming_config);
-        let result = stemming.decompose_cached(&mut self.encoding, &stream, |i, _| weights[i]);
+        let result =
+            stemming.decompose_cached(&mut self.encoding, &window.events, |i, _| window.weights[i]);
+        #[cfg(test)]
+        tests::crash_hook::reach(tests::crash_hook::Site::Analyze);
         let mut reports = Vec::new();
         for component in result.components() {
             if component.event_count() < self.config.min_component_events {
                 continue;
             }
-            let verdict = classify(component, &stream);
+            let verdict = classify(component, &window.events);
             let report = AnomalyReport::new(component, verdict, result.symbols());
             reports.push(if reduced {
                 report.mark_degraded()
@@ -1013,6 +1099,7 @@ impl RealtimeDetector {
             });
         }
         self.counters.reports_emitted += reports.len() as u64;
+        self.retire_window();
         reports
     }
 
@@ -1029,11 +1116,21 @@ impl RealtimeDetector {
     /// drop the handle) to end the run — the final window flushes on
     /// shutdown.
     ///
-    /// A detector panic does not kill the pipeline: the supervisor restores
-    /// the last [`PipelineCheckpoint`], replays the un-acknowledged
-    /// in-flight events, and resumes, up to
+    /// A detector panic does not kill the pipeline: the supervisor rewinds
+    /// the surviving detector to the last checkpoint, replays the
+    /// un-acknowledged in-flight events, and resumes, up to
     /// [`SupervisorConfig::max_restarts`] times.
     pub fn spawn(config: SpawnConfig) -> PipelineHandle {
+        Self::spawn_with(config, |mut supervisor| supervisor.run())
+    }
+
+    /// [`RealtimeDetector::spawn`], with the supervisor thread's body
+    /// given: tests wrap [`Supervisor::run`] to arm a crash or to read the
+    /// supervisor's state once it returns.
+    fn spawn_with(
+        config: SpawnConfig,
+        body: impl FnOnce(Supervisor) + Send + 'static,
+    ) -> PipelineHandle {
         let (event_tx, event_rx) = if config.capacity == 0 {
             unbounded::<WeightedEvent>()
         } else {
@@ -1067,12 +1164,12 @@ impl RealtimeDetector {
             .then(|| CoalesceBuffer::new(COALESCE_CAPACITY));
 
         let supervisor = Supervisor {
-            config: config.pipeline.clone(),
             sup: config.supervisor.clone(),
             shared: Arc::clone(&shared),
             event_rx: event_rx.clone(),
             report_tx,
             state: SupervisorState {
+                detector: RealtimeDetector::new(config.pipeline.clone()),
                 slot: CheckpointSlot::default(),
                 ring: VecDeque::new(),
                 inbox: VecDeque::with_capacity(PULL_BATCH),
@@ -1082,7 +1179,7 @@ impl RealtimeDetector {
                 recorder: writer,
             },
         };
-        let join = std::thread::spawn(move || supervisor.run());
+        let join = std::thread::spawn(move || body(supervisor));
 
         PipelineHandle {
             collector: Collector::new(),
@@ -1099,64 +1196,87 @@ impl RealtimeDetector {
     }
 }
 
-/// The supervisor's checkpoint slot: the [`PipelineCheckpoint`] a restart
-/// restores from, stamped with the detector's buffer epoch at capture so
-/// the next capture copies only what the detector buffered since.
+/// The supervisor's checkpoint slot: a cursor into the window the
+/// detector already holds, not a copy of it. It records how many events
+/// the window held at capture, the window clock and the counters; the
+/// events themselves stay with the detector, which outlives a panic.
 ///
-/// Within one epoch the detector's buffer only grows by `push`, so a slot
-/// captured in the same epoch already holds a prefix of it and
-/// [`CheckpointSlot::capture`] appends the tail — the events as the
-/// detector holds them (times clamped, weights merged), never the raw ring
-/// entries. When the epoch moved (an analysis pass took the buffer, a
-/// carry cap evicted, a terminal flush cleared it) the slot's buffer is
-/// dropped — releasing a spike-sized allocation — and the detector's, by
-/// then empty or a small carry, is copied whole. A checkpoint therefore
-/// costs the events since the last one, not the window.
+/// Between two captures the detector's window changes in one of two ways.
+/// Pushes only grow it, so the captured window is still its prefix. Any
+/// other change — an analysis pass takes it, a terminal flush drops it, a
+/// carry cap evicts from it — first retires the window as it stood into
+/// the detector ([`RealtimeDetector`] keeps it until the next capture):
+/// an analysis or a flush moves it there, an eviction copies it, and a
+/// window that carries is below `min_events`. A capture therefore clones
+/// no event, and [`CheckpointSlot::rewind`] truncates whichever window
+/// holds the captured one.
 ///
-/// The epoch never enters [`PipelineCheckpoint`], so neither its serde form
-/// nor a recorded [`Frame::Snapshot`] carries it. Public only so
-/// `tests/checkpoint_differential.rs` can drive the capture the supervisor
-/// runs; not part of the crate's API.
+/// [`CheckpointSlot::checkpoint`] materialises the cursor as the
+/// [`PipelineCheckpoint`] a from-empty [`RealtimeDetector::checkpoint`]
+/// returned at capture; a recorded [`Frame::Snapshot`] is that form.
+/// Public only so `tests/checkpoint_differential.rs` can drive the
+/// capture the supervisor runs; not part of the crate's API.
 #[doc(hidden)]
 #[derive(Debug, Default)]
 pub struct CheckpointSlot {
-    checkpoint: PipelineCheckpoint,
-    /// `RealtimeDetector::buffer_epoch` when `checkpoint.buffer` was last
-    /// captured.
-    epoch: u64,
+    /// Events the window held at capture.
+    len: usize,
+    window_start: Option<Timestamp>,
+    counters: DetectorCounters,
+    #[cfg(test)]
+    audit: tests::CaptureAudit,
 }
 
 impl CheckpointSlot {
-    /// The captured state.
-    pub fn checkpoint(&self) -> &PipelineCheckpoint {
-        &self.checkpoint
+    /// Moves the cursor to `detector`'s current state, releases any window
+    /// it retired since the last capture and arms it to retire the next
+    /// one. The slot must have been captured from this detector (or be
+    /// empty).
+    pub fn capture(&mut self, detector: &mut RealtimeDetector) {
+        #[cfg(test)]
+        self.audit.record(detector);
+        self.len = detector.window.len();
+        self.window_start = detector.window_start;
+        self.counters = detector.counters;
+        detector.rewind = Rewind::Armed;
     }
 
-    /// Brings the slot up to `detector`'s current state. The slot must
-    /// have been captured from this detector or from one it was
-    /// [`CheckpointSlot::restore`]d into (or be empty).
-    pub fn capture(&mut self, detector: &RealtimeDetector) {
-        let mut buffer = std::mem::take(&mut self.checkpoint.buffer);
-        if self.epoch != detector.buffer_epoch {
-            buffer = Vec::new();
-            self.epoch = detector.buffer_epoch;
-        }
-        buffer.extend_from_slice(&detector.buffer[buffer.len()..]);
-        self.checkpoint = PipelineCheckpoint {
-            buffer,
-            window_start: detector.window_start,
-            counters: detector.counters,
+    /// The captured state as a [`PipelineCheckpoint`], read out of
+    /// `detector`'s windows.
+    pub fn checkpoint(&self, detector: &RealtimeDetector) -> PipelineCheckpoint {
+        let window = match &detector.rewind {
+            Rewind::Retired(window) => window,
+            _ => &detector.window,
         };
+        PipelineCheckpoint {
+            buffer: window.weighted(self.len),
+            window_start: self.window_start,
+            counters: self.counters,
+        }
     }
 
-    /// [`RealtimeDetector::restore`] from the captured state, handing back
-    /// a detector in the slot's epoch: a restored detector restarting at
-    /// epoch 0 under a slot still stamped N would, N buffer changes later,
-    /// be taken for an extension of a buffer it never held.
-    pub fn restore(&self, config: PipelineConfig) -> RealtimeDetector {
-        let mut detector = RealtimeDetector::restore(config, self.checkpoint.clone());
-        detector.buffer_epoch = self.epoch;
-        detector
+    /// Puts `detector` back in the captured state: its retired window, if
+    /// the window changed other than by `push` since the capture, else the
+    /// live one, truncated to the captured length. What was pushed since
+    /// is exactly the in-flight ring, which the caller replays; clamps
+    /// among it are counted again from the captured counters. A slot never
+    /// captured rewinds to an empty window. The encoding cache restarts
+    /// cold (a panic may have left it mid-update) and fidelity at full, as
+    /// a restored detector does.
+    pub fn rewind(&self, detector: &mut RealtimeDetector) {
+        if let Rewind::Retired(window) = std::mem::take(&mut detector.rewind) {
+            detector.window = window;
+        }
+        let mut kept = 0;
+        detector.window.retain(|_| {
+            kept += 1;
+            kept <= self.len
+        });
+        detector.rewind = Rewind::Armed;
+        detector.window_start = self.window_start;
+        detector.counters = self.counters;
+        detector.fidelity = FidelityLevel::Full;
+        detector.encoding = EncodingCache::new();
     }
 }
 
@@ -1222,7 +1342,6 @@ const COALESCE_CAPACITY: usize = 64;
 /// ring after a crash. Everything here is owned by the supervisor thread;
 /// what it tells other threads goes through [`SharedStats`].
 struct Supervisor {
-    config: PipelineConfig,
     sup: SupervisorConfig,
     shared: Arc<SharedStats>,
     event_rx: Receiver<WeightedEvent>,
@@ -1233,7 +1352,10 @@ struct Supervisor {
 /// What outlives a detector incarnation — the state a panic unwinds past
 /// and the next incarnation picks up.
 struct SupervisorState {
-    /// The checkpoint a restart restores from.
+    /// The detector itself: a panic unwinds past it, and the slot rewinds
+    /// it to the last capture.
+    detector: RealtimeDetector,
+    /// The cursor a restart rewinds the detector to.
     slot: CheckpointSlot,
     /// Events pulled off the queue since the last checkpoint: acked (and
     /// drained) by the next checkpoint, replayed after a crash. Bounded by
@@ -1259,12 +1381,12 @@ struct SupervisorState {
 }
 
 impl Supervisor {
-    fn run(mut self) {
+    fn run(&mut self) {
         let _guard = AliveGuard(Arc::clone(&self.shared));
         while let Err(panic) = catch_unwind(AssertUnwindSafe(|| self.run_incarnation())) {
             let cause = panic_message(panic.as_ref());
             *self.shared.last_panic.lock().expect("panic slot poisoned") = Some(cause.clone());
-            let checkpoint = &self.state.slot.checkpoint;
+            self.state.slot.rewind(&mut self.state.detector);
             let in_flight = self.state.ring.len() as u64;
             // One critical section rolls the published counters back to
             // the checkpoint and books the ring — as replay debt, or as
@@ -1285,24 +1407,20 @@ impl Supervisor {
                 } else {
                     (in_flight, 0)
                 };
-                ledger.consumer = ConsumerCounters {
-                    counters: checkpoint.counters,
-                    carried: checkpoint.buffer.len() as u64,
-                    replayed_in_flight: debt,
-                };
+                ledger.consumer = self.state.detector.consumer_counters(debt);
                 ledger.supervision.lost_events += lost;
                 let overlay = self.shared.overlay(&ledger);
                 (ledger.supervision.restarts, gave_up, lost, overlay)
             };
             if let Some(rec) = &mut self.state.recorder {
-                // The state this restart restores (or publishes as final
+                // The state this restart rewound to (or publishes as final
                 // on give-up), recorded unconditionally: snapshot
                 // amortization may have skipped the live checkpoint's
                 // frame, and replay restores from the last snapshot *in
                 // the recording* — which must therefore be this exact
                 // checkpoint.
                 rec.record(Frame::Snapshot {
-                    checkpoint: checkpoint.clone(),
+                    checkpoint: self.state.detector.checkpoint(),
                     overlay,
                 });
                 rec.record(Frame::Restart {
@@ -1322,16 +1440,16 @@ impl Supervisor {
         }
     }
 
-    /// One detector incarnation: restore from the checkpoint, then feed the
-    /// detector one event at a time — first the un-acked ring (a replay),
-    /// then the live queue until it closes — flushing the final window on
-    /// the way out. The queue is drained into the inbox up to
-    /// [`PULL_BATCH`] events per lock, and each event is *pulled* — moved
-    /// into the ring, counted by [`FaultState::on_pull`] — one at a time.
+    /// One detector incarnation: feed the detector (rewound to the last
+    /// capture, after a crash) one event at a time — first the un-acked
+    /// ring (a replay), then the live queue until it closes — flushing the
+    /// final window on the way out. The queue is drained into the inbox up
+    /// to [`PULL_BATCH`] events per lock, and each event is *pulled* —
+    /// moved into the ring, counted by [`FaultState::on_pull`] — one at a
+    /// time.
     /// Panics anywhere in here unwind to [`Supervisor::run`].
     fn run_incarnation(&mut self) {
         let interval = self.sup.checkpoint_interval.max(1);
-        let mut detector = self.state.slot.restore(self.config.clone());
         let mut since_checkpoint = 0usize;
         // `ring[..cursor]` has been through this incarnation's detector.
         // Replayed events stay in the ring (still un-acked) until a
@@ -1369,13 +1487,15 @@ impl Supervisor {
                 let depth = self.event_rx.len() + self.state.inbox.len();
                 self.state.fidelity = controller.sample(depth as u64);
             }
-            let analyzed_before = detector.counters.analyzed;
-            let reports = self.ingest(&mut detector, event, replayed);
+            let analyzed_before = self.state.detector.counters.analyzed;
+            let reports = self.ingest(event, replayed);
             since_checkpoint += 1;
-            self.sync(&detector, self.state.ring.len() - cursor, replayed);
+            self.sync(self.state.ring.len() - cursor, replayed);
             self.egress(reports);
-            if detector.counters.analyzed != analyzed_before || since_checkpoint >= interval {
-                self.take_checkpoint(&detector);
+            if self.state.detector.counters.analyzed != analyzed_before
+                || since_checkpoint >= interval
+            {
+                self.take_checkpoint();
                 self.state.ring.drain(..cursor);
                 cursor = 0;
                 since_checkpoint = 0;
@@ -1388,10 +1508,10 @@ impl Supervisor {
         if let Some(rec) = &mut self.state.recorder {
             rec.record(Frame::Flush);
         }
-        let reports = detector.flush();
-        self.sync(&detector, 0, false);
+        let reports = self.state.detector.flush();
+        self.sync(0, false);
         self.egress(reports);
-        self.take_checkpoint(&detector);
+        self.take_checkpoint();
         self.state.ring.clear();
     }
 
@@ -1402,18 +1522,14 @@ impl Supervisor {
     /// *before* the detector touches it — a crash mid-ingest leaves the
     /// frame in place, and the recorded ring replay that follows the
     /// [`Frame::Restart`] re-drives it, exactly like the live supervisor.
-    fn ingest(
-        &mut self,
-        detector: &mut RealtimeDetector,
-        event: WeightedEvent,
-        replayed: bool,
-    ) -> Vec<AnomalyReport> {
+    fn ingest(&mut self, event: WeightedEvent, replayed: bool) -> Vec<AnomalyReport> {
         let pressure = self.shared.pressure.load(Ordering::Acquire);
         let fidelity = if pressure {
             FidelityLevel::Floor
         } else {
             self.state.fidelity
         };
+        let detector = &mut self.state.detector;
         detector.set_fidelity(fidelity);
         if let Some(rec) = &mut self.state.recorder {
             rec.record(Frame::Event {
@@ -1434,6 +1550,8 @@ impl Supervisor {
     /// Runs *before* the checkpoint that acks the events behind the reports
     /// (at-least-once delivery: a crash in between re-emits, never loses).
     fn egress(&mut self, reports: Vec<AnomalyReport>) {
+        #[cfg(test)]
+        tests::crash_hook::reach(tests::crash_hook::Site::Egress);
         for mut report in reports {
             self.shared.ledger().supervision.reports_emitted += 1;
             if let Some(rec) = &mut self.state.recorder {
@@ -1457,22 +1575,22 @@ impl Supervisor {
         }
     }
 
-    /// Captures a checkpoint into the slot (what a restart restores from)
-    /// and, when recording, frames it as a snapshot.
-    fn take_checkpoint(&mut self, detector: &RealtimeDetector) {
-        let slot = &mut self.state.slot;
+    /// Moves the slot's cursor to the detector (what a restart rewinds to)
+    /// and, when recording, frames the checkpoint as a snapshot.
+    fn take_checkpoint(&mut self) {
+        let (slot, detector) = (&mut self.state.slot, &mut self.state.detector);
         slot.capture(detector);
         // Debug builds make every spawned-pipeline test a differential test
-        // of the incremental capture against the from-empty one.
-        debug_assert_eq!(slot.checkpoint, detector.checkpoint());
+        // of the materialised cursor against the from-empty checkpoint.
+        debug_assert_eq!(slot.checkpoint(detector), detector.checkpoint());
         self.shared.ledger().checkpoints += 1;
         if let Some(rec) = &mut self.state.recorder {
             // Ask before cloning: a spike-window checkpoint the
             // amortization policy would drop is never materialized.
-            if rec.wants_snapshot(slot.checkpoint.buffer.len() as u64) {
+            if rec.wants_snapshot(detector.window.len() as u64) {
                 let overlay = self.shared.overlay(&self.shared.ledger());
                 rec.record(Frame::Snapshot {
-                    checkpoint: slot.checkpoint.clone(),
+                    checkpoint: detector.checkpoint(),
                     overlay,
                 });
             }
@@ -1482,8 +1600,8 @@ impl Supervisor {
     /// The one lock per event: publishes the detector's counters as one
     /// consistent set, plus the replay debt still in the ring, the replay
     /// this event was (if it was one), and the fidelity level in force.
-    fn sync(&self, detector: &RealtimeDetector, replay_debt: usize, replayed: bool) {
-        let consumer = detector.consumer_counters(replay_debt as u64);
+    fn sync(&self, replay_debt: usize, replayed: bool) {
+        let consumer = self.state.detector.consumer_counters(replay_debt as u64);
         let mut ledger = self.shared.ledger();
         ledger.consumer = consumer;
         ledger.supervision.replayed_events += u64::from(replayed);
@@ -2081,7 +2199,67 @@ impl Drop for PipelineHandle {
 mod tests {
     use super::*;
     use crate::classify::AnomalyKind;
-    use bgpscope_bgp::{PathAttributes, PeerId, Prefix, RouterId};
+    use bgpscope_bgp::{AsPath, PathAttributes, PeerId, Prefix, RouterId};
+
+    /// Crash points inside an analysis pass and at report egress, which
+    /// [`PanicInjection`] (a panic between two queue pulls) cannot reach.
+    /// Armed per thread, so a test arms the supervisor thread it spawns and
+    /// no other.
+    pub(super) mod crash_hook {
+        use std::cell::Cell;
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(in crate::pipeline) enum Site {
+            /// After Stemming decomposed the window, before classification.
+            Analyze,
+            /// At the top of `Supervisor::egress`: after the event's
+            /// analysis, before the capture that acks it.
+            Egress,
+        }
+
+        thread_local! {
+            static ARMED: Cell<Option<(Site, u32)>> = const { Cell::new(None) };
+        }
+
+        /// Panics on this thread's `nth` (1-based) arrival at `site`, once.
+        pub(super) fn arm(site: Site, nth: u32) {
+            ARMED.set(Some((site, nth)));
+        }
+
+        pub(in crate::pipeline) fn reach(site: Site) {
+            match ARMED.get() {
+                Some((armed, 1)) if armed == site => {
+                    ARMED.set(None);
+                    panic!("injected panic at {site:?}");
+                }
+                Some((armed, n)) if armed == site => ARMED.set(Some((armed, n - 1))),
+                _ => {}
+            }
+        }
+    }
+
+    /// What captures cost, for the tests that pin it: the events cloned to
+    /// keep a rewind point, split by whether the capture found the window
+    /// only grown since the last one.
+    #[derive(Debug, Default, Clone, Copy)]
+    pub(super) struct CaptureAudit {
+        pub(super) captures: u64,
+        pub(super) copied_while_growing: u64,
+        pub(super) most_copied_after_a_change: u64,
+    }
+
+    impl CaptureAudit {
+        /// Books one capture of `detector`, before it moves the cursor.
+        pub(super) fn record(&mut self, detector: &mut RealtimeDetector) {
+            let copied = std::mem::take(&mut detector.rewind_copies);
+            self.captures += 1;
+            if matches!(detector.rewind, Rewind::Retired(_)) {
+                self.most_copied_after_a_change = self.most_copied_after_a_change.max(copied);
+            } else {
+                self.copied_while_growing += copied;
+            }
+        }
+    }
 
     fn reset_updates(base_secs: u64) -> Vec<(UpdateMessage, Timestamp)> {
         let peer = PeerId::from_octets(1, 1, 1, 1);
@@ -2490,8 +2668,8 @@ mod tests {
     }
 
     /// Crashes inside a window many checkpoint intervals long: every
-    /// restart restores a slot built by incremental captures and keeps
-    /// capturing into it. The first replays a partial ring (events
+    /// restart rewinds the detector to a slot moved by many captures and
+    /// keeps capturing into it. The first replays a partial ring (events
     /// 97..=100), which shifts the capture cadence so that the second
     /// replays a full one (193..=200) and a capture lands inside the replay
     /// loop. Reports and the final ledger equal the synchronous detector's.
@@ -2553,6 +2731,162 @@ mod tests {
             ..stats
         };
         assert_eq!(comparable, oracle.stats(), "{stats}");
+    }
+
+    /// `tests/checkpoint_differential.rs`'s fixed hard-case stream under
+    /// its config: two clamps, a rotation that analyses nothing and evicts
+    /// out of the middle of the carry, a spike mid-window, a merged weight,
+    /// a rotation that analyses, and a tail the terminal flush drops.
+    fn hard_case_stream() -> (PipelineConfig, Vec<WeightedEvent>) {
+        let withdraw = |t_millis: u64, pfx: u8| {
+            WeightedEvent::unit(Event::withdraw(
+                Timestamp::from_millis(t_millis),
+                PeerId::from_octets(192, 168, 0, 1),
+                Prefix::from_octets(10, pfx, 0, 0, 16),
+                PathAttributes::new(
+                    RouterId::from_octets(10, 0, 0, 1),
+                    AsPath::from_u32s([7, 8, 9]),
+                ),
+            ))
+        };
+        let mut events = [20_000, 29_000, 5_000, 28_000, 21_000, 1_000, 41_000]
+            .into_iter()
+            .zip(0..)
+            .map(|(t, pfx)| withdraw(t, pfx))
+            .collect::<Vec<_>>();
+        events.extend((0..7).map(|i| withdraw(42_000 + i, 10 + i as u8)));
+        events.push(WeightedEvent {
+            weight: 5,
+            ..withdraw(43_000, 30)
+        });
+        events.extend((0..7).map(|i| withdraw(44_000 + i, 40 + i as u8)));
+        events.extend((0..3).map(|i| withdraw(60_000 + i, 50 + i as u8)));
+        let config = PipelineConfig {
+            window: Timestamp::from_secs(10),
+            min_events: 8,
+            min_component_events: 5,
+            spike_events: 10,
+            max_carry_events: 4,
+            max_carry_age: Timestamp::from_secs(15),
+            ..PipelineConfig::default()
+        };
+        (config, events)
+    }
+
+    /// A panic inside an analysis pass (the window borrowed by Stemming,
+    /// the counters already bumped, the encoding cache mid-update) and one
+    /// at egress — after the event's analysis, before the capture that
+    /// acks it, so the window the rewind needs was already retired — are
+    /// recovered like a panic between pulls: at every such point of the
+    /// hard-case stream, at three checkpoint intervals, the reports and
+    /// the ledger equal the uninterrupted run's.
+    #[test]
+    fn supervisor_recovers_from_a_crash_inside_an_analysis_or_before_its_capture() {
+        let (config, events) = hard_case_stream();
+        let mut oracle = RealtimeDetector::new(config.clone());
+        let mut expected = Vec::new();
+        for weighted in &events {
+            expected.extend(oracle.ingest_weighted(weighted.clone()));
+        }
+        expected.extend(oracle.flush());
+        let render = |rs: &[AnomalyReport]| rs.iter().map(ToString::to_string).collect::<Vec<_>>();
+        let expected = render(&expected);
+        assert!(!expected.is_empty());
+
+        for interval in [1, 3, 8] {
+            for (site, points) in [
+                (crash_hook::Site::Analyze, 2),
+                // One egress per event and one for the terminal flush.
+                (crash_hook::Site::Egress, events.len() as u32 + 1),
+            ] {
+                // The `nth` arrival at `site`, until a run never gets there.
+                let mut nth = 1;
+                loop {
+                    let spawn = SpawnConfig::new(config.clone()).with_supervisor(
+                        SupervisorConfig::default()
+                            .with_checkpoint_interval(interval)
+                            .with_backoff(Duration::ZERO),
+                    );
+                    let mut handle = RealtimeDetector::spawn_with(spawn, move |mut supervisor| {
+                        crash_hook::arm(site, nth);
+                        supervisor.run();
+                    });
+                    handle
+                        .push_batch(&mut events.iter().cloned().collect())
+                        .unwrap();
+                    let (reports, stats) = handle.finish();
+                    if stats.restarts == 0 {
+                        break;
+                    }
+                    let at = format!("{site:?} #{nth}, interval {interval}: {stats}");
+                    assert_eq!(render(&reports), expected, "{at}");
+                    assert_eq!(stats.restarts, 1, "{at}");
+                    let comparable = PipelineStats {
+                        restarts: 0,
+                        replayed_events: 0,
+                        checkpoints: 0,
+                        ..stats
+                    };
+                    assert_eq!(comparable, oracle.stats(), "{at}");
+                    nth += 1;
+                }
+                assert_eq!(
+                    nth - 1,
+                    points,
+                    "{site:?} crash points, interval {interval}"
+                );
+            }
+        }
+    }
+
+    /// The structural guard on capture: a 40,000-event flap window through
+    /// a spawned pipeline at the default interval (256) is captured over
+    /// 150 times and no capture copies an event while the window only
+    /// grows; after the window changed, the events copied for the rewind
+    /// point are a carry below `min_events` (the trickle that follows the
+    /// window carries and is evicted from), never the window.
+    #[test]
+    fn capture_copies_nothing_while_the_window_only_grows() {
+        let config = PipelineConfig {
+            max_carry_events: 10,
+            ..PipelineConfig::default()
+        };
+        let min_events = config.min_events as u64;
+        let peer = PeerId::from_octets(1, 1, 1, 1);
+        let attrs = PathAttributes::new(
+            RouterId::from_octets(2, 2, 2, 2),
+            "11423 209 701".parse().unwrap(),
+        );
+        let flap = (0..40_000u64).map(|i| {
+            let prefix = Prefix::from_octets(10, (i % 200) as u8, (i / 200 % 2) as u8, 0, 24);
+            let time = Timestamp::from_millis(i);
+            if i / 400 % 2 == 0 {
+                Event::withdraw(time, peer, prefix, attrs.clone())
+            } else {
+                Event::announce(time, peer, prefix, attrs.clone())
+            }
+        });
+        // Ten windows of 20 events each, below `min_events`: every
+        // rotation carries, and the count cap evicts from the carry.
+        let trickle =
+            (0..200u64).map(|i| withdraw_event(1_000 + (i / 20) * 1_000 + i % 20, i as u8));
+        let (audit_tx, audit_rx) = std::sync::mpsc::channel();
+        let mut handle =
+            RealtimeDetector::spawn_with(SpawnConfig::new(config), move |mut supervisor| {
+                supervisor.run();
+                audit_tx.send(supervisor.state.slot.audit).unwrap();
+            });
+        for event in flap.chain(trickle) {
+            handle.ingest_event(event).unwrap();
+        }
+        let (reports, stats) = handle.finish();
+        let audit = audit_rx.recv().unwrap();
+        assert!(!reports.is_empty(), "{stats}");
+        assert!(stats.carry_forward_evictions > 0, "{stats}");
+        assert!(audit.captures >= 150, "{audit:?}");
+        assert_eq!(audit.copied_while_growing, 0, "{audit:?}");
+        assert!(audit.most_copied_after_a_change > 0, "{audit:?}");
+        assert!(audit.most_copied_after_a_change < min_events, "{audit:?}");
     }
 
     /// When the panic keeps firing past `max_restarts`, the supervisor

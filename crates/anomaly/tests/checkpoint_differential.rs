@@ -11,11 +11,13 @@
 //!    replaying the suffix yields the exact report sequence of a run that
 //!    never crashed. This is the oracle the supervised pipeline leans on:
 //!    restore + replay is indistinguishable from no crash at all.
-//! 3. **Incremental capture ≡ `checkpoint()`** — the supervisor does not
-//!    call `checkpoint()`; it keeps one long-lived [`CheckpointSlot`] and
-//!    appends what the detector buffered since the last capture. After
-//!    every capture, at any cadence, across a restore from that very slot,
-//!    the slot equals a from-empty `checkpoint()`. The streams here are
+//! 3. **Cursor capture ≡ `checkpoint()`** — the supervisor does not call
+//!    `checkpoint()`; it keeps one long-lived [`CheckpointSlot`], a cursor
+//!    into the window the surviving detector holds, and a crash rewinds
+//!    that detector to it. After every capture, at any cadence, across a
+//!    rewind to that very slot, the materialised slot equals a from-empty
+//!    `checkpoint()`, and the run's reports and ledger equal an
+//!    uninterrupted one's. The streams here are
 //!    *not* sorted: they reach what a by-reference window log would get
 //!    wrong — clamped timestamps (the buffered event is not the fed one),
 //!    carry-cap evictions out of the middle of the buffer, rotations and
@@ -120,9 +122,9 @@ fn stream(steps: Vec<(u64, u64, u64, Event)>) -> Vec<WeightedEvent> {
 /// What the supervisor does around a detector, minus the threads: a ring of
 /// events fed since the last capture, a capture into one long-lived slot
 /// after every pass that analysed something and otherwise at the drawn
-/// cadence, and a crash that restores from the slot and replays the ring.
+/// cadence, and a crash that rewinds the surviving detector to the slot
+/// and replays the ring.
 struct Supervised {
-    config: PipelineConfig,
     detector: RealtimeDetector,
     slot: CheckpointSlot,
     ring: Vec<WeightedEvent>,
@@ -134,8 +136,7 @@ struct Supervised {
 impl Supervised {
     fn new(config: PipelineConfig, cadence: Vec<usize>) -> Self {
         Supervised {
-            detector: RealtimeDetector::new(config.clone()),
-            config,
+            detector: RealtimeDetector::new(config),
             slot: CheckpointSlot::default(),
             ring: Vec::new(),
             cadence,
@@ -159,11 +160,14 @@ impl Supervised {
         self.capture();
     }
 
-    /// The property: the slot, however many captures and restores old,
-    /// is what a from-empty `checkpoint()` returns.
+    /// The property: the slot, however many captures and rewinds old,
+    /// materialises as what a from-empty `checkpoint()` returns.
     fn capture(&mut self) {
-        self.slot.capture(&self.detector);
-        assert_eq!(self.slot.checkpoint(), &self.detector.checkpoint());
+        self.slot.capture(&mut self.detector);
+        assert_eq!(
+            self.slot.checkpoint(&self.detector),
+            self.detector.checkpoint()
+        );
         self.ring.clear();
         self.captures += 1;
     }
@@ -171,7 +175,7 @@ impl Supervised {
     /// No report is lost or doubled across a crash: a pass that emits
     /// reports changes `analyzed`, so a capture follows it immediately.
     fn crash(&mut self) {
-        self.detector = self.slot.restore(self.config.clone());
+        self.slot.rewind(&mut self.detector);
         for weighted in std::mem::take(&mut self.ring) {
             self.feed(weighted);
         }
@@ -281,7 +285,7 @@ fn incremental_capture_survives_the_hard_cases_at_every_crash_point() {
 }
 
 proptest! {
-    /// Incremental capture ≡ `checkpoint()` on unsorted, weighted streams
+    /// Cursor capture ≡ `checkpoint()` on unsorted, weighted streams
     /// (see [`Supervised`]), and resuming from the long-lived slot ≡ the
     /// uninterrupted run.
     #[test]
