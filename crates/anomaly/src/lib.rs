@@ -44,6 +44,7 @@ pub mod replay;
 pub mod report;
 pub mod scan;
 pub mod shard;
+pub mod supervision;
 
 pub use classify::{classify, AnomalyKind, Verdict};
 pub use control::{
@@ -65,3 +66,4 @@ pub use shard::{
     merge_incidents, GlobalIncident, ShardPanic, ShardRouter, ShardSnapshot, ShardedConfig,
     ShardedObserver, ShardedPipeline, ShardedRun, ShardedStats,
 };
+pub use supervision::{Health, RestartPolicy, Signal};

@@ -56,11 +56,11 @@
 //! [`Frame::Snapshot`] ([`SpawnConfig::recorder`]). Events pulled off the
 //! ingest queue are held in an in-flight ring until the next checkpoint
 //! acknowledges them; when the detector panics, the supervisor rewinds it
-//! to the last checkpoint, replays the ring, and resumes — up to
-//! [`SupervisorConfig::max_restarts`] times with exponential backoff. At
-//! most `checkpoint_interval` events can be lost, and only when the
-//! supervisor gives up entirely ([`PipelineStats::lost_events`] counts
-//! them, folded into `dropped_events` so the ledger still closes).
+//! to the last checkpoint, replays the ring, and resumes — as often as its
+//! [`RestartPolicy`] allows. At most `checkpoint_interval` events can be
+//! lost, and only when the supervisor gives up entirely
+//! ([`PipelineStats::lost_events`] counts them, folded into `dropped_events`
+//! so the ledger still closes).
 //!
 //! Report delivery is *at-least-once*: reports are egressed before the
 //! checkpoint that acknowledges the events behind them, so a crash between
@@ -110,6 +110,7 @@ use crate::control::{
 };
 use crate::replay::{create_recording, Frame, FrameWriter, Overlay, RecorderConfig, RecordingSeal};
 use crate::report::AnomalyReport;
+use crate::supervision::{Health, HealthCell, RestartPolicy, Signal};
 
 /// An event with a multiplicity: the unit the spawned pipeline's queue,
 /// in-flight ring, and analysis window carry. Every event enters with
@@ -316,13 +317,11 @@ impl std::str::FromStr for OverloadPolicy {
 /// How the supervisor around the spawned detector behaves.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// How many consumer panics the supervisor absorbs before giving up and
-    /// closing the pipeline (the in-flight ring is then counted in
-    /// [`PipelineStats::lost_events`]).
-    pub max_restarts: u32,
-    /// Backoff before the first restart; doubles per restart, capped at
-    /// 64× to keep worst-case recovery latency bounded.
-    pub backoff: Duration,
+    /// The restart budget and backoff. Its fault count is the run's
+    /// restarts, never reset: a panic is a bug the replay meets again. Once
+    /// it is spent the pipeline closes, the in-flight ring counted in
+    /// [`PipelineStats::lost_events`].
+    pub restart: RestartPolicy,
     /// Events between checkpoints. A checkpoint is *also* taken at every
     /// analysis pass (window rotation, spike, terminal flush), so this
     /// bounds both replay work and the worst-case loss when the supervisor
@@ -337,8 +336,10 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
-            max_restarts: 3,
-            backoff: Duration::from_millis(25),
+            restart: RestartPolicy {
+                budget: 3,
+                backoff: Duration::from_millis(25),
+            },
             checkpoint_interval: 256,
         }
     }
@@ -353,13 +354,13 @@ impl SupervisorConfig {
 
     /// Sets the restart budget.
     pub fn with_max_restarts(mut self, max_restarts: u32) -> Self {
-        self.max_restarts = max_restarts;
+        self.restart.budget = max_restarts;
         self
     }
 
     /// Sets the initial restart backoff.
     pub fn with_backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
+        self.restart.backoff = backoff;
         self
     }
 }
@@ -1118,8 +1119,8 @@ impl RealtimeDetector {
     ///
     /// A detector panic does not kill the pipeline: the supervisor rewinds
     /// the surviving detector to the last checkpoint, replays the
-    /// un-acknowledged in-flight events, and resumes, up to
-    /// [`SupervisorConfig::max_restarts`] times.
+    /// un-acknowledged in-flight events, and resumes, as often as
+    /// [`SupervisorConfig::restart`] allows.
     pub fn spawn(config: SpawnConfig) -> PipelineHandle {
         Self::spawn_with(config, |mut supervisor| supervisor.run())
     }
@@ -1286,7 +1287,7 @@ struct AliveGuard(Arc<SharedStats>);
 
 impl Drop for AliveGuard {
     fn drop(&mut self) {
-        self.0.consumer_alive.store(false, Ordering::Release);
+        self.0.consumer_exited.store(true, Ordering::Release);
     }
 }
 
@@ -1396,11 +1397,13 @@ impl Supervisor {
             // give-up also sheds the inbox: those events never reached a
             // detector, so they leave the derived `queued` the way events
             // stranded in the channel do at shutdown.
-            let (restarts, gave_up, lost, overlay) = {
+            let (restarts, backoff, lost, overlay) = {
                 let mut ledger = self.shared.ledger();
                 ledger.supervision.restarts += 1;
-                let gave_up = ledger.supervision.restarts > u64::from(self.sup.max_restarts);
-                let (debt, lost) = if gave_up {
+                let restarts = ledger.supervision.restarts;
+                // Every detector salts its jitter alike (DESIGN.md, 26).
+                let backoff = self.sup.restart.after(restarts, 0);
+                let (debt, lost) = if backoff.is_none() {
                     let stranded = std::mem::take(&mut self.state.inbox).len() as u64;
                     self.shared.shed.fetch_add(stranded, Ordering::AcqRel);
                     (0, in_flight)
@@ -1410,7 +1413,7 @@ impl Supervisor {
                 ledger.consumer = self.state.detector.consumer_counters(debt);
                 ledger.supervision.lost_events += lost;
                 let overlay = self.shared.overlay(&ledger);
-                (ledger.supervision.restarts, gave_up, lost, overlay)
+                (restarts, backoff, lost, overlay)
             };
             if let Some(rec) = &mut self.state.recorder {
                 // The state this restart rewound to (or publishes as final
@@ -1426,17 +1429,17 @@ impl Supervisor {
                 rec.record(Frame::Restart {
                     cause,
                     restarts,
-                    gave_up,
+                    gave_up: backoff.is_none(),
                     lost,
                 });
             }
-            if gave_up {
+            let Some(backoff) = backoff else {
                 // Terminal failure: close the pipeline.
-                self.shared.gave_up.store(true, Ordering::Release);
+                self.shared.health.on(Signal::GiveUp);
                 break;
-            }
-            let exponent = (restarts - 1).min(6);
-            std::thread::sleep(self.sup.backoff * (1u32 << exponent));
+            };
+            self.shared.health.on(Signal::Fault);
+            std::thread::sleep(backoff);
         }
     }
 
@@ -1583,6 +1586,9 @@ impl Supervisor {
         // Debug builds make every spawned-pipeline test a differential test
         // of the materialised cursor against the from-empty checkpoint.
         debug_assert_eq!(slot.checkpoint(detector), detector.checkpoint());
+        // Before the count, so a reader that sees the checkpoint sees the
+        // recovery it brings.
+        self.shared.health.on(Signal::Progress);
         self.shared.ledger().checkpoints += 1;
         if let Some(rec) = &mut self.state.recorder {
             // Ask before cloning: a spike-window checkpoint the
@@ -1659,8 +1665,9 @@ struct SupervisorLedger {
 /// What the producer-side handle (and any [`StatsProbe`]) shares with the
 /// supervisor thread, and nothing else: four counters only the handle
 /// writes (plain atomics), the supervisor's [`SupervisorLedger`], and the
-/// three flags and one message the two sides signal each other with.
-#[derive(Debug)]
+/// two flags, the health and the message the two sides signal each other
+/// with.
+#[derive(Debug, Default)]
 struct SharedStats {
     ingested: AtomicU64,
     shed: AtomicU64,
@@ -1672,9 +1679,10 @@ struct SharedStats {
     /// lowered by the supervisor once the queue drains; while up, analysis
     /// runs at [`FidelityLevel::Floor`].
     pressure: AtomicBool,
-    consumer_alive: AtomicBool,
-    /// Set when the supervisor exhausted its restart budget.
-    gave_up: AtomicBool,
+    /// Set by the supervisor thread's exit guard.
+    consumer_exited: AtomicBool,
+    /// Signalled by the supervisor alone (see [`StatsProbe::health`]).
+    health: HealthCell,
     last_panic: Mutex<Option<String>>,
 }
 
@@ -1701,22 +1709,6 @@ impl SharedStats {
             reports_digested: 0,
             fidelity_level: ledger.fidelity_level,
             checkpoints: ledger.checkpoints,
-        }
-    }
-}
-
-impl Default for SharedStats {
-    fn default() -> Self {
-        SharedStats {
-            ingested: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            parse_errors: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            supervisor: Mutex::default(),
-            pressure: AtomicBool::new(false),
-            consumer_alive: AtomicBool::new(true),
-            gave_up: AtomicBool::new(false),
-            last_panic: Mutex::new(None),
         }
     }
 }
@@ -1749,15 +1741,10 @@ impl StatsProbe {
         stats_from(&self.shared)
     }
 
-    /// True while the detector thread is running.
-    pub fn is_alive(&self) -> bool {
-        self.shared.consumer_alive.load(Ordering::Acquire)
-    }
-
-    /// True once the supervisor exhausted its restart budget and closed
-    /// the pipeline.
-    pub(crate) fn gave_up(&self) -> bool {
-        self.shared.gave_up.load(Ordering::Acquire)
+    /// Degraded from a restart to the next incarnation's first checkpoint,
+    /// then Recovered; Quarantined once the restart budget is spent.
+    pub fn health(&self) -> Health {
+        self.shared.health.get()
     }
 
     /// The most recent consumer panic the supervisor caught, if any.
@@ -1928,7 +1915,7 @@ impl PipelineHandle {
                 // delivering losslessly, exactly like `Block`.
                 self.shared.pressure.store(true, Ordering::Release);
             }
-            if moved == 0 && !wait.is_zero() && !self.shared.consumer_alive.load(Ordering::Acquire)
+            if moved == 0 && !wait.is_zero() && self.shared.consumer_exited.load(Ordering::Acquire)
             {
                 return Err(PipelineClosed);
             }
@@ -2025,7 +2012,7 @@ impl PipelineHandle {
                 match tx.try_send(rep) {
                     Ok(()) => break,
                     Err(TrySendError::Full(back))
-                        if self.shared.consumer_alive.load(Ordering::Acquire) =>
+                        if !self.shared.consumer_exited.load(Ordering::Acquire) =>
                     {
                         rep = back;
                         match self.reports.try_recv() {
@@ -2069,13 +2056,13 @@ impl PipelineHandle {
 
     /// True while the detector thread is running.
     pub fn is_alive(&self) -> bool {
-        self.shared.consumer_alive.load(Ordering::Acquire)
+        !self.shared.consumer_exited.load(Ordering::Acquire)
     }
 
     /// True once the supervisor exhausted its restart budget and closed
     /// the pipeline.
     pub(crate) fn gave_up(&self) -> bool {
-        self.shared.gave_up.load(Ordering::Acquire)
+        self.shared.health.get() == Health::Quarantined
     }
 
     /// Counts as shed what a supervisor that gave up left behind: events
@@ -2113,10 +2100,9 @@ impl PipelineHandle {
         }
     }
 
-    /// Writes an out-of-band supervision transition into the recording
-    /// (shard quarantine, source quarantine). A no-op when the run is not
-    /// being recorded.
-    pub fn record_transition(&self, kind: &str, detail: &str) {
+    /// Writes an out-of-band supervision transition (a source quarantine)
+    /// into the recording. A no-op when the run is not being recorded.
+    pub(crate) fn record_transition(&self, kind: &str, detail: &str) {
         if let Some(rec) = &self.recorder {
             rec.transition(kind, detail);
         }

@@ -28,18 +28,19 @@
 //!
 //! # Quarantine (circuit breaker)
 //!
-//! A shard whose supervisor exhausts [`SupervisorConfig::max_restarts`]
-//! does *not* close the sharded pipeline: the shard is **quarantined** the
-//! moment its supervisor gives up. Its in-flight ring is already counted
-//! as that shard's `lost_events`; its keyspace is marked degraded
-//! ([`ShardSnapshot::quarantined`]); the next time the producer routes
-//! there, the events stranded in its queue are counted as shed, and every
-//! event routed to it from then on is counted in
-//! [`ShardSnapshot::quarantine_shed`] (folded into the shard's
-//! `ingested`/`shed_events`, never silently discarded). Only when *all*
-//! shards are quarantined does ingest return [`PipelineClosed`].
+//! A shard's [`ShardSnapshot::health`] moves as an ingest source's does: a
+//! restart degrades it, its next incarnation's first checkpoint recovers
+//! it, and the shard is **quarantined** the moment its supervisor exhausts
+//! its [`SupervisorConfig::restart`] budget — which does *not* close the
+//! sharded pipeline. Its in-flight ring is already counted as that shard's
+//! `lost_events`; the next time the producer routes there, the events
+//! stranded in its queue are counted as shed, and every event routed to it
+//! from then on is counted in [`ShardSnapshot::quarantine_shed`] (folded
+//! into the shard's `ingested`/`shed_events`, never silently discarded).
+//! Only when *all* shards are quarantined does ingest return
+//! [`PipelineClosed`].
 //!
-//! A shard is its handle: the flag, the panic cause, the restart count and
+//! A shard is its handle: the health, the panic cause, the restart count and
 //! the ledger are read from the handle's [`StatsProbe`], which outlives
 //! the handle, so a sample from any thread — before, during or after a
 //! quarantine or `finish` — reads one source and closes exactly.
@@ -57,7 +58,7 @@
 //! (per-shard `lost_events` is a subset of that shard's `dropped_events`,
 //! exactly as in the single pipeline).
 //!
-//! [`SupervisorConfig::max_restarts`]: crate::pipeline::SupervisorConfig
+//! [`SupervisorConfig::restart`]: crate::pipeline::SupervisorConfig::restart
 
 use std::cmp::Reverse;
 use std::collections::VecDeque;
@@ -75,6 +76,7 @@ use crate::pipeline::{
     StatsProbe, WeightedEvent,
 };
 use crate::report::AnomalyReport;
+use crate::supervision::Health;
 
 /// Deterministic (peer, prefix-range) → shard routing.
 ///
@@ -232,18 +234,6 @@ impl Shard {
     fn snapshot(&self, shard: usize) -> ShardSnapshot {
         snapshot_shard(&self.handle.probe(), &self.quarantine_shed, shard)
     }
-
-    /// Ends the shard's feed and returns its reports. A shard whose
-    /// supervisor gave up first has its quarantine written into its
-    /// recording.
-    fn finish(self, shard: usize) -> Vec<AnomalyReport> {
-        if self.handle.gave_up() {
-            let cause = self.handle.last_panic().unwrap_or_default();
-            self.handle
-                .record_transition("shard-quarantine", &format!("shard {shard}: {cause}"));
-        }
-        self.handle.finish().0
-    }
 }
 
 /// Samples one shard's snapshot from its probe, from any thread: the
@@ -256,7 +246,7 @@ fn snapshot_shard(probe: &StatsProbe, quarantine_shed: &AtomicU64, shard: usize)
     stats.shed_events += quarantine_shed;
     ShardSnapshot {
         shard,
-        quarantined: probe.gave_up(),
+        health: probe.health(),
         quarantine_shed,
         stats,
     }
@@ -267,9 +257,9 @@ fn snapshot_shard(probe: &StatsProbe, quarantine_shed: &AtomicU64, shard: usize)
 pub struct ShardSnapshot {
     /// Shard index.
     pub shard: usize,
-    /// True once the shard's supervisor exhausted its restart budget and
-    /// the shard was quarantined — its keyspace is degraded from then on.
-    pub quarantined: bool,
+    /// The shard's supervision health (see the module docs); once
+    /// Quarantined, its keyspace is degraded.
+    pub health: Health,
     /// Events routed to the shard after quarantine (already folded into
     /// `stats.ingested` and `stats.shed_events`).
     pub quarantine_shed: u64,
@@ -319,7 +309,7 @@ impl ShardedStats {
     pub fn quarantined_shards(&self) -> Vec<usize> {
         self.shards
             .iter()
-            .filter(|s| s.quarantined)
+            .filter(|s| s.health == Health::Quarantined)
             .map(|s| s.shard)
             .collect()
     }
@@ -353,15 +343,13 @@ impl std::fmt::Display for ShardedStats {
         writeln!(f, "global over {} shards:", self.shards.len())?;
         writeln!(f, "{}", self.global)?;
         for snap in &self.shards {
+            write!(f, "shard {}", snap.shard)?;
+            if snap.health != Health::Healthy {
+                write!(f, " [{}]", snap.health)?;
+            }
             writeln!(
                 f,
-                "shard {}{}: ingested {} analyzed {} shed {} dropped {} lost {} restarts {}",
-                snap.shard,
-                if snap.quarantined {
-                    " [quarantined]"
-                } else {
-                    ""
-                },
+                ": ingested {} analyzed {} shed {} dropped {} lost {} restarts {}",
                 snap.stats.ingested,
                 snap.stats.analyzed,
                 snap.stats.shed_events,
@@ -656,8 +644,7 @@ impl ShardedPipeline {
         let shard_reports = self
             .shards
             .into_iter()
-            .enumerate()
-            .map(|(k, shard)| shard.finish(k))
+            .map(|shard| shard.handle.finish().0)
             .collect();
         // Read after the finishes, so a give-up during the final drain is in.
         ShardedRun {
@@ -1229,7 +1216,7 @@ mod tests {
         assert_eq!(run.stats.global.parse_errors, 3, "{}", run.stats);
         assert_eq!(run.stats.quarantined_shards(), vec![target]);
         let target_snap = run.stats.shards[target];
-        assert!(target_snap.quarantined);
+        assert_eq!(target_snap.health, Health::Quarantined);
         assert!(target_snap.quarantine_shed >= 50, "{}", run.stats);
         assert!(
             target_snap.stats.lost_events <= 8,
@@ -1283,7 +1270,7 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert!(probe.gave_up());
+        assert_eq!(probe.health(), Health::Quarantined);
         let cause = probe.last_panic().expect("the injected panic is recorded");
         assert!(cause.contains("injected"), "{cause}");
         let restarts = probe.stats().restarts;
@@ -1310,6 +1297,107 @@ mod tests {
         assert_eq!(run.stats.quarantined_shards(), [1]);
         assert_eq!(run.stats.shards[1].stats, probe.stats());
         assert_eq!(run.panics, causes);
+    }
+
+    /// A shard's health moves as a source's does: a restart degrades it,
+    /// its next incarnation's first checkpoint recovers it, and a give-up
+    /// quarantines it — in `ShardedStats` and in its JSON alike.
+    #[test]
+    fn a_restart_degrades_a_shard_until_its_next_checkpoint_and_a_give_up_quarantines_it() {
+        let router = ShardRouter::new(2).with_range_bits(16);
+        let key = |shard| {
+            (0..=255u8)
+                .find(|&k| router.route_event(&withdraw_event(0, k, k)) == shard)
+                .expect("some key routes to each shard")
+        };
+        let keys = [key(0), key(1)];
+        // One restart allowed; shard 0 panics once, shard 1 at every fifth
+        // pull. No analysis, so a checkpoint comes every 8 events only.
+        let spawn = |repeat| {
+            SpawnConfig::new(PipelineConfig {
+                min_events: 1_000_000,
+                ..small_pipeline()
+            })
+            .with_supervisor(
+                SupervisorConfig::default()
+                    .with_checkpoint_interval(8)
+                    .with_max_restarts(1)
+                    .with_backoff(Duration::from_millis(1)),
+            )
+            .with_fault(PanicInjection {
+                after_events: 5,
+                repeat,
+            })
+        };
+        let mut pipeline = ShardedPipeline {
+            collector: Collector::new(),
+            router,
+            shards: [1, u32::MAX]
+                .map(|repeat| Shard {
+                    handle: RealtimeDetector::spawn(spawn(repeat)),
+                    pending: VecDeque::new(),
+                    quarantine_shed: Arc::default(),
+                })
+                .into(),
+        };
+        let feed = |pipeline: &mut ShardedPipeline, shard: usize, times: std::ops::Range<u64>| {
+            for i in times {
+                let event = withdraw_event(i, keys[shard], keys[shard]);
+                pipeline.ingest_event(event).unwrap();
+            }
+        };
+        let await_health = |pipeline: &ShardedPipeline, want: [Health; 2]| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(30);
+            loop {
+                let stats = pipeline.stats();
+                if stats.shards.iter().map(|s| s.health).eq(want) {
+                    return stats;
+                }
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "never {want:?}: {stats}"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let json_reads = |stats: &ShardedStats, shard: usize, health: &str| {
+            let json = stats.to_json();
+            let field = format!("{{\"shard\":{shard},\"health\":\"{health}\"");
+            assert!(json.contains(&field), "{json}");
+        };
+
+        // The fifth pull panics on both; the replay of five events reaches
+        // no checkpoint, so both stay degraded.
+        feed(&mut pipeline, 0, 0..5);
+        feed(&mut pipeline, 1, 0..5);
+        let stats = await_health(&pipeline, [Health::Degraded; 2]);
+        assert!(stats.accounts_exactly(), "{stats}");
+        assert_eq!(stats.shards[0].stats.restarts, 1, "{stats}");
+        assert_eq!(stats.shards[0].stats.checkpoints, 0, "{stats}");
+        json_reads(&stats, 0, "degraded");
+        json_reads(&stats, 1, "degraded");
+        assert!(stats.quarantined_shards().is_empty(), "{stats}");
+
+        // Three more events reach shard 0's checkpoint; five more reach
+        // shard 1's next panic, past its budget.
+        feed(&mut pipeline, 0, 5..8);
+        feed(&mut pipeline, 1, 5..10);
+        let stats = await_health(&pipeline, [Health::Recovered, Health::Quarantined]);
+        assert!(stats.accounts_exactly(), "{stats}");
+        assert_eq!(stats.shards[0].stats.restarts, 1, "{stats}");
+        json_reads(&stats, 0, "recovered");
+        json_reads(&stats, 1, "quarantined");
+        assert_eq!(stats.quarantined_shards(), [1], "{stats}");
+        assert!(
+            stats.to_string().contains("shard 0 [recovered]:"),
+            "{stats}"
+        );
+
+        let run = pipeline.finish();
+        assert!(run.stats.accounts_exactly(), "{}", run.stats);
+        let health: Vec<Health> = run.stats.shards.iter().map(|s| s.health).collect();
+        assert_eq!(health, [Health::Recovered, Health::Quarantined]);
+        assert_eq!(run.stats.shards[1].stats.restarts, 2, "{}", run.stats);
     }
 
     #[test]
@@ -1445,7 +1533,7 @@ mod tests {
         // The shards array nests full per-shard ledgers.
         assert!(json.contains("\"shard\":0"), "{json}");
         assert!(json.contains("\"shard\":1"), "{json}");
-        assert!(json.contains("\"quarantined\":false"), "{json}");
+        assert!(json.contains("\"health\":\"healthy\""), "{json}");
         assert!(json.matches("\"ingested\"").count() >= 3, "{json}");
         assert!(json.ends_with("\"quarantined_shards\":[]}"), "{json}");
         // The whole document, byte for byte: one live shard, one
@@ -1459,13 +1547,13 @@ mod tests {
         let pinned = ShardedStats::from_snapshots(vec![
             ShardSnapshot {
                 shard: 0,
-                quarantined: false,
+                health: Health::Healthy,
                 quarantine_shed: 0,
                 stats: ledger(7, 0),
             },
             ShardSnapshot {
                 shard: 1,
-                quarantined: true,
+                health: Health::Quarantined,
                 quarantine_shed: 2,
                 stats: ledger(5, 2),
             },
@@ -1479,9 +1567,9 @@ mod tests {
             pinned.to_json(),
             format!(
                 "{{\"ingested\":12,\"analyzed\":10,\"shed_events\":2,{zeros},\"shards\":[\
-                 {{\"shard\":0,\"quarantined\":false,\"quarantine_shed\":0,\"stats\":\
+                 {{\"shard\":0,\"health\":\"healthy\",\"quarantine_shed\":0,\"stats\":\
                  {{\"ingested\":7,\"analyzed\":7,\"shed_events\":0,{zeros}}}}},\
-                 {{\"shard\":1,\"quarantined\":true,\"quarantine_shed\":2,\"stats\":\
+                 {{\"shard\":1,\"health\":\"quarantined\",\"quarantine_shed\":2,\"stats\":\
                  {{\"ingested\":5,\"analyzed\":3,\"shed_events\":2,{zeros}}}}}],\
                  \"quarantined_shards\":[1]}}"
             )

@@ -32,7 +32,10 @@
 //! source decoded on its own worker and fanned deterministically into one
 //! stem pipeline, with per-source retry/backoff, stall watchdogs, and
 //! poison-record quarantine (see the `--retries`/`--backoff-ms`/
-//! `--stall-timeout-ms`/`--poison-threshold` knobs).
+//! `--stall-timeout-ms`/`--poison-threshold` knobs). A source is supervised
+//! as a `pipeline` shard is: `--retries` and `--quarantine-after` budget one
+//! kind of restart policy, whose backoff doubles from its base
+//! (`--backoff-ms`) up to 64× it, and both report one kind of health.
 //!
 //! Exit codes: 0 success, 1 usage error, 2 I/O or parse failure (including
 //! every ingest source quarantined), 3 partial ingest — some sources were
@@ -40,6 +43,7 @@
 //! but incomplete.
 
 use std::fs;
+use std::num::NonZeroU64;
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -520,18 +524,14 @@ fn run_ingest(args: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
             }
             "--backoff-ms" => {
                 supervised = true;
-                let base: u64 = value(&mut it, arg)?;
-                // Cap the exponential curve at 50 doublings' worth, never
-                // below the default 500ms ceiling.
-                source_policy = source_policy.with_backoff(
-                    Duration::from_millis(base),
-                    Duration::from_millis((base * 50).max(500)),
-                );
+                source_policy =
+                    source_policy.with_backoff(Duration::from_millis(value(&mut it, arg)?));
             }
             "--stall-timeout-ms" => {
                 supervised = true;
-                source_policy =
-                    source_policy.with_stall_timeout(Duration::from_millis(value(&mut it, arg)?));
+                // 0 would quarantine every source before it delivers.
+                let ms = value::<NonZeroU64>(&mut it, arg)?.get();
+                source_policy = source_policy.with_stall_timeout(Duration::from_millis(ms));
             }
             "--poison-threshold" => {
                 supervised = true;

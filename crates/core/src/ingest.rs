@@ -41,13 +41,15 @@
 //! # Sources and their supervision
 //!
 //! A source is one vantage point's archive. A [`SourceSpec`] can be
-//! reopened, so it is *supervised* under a [`SourcePolicy`]: transient I/O
-//! errors are retried with exponential backoff and jitter (the reader is
-//! rebuilt from the factory and fast-forwarded past delivered records via
-//! the length-prefixed framing), a record position that keeps failing
-//! decode is skipped after `poison_threshold` attempts, and a source with no
-//! progress for `stall_timeout` is flipped Degraded, then Quarantined, by
-//! the merge-side watchdog. [`ingest`]'s reader cannot be reopened: its
+//! reopened, so it is *supervised* under a [`SourcePolicy`], as a detector
+//! shard is: one [`Health`], one [`RestartPolicy`]. Transient I/O errors
+//! are retried after the policy's backoff (the reader is rebuilt from the
+//! factory and fast-forwarded past delivered records via the
+//! length-prefixed framing); the policy counts *consecutive* failures,
+//! which a decoded event resets. A record position that keeps failing
+//! decode is skipped after `poison_threshold` attempts, and a source with
+//! no progress for `stall_timeout` is flipped Degraded, then Quarantined,
+//! by the merge-side watchdog. [`ingest`]'s reader cannot be reopened: its
 //! first fault ends the run ([`IngestError::Decode`]) and it is waited for,
 //! never stall-quarantined.
 //!
@@ -67,9 +69,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bgpscope_anomaly::{
-    AnomalyReport, PipelineStats, ShardedConfig, ShardedPipeline, ShardedStats, SpawnConfig,
+    AnomalyReport, Health, PipelineStats, RestartPolicy, ShardedConfig, ShardedPipeline,
+    ShardedStats, Signal, SpawnConfig,
 };
-use bgpscope_bgp::{splitmix64, Event};
+use bgpscope_bgp::Event;
 use bgpscope_collector::Collector;
 use bgpscope_mrt::{MrtError, RecordReader, DEFAULT_BUFFER_CAPACITY};
 use crossbeam::channel;
@@ -279,7 +282,7 @@ impl IngestReport {
     pub fn quarantined_sources(&self) -> Vec<&SourceLedger> {
         self.sources
             .iter()
-            .filter(|s| s.health == SourceHealth::Quarantined)
+            .filter(|s| s.health == Health::Quarantined)
             .collect()
     }
 
@@ -636,65 +639,13 @@ pub fn ingest<R: Read + Send + 'static>(
 // Multi-source fan-in with per-source supervision
 // ---------------------------------------------------------------------------
 
-/// Health of one supervised source, as a simple FSM:
-///
-/// ```text
-/// Healthy ──fault/stall──▶ Degraded ──progress──▶ Recovered
-///                              │                      │
-///                   budget/2nd stall        fault/stall│
-///                              ▼                      ▼
-///                         Quarantined ◀──────────(Degraded)
-/// ```
-///
-/// `Quarantined` is terminal; `Recovered` marks a source that degraded at
-/// least once but is delivering again (it degrades again on the next
-/// fault, like `Healthy`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SourceHealth {
-    /// Delivering, no fault observed yet.
-    Healthy,
-    /// A transient fault is being retried, or one stall timeout elapsed.
-    Degraded,
-    /// Given up on: retry budget exhausted or stalled twice. Terminal.
-    Quarantined,
-    /// Was degraded, then made progress again.
-    Recovered,
-}
-
-impl SourceHealth {
-    fn as_str(&self) -> &'static str {
-        match self {
-            SourceHealth::Healthy => "healthy",
-            SourceHealth::Degraded => "degraded",
-            SourceHealth::Quarantined => "quarantined",
-            SourceHealth::Recovered => "recovered",
-        }
-    }
-}
-
-impl std::fmt::Display for SourceHealth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-// Serializes as its lower-case display name, not the variant name.
-impl Serialize for SourceHealth {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.as_str().into())
-    }
-}
-
 /// Supervision policy applied to every source of a [`MultiSourceIngest`].
 #[derive(Debug, Clone)]
 pub struct SourcePolicy {
     /// Consecutive transient-failure rebuilds (no progress in between)
-    /// tolerated before the source is quarantined.
-    pub max_retries: u32,
-    /// First retry backoff; doubles per consecutive failure.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_max: Duration,
+    /// tolerated before the source is quarantined, and the backoff before
+    /// each; the source's index salts the backoff's jitter.
+    pub restart: RestartPolicy,
     /// With no event merged from a source for this long the watchdog flips
     /// it Degraded; after a second consecutive timeout, Quarantined.
     pub stall_timeout: Duration,
@@ -706,9 +657,10 @@ pub struct SourcePolicy {
 impl Default for SourcePolicy {
     fn default() -> Self {
         SourcePolicy {
-            max_retries: 4,
-            backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(500),
+            restart: RestartPolicy {
+                budget: 4,
+                backoff: Duration::from_millis(10),
+            },
             stall_timeout: Duration::from_secs(2),
             poison_threshold: 2,
         }
@@ -718,14 +670,13 @@ impl Default for SourcePolicy {
 impl SourcePolicy {
     /// Sets the consecutive-transient-failure budget.
     pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
+        self.restart.budget = retries;
         self
     }
 
-    /// Sets the exponential-backoff base and ceiling.
-    pub fn with_backoff(mut self, base: Duration, max: Duration) -> Self {
-        self.backoff_base = base;
-        self.backoff_max = max;
+    /// Sets the exponential-backoff base (the cap is 64× the base).
+    pub fn with_backoff(mut self, base: Duration) -> Self {
+        self.restart.backoff = base;
         self
     }
 
@@ -739,19 +690,6 @@ impl SourcePolicy {
     pub fn with_poison_threshold(mut self, attempts: u32) -> Self {
         self.poison_threshold = attempts.max(1);
         self
-    }
-
-    /// Backoff before retry number `failures` of source `idx`:
-    /// `min(base·2^(failures-1), max)`, jittered into `[0.5, 1.5)×` by a
-    /// fixed seed, so retry storms desynchronize reproducibly.
-    fn backoff(&self, idx: usize, failures: u32) -> Duration {
-        const JITTER_SEED: u64 = 0xB6E0_5EED;
-        let exp = failures.saturating_sub(1).min(16);
-        let raw = self.backoff_base.as_secs_f64() * (1u64 << exp) as f64;
-        let capped = raw.min(self.backoff_max.as_secs_f64());
-        let salt = ((idx as u64) << 32) | u64::from(failures);
-        let jitter = 0.5 + (splitmix64(JITTER_SEED ^ salt) >> 11) as f64 / (1u64 << 53) as f64;
-        Duration::from_secs_f64(capped * jitter)
     }
 }
 
@@ -767,12 +705,12 @@ impl SourcePolicy {
 /// ([`IngestReport::sources_account_exactly`]). `source_retries`,
 /// `poison_skipped`, and `stall_shed` are the supervision terms: work
 /// redone, positions given up on, and events shed at quarantine.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SourceLedger {
     /// Source name (the archive path, for CLI runs).
     pub name: String,
-    /// Current health FSM state.
-    pub health: SourceHealth,
+    /// Current health.
+    pub health: Health,
     /// Why the source was quarantined, when it was.
     pub quarantine_cause: Option<String>,
     /// Records this source's reader decoded.
@@ -801,25 +739,6 @@ pub struct SourceLedger {
 }
 
 impl SourceLedger {
-    fn new(name: String) -> Self {
-        SourceLedger {
-            name,
-            health: SourceHealth::Healthy,
-            quarantine_cause: None,
-            records_decoded: 0,
-            records_skipped: 0,
-            trailing_tolerated: 0,
-            events_decoded: 0,
-            events_merged: 0,
-            queued: 0,
-            stall_shed: 0,
-            source_retries: 0,
-            poison_skipped: 0,
-            events_forwarded: 0,
-            withdraws_filtered: 0,
-        }
-    }
-
     /// True when `events_decoded == events_merged + stall_shed + queued`.
     pub fn accounts_exactly(&self) -> bool {
         self.events_decoded == self.events_merged + self.stall_shed + self.queued
@@ -966,9 +885,9 @@ struct SourceWorker {
     /// Start of the busy interval running now: everything since the last
     /// flush or backoff (decoding, reader rebuilds), timed per batch.
     busy_since: Instant,
-    /// Set by a degraded spell; the next fold marks the source Recovered.
-    recovering: bool,
-    transient_failures: u32,
+    /// Consecutive transient failures: the fault count the restart policy
+    /// is given; a decoded event resets it.
+    transient_failures: u64,
 }
 
 impl SourceWorker {
@@ -1071,8 +990,8 @@ impl SourceWorker {
     /// `events_decoded` and `queued` move together under the ledger lock,
     /// in the same critical section as the channel insert, so the
     /// per-source invariant holds at every instant. The same section folds
-    /// the reader's `counters` into the ledger and, when the worker is
-    /// recovering from a degraded spell, advances the health FSM. Returns
+    /// the reader's `counters` into the ledger and signals the source's
+    /// progress (a degraded source recovers). Returns
     /// `false` when the source is quarantined or the fan-in is gone — the
     /// batch is shed (`stall_shed`) and the worker must exit.
     fn flush(&mut self, counters: ReaderCounters) -> bool {
@@ -1087,14 +1006,12 @@ impl SourceWorker {
             ledger.records_skipped += counters.1 - self.prev.1;
             ledger.trailing_tolerated += counters.2 - self.prev.2;
             self.prev = counters;
-            if std::mem::take(&mut self.recovering) && ledger.health == SourceHealth::Degraded {
-                ledger.health = SourceHealth::Recovered;
-            }
+            ledger.health = ledger.health.on(Signal::Progress);
             // Shed when quarantined, or when the merge side is gone
             // (teardown), so the ledger still closes.
             let delivered = if payload.is_empty() {
                 true
-            } else if ledger.health == SourceHealth::Quarantined {
+            } else if ledger.health == Health::Quarantined {
                 false
             } else {
                 match self.tx.try_send(payload) {
@@ -1129,10 +1046,10 @@ impl SourceWorker {
         self.bank_busy();
         let mut guard = self.shared.lock().unwrap();
         let state = &mut guard[self.idx];
-        if state.ledger.health != SourceHealth::Quarantined {
-            state.ledger.health = SourceHealth::Quarantined;
+        if state.ledger.health != Health::Quarantined {
             state.ledger.quarantine_cause = Some(cause);
         }
+        state.ledger.health = state.ledger.health.on(Signal::GiveUp);
         state.decode = self.stats;
     }
 
@@ -1143,39 +1060,31 @@ impl SourceWorker {
         self.shared.lock().unwrap()[self.idx].fault = Some(e);
     }
 
-    /// Counts a retry and marks the source Degraded until the next fold.
+    /// Counts a retry and degrades the source until its next flush.
     fn degrade(&mut self) {
         let mut guard = self.shared.lock().unwrap();
         let ledger = &mut guard[self.idx].ledger;
         ledger.source_retries += 1;
-        if ledger.health != SourceHealth::Quarantined {
-            ledger.health = SourceHealth::Degraded;
-        }
-        self.recovering = true;
-    }
-
-    /// [`SourceWorker::degrade`], then sleeps the jittered exponential
-    /// backoff.
-    fn degrade_and_back_off(&mut self, failures: u32) {
-        self.degrade();
-        self.bank_busy();
-        std::thread::sleep(self.policy.backoff(self.idx, failures));
-        self.busy_since = Instant::now();
+        ledger.health = ledger.health.on(Signal::Fault);
     }
 
     /// One more transient failure: quarantines the source (`false` — the
-    /// worker must exit) when the retry budget is spent, otherwise degrades
-    /// it and backs off before the rebuild.
+    /// worker must exit) when the restart policy has no backoff left,
+    /// otherwise degrades it and sleeps the backoff before the rebuild.
     fn retry_after(&mut self, e: &MrtError) -> bool {
         self.transient_failures += 1;
-        if self.transient_failures > self.policy.max_retries {
+        let salt = self.idx as u64;
+        let Some(backoff) = self.policy.restart.after(self.transient_failures, salt) else {
             self.quarantine(format!(
                 "transient retry budget exhausted after {} attempt(s): {e}",
                 self.transient_failures
             ));
             return false;
-        }
-        self.degrade_and_back_off(self.transient_failures);
+        };
+        self.degrade();
+        self.bank_busy();
+        std::thread::sleep(backoff);
+        self.busy_since = Instant::now();
         true
     }
 }
@@ -1275,7 +1184,10 @@ impl MultiSourceIngest {
             sources
                 .iter()
                 .map(|s| SourceState {
-                    ledger: SourceLedger::new(s.name.clone()),
+                    ledger: SourceLedger {
+                        name: s.name.clone(),
+                        ..SourceLedger::default()
+                    },
                     decode: StageStats::default(),
                     fault: None,
                 })
@@ -1304,7 +1216,6 @@ impl MultiSourceIngest {
                 prev: (0, 0, 0),
                 stats: StageStats::default(),
                 busy_since: Instant::now(),
-                recovering: false,
                 transient_failures: 0,
             };
             let (mode, buffer_capacity) = (config.mode, config.buffer_capacity);
@@ -1391,9 +1302,7 @@ impl MultiSourceIngest {
                             // Delivered again after a stall timeout.
                             let mut guard = shared.lock().unwrap();
                             let ledger = &mut guard[i].ledger;
-                            if ledger.health == SourceHealth::Degraded {
-                                ledger.health = SourceHealth::Recovered;
-                            }
+                            ledger.health = ledger.health.on(Signal::Progress);
                             timeouts[i] = 0;
                         }
                         heads[i].extend(batch);
@@ -1403,9 +1312,7 @@ impl MultiSourceIngest {
                         let mut guard = shared.lock().unwrap();
                         if timeouts[i] == 1 {
                             let ledger = &mut guard[i].ledger;
-                            if ledger.health != SourceHealth::Quarantined {
-                                ledger.health = SourceHealth::Degraded;
-                            }
+                            ledger.health = ledger.health.on(Signal::Fault);
                             ready = false;
                         } else {
                             // Second consecutive timeout: quarantine. The
@@ -1413,7 +1320,7 @@ impl MultiSourceIngest {
                             // worker's enqueue runs under the same lock,
                             // so no event can slip in unaccounted.
                             let state = &mut guard[i];
-                            state.ledger.health = SourceHealth::Quarantined;
+                            state.ledger.health = state.ledger.health.on(Signal::GiveUp);
                             state.ledger.quarantine_cause = Some(format!(
                                 "stalled: no progress within {:.1}s twice",
                                 policy.stall_timeout.as_secs_f64()
@@ -1503,10 +1410,7 @@ impl MultiSourceIngest {
                 back.abort();
                 return Err(IngestError::Decode(e));
             }
-            if ledgers
-                .iter()
-                .all(|l| l.health == SourceHealth::Quarantined)
-            {
+            if ledgers.iter().all(|l| l.health == Health::Quarantined) {
                 return Err(IngestError::AllSourcesQuarantined {
                     stats: Box::new(back.abort()),
                     sources: ledgers,
@@ -1810,7 +1714,7 @@ mod tests {
     /// A policy tuned for fast tests: short backoff, short stall timeout.
     fn test_policy() -> SourcePolicy {
         SourcePolicy::default()
-            .with_backoff(Duration::from_millis(1), Duration::from_millis(5))
+            .with_backoff(Duration::from_millis(1))
             .with_stall_timeout(Duration::from_millis(250))
     }
 
@@ -1860,7 +1764,7 @@ mod tests {
         .unwrap();
         assert_eq!(report.events_decoded, 80);
         assert_eq!(report.stats.ingested, 80);
-        assert_eq!(report.sources[0].health, SourceHealth::Healthy);
+        assert_eq!(report.sources[0].health, Health::Healthy);
         assert!(report.sources_account_exactly());
     }
 
@@ -1912,7 +1816,7 @@ mod tests {
         assert!(!first.is_partial());
         assert_eq!(first.sources.len(), 3);
         for ledger in &first.sources {
-            assert_eq!(ledger.health, SourceHealth::Healthy);
+            assert_eq!(ledger.health, Health::Healthy);
             assert_eq!(ledger.queued, 0);
             assert_eq!(ledger.events_decoded, ledger.events_merged);
         }
@@ -2076,7 +1980,7 @@ mod tests {
             IngestError::AllSourcesQuarantined { sources, stats } => {
                 assert_eq!(sources.len(), 2);
                 for s in &sources {
-                    assert_eq!(s.health, SourceHealth::Quarantined);
+                    assert_eq!(s.health, Health::Quarantined);
                     assert!(s.accounts_exactly());
                     let cause = s.quarantine_cause.as_deref().unwrap();
                     assert!(cause.contains("collector unreachable"), "cause: {cause}");

@@ -85,7 +85,7 @@ proptest! {
     ) {
         let policy = SourcePolicy::default()
             .with_max_retries(3)
-            .with_backoff(Duration::from_millis(1), Duration::from_millis(4))
+            .with_backoff(Duration::from_millis(1))
             .with_stall_timeout(Duration::from_millis(250))
             .with_poison_threshold(2);
         let mut config = IngestConfig::default().with_batch_size(8);

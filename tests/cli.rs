@@ -129,6 +129,16 @@ fn flag_errors_exit_2_with_their_message() {
         stderr(&out)
     );
 
+    // A zero stall timeout would quarantine every healthy source before it
+    // delivers a record.
+    let out = bgpscope(&["ingest", "x", "--stall-timeout-ms", "0"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr(&out).starts_with("bgpscope: --stall-timeout-ms: "),
+        "{}",
+        stderr(&out)
+    );
+
     // Deleted by PR 23; every subcommand rejects flags it does not know.
     let out = bgpscope(&["record", "x", "y", "--checkpoint-spill", "z"]);
     assert_eq!(out.status.code(), Some(2));

@@ -556,7 +556,7 @@ fn soak_shard_quarantine_bounds_loss_and_spares_siblings() {
     assert_eq!(stats.quarantined_shards(), vec![target], "{stats}");
 
     let killed = &stats.shards[target];
-    assert!(killed.quarantined);
+    assert_eq!(killed.health, Health::Quarantined);
     assert!(
         killed.quarantine_shed > 0,
         "the dead shard's keyspace kept producing events: {stats}"
@@ -570,7 +570,11 @@ fn soak_shard_quarantine_bounds_loss_and_spares_siblings() {
         if k == target {
             continue;
         }
-        assert!(!shard.quarantined, "sibling {k} quarantined: {stats}");
+        assert_ne!(
+            shard.health,
+            Health::Quarantined,
+            "sibling {k} quarantined: {stats}"
+        );
         assert_eq!(shard.stats.restarts, 0, "sibling {k} restarted: {stats}");
         assert_eq!(shard.stats.lost_events, 0, "sibling {k} lost: {stats}");
         assert_eq!(shard.stats.shed_events, 0, "sibling {k} shed: {stats}");
@@ -1133,7 +1137,7 @@ fn multi_config() -> IngestConfig {
 fn multi_policy() -> SourcePolicy {
     SourcePolicy::default()
         .with_max_retries(6)
-        .with_backoff(Duration::from_millis(2), Duration::from_millis(20))
+        .with_backoff(Duration::from_millis(2))
         .with_stall_timeout(Duration::from_secs(10))
 }
 
@@ -1205,9 +1209,9 @@ fn soak_multi_source_transient_faults_heal_bit_identically() {
         "{}",
         faulted.sources[1]
     );
-    assert_eq!(faulted.sources[0].health, SourceHealth::Recovered);
-    assert_eq!(faulted.sources[1].health, SourceHealth::Recovered);
-    assert_eq!(faulted.sources[2].health, SourceHealth::Healthy);
+    assert_eq!(faulted.sources[0].health, Health::Recovered);
+    assert_eq!(faulted.sources[1].health, Health::Recovered);
+    assert_eq!(faulted.sources[2].health, Health::Healthy);
     assert_eq!(faulted.sources[2].source_retries, 0);
     for a in &armed {
         assert_eq!(
@@ -1253,10 +1257,7 @@ fn soak_multi_source_wedged_source_quarantines_alone() {
                     "snapshot ledger broken: {ledger}"
                 );
             }
-            if ledgers
-                .iter()
-                .any(|l| l.health == SourceHealth::Quarantined)
-            {
+            if ledgers.iter().any(|l| l.health == Health::Quarantined) {
                 snapshots.fetch_add(1, Ordering::Relaxed);
             }
         })
@@ -1295,7 +1296,7 @@ fn soak_multi_source_wedged_source_quarantines_alone() {
     );
     for (f_idx, b_idx) in [(0usize, 0usize), (2, 1)] {
         let (f, b) = (&faulted.sources[f_idx], &baseline.sources[b_idx]);
-        assert_eq!(f.health, SourceHealth::Healthy, "sibling disturbed: {f}");
+        assert_eq!(f.health, Health::Healthy, "sibling disturbed: {f}");
         assert_eq!(f.records_decoded, b.records_decoded, "{f}");
         assert_eq!(f.events_decoded, b.events_decoded, "{f}");
         assert_eq!(f.events_merged, b.events_merged, "{f}");
@@ -1313,7 +1314,7 @@ fn soak_multi_source_all_dead_errors_with_per_source_causes() {
     let archives = multi_source_archives(0xd5_2005, 2);
     let policy = multi_policy()
         .with_max_retries(1)
-        .with_backoff(Duration::from_millis(1), Duration::from_millis(4));
+        .with_backoff(Duration::from_millis(1));
     // More one-shot faults at offset 0 than the retry budget allows.
     let armed: Vec<ArmedFaults> = (0..2u64)
         .map(|i| {
@@ -1338,7 +1339,7 @@ fn soak_multi_source_all_dead_errors_with_per_source_causes() {
             };
             assert_eq!(stats.ingested, 0, "{stats}");
             for ledger in &sources {
-                assert_eq!(ledger.health, SourceHealth::Quarantined, "{ledger}");
+                assert_eq!(ledger.health, Health::Quarantined, "{ledger}");
                 assert!(ledger.accounts_exactly(), "dead ledger broken: {ledger}");
                 let cause = ledger.quarantine_cause.as_deref().unwrap_or_default();
                 assert!(
