@@ -1417,11 +1417,10 @@ impl Supervisor {
             };
             if let Some(rec) = &mut self.state.recorder {
                 // The state this restart rewound to (or publishes as final
-                // on give-up), recorded unconditionally: snapshot
-                // amortization may have skipped the live checkpoint's
-                // frame, and replay restores from the last snapshot *in
-                // the recording* — which must therefore be this exact
-                // checkpoint.
+                // on give-up), recorded unconditionally: a checkpoint of a
+                // large window was not framed, and replay restores from
+                // the last snapshot *in the recording* — which must
+                // therefore be this exact checkpoint.
                 rec.record(Frame::Snapshot {
                     checkpoint: self.state.detector.checkpoint(),
                     overlay,
@@ -1591,9 +1590,9 @@ impl Supervisor {
         self.shared.health.on(Signal::Progress);
         self.shared.ledger().checkpoints += 1;
         if let Some(rec) = &mut self.state.recorder {
-            // Ask before cloning: a spike-window checkpoint the
-            // amortization policy would drop is never materialized.
-            if rec.wants_snapshot(detector.window.len() as u64) {
+            // Only a small window is framed: a seek re-drives at most one
+            // window's `Event` frames from the snapshot before it.
+            if detector.window.len() < detector.config.min_events {
                 let overlay = self.shared.overlay(&self.shared.ledger());
                 rec.record(Frame::Snapshot {
                     checkpoint: detector.checkpoint(),

@@ -143,9 +143,9 @@ pub struct Overlay {
     /// Fidelity level in force.
     pub fidelity_level: u64,
     /// Checkpoints the supervisor has taken so far. Carried here because
-    /// snapshot *frames* are amortized: the recording may hold fewer
-    /// snapshots than the live run took checkpoints, so replay cannot
-    /// recover this counter by counting frames.
+    /// only checkpoints of small windows are framed: the recording may
+    /// hold fewer snapshots than the live run took checkpoints, so replay
+    /// cannot recover this counter by counting frames.
     #[serde(skip_default)]
     pub checkpoints: u64,
 }
@@ -232,13 +232,6 @@ const SINK_BATCH_FRAMES: usize = 256;
 /// In-flight *batches* the writer thread may buffer before the pipeline
 /// blocks on it — a memory bound (back-pressure), not a correctness bound.
 const SINK_CHANNEL_DEPTH: usize = 32;
-
-/// Buffered-event budget under which a [`Frame::Snapshot`] is always
-/// recorded: its payload is then proportional to the normal event flow
-/// (one snapshot per checkpoint interval, each carrying at most a
-/// window's worth of small buffers). Above the budget, snapshots are
-/// amortized against the event stream — see [`FrameWriter::wants_snapshot`].
-const SNAPSHOT_EVENT_BUDGET: u64 = 512;
 
 /// `BufWriter` capacity for segment files: large enough that a segment
 /// flushes in a handful of write syscalls.
@@ -379,8 +372,6 @@ pub(crate) fn create_recording(
         batch: Vec::with_capacity(SINK_BATCH_FRAMES),
         tx: tx.clone(),
         failed,
-        events_seen: 0,
-        snapshot_mark: 0,
     };
     Ok((writer, RecordingSeal { tx, worker }))
 }
@@ -396,29 +387,21 @@ pub(crate) struct FrameWriter {
     batch: Vec<Frame>,
     tx: SyncSender<Vec<Frame>>,
     failed: Arc<AtomicBool>,
-    /// Event frames recorded so far (the snapshot amortization clock).
-    events_seen: u64,
-    /// `events_seen` at the last snapshot recorded.
-    snapshot_mark: u64,
 }
 
 impl FrameWriter {
     /// Frames one supervision step (no-op after a latched write error;
     /// blocks only when the writer thread is [`SINK_CHANNEL_DEPTH`]
     /// batches behind). A [`Frame::Snapshot`] is recorded as given: the
-    /// caller decides with [`FrameWriter::wants_snapshot`] whether an
-    /// ordinary checkpoint is framed at all, and the checkpoint a restart
-    /// *restores* always is — replay must see that exact state (not an
-    /// older amortized snapshot) to re-drive the next incarnation from the
-    /// point the live supervisor did.
+    /// supervisor frames an ordinary checkpoint only when its window is
+    /// below `min_events` (right after an analysis, or a carried
+    /// remnant), so a snapshot never re-serialises a large window the
+    /// `Event` frames already hold; the checkpoint a restart *restores* is
+    /// always framed — replay must see that exact state to re-drive the
+    /// next incarnation from the point the live supervisor did.
     pub(crate) fn record(&mut self, frame: Frame) {
         if self.failed.load(Ordering::Acquire) {
             return;
-        }
-        match &frame {
-            Frame::Event { .. } => self.events_seen += 1,
-            Frame::Snapshot { .. } => self.snapshot_mark = self.events_seen,
-            _ => {}
         }
         self.batch.push(frame);
         if self.batch.len() >= SINK_BATCH_FRAMES {
@@ -427,21 +410,6 @@ impl FrameWriter {
             // error on the way out.
             let _ = self.tx.send(full);
         }
-    }
-
-    /// The snapshot amortization policy, asked *before* a checkpoint is
-    /// cloned into a [`Frame::Snapshot`] (during a spike the buffer clone
-    /// alone is milliseconds of work at every checkpoint interval): a
-    /// checkpoint buffering more than [`SNAPSHOT_EVENT_BUDGET`] events is
-    /// framed only once at least twice that many fresh events have flowed
-    /// since the last recorded snapshot. Without it a spike window's
-    /// checkpoint-interval-sized stride of multi-megabyte snapshots
-    /// dominates the recording (and the time to write it). Seeks stay
-    /// correct with sparse snapshots — they just re-drive a longer (still
-    /// O(buffer)) frame suffix from the one they jump to.
-    pub(crate) fn wants_snapshot(&self, buffered: u64) -> bool {
-        let gap = self.events_seen - self.snapshot_mark;
-        buffered <= SNAPSHOT_EVENT_BUDGET || gap >= buffered.saturating_mul(2)
     }
 }
 
@@ -946,10 +914,12 @@ impl Replay {
     /// producer/supervision counters from the nearest applied
     /// [`Frame::Snapshot`]'s [`Overlay`] (before the first snapshot the
     /// producer side is taken as "nothing shed yet", which is exact for
-    /// lossless runs and a documented lower bound otherwise). The ledger
-    /// is assembled by the constructor the live handle uses, so at the
-    /// final cursor of a sealed recording this equals the live run's
-    /// final stats bit-for-bit.
+    /// lossless runs and a documented lower bound otherwise). Past the
+    /// [`Frame::End`] of a sealed recording the producer side is the sealed
+    /// ledger's: after a give-up the producer sheds what was still queued,
+    /// which no snapshot saw. The ledger is assembled by the constructor
+    /// the live handle uses, so at the final cursor of a sealed recording
+    /// this equals the live run's final stats bit-for-bit.
     pub fn stats(&self) -> PipelineStats {
         let overlay = self.overlay_at_cursor().unwrap_or_else(|| {
             let det = self.detector.stats();
@@ -972,8 +942,22 @@ impl Replay {
         )
     }
 
-    /// The overlay of the last snapshot applied before the cursor.
+    /// The sealed ledger's producer side once the cursor is past the
+    /// `End` frame, else the overlay of the last snapshot applied before
+    /// the cursor.
     fn overlay_at_cursor(&self) -> Option<Overlay> {
+        if let Some(end) = self.end_stats.filter(|_| self.pos == self.frames_total) {
+            return Some(Overlay {
+                ingested: end.ingested,
+                shed_events: end.shed_events,
+                coalesced_events: end.coalesced_events,
+                parse_errors: end.parse_errors,
+                report_shed: end.report_shed,
+                reports_digested: end.reports_digested,
+                fidelity_level: end.fidelity_level,
+                checkpoints: end.checkpoints,
+            });
+        }
         let cut = self.snapshots.partition_point(|s| s.pos < self.pos);
         (cut > 0).then(|| self.snapshots[cut - 1].overlay)
     }
@@ -994,7 +978,11 @@ impl Replay {
 
     /// Seeks the cursor to just after the `target`-th event (0 rewinds
     /// to the start). Jumps via the nearest snapshot at or before the
-    /// target, then scans forward — O(segment), not O(run).
+    /// target, then scans forward — O(segment), not O(run). Just after
+    /// the last event is the end of the recording: the frames that follow
+    /// it (the final flush, its reports, the last snapshot, `End`) come
+    /// before no event, so every seek or step that reaches it applies
+    /// them, as [`Replay::to_end`] does.
     ///
     /// # Errors
     ///
@@ -1238,8 +1226,12 @@ impl Replay {
         Ok(())
     }
 
-    /// Scans frames forward until `target` events have been applied.
+    /// Scans frames forward until `target` events have been applied, and
+    /// on to the end when that is every event.
     fn run_to_events(&mut self, target: u64) -> Result<(), ReplayError> {
+        if target >= self.events_total() {
+            return self.to_end();
+        }
         while self.counts.events < target && self.pos < self.frames_total {
             let frame = self.frame_at(self.pos)?;
             self.apply(&frame);

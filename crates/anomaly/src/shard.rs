@@ -1482,6 +1482,73 @@ mod tests {
         }
     }
 
+    /// A shard whose supervisor gave up with events still queued: the
+    /// producer sheds them after the give-up snapshot was framed, so only
+    /// the sealed `End` ledger has them as shed. Replay at the final
+    /// cursor must read that ledger — queued 0 — and not the give-up
+    /// snapshot's overlay, which still counts them as queued.
+    #[test]
+    fn a_given_up_shards_recording_replays_to_its_sealed_ledger() {
+        let base = std::env::temp_dir().join(format!(
+            "bgpscope-give-up-recording-test-{}.rec",
+            std::process::id()
+        ));
+        let router = ShardRouter::new(2).with_range_bits(16);
+        let key_of = |shard: usize| {
+            (0..=255u8)
+                .find(|&k| router.route_event(&withdraw_event(0, k, k)) == shard)
+                .expect("some key routes to the shard")
+        };
+        let (key0, key1) = (key_of(0), key_of(1));
+        let config = ShardedConfig::new(
+            2,
+            SpawnConfig::new(small_pipeline())
+                .with_supervisor(SupervisorConfig::default().with_max_restarts(0))
+                .with_recorder(RecorderConfig::new(base.clone())),
+        )
+        .with_range_bits(16)
+        .with_shard_fault(
+            1,
+            PanicInjection {
+                after_events: 5,
+                repeat: u32::MAX,
+            },
+        );
+        let mut pipeline = ShardedPipeline::spawn(config);
+        // One push: shard 1's supervisor pulls a batch off its queue,
+        // panics at its 5th event and gives up with the rest still queued.
+        let events = (0..600u64).map(|i| withdraw_event(i, key1, key1));
+        pipeline.ingest_batch(events).unwrap();
+        for i in 0..40u64 {
+            pipeline
+                .ingest_event(withdraw_event(i, key0, key0))
+                .unwrap();
+        }
+        let run = pipeline.finish();
+        assert!(run.stats.accounts_exactly(), "{}", run.stats);
+        assert_eq!(run.stats.quarantined_shards(), [1]);
+        for (k, snap) in run.stats.shards.iter().enumerate() {
+            let path = format!("{}.shard{k}", base.display());
+            let mut replay =
+                Replay::load(&path).unwrap_or_else(|e| panic!("shard {k} recording: {e}"));
+            replay.to_end().expect("replay to end");
+            let end = replay.end_stats().expect("a sealed recording");
+            assert_eq!(end.queued, 0, "shard {k}: {end}");
+            assert_eq!(replay.stats(), end, "shard {k}");
+            // A shard's ledger adds what the producer shed at routing
+            // after the give-up; the pipeline's own ledger is the End.
+            let mut live = snap.stats;
+            live.ingested -= snap.quarantine_shed;
+            live.shed_events -= snap.quarantine_shed;
+            assert_eq!(end, live, "shard {k}");
+            let _ = std::fs::remove_file(&path);
+            let mut seg = 0;
+            while std::fs::remove_file(format!("{path}.seg{seg}")).is_ok() {
+                seg += 1;
+            }
+        }
+    }
+
     #[test]
     fn sharded_to_json_extends_the_flat_schema() {
         let config = ShardedConfig::new(2, SpawnConfig::new(small_pipeline()));

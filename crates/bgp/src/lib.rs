@@ -3,10 +3,11 @@
 //! This crate is the foundation of the workspace: it defines IPv4 prefixes,
 //! autonomous-system numbers, AS paths, the BGP path attributes used by the
 //! DSN'05 paper (NEXT_HOP, LOCAL_PREF, MED, communities, origin), UPDATE
-//! messages, per-peer Adj-RIB-Ins, a Loc-RIB with the full best-path decision
-//! process (including the RFC 3345 MED comparison rules that make persistent
-//! route oscillation possible), a longest-match prefix trie, and a global
-//! symbol interner shared by the TAMP and Stemming algorithms.
+//! messages, per-peer Adj-RIB-Ins of ids into one attribute table, a
+//! Loc-RIB with the full best-path decision process (including the RFC 3345
+//! MED comparison rules that make persistent route oscillation possible), a
+//! longest-match prefix trie, and a global symbol interner shared by the
+//! TAMP and Stemming algorithms.
 //!
 //! # Example
 //!
@@ -43,7 +44,7 @@ pub use decision::{BestPathReason, DecisionConfig, DecisionProcess};
 pub use event::{Event, EventKind, EventStream, Timestamp};
 pub use intern::{Interner, Symbol, SymbolKind, SymbolTable};
 pub use message::{PeerId, UpdateMessage};
-pub use rib::{AdjRibIn, LocRib, RibChange, Route, RouteKey};
+pub use rib::{AdjRibIn, AttrId, AttrTable, LocRib, Route, RouteKey};
 pub use trie::PrefixTrie;
 
 /// SplitMix64: the workspace's one seed-derivation / keyed-hash mix (retry

@@ -1,7 +1,9 @@
-//! Routing Information Bases: per-peer Adj-RIB-In and the Loc-RIB.
+//! Routing Information Bases: per-peer Adj-RIB-Ins over one attribute
+//! table, and the Loc-RIB.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -10,6 +12,7 @@ use crate::attrs::PathAttributes;
 use crate::decision::{DecisionConfig, DecisionProcess};
 use crate::event::Timestamp;
 use crate::message::{PeerId, UpdateMessage};
+use crate::probe::mix;
 
 /// A single route: one prefix reachable with one set of path attributes,
 /// learned from one peer.
@@ -34,56 +37,234 @@ pub struct RouteKey {
     pub prefix: Prefix,
 }
 
-/// The effect one prefix-level change had on an Adj-RIB-In.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RibChange {
-    /// A new route was installed (no previous route for the prefix).
-    Added,
-    /// An existing route was replaced; carries the old attributes.
-    Replaced(PathAttributes),
-    /// A route was removed; carries the old attributes.
-    Removed(PathAttributes),
-    /// A withdrawal arrived for a prefix we had no route to (BGP permits
-    /// this; real routers emit duplicate withdrawals).
-    NoOp,
+/// One distinct attribute set held by an [`AttrTable`]. Ids are dense: a
+/// freed id is handed out again before the table grows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct AttrId(u32);
+
+impl AttrId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
-impl RibChange {
-    /// The displaced attributes, if any.
-    pub fn old_attrs(&self) -> Option<&PathAttributes> {
-        match self {
-            RibChange::Replaced(a) | RibChange::Removed(a) => Some(a),
-            _ => None,
+/// Slots in an [`AttrTable`]'s hint: 4 KiB, indexed by the high bits of
+/// the unkeyed mix.
+const HINT_BITS: u32 = 10;
+
+/// The attribute sets a collector's routes hold, each stored once with a
+/// count of the routes holding it. A set is interned when a route takes
+/// it and freed when the last route holding it goes; its id is reused.
+///
+/// An interning lookup tries a direct-mapped *hint* first: one slot per
+/// unkeyed hash of the AS path's hops and the next hop, holding the id
+/// that slot last resolved to. A feed repeats a few paths across many
+/// routes, so the hint usually names the set already; the equality check
+/// that confirms it starts with a pointer compare when the path shares
+/// the held set's allocation, as a decoder's paths do. A miss — another
+/// set with the same path and next hop, or a slot taken by a colliding
+/// key — falls back to a std `HashMap` keyed by the whole set under its
+/// keyed hasher, so equal sets always collapse to one id and crafted keys
+/// cost there what they cost in any std map. The hint never grows and is
+/// never cleared: a stale entry only fails its equality check.
+///
+/// ```
+/// use bgpscope_bgp::{AsPath, AttrTable, PathAttributes, RouterId};
+///
+/// let mut table = AttrTable::new();
+/// let attrs = PathAttributes::new(RouterId::from_octets(1, 1, 1, 1), AsPath::from_u32s([1, 2]));
+/// let a = table.intern(&attrs);
+/// let b = table.intern(&attrs.clone());
+/// assert_eq!(a, b);
+/// assert_eq!(table.len(), 1);
+/// assert_eq!(table.take(a), attrs);
+/// table.release(b);
+/// assert!(table.is_empty());
+/// ```
+#[derive(Clone)]
+pub struct AttrTable {
+    /// Per id: the set and the routes holding it; `None` while free.
+    slots: Vec<Option<Held>>,
+    /// Free ids, reused last-freed first.
+    free: Vec<AttrId>,
+    /// Every held set, by value. Shares each set's one allocation with
+    /// its slot.
+    ids: HashMap<Arc<PathAttributes>, AttrId>,
+    /// The unconfirmed hint in front of `ids`.
+    hint: Box<[u32]>,
+}
+
+#[derive(Debug, Clone)]
+struct Held {
+    attrs: Arc<PathAttributes>,
+    routes: u32,
+}
+
+impl Default for AttrTable {
+    fn default() -> Self {
+        AttrTable {
+            slots: Vec::new(),
+            free: Vec::new(),
+            ids: HashMap::new(),
+            hint: vec![0; 1 << HINT_BITS].into_boxed_slice(),
         }
     }
 }
 
+impl fmt::Debug for AttrTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AttrTable")
+            .field("held", &self.len())
+            .field("ids", &self.slots.len())
+            .finish()
+    }
+}
+
+impl AttrTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        AttrTable::default()
+    }
+
+    /// One more route holds `attrs`: returns the id of the equal set
+    /// already held, or stores a copy under a free id.
+    pub fn intern(&mut self, attrs: &PathAttributes) -> AttrId {
+        let hint = hint_of(attrs);
+        let hinted = self.hint[hint] as usize;
+        if let Some(held) = self.slots.get_mut(hinted).and_then(Option::as_mut) {
+            if *held.attrs == *attrs {
+                held.routes += 1;
+                return AttrId(hinted as u32);
+            }
+        }
+        let id = match self.ids.get(attrs) {
+            Some(&id) => {
+                self.held_mut(id).routes += 1;
+                id
+            }
+            None => self.insert(Arc::new(attrs.clone())),
+        };
+        self.hint[hint] = id.0;
+        id
+    }
+
+    /// Stores a set no route holds yet, under the last-freed id or a new
+    /// one.
+    fn insert(&mut self, attrs: Arc<PathAttributes>) -> AttrId {
+        let held = Some(Held {
+            attrs: Arc::clone(&attrs),
+            routes: 1,
+        });
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.slots[id.index()] = held;
+                id
+            }
+            None => {
+                let id = u32::try_from(self.slots.len()).expect("fewer than 2^32 attribute sets");
+                self.slots.push(held);
+                AttrId(id)
+            }
+        };
+        self.ids.insert(attrs, id);
+        id
+    }
+
+    /// The set behind a held id.
+    ///
+    /// # Panics
+    ///
+    /// When `id` is not held.
+    pub fn get(&self, id: AttrId) -> &PathAttributes {
+        &self.slots[id.index()]
+            .as_ref()
+            .expect("a held attribute id")
+            .attrs
+    }
+
+    /// One route fewer holds `id`; the set is freed with the last.
+    ///
+    /// # Panics
+    ///
+    /// When `id` is not held.
+    pub fn release(&mut self, id: AttrId) {
+        let held = self.held_mut(id);
+        held.routes -= 1;
+        if held.routes == 0 {
+            let held = self.slots[id.index()].take().expect("held");
+            self.ids.remove(&*held.attrs);
+            self.free.push(id);
+        }
+    }
+
+    /// [`AttrTable::release`], returning a copy of the set.
+    pub fn take(&mut self, id: AttrId) -> PathAttributes {
+        let attrs = self.get(id).clone();
+        self.release(id);
+        attrs
+    }
+
+    fn held_mut(&mut self, id: AttrId) -> &mut Held {
+        self.slots[id.index()]
+            .as_mut()
+            .expect("a held attribute id")
+    }
+
+    /// Distinct sets held.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True when no route holds any set.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+}
+
+/// The hint slot for a set: the workspace's unkeyed mix over its next
+/// hop, the path's length and its hops, high bits. The hops rather than
+/// the path's allocation, so equal paths built apart (text traces,
+/// simulated and generated feeds) share a slot too.
+fn hint_of(attrs: &PathAttributes) -> usize {
+    let hops = attrs.as_path.asns();
+    let hash = hops.iter().fold(
+        mix(hops.len() as u64, u64::from(attrs.next_hop.0)),
+        |hash, asn| mix(hash, u64::from(asn.0)),
+    );
+    (hash >> (u64::BITS - HINT_BITS)) as usize
+}
+
 /// The Adj-RIB-In for a single peer: the exact set of routes that peer has
-/// announced and not yet withdrawn.
+/// announced and not yet withdrawn, each as the [`AttrId`] of its
+/// attributes in the collector's one [`AttrTable`].
 ///
 /// This is the data structure that lets the collector recover the attributes
 /// of withdrawn routes (§II): "When a peer sends REX an explicit withdrawal
 /// or an announcement that implicitly invalidates a route, the peer's
-/// AdjRibIn tells us the original route attributes."
+/// AdjRibIn tells us the original route attributes." The RIB only maps
+/// prefixes to ids; holding and releasing the ids in the table is the
+/// caller's.
 ///
 /// # Example
 ///
 /// ```
-/// use bgpscope_bgp::{AdjRibIn, PathAttributes, Prefix, RouterId, AsPath};
+/// use bgpscope_bgp::{AdjRibIn, AsPath, AttrTable, PathAttributes, Prefix, RouterId};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut table = AttrTable::new();
 /// let mut rib = AdjRibIn::new();
 /// let p: Prefix = "10.0.0.0/8".parse()?;
 /// let attrs = PathAttributes::new(RouterId::from_octets(1, 1, 1, 1), AsPath::empty());
-/// rib.announce(p, attrs.clone());
-/// let change = rib.withdraw(p);
-/// assert_eq!(change.old_attrs(), Some(&attrs));
+/// assert_eq!(rib.announce(p, table.intern(&attrs)), None);
+/// let old = rib.withdraw(p).expect("a live route");
+/// assert_eq!(table.take(old), attrs);
+/// assert!(table.is_empty());
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AdjRibIn {
-    routes: HashMap<Prefix, PathAttributes>,
+    routes: HashMap<Prefix, AttrId>,
 }
 
 impl AdjRibIn {
@@ -92,28 +273,21 @@ impl AdjRibIn {
         AdjRibIn::default()
     }
 
-    /// Installs or replaces the route for `prefix`.
-    pub fn announce(&mut self, prefix: Prefix, attrs: PathAttributes) -> RibChange {
-        match self.routes.entry(prefix) {
-            Entry::Occupied(mut o) => RibChange::Replaced(o.insert(attrs)),
-            Entry::Vacant(v) => {
-                v.insert(attrs);
-                RibChange::Added
-            }
-        }
+    /// Installs or replaces the route for `prefix`, returning the id it
+    /// replaced.
+    pub fn announce(&mut self, prefix: Prefix, id: AttrId) -> Option<AttrId> {
+        self.routes.insert(prefix, id)
     }
 
-    /// Removes the route for `prefix`, returning the old attributes if any.
-    pub fn withdraw(&mut self, prefix: Prefix) -> RibChange {
-        match self.routes.remove(&prefix) {
-            Some(old) => RibChange::Removed(old),
-            None => RibChange::NoOp,
-        }
+    /// Removes the route for `prefix`, returning its id if it had one (a
+    /// withdrawal for a prefix the peer never announced is BGP noise).
+    pub fn withdraw(&mut self, prefix: Prefix) -> Option<AttrId> {
+        self.routes.remove(&prefix)
     }
 
-    /// Current attributes for `prefix`, if announced.
-    pub fn get(&self, prefix: &Prefix) -> Option<&PathAttributes> {
-        self.routes.get(prefix)
+    /// The attribute id of the route to `prefix`, if announced.
+    pub fn get(&self, prefix: &Prefix) -> Option<AttrId> {
+        self.routes.get(prefix).copied()
     }
 
     /// Number of live routes.
@@ -126,13 +300,13 @@ impl AdjRibIn {
         self.routes.is_empty()
     }
 
-    /// Iterates over `(prefix, attrs)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Prefix, &PathAttributes)> {
-        self.routes.iter()
+    /// Iterates over `(prefix, id)` pairs in unspecified order.
+    pub fn iter(&self) -> impl Iterator<Item = (Prefix, AttrId)> + '_ {
+        self.routes.iter().map(|(&prefix, &id)| (prefix, id))
     }
 
     /// Drops every route, returning them (a session reset's mass withdrawal).
-    pub fn clear(&mut self) -> Vec<(Prefix, PathAttributes)> {
+    pub fn clear(&mut self) -> Vec<(Prefix, AttrId)> {
         self.routes.drain().collect()
     }
 }
@@ -275,31 +449,81 @@ mod tests {
 
     #[test]
     fn adj_rib_in_tracks_old_attrs() {
+        let mut table = AttrTable::new();
         let mut rib = AdjRibIn::new();
         let p = prefix("192.0.2.0/24");
-        assert_eq!(rib.announce(p, attrs(1, "65000 65001")), RibChange::Added);
-        let change = rib.announce(p, attrs(2, "65000 65002"));
         assert_eq!(
-            change.old_attrs().unwrap().as_path.to_string(),
-            "65000 65001"
+            rib.announce(p, table.intern(&attrs(1, "65000 65001"))),
+            None
         );
-        let change = rib.withdraw(p);
-        assert_eq!(
-            change.old_attrs().unwrap().as_path.to_string(),
-            "65000 65002"
-        );
-        assert_eq!(rib.withdraw(p), RibChange::NoOp);
+        let old = rib
+            .announce(p, table.intern(&attrs(2, "65000 65002")))
+            .expect("a replaced route");
+        assert_eq!(table.take(old).as_path.to_string(), "65000 65001");
+        let old = rib.withdraw(p).expect("a live route");
+        assert_eq!(table.take(old).as_path.to_string(), "65000 65002");
+        assert_eq!(rib.withdraw(p), None);
         assert!(rib.is_empty());
+        assert!(table.is_empty());
     }
 
     #[test]
     fn adj_rib_clear_is_session_reset() {
+        let mut table = AttrTable::new();
         let mut rib = AdjRibIn::new();
-        rib.announce(prefix("10.0.0.0/8"), attrs(1, "1"));
-        rib.announce(prefix("10.1.0.0/16"), attrs(1, "1 2"));
+        rib.announce(prefix("10.0.0.0/8"), table.intern(&attrs(1, "1")));
+        rib.announce(prefix("10.1.0.0/16"), table.intern(&attrs(1, "1 2")));
         let dropped = rib.clear();
         assert_eq!(dropped.len(), 2);
         assert!(rib.is_empty());
+        for (_, id) in dropped {
+            table.release(id);
+        }
+        assert!(table.is_empty());
+    }
+
+    #[test]
+    fn attr_table_collapses_equal_sets_whatever_their_allocation() {
+        let mut table = AttrTable::new();
+        let a = attrs(1, "65000 65001");
+        // Equal hops in a second allocation: the hint's equality check
+        // compares the hops, not the allocation.
+        let apart = attrs(1, "65000 65001");
+        assert_ne!(a.as_path.asns().as_ptr(), apart.as_path.asns().as_ptr());
+        let id = table.intern(&a);
+        assert_eq!(table.intern(&apart), id);
+        assert_eq!(table.intern(&a.clone()), id);
+        // Same path and next hop, other MED: the hint's slot, another set.
+        let med = a.clone().with_med(7);
+        let other = table.intern(&med);
+        assert_ne!(other, id);
+        assert_eq!(table.get(other), &med);
+        assert_eq!(
+            table.intern(&a),
+            id,
+            "the hint lost its slot to the MED set"
+        );
+        assert_eq!(table.len(), 2);
+        for _ in 0..4 {
+            table.release(id);
+        }
+        assert_eq!(table.len(), 1);
+        table.release(other);
+        assert!(table.is_empty());
+    }
+
+    #[test]
+    fn attr_table_reuses_a_freed_id_for_a_new_set() {
+        let mut table = AttrTable::new();
+        let first = table.intern(&attrs(1, "1"));
+        let second = table.intern(&attrs(2, "2"));
+        table.release(first);
+        assert_eq!(table.len(), 1);
+        let third = table.intern(&attrs(3, "3"));
+        assert_eq!(third, first);
+        assert_eq!(table.get(third), &attrs(3, "3"));
+        assert_eq!(table.get(second), &attrs(2, "2"));
+        assert_eq!(table.slots.len(), 2, "no id was added");
     }
 
     #[test]

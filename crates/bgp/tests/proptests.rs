@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use bgpscope_bgp::{
-    AdjRibIn, AsPath, Asn, Community, EventStream, PathAttributes, Prefix, PrefixTrie, RouterId,
-    Timestamp,
+    AdjRibIn, AsPath, Asn, AttrTable, Community, EventStream, PathAttributes, Prefix, PrefixTrie,
+    RouterId, Timestamp,
 };
 use bgpscope_bgp::{Event, PeerId};
 
@@ -98,19 +98,23 @@ proptest! {
     fn adj_rib_in_withdraw_returns_last_announced(
         announcements in proptest::collection::vec((arb_prefix(), arb_aspath()), 1..30)
     ) {
+        let mut table = AttrTable::new();
         let mut rib = AdjRibIn::new();
         let mut last = std::collections::HashMap::new();
         for (p, path) in &announcements {
             let attrs = PathAttributes::new(RouterId(1), path.clone());
-            rib.announce(*p, attrs.clone());
+            if let Some(old) = rib.announce(*p, table.intern(&attrs)) {
+                table.release(old);
+            }
             last.insert(*p, attrs);
         }
         prop_assert_eq!(rib.len(), last.len());
         for (p, attrs) in last {
-            let change = rib.withdraw(p);
-            prop_assert_eq!(change.old_attrs(), Some(&attrs));
+            let old = rib.withdraw(p).map(|id| table.take(id));
+            prop_assert_eq!(old, Some(attrs));
         }
         prop_assert!(rib.is_empty());
+        prop_assert!(table.is_empty());
     }
 
     #[test]

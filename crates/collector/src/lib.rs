@@ -8,6 +8,13 @@
 //! [`bgpscope_bgp::Event`] with full attributes (the withdrawn ones for
 //! withdrawals, reconstructed from the Adj-RIB-In).
 //!
+//! A route in an Adj-RIB-In is a prefix and an [`bgpscope_bgp::AttrId`]:
+//! the collector stores each distinct attribute set once, in one
+//! [`bgpscope_bgp::AttrTable`] shared by every peer, counts the routes
+//! holding it and frees it with the last. A feed repeats a few dozen sets
+//! across its routes, so the RIB costs 12 bytes per route where it cost
+//! 72; [`Collector::route`] reads one route back.
+//!
 //! The crate also provides BGP/IGP temporal synchronization (REX "temporally
 //! synchronizes BGP and IGP routing messages", §III-D.3) and the event-rate
 //! meter behind Figure 8.

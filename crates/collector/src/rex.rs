@@ -3,8 +3,8 @@
 use std::collections::HashMap;
 
 use bgpscope_bgp::{
-    AdjRibIn, Event, EventKind, EventStream, PathAttributes, PeerId, Prefix, RibChange, Route,
-    Timestamp, UpdateMessage,
+    AdjRibIn, AttrId, AttrTable, Event, EventKind, EventStream, PathAttributes, PeerId, Prefix,
+    Route, Timestamp, UpdateMessage,
 };
 
 /// A passive collector holding one Adj-RIB-In per peer.
@@ -12,9 +12,16 @@ use bgpscope_bgp::{
 /// Feed it raw [`UpdateMessage`]s; it returns augmented [`Event`]s and keeps
 /// the per-peer table state needed to augment future withdrawals, to snapshot
 /// RIBs, and to expand session resets into their withdrawal storms.
+///
+/// Each peer's Adj-RIB-In maps a prefix to an [`AttrId`] in the collector's
+/// one [`AttrTable`], so an attribute set is stored once however many
+/// routes, of however many peers, hold it. An announcement interns its
+/// attributes without cloning them when the set is already held; a
+/// withdrawal clones them back out.
 #[derive(Debug, Clone, Default)]
 pub struct Collector {
     peers: HashMap<PeerId, AdjRibIn>,
+    attrs: AttrTable,
     event_count: u64,
 }
 
@@ -38,7 +45,7 @@ impl Collector {
     pub fn prefix_count(&self) -> usize {
         let mut set = std::collections::HashSet::new();
         for rib in self.peers.values() {
-            set.extend(rib.iter().map(|(p, _)| *p));
+            set.extend(rib.iter().map(|(p, _)| p));
         }
         set.len()
     }
@@ -48,9 +55,16 @@ impl Collector {
         self.event_count
     }
 
-    /// The Adj-RIB-In of one peer, if known.
-    pub fn rib(&self, peer: PeerId) -> Option<&AdjRibIn> {
-        self.peers.get(&peer)
+    /// `peer`'s live route to `prefix`: the id of its attribute set and
+    /// the set itself.
+    pub fn route(&self, peer: PeerId, prefix: Prefix) -> Option<(AttrId, &PathAttributes)> {
+        let id = self.peers.get(&peer)?.get(&prefix)?;
+        Some((id, self.attrs.get(id)))
+    }
+
+    /// Distinct attribute sets the live routes hold.
+    pub fn attr_sets(&self) -> usize {
+        self.attrs.len()
     }
 
     /// Applies one UPDATE, returning the augmented per-prefix events.
@@ -74,7 +88,7 @@ impl Collector {
         }
         if let Some(attrs) = &msg.attrs {
             for &prefix in &msg.nlri {
-                self.install(msg.peer, prefix, attrs.clone());
+                self.install(msg.peer, prefix, attrs);
                 events.push(Event::announce(time, msg.peer, prefix, attrs.clone()));
             }
         }
@@ -92,7 +106,7 @@ impl Collector {
     /// withdrawal, or a peer that never announced anything).
     pub fn augment(&mut self, mut event: Event) -> Option<Event> {
         match event.kind {
-            EventKind::Announce => self.install(event.peer, event.prefix, event.attrs.clone()),
+            EventKind::Announce => self.install(event.peer, event.prefix, &event.attrs),
             EventKind::Withdraw => event.attrs = self.remove(event.peer, event.prefix)?,
         }
         self.event_count += 1;
@@ -100,18 +114,21 @@ impl Collector {
     }
 
     /// Installs (or implicitly replaces) `peer`'s route to `prefix`,
-    /// creating the peer's Adj-RIB-In on its first announcement.
-    fn install(&mut self, peer: PeerId, prefix: Prefix, attrs: PathAttributes) {
-        self.peers.entry(peer).or_default().announce(prefix, attrs);
+    /// creating the peer's Adj-RIB-In on its first announcement. The new
+    /// set is held before the replaced one is released, so re-announcing
+    /// the same attributes never frees their id.
+    fn install(&mut self, peer: PeerId, prefix: Prefix, attrs: &PathAttributes) {
+        let id = self.attrs.intern(attrs);
+        if let Some(old) = self.peers.entry(peer).or_default().announce(prefix, id) {
+            self.attrs.release(old);
+        }
     }
 
     /// Removes `peer`'s route to `prefix`, returning its attributes; `None`
     /// when there was none. Never creates a peer.
     fn remove(&mut self, peer: PeerId, prefix: Prefix) -> Option<PathAttributes> {
-        match self.peers.get_mut(&peer)?.withdraw(prefix) {
-            RibChange::Removed(old) => Some(old),
-            _ => None,
-        }
+        let old = self.peers.get_mut(&peer)?.withdraw(prefix)?;
+        Some(self.attrs.take(old))
     }
 
     /// Applies many updates (each with its timestamp), returning one sorted
@@ -138,7 +155,7 @@ impl Collector {
         self.event_count += dropped.len() as u64;
         dropped
             .into_iter()
-            .map(|(prefix, attrs)| Event::withdraw(time, peer, prefix, attrs))
+            .map(|(prefix, id)| Event::withdraw(time, peer, prefix, self.attrs.take(id)))
             .collect()
     }
 
@@ -149,10 +166,11 @@ impl Collector {
         table: &[(Prefix, PathAttributes)],
         time: Timestamp,
     ) -> Vec<Event> {
-        let rib = self.peers.entry(peer).or_default();
+        // The peer is known from here on, even with an empty table.
+        self.peers.entry(peer).or_default();
         let mut events = Vec::with_capacity(table.len());
         for (prefix, attrs) in table {
-            rib.announce(*prefix, attrs.clone());
+            self.install(peer, *prefix, attrs);
             events.push(Event::announce(time, peer, *prefix, attrs.clone()));
         }
         self.event_count += events.len() as u64;
@@ -163,11 +181,11 @@ impl Collector {
     pub fn snapshot(&self, time: Timestamp) -> Vec<Route> {
         let mut routes = Vec::with_capacity(self.route_count());
         for (&peer, rib) in &self.peers {
-            for (&prefix, attrs) in rib.iter() {
+            for (prefix, id) in rib.iter() {
                 routes.push(Route {
                     prefix,
                     peer,
-                    attrs: attrs.clone(),
+                    attrs: self.attrs.get(id).clone(),
                     time,
                 });
             }
@@ -343,20 +361,43 @@ mod tests {
     #[test]
     fn rib_and_peer_accessors() {
         let mut rex = Collector::new();
-        assert!(rex.rib(peer(1)).is_none());
+        assert!(rex.route(peer(1), p("10.0.0.0/8")).is_none());
         rex.apply_update(
             &UpdateMessage::announce(peer(1), attrs(66, "1 2"), [p("10.0.0.0/8")]),
             Timestamp::ZERO,
         );
-        let rib = rex.rib(peer(1)).expect("peer known");
-        assert_eq!(rib.len(), 1);
-        assert_eq!(
-            rib.get(&p("10.0.0.0/8")).unwrap().as_path.to_string(),
-            "1 2"
-        );
+        let (_, route) = rex.route(peer(1), p("10.0.0.0/8")).expect("route known");
+        assert_eq!(route.as_path.to_string(), "1 2");
+        assert!(rex.route(peer(1), p("20.0.0.0/8")).is_none());
+        assert!(rex.route(peer(2), p("10.0.0.0/8")).is_none());
         let peers: Vec<PeerId> = rex.peers().collect();
         assert_eq!(peers, vec![peer(1)]);
         assert_eq!(rex.events_seen(), 1);
+    }
+
+    #[test]
+    fn routes_share_one_attribute_set_across_peers() {
+        let mut rex = Collector::new();
+        let a = attrs(66, "11423 209");
+        for n in 1..=3 {
+            rex.apply_update(
+                &UpdateMessage::announce(peer(n), a.clone(), [p("10.0.0.0/8"), p("20.0.0.0/8")]),
+                Timestamp::ZERO,
+            );
+        }
+        assert_eq!(rex.route_count(), 6);
+        assert_eq!(rex.attr_sets(), 1);
+        // Re-announcing the held set neither frees nor duplicates it.
+        rex.apply_update(
+            &UpdateMessage::announce(peer(1), a, [p("10.0.0.0/8")]),
+            Timestamp::ZERO,
+        );
+        assert_eq!(rex.attr_sets(), 1);
+        rex.session_lost(peer(1), Timestamp::ZERO);
+        rex.session_lost(peer(2), Timestamp::ZERO);
+        assert_eq!(rex.attr_sets(), 1);
+        rex.session_lost(peer(3), Timestamp::ZERO);
+        assert_eq!(rex.attr_sets(), 0);
     }
 
     #[test]
