@@ -9,8 +9,13 @@
 //! finishes quickly; `--full` runs the paper-sized workloads (1.5M routes,
 //! 1M-event animations). Absolute times will differ from the paper's 2005
 //! Pentium 4 — the claims to check are the *scaling shape* and the
-//! real-time margin (run time ≪ timerange).
+//! real-time margin (run time ≪ timerange). The margin is checked: after
+//! printing the tables, the harness exits 1, naming the rows, when a TAMP
+//! animation or Stemming row's RT ratio (timerange ÷ run time) is ≤ 1. The
+//! scaling shape is printed, not asserted, since a ratio of two timings
+//! varies with the host's load.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use bgpscope::prelude::*;
@@ -21,7 +26,7 @@ struct Args {
     full: bool,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut args = Args {
         site: "all".to_owned(),
         full: false,
@@ -33,10 +38,11 @@ fn main() {
         }
     }
     let f = if args.full { 1.0 } else { 0.1 };
+    let mut slow = Vec::new();
 
     if args.site == "berkeley" || args.site == "all" {
         println!("== Table I(a): Berkeley ==  (scale factor {f})");
-        table_for_site(
+        slow.extend(table_for_site(
             "Berkeley",
             // (routes target, scenario scale) — paper rows: 230k, 115k, 23k.
             &[(230_000, 10.0 * f), (115_000, 5.0 * f), (23_000, 1.0 * f)],
@@ -56,11 +62,11 @@ fn main() {
             ],
             berkeley_routes,
             berkeley_stream,
-        );
+        ));
     }
     if args.site == "isp-anon" || args.site == "all" {
         println!("\n== Table I(b): ISP-Anon ==  (scale factor {f})");
-        table_for_site(
+        slow.extend(table_for_site(
             "ISP-Anon",
             // Paper rows: 1500k, 750k, 150k routes.
             &[
@@ -83,8 +89,21 @@ fn main() {
             ],
             isp_routes,
             isp_stream,
-        );
+        ));
     }
+    if slow.is_empty() {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!(
+        "table1: run time not below the timerange (RT ratio <= 1): {}",
+        slow.join("; ")
+    );
+    ExitCode::FAILURE
+}
+
+/// Timerange ÷ run time: above 1 when the run keeps up with the events.
+fn rt_ratio(stream: &EventStream, elapsed: f64) -> f64 {
+    stream.timerange().as_secs_f64() / elapsed.max(1e-9)
 }
 
 fn berkeley_routes(target: usize, scale: f64) -> Vec<RouteInput> {
@@ -111,7 +130,8 @@ fn table_for_site(
     stemming_rows: &[(usize, f64)],
     make_routes: fn(usize, f64) -> Vec<RouteInput>,
     make_stream: fn(usize, Timestamp) -> EventStream,
-) {
+) -> Vec<String> {
+    let mut slow = Vec::new();
     println!("-- TAMP picture --");
     println!("{:>12} {:>12}", "No. routes", "Run time");
     for &(target, scale) in picture_rows {
@@ -146,12 +166,16 @@ fn table_for_site(
         let animation = Animator::new(label).animate(&stream);
         let elapsed = started.elapsed().as_secs_f64();
         assert_eq!(animation.frame_count(), 750);
+        let ratio = rt_ratio(&stream, elapsed);
+        if ratio <= 1.0 {
+            slow.push(format!("{label} TAMP animation, {} events", stream.len()));
+        }
         println!(
             "{:>12} {:>12} {:>12} {:>9.0}x",
             stream.len(),
             fmt_secs(stream.timerange().as_secs_f64()),
             fmt_secs(elapsed),
-            stream.timerange().as_secs_f64() / elapsed.max(1e-9)
+            ratio
         );
     }
 
@@ -168,14 +192,19 @@ fn table_for_site(
         let started = Instant::now();
         let result = Stemming::new().decompose(&stream);
         let elapsed = started.elapsed().as_secs_f64();
+        let ratio = rt_ratio(&stream, elapsed);
+        if ratio <= 1.0 {
+            slow.push(format!("{label} Stemming, {} events", stream.len()));
+        }
         println!(
             "{:>12} {:>12} {:>12} {:>9.0}x   ({} components, {:.0}% coverage)",
             stream.len(),
             fmt_secs(stream.timerange().as_secs_f64()),
             fmt_secs(elapsed),
-            stream.timerange().as_secs_f64() / elapsed.max(1e-9),
+            ratio,
             result.components().len(),
             result.coverage() * 100.0
         );
     }
+    slow
 }

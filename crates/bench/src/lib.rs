@@ -1,5 +1,5 @@
-//! Shared workload construction for the benchmarks and the table/figure
-//! harness.
+//! Shared workload construction for the Table I, figure and ablation
+//! harnesses.
 //!
 //! The paper's Table I rows are defined by (route count) or (event count,
 //! timerange). The helpers here produce streams with those shapes:
@@ -67,7 +67,11 @@ fn reset_spike(n: usize, seed: u64) -> EventStream {
 
 /// Formats a duration in the paper's style.
 pub fn fmt_secs(secs: f64) -> String {
-    if secs < 1.0 {
+    if secs < 1e-3 {
+        format!("{:.0} µs", secs * 1e6)
+    } else if secs < 1e-2 {
+        format!("{:.1} ms", secs * 1e3)
+    } else if secs < 1.0 {
         format!("{:.0} ms", secs * 1e3)
     } else if secs < 120.0 {
         format!("{secs:.1} sec")
@@ -93,6 +97,8 @@ mod tests {
 
     #[test]
     fn fmt_secs_styles() {
+        assert_eq!(fmt_secs(0.000_363), "363 µs");
+        assert_eq!(fmt_secs(0.004_21), "4.2 ms");
         assert_eq!(fmt_secs(0.5), "500 ms");
         assert_eq!(fmt_secs(9.5), "9.5 sec");
         assert_eq!(fmt_secs(882.0), "14.7 min");

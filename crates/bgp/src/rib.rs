@@ -12,7 +12,6 @@ use crate::attrs::PathAttributes;
 use crate::decision::{DecisionConfig, DecisionProcess};
 use crate::event::Timestamp;
 use crate::message::{PeerId, UpdateMessage};
-use crate::probe::mix;
 
 /// A single route: one prefix reachable with one set of path attributes,
 /// learned from one peer.
@@ -48,25 +47,11 @@ impl AttrId {
     }
 }
 
-/// Slots in an [`AttrTable`]'s hint: 4 KiB, indexed by the high bits of
-/// the unkeyed mix.
-const HINT_BITS: u32 = 10;
-
 /// The attribute sets a collector's routes hold, each stored once with a
 /// count of the routes holding it. A set is interned when a route takes
 /// it and freed when the last route holding it goes; its id is reused.
-///
-/// An interning lookup tries a direct-mapped *hint* first: one slot per
-/// unkeyed hash of the AS path's hops and the next hop, holding the id
-/// that slot last resolved to. A feed repeats a few paths across many
-/// routes, so the hint usually names the set already; the equality check
-/// that confirms it starts with a pointer compare when the path shares
-/// the held set's allocation, as a decoder's paths do. A miss — another
-/// set with the same path and next hop, or a slot taken by a colliding
-/// key — falls back to a std `HashMap` keyed by the whole set under its
-/// keyed hasher, so equal sets always collapse to one id and crafted keys
-/// cost there what they cost in any std map. The hint never grows and is
-/// never cleared: a stale entry only fails its equality check.
+/// Sets are found by value in a std `HashMap` under its keyed hasher, so
+/// equal sets always collapse to one id.
 ///
 /// ```
 /// use bgpscope_bgp::{AsPath, AttrTable, PathAttributes, RouterId};
@@ -81,7 +66,7 @@ const HINT_BITS: u32 = 10;
 /// table.release(b);
 /// assert!(table.is_empty());
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct AttrTable {
     /// Per id: the set and the routes holding it; `None` while free.
     slots: Vec<Option<Held>>,
@@ -90,25 +75,12 @@ pub struct AttrTable {
     /// Every held set, by value. Shares each set's one allocation with
     /// its slot.
     ids: HashMap<Arc<PathAttributes>, AttrId>,
-    /// The unconfirmed hint in front of `ids`.
-    hint: Box<[u32]>,
 }
 
 #[derive(Debug, Clone)]
 struct Held {
     attrs: Arc<PathAttributes>,
     routes: u32,
-}
-
-impl Default for AttrTable {
-    fn default() -> Self {
-        AttrTable {
-            slots: Vec::new(),
-            free: Vec::new(),
-            ids: HashMap::new(),
-            hint: vec![0; 1 << HINT_BITS].into_boxed_slice(),
-        }
-    }
 }
 
 impl fmt::Debug for AttrTable {
@@ -129,23 +101,13 @@ impl AttrTable {
     /// One more route holds `attrs`: returns the id of the equal set
     /// already held, or stores a copy under a free id.
     pub fn intern(&mut self, attrs: &PathAttributes) -> AttrId {
-        let hint = hint_of(attrs);
-        let hinted = self.hint[hint] as usize;
-        if let Some(held) = self.slots.get_mut(hinted).and_then(Option::as_mut) {
-            if *held.attrs == *attrs {
-                held.routes += 1;
-                return AttrId(hinted as u32);
-            }
-        }
-        let id = match self.ids.get(attrs) {
+        match self.ids.get(attrs) {
             Some(&id) => {
                 self.held_mut(id).routes += 1;
                 id
             }
             None => self.insert(Arc::new(attrs.clone())),
-        };
-        self.hint[hint] = id.0;
-        id
+        }
     }
 
     /// Stores a set no route holds yet, under the last-freed id or a new
@@ -219,19 +181,6 @@ impl AttrTable {
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
-}
-
-/// The hint slot for a set: the workspace's unkeyed mix over its next
-/// hop, the path's length and its hops, high bits. The hops rather than
-/// the path's allocation, so equal paths built apart (text traces,
-/// simulated and generated feeds) share a slot too.
-fn hint_of(attrs: &PathAttributes) -> usize {
-    let hops = attrs.as_path.asns();
-    let hash = hops.iter().fold(
-        mix(hops.len() as u64, u64::from(attrs.next_hop.0)),
-        |hash, asn| mix(hash, u64::from(asn.0)),
-    );
-    (hash >> (u64::BITS - HINT_BITS)) as usize
 }
 
 /// The Adj-RIB-In for a single peer: the exact set of routes that peer has
@@ -486,23 +435,17 @@ mod tests {
     fn attr_table_collapses_equal_sets_whatever_their_allocation() {
         let mut table = AttrTable::new();
         let a = attrs(1, "65000 65001");
-        // Equal hops in a second allocation: the hint's equality check
-        // compares the hops, not the allocation.
         let apart = attrs(1, "65000 65001");
         assert_ne!(a.as_path.asns().as_ptr(), apart.as_path.asns().as_ptr());
         let id = table.intern(&a);
         assert_eq!(table.intern(&apart), id);
         assert_eq!(table.intern(&a.clone()), id);
-        // Same path and next hop, other MED: the hint's slot, another set.
+        // Same path and next hop, other MED: another set.
         let med = a.clone().with_med(7);
         let other = table.intern(&med);
         assert_ne!(other, id);
         assert_eq!(table.get(other), &med);
-        assert_eq!(
-            table.intern(&a),
-            id,
-            "the hint lost its slot to the MED set"
-        );
+        assert_eq!(table.intern(&a), id);
         assert_eq!(table.len(), 2);
         for _ in 0..4 {
             table.release(id);

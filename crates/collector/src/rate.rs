@@ -166,7 +166,8 @@ impl EventRateMeter {
         EventRateMeter { bucket_width }
     }
 
-    /// Buckets `stream` (must be time-sorted).
+    /// Buckets `stream` from its earliest to its latest event, in any
+    /// order.
     ///
     /// # Panics
     ///
@@ -176,16 +177,15 @@ impl EventRateMeter {
             self.bucket_width.as_micros() > 0,
             "bucket width must be positive"
         );
-        let Some(first) = stream.events().first() else {
+        let times = stream.iter().map(|e| e.time);
+        let (Some(start), Some(last)) = (times.clone().min(), times.max()) else {
             return RateSeries {
                 start: Timestamp::ZERO,
                 bucket_width: self.bucket_width,
                 counts: Vec::new(),
             };
         };
-        let start = first.time;
         let width = self.bucket_width.as_micros();
-        let last = stream.events().last().expect("non-empty").time;
         let buckets = ((last.saturating_since(start).as_micros() / width) + 1) as usize;
         let mut counts = vec![0u64; buckets];
         for e in stream {
@@ -274,6 +274,18 @@ mod tests {
         let svg = series.render_svg(400.0, 120.0, "BGP event rate");
         assert!(svg.contains("polyline"));
         assert!(svg.contains("BGP event rate"));
+    }
+
+    #[test]
+    fn unsorted_stream_buckets_from_its_earliest_to_its_latest_event() {
+        let stream: EventStream = [ev(3), ev(17), ev(5)].into_iter().collect();
+        let series = EventRateMeter::new(Timestamp::from_secs(1)).series(&stream);
+        assert_eq!(series.start(), Timestamp::from_secs(3));
+        assert_eq!(series.counts().len(), 15);
+        assert_eq!(series.counts()[0], 1);
+        assert_eq!(series.counts()[2], 1);
+        assert_eq!(series.counts()[14], 1);
+        assert_eq!(series.counts().iter().sum::<u64>(), 3);
     }
 
     #[test]

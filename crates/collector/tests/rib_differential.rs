@@ -12,8 +12,7 @@
 //! hop, MED and communities, and each use either shares the pool's path
 //! allocation (what a decoder hands out for a repeated path) or builds the
 //! same hops anew: equal sets behind distinct allocations must collapse to
-//! one id, and sets that differ only in MED or communities share a hint
-//! slot, so they take the hint's miss path.
+//! one id, and sets that differ only in MED or communities must not.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 

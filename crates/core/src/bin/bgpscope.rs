@@ -61,10 +61,12 @@ fn main() -> ExitCode {
             cmd_picture(stream, rest.first().map(String::as_str))
         }),
         Some("animate") => with_stream(&args, 3, |stream, rest| cmd_animate(stream, &rest[0])),
-        Some("rate") => with_stream(&args, 2, |stream, rest| {
-            let bucket = rest.first().and_then(|s| s.parse().ok()).unwrap_or(60u64);
-            cmd_rate(stream, bucket)
-        }),
+        Some("rate") => match args.get(2) {
+            None => Ok(Seconds(60)),
+            Some(_) => value(&mut args[2..].iter(), "bucket-s"),
+        }
+        .map_err(Into::into)
+        .and_then(|bucket| with_stream(&args, 2, |stream, _| cmd_rate(stream, bucket))),
         Some("pipeline") => {
             if args.len() < 2 {
                 return usage();
@@ -169,6 +171,32 @@ where
         .ok_or_else(|| format!("{flag} needs a value"))?
         .parse()
         .map_err(|e| format!("{flag}: {e}"))
+}
+
+/// A positive whole number of seconds whose microseconds fit a
+/// [`Timestamp`]: `rate`'s bucket width and `replay --span`.
+#[derive(Clone, Copy)]
+struct Seconds(u64);
+
+impl Seconds {
+    fn timestamp(self) -> Timestamp {
+        Timestamp::from_secs(self.0)
+    }
+}
+
+impl FromStr for Seconds {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let secs = s.parse::<NonZeroU64>().map_err(|e| e.to_string())?.get();
+        match secs.checked_mul(1_000_000) {
+            Some(_) => Ok(Seconds(secs)),
+            None => Err(format!(
+                "{secs} s is longer than a timestamp holds ({} s)",
+                u64::MAX / 1_000_000
+            )),
+        }
+    }
 }
 
 /// A dead run is never a silent run: its final ledger goes to stderr.
@@ -329,11 +357,12 @@ fn cmd_animate(stream: EventStream, out_dir: &str) -> CliResult {
     Ok(())
 }
 
-fn cmd_rate(stream: EventStream, bucket_secs: u64) -> CliResult {
-    let series = EventRateMeter::new(Timestamp::from_secs(bucket_secs)).series(&stream);
+fn cmd_rate(stream: EventStream, bucket: Seconds) -> CliResult {
+    let series = EventRateMeter::new(bucket.timestamp()).series(&stream);
     println!(
-        "{} buckets of {bucket_secs}s; grass level {}, mean {:.1}, max {}",
+        "{} buckets of {}s; grass level {}, mean {:.1}, max {}",
         series.counts().len(),
+        bucket.0,
         series.grass_level(),
         series.mean(),
         series.counts().iter().max().unwrap_or(&0)
@@ -623,7 +652,7 @@ fn cmd_replay(recording: &str, rest: &[String]) -> CliResult {
     let mut rate: Option<f64> = None;
     let mut frames_dir: Option<String> = None;
     let mut timeline = false;
-    let mut span_secs = 30u64;
+    let mut span = Seconds(30);
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -633,7 +662,7 @@ fn cmd_replay(recording: &str, rest: &[String]) -> CliResult {
             "--rate" => rate = Some(value(&mut it, arg)?),
             "--frames" => frames_dir = Some(value(&mut it, arg)?),
             "--timeline" => timeline = true,
-            "--span" => span_secs = value(&mut it, arg)?,
+            "--span" => span = value(&mut it, arg)?,
             other => return Err(format!("unknown flag {other}").into()),
         }
     }
@@ -731,8 +760,8 @@ fn cmd_replay(recording: &str, rest: &[String]) -> CliResult {
     println!("{stats}");
     println!("ledger {}", stats.to_json());
     if let Some(dir) = frames_dir {
-        let span = Timestamp::from_secs(span_secs);
-        match replay.animation_at_cursor(span)? {
+        let span_secs = span.0;
+        match replay.animation_at_cursor(span.timestamp())? {
             None => println!("no events in the trailing {span_secs}s window — no frames written"),
             Some(animation) => {
                 fs::create_dir_all(&dir)?;

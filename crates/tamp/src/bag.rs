@@ -12,7 +12,8 @@
 //! small inline vector of `(prefix, refcount)` pairs and spills to a
 //! `HashMap` only past `SPILL_THRESHOLD` entries, which keeps the common
 //! case allocation-light. (This is the "hybrid vs plain HashMap" design
-//! choice benchmarked in `benches/ablation.rs`.)
+//! choice of DESIGN.md §4, decision 3; EXPERIMENTS.md's Table I(b) notes
+//! what the plain map cost on the 1.5M-route picture.)
 
 use std::collections::HashMap;
 

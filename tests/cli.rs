@@ -139,6 +139,18 @@ fn flag_errors_exit_2_with_their_message() {
         stderr(&out)
     );
 
+    // A bucket width is a positive number of seconds, checked before the
+    // trace is read; it once fell back to 60 s or failed an assert.
+    for bucket in ["0", "abc"] {
+        let out = bgpscope(&["rate", "x", bucket]);
+        assert_eq!(out.status.code(), Some(2));
+        assert!(
+            stderr(&out).starts_with("bgpscope: bucket-s: "),
+            "{}",
+            stderr(&out)
+        );
+    }
+
     // Deleted by PR 23; every subcommand rejects flags it does not know.
     let out = bgpscope(&["record", "x", "y", "--checkpoint-spill", "z"]);
     assert_eq!(out.status.code(), Some(2));
