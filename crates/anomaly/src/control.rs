@@ -20,19 +20,19 @@
 //!
 //! [`stemming_at_level`] maps a level to a concrete Stemming configuration
 //! by interpolating between the full-fidelity [`StemmingConfig`] and the
-//! [`DegradeConfig`] floor; [`CoalesceBuffer`] implements the merge-on-shed
-//! half of adaptive mode (see [`crate::SpawnConfig::adaptive`]).
+//! degraded floor; [`CoalesceBuffer`] implements the merge-on-shed half of
+//! adaptive mode (see [`crate::SpawnConfig::adaptive`]).
 
 use bgpscope_stemming::StemmingConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::pipeline::{DegradeConfig, WeightedEvent};
+use crate::pipeline::WeightedEvent;
 
 /// How much Stemming fidelity an analysis pass runs at. `Full` is the
 /// configured [`StemmingConfig`] untouched; [`FidelityLevel::Floor`] is
-/// the [`DegradeConfig`] floor, where the Degrade overload policy pins the
-/// detector under queue pressure; the levels between interpolate (see
-/// [`stemming_at_level`]).
+/// the degraded floor (see [`stemming_at_level`]), where the Degrade
+/// overload policy pins the detector under queue pressure; the levels
+/// between interpolate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum FidelityLevel {
     /// The configured Stemming settings, unmodified.
@@ -43,8 +43,8 @@ pub enum FidelityLevel {
     Medium,
     /// Mostly coarsened.
     Low,
-    /// The [`DegradeConfig`] floor — what the Degrade overload policy
-    /// runs under queue pressure.
+    /// The degraded floor — what the Degrade overload policy runs under
+    /// queue pressure.
     Floor,
 }
 
@@ -98,9 +98,6 @@ pub struct ControllerConfig {
     /// fidelity level. `0` = derive from the ingest-queue capacity at spawn
     /// (half the capacity, minimum 1).
     pub target_depth: u64,
-    /// How many samples ahead the depth trend is projected (the derivative
-    /// term): a rising queue is acted on before it arrives.
-    pub trend_horizon: u64,
     /// Consecutive calm samples required per recovery step (the hysteresis
     /// that prevents oscillation): fidelity descends one level only after
     /// this many samples in a row where even *twice* the projected depth
@@ -112,7 +109,6 @@ impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
             target_depth: 0,
-            trend_horizon: 4,
             recovery_patience: 3,
         }
     }
@@ -139,6 +135,10 @@ impl ControllerConfig {
     }
 }
 
+/// How many samples ahead the depth trend is projected (the law's
+/// derivative term): a rising queue is acted on before it arrives.
+const TREND_HORIZON: i128 = 4;
+
 /// The fidelity level a steady depth `projected` deserves: 0 at or below
 /// the target, then one level per doubling, capped at the floor.
 fn desired_level(projected: u64, target: u64) -> u8 {
@@ -158,9 +158,9 @@ fn desired_level(projected: u64, target: u64) -> u8 {
 ///
 /// Per sample, with `d` the observed depth and `t` the target:
 ///
-/// 1. **Derivative**: `projected = d + (d - d_prev) * trend_horizon`
-///    (saturating at 0) — a rising queue is treated as if it had already
-///    risen.
+/// 1. **Derivative**: `projected = d + (d - d_prev) * 4` (the trend four
+///    samples ahead, saturating at 0) — a rising queue is treated as if it
+///    had already risen.
 /// 2. **Proportional**: the *desired* level is `0` when `projected <= t`,
 ///    and one level per doubling above `t` (so `2t`, `4t`, `8t` are the
 ///    ascent thresholds), capped at the floor.
@@ -213,8 +213,7 @@ impl Controller {
         let target = self.config.target_depth.max(1);
         let prev = self.last_depth.replace(depth).unwrap_or(depth);
         let trend = depth as i128 - prev as i128;
-        let horizon = i128::from(self.config.trend_horizon);
-        let projected = (depth as i128 + trend * horizon).max(0) as u64;
+        let projected = (depth as i128 + trend * TREND_HORIZON).max(0) as u64;
 
         let current = self.level.index();
         let next = if desired_level(projected, target) > current {
@@ -237,27 +236,38 @@ impl Controller {
     }
 }
 
+/// The floor's `min_support` is the configured one times this: weaker
+/// correlations are noise the detector cannot afford to chase under
+/// overload.
+const DEGRADE_MIN_SUPPORT_MULTIPLIER: u64 = 4;
+/// The floor's per-window component budget.
+const DEGRADE_MAX_COMPONENTS: usize = 4;
+/// The floor's sub-sequence length cap (an unlimited `max_subseq_len` is
+/// lowered to it; a tighter one is kept).
+const DEGRADE_MAX_SUBSEQ_LEN: usize = 6;
+
 /// The Stemming configuration for a fidelity level: an integer
-/// interpolation between the full-fidelity `stemming` and the
-/// [`DegradeConfig`] floor.
+/// interpolation between the full-fidelity `stemming` and the degraded
+/// floor, which makes each analysis pass cheap enough for the queue to
+/// drain at the cost of finding only the strongest correlations.
 ///
 /// - [`FidelityLevel::Full`] returns `stemming` unchanged — including an
 ///   unlimited (`0`) `max_subseq_len`.
 /// - [`FidelityLevel::Floor`] returns *exactly* the configuration the
-///   binary Degrade policy uses: `min_support` multiplied by
-///   `min_support_multiplier`, `max_components` capped at the degrade cap,
-///   `max_subseq_len` lowered to the degrade cap.
+///   binary Degrade policy uses: `min_support` multiplied by 4,
+///   `max_components` capped at 4, `max_subseq_len` lowered to 6.
 /// - Levels between lerp each knob: `min_support` rises toward the floor,
 ///   `max_components` falls toward it (never below 1), `max_subseq_len`
 ///   falls toward it. When the full configuration's `max_subseq_len` is
 ///   unlimited (`0`), intermediate levels bound it at twice the floor and
 ///   tighten from there — "mildly coarsened" must already be bounded, or
 ///   the first coarsening step would do nothing to the enumeration cost.
-pub fn stemming_at_level(
-    stemming: &StemmingConfig,
-    degrade: &DegradeConfig,
-    level: FidelityLevel,
-) -> StemmingConfig {
+///
+/// Each analysis pass — degraded or not — builds one sub-sequence counter
+/// per window and *subtracts* per extracted component (see
+/// [`bgpscope_stemming::Stemming::decompose_weighted`]), so the component
+/// cap bounds cheap decremental rounds, not full recounts of the window.
+pub fn stemming_at_level(stemming: &StemmingConfig, level: FidelityLevel) -> StemmingConfig {
     let mut s = stemming.clone();
     let k = u64::from(level.index());
     if k == 0 {
@@ -265,27 +275,17 @@ pub fn stemming_at_level(
     }
     let steps = u64::from(FidelityLevel::STEPS);
 
-    let support_floor = s
-        .min_support
-        .saturating_mul(degrade.min_support_multiplier.max(1));
+    let support_floor = s.min_support.saturating_mul(DEGRADE_MIN_SUPPORT_MULTIPLIER);
     s.min_support += (support_floor - s.min_support).saturating_mul(k) / steps;
 
-    let comp_floor = s.max_components.min(degrade.max_components).max(1);
+    let comp_floor = s.max_components.clamp(1, DEGRADE_MAX_COMPONENTS);
     s.max_components -= (s.max_components - comp_floor) * k as usize / steps as usize;
 
-    let len_floor = if s.max_subseq_len == 0 {
-        degrade.max_subseq_len
-    } else {
-        s.max_subseq_len.min(degrade.max_subseq_len.max(1))
+    let (len_top, len_floor) = match s.max_subseq_len {
+        0 => (DEGRADE_MAX_SUBSEQ_LEN * 2, DEGRADE_MAX_SUBSEQ_LEN),
+        len => (len, len.min(DEGRADE_MAX_SUBSEQ_LEN)),
     };
-    if len_floor > 0 {
-        let len_top = if s.max_subseq_len == 0 {
-            len_floor * 2
-        } else {
-            s.max_subseq_len
-        };
-        s.max_subseq_len = len_top - (len_top - len_floor) * k as usize / steps as usize;
-    }
+    s.max_subseq_len = len_top - (len_top - len_floor) * k as usize / steps as usize;
     s
 }
 
@@ -422,24 +422,22 @@ mod tests {
     #[test]
     fn stemming_floor_matches_binary_degrade() {
         let stemming = StemmingConfig::default();
-        let degrade = DegradeConfig::default();
-        let floor = stemming_at_level(&stemming, &degrade, FidelityLevel::Floor);
+        let floor = stemming_at_level(&stemming, FidelityLevel::Floor);
         assert_eq!(
             floor.min_support,
-            stemming.min_support * degrade.min_support_multiplier
+            stemming.min_support * DEGRADE_MIN_SUPPORT_MULTIPLIER
         );
         assert_eq!(
             floor.max_components,
-            stemming.max_components.min(degrade.max_components)
+            stemming.max_components.min(DEGRADE_MAX_COMPONENTS)
         );
-        assert_eq!(floor.max_subseq_len, degrade.max_subseq_len);
+        assert_eq!(floor.max_subseq_len, DEGRADE_MAX_SUBSEQ_LEN);
     }
 
     #[test]
     fn stemming_full_is_untouched() {
         let stemming = StemmingConfig::default();
-        let degrade = DegradeConfig::default();
-        let full = stemming_at_level(&stemming, &degrade, FidelityLevel::Full);
+        let full = stemming_at_level(&stemming, FidelityLevel::Full);
         assert_eq!(full.min_support, stemming.min_support);
         assert_eq!(full.max_components, stemming.max_components);
         assert_eq!(full.max_subseq_len, stemming.max_subseq_len);

@@ -52,9 +52,9 @@ pub use control::{
 };
 pub use igp::enrich_with_igp;
 pub use pipeline::{
-    DegradeConfig, DetectorCounters, OverloadPolicy, PanicInjection, PipelineCheckpoint,
-    PipelineClosed, PipelineConfig, PipelineHandle, PipelineStats, RealtimeDetector, SpawnConfig,
-    StatsProbe, SupervisorConfig, WeightedEvent,
+    DetectorCounters, OverloadPolicy, PanicInjection, PipelineCheckpoint, PipelineClosed,
+    PipelineConfig, PipelineHandle, PipelineStats, RealtimeDetector, SpawnConfig, StatsProbe,
+    SupervisorConfig, WeightedEvent,
 };
 pub use replay::{
     Frame, Hotspot, Manifest, RecorderConfig, Replay, ReplayError, Timeline, TimelineBucket,

@@ -35,8 +35,8 @@
 //! [`crate::control`]): the supervisor samples
 //! the ingest-queue depth per pull and steers a [`FidelityLevel`] that
 //! continuously scales the Stemming knobs between full fidelity and the
-//! [`DegradeConfig`] floor. The controller steers fidelity only — the
-//! checkpoint cadence below is the same in every mode. Under
+//! degraded floor ([`stemming_at_level`]). The controller steers fidelity
+//! only — the checkpoint cadence below is the same in every mode. Under
 //! [`OverloadPolicy::DropOldest`], adaptive mode
 //! also turns sheds into merges: the stolen event is coalesced into a
 //! weighted representative ([`WeightedEvent`]) that re-enters the queue
@@ -208,9 +208,6 @@ pub struct PipelineConfig {
     /// than this (relative to the new window start) are evicted.
     /// [`Timestamp::ZERO`] = unlimited.
     pub max_carry_age: Timestamp,
-    /// How Stemming is coarsened while the pipeline is in degraded mode
-    /// (see [`OverloadPolicy::Degrade`]).
-    pub degrade: DegradeConfig,
 }
 
 impl Default for PipelineConfig {
@@ -223,37 +220,6 @@ impl Default for PipelineConfig {
             spike_events: 100_000,
             max_carry_events: 10_000,
             max_carry_age: Timestamp::from_secs(6 * 3600),
-            degrade: DegradeConfig::default(),
-        }
-    }
-}
-
-/// How Stemming is coarsened in degraded mode: the point is to make each
-/// analysis pass cheap enough for the queue to drain, at the cost of
-/// finding only the strongest correlations.
-///
-/// Each analysis pass — degraded or not — builds one sub-sequence counter
-/// per window and *subtracts* per extracted component (see
-/// [`Stemming::decompose_weighted`]), so the `max_components` cap here
-/// bounds cheap decremental rounds, not full recounts of the window.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct DegradeConfig {
-    /// `min_support` is multiplied by this (weaker correlations are noise
-    /// we cannot afford to chase under overload).
-    pub min_support_multiplier: u64,
-    /// Per-window component budget is capped at this many components.
-    pub max_components: usize,
-    /// Sub-sequence enumeration is capped at this length (an unlimited
-    /// `max_subseq_len` is lowered to it; a tighter one is kept).
-    pub max_subseq_len: usize,
-}
-
-impl Default for DegradeConfig {
-    fn default() -> Self {
-        DegradeConfig {
-            min_support_multiplier: 4,
-            max_components: 4,
-            max_subseq_len: 6,
         }
     }
 }
@@ -271,8 +237,8 @@ pub enum OverloadPolicy {
     /// under a storm the analysis window slides toward "now".
     DropOldest,
     /// Lossless like [`OverloadPolicy::Block`], but a full queue switches
-    /// the detector into degraded mode — coarser Stemming per
-    /// [`DegradeConfig`] — until the queue drains. Each analysis run in
+    /// the detector into degraded mode — coarser Stemming, the floor of
+    /// [`stemming_at_level`] — until the queue drains. Each analysis run in
     /// that state is counted in [`PipelineStats::degraded_windows`].
     Degrade,
 }
@@ -1072,8 +1038,7 @@ impl RealtimeDetector {
         // Any reduced-fidelity pass counts as a degraded window and marks
         // its reports.
         let reduced = self.fidelity != FidelityLevel::Full;
-        let stemming_config =
-            stemming_at_level(&self.config.stemming, &self.config.degrade, self.fidelity);
+        let stemming_config = stemming_at_level(&self.config.stemming, self.fidelity);
         if reduced {
             self.counters.degraded_windows += 1;
         }

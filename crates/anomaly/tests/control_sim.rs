@@ -15,8 +15,8 @@
 use std::collections::BTreeSet;
 
 use bgpscope_anomaly::{
-    stemming_at_level, CoalesceBuffer, Controller, ControllerConfig, DegradeConfig, FidelityLevel,
-    Fold, WeightedEvent,
+    stemming_at_level, CoalesceBuffer, Controller, ControllerConfig, FidelityLevel, Fold,
+    WeightedEvent,
 };
 use bgpscope_bgp::{
     AsPath, Event, EventStream, PathAttributes, PeerId, Prefix, RouterId, Timestamp,
@@ -189,9 +189,8 @@ fn steady_state_fidelity_is_monotone_in_depth() {
 #[test]
 fn fidelity_ladder_is_monotone_in_every_knob() {
     let stemming = StemmingConfig::default();
-    let degrade = DegradeConfig::default();
     let ladder: Vec<StemmingConfig> = (0..=FidelityLevel::STEPS)
-        .map(|i| stemming_at_level(&stemming, &degrade, FidelityLevel::from_index(i)))
+        .map(|i| stemming_at_level(&stemming, FidelityLevel::from_index(i)))
         .collect();
     for pair in ladder.windows(2) {
         assert!(pair[1].min_support >= pair[0].min_support);
@@ -349,11 +348,7 @@ proptest! {
     fn coalescing_preserves_stems_at_degraded_fidelity(stream in stream_strategy()) {
         let config = StemmingConfig {
             min_residual_events: 1,
-            ..stemming_at_level(
-                &StemmingConfig::default(),
-                &DegradeConfig::default(),
-                FidelityLevel::Medium,
-            )
+            ..stemming_at_level(&StemmingConfig::default(), FidelityLevel::Medium)
         };
         assert_coalescing_conservative(&stream, &config);
     }

@@ -44,8 +44,9 @@ fn main() -> ExitCode {
         println!("== Table I(a): Berkeley ==  (scale factor {f})");
         slow.extend(table_for_site(
             "Berkeley",
-            // (routes target, scenario scale) — paper rows: 230k, 115k, 23k.
-            &[(230_000, 10.0 * f), (115_000, 5.0 * f), (23_000, 1.0 * f)],
+            // Picture rows: scenario scale — paper rows: 230k, 115k, 23k
+            // routes.
+            &[10.0 * f, 5.0 * f, 1.0 * f],
             // Animation rows: (events, timerange secs) — paper: 1k/423s,
             // 10k/36min, 100k/7.6h, 1000k/33.6h.
             &[
@@ -69,11 +70,7 @@ fn main() -> ExitCode {
         slow.extend(table_for_site(
             "ISP-Anon",
             // Paper rows: 1500k, 750k, 150k routes.
-            &[
-                ((1_500_000f64 * f) as usize, 1.0 * f),
-                ((750_000f64 * f) as usize, 0.5 * f),
-                ((150_000f64 * f) as usize, 0.1 * f),
-            ],
+            &[1.0 * f, 0.5 * f, 0.1 * f],
             // Paper: 1k/226s, 10k/621s, 100k/2.3h, 1000k/20.5h.
             &[
                 (1_000, 226.0),
@@ -106,8 +103,7 @@ fn rt_ratio(stream: &EventStream, elapsed: f64) -> f64 {
     stream.timerange().as_secs_f64() / elapsed.max(1e-9)
 }
 
-fn berkeley_routes(target: usize, scale: f64) -> Vec<RouteInput> {
-    let _ = target;
+fn berkeley_routes(scale: f64) -> Vec<RouteInput> {
     Berkeley::with_scale(scale)
         .routes()
         .iter()
@@ -115,8 +111,7 @@ fn berkeley_routes(target: usize, scale: f64) -> Vec<RouteInput> {
         .collect()
 }
 
-fn isp_routes(target: usize, scale: f64) -> Vec<RouteInput> {
-    let _ = target;
+fn isp_routes(scale: f64) -> Vec<RouteInput> {
     IspAnon::with_scale(scale)
         .routes_iter()
         .map(|r| RouteInput::from_route(&r))
@@ -125,17 +120,17 @@ fn isp_routes(target: usize, scale: f64) -> Vec<RouteInput> {
 
 fn table_for_site(
     label: &str,
-    picture_rows: &[(usize, f64)],
+    picture_rows: &[f64],
     animation_rows: &[(usize, f64)],
     stemming_rows: &[(usize, f64)],
-    make_routes: fn(usize, f64) -> Vec<RouteInput>,
+    make_routes: fn(f64) -> Vec<RouteInput>,
     make_stream: fn(usize, Timestamp) -> EventStream,
 ) -> Vec<String> {
     let mut slow = Vec::new();
     println!("-- TAMP picture --");
     println!("{:>12} {:>12}", "No. routes", "Run time");
-    for &(target, scale) in picture_rows {
-        let routes = make_routes(target, scale);
+    for &scale in picture_rows {
+        let routes = make_routes(scale);
         let started = Instant::now();
         let mut builder = GraphBuilder::new(label);
         for r in &routes {

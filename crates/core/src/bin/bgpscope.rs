@@ -6,17 +6,12 @@
 //! bgpscope animate  <events.(mrt|txt)> <out-dir>  # frame SVGs of the incident
 //! bgpscope rate     <events.(mrt|txt)> [bucket-secs]
 //! bgpscope pipeline <events.(mrt|txt)> [--capacity N] [--policy P]
-//!                   [--checkpoint-interval N]
-//!                   [--adaptive [--target-depth N]]
-//!                   [--shards N] [--quarantine-after R]
+//!                   [--checkpoint-interval N] [--shards N]
 //!                   [--record PATH [--frames-per-segment N] [--label S]]
 //! bgpscope ingest   <archive.mrt> [archive2.mrt …] [--lossy] [--passthrough]
-//!                   [--buffer-capacity BYTES] [--batch N] [--channel-batches N]
 //!                   [--capacity N] [--policy P] [--shards N] [--bench FILE]
 //!                   [--retries N] [--backoff-ms N] [--stall-timeout-ms N]
 //!                   [--poison-threshold N]
-//! bgpscope record   <events.(mrt|txt)> <recording> [pipeline flags]
-//!                   # = pipeline <events> --record <recording> [flags]
 //! bgpscope replay   <recording> [--seek T|--hotspot N] [--step K] [--rate R]
 //!                   [--frames DIR] [--timeline] [--span SECS]
 //! bgpscope convert  <in.(mrt|txt)> <out.(mrt|txt)>
@@ -24,18 +19,20 @@
 //! ```
 //!
 //! Event files are either the binary MRT-style format (`.mrt`) or the
-//! Figure-4-style text format (anything else). Text traces are read
-//! lossily: corrupt lines are skipped with a warning (and counted in the
-//! pipeline ledger) instead of failing the whole trace.
+//! Figure-4-style text format (anything else). A trace is loaded in time
+//! order (a stable sort, so events at one instant keep their file order).
+//! Text traces are read lossily: corrupt lines are skipped with a warning
+//! (and counted in the pipeline ledger) instead of failing the whole trace.
+//! Every subcommand refuses an argument it does not take.
 //!
 //! `ingest` accepts several archives at once: each becomes a supervised
 //! source decoded on its own worker and fanned deterministically into one
 //! stem pipeline, with per-source retry/backoff, stall watchdogs, and
 //! poison-record quarantine (see the `--retries`/`--backoff-ms`/
 //! `--stall-timeout-ms`/`--poison-threshold` knobs). A source is supervised
-//! as a `pipeline` shard is: `--retries` and `--quarantine-after` budget one
-//! kind of restart policy, whose backoff doubles from its base
-//! (`--backoff-ms`) up to 64× it, and both report one kind of health.
+//! as a `pipeline` shard is: one kind of restart policy, whose backoff
+//! doubles from its base (`--backoff-ms`) up to 64× it, and one kind of
+//! health.
 //!
 //! Exit codes: 0 success, 1 usage error, 2 I/O or parse failure (including
 //! every ingest source quarantined), 3 partial ingest — some sources were
@@ -54,19 +51,28 @@ use bgpscope::prelude::*;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("detect") => with_stream(&args, 2, |stream, rest| {
-            cmd_detect(stream, rest.iter().any(|a| a == "--json"))
-        }),
-        Some("picture") => with_stream(&args, 2, |stream, rest| {
-            cmd_picture(stream, rest.first().map(String::as_str))
-        }),
-        Some("animate") => with_stream(&args, 3, |stream, rest| cmd_animate(stream, &rest[0])),
-        Some("rate") => match args.get(2) {
-            None => Ok(Seconds(60)),
-            Some(_) => value(&mut args[2..].iter(), "bucket-s"),
+        Some("detect") => {
+            let json = args.get(2).is_some_and(|a| a == "--json");
+            with_stream(&args, 2, 2 + usize::from(json), |s| cmd_detect(s, json))
         }
-        .map_err(Into::into)
-        .and_then(|bucket| with_stream(&args, 2, |stream, _| cmd_rate(stream, bucket))),
+        Some("picture") => {
+            let out = args.get(2).filter(|a| !a.starts_with("--"));
+            with_stream(&args, 2, 2 + usize::from(out.is_some()), |s| {
+                cmd_picture(s, out.map(String::as_str))
+            })
+        }
+        Some("animate") => with_stream(&args, 3, 3, |s| cmd_animate(s, &args[2])),
+        Some("rate") => {
+            let given = args.get(2).is_some_and(|a| !a.starts_with("--"));
+            let bucket = if given {
+                value(&mut args[2..].iter(), "bucket-s")
+            } else {
+                Ok(Seconds(60))
+            };
+            bucket.map_err(Into::into).and_then(|bucket| {
+                with_stream(&args, 2, 2 + usize::from(given), |s| cmd_rate(s, bucket))
+            })
+        }
         Some("pipeline") => {
             if args.len() < 2 {
                 return usage();
@@ -80,17 +86,6 @@ fn main() -> ExitCode {
             // `ingest` owns its exit story: 0 clean, 2 failed, 3 partial
             // (some sources quarantined, results valid but incomplete).
             return cmd_ingest(&args[1..]);
-        }
-        Some("record") => {
-            if args.len() < 3 {
-                return usage();
-            }
-            let rest: Vec<String> = ["--record", &args[2]]
-                .into_iter()
-                .map(String::from)
-                .chain(args[3..].iter().cloned())
-                .collect();
-            cmd_pipeline(&args[1], &rest)
         }
         Some("replay") => {
             if args.len() < 2 {
@@ -123,31 +118,25 @@ fn main() -> ExitCode {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: bgpscope <detect|picture|animate|rate|pipeline|ingest|record|replay|convert|demo> <args…>\n\
+        "usage: bgpscope <detect|picture|animate|rate|pipeline|ingest|replay|convert|demo> <args…>\n\
          \n\
-         detect   <events>             decompose + classify anomalies\n\
+         detect   <events> [--json]    decompose + classify anomalies\n\
          picture  <events> [out.svg]   TAMP picture of the final routing state\n\
          animate  <events> <out-dir>   write key animation frames as SVG\n\
          rate     <events> [bucket-s]  event-rate series + spikes\n\
          pipeline <events> [--capacity N] [--policy block|drop-newest|drop-oldest|degrade]\n\
-         \u{20}                 [--checkpoint-interval N] [--adaptive [--target-depth N]]\n\
-         \u{20}                 [--shards N] [--quarantine-after R]\n\
+         \u{20}                 [--checkpoint-interval N] [--shards N]\n\
          \u{20}                 [--record PATH [--frames-per-segment N] [--label S]]\n\
          \u{20}                             replay through the supervised realtime pipeline;\n\
          \u{20}                             --shards N fans out over supervised shards with\n\
          \u{20}                             per-shard quarantine, --record PATH records the run\n\
          ingest   <archive.mrt> [archive2.mrt …] [--lossy] [--passthrough]\n\
-         \u{20}                 [--buffer-capacity BYTES] [--batch N] [--channel-batches N]\n\
          \u{20}                 [--capacity N] [--policy P] [--shards N] [--bench FILE]\n\
          \u{20}                 [--retries N] [--backoff-ms N] [--stall-timeout-ms N]\n\
          \u{20}                 [--poison-threshold N]\n\
          \u{20}                             stream archive(s) through decode → augment → stem;\n\
          \u{20}                             several archives fan in as supervised sources\n\
          \u{20}                             (exit 3 = partial: some sources quarantined)\n\
-         record   <events> <recording> [--capacity N] [--policy P]\n\
-         \u{20}                 [--checkpoint-interval N] [--frames-per-segment N] [--label S]\n\
-         \u{20}                             = pipeline <events> --record <recording>, which\n\
-         \u{20}                             takes every pipeline flag\n\
          replay   <recording> [--seek T|--hotspot N] [--step K] [--rate R]\n\
          \u{20}                 [--frames DIR] [--timeline] [--span SECS]\n\
          \u{20}                             scrub a recording: seek a cursor (or hotspot),\n\
@@ -204,42 +193,48 @@ fn eprint_ledger(stats: &impl std::fmt::Display, json: &str) {
     eprintln!("{stats}\nledger {json}");
 }
 
+/// Runs a simple subcommand on the trace `args[1]`. It takes `min` to
+/// `max` arguments, its name included; both bounds are checked before the
+/// trace is read.
 fn with_stream(
     args: &[String],
-    min_args: usize,
-    f: impl FnOnce(EventStream, &[String]) -> CliResult,
+    min: usize,
+    max: usize,
+    f: impl FnOnce(EventStream) -> CliResult,
 ) -> CliResult {
-    if args.len() < min_args {
+    if args.len() < min {
         return Err("missing arguments (run with no args for usage)".into());
     }
-    let stream = load(&args[1])?;
-    f(stream, &args[2..])
+    if let Some(extra) = args.get(max) {
+        return Err(format!("unknown flag {extra}").into());
+    }
+    f(load(&args[1])?)
 }
 
 fn load(path: &str) -> Result<EventStream, Box<dyn std::error::Error>> {
     load_lossy(path).map(|(stream, _)| stream)
 }
 
-/// Loads a trace, skipping (and counting) corrupt text lines rather than
-/// failing the whole file. Binary traces stay strict — a corrupt
-/// length-prefixed record poisons everything after it anyway.
+/// Loads a trace in time order, skipping (and counting) corrupt text
+/// lines rather than failing the whole file. Binary traces stay strict — a
+/// corrupt length-prefixed record poisons everything after it anyway. The
+/// sort is stable: events at one instant keep their file order.
 fn load_lossy(path: &str) -> Result<(EventStream, usize), Box<dyn std::error::Error>> {
     let p = Path::new(path);
-    if p.extension().and_then(|e| e.to_str()) == Some("mrt") {
-        let data = fs::read(p)?;
-        Ok((read_events(data.as_slice())?, 0))
+    let (mut stream, errors) = if p.extension().and_then(|e| e.to_str()) == Some("mrt") {
+        (read_events(fs::read(p)?.as_slice())?, 0)
     } else {
-        let text = fs::read_to_string(p)?;
-        let (stream, errors) = text_to_events_lossy(&text);
-        if !errors.is_empty() {
+        let (stream, errors) = text_to_events_lossy(&fs::read_to_string(p)?);
+        if let Some(first) = errors.first() {
             eprintln!(
-                "bgpscope: {path}: skipped {} corrupt line(s), first: {}",
-                errors.len(),
-                errors[0]
+                "bgpscope: {path}: skipped {} corrupt line(s), first: {first}",
+                errors.len()
             );
         }
-        Ok((stream, errors.len()))
-    }
+        (stream, errors.len())
+    };
+    stream.sort_by_time();
+    Ok((stream, errors))
 }
 
 fn save(path: &str, stream: &EventStream) -> CliResult {
@@ -387,15 +382,12 @@ fn cmd_rate(stream: EventStream, bucket: Seconds) -> CliResult {
 /// emitted report and periodic ledger snapshot goes into an append-only
 /// segmented recording (manifest at `PATH`, frames at `PATH.seg<k>`; with
 /// more than one shard, one recording per shard at `PATH.shard<k>`), ready
-/// for `bgpscope replay`. `record <events> <recording>` is this command.
+/// for `bgpscope replay`.
 fn cmd_pipeline(path: &str, rest: &[String]) -> CliResult {
     let mut capacity = 65_536usize;
     let mut policy = OverloadPolicy::Block;
     let mut checkpoint_interval = 256usize;
-    let mut adaptive = false;
-    let mut target_depth: Option<u64> = None;
     let mut shards = 1usize;
-    let mut quarantine_after: Option<u32> = None;
     let mut recorder: Option<RecorderConfig> = None;
     let mut frames_per_segment: Option<usize> = None;
     let mut label: Option<String> = None;
@@ -405,37 +397,21 @@ fn cmd_pipeline(path: &str, rest: &[String]) -> CliResult {
             "--capacity" => capacity = value(&mut it, arg)?,
             "--policy" => policy = value(&mut it, arg)?,
             "--checkpoint-interval" => checkpoint_interval = value(&mut it, arg)?,
-            "--adaptive" => adaptive = true,
             "--shards" => shards = value(&mut it, arg)?,
-            "--quarantine-after" => quarantine_after = Some(value(&mut it, arg)?),
-            "--target-depth" => target_depth = Some(value(&mut it, arg)?),
             "--record" => recorder = Some(RecorderConfig::new(value::<String>(&mut it, arg)?)),
             "--frames-per-segment" => frames_per_segment = Some(value(&mut it, arg)?),
             "--label" => label = Some(value(&mut it, arg)?),
             other => return Err(format!("unknown flag {other}").into()),
         }
     }
-    if target_depth.is_some() && !adaptive {
-        return Err("--target-depth requires --adaptive".into());
-    }
     if recorder.is_none() && (frames_per_segment.is_some() || label.is_some()) {
         return Err("--frames-per-segment and --label require --record".into());
     }
     let (stream, parse_errors) = load_lossy(path)?;
-    let mut supervisor = SupervisorConfig::default().with_checkpoint_interval(checkpoint_interval);
-    if let Some(restarts) = quarantine_after {
-        supervisor = supervisor.with_max_restarts(restarts);
-    }
     let mut spawn = SpawnConfig::new(PipelineConfig::default())
         .with_capacity(capacity)
         .with_overload(policy)
-        .with_supervisor(supervisor);
-    if adaptive {
-        // 0 means "derive from the queue capacity at spawn".
-        spawn = spawn.with_adaptive(
-            ControllerConfig::default().with_target_depth(target_depth.unwrap_or(0)),
-        );
-    }
+        .with_supervisor(SupervisorConfig::default().with_checkpoint_interval(checkpoint_interval));
     let recording = recorder.as_ref().map(|r| r.path.display().to_string());
     if let Some(mut recorder) = recorder {
         if let Some(frames) = frames_per_segment {
@@ -540,9 +516,6 @@ fn run_ingest(args: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
         match arg.as_str() {
             "--lossy" => config = config.lossy(),
             "--passthrough" => config = config.passthrough(),
-            "--buffer-capacity" => config = config.with_buffer_capacity(value(&mut it, arg)?),
-            "--batch" => config = config.with_batch_size(value(&mut it, arg)?),
-            "--channel-batches" => config = config.with_channel_batches(value(&mut it, arg)?),
             "--capacity" => capacity = value(&mut it, arg)?,
             "--policy" => policy = value(&mut it, arg)?,
             "--shards" => config = config.with_shards(value(&mut it, arg)?),

@@ -60,12 +60,12 @@ pub use rex::Rex;
 pub mod prelude {
     pub use bgpscope_anomaly::{
         classify, enrich_with_igp, merge_incidents, scan_deaggregation, scan_moas, AnomalyKind,
-        AnomalyReport, ControllerConfig, DegradeConfig, FidelityLevel, GlobalIncident, Health,
-        Hotspot, OverloadPolicy, PanicInjection, PipelineCheckpoint, PipelineClosed,
-        PipelineConfig, PipelineHandle, PipelineStats, RealtimeDetector, RecorderConfig, Replay,
-        ReplayError, RestartPolicy, ShardPanic, ShardRouter, ShardSnapshot, ShardedConfig,
-        ShardedObserver, ShardedPipeline, ShardedRun, ShardedStats, SpawnConfig, StatsProbe,
-        SupervisorConfig, Timeline, TimelineBucket, WeightedEvent,
+        AnomalyReport, ControllerConfig, FidelityLevel, GlobalIncident, Health, Hotspot,
+        OverloadPolicy, PanicInjection, PipelineCheckpoint, PipelineClosed, PipelineConfig,
+        PipelineHandle, PipelineStats, RealtimeDetector, RecorderConfig, Replay, ReplayError,
+        RestartPolicy, ShardPanic, ShardRouter, ShardSnapshot, ShardedConfig, ShardedObserver,
+        ShardedPipeline, ShardedRun, ShardedStats, SpawnConfig, StatsProbe, SupervisorConfig,
+        Timeline, TimelineBucket, WeightedEvent,
     };
     pub use bgpscope_bgp::{
         AsPath, Asn, Community, Event, EventKind, EventStream, LocalPref, Med, PathAttributes,
